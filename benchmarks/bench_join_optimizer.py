@@ -11,6 +11,7 @@ planner recognizes.
 
 import pytest
 
+from repro import RuntimeConfig
 from repro.catalog import Application
 from repro.driver import connect
 from repro.engine import DSPRuntime, import_tables
@@ -24,7 +25,8 @@ def make_runtime(rows: int, optimize: bool) -> DSPRuntime:
     storage = build_scaled_storage(rows)
     application = Application("BenchApp")
     import_tables(application, "Bench", storage)
-    return DSPRuntime(application, storage, optimize=optimize)
+    return DSPRuntime(application, storage,
+                      config=RuntimeConfig(optimize=optimize))
 
 
 @pytest.mark.parametrize("rows", [100, 300])

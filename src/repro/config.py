@@ -6,16 +6,11 @@ knobs (result format, caches, default timeout) — two overlapping kwarg
 lists for one logical thing: how this DSP instance should behave.
 :class:`RuntimeConfig` collapses both into a single frozen dataclass
 accepted by ``DSPRuntime(config=...)`` and ``connect(config=...)``.
-
-The old keyword arguments still work for one release; they are funneled
-through :func:`merge_legacy_kwargs`, which folds them into a config and
-emits a ``DeprecationWarning`` per kwarg.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -71,48 +66,3 @@ class RuntimeConfig:
     def replace(self, **changes) -> "RuntimeConfig":
         """A copy with *changes* applied (unknown names raise)."""
         return dataclasses.replace(self, **changes)
-
-
-#: Field names accepted as legacy keyword arguments, per call site.
-ENGINE_FIELDS = frozenset({
-    "optimize", "pushdown", "cost", "plan_cache_capacity",
-    "max_concurrent_queries", "admission_queue_timeout",
-    "max_inflight_rows", "retry_policy", "batch_size",
-    "parallelism", "parallel_min_rows",
-})
-DRIVER_FIELDS = frozenset({
-    "format", "metadata_latency", "statement_cache_capacity",
-    "metadata_cache_capacity", "default_timeout",
-    "remote_connect_timeout",
-})
-ALL_FIELDS = ENGINE_FIELDS | DRIVER_FIELDS
-
-
-def merge_legacy_kwargs(config: RuntimeConfig, legacy: dict, what: str,
-                        allowed: frozenset = ALL_FIELDS,
-                        ignore_none: bool = False,
-                        warn: bool = True) -> RuntimeConfig:
-    """Fold pre-RuntimeConfig keyword arguments into *config*.
-
-    Unknown names raise ``TypeError`` (matching normal keyword
-    behaviour); each accepted kwarg emits a ``DeprecationWarning``
-    naming the replacement. ``ignore_none`` reproduces the old
-    ``connect()`` semantics where ``None`` meant "use the default".
-    """
-    changes = {}
-    for key, value in legacy.items():
-        if key not in allowed:
-            raise TypeError(
-                f"{what} got an unexpected keyword argument {key!r}")
-        if ignore_none and value is None:
-            continue
-        changes[key] = value
-    if not changes:
-        return config
-    if warn:
-        names = ", ".join(sorted(changes))
-        warnings.warn(
-            f"passing {names} to {what} directly is deprecated; "
-            f"pass config=RuntimeConfig(...) instead",
-            DeprecationWarning, stacklevel=3)
-    return config.replace(**changes)

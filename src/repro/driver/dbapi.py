@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .. import clock, errors
 from ..catalog import MetadataCache, ProcedureMetadata
-from ..config import DRIVER_FIELDS, RuntimeConfig, merge_legacy_kwargs
+from ..config import RuntimeConfig
 from ..engine.dml import mutation_parameter_count, plan_mutation
 from ..engine.dsp import DSPRuntime
 from ..engine.lifecycle import AdmissionSlot, QueryContext
@@ -164,8 +164,7 @@ def connect(target: Union[DSPRuntime, str], *,
             format: Optional[str] = None,
             config: Optional[RuntimeConfig] = None,
             tracer: Optional[Tracer] = None,
-            metrics: Optional[MetricsRegistry] = None,
-            **legacy):
+            metrics: Optional[MetricsRegistry] = None):
     """Open a connection to a DSP (the JDBC ``getConnection``).
 
     *target* selects both the destination and the transport:
@@ -181,11 +180,8 @@ def connect(target: Union[DSPRuntime, str], *,
 
     Tuning lives in *config* (a :class:`repro.RuntimeConfig`);
     precedence, lowest to highest, is config defaults → ``config=`` →
-    DSN query parameters → keyword overrides. ``format`` stays a
-    first-class keyword because callers switch it constantly; the
-    remaining pre-1.1 keyword arguments (``default_timeout``,
-    ``metadata_latency``, the cache capacities) still work for one
-    release and raise a ``DeprecationWarning``.
+    DSN query parameters → the ``format`` keyword, which stays
+    first-class because callers switch it constantly.
     ``config.default_timeout`` (seconds) bounds every statement executed
     on the connection unless ``Cursor.execute(..., timeout=...)``
     overrides it.
@@ -203,8 +199,6 @@ def connect(target: Union[DSPRuntime, str], *,
     merged = (config or RuntimeConfig())
     if parsed is not None and parsed.options:
         merged = merged.replace(**parsed.options)
-    merged = merge_legacy_kwargs(merged, legacy, "connect()",
-                                 allowed=DRIVER_FIELDS, ignore_none=True)
     if format is not None:
         merged = merged.replace(format=format)
     if parsed is not None and parsed.remote:
@@ -235,11 +229,8 @@ class Connection:
     def __init__(self, runtime: DSPRuntime,
                  config: Optional[RuntimeConfig] = None, *,
                  tracer: Optional[Tracer] = None,
-                 metrics: Optional[MetricsRegistry] = None,
-                 **legacy):
-        config = merge_legacy_kwargs(
-            config or RuntimeConfig(), legacy, "Connection()",
-            allowed=DRIVER_FIELDS, ignore_none=True)
+                 metrics: Optional[MetricsRegistry] = None):
+        config = config or RuntimeConfig()
         if config.format not in FORMATS:
             raise InterfaceError(
                 f"unknown result format {config.format!r}; expected one "

@@ -34,7 +34,7 @@ from ..catalog import (
     function_namespace,
     sql_to_xs,
 )
-from ..config import ENGINE_FIELDS, RuntimeConfig, merge_legacy_kwargs
+from ..config import RuntimeConfig
 from ..errors import (
     NotSupportedError,
     SourceUnavailableError,
@@ -86,19 +86,15 @@ class DSPRuntime:
     one ``TableBinding`` functions scan; further sources attach through
     :meth:`register_source` and are addressed by ``SourceBinding``.
 
-    Tuning lives in :class:`repro.RuntimeConfig`; the pre-config
-    keyword arguments (``optimize=``, ``plan_cache_capacity=``, ...)
-    still work for one release with a ``DeprecationWarning``.
+    Tuning lives in :class:`repro.RuntimeConfig`.
     """
 
     def __init__(self, application: Application,
                  storage: "Storage | DataSource | None" = None,
                  config: Optional[RuntimeConfig] = None,
-                 metrics: Optional[MetricsRegistry] = None,
-                 **legacy):
-        config = merge_legacy_kwargs(
-            config if config is not None else RuntimeConfig(),
-            legacy, "DSPRuntime()", allowed=ENGINE_FIELDS)
+                 metrics: Optional[MetricsRegistry] = None):
+        if config is None:
+            config = RuntimeConfig()
         self.application = application
         self.storage = storage
         self.config = config
@@ -431,49 +427,62 @@ class DSPRuntime:
         raise UnknownArtifactError(
             f"data service function {local} has no binding")
 
+    def _reduced_request(self, function, source: DataSource, table: str,
+                         request: Optional[ScanRequest]) \
+            -> Optional[ScanRequest]:
+        """Check the function's schema width against the table, then
+        reduce *request* to what the source's capabilities actually
+        cover (None: a plain scan) — shared by the row and column
+        scans."""
+        schema = function.return_schema
+        if len(schema.columns) != len(source.columns(table)):
+            raise UnknownArtifactError(
+                f"schema/table column count mismatch for {function.name}")
+        if self.pushdown and request is not None:
+            return filter_request(
+                source, table, request,
+                [decl.name for decl in schema.columns])
+        return None
+
+    def _count_scan(self, result, row_count: int) -> None:
+        """Publish one finished source scan on the pushdown and index
+        counters."""
+        self._rows_scanned.add(row_count)
+        if result.pushed:
+            self._rows_pushed.add(row_count)
+        if result.index_used:
+            self._index_hits.increment()
+        if result.index_built:
+            self._index_builds.increment()
+
     def _scan_source(self, uri: str, local: str, function,
                      source: DataSource, table: str,
                      request: Optional[ScanRequest],
                      context: Optional[QueryContext]) -> list:
         """Materialize a source table scan as typed flat elements.
 
-        The request (if any) is first reduced to what the source's
-        capabilities actually cover; a surviving request bypasses the
+        A request that survives :meth:`_reduced_request` bypasses the
         element-tree cache (its result is request-specific), while a
         plain scan goes through the cache guarded by the source's
         ``version`` staleness token."""
         schema = function.return_schema
-        if len(schema.columns) != len(source.columns(table)):
-            raise UnknownArtifactError(
-                f"schema/table column count mismatch for {function.name}")
-        reduced = None
-        if self.pushdown and request is not None:
-            reduced = filter_request(
-                source, table, request,
-                [decl.name for decl in schema.columns])
+        reduced = self._reduced_request(function, source, table, request)
+        token = None
         if reduced is None:
             token = source.version(table)
             cached = self._table_elements.get((uri, local))
             if cached is not None and token is not None \
                     and cached[0] == token:
                 return cached[1]
-            rows = list(source.scan(table, None, context))
-            self._rows_scanned.add(len(rows))
-            elements = self._rows_to_elements(schema, rows)
-            if token is not None:
-                self._table_elements[(uri, local)] = (token, elements)
-            return elements
         result = source.scan(table, reduced, context)
         rows = list(result)
-        self._rows_scanned.add(len(rows))
-        if result.pushed:
-            self._rows_pushed.add(len(rows))
-        if result.index_used:
-            self._index_hits.increment()
-        if result.index_built:
-            self._index_builds.increment()
-        return self._rows_to_elements(
-            self._project_schema(schema, result.columns), rows)
+        self._count_scan(result, len(rows))
+        if reduced is not None:
+            schema = self._project_schema(schema, result.columns)
+        elements = self._rows_to_elements(schema, rows)
+        if token is not None:
+            self._table_elements[(uri, local)] = (token, elements)
+        return elements
 
     # -- columnar scans (vectorized executor) -------------------------------
 
@@ -555,36 +564,14 @@ class DSPRuntime:
                              context: Optional[QueryContext],
                              partition=None):
         """Materialize a source table scan as column lists, mirroring
-        :meth:`_scan_source`'s cache/pushdown/metrics behavior."""
+        :meth:`_scan_source`'s pushdown/metrics behavior. Only a plain
+        whole-table scan is served from (and fills) the column cache:
+        a reduced request's or a partition's result is specific to it.
+        """
         schema = function.return_schema
-        if len(schema.columns) != len(source.columns(table)):
-            raise UnknownArtifactError(
-                f"schema/table column count mismatch for {function.name}")
-        reduced = None
-        if self.pushdown and request is not None:
-            reduced = filter_request(
-                source, table, request,
-                [decl.name for decl in schema.columns])
-        batch = self.batch_size or 1024
-        if partition is not None:
-            result = source.scan_partition_batches(partition, reduced,
-                                                   context, batch)
-            values = [[] for _ in result.columns]
-            for block in result:
-                for acc, col in zip(values, block):
-                    acc.extend(col)
-            row_count = len(values[0]) if values else 0
-            self._rows_scanned.add(row_count)
-            if result.pushed:
-                self._rows_pushed.add(row_count)
-            if result.index_used:
-                self._index_hits.increment()
-            if result.index_built:
-                self._index_builds.increment()
-            projected = self._project_schema(schema, result.columns)
-            return ([(decl.name, decl.xs_type)
-                     for decl in projected.columns], values, row_count)
-        if reduced is None:
+        reduced = self._reduced_request(function, source, table, request)
+        token = None
+        if reduced is None and partition is None:
             token = source.version(table)
             cached = self._table_columns.get((uri, local))
             if cached is not None and token is not None \
@@ -592,34 +579,24 @@ class DSPRuntime:
                 return ([(decl.name, decl.xs_type)
                          for decl in schema.columns],
                         cached[1], cached[2])
-            result = source.scan_batches(table, None, context, batch)
-            values = [[] for _ in schema.columns]
-            for block in result:
-                for acc, col in zip(values, block):
-                    acc.extend(col)
-            row_count = len(values[0]) if values else 0
-            self._rows_scanned.add(row_count)
-            if token is not None:
-                self._table_columns[(uri, local)] = (token, values,
-                                                     row_count)
-            return ([(decl.name, decl.xs_type)
-                     for decl in schema.columns], values, row_count)
-        result = source.scan_batches(table, reduced, context, batch)
+        # partition= only ever carries a spec the source itself
+        # returned, so sources that never partition are not asked to
+        # accept the keyword.
+        extra = {} if partition is None else {"partition": partition}
+        result = source.scan_batches(table, reduced, context,
+                                     self.batch_size or 1024, **extra)
         values = [[] for _ in result.columns]
         for block in result:
             for acc, col in zip(values, block):
                 acc.extend(col)
         row_count = len(values[0]) if values else 0
-        self._rows_scanned.add(row_count)
-        if result.pushed:
-            self._rows_pushed.add(row_count)
-        if result.index_used:
-            self._index_hits.increment()
-        if result.index_built:
-            self._index_builds.increment()
-        projected = self._project_schema(schema, result.columns)
-        return ([(decl.name, decl.xs_type)
-                 for decl in projected.columns], values, row_count)
+        self._count_scan(result, row_count)
+        if token is not None:
+            self._table_columns[(uri, local)] = (token, values, row_count)
+        if reduced is not None:
+            schema = self._project_schema(schema, result.columns)
+        return ([(decl.name, decl.xs_type) for decl in schema.columns],
+                values, row_count)
 
     @staticmethod
     def _project_schema(schema: RowSchema, scan_columns) -> RowSchema:

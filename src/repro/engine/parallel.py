@@ -62,6 +62,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import QueryCancelledError, QueryTimeoutError
+from ..xquery.planner import bind_scan_request
 from .lifecycle import QueryContext
 
 #: Poll interval while waiting on worker results: bounds the latency of
@@ -180,7 +181,7 @@ def execute(runtime, vplan, state) -> Optional[object]:
             # the planner declining, not parallel execution failing.
             return None
     try:
-        request = vplan._live_request(info.request, state.frame)
+        request = bind_scan_request(info.request, state.frame.lookup)
         specs = source.partitions(table, request, runtime.parallelism)
         version = source.version(table)
     except Exception:

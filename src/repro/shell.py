@@ -214,39 +214,35 @@ class Shell:
             self._out("usage: \\format delimited|xml")
             return
         self._format = fmt
-        # Keep the tracer, metrics, and timeout across the reconnect so
-        # \trace state, \stats history, and \timeout survive a format
-        # switch. The reconnect goes to the active target — the DSN
-        # from \connect if one is set, else the in-process runtime.
+        # The reconnect goes to the active target — the DSN from
+        # \connect if one is set, else the in-process runtime.
+        if self._reconnect(self._dsn or self._runtime):
+            self._out(f"result format: {fmt}")
+
+    def _reconnect(self, target) -> bool:
+        """Replace the connection with one to *target*, keeping the
+        tracer, metrics, and timeout so \\trace state, \\stats history,
+        and \\timeout survive; False (after reporting) on failure."""
         old = self._connection
         try:
-            self._connection = connect(
-                self._dsn or self._runtime, format=fmt,
-                tracer=old.tracer,
-                metrics=old.metrics,
-                default_timeout=old.default_timeout)
+            fresh = connect(target, format=self._format,
+                            tracer=old.tracer, metrics=old.metrics)
         except ReproError as exc:
             self._out(f"error: {exc}")
-            return
+            return False
+        if old.default_timeout is not None:
+            fresh.default_timeout = old.default_timeout
+        self._connection = fresh
         old.close()
-        self._out(f"result format: {fmt}")
+        return True
 
     def _connect(self, dsn: str) -> None:
         if not dsn:
             self._out("usage: \\connect repro://app/project | "
                       "repro+tcp://host:port/app/project?token=...")
             return
-        old = self._connection
-        try:
-            self._connection = connect(
-                dsn, format=self._format,
-                tracer=old.tracer,
-                metrics=old.metrics,
-                default_timeout=old.default_timeout)
-        except ReproError as exc:
-            self._out(f"error: {exc}")
+        if not self._reconnect(dsn):
             return
-        old.close()
         self._dsn = dsn
         from .driver.dsn import parse_dsn
         self._out(f"connected: {parse_dsn(dsn).display()}")

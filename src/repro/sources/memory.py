@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import datetime
 from decimal import Decimal
+from itertools import islice
 from typing import Optional
 
 from ..engine.table import Storage, coerce_value
@@ -56,6 +57,7 @@ from .spi import (
     SourceCapabilities,
     TableStatistics,
     compute_statistics,
+    row_range,
 )
 
 _INT_KINDS = frozenset({"SMALLINT", "INTEGER", "BIGINT"})
@@ -170,16 +172,25 @@ class TableSource(DataSource):
                 return False
         return True
 
+    def _pushable(self, table: str,
+                  request: Optional[ScanRequest]) -> tuple[Predicate, ...]:
+        """The request conjuncts an index probe will answer."""
+        if request is None:
+            return ()
+        return tuple(p for p in request.predicates
+                     if self.supports_predicate(table, p))
+
     def scan(self, table: str, request: Optional[ScanRequest] = None,
-             context=None) -> Scan:
+             context=None,
+             partition: Optional[PartitionSpec] = None) -> Scan:
         self._check_open()
         physical = self.storage.table(table)
-        predicates = tuple(
-            p for p in (request.predicates if request is not None else ())
-            if self.supports_predicate(table, p))
+        lower, upper = row_range(partition)
+        predicates = self._pushable(table, request)
         if not predicates:
             return Scan(columns=list(physical.columns),
-                        rows=self._iter_rows(physical, context),
+                        rows=self._iter_rows(physical, lower, upper,
+                                             context),
                         pushed=False)
         # Probe the index on the most selective conjunct; apply the rest
         # inline (all accepted conjuncts are exact-typed eq/in, so plain
@@ -187,12 +198,14 @@ class TableSource(DataSource):
         probe = self._most_selective(table, predicates)
         index, built = self._index(table, probe.column, physical)
         if probe.op == "eq":
-            indices = list(index.get(probe.value, ()))
+            indices = index.get(probe.value, ())
         else:
             hit: set[int] = set()
             for value in probe.value:
                 hit.update(index.get(value, ()))
             indices = sorted(hit)  # restore physical scan order
+        if partition is not None:
+            indices = [i for i in indices if lower <= i < upper]
         remaining = tuple(p for p in predicates if p is not probe)
         positions = {name: i for i, (name, _) in enumerate(physical.columns)}
         return Scan(columns=list(physical.columns),
@@ -202,7 +215,9 @@ class TableSource(DataSource):
 
     def scan_batches(self, table: str,
                      request: Optional[ScanRequest] = None,
-                     context=None, batch_size: int = 1024) -> ScanBatches:
+                     context=None, batch_size: int = 1024,
+                     partition: Optional[PartitionSpec] = None) \
+            -> ScanBatches:
         """Columnar fast path: slice the stored row list directly.
 
         Only the no-pushdown shape is specialized — an indexed scan
@@ -215,16 +230,16 @@ class TableSource(DataSource):
             raise ValueError("batch_size must be >= 1")
         self._check_open()
         physical = self.storage.table(table)
-        predicates = tuple(
-            p for p in (request.predicates if request is not None else ())
-            if self.supports_predicate(table, p))
-        if predicates:
-            return super().scan_batches(table, request, context, batch_size)
+        if self._pushable(table, request):
+            return super().scan_batches(table, request, context,
+                                        batch_size, partition)
+        lower, upper = row_range(partition)
 
         def batches(rows=physical.rows):
-            for start in range(0, len(rows), batch_size):
+            stop = len(rows) if upper is None else upper
+            for start in range(lower, stop, batch_size):
                 self._check_open()
-                block = rows[start:start + batch_size]
+                block = rows[start:min(start + batch_size, stop)]
                 if context is not None:
                     context.tick_rows(len(block))
                 yield [list(col) for col in zip(*block)]
@@ -349,77 +364,6 @@ class TableSource(DataSource):
                               upper=bounds[i + 1])
                 for i in range(count)]
 
-    def scan_partition(self, spec: PartitionSpec,
-                       request: Optional[ScanRequest] = None,
-                       context=None) -> Scan:
-        self._check_open()
-        if spec.kind != "rows":
-            raise ValueError(f"unsupported partition kind {spec.kind!r}")
-        physical = self.storage.table(spec.table)
-        lower, upper = int(spec.lower), int(spec.upper)
-        predicates = tuple(
-            p for p in (request.predicates if request is not None else ())
-            if self.supports_predicate(spec.table, p))
-        if not predicates:
-            return Scan(columns=list(physical.columns),
-                        rows=self._iter_range(physical, lower, upper,
-                                              context),
-                        pushed=False)
-        probe = self._most_selective(spec.table, predicates)
-        index, built = self._index(spec.table, probe.column, physical)
-        if probe.op == "eq":
-            hits = index.get(probe.value, ())
-        else:
-            merged: set[int] = set()
-            for value in probe.value:
-                merged.update(index.get(value, ()))
-            hits = sorted(merged)
-        indices = [i for i in hits if lower <= i < upper]
-        remaining = tuple(p for p in predicates if p is not probe)
-        positions = {name: i for i, (name, _) in enumerate(physical.columns)}
-        return Scan(columns=list(physical.columns),
-                    rows=self._iter_indexed(physical, indices, remaining,
-                                            positions, context),
-                    pushed=True, index_used=True, index_built=built)
-
-    def scan_partition_batches(self, spec: PartitionSpec,
-                               request: Optional[ScanRequest] = None,
-                               context=None,
-                               batch_size: int = 1024) -> ScanBatches:
-        """Columnar fast path over a row range, mirroring
-        :meth:`scan_batches`' no-pushdown specialization."""
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        self._check_open()
-        if spec.kind != "rows":
-            raise ValueError(f"unsupported partition kind {spec.kind!r}")
-        physical = self.storage.table(spec.table)
-        predicates = tuple(
-            p for p in (request.predicates if request is not None else ())
-            if self.supports_predicate(spec.table, p))
-        if predicates:
-            return super().scan_partition_batches(spec, request, context,
-                                                  batch_size)
-        lower, upper = int(spec.lower), int(spec.upper)
-
-        def batches(rows=physical.rows):
-            for start in range(lower, upper, batch_size):
-                self._check_open()
-                block = rows[start:min(start + batch_size, upper)]
-                if context is not None:
-                    context.tick_rows(len(block))
-                yield [list(col) for col in zip(*block)]
-
-        return ScanBatches(columns=list(physical.columns),
-                           batches=batches(), pushed=False)
-
-    def _iter_range(self, physical, lower, upper, context):
-        for row in physical.rows[lower:upper]:
-            self._check_open()
-            if context is not None:
-                context.tick()
-            yield row
-
     def _most_selective(self, table: str,
                         predicates: tuple[Predicate, ...]) -> Predicate:
         stats = self.statistics(table)
@@ -454,8 +398,8 @@ class TableSource(DataSource):
         self._indexes[key] = (token, index)
         return index, True
 
-    def _iter_rows(self, physical, context):
-        for row in physical.rows:
+    def _iter_rows(self, physical, lower, upper, context):
+        for row in islice(physical.rows, lower, upper):
             self._check_open()
             if context is not None:
                 context.tick()

@@ -29,6 +29,7 @@ filter would keep.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Iterator, Optional, Sequence
 
 from ..errors import NotSupportedError, SourceUnavailableError
@@ -133,9 +134,10 @@ class PartitionSpec:
     """One horizontal slice of a table, for scatter/gather execution.
 
     The contract binding all partitions of one ``partitions()`` answer:
-    concatenating ``scan_partition(spec)`` row streams in ``index``
-    order yields exactly the rows of a full :meth:`DataSource.scan`
-    with the same request, in the same order, each row exactly once.
+    concatenating ``scan(table, request, partition=spec)`` row streams
+    in ``index`` order yields exactly the rows of a full
+    :meth:`DataSource.scan` with the same request, in the same order,
+    each row exactly once.
     That makes the parallel gather's order restoration a pure offset
     computation — no re-sort is needed for the scan's physical order.
 
@@ -153,6 +155,31 @@ class PartitionSpec:
     kind: str = "rows"
     lower: object = None
     upper: object = None
+
+
+def row_range(partition: Optional[PartitionSpec]) \
+        -> tuple[int, Optional[int]]:
+    """The half-open row-position slice a ``"rows"`` *partition* covers;
+    ``(0, None)`` — the whole table — when there is no partition."""
+    if partition is None:
+        return 0, None
+    if partition.kind != "rows":
+        raise ValueError(f"unsupported partition kind {partition.kind!r}")
+    return int(partition.lower), int(partition.upper)
+
+
+def _column_blocks(rows: Iterable[tuple], batch_size: int,
+                   context) -> Iterator[list[list]]:
+    """Transpose a row stream into column blocks of up to *batch_size*
+    rows, ticking *context* once per emitted block."""
+    rows = iter(rows)
+    while True:
+        block = list(islice(rows, batch_size))
+        if not block:
+            return
+        if context is not None:
+            context.tick_rows(len(block))
+        yield [list(col) for col in zip(*block)]
 
 
 @dataclass(frozen=True)
@@ -367,44 +394,45 @@ class DataSource:
     # -- scanning ----------------------------------------------------------
 
     def scan(self, table: str, request: Optional[ScanRequest] = None,
-             context=None) -> Scan:
+             context=None,
+             partition: Optional[PartitionSpec] = None) -> Scan:
         """Stream *table*'s rows (stable order across repeated scans).
 
         *request* is advisory (see module docstring); *context* is an
         optional ``QueryContext`` whose ``tick()`` must run per row.
+        *partition* — a spec this source's :meth:`partitions` returned —
+        restricts the scan to that slice; a spec of a ``kind`` the
+        source does not carve raises ``ValueError``. Carving is exact
+        by contract, never advisory: ``pushed`` on the result refers to
+        the request's predicates only. Callers pass ``partition=`` only
+        with such a spec, so a source that never partitions may keep
+        the three-argument signature.
         """
         raise NotImplementedError
 
     def scan_batches(self, table: str,
                      request: Optional[ScanRequest] = None,
-                     context=None, batch_size: int = 1024) -> ScanBatches:
-        """Stream *table* as column-oriented batches of *batch_size* rows.
+                     context=None, batch_size: int = 1024,
+                     partition: Optional[PartitionSpec] = None) \
+            -> ScanBatches:
+        """Stream *table* (or one *partition* of it) as column-oriented
+        batches of *batch_size* rows.
 
-        The default adapter transposes :meth:`scan`'s row stream, so
-        every source gets a batch surface for free; sources with a
-        columnar fast path (e.g. in-memory lists) override it. The
-        row-level ``tick()`` contract still applies — the adapter relies
-        on :meth:`scan` ticking per row, and overrides must call
-        ``context.tick_rows(n)`` per emitted batch instead.
+        The default transposes :meth:`scan`'s row stream, so every
+        source gets a batch surface from its one row scan; sources with
+        a columnar fast path (e.g. in-memory lists) override it. The
+        lifecycle tick runs once per batch (``context.tick_rows(n)``)
+        instead of once per row, here and in overrides.
         """
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        result = self.scan(table, request, context)
-
-        def batches(rows=result.rows):
-            block: list[tuple] = []
-            for row in rows:
-                block.append(row)
-                if len(block) >= batch_size:
-                    yield [list(col) for col in zip(*block)]
-                    block = []
-            if block:
-                yield [list(col) for col in zip(*block)]
-
-        return ScanBatches(columns=result.columns, batches=batches(),
-                           pushed=result.pushed,
-                           index_used=result.index_used,
-                           index_built=result.index_built)
+        extra = {} if partition is None else {"partition": partition}
+        result = self.scan(table, request, None, **extra)
+        return ScanBatches(
+            columns=result.columns,
+            batches=_column_blocks(result.rows, batch_size, context),
+            pushed=result.pushed, index_used=result.index_used,
+            index_built=result.index_built)
 
     # -- writing -----------------------------------------------------------
 
@@ -474,47 +502,6 @@ class DataSource:
         rather than a single-element list when splitting is pointless.
         """
         return None
-
-    def scan_partition(self, spec: PartitionSpec,
-                       request: Optional[ScanRequest] = None,
-                       context=None) -> Scan:
-        """Scan one partition produced by :meth:`partitions`.
-
-        *request* carries the same advisory semantics as :meth:`scan`;
-        ``pushed`` on the result refers to the request's predicates
-        only, never to the partition carving itself (carving is exact
-        by contract, not advisory).
-        """
-        raise NotImplementedError(
-            f"source {self.name!r} does not support partitioned scans")
-
-    def scan_partition_batches(self, spec: PartitionSpec,
-                               request: Optional[ScanRequest] = None,
-                               context=None,
-                               batch_size: int = 1024) -> ScanBatches:
-        """Stream one partition as column-oriented batches.
-
-        Default adapter transposes :meth:`scan_partition`, mirroring
-        :meth:`scan_batches` over :meth:`scan`.
-        """
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        result = self.scan_partition(spec, request, context)
-
-        def batches(rows=result.rows):
-            block: list[tuple] = []
-            for row in rows:
-                block.append(row)
-                if len(block) >= batch_size:
-                    yield [list(col) for col in zip(*block)]
-                    block = []
-            if block:
-                yield [list(col) for col in zip(*block)]
-
-        return ScanBatches(columns=result.columns, batches=batches(),
-                           pushed=result.pushed,
-                           index_used=result.index_used,
-                           index_built=result.index_built)
 
     # -- lifecycle ---------------------------------------------------------
 

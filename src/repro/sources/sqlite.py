@@ -67,7 +67,6 @@ from .spi import (
     PartitionSpec,
     Predicate,
     Scan,
-    ScanBatches,
     ScanRequest,
     SourceCapabilities,
     TableStatistics,
@@ -416,40 +415,21 @@ class SQLiteSource(DataSource):
         return sql, params, out_columns, bool(predicates)
 
     def scan(self, table: str, request: Optional[ScanRequest] = None,
-             context=None) -> Scan:
+             context=None,
+             partition: Optional[PartitionSpec] = None) -> Scan:
         self._check_open()
-        sql, params, out_columns, pushed = self._scan_sql(table, request)
+        carving = None
+        if partition is not None:
+            if partition.kind != "rowid":
+                raise ValueError(
+                    f"unsupported partition kind {partition.kind!r}")
+            carving = (int(partition.lower), int(partition.upper))
+        sql, params, out_columns, pushed = self._scan_sql(table, request,
+                                                          carving)
         out_types = [t for _n, t in out_columns]
         return Scan(columns=list(out_columns),
                     rows=self._iter_rows(sql, params, out_types, context),
                     pushed=pushed)
-
-    def scan_batches(self, table: str,
-                     request: Optional[ScanRequest] = None,
-                     context=None, batch_size: int = 1024) -> ScanBatches:
-        """Batched scan: same SQL/decode path as :meth:`scan`, but rows
-        are transposed into column lists and the lifecycle tick runs
-        once per batch (``tick_rows``) instead of once per row."""
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        result = self.scan(table, request, None)
-
-        def batches(rows=result.rows):
-            block: list[tuple] = []
-            for row in rows:
-                block.append(row)
-                if len(block) >= batch_size:
-                    if context is not None:
-                        context.tick_rows(len(block))
-                    yield [list(col) for col in zip(*block)]
-                    block = []
-            if block:
-                if context is not None:
-                    context.tick_rows(len(block))
-                yield [list(col) for col in zip(*block)]
-
-        return ScanBatches(columns=result.columns, batches=batches(),
-                           pushed=result.pushed)
 
     # -- writing -----------------------------------------------------------
 
@@ -613,45 +593,6 @@ class SQLiteSource(DataSource):
                               kind="rowid", lower=bounds[i],
                               upper=bounds[i + 1] - 1)
                 for i in range(pieces)]
-
-    def scan_partition(self, spec: PartitionSpec,
-                       request: Optional[ScanRequest] = None,
-                       context=None) -> Scan:
-        self._check_open()
-        if spec.kind != "rowid":
-            raise ValueError(f"unsupported partition kind {spec.kind!r}")
-        sql, params, out_columns, pushed = self._scan_sql(
-            spec.table, request,
-            carving=(int(spec.lower), int(spec.upper)))
-        out_types = [t for _n, t in out_columns]
-        return Scan(columns=list(out_columns),
-                    rows=self._iter_rows(sql, params, out_types, context),
-                    pushed=pushed)
-
-    def scan_partition_batches(self, spec: PartitionSpec,
-                               request: Optional[ScanRequest] = None,
-                               context=None,
-                               batch_size: int = 1024) -> ScanBatches:
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        result = self.scan_partition(spec, request, None)
-
-        def batches(rows=result.rows):
-            block: list[tuple] = []
-            for row in rows:
-                block.append(row)
-                if len(block) >= batch_size:
-                    if context is not None:
-                        context.tick_rows(len(block))
-                    yield [list(col) for col in zip(*block)]
-                    block = []
-            if block:
-                if context is not None:
-                    context.tick_rows(len(block))
-                yield [list(col) for col in zip(*block)]
-
-        return ScanBatches(columns=result.columns, batches=batches(),
-                           pushed=result.pushed)
 
     def _iter_rows(self, sql, params, out_types, context):
         with self._lock:

@@ -33,6 +33,7 @@ are someone else's files, not ours to rewrite.
 
 from __future__ import annotations
 
+from itertools import islice
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -49,6 +50,7 @@ from .spi import (
     SourceCapabilities,
     TableStatistics,
     compute_statistics,
+    row_range,
 )
 
 
@@ -113,15 +115,17 @@ class XMLFileSource(DataSource):
     # -- scanning ----------------------------------------------------------
 
     def scan(self, table: str, request: Optional[ScanRequest] = None,
-             context=None) -> Scan:
+             context=None,
+             partition: Optional[PartitionSpec] = None) -> Scan:
         self._check_open()
+        lower, upper = row_range(partition)
         _version, columns, rows = self._load(table)
         return Scan(columns=list(columns),
-                    rows=self._iter_rows(rows, context),
+                    rows=self._iter_rows(rows, lower, upper, context),
                     pushed=False)
 
-    def _iter_rows(self, rows, context):
-        for row in rows:
+    def _iter_rows(self, rows, lower, upper, context):
+        for row in islice(rows, lower, upper):
             self._check_open()
             if context is not None:
                 context.tick()
@@ -151,18 +155,6 @@ class XMLFileSource(DataSource):
                               kind="rows", lower=bounds[i],
                               upper=bounds[i + 1])
                 for i in range(count)]
-
-    def scan_partition(self, spec: PartitionSpec,
-                       request: Optional[ScanRequest] = None,
-                       context=None) -> Scan:
-        self._check_open()
-        if spec.kind != "rows":
-            raise ValueError(f"unsupported partition kind {spec.kind!r}")
-        _version, columns, rows = self._load(spec.table)
-        window = rows[int(spec.lower):int(spec.upper)]
-        return Scan(columns=list(columns),
-                    rows=self._iter_rows(window, context),
-                    pushed=False)
 
     # -- parsing -----------------------------------------------------------
 

@@ -81,6 +81,7 @@ from .planner import (
     HashJoinClause,
     ParamRef,
     RestoreOrderClause,
+    bind_scan_request,
     estimate_plan,
     grouping_key,
     ordinal_key,
@@ -325,7 +326,7 @@ class _Compiler:
     def compile_body(self):
         body = self._module.body
         run = self._compile(body)
-        stream = self._compile_stream(body)
+        stream = self._compile_stream(body, compiled=run)
         chunks = self._compile_chunks(body)
         return run, stream, chunks
 
@@ -338,10 +339,13 @@ class _Compiler:
                 f"cannot compile node {type(expr).__name__}")
         return method(self, expr)
 
-    def _compile_stream(self, expr: ast.XExpr) \
+    def _compile_stream(self, expr: ast.XExpr,
+                        compiled: Optional[_Thunk] = None) \
             -> Callable[[_Frame], Iterable]:
         """Like :meth:`_compile` but the closure returns a lazy iterable
-        for FLWOR bodies; every other node just materializes."""
+        for FLWOR bodies; every other node just materializes — through
+        *compiled*, the node's thunk, when the caller already has it
+        (so a whole module body is not closure-compiled twice)."""
         if isinstance(expr, ast.FLWOR):
             clauses, ret, hints = self._flwor_parts(expr)
             linear = self._compile_linear(clauses, ret)
@@ -352,7 +356,7 @@ class _Compiler:
         subsequence = self._subsequence_parts(expr)
         if subsequence is not None:
             return self._compile_subsequence_stream(*subsequence)
-        return self._compile(expr)
+        return compiled if compiled is not None else self._compile(expr)
 
     def _subsequence_parts(self, expr) -> Optional[tuple]:
         """``(source, start, length|None)`` when *expr* is a
@@ -863,27 +867,10 @@ class _Compiler:
 
             return scan
 
-        from ..sources.spi import Predicate, ScanRequest
-
-        columns = request.columns
-        template = request.predicates
-
         def scan_late(frame: _Frame) -> Sequence:
-            predicates = []
-            for pred in template:
-                if isinstance(pred.value, ParamRef):
-                    bound = frame.lookup(pred.value.name)
-                    if len(bound) != 1 or is_node(bound[0]):
-                        continue
-                    predicates.append(
-                        Predicate(pred.column, pred.op, bound[0]))
-                else:
-                    predicates.append(pred)
-            live = ScanRequest(columns=columns,
-                               predicates=tuple(predicates))
             return resolver(uri, local, [],
                             context=frame.variables.get(CONTEXT_KEY),
-                            scan=None if live.is_trivial else live)
+                            scan=bind_scan_request(request, frame.lookup))
 
         return scan_late
 

@@ -42,7 +42,7 @@ from typing import Optional
 
 from . import ast
 from .analysis import free_vars
-from .atomic import is_numeric_value
+from .atomic import is_node, is_numeric_value
 
 
 class HashJoinClause:
@@ -949,6 +949,31 @@ class ParamRef:
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"ParamRef({self.name!r})"
+
+
+def bind_scan_request(request, lookup):
+    """Resolve *request*'s :class:`ParamRef` predicate values for one
+    execution; *lookup* maps an external variable name to its bound
+    sequence. A parameter binds only when it is exactly one atomic
+    value — anything else drops its conjunct (the residual filter still
+    decides the row's fate) — and a request left trivial becomes None.
+    """
+    if request is None or not any(isinstance(p.value, ParamRef)
+                                  for p in request.predicates):
+        return request
+    from ..sources.spi import Predicate, ScanRequest
+
+    predicates = []
+    for pred in request.predicates:
+        if isinstance(pred.value, ParamRef):
+            bound = lookup(pred.value.name)
+            if len(bound) != 1 or is_node(bound[0]):
+                continue
+            pred = Predicate(pred.column, pred.op, bound[0])
+        predicates.append(pred)
+    live = ScanRequest(columns=request.columns,
+                       predicates=tuple(predicates))
+    return None if live.is_trivial else live
 
 
 #: Operator seen by the column when the comparison is written with the

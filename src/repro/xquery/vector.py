@@ -60,8 +60,8 @@ from .evaluator import CONTEXT_KEY, _Directional, _Frame
 from .functions import _XS_CONSTRUCTOR_TYPES, BEA_URI, FN_URI, XS_URI
 from .planner import (
     HashJoinClause,
-    ParamRef,
     RestoreOrderClause,
+    bind_scan_request,
     estimate_group_count,
     grouping_key,
     join_key,
@@ -1308,11 +1308,9 @@ class _VectorPlan:
         _head, info = self.stages[0]
         batches = self._scan(state, info, partition=spec,
                              scanned=scanned)
-        for kind, payload in self.stages[1:self.partition_stage_count]:
-            if kind == "where":
-                batches = self._where(state, batches, payload)
-            else:  # join (breaker stages never sit inside the prefix)
-                batches = self._join(state, batches, payload)
+        # Breaker stages never sit inside the prefix: where/join only.
+        batches = self._run_stages(
+            state, batches, self.stages[1:self.partition_stage_count])
         if mode == "partial_agg":
             _kind, info = self.stages[self.partition_stage_count]
             table = self._fold_groups(state, batches, info)
@@ -1353,18 +1351,8 @@ class _VectorPlan:
             offset += scanned
             if n:
                 merged.append(_Batch(n, cols))
-        batches: Iterator[_Batch] = iter(merged)
-        for kind, payload in self.stages[self.partition_stage_count:]:
-            if kind == "order":
-                batches = self._order(state, batches, payload)
-            elif kind == "restore":
-                batches = self._restore(state, batches, payload)
-            elif kind == "where":
-                batches = self._where(state, batches, payload)
-            elif kind == "agg":
-                batches = self._aggregate(state, batches, payload)
-            else:
-                batches = self._join(state, batches, payload)
+        batches = self._run_stages(
+            state, iter(merged), self.stages[self.partition_stage_count:])
         if self.window is not None:
             batches = self._window_batches(batches)
         return self._encode(state, batches)
@@ -1393,12 +1381,10 @@ class _VectorPlan:
                         merged[j] = _merge_agg_states(spec, merged[j],
                                                       states[j])
         self._count_groups(len(groups))
-        batches: Iterator[_Batch] = self._group_batches(info, groups)
-        for kind, payload in self.stages[agg_index + 1:]:
-            if kind == "where":
-                batches = self._where(state, batches, payload)
-            else:  # order (nothing else survives the lowering)
-                batches = self._order(state, batches, payload)
+        # Only where/order stages survive the aggregate lowering.
+        batches = self._run_stages(
+            state, self._group_batches(info, groups),
+            self.stages[agg_index + 1:])
         if self.window is not None:
             batches = self._window_batches(batches)
         return self._encode(state, batches)
@@ -1411,11 +1397,27 @@ class _VectorPlan:
             # Leading hash join: a constant selection probed from the
             # planner's unit tuple stream (one frame, no bindings).
             batches = self._join(state, iter((_Batch(1, {}),)), info)
-        count = state.actuals is not None and self.inner_fid is not None
-        if count:
+        count_from = None
+        if state.actuals is not None and self.inner_fid is not None:
             batches = _count_rows(batches, state.actuals,
                                   (self.inner_fid, 0))
-        for index, (kind, payload) in enumerate(self.stages[1:], start=1):
+            count_from = 1
+        batches = self._run_stages(state, batches, self.stages[1:],
+                                   count_from)
+        if self.window is not None:
+            batches = self._window_batches(batches)
+        if state.actuals is not None and self.outer_fid is not None:
+            batches = _count_rows(batches, state.actuals,
+                                  (self.outer_fid, 0))
+        return batches
+
+    def _run_stages(self, state: _State, batches, stages,
+                    count_from: Optional[int] = None) -> Iterator[_Batch]:
+        """Chain *stages* (a slice of ``self.stages`` past the driving
+        scan) onto *batches*. With *count_from* — the plan-node index
+        of ``stages[0]`` — every stage's output rows are tallied into
+        the EXPLAIN actuals."""
+        for offset, (kind, payload) in enumerate(stages):
             if kind == "where":
                 batches = self._where(state, batches, payload)
             elif kind == "join":
@@ -1426,45 +1428,16 @@ class _VectorPlan:
                 batches = self._aggregate(state, batches, payload)
             else:
                 batches = self._restore(state, batches, payload)
-            if count:
+            if count_from is not None:
                 batches = _count_rows(batches, state.actuals,
-                                      (self.inner_fid, index))
-        if self.window is not None:
-            batches = self._window_batches(batches)
-        if state.actuals is not None and self.outer_fid is not None:
-            batches = _count_rows(batches, state.actuals,
-                                  (self.outer_fid, 0))
+                                      (self.inner_fid, count_from + offset))
         return batches
 
     # -- stages -----------------------------------------------------------
 
-    def _live_request(self, request, frame: _Frame):
-        """Re-resolve ParamRef predicate values per execution, exactly
-        like the tuple path's late-bound scan closure."""
-        if request is None:
-            return None
-        if not any(isinstance(p.value, ParamRef)
-                   for p in request.predicates):
-            return request
-        from ..sources.spi import Predicate, ScanRequest
-
-        predicates = []
-        for pred in request.predicates:
-            if isinstance(pred.value, ParamRef):
-                bound = frame.lookup(pred.value.name)
-                if len(bound) != 1 or is_node(bound[0]):
-                    continue
-                predicates.append(
-                    Predicate(pred.column, pred.op, bound[0]))
-            else:
-                predicates.append(pred)
-        live = ScanRequest(columns=request.columns,
-                           predicates=tuple(predicates))
-        return None if live.is_trivial else live
-
     def _scan_columns(self, state: _State, info: _ScanInfo,
                       partition=None):
-        request = self._live_request(info.request, state.frame)
+        request = bind_scan_request(info.request, state.frame.lookup)
         columns, values, nrows = self.columnar.scan_columns(
             info.uri, info.local, context=state.ctx, scan=request,
             partition=partition)

@@ -40,13 +40,14 @@ class TestConnectDSN:
         finally:
             unregister_runtime(APPLICATION)
 
-    def test_explicit_keywords_override_dsn(self):
+    def test_format_keyword_overrides_dsn_overrides_config(self):
         connection = connect(
             "repro://RTLApp/TestDataServices?format=xml&timeout=5",
-            format="delimited", default_timeout=9.0)
+            format="delimited",
+            config=repro.RuntimeConfig(default_timeout=9.0))
         try:
             assert connection.format == "delimited"
-            assert connection.default_timeout == 9.0
+            assert connection.default_timeout == 5.0
         finally:
             unregister_runtime(APPLICATION)
 

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from repro import clock
+from repro import RuntimeConfig, clock
 from repro.driver import OperationalError, connect
 from repro.engine import FaultProfile, RetryPolicy, install_fault
 from repro.obs import Tracer
@@ -18,8 +18,8 @@ from repro.workloads import build_runtime
 BIG_QUERY = "SELECT * FROM CUSTOMERS C1, CUSTOMERS C2, CUSTOMERS C3"
 
 
-def fresh_connection(**kwargs):
-    return connect(build_runtime(), **kwargs)
+def fresh_connection(**options):
+    return connect(build_runtime(), config=RuntimeConfig(**options))
 
 
 class TestDeadlines:
@@ -41,7 +41,8 @@ class TestDeadlines:
     def test_connection_default_timeout_applies(self):
         runtime = build_runtime()
         install_fault(runtime, "CUSTOMERS", FaultProfile(hang=True))
-        connection = connect(runtime, default_timeout=0.1)
+        connection = connect(runtime,
+                             config=RuntimeConfig(default_timeout=0.1))
         cursor = connection.cursor()
         start = time.monotonic()
         with pytest.raises(OperationalError):

@@ -4,6 +4,7 @@ cache keys."""
 
 import pytest
 
+from repro import RuntimeConfig
 from repro.driver import connect
 from repro.errors import InterfaceError
 from repro.workloads import build_runtime
@@ -20,7 +21,8 @@ def runtime():
 
 class TestEvictionOrder:
     def test_lru_eviction_order(self, runtime):
-        connection = connect(runtime, statement_cache_capacity=2)
+        connection = connect(runtime, config=RuntimeConfig(
+            statement_cache_capacity=2))
         connection.translate(Q1)
         connection.translate(Q2)
         connection.translate(Q3)  # evicts Q1
@@ -37,7 +39,8 @@ class TestEvictionOrder:
         assert connection.stats()["counters"]["queries.translated"] == 4
 
     def test_hit_refreshes_recency(self, runtime):
-        connection = connect(runtime, statement_cache_capacity=2)
+        connection = connect(runtime, config=RuntimeConfig(
+            statement_cache_capacity=2))
         connection.translate(Q1)
         connection.translate(Q2)
         connection.translate(Q1)  # Q1 most recent
@@ -54,7 +57,8 @@ class TestEvictionOrder:
 
 class TestCapacityZero:
     def test_capacity_zero_disables_caching(self, runtime):
-        connection = connect(runtime, statement_cache_capacity=0)
+        connection = connect(runtime, config=RuntimeConfig(
+            statement_cache_capacity=0))
         first = connection.translate(Q1)
         second = connection.translate(Q1)
         assert first is not second
@@ -63,7 +67,8 @@ class TestCapacityZero:
         assert connection.stats()["counters"]["queries.translated"] == 2
 
     def test_capacity_zero_still_executes(self, runtime):
-        connection = connect(runtime, statement_cache_capacity=0)
+        connection = connect(runtime, config=RuntimeConfig(
+            statement_cache_capacity=0))
         cursor = connection.cursor()
         cursor.execute(Q1)
         cursor.execute(Q1)

@@ -304,7 +304,8 @@ class TestLifecycle:
         from repro.driver import OperationalError
 
         runtime = _runtime()
-        connection = connect(runtime, default_timeout=1e-7)
+        connection = connect(
+            runtime, config=RuntimeConfig(default_timeout=1e-7))
         try:
             cursor = connection.cursor()
             with pytest.raises(OperationalError):

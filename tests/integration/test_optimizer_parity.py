@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import RuntimeConfig
 from repro.catalog import Application
 from repro.driver import connect
 from repro.engine import DSPRuntime, import_tables
@@ -18,7 +19,8 @@ def make_runtime(optimize: bool) -> DSPRuntime:
     storage = build_storage()
     application = Application("RTLApp")
     import_tables(application, PROJECT, storage)
-    return DSPRuntime(application, storage, optimize=optimize)
+    return DSPRuntime(application, storage,
+                      config=RuntimeConfig(optimize=optimize))
 
 
 FAST = connect(make_runtime(True))

@@ -1,10 +1,11 @@
 """Partition-SPI conformance: one contract, three backends.
 
 The :class:`repro.sources.PartitionSpec` contract — concatenating the
-``scan_partition`` row streams in partition index order replays the
-full ``scan`` with the same request exactly, each row once — is what
-lets the parallel executor restore byte order with plain offset
-arithmetic. Every backend that answers :meth:`DataSource.partitions`
+``scan(..., partition=spec)`` row streams (or the
+``scan_batches(..., partition=spec)`` column blocks) in partition index
+order replays the full scan with the same request exactly, each row
+once — is what lets the parallel executor restore byte order with plain
+offset arithmetic. Every backend that answers :meth:`DataSource.partitions`
 must satisfy it; this suite is parametrized over all three shipped
 backends so a new partition-capable source only has to add a factory.
 """
@@ -54,7 +55,8 @@ def _make_memory(tmp_path, rows=ROWS):
     storage = Storage()
     table = storage.create_table("T", COLUMNS)
     table.insert_many(rows)
-    return TableSource(storage)
+    # Index eagerly so eq/in requests really are pushed on 11 rows.
+    return TableSource(storage, index_min_rows=0, index_max_fraction=1.0)
 
 
 def _make_sqlite(tmp_path, rows=ROWS):
@@ -68,6 +70,19 @@ def _make_xml(tmp_path, rows=ROWS):
     path = tmp_path / "T.xml"
     path.write_text(_xml_document(rows), encoding="utf-8")
     return XMLFileSource(path, columns={"T": COLUMNS})
+
+
+class _TickRecorder:
+    """Stands in for a ``QueryContext``: records ``tick_rows`` sizes."""
+
+    def __init__(self):
+        self.ticks = []
+
+    def tick(self):
+        raise AssertionError("column scans tick per block, not per row")
+
+    def tick_rows(self, count):
+        self.ticks.append(count)
 
 
 FACTORIES = {
@@ -84,21 +99,61 @@ def source(request, tmp_path):
     built.close()
 
 
-def _gather(source, specs, request=None):
-    """Concatenate partition row streams in index order."""
+def _rows(source, request=None, partition=None):
+    return list(source.scan("T", request, partition=partition))
+
+
+def _batch_rows(batch_size):
+    """A surface reading rows back out of ``scan_batches`` blocks."""
+    def surface(source, request=None, partition=None):
+        result = source.scan_batches("T", request, None, batch_size,
+                                     partition=partition)
+        rows = []
+        for block in result:
+            assert len(block) == len(result.columns)
+            assert 1 <= len(block[0]) <= batch_size
+            rows.extend(zip(*block))
+        return rows
+    return surface
+
+
+#: Both scan surfaces: each returns the row tuples of one (whole or
+#: partition) scan.
+SURFACES = {
+    "rows": _rows,
+    "batches-1": _batch_rows(1),
+    "batches-7": _batch_rows(7),
+    "batches-1024": _batch_rows(1024),
+}
+
+REQUESTS = {
+    "plain": None,
+    "in": ScanRequest(predicates=(Predicate("ID", "in", (1, 4, 7, 9)),)),
+    "eq": ScanRequest(predicates=(Predicate("ID", "eq", 6),)),
+}
+
+
+@pytest.fixture(params=sorted(SURFACES))
+def surface(request):
+    return SURFACES[request.param]
+
+
+def _gather(source, specs, request=None, surface=_rows):
+    """Concatenate partition scans in index order."""
     rows = []
     for spec in sorted(specs, key=lambda s: s.index):
-        rows.extend(source.scan_partition(spec, request))
+        rows.extend(surface(source, request, spec))
     return rows
 
 
 class TestConcatenationContract:
     @pytest.mark.parametrize("target", [2, 3, 4, len(ROWS), 100])
-    def test_union_replays_full_scan(self, source, target):
+    def test_union_replays_full_scan(self, source, surface, target):
         specs = source.partitions("T", None, target)
         assert specs is not None
         assert 2 <= len(specs) <= min(target, len(ROWS))
-        assert _gather(source, specs) == list(source.scan("T"))
+        assert _gather(source, specs, None, surface) == _rows(source)
+        assert surface(source) == _rows(source)
 
     def test_partitions_are_disjoint_and_complete(self, source):
         specs = source.partitions("T", None, 3)
@@ -111,18 +166,15 @@ class TestConcatenationContract:
         assert all(s.count == len(specs) for s in specs)
         assert all(s.table == "T" for s in specs)
 
-    def test_union_with_pushed_request_matches_full_scan(self, source):
-        request = ScanRequest(predicates=(
-            Predicate("ID", "in", (1, 4, 7, 9)),))
-        full = list(source.scan("T", request))
-        specs = source.partitions("T", request, 3)
-        assert _gather(source, specs, request) == full
-
-    def test_union_with_eq_request_matches_full_scan(self, source):
-        request = ScanRequest(predicates=(Predicate("ID", "eq", 6),))
-        full = list(source.scan("T", request))
-        specs = source.partitions("T", request, 2)
-        assert _gather(source, specs, request) == full
+    @pytest.mark.parametrize("kind", ["in", "eq"])
+    @pytest.mark.parametrize("target", [2, 3])
+    def test_union_with_request_matches_full_scan(self, source, surface,
+                                                  kind, target):
+        request = REQUESTS[kind]
+        full = _rows(source, request)
+        assert surface(source, request) == full
+        specs = source.partitions("T", request, target)
+        assert _gather(source, specs, request, surface) == full
 
 
 class TestPushedFlags:
@@ -131,18 +183,23 @@ class TestPushedFlags:
         # the carving itself restricted the rows.
         specs = source.partitions("T", None, 2)
         for spec in specs:
-            assert source.scan_partition(spec).pushed is False
+            assert source.scan("T", partition=spec).pushed is False
+            assert source.scan_batches(
+                "T", partition=spec).pushed is False
 
     def test_pushed_matches_full_scan_capability(self, source):
         # Whatever the source reports for a full pushed scan it must
-        # report per partition: the engine skips residual predicate
-        # re-evaluation based on this flag.
+        # report per partition and per surface: the engine skips
+        # residual predicate re-evaluation based on this flag.
         request = ScanRequest(predicates=(Predicate("ID", "eq", 4),))
         expected = source.scan("T", request).pushed
+        assert source.scan_batches("T", request).pushed == expected
         specs = source.partitions("T", request, 2)
         for spec in specs:
-            assert source.scan_partition(spec, request).pushed \
+            assert source.scan("T", request, partition=spec).pushed \
                 == expected
+            assert source.scan_batches(
+                "T", request, partition=spec).pushed == expected
 
 
 class TestDegenerateTargets:
@@ -174,29 +231,31 @@ class TestVersionStability:
 
 
 class TestBatches:
-    def test_partition_batches_transpose_partition_rows(self, source):
-        specs = source.partitions("T", None, 3)
-        for spec in specs:
-            rows = list(source.scan_partition(spec))
-            result = source.scan_partition_batches(spec, None, None,
-                                                   batch_size=2)
-            flattened = []
-            for block in result.batches:
-                flattened.extend(zip(*block))
-            assert [tuple(r) for r in flattened] \
-                == [tuple(r) for r in rows]
+    @pytest.mark.parametrize("kind", sorted(REQUESTS))
+    def test_batches_tick_once_per_block(self, source, kind):
+        # The column surface ticks the lifecycle context with each
+        # block's row count, whole table or partition alike.
+        specs = source.partitions("T", REQUESTS[kind], 2)
+        for partition in [None, *specs]:
+            context = _TickRecorder()
+            result = source.scan_batches("T", REQUESTS[kind], context, 2,
+                                         partition=partition)
+            sizes = [len(block[0]) for block in result]
+            assert context.ticks == sizes
 
-    def test_partition_batches_reject_zero_batch(self, source):
+    def test_batches_reject_zero_batch(self, source):
         specs = source.partitions("T", None, 2)
-        with pytest.raises(ValueError):
-            source.scan_partition_batches(specs[0], batch_size=0)
+        for partition in (None, specs[0]):
+            with pytest.raises(ValueError):
+                source.scan_batches("T", batch_size=0,
+                                    partition=partition)
 
 
 class TestLifecycle:
     def test_cancellation_aborts_partition_scan(self, source):
         context = QueryContext(check_interval=1)
         specs = source.partitions("T", None, 2)
-        rows = iter(source.scan_partition(specs[0], None, context))
+        rows = iter(source.scan("T", None, context, specs[0]))
         next(rows)
         context.cancel("partition conformance")
         with pytest.raises(QueryCancelledError):
@@ -229,4 +288,6 @@ class TestPicklability:
         bogus = PartitionSpec(table="T", index=0, count=1,
                               kind="nonsense", lower=0, upper=1)
         with pytest.raises(ValueError):
-            source.scan_partition(bogus)
+            source.scan("T", partition=bogus)
+        with pytest.raises(ValueError):
+            list(source.scan_batches("T", partition=bogus))

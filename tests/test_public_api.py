@@ -10,6 +10,15 @@ import repro
 class TestFacade:
     def test_version(self):
         assert repro.__version__ == "2.0.0"
+        # The packaging metadata is single-sourced from the attribute;
+        # only checkable where the package is actually installed.
+        from importlib import metadata
+
+        try:
+            installed = metadata.version("repro")
+        except metadata.PackageNotFoundError:
+            return
+        assert installed == repro.__version__
 
     def test_all_exports_resolve(self):
         for name in repro.__all__:
@@ -144,28 +153,14 @@ class TestRuntimeConfig:
         assert runtime.optimize is False
         assert runtime.plan_cache.stats()["capacity"] == 7
 
-    def test_legacy_runtime_kwargs_warn_and_apply(self):
-        from repro.engine import DSPRuntime
+    @pytest.mark.parametrize("keyword", ["bogus", "default_timeout"])
+    def test_unknown_kwarg_still_typeerror(self, keyword):
+        # Tuning reaches connect() through config= only; a former
+        # pre-config keyword is as unknown as any other.
         from repro.workloads import build_runtime
 
-        base = build_runtime()
-        with pytest.warns(DeprecationWarning, match="optimize"):
-            runtime = DSPRuntime(base.application, base.storage,
-                                 optimize=False)
-        assert runtime.optimize is False
-
-    def test_legacy_connect_kwargs_warn_and_apply(self):
-        from repro.workloads import build_runtime
-
-        with pytest.warns(DeprecationWarning, match="default_timeout"):
-            conn = repro.connect(build_runtime(), default_timeout=1.5)
-        assert conn.default_timeout == 1.5
-
-    def test_unknown_kwarg_still_typeerror(self):
-        from repro.workloads import build_runtime
-
-        with pytest.raises(TypeError, match="bogus"):
-            repro.connect(build_runtime(), bogus=1)
+        with pytest.raises(TypeError, match=keyword):
+            repro.connect(build_runtime(), **{keyword: 1})
 
     def test_driver_kwarg_rejected_by_runtime(self):
         from repro.engine import DSPRuntime
