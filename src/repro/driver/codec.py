@@ -14,6 +14,7 @@ two (experiment E6 in DESIGN.md).
 from __future__ import annotations
 
 import datetime
+import re
 from decimal import Decimal, InvalidOperation
 
 from ..errors import DataError
@@ -22,28 +23,144 @@ from ..translator import NULL_MARK, VALUE_MARK, ResultColumn
 from ..xmlmodel import Element, parse_document, unescape
 
 
+#: The one SQL type kind -> converter mapping: ``convert_cell`` looks a
+#: cell's converter up here, and the delimited decoder resolves it once
+#: per stream into a per-column table.
+_CONVERTERS = {
+    "SMALLINT": int,
+    "INTEGER": int,
+    "BIGINT": int,
+    "DECIMAL": Decimal,
+    "REAL": float,
+    "DOUBLE": float,
+    "CHAR": str,
+    "VARCHAR": str,
+    "DATE": datetime.date.fromisoformat,
+    "TIME": datetime.time.fromisoformat,
+    "TIMESTAMP": datetime.datetime.fromisoformat,
+}
+
+
 def convert_cell(text: str, sql_type: SQLType) -> object:
     """Convert one serialized cell to its Python value by SQL type."""
-    kind = sql_type.kind
+    convert = _CONVERTERS.get(sql_type.kind)
+    if convert is None:
+        raise DataError(f"unsupported result column type {sql_type}")
     try:
-        if kind in ("SMALLINT", "INTEGER", "BIGINT"):
-            return int(text)
-        if kind == "DECIMAL":
-            return Decimal(text)
-        if kind in ("REAL", "DOUBLE"):
-            return float(text)
-        if kind in ("CHAR", "VARCHAR"):
-            return text
-        if kind == "DATE":
-            return datetime.date.fromisoformat(text)
-        if kind == "TIME":
-            return datetime.time.fromisoformat(text)
-        if kind == "TIMESTAMP":
-            return datetime.datetime.fromisoformat(text)
+        return convert(text)
     except (ValueError, InvalidOperation) as exc:
         raise DataError(
             f"cannot convert cell {text!r} to {sql_type}") from exc
-    raise DataError(f"unsupported result column type {sql_type}")
+
+
+def _unsupported(text: str):
+    """Per-column table entry for a kind ``_CONVERTERS`` lacks: fails
+    the block, so the cell loop's ``convert_cell`` reports it — and
+    only if a non-NULL cell of that column is ever converted."""
+    raise ValueError(text)
+
+
+#: Where a value cell ends: the next cell marker of either kind.
+_CELL_END = re.compile(f"[{re.escape(NULL_MARK + VALUE_MARK)}]")
+
+
+def _decode_cells(text: str, base: int, row: list,
+                  columns: list[ResultColumn], context,
+                  one_row: bool = False, final: bool = False):
+    """The cell loop — the decoder's one slow path (first row, end of
+    stream, error replay). Decodes *text* cell by cell into *row*,
+    yielding each completed row; stops at a value cell whose end is not
+    in *text* (unless *final*: end of stream ends it) or, with
+    *one_row*, after the first row. Returns ``(position reached,
+    whether a row was yielded)``; *base* is the absolute offset of
+    ``text[0]``, for error messages."""
+    column_count = len(columns)
+    length = len(text)
+    pos = 0
+    yielded = False
+    while pos < length:
+        mark = text[pos]
+        if mark == NULL_MARK:
+            row.append(None)
+            pos += 1
+        elif mark == VALUE_MARK:
+            match = _CELL_END.search(text, pos + 1)
+            if match is not None:
+                end = match.start()
+            elif final:
+                end = length
+            else:
+                break  # the value may continue in the next chunk
+            raw = text[pos + 1:end]
+            if "&" in raw:
+                raw = unescape(raw)
+            row.append(convert_cell(raw, columns[len(row)].sql_type))
+            pos = end
+        else:
+            raise DataError(
+                f"malformed delimited stream at offset {base + pos}: "
+                f"expected a cell marker, got {mark!r}")
+        if len(row) == column_count:
+            if context is not None:
+                context.tick()
+                context.rows_emitted += 1
+            yield tuple(row)
+            row.clear()
+            yielded = True
+            if one_row:
+                break
+    return pos, yielded
+
+
+def _decode_block(text: str, converters: list) -> tuple:
+    """Decode every whole row of *text* (which starts at a row
+    boundary) in C-level passes: ``(rows, characters consumed)``. The
+    last cell is held back unless it is NULL — a value may continue in
+    the next chunk. Raises on anything the cell loop would reject; the
+    caller replays the block through it for the exact error."""
+    # A NULL cell becomes a value cell holding a bare NULL mark, which
+    # no escaped value can equal, so one split tokenises the block:
+    # cells[0] is what precedes the first marker, cells[1:] the cells.
+    nulls = text.count(NULL_MARK)
+    cells = (text.replace(NULL_MARK, VALUE_MARK + NULL_MARK) if nulls
+             else text).split(VALUE_MARK)
+    if cells[0] or (nulls and cells.count(NULL_MARK) != nulls):
+        raise ValueError("text where a cell marker should be")
+    column_count = len(converters)
+    complete = len(cells) - 1
+    if complete and cells[-1] != NULL_MARK:
+        complete -= 1
+    stop = 1 + complete - complete % column_count
+    if stop == 1:
+        return (), 0
+    consumed = len(text) - sum(
+        1 if cell == NULL_MARK else 1 + len(cell) for cell in cells[stop:])
+    entities = "&" in text
+    table = []
+    for index, convert in enumerate(converters):
+        column = cells[1 + index:stop:column_count]
+        if entities or (nulls and NULL_MARK in column):
+            column = [None if cell == NULL_MARK else
+                      convert(unescape(cell) if "&" in cell else cell)
+                      for cell in column]
+        elif convert is not str:
+            column = list(map(convert, column))
+        table.append(column)
+    return zip(*table), consumed
+
+
+#: Most characters decoded as one block: past a few thousand cells the
+#: token and column lists outgrow the processor caches and a cell costs
+#: twice as much, so a one-shot stream is decoded in windows this long.
+_BLOCK_CHARS = 1 << 16
+
+
+def _windows(chunks):
+    """*chunks* without the empty pieces, the long ones cut to at most
+    ``_BLOCK_CHARS`` characters."""
+    for chunk in chunks:
+        for start in range(0, len(chunk), _BLOCK_CHARS):
+            yield chunk[start:start + _BLOCK_CHARS]
 
 
 def iter_decode_delimited(chunks,
@@ -55,13 +172,19 @@ def iter_decode_delimited(chunks,
     count comes from the result schema, so rows need no separator.
 
     *chunks* is any iterable of text pieces (the streaming executor
-    yields one piece per wrapper cell); rows are yielded as soon as
-    their last cell's end is known, so a lazily-consumed cursor decodes
-    only what it fetches. A value cell ends at the next cell marker —
-    or at end of stream, which is only known once *chunks* is exhausted,
-    so the final value cell is held back until then. Error offsets are
-    absolute positions in the concatenated stream, identical to what a
-    whole-string parse reports.
+    yields one piece per wrapper cell, the batched one a piece per
+    batch); rows are yielded as soon as their last cell's end is known,
+    so a lazily-consumed cursor decodes only what it fetches. A value
+    cell ends at the next cell marker — or at end of stream, which is
+    only known once *chunks* is exhausted, so the final value cell is
+    held back until then. Error offsets are absolute positions in the
+    concatenated stream, identical to what a whole-string parse reports.
+
+    The first row is decoded cell by cell (a first fetch pays for one
+    row, not for a chunk); after it, each buffered chunk is decoded as a
+    block, column by column through a converter table resolved once
+    here. A block that fails is replayed through the cell loop, which
+    yields the rows before the bad cell and raises the error.
 
     *context* is an optional ``repro.engine.lifecycle.QueryContext``;
     the decoder ticks it once per decoded row, so cancellation and
@@ -70,58 +193,36 @@ def iter_decode_delimited(chunks,
     """
     if not columns:
         raise DataError("result schema has no columns")
-    column_count = len(columns)
+    converters = [_CONVERTERS.get(column.sql_type.kind, _unsupported)
+                  for column in columns]
     row: list[object] = []
     tail = ""  # unconsumed text, starting at absolute offset `base`
     base = 0
-    for chunk in chunks:
-        if not chunk:
-            continue
-        tail += chunk
-        length = len(tail)
-        pos = 0
-        while pos < length:
-            mark = tail[pos]
-            if mark == NULL_MARK:
-                row.append(None)
-                pos += 1
-            elif mark == VALUE_MARK:
-                next_value = tail.find(VALUE_MARK, pos + 1)
-                next_null = tail.find(NULL_MARK, pos + 1)
-                if next_value < 0:
-                    end_value = next_null
-                elif next_null < 0:
-                    end_value = next_value
-                else:
-                    end_value = min(next_value, next_null)
-                if end_value < 0:
-                    break  # the value may continue in the next chunk
-                raw = unescape(tail[pos + 1:end_value])
-                row.append(convert_cell(raw, columns[len(row)].sql_type))
-                pos = end_value
-            else:
-                raise DataError(
-                    f"malformed delimited stream at offset {base + pos}: "
-                    f"expected a cell marker, got {mark!r}")
-            if len(row) == column_count:
-                if context is not None:
-                    context.tick()
-                    context.rows_emitted += 1
-                yield tuple(row)
-                row = []
-        base += pos
-        tail = tail[pos:]
-    if tail:
-        # Only an unterminated value cell can be left pending; end of
-        # stream terminates it.
-        raw = unescape(tail[1:])
-        row.append(convert_cell(raw, columns[len(row)].sql_type))
-        if len(row) == column_count:
+    started = False  # the first row has been delivered
+    for chunk in _windows(chunks):
+        tail = tail + chunk if tail else chunk
+        if not started:
+            pos, started = yield from _decode_cells(
+                tail, base, row, columns, context, one_row=True)
+            base += pos
+            tail = tail[pos:]
+            if not started:
+                continue
+        try:
+            rows, consumed = _decode_block(tail, converters)
+        except Exception:
+            yield from _decode_cells(tail, base, row, columns, context)
+            raise  # not reached: the cell loop raises at the bad cell
+        for decoded in rows:
             if context is not None:
                 context.tick()
                 context.rows_emitted += 1
-            yield tuple(row)
-            row = []
+            yield decoded
+        base += consumed
+        tail = tail[consumed:]
+    # What is left is a partial row and the held-back cell; end of
+    # stream terminates that cell.
+    yield from _decode_cells(tail, base, row, columns, context, final=True)
     if row:
         raise DataError(
             f"truncated delimited stream: {len(row)} trailing cell(s)")

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 import threading
+from itertools import islice
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .. import clock, errors
@@ -861,12 +862,11 @@ class Cursor:
         try:
             if context is not None:
                 context.check()
-            while limit is None or len(chunk) < limit:
-                try:
-                    chunk.append(next(stream))
-                except StopIteration:
-                    exhausted = True
-                    break
+            # A stream that raises mid-pull leaves the rows it already
+            # gave in `chunk`, for the accounting below.
+            chunk.extend(stream if limit is None
+                         else islice(stream, max(limit, 0)))
+            exhausted = limit is None or len(chunk) < limit
             if self._slot is not None:
                 # Charge whichever is further along: rows the engine
                 # has buffered (whole batches decode ahead of the fetch

@@ -364,7 +364,11 @@ class RemoteCursor:
     def __init__(self, connection: RemoteConnection):
         self.connection = connection
         self._cursor_id: Optional[int] = None
+        #: Rows received and not yet handed out: ``_buffer[_index:]``.
+        #: Fetches advance the index; the consumed prefix is dropped
+        #: once per page, so no fetch moves the buffer per row.
         self._buffer: list[tuple] = []
+        self._index = 0
         self._exhausted = True
         self._description: Optional[list[tuple]] = None
         self._closed = False
@@ -423,6 +427,7 @@ class RemoteCursor:
         self.lastrowid = reply.get("lastrowid")
         connection._adopt_txn_state(reply)
         self._buffer = []
+        self._index = 0
         self._exhausted = False
         return self
 
@@ -443,6 +448,8 @@ class RemoteCursor:
             "rows": rows,
         })
         page = [decode_row(row) for row in reply["rows"]]
+        del self._buffer[:self._index]
+        self._index = 0
         self._buffer.extend(page)
         self.connection._rows_fetched.add(len(page))
         # Adopt the server-side count whenever it is known, not only on
@@ -456,31 +463,36 @@ class RemoteCursor:
         if reply["exhausted"]:
             self._exhausted = True
 
+    def _take(self, count: int) -> list[tuple]:
+        """Hand out up to *count* buffered rows."""
+        chunk = self._buffer[self._index:self._index + count]
+        self._index += len(chunk)
+        if self._index == len(self._buffer):
+            self._buffer = []
+            self._index = 0
+        return chunk
+
     def fetchone(self) -> Optional[tuple]:
         self._check_results()
         if not self._buffer and not self._exhausted:
             self._pull(max(1, self.arraysize))
-        if self._buffer:
-            return self._buffer.pop(0)
-        return None
+        chunk = self._take(1)
+        return chunk[0] if chunk else None
 
     def fetchmany(self, size: Optional[int] = None) -> list[tuple]:
         self._check_results()
         if size is None:
             size = self.arraysize
-        while len(self._buffer) < size and not self._exhausted:
-            self._pull(max(size - len(self._buffer), 1))
-        chunk = self._buffer[:size]
-        del self._buffer[:size]
-        return chunk
+        while len(self._buffer) - self._index < size \
+                and not self._exhausted:
+            self._pull(max(size - len(self._buffer) + self._index, 1))
+        return self._take(size)
 
     def fetchall(self) -> list[tuple]:
         self._check_results()
         while not self._exhausted:
             self._pull(max(self.arraysize, DEFAULT_FETCH_PAGE))
-        chunk = self._buffer
-        self._buffer = []
-        return chunk
+        return self._take(len(self._buffer))
 
     def __iter__(self) -> Iterator[tuple]:
         while True:
@@ -509,6 +521,7 @@ class RemoteCursor:
         self._closed = True
         cursor_id, self._cursor_id = self._cursor_id, None
         self._buffer = []
+        self._index = 0
         self._description = None
         if cursor_id is not None and not self.connection._closed:
             try:

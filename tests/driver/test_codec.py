@@ -1,6 +1,7 @@
 """Experiment E5: the delimited text encoding and both decode paths."""
 
 import datetime
+import time
 from decimal import Decimal
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.driver import convert_cell, decode_delimited, decode_xml
+from repro.driver.codec import iter_decode_delimited
 from repro.errors import DataError
 from repro.sql.types import SQLType
 from repro.translator import ResultColumn
@@ -124,3 +126,161 @@ class TestDecodeXML:
 
     def test_zero_rows(self):
         assert decode_xml("<RECORDSET/>", cols("INTEGER")) == []
+
+
+# -- the incremental decoder, as properties ---------------------------------
+
+MIXED = ("INTEGER", "VARCHAR", "DECIMAL", "DATE")
+
+mixed_rows = st.lists(st.tuples(
+    st.one_of(st.none(), st.integers(-10**9, 10**9)),
+    st.one_of(st.none(), st.text(alphabet="ab<>&;'\" \n", max_size=6)),
+    st.one_of(st.none(), st.decimals(allow_nan=False, allow_infinity=False,
+                                     places=2, min_value=-10**6,
+                                     max_value=10**6)),
+    st.one_of(st.none(), st.dates())), max_size=12)
+
+
+def encode(rows):
+    """The wrapper query's encoding of *rows*: one piece per cell."""
+    return ["<" if value is None else ">" + escape_text(str(value))
+            for row in rows for value in row]
+
+
+def cut(text, positions):
+    edges = [0, *sorted(positions), len(text)]
+    return [text[start:end] for start, end in zip(edges, edges[1:])]
+
+
+def pull(chunks, columns):
+    """Rows pulled one ``next()`` at a time, and the error that ended
+    the stream (None if it just ended)."""
+    rows = []
+    decoder = iter_decode_delimited(iter(chunks), columns)
+    try:
+        while True:
+            rows.append(next(decoder))
+    except StopIteration:
+        return rows, None
+    except DataError as exc:
+        return rows, str(exc)
+
+
+class TestChunkSplitInvariance:
+    @given(mixed_rows, st.data())
+    def test_any_cut_decodes_like_the_one_shot_form(self, rows, data):
+        """Cuts land anywhere — inside an entity, between a marker and
+        its value, on every character — and never show in the rows."""
+        text = "".join(encode(rows))
+        expected = decode_delimited(text, cols(*MIXED))
+        assert expected == rows
+        cuts = data.draw(st.lists(st.integers(0, len(text)), max_size=8))
+        for chunks in (cut(text, cuts), list(text), encode(rows)):
+            assert pull(chunks, cols(*MIXED)) == (expected, None)
+
+    def test_cut_inside_an_entity(self):
+        text = ">1>a&lt;b>2>&amp;"
+        for position in range(len(text) + 1):
+            assert pull(cut(text, [position]),
+                        cols("INTEGER", "VARCHAR")) == \
+                ([(1, "a<b"), (2, "&")], None)
+
+
+class TestErrorIdentity:
+    def test_garbage_offset_is_absolute_across_chunks(self):
+        rows, error = pull([">1>a", ">2<", "x>3>c"],
+                           cols("INTEGER", "VARCHAR"))
+        assert rows == [(1, "a"), (2, None)]
+        assert error == ("malformed delimited stream at offset 7: "
+                         "expected a cell marker, got 'x'")
+        assert pull([">1>a>2<x>3>c"], cols("INTEGER", "VARCHAR")) == \
+            (rows, error)
+
+    def test_garbage_first_character(self):
+        assert pull(["x55"], cols("INTEGER")) == (
+            [], "malformed delimited stream at offset 0: "
+                "expected a cell marker, got 'x'")
+
+    @pytest.mark.parametrize("chunks", [
+        [">1>a>2"], [">1>a", ">2"], list(">1>a>2")])
+    def test_truncated_stream(self, chunks):
+        assert pull(chunks, cols("INTEGER", "VARCHAR")) == (
+            [(1, "a")], "truncated delimited stream: 1 trailing cell(s)")
+
+    def test_bad_cell_in_row_k_of_one_large_chunk(self):
+        """Rows 0..k-1 come out first, then the cell-by-cell error."""
+        k, total = 1500, 3000
+        cells = [f">{i}>n{i}" for i in range(total)]
+        cells[k] = ">oops>n"
+        expected_rows = [(i, f"n{i}") for i in range(k)]
+        expected_error = "cannot convert cell 'oops' to INTEGER"
+        columns = cols("INTEGER", "VARCHAR")
+        assert pull(["".join(cells)], columns) == \
+            (expected_rows, expected_error)
+        # ... which is what a decode fed one cell at a time reports.
+        assert pull([piece for cell in cells
+                     for piece in cell.partition(">n")], columns) == \
+            (expected_rows, expected_error)
+
+    def test_unsupported_kind_fails_only_on_a_value(self):
+        columns = cols("INTEGER", "BLOB")
+        assert pull([">1<>2<>3<"], columns) == \
+            ([(1, None), (2, None), (3, None)], None)
+        assert pull([">1<>2<>3>x>4<"], columns) == \
+            ([(1, None), (2, None)],
+             "unsupported result column type BLOB")
+
+
+class TestLinearity:
+    def test_one_chunk_costs_what_many_chunks_cost(self):
+        """No stopwatch threshold: the same NULL-free stream as one
+        chunk and as 32 chunks. A search that runs past the cell to the
+        end of the chunk makes the single chunk several times slower."""
+        columns = cols("INTEGER", "VARCHAR", "DECIMAL")
+        lines = [f">{i}>name{i}>{i}.50" for i in range(32_000)]
+        pieces = ["".join(lines[start:start + 1000])
+                  for start in range(0, len(lines), 1000)]
+        whole = "".join(pieces)
+
+        def best_of_five(chunks):
+            best = float("inf")
+            for _ in range(5):
+                started = time.perf_counter()
+                count = sum(1 for _ in iter_decode_delimited(chunks,
+                                                             columns))
+                best = min(best, time.perf_counter() - started)
+                assert count == len(lines)
+            return best
+
+        assert best_of_five([whole]) <= 1.5 * best_of_five(pieces)
+
+
+class TestLaziness:
+    COLUMNS = ("INTEGER", "VARCHAR")
+
+    def chunks(self, consumed, closed):
+        try:
+            for chunk in range(3):
+                consumed.append(chunk)
+                yield "".join(f">{chunk * 1024 + i}>v"
+                              for i in range(1024))
+        finally:
+            closed.append(True)
+
+    def test_first_row_consumes_one_chunk_and_close_propagates(self):
+        consumed, closed = [], []
+        decoder = iter_decode_delimited(self.chunks(consumed, closed),
+                                        cols(*self.COLUMNS))
+        assert next(decoder) == (0, "v")
+        assert consumed == [0]
+        assert next(decoder) == (1, "v")
+        assert consumed == [0]
+        decoder.close()
+        assert closed == [True]
+
+    def test_full_drain(self):
+        consumed, closed = [], []
+        rows = list(iter_decode_delimited(self.chunks(consumed, closed),
+                                          cols(*self.COLUMNS)))
+        assert rows == [(i, "v") for i in range(3 * 1024)]
+        assert consumed == [0, 1, 2] and closed == [True]

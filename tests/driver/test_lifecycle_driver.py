@@ -4,12 +4,14 @@ the query lifecycle subsystem."""
 
 import threading
 import time
+from itertools import islice
 
 import pytest
 
 from repro import RuntimeConfig, clock
 from repro.driver import OperationalError, connect
 from repro.engine import FaultProfile, RetryPolicy, install_fault
+from repro.errors import DatabaseError, XQueryDynamicError
 from repro.obs import Tracer
 from repro.workloads import build_runtime
 
@@ -295,3 +297,62 @@ class TestLifecycleObservability:
         assert len(cursor.fetchall()) == 6
         runtime_counters = connection.stats()["runtime"]["counters"]
         assert runtime_counters["source.retries"] == 2
+
+
+class TestBlockPull:
+    """``_pull_streamed`` pulls rows in one ``extend`` per fetch; what a
+    fetch reports must not depend on that."""
+
+    def test_exact_last_rows_do_not_mark_exhaustion(self):
+        connection = fresh_connection()
+        cursor = connection.cursor()
+        cursor.execute(BIG_QUERY)
+        assert len(cursor.fetchmany(200)) == 200
+        assert cursor.rowcount == -1
+        # Exactly the last 16 rows: a full chunk says nothing about
+        # what follows, so the stream (and its slot) stay open ...
+        assert len(cursor.fetchmany(16)) == 16
+        assert cursor.rowcount == -1
+        assert connection.stats()["admission"]["active"] == 1
+        # ... until the next call comes back short.
+        assert cursor.fetchmany(16) == []
+        assert cursor.rowcount == 216
+        assert connection.stats()["admission"]["active"] == 0
+
+    def test_short_chunk_flips_rowcount_in_the_same_call(self):
+        connection = fresh_connection()
+        cursor = connection.cursor()
+        cursor.execute(BIG_QUERY)
+        assert len(cursor.fetchmany(210)) == 210
+        assert cursor.rowcount == -1
+        assert len(cursor.fetchmany(10)) == 6
+        assert cursor.rowcount == 216
+        assert cursor.fetchone() is None
+
+    def test_zero_rows_requested_pulls_nothing(self):
+        connection = fresh_connection()
+        cursor = connection.cursor()
+        cursor.execute(BIG_QUERY)
+        assert cursor.fetchmany(0) == []
+        assert cursor.rowcount == -1
+        assert len(cursor.fetchall()) == 216
+
+    def test_engine_error_mid_pull_counts_rows_and_releases_slot(self):
+        connection = fresh_connection()
+        cursor = connection.cursor()
+        cursor.execute(BIG_QUERY)
+        assert len(cursor.fetchmany(5)) == 5
+
+        def fails_after(stream, rows):
+            yield from islice(stream, rows)
+            raise XQueryDynamicError("source went away")
+
+        cursor._stream = fails_after(cursor._stream, 40)
+        with pytest.raises(DatabaseError, match="source went away"):
+            cursor.fetchall()
+        stats = connection.stats()
+        assert stats["counters"]["rows.streamed"] == 45
+        assert stats["admission"]["active"] == 0
+        assert stats["admission"]["inflight_rows"] == 0
+        assert cursor._stream is None
+        assert cursor.rowcount == -1

@@ -16,6 +16,7 @@ from repro.errors import InterfaceError, OperationalError
 from repro.server import TenantConfig, serve_in_thread
 from repro.server.protocol import recv_frame, send_frame
 from repro.workloads import build_runtime
+from repro.workloads.scaling import build_scaled_runtime
 
 #: 6^3 = 216 rows — enough pages that a stream outlives its first fetch.
 BIG_QUERY = "SELECT * FROM CUSTOMERS C1, CUSTOMERS C2, CUSTOMERS C3"
@@ -83,6 +84,33 @@ class TestRemoteDriver:
             first = cursor.fetchone()
             rest = [row for row in cursor]
             assert len([first] + rest) == 6
+
+    def test_fetchone_drains_a_large_page(self):
+        """A page of 20 000 rows handed out one ``fetchone()`` at a
+        time — the buffer is read by index, not shifted per row — is
+        the rows ``fetchall()`` gets, and partial reads mix freely."""
+        rows = 20_000
+        tenant = TenantConfig(name="app", token=TOKEN,
+                              runtime=build_scaled_runtime(rows))
+        with serve_in_thread(tenant, max_page_rows=rows) as handle, \
+                connect(handle.dsn("app", "Bench", token=TOKEN)) \
+                as connection:
+            cursor = connection.cursor()
+            cursor.execute("SELECT ID, NAME FROM FACTS")
+            expected = cursor.fetchall()
+            assert len(expected) == rows
+            cursor.arraysize = rows
+            cursor.execute("SELECT ID, NAME FROM FACTS")
+            roundtrips = connection.metrics.counter("wire.roundtrips")
+            before = roundtrips.value
+            got = [cursor.fetchone()]
+            got += cursor.fetchmany(7)
+            got += iter(cursor.fetchone, None)
+            assert got == expected
+            # One page held it all (a second, empty one may say so).
+            assert roundtrips.value - before <= 2
+            assert cursor.rowcount == rows
+            assert cursor.fetchmany(3) == [] and cursor.fetchall() == []
 
     def test_executemany(self, server):
         with remote_connect(server) as connection:
