@@ -3,10 +3,13 @@
 Used by the evaluator's hash-join planner to decide whether a where
 condition is an equi-join between two for-bound variables (and whether a
 join side's source is independent of the tuple stream, so its hash table
-can be built once).
+can be built once), and by the closure compiler to find expressions
+whose value is fixed for a whole execution.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 from . import ast
 
@@ -93,3 +96,34 @@ def _collect(node, bound: frozenset[str], free: set[str]) -> None:
                 _collect(part, bound, free)
         return
     # Literals, ContextItem: nothing to do.
+
+
+def subexpressions(node, in_predicate: bool = False) \
+        -> Iterator[tuple[ast.XNode, bool]]:
+    """Every AST node at or under *node*, each with whether it sits
+    inside a path-step or filter predicate of *node* — where the context
+    item is bound by that predicate, not read from outside. Binding
+    scopes of variables are :func:`free_vars`' business, not this
+    walk's."""
+    if isinstance(node, tuple):
+        for member in node:
+            yield from subexpressions(member, in_predicate)
+    elif isinstance(node, ast.XNode):
+        yield node, in_predicate
+        for name in node.__dataclass_fields__:
+            yield from subexpressions(
+                getattr(node, name), in_predicate or name == "predicates")
+
+
+def bound_vars(expr) -> frozenset[str]:
+    """Names bound by any for / let / group clause or quantifier at or
+    under *expr*."""
+    bound: set[str] = set()
+    for node, _in_predicate in subexpressions(expr):
+        if isinstance(node, (ast.ForClause, ast.LetClause,
+                             ast.QuantifiedExpr)):
+            bound.add(node.var)
+        elif isinstance(node, ast.GroupClause):
+            bound.add(node.partition_var)
+            bound.update(var for _key, var in node.keys)
+    return frozenset(bound)

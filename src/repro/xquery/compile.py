@@ -24,6 +24,16 @@ separator-interleaved pieces — the concatenation is byte-identical to the
 single string the interpreter returns, but the driver can decode
 delimited cells incrementally as chunks arrive.
 
+Stage 3 writes outer joins and subqueries as expressions that sit inside
+a per-tuple clause (``let $t := (for ... where k eq k' ...)``,
+``fn-bea:scalar((...))``, ``fn-bea:in3($x, (...))``). What such an
+expression computes from data that no enclosing FLWOR binds cannot
+change while one execution runs, so with ``optimize=True`` it is
+evaluated once per execution through a memo that lives in the root
+frame (:data:`MEMO_KEY`): invariant subquery arguments, hash-join build
+sides, and the member table of an ``in3``. ``optimize=False`` keeps the
+plain per-tuple evaluation as the differential's other leg.
+
 Semantics are defined by the interpreter (``repro.xquery.evaluator``);
 the differential test suite runs both executors over the full translator
 corpus and compares outputs byte-for-byte.
@@ -34,12 +44,14 @@ from __future__ import annotations
 import inspect
 import threading
 import time
+from functools import cached_property
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Optional
 
 from ..errors import XQueryDynamicError, XQueryStaticError, XQueryTypeError
 from ..xmlmodel import Attribute, Document, Element, QName, Text
 from . import ast
+from .analysis import bound_vars, free_vars, subexpressions
 from .atomic import (
     Sequence,
     arithmetic,
@@ -70,9 +82,11 @@ from .evaluator import (
 )
 from .functions import (
     _XS_CONSTRUCTOR_TYPES,
+    BEA_URI,
     BUILTINS,
     FN_URI,
     XS_URI,
+    PreparedIn3,
     call_builtin,
     is_builtin_namespace,
 )
@@ -93,6 +107,27 @@ from .planner import (
 #: the caller asked for estimated-vs-actual accounting; stage outputs
 #: are counted per (flwor id, clause index) plan-node id.
 ACTUALS_KEY = "\x00actuals"
+
+#: Reserved frame key of the execution-scoped memo: a dict created by
+#: :meth:`CompiledQuery._root` that rides every ``bind()`` by reference
+#: and dies with the execution's frames. Closures that own a slot (see
+#: ``_Compiler._once``) keep in it what cannot change while one
+#: execution runs — invariant subquery results, hash-join builds,
+#: prepared IN tables. Never stored on the shared ``CompiledQuery``.
+MEMO_KEY = "\x00memo"
+
+#: The subquery positions stage 3 emits, as (namespace, function) ->
+#: argument index. Every one of these consumers atomizes its argument or
+#: tests it for emptiness, so handing all callers of one execution the
+#: same result sequence cannot leak node identity.
+_SUBQUERY_ARGS = {
+    (BEA_URI, "scalar"): 0,
+    (BEA_URI, "in3"): 1,
+    (BEA_URI, "any3"): 1,
+    (BEA_URI, "all3"): 1,
+    (FN_URI, "exists"): 0,
+    (FN_URI, "empty"): 0,
+}
 
 #: A compiled expression: frame in, item sequence out.
 _Thunk = Callable[[_Frame], Sequence]
@@ -170,6 +205,7 @@ class CompiledQuery:
     def _root(self, variables: Optional[dict[str, object]],
               context=None, actuals=None) -> _Frame:
         bindings = bind_module_variables(self.module, variables)
+        bindings[MEMO_KEY] = {}
         if context is not None:
             # The lifecycle context rides through every frame bind()
             # under a reserved key; the frame-multiplying stages tick it
@@ -308,8 +344,10 @@ class _Compiler:
             self._estimator = CostEstimator(
                 self._source_statistics(statistics),
                 pushdown=self._pushdown)
-        #: id(FLWOR ast node) -> flwor id; the body compiles once for
-        #: the materializing path and once for the streaming path, and
+        #: id(FLWOR ast node) -> flwor id (likewise for the call node of
+        #: a once-per-execution subquery, which reports as a one-node
+        #: plan of its own); the body compiles once for the
+        #: materializing path and once for the streaming path, and
         #: plan-node ids must agree between the two.
         self._flwor_ids: dict[int, int] = {}
         self.plan_reports: list[dict] = []
@@ -329,6 +367,79 @@ class _Compiler:
         stream = self._compile_stream(body, compiled=run)
         chunks = self._compile_chunks(body)
         return run, stream, chunks
+
+    # -- once per execution ------------------------------------------------
+
+    def _fixed(self, expr: ast.XExpr,
+               own: frozenset = frozenset()) -> bool:
+        """True when *expr* reads nothing that can change while one
+        execution runs: of variables only the module's externals (and
+        *own*, names the caller binds itself), and no context item from
+        outside its own predicates."""
+        outer = free_vars(expr) - own
+        # The cheap test first: _constants walks the whole module once.
+        if not outer <= self._external_vars \
+                or (outer and not outer <= self._constants):
+            return False
+        return not any(isinstance(node, ast.ContextItem) and not bound
+                       for node, bound in subexpressions(expr))
+
+    @cached_property
+    def _constants(self) -> frozenset:
+        """The externals that are the same value wherever they are
+        read: one that some clause rebinds is, below that clause, a
+        FLWOR variable under the external's name."""
+        return self._external_vars - bound_vars(self._module.body)
+
+    def _invariant_subquery(self, expr: ast.XExpr) -> bool:
+        """A subquery argument worth evaluating once per execution: it
+        is :meth:`_fixed` and holds a FLWOR or a data-service call (a
+        literal list or a bare parameter costs less than the memo)."""
+        if not (self._optimize and self._fixed(expr)):
+            return False
+        return any(isinstance(node, ast.FLWOR)
+                   or self._service_call(node) is not None
+                   for node, _p in subexpressions(expr))
+
+    def _once(self, thunk: Callable[[_Frame], object], node_id=None) \
+            -> Callable[[_Frame], object]:
+        """Wrap *thunk* so one execution evaluates it at most once, on
+        first use (an expression never reached still never runs), and
+        every later use gets the same value from the execution's memo.
+        A raise stores nothing: the next use evaluates, and raises,
+        again. *node_id* names the plan node whose actual row count is
+        the single run's ``len(value)``."""
+        slot = object()
+
+        def once(frame: _Frame):
+            variables = frame.variables
+            memo = variables.get(MEMO_KEY)
+            if memo is None:  # a frame CompiledQuery._root did not make
+                return thunk(frame)
+            try:
+                return memo[slot]
+            except KeyError:
+                value = memo[slot] = thunk(frame)
+                actuals = variables.get(ACTUALS_KEY)
+                if node_id is not None and actuals is not None:
+                    actuals[node_id] = len(value)
+                return value
+
+        return once
+
+    def _report_once(self, call: ast.XFunctionCall):
+        """Plan-node id of a once-per-execution subquery; lists it (with
+        why it qualified) in the plan reports the first time."""
+        fid = self._flwor_ids.get(id(call))
+        if fid is None:
+            fid = self._flwor_ids[id(call)] = len(self._flwor_ids)
+            if self._estimator is not None:
+                self.plan_reports.append({"flwor": fid, "nodes": [{
+                    "id": (fid, 0),
+                    "label": (f"{call.display} subquery, once per "
+                              f"execution (reads no FLWOR variable)"),
+                    "estimate": None}]})
+        return fid, 0
 
     # -- dispatch (happens ONCE, at compile time) -------------------------
 
@@ -650,6 +761,22 @@ class _Compiler:
         except XQueryStaticError as exc:
             return _raiser(exc)
         local = expr.local
+        position = _SUBQUERY_ARGS.get((uri, local))
+        if (position is not None and position < len(args)
+                and self._invariant_subquery(expr.args[position])):
+            node_id = self._report_once(expr)
+            if local == "in3" and len(args) == 2:
+                needle, members = args
+                table = self._once(
+                    lambda frame: PreparedIn3(members(frame)), node_id)
+
+                def probe(frame: _Frame) -> Sequence:
+                    # Needle first: the plain call's argument order.
+                    value = needle(frame)
+                    return table(frame)(value)
+
+                return probe
+            args[position] = self._once(args[position], node_id)
         if uri == XS_URI:
             if local in _XS_CONSTRUCTOR_TYPES and len(args) == 1:
                 arg = args[0]
@@ -786,7 +913,10 @@ class _Compiler:
                 self.plan_reports.append({
                     "flwor": fid,
                     "nodes": [{"id": (fid, i),
-                               "label": _clause_label(clause),
+                               "label": _clause_label(
+                                   clause,
+                                   isinstance(clause, HashJoinClause)
+                                   and self._built_once(clause)),
                                "estimate": estimates[i]}
                               for i, clause in enumerate(clauses)],
                 })
@@ -835,7 +965,14 @@ class _Compiler:
         """``(uri, local)`` when *expr* is a zero-argument data-service
         call the resolver will serve (the translator's scan shape,
         ``ns0:CUSTOMERS()``), else None."""
-        if not (isinstance(expr, ast.XFunctionCall) and not expr.args):
+        if isinstance(expr, ast.XFunctionCall) and not expr.args:
+            return self._service_call(expr)
+        return None
+
+    def _service_call(self, expr) -> Optional[tuple[str, str]]:
+        """``(uri, local)`` when *expr* is a call, of any arity, that
+        goes to the host's resolver (a data service), else None."""
+        if not isinstance(expr, ast.XFunctionCall):
             return None
         try:
             uri = self._static.resolve_prefix(expr.prefix)
@@ -993,16 +1130,14 @@ class _Compiler:
                        for cond in cond_fns):
                     yield entry
 
-        def join_stage(frames: Iterator[_Frame]) -> Iterator[_Frame]:
-            first = next(frames, None)
-            if first is None:
-                return
-            ctx = first.variables.get(CONTEXT_KEY)
-            # The join source is independent of the stream (the planner
-            # rejects correlated sources), so build the table once
-            # against the first frame's outer bindings. Absorbed build
-            # filters (planner-proven independent of the probe side) run
-            # once here, before the table is hashed.
+        def build_side(first: _Frame):
+            """``(entries, build)``: the join source's items and their
+            hash table (None = probe pairwise). The source is
+            independent of the stream (the planner rejects correlated
+            sources), so one build against the first frame's outer
+            bindings serves every frame; absorbed build filters
+            (planner-proven independent of the probe side) run here,
+            before the table is hashed."""
             items = list(source(first))
             if filter_fns:
                 items = [
@@ -1026,7 +1161,22 @@ class _Compiler:
                     return single_atomic(
                         build_fn(first.bind(var, [entry[1]])), "join key")
 
-            build = _build_join_table(_CompiledJoin, entries, eval_key)
+            return entries, _build_join_table(_CompiledJoin, entries,
+                                              eval_key)
+
+        if self._built_once(join):
+            # Nothing the build reads belongs to an enclosing FLWOR, so
+            # when this FLWOR is itself re-run per outer tuple (an
+            # outer-join let, a correlated EXISTS / IN / scalar body)
+            # every run probes the table the first one built.
+            build_side = self._once(build_side)
+
+        def join_stage(frames: Iterator[_Frame]) -> Iterator[_Frame]:
+            first = next(frames, None)
+            if first is None:
+                return
+            ctx = first.variables.get(CONTEXT_KEY)
+            entries, build = build_side(first)
             for t in chain((first,), frames):
                 if build is None:
                     matched: Iterable = pairwise(t, entries)
@@ -1055,6 +1205,16 @@ class _Compiler:
                         yield frame
 
         return join_stage
+
+    def _built_once(self, join: HashJoinClause) -> bool:
+        """True when *join*'s build side is the same for every run of
+        its FLWOR in one execution: source, build keys and absorbed
+        filters read only the join's own variable and externals."""
+        own = frozenset((join.for_clause.var,))
+        return self._fixed(join.for_clause.source) and all(
+            self._fixed(expr, own)
+            for expr in chain((build for build, _p, _c in join.keys),
+                              join.filters))
 
     def _compile_group(self, clause: ast.GroupClause) -> _Stage:
         key_fns = [(self._compile(key_expr), key_var)
@@ -1162,12 +1322,16 @@ def _pipeline(stages: list[_Stage], node_ids: list,
     return frames
 
 
-def _clause_label(clause) -> str:
-    """A short human-readable plan-node label for EXPLAIN output."""
+def _clause_label(clause, built_once: bool = False) -> str:
+    """A short human-readable plan-node label for EXPLAIN output;
+    *built_once* marks a hash join whose build side the execution's
+    memo keeps (see ``_Compiler._built_once``)."""
     if isinstance(clause, HashJoinClause):
         parts = f"{len(clause.keys)} keys"
         if clause.filters:
             parts += f", {len(clause.filters)} filters"
+        if built_once:
+            parts += ", built once"
         return f"hash-join ${clause.for_clause.var} ({parts})"
     if isinstance(clause, RestoreOrderClause):
         return "restore-order"

@@ -23,8 +23,10 @@ from ..xmlmodel import Element, deep_equal, serialize
 from ..xmlmodel.escape import escape_text
 from .atomic import (
     UntypedAtomic,
+    _comparison_category,
     atomize,
     cast_to,
+    cast_untyped_to_type_of,
     compare_values,
     effective_boolean_value,
     is_node,
@@ -488,6 +490,18 @@ def bea_or3(args):
     return [bool(left) or bool(right)]
 
 
+def _cast_member(value, needle):
+    """The one member-coercion rule of in3 / any3 / all3 and the prepared
+    IN table: a subquery's members are constructed elements, so they
+    atomize to xs:untypedAtomic and compare as the needle's type (the
+    general-comparison cast — double for a numeric needle, date for a
+    date, ...). Raises :class:`XQueryDynamicError` for a member that
+    does not cast; callers count that as a non-match / unknown."""
+    if isinstance(value, UntypedAtomic):
+        return cast_untyped_to_type_of(value, needle)
+    return value
+
+
 def bea_in3(args):
     """3VL IN over a sequence of *elements* (so NULLs are observable as
     empty elements): true if any member equals $x; unknown (empty) if $x
@@ -502,22 +516,73 @@ def bea_in3(args):
             saw_null = True
             continue
         for value in values:
-            if isinstance(value, UntypedAtomic):
-                if is_numeric_value(needle):
-                    try:
-                        value = float(value)
-                    except ValueError:
-                        continue
-                else:
-                    value = str(value)
             try:
-                if compare_values("eq", needle, value):
+                if compare_values("eq", needle, _cast_member(value, needle)):
                     return [True]
-            except XQueryTypeError:
+            except (XQueryTypeError, XQueryDynamicError):
                 continue
     if saw_null:
         return []
     return [False]
+
+
+#: Needle categories whose ``eq`` is Python ``==`` on hashable values of
+#: one type family, so a set of cast members answers it.
+_HASHED_CATEGORIES = frozenset(
+    {"boolean", "numeric", "string", "dateTime", "date", "time"})
+
+
+class PreparedIn3:
+    """``fn-bea:in3`` against a member sequence that is fixed for a
+    whole execution: one hash set per needle category of the members
+    cast by :func:`_cast_member`, so a probe costs O(1) instead of
+    O(members). Covers what stage 3 emits — every non-NULL member
+    untyped; typed members, unhashed needle categories and needles
+    outside the double range run :func:`bea_in3` over the same
+    sequence."""
+
+    __slots__ = ("_members", "_texts", "_miss", "_tables")
+
+    def __init__(self, members):
+        self._members = members
+        values = [atomize([item]) for item in members]
+        texts = [value for found in values for value in found]
+        self._texts = texts if all(
+            isinstance(text, UntypedAtomic) for text in texts) else None
+        # No match: unknown when a NULL member exists, else false.
+        self._miss = [False] if all(values) else []
+        self._tables: dict[str, set] = {}
+
+    def __len__(self) -> int:
+        return len(self._members)
+
+    def __call__(self, needle_seq):
+        needle = single_atomic(needle_seq, "fn-bea:in3 left operand")
+        if needle is None:
+            return []
+        category = _comparison_category(needle)
+        key = needle
+        if category == "numeric":
+            try:
+                # A numeric needle compares with untyped members as
+                # doubles, whatever its own type.
+                key = float(needle)
+            except OverflowError:
+                category = None
+        if self._texts is None or category not in _HASHED_CATEGORIES:
+            return bea_in3([[needle], self._members])
+        table = self._tables.get(category)
+        if table is None:
+            table = set()
+            for text in self._texts:
+                try:
+                    member = _cast_member(text, needle)
+                except XQueryDynamicError:
+                    continue
+                if member == member:  # NaN never matches
+                    table.add(member)
+            self._tables[category] = table
+        return [True] if key in table else list(self._miss)
 
 
 def _quantified3(args, kind):
@@ -535,18 +600,10 @@ def _quantified3(args, kind):
             saw_unknown = True
             continue
         for value in values:
-            if isinstance(value, UntypedAtomic):
-                if is_numeric_value(needle):
-                    try:
-                        value = float(value)
-                    except ValueError:
-                        saw_unknown = True
-                        continue
-                else:
-                    value = str(value)
             try:
-                holds = compare_values(op, needle, value)
-            except XQueryTypeError:
+                holds = compare_values(op, needle,
+                                       _cast_member(value, needle))
+            except (XQueryTypeError, XQueryDynamicError):
                 saw_unknown = True
                 continue
             if kind == "any" and holds:
