@@ -6,11 +6,16 @@ knobs (result format, caches, default timeout) — two overlapping kwarg
 lists for one logical thing: how this DSP instance should behave.
 :class:`RuntimeConfig` collapses both into a single frozen dataclass
 accepted by ``DSPRuntime(config=...)`` and ``connect(config=...)``.
+
+This module is also the only reader of the process environment: the
+five ``REPRO_*`` variables the CI legs force are parsed here, by
+:func:`with_environment` and :func:`default_demo_backend`.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -66,3 +71,38 @@ class RuntimeConfig:
     def replace(self, **changes) -> "RuntimeConfig":
         """A copy with *changes* applied (unknown names raise)."""
         return dataclasses.replace(self, **changes)
+
+
+def _env_int(name: str, configured: int) -> int:
+    """An int knob: the *name* env var wins over the config when it
+    parses as a non-negative int; junk is ignored."""
+    raw = os.environ.get(name)
+    if raw is None:
+        return max(0, int(configured))
+    try:
+        value = int(raw)
+    except ValueError:
+        return configured
+    return value if value >= 0 else configured
+
+
+def with_environment(config: RuntimeConfig) -> RuntimeConfig:
+    """*config* as one runtime in this process will actually run it:
+    ``REPRO_BATCH_SIZE``, ``REPRO_PARALLELISM`` and
+    ``REPRO_PARALLEL_MIN_ROWS`` override their fields for A/B runs, and
+    ``REPRO_COST_PLANNING=0`` switches cost-based planning off."""
+    return config.replace(
+        cost=config.cost
+        and os.environ.get("REPRO_COST_PLANNING", "1") != "0",
+        batch_size=_env_int("REPRO_BATCH_SIZE", config.batch_size),
+        parallelism=_env_int("REPRO_PARALLELISM", config.parallelism),
+        parallel_min_rows=_env_int("REPRO_PARALLEL_MIN_ROWS",
+                                   config.parallel_min_rows),
+    )
+
+
+def default_demo_backend() -> str:
+    """The demo runtime's source backend when the caller names none:
+    ``REPRO_DEFAULT_BACKEND`` (how CI runs the whole suite against
+    SQLite), else ``"memory"``."""
+    return os.environ.get("REPRO_DEFAULT_BACKEND", "memory")

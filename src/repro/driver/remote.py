@@ -364,6 +364,10 @@ class RemoteCursor:
     def __init__(self, connection: RemoteConnection):
         self.connection = connection
         self._cursor_id: Optional[int] = None
+        #: True while an execute request of this cursor is on the wire:
+        #: until its reply assigns a cursor id, ``cancel()`` can only
+        #: address the statement through the session.
+        self._executing = False
         #: Rows received and not yet handed out: ``_buffer[_index:]``.
         #: Fetches advance the index; the consumed prefix is dropped
         #: once per page, so no fetch moves the buffer per row.
@@ -418,8 +422,12 @@ class RemoteCursor:
         message["timeout"] = timeout
         if self._cursor_id is not None:
             message["cursor"] = self._cursor_id
-        with connection.tracer.span("execute", sql=message["sql"]):
-            reply = connection._request(message)
+        self._executing = True
+        try:
+            with connection.tracer.span("execute", sql=message["sql"]):
+                reply = connection._request(message)
+        finally:
+            self._executing = False
         connection._queries_executed.increment()
         self._cursor_id = reply["cursor"]
         self._description = _decode_description(reply["description"])
@@ -434,8 +442,12 @@ class RemoteCursor:
     def cancel(self) -> None:
         """Cancel the statement in flight (safe from any thread, even
         while this cursor's connection is blocked inside a fetch): the
-        cancel frame travels out-of-band on its own connection."""
-        if self._cursor_id is not None:
+        cancel frame travels out-of-band on its own connection. A
+        first ``execute`` that has not been answered yet has no cursor
+        id to name, so the frame names none and the server cancels the
+        session's cursors — the one running this statement among them.
+        A cursor that never executed sends nothing."""
+        if self._cursor_id is not None or self._executing:
             self.connection._cancel_out_of_band(self._cursor_id)
 
     # -- fetching ------------------------------------------------------------

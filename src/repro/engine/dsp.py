@@ -14,9 +14,8 @@ variables.
 
 from __future__ import annotations
 
-import os
 import threading
-from typing import Iterator, Optional
+from typing import Optional
 
 from ..catalog import (
     Application,
@@ -34,7 +33,7 @@ from ..catalog import (
     function_namespace,
     sql_to_xs,
 )
-from ..config import RuntimeConfig
+from ..config import RuntimeConfig, with_environment
 from ..errors import (
     NotSupportedError,
     SourceUnavailableError,
@@ -52,28 +51,6 @@ from ..xquery.compile import CompiledQuery, compile_module
 from .faults import FaultyBinding
 from .lifecycle import AdmissionController, QueryContext, RetryPolicy
 from .table import Storage, Table
-
-
-def _env_int(name: str, configured: int) -> int:
-    """An int knob: the *name* env var wins over the config when it
-    parses as a non-negative int; junk is ignored."""
-    raw = os.environ.get(name)
-    if raw is not None:
-        try:
-            value = int(raw)
-        except ValueError:
-            value = configured
-        else:
-            if value < 0:
-                value = configured
-        return value
-    return max(0, int(configured))
-
-
-def _resolve_batch_size(configured: int) -> int:
-    """The effective batch size: ``REPRO_BATCH_SIZE`` wins over the
-    config when it parses as a non-negative int; junk is ignored."""
-    return _env_int("REPRO_BATCH_SIZE", configured)
 
 
 class DSPRuntime:
@@ -121,25 +98,22 @@ class DSPRuntime:
         self.optimize = config.optimize
         #: Enable predicate/projection pushdown into capable sources.
         self.pushdown = config.pushdown
+        #: The four knobs below can be forced process-wide through the
+        #: environment (the CI legs do); ``config.py`` reads it.
+        effective = with_environment(config)
         #: Statistics-driven cost-based planning: join build-side
         #: choice, order-restoring for-clause reordering, and
         #: most-selective-first conjunct ordering. Needs the optimizer
-        #: (the cost pass rewrites its plans); ``REPRO_COST_PLANNING=0``
-        #: disables it environment-wide for A/B runs.
-        self.cost = (config.cost and config.optimize
-                     and os.environ.get("REPRO_COST_PLANNING", "1") != "0")
+        #: (the cost pass rewrites its plans).
+        self.cost = effective.cost and config.optimize
         #: Rows per column-oriented batch in the vectorized streaming
         #: executor; 0 keeps the tuple-at-a-time pipeline everywhere.
-        #: ``REPRO_BATCH_SIZE`` overrides the config for A/B runs.
-        self.batch_size = _resolve_batch_size(config.batch_size)
-        #: Worker processes for partitioned scatter/gather execution;
-        #: 0 keeps every scan serial. ``REPRO_PARALLELISM`` overrides
-        #: the config, and ``REPRO_PARALLEL_MIN_ROWS`` tunes the
-        #: estimated-row threshold below which scattering is skipped.
-        self.parallelism = _env_int("REPRO_PARALLELISM",
-                                    config.parallelism)
-        self.parallel_min_rows = _env_int("REPRO_PARALLEL_MIN_ROWS",
-                                          config.parallel_min_rows)
+        self.batch_size = effective.batch_size
+        #: Worker processes for partitioned scatter/gather execution
+        #: (0 keeps every scan serial) and the estimated-row threshold
+        #: below which scattering is skipped.
+        self.parallelism = effective.parallelism
+        self.parallel_min_rows = effective.parallel_min_rows
         #: Lazy fork-server state for engine.parallel (created on first
         #: eligible scatter, torn down in close()).
         self._pool = None
@@ -826,19 +800,6 @@ class DSPRuntime:
         plan = self.prepare(xquery_text, tracer=tracer)
         with tracer.span("xquery.evaluate"):
             return plan.evaluate(variables, context=context,
-                                 actuals=actuals)
-
-    def execute_stream(self, xquery_text: str,
-                       variables: dict[str, object] | None = None,
-                       tracer=None,
-                       context: Optional[QueryContext] = None,
-                       actuals: Optional[dict] = None) -> Iterator:
-        """Compile (with plan caching) and evaluate an XQuery as a lazy
-        item stream: FLWOR bodies pull source rows through the live
-        pipeline only as the caller consumes items."""
-        tracer = NULL_TRACER if tracer is None else tracer
-        plan = self.prepare(xquery_text, tracer=tracer)
-        return plan.stream_items(variables, context=context,
                                  actuals=actuals)
 
     def metadata_api(self, latency: float = 0.0) -> MetadataAPI:

@@ -425,9 +425,3 @@ class RetryPolicy:
                 delay = min(delay, remaining)
         if delay > 0:
             self._sleep(delay)
-
-
-#: Shared permissive defaults for runtimes that don't configure their own.
-def default_admission_controller() -> AdmissionController:
-    return AdmissionController(max_concurrent=32, queue_timeout=5.0,
-                               max_inflight_rows=1_000_000)

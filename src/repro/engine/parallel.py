@@ -33,23 +33,27 @@ the query on the ordinary in-process path — byte-identical by
 construction, since workers run the same compiled plan over the same
 snapshot the serial path would scan.
 
+Which plans scatter: only those whose gather is small next to the scan
+(``_VectorPlan.parallel_ready``). A plan with no pipeline breaker and no
+window runs whole in the workers and ships encoded text ("encode"
+mode); an aggregate-led plan whose every aggregate decomposes into an
+associative partial state, and whose NDV estimate predicts real
+compression, ships O(groups) partial-state tables ("partial_agg" mode).
+Ordered, windowed and non-decomposable plans run serially by plan
+shape: they would ship O(rows) columns to a parent that still has the
+whole sort to do.
+
 Order restoration: partitions are gathered in partition-index order
 only after *all* workers finish (a full barrier — no output escapes
 before every partition succeeded, which is what makes the wholesale
 fallback possible). In "encode" mode concatenating the per-partition
 chunk texts in index order *is* the serial byte order, because every
 worker-side stage (scan, where, hash join probe) preserves its input
-row order. In "batches" mode the parent re-bases each partition's
-hidden restore-order ordinals by the cumulative scanned-row counts of
-earlier partitions, then runs the order/restore/window/encode suffix
-itself — see ``_VectorPlan.gather_batches``. In "partial_agg" mode —
-an aggregate-led plan whose every aggregate decomposes into an
-associative partial state — workers run scan→filter→partial-aggregate
-and ship O(groups) partial-state tables instead of O(rows) columns;
-the parent merges them in partition-index order (which reproduces the
-serial first-seen group order, since partitions are contiguous slices
-of the scan), finalizes, and runs the having/order/window/encode
-suffix — see ``_VectorPlan.gather_partial``.
+row order. In "partial_agg" mode workers run scan→filter→partial-
+aggregate; the parent merges the tables in partition-index order
+(which reproduces the serial first-seen group order, since partitions
+are contiguous slices of the scan), finalizes, and runs the
+having/order/window/encode suffix — see ``_VectorPlan.gather_partial``.
 """
 
 from __future__ import annotations
@@ -97,7 +101,6 @@ class PartitionTask:
     local: str
     spec: object  # sources.PartitionSpec
     params: dict  # external variable name -> scalar or None
-    mode: str  # "encode" | "batches" | "partial_agg"
     version: object  # parent's source version token at scatter time
     timeout: Optional[float]  # parent deadline remaining at scatter
     signature: tuple  # parent plan's structural signature
@@ -122,8 +125,7 @@ def _run_partition(task: PartitionTask) -> tuple:
         bindings = {name: ([] if value is None else [value])
                     for name, value in task.params.items()}
         bindings[CONTEXT_KEY] = QueryContext(timeout=task.timeout)
-        payload = vplan.run_partition(_Frame(bindings), task.spec,
-                                      task.mode)
+        payload = vplan.run_partition(_Frame(bindings), task.spec)
         return ("ok", payload)
     except Exception as exc:  # noqa: BLE001 - protocol boundary
         return ("error", type(exc).__name__, str(exc))
@@ -193,8 +195,8 @@ def execute(runtime, vplan, state) -> Optional[object]:
     timeout = state.ctx.remaining() if state.ctx is not None else None
     tasks = [PartitionTask(
         xquery_text=vplan.xquery_text, uri=info.uri, local=info.local,
-        spec=spec, params=dict(state.params), mode=vplan.parallel_mode,
-        version=version, timeout=timeout, signature=vplan.signature)
+        spec=spec, params=dict(state.params), version=version,
+        timeout=timeout, signature=vplan.signature)
         for spec in specs]
 
     started = time.perf_counter()
@@ -248,7 +250,7 @@ def _merge(vplan, state, payloads):
         from ..xquery.vector import VSTATS
 
         def emit():
-            for text, out_rows, _scanned in payloads:
+            for text, out_rows in payloads:
                 if state.ctx is not None:
                     state.ctx.rows_buffered += out_rows
                     state.ctx.tick_rows(out_rows)
@@ -258,19 +260,14 @@ def _merge(vplan, state, payloads):
                     yield text
 
         return emit()
-    if vplan.parallel_mode == "partial_agg":
-        scanned_total = sum(scanned for _table, _n, scanned in payloads)
-        if state.ctx is not None:
-            state.ctx.tick_rows(scanned_total)
-            # Aggregation buffers whole-input state worker-side, so
-            # admission charges the pre-aggregation scanned volume —
-            # the same charge the serial aggregation stage makes.
-            state.ctx.rows_buffered += scanned_total
-        counter = getattr(vplan.columnar, "_partial_aggs", None)
-        if counter is not None:
-            counter.increment()
-        return vplan.gather_partial(state, payloads)
-    total = sum(n for _cols, n, _scanned in payloads)
+    scanned_total = sum(scanned for _table, scanned in payloads)
     if state.ctx is not None:
-        state.ctx.tick_rows(total)
-    return vplan.gather_batches(state, payloads)
+        state.ctx.tick_rows(scanned_total)
+        # Aggregation buffers whole-input state worker-side, so
+        # admission charges the pre-aggregation scanned volume —
+        # the same charge the serial aggregation stage makes.
+        state.ctx.rows_buffered += scanned_total
+    counter = getattr(vplan.columnar, "_partial_aggs", None)
+    if counter is not None:
+        counter.increment()
+    return vplan.gather_partial(state, payloads)

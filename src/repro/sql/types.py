@@ -107,15 +107,6 @@ def promote(a: SQLType, b: SQLType) -> SQLType:
     return SQLType(b.kind)
 
 
-def divide_type(a: SQLType, b: SQLType) -> SQLType:
-    """Result type of division: exact/exact stays exact (DECIMAL) but
-    single-kind integer division yields INTEGER truncation semantics in
-    most SQL-92 implementations; we follow that convention (documented in
-    DESIGN.md) so the reference executor and translator agree."""
-    result = promote(a, b)
-    return result
-
-
 def literal_type(value: object) -> SQLType:
     """SQL type of a Python literal value captured by the parser."""
     if isinstance(value, bool):

@@ -99,12 +99,10 @@ def build_runtime(config=None, backend: str | None = None,
     :class:`repro.RuntimeConfig`); plain keyword options (e.g.
     ``max_concurrent_queries``, ``retry_policy``) are folded in on top.
     """
-    import os
-
-    from ..config import RuntimeConfig
+    from ..config import RuntimeConfig, default_demo_backend
 
     if backend is None:
-        backend = os.environ.get("REPRO_DEFAULT_BACKEND", "memory")
+        backend = default_demo_backend()
     storage = build_storage()
     if backend == "sqlite":
         from ..sources.sqlite import SQLiteSource

@@ -693,8 +693,8 @@ class _AggInfo:
     breaks the fold's comparison transitivity); distinct-backed specs
     always do (ordered set union in partition order reproduces the
     serial first-occurrence order). ``group_estimate``/``row_estimate``
-    come from NDV statistics and let the planner pick the aggregation
-    site (worker-side partial vs. parent-side whole).
+    come from NDV statistics and decide whether the plan scatters at
+    all (worker-side partial aggregation, or one serial fold).
     """
 
     __slots__ = ("key_exprs", "key_vars", "specs", "value_exprs",
@@ -911,65 +911,15 @@ def _finalize_agg_state(spec, agg_state):
 
 
 def _partial_agg_pays(info: _AggInfo) -> bool:
-    """Aggregation-site choice: worker-side partial aggregation wins
-    when the group table is meaningfully smaller than its input (the
-    gather payload shrinks from O(rows) to O(groups)). With no NDV
-    estimate, default to partial aggregation — it is never wrong, only
-    potentially no smaller than shipping the rows."""
+    """Scatter-or-not for an aggregate-led plan: worker-side partial
+    aggregation wins when the group table is meaningfully smaller than
+    its input (the gather payload is O(groups), not O(rows)); a plan it
+    does not pay for runs serially. With no NDV estimate, default to
+    partial aggregation — it is never wrong, only potentially no
+    smaller than its input."""
     if info.group_estimate is None or not info.row_estimate:
         return True
     return info.group_estimate <= 0.5 * info.row_estimate
-
-
-#: Executor-selection heuristic (estimated rows x operator shape):
-#: below these driving-scan row counts the executor's fixed
-#: per-execution overhead exceeds its per-row win, so the tuple path is
-#: chosen at compile time. Measured on this workload the columnar path
-#: beats the tuple path at every extent for plain scan/filter pipelines
-#: (column slicing is cheaper than per-row frame churn even at one
-#: row), so the scan floor is 0 — i.e. disabled. Join plans pay an
-#: extra full build-side column scan plus hash-table build per
-#: execution, so they keep a small floor. Only active under cost-based
-#: planning (no statistics -> no opinion -> batch).
-_MIN_BATCH_ROWS_SCAN = 0
-_MIN_BATCH_ROWS_JOIN = 4
-
-#: Grouped plans whose NDV estimate predicts fewer distinct groups than
-#: this stay on the tuple path: a one-or-two-group hash table amortizes
-#: nothing and the tuple GroupClause is already a single dict pass.
-#: Cache-safety: like the row floors, this decision reads only NDV
-#: statistics — the plan cache key already includes the runtime's
-#: ``_stats_epoch`` (and ``batch_size``), so a stats change re-plans
-#: rather than serving a stale executor choice.
-_MIN_BATCH_GROUPS = 2
-
-
-def _prefer_tuple(compiler, clauses) -> bool:
-    """True when the cost model says the driving scan is too small for
-    batch execution to pay for itself (see the constants above)."""
-    estimator = compiler._estimator
-    if estimator is None:
-        return False
-    lead = clauses[0]
-    for_clause = lead.for_clause \
-        if isinstance(lead, HashJoinClause) else lead
-    if not isinstance(for_clause, ast.ForClause):
-        return False
-    stats = estimator.table_stats(for_clause.source)
-    if stats is None:
-        return False
-    group = next((c for c in clauses
-                  if isinstance(c, ast.GroupClause)), None)
-    if group is not None and group.source_var == for_clause.var:
-        groups = estimate_group_count(stats, group.keys,
-                                      group.source_var)
-        if groups is not None and groups < _MIN_BATCH_GROUPS:
-            return True
-    has_join = any(isinstance(c, HashJoinClause) for c in clauses)
-    floor = _MIN_BATCH_ROWS_JOIN if has_join else _MIN_BATCH_ROWS_SCAN
-    if floor <= 0:
-        return False
-    return stats.row_count < floor
 
 
 def try_compile_wrapper(compiler, arg, batch_size: int, columnar,
@@ -1155,9 +1105,6 @@ def try_compile_wrapper(compiler, arg, batch_size: int, columnar,
     if projections is None:
         return None
 
-    if _prefer_tuple(compiler, clauses):
-        return None
-
     return _VectorPlan(
         columnar=columnar,
         batch_size=batch_size,
@@ -1211,31 +1158,31 @@ class _VectorPlan:
         #: Stamped by DSPRuntime.prepare so the scatter executor can
         #: re-prepare the identical plan by text in pool workers.
         self.xquery_text = None
-        #: Scatter/gather shape analysis. Only a plan driven by a plain
-        #: scan can be partitioned (a leading hash join probes the unit
-        #: tuple stream — there is nothing to split). Workers run the
-        #: stage prefix up to the first pipeline breaker (order/restore
-        #: need every row; agg needs every row of its group); with no
-        #: breaker and no window they run the whole pipeline including
-        #: the encode ("encode" mode). When the first breaker is a
-        #: parallel-safe aggregation whose NDV estimate predicts real
-        #: compression, workers fold their partition into a partial-
-        #: state table and ship O(groups) instead of O(rows)
-        #: ("partial_agg" mode); otherwise they return raw columns for
-        #: the parent to finish ("batches" mode).
-        self.parallel_ready = bool(stages) and stages[0][0] == "scan"
+        #: Scatter/gather shape analysis. A plan scatters only when it
+        #: is driven by a plain scan (a leading hash join probes the
+        #: unit tuple stream — there is nothing to split) and what its
+        #: workers send back is small next to what they read. With no
+        #: pipeline breaker (order/restore need every row; agg needs
+        #: every row of its group) and no window, workers run the whole
+        #: pipeline including the encode and ship text ("encode" mode).
+        #: When the first breaker is a parallel-safe aggregation whose
+        #: NDV estimate predicts real compression, workers fold their
+        #: partition into a partial-state table and ship O(groups)
+        #: ("partial_agg" mode). Every other shape would pickle O(rows)
+        #: columns back to a parent that still has the whole sort or
+        #: merge to do, so it runs serially — by plan shape, not by
+        #: fallback. ``parallel_mode`` is read only when
+        #: ``parallel_ready``.
         breakers = [i for i, (kind, _p) in enumerate(stages)
                     if kind in ("order", "restore", "agg")]
         self.partition_stage_count = breakers[0] if breakers \
             else len(stages)
-        if not breakers and window is None:
-            self.parallel_mode = "encode"
-        elif breakers and stages[breakers[0]][0] == "agg" \
-                and stages[breakers[0]][1].parallel_safe \
-                and _partial_agg_pays(stages[breakers[0]][1]):
-            self.parallel_mode = "partial_agg"
-        else:
-            self.parallel_mode = "batches"
+        kind, info = stages[breakers[0]] if breakers else (None, None)
+        partial = kind == "agg" and info.parallel_safe \
+            and _partial_agg_pays(info)
+        self.parallel_mode = "partial_agg" if partial else "encode"
+        self.parallel_ready = bool(stages) and stages[0][0] == "scan" \
+            and (partial or (not breakers and window is None))
         scan0 = stages[0][1] if self.parallel_ready else None
         agg_shape = tuple(
             (len(payload.key_vars),)
@@ -1280,19 +1227,16 @@ class _VectorPlan:
 
     # -- scatter/gather (engine.parallel) ----------------------------------
 
-    def run_partition(self, frame: _Frame, spec, mode: str):
-        """Worker-side entry: run this plan over one partition.
+    def run_partition(self, frame: _Frame, spec):
+        """Worker-side entry: run this plan over one partition (the
+        signature check guarantees the parent chose the same mode).
 
-        In ``"encode"`` mode returns ``(chunk_text, out_rows, scanned)``
-        — the partition's fully encoded output. In ``"batches"`` mode
-        returns ``(cols, out_rows, scanned)`` where *cols* is one
-        column-major dict for the whole partition after the worker-side
-        stage prefix. In ``"partial_agg"`` mode returns ``(table,
-        n_groups, scanned)`` where *table* is the partition's partial-
-        state group table in first-seen order. *scanned* is the
-        partition's scanned (post-pushdown, pre-filter) row count — the
-        parent's ordinal offset (and, for aggregation, its admission
-        charge).
+        In ``"encode"`` mode returns ``(chunk_text, out_rows)`` — the
+        partition's fully encoded output. In ``"partial_agg"`` mode
+        returns ``(table, scanned)`` where *table* is the partition's
+        partial-state group table in first-seen order and *scanned* is
+        the partition's scanned (post-pushdown, pre-filter) row count —
+        the parent's admission charge.
         """
         params: dict = {}
         for name in self.param_names:
@@ -1311,55 +1255,25 @@ class _VectorPlan:
         # Breaker stages never sit inside the prefix: where/join only.
         batches = self._run_stages(
             state, batches, self.stages[1:self.partition_stage_count])
-        if mode == "partial_agg":
+        if self.parallel_mode == "partial_agg":
             _kind, info = self.stages[self.partition_stage_count]
             table = self._fold_groups(state, batches, info)
-            payload = [(canon, record[0], record[1])
-                       for canon, record in table.items()]
-            return payload, len(payload), scanned[0]
-        if mode == "encode":
-            out_rows = 0
+            return [(canon, record[0], record[1])
+                    for canon, record in table.items()], scanned[0]
+        out_rows = 0
 
-            def counted(source=batches):
-                nonlocal out_rows
-                for b in source:
-                    out_rows += b.n
-                    yield b
+        def counted(source=batches):
+            nonlocal out_rows
+            for b in source:
+                out_rows += b.n
+                yield b
 
-            text = "".join(self._encode(state, counted()))
-            return text, out_rows, scanned[0]
-        big = _concat(list(batches))
-        return dict(big.cols), big.n, scanned[0]
-
-    def gather_batches(self, state: _State, parts) -> Iterator[str]:
-        """Parent-side merge for ``"batches"`` mode: *parts* is the
-        per-partition ``(cols, out_rows, scanned)`` list in partition
-        index order. The driving scan's restore-order ordinals were
-        assigned per partition starting at 0; offsetting partition k by
-        the cumulative scanned rows of partitions < k reproduces the
-        serial scan's ordinal assignment exactly, so the downstream
-        order/restore/window stages and the encode are byte-identical.
-        """
-        _head, info = self.stages[0]
-        ord_key = (_ORD, info.var)
-        offset = 0
-        merged = []
-        for cols, n, scanned in parts:
-            column = cols.get(ord_key)
-            if column is not None and offset:
-                cols[ord_key] = [o + offset for o in column]
-            offset += scanned
-            if n:
-                merged.append(_Batch(n, cols))
-        batches = self._run_stages(
-            state, iter(merged), self.stages[self.partition_stage_count:])
-        if self.window is not None:
-            batches = self._window_batches(batches)
-        return self._encode(state, batches)
+        text = "".join(self._encode(state, counted()))
+        return text, out_rows
 
     def gather_partial(self, state: _State, parts) -> Iterator[str]:
         """Parent-side merge for ``"partial_agg"`` mode: *parts* is the
-        per-partition ``(table, n_groups, scanned)`` list in partition
+        per-partition ``(table, scanned)`` list in partition
         index order. Partitions are contiguous slices of the serial
         scan order, so merging their first-seen group tables in index
         order reproduces the serial group order, and every partial
@@ -1370,7 +1284,7 @@ class _VectorPlan:
         _kind, info = self.stages[agg_index]
         specs = info.specs
         groups: dict = {}
-        for table, _n, _scanned in parts:
+        for table, _scanned in parts:
             for canon, key_values, states in table:
                 record = groups.get(canon)
                 if record is None:

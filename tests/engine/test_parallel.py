@@ -1,8 +1,9 @@
 """Partitioned parallel execution: the process-pool scatter/gather
 path must be byte-identical to the serial executor, engage only when
-asked (and only above the row threshold), survive staleness with one
-pool restart, honor deadlines/cancellation, and run fault/retry logic
-inside workers. Everything crossing the pool pipe must pickle."""
+asked (only above the row threshold, and only for plan shapes whose
+gather is small), survive staleness with one pool restart, honor
+deadlines/cancellation, and run fault/retry logic inside workers.
+Everything crossing the pool pipe must pickle."""
 
 import pickle
 
@@ -10,6 +11,7 @@ import pytest
 
 from repro import RuntimeConfig
 from repro.catalog import Application
+from repro.config import _env_int
 from repro.driver import connect
 from repro.engine import (
     DSPRuntime,
@@ -20,7 +22,6 @@ from repro.engine import (
     import_tables,
     install_fault,
 )
-from repro.engine.dsp import _env_int
 from repro.engine.faults import make_faulty
 from repro.errors import QueryCancelledError
 from repro.sources import PartitionSpec, Predicate, ScanRequest
@@ -38,13 +39,16 @@ def _pin_parallel_env(monkeypatch):
     monkeypatch.delenv("REPRO_PARALLELISM", raising=False)
     monkeypatch.delenv("REPRO_PARALLEL_MIN_ROWS", raising=False)
 
-QUERIES = [
-    "SELECT * FROM FACTS",
-    "SELECT ID, V FROM FACTS WHERE V > 3",
-    "SELECT * FROM FACTS ORDER BY V, ID",
-    "SELECT NAME FROM FACTS WHERE ID < 50 ORDER BY NAME DESC",
-    "SELECT ID FROM FACTS ORDER BY ID LIMIT 7 OFFSET 11",
-]
+#: Statement -> does its plan scatter? Scan-only plans ship encoded
+#: text; ordered and windowed plans would ship every row to a parent
+#: that still has the sort to do, so they run serially by plan shape.
+SCATTERS = {
+    "SELECT * FROM FACTS": True,
+    "SELECT ID, V FROM FACTS WHERE V > 3": True,
+    "SELECT * FROM FACTS ORDER BY V, ID": False,
+    "SELECT NAME FROM FACTS WHERE ID < 50 ORDER BY NAME DESC": False,
+    "SELECT ID FROM FACTS ORDER BY ID LIMIT 7 OFFSET 11": False,
+}
 
 
 def _storage(n_rows: int = N_ROWS) -> Storage:
@@ -86,9 +90,12 @@ def _rows(runtime, sql: str):
         connection.close()
 
 
+def _counter(runtime, name: str) -> int:
+    return runtime.metrics.snapshot()["counters"].get(name, 0)
+
+
 def _parallel_queries(runtime) -> int:
-    counters = runtime.metrics.snapshot()["counters"]
-    return counters.get("parallel.queries", 0)
+    return _counter(runtime, "parallel.queries")
 
 
 class TestPicklable:
@@ -130,13 +137,49 @@ class TestPicklable:
 
 class TestParallelMatchesSerial:
     @pytest.mark.parametrize("backend", ["memory", "sqlite"])
-    @pytest.mark.parametrize("sql", QUERIES)
+    @pytest.mark.parametrize("sql", SCATTERS)
     def test_rows_identical(self, backend, sql):
         storage = _storage()
         serial = _runtime(storage, backend, parallelism=0)
         parallel = _runtime(storage, backend)
         try:
             assert _rows(serial, sql) == _rows(parallel, sql)
+            assert _parallel_queries(parallel) == int(SCATTERS[sql])
+            # Serial by shape is a plan decision, not a failed scatter.
+            assert _counter(parallel, "parallel.fallbacks") == 0
+            assert (parallel._pool is not None) == SCATTERS[sql]
+        finally:
+            serial.close()
+            parallel.close()
+
+    def test_decomposable_aggregate_scatters_partial_states(self):
+        # Seven groups over 600 rows: workers fold their partition and
+        # ship O(groups) partial states.
+        storage = _storage()
+        serial = _runtime(storage, parallelism=0)
+        parallel = _runtime(storage, parallelism=2)
+        sql = "SELECT V, COUNT(*), SUM(ID), MIN(NAME) FROM FACTS GROUP BY V"
+        try:
+            assert _rows(serial, sql) == _rows(parallel, sql)
+            assert _parallel_queries(parallel) == 1
+            assert _counter(parallel, "parallel.partial_aggs") == 1
+        finally:
+            serial.close()
+            parallel.close()
+
+    def test_unique_key_aggregate_stays_serial(self):
+        # Groups = rows: the partial tables would be as large as the
+        # partitions, so statistics keep the plan serial. Without
+        # statistics (the cost-planning-off leg) partial aggregation is
+        # the default — never wrong, only no smaller.
+        storage = _storage()
+        serial = _runtime(storage, parallelism=0)
+        parallel = _runtime(storage, parallelism=2)
+        sql = "SELECT ID, COUNT(*) FROM FACTS GROUP BY ID"
+        try:
+            assert _rows(serial, sql) == _rows(parallel, sql)
+            assert _parallel_queries(parallel) == int(not parallel.cost)
+            assert _counter(parallel, "parallel.fallbacks") == 0
         finally:
             serial.close()
             parallel.close()
@@ -289,8 +332,7 @@ class TestStaleness:
             # retried against a freshly forked pool, not fallen back.
             assert _parallel_queries(runtime) == 2
             assert runtime._pool is not old_pool
-            counters = runtime.metrics.snapshot()["counters"]
-            assert counters.get("parallel.fallbacks", 0) == 0
+            assert _counter(runtime, "parallel.fallbacks") == 0
         finally:
             runtime.close()
 

@@ -93,6 +93,22 @@ def test_limit_offset_straddles_boundary(limit, offset):
     assert batch_count == max(0, min(limit, n_rows - offset))
 
 
+@pytest.mark.parametrize("lead_rows", [1, 2, 3])
+def test_small_lead_join_runs_batched(lead_rows):
+    """A join driven by a one-to-three-row table is still a vector
+    plan: nothing re-routes a plan the vector compiler accepted
+    (``_rows`` asserts the engagement)."""
+    storage = _storage(3 * BATCH + 2)
+    picks = storage.create_table("PICKS", [("N", SQLType("INTEGER"))])
+    picks.insert_many([(5 * i,) for i in range(lead_rows)])
+    sql = ("SELECT P.N, M.LABEL FROM PICKS P, NUMS M "
+           "WHERE P.N = M.N ORDER BY P.N")
+    batch_rows, batch_count = _rows(storage, BATCH, sql)
+    tuple_rows, tuple_count = _rows(storage, 0, sql)
+    assert batch_rows == tuple_rows
+    assert batch_count == tuple_count == lead_rows
+
+
 def test_batch_size_one_degenerates_to_tuple_at_a_time():
     storage = _storage(11)
     for sql in [

@@ -355,10 +355,14 @@ class TestDisconnectCleanup:
                 lambda: probe.server_health()["sessions"] == 1)
 
 
-class TestRemoteCancel:
-    def test_cancel_aborts_hung_query(self, runtime, server):
-        install_fault(runtime, "CUSTOMERS", FaultProfile(hang=True))
-        connection = remote_connect(server)
+def _cancel_hung_query(runtime):
+    """Hang the source, cancel from a second thread while ``execute``
+    or the first fetch blocks, and require the cancellation error in
+    bounded time with every slot the statement held given back."""
+    install_fault(runtime, "CUSTOMERS", FaultProfile(hang=True))
+    tenant = TenantConfig(name="app", runtime=runtime, token=TOKEN)
+    with serve_in_thread(tenant) as handle:
+        connection = remote_connect(handle)
         try:
             cursor = connection.cursor()
 
@@ -376,6 +380,21 @@ class TestRemoteCancel:
             thread.join(timeout=5)
         finally:
             connection.close()
+        assert wait_until(lambda: tenant.quota.stats()["active"] == 0)
+        assert wait_until(
+            lambda: runtime.admission.stats()["active"] == 0)
+
+
+class TestRemoteCancel:
+    def test_cancel_aborts_hung_query(self, runtime):
+        _cancel_hung_query(runtime)
+
+    def test_cancel_reaches_execute_before_its_first_reply(self):
+        # A forced scatter gathers inside ``execute`` itself, so the
+        # cancel arrives before any reply told the client a cursor id:
+        # it has to be addressed through the session.
+        _cancel_hung_query(
+            build_runtime(parallelism=2, parallel_min_rows=0))
 
     def test_cancel_without_statement_is_harmless(self, server):
         with remote_connect(server) as connection:

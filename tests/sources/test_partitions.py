@@ -4,8 +4,8 @@ The :class:`repro.sources.PartitionSpec` contract — concatenating the
 ``scan(..., partition=spec)`` row streams (or the
 ``scan_batches(..., partition=spec)`` column blocks) in partition index
 order replays the full scan with the same request exactly, each row
-once — is what lets the parallel executor restore byte order with plain
-offset arithmetic. Every backend that answers :meth:`DataSource.partitions`
+once — is what lets the parallel executor restore byte order by plain
+concatenation. Every backend that answers :meth:`DataSource.partitions`
 must satisfy it; this suite is parametrized over all three shipped
 backends so a new partition-capable source only has to add a factory.
 """

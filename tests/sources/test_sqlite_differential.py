@@ -48,20 +48,31 @@ def test_sqlite_matches_memory_delimited(sql):
     run_differential(sql, "delimited")
 
 
+def _scan_counts(sql: str, pushdown: bool) -> tuple:
+    """(rows, rows_pushed, rows_scanned) of *sql* on a fresh SQLite
+    runtime."""
+    runtime = build_runtime(backend="sqlite", pushdown=pushdown)
+    result = TRANSLATOR.translate(sql, format="recordset")
+    rows = canonical(runtime.execute(result.xquery))
+    counters = runtime.metrics.snapshot()["counters"]
+    return (rows, counters.get("sources.rows_pushed", 0),
+            counters["sources.rows_scanned"])
+
+
 def test_pushdown_actually_engaged():
     """Guard against the differential suite silently degrading to a
     full-scan-vs-full-scan comparison: a selective filter on the SQLite
-    runtime must report pushed rows."""
-    runtime = build_runtime(backend="sqlite")
-    result = TRANSLATOR.translate(
-        "SELECT CUSTOMERNAME FROM CUSTOMERS WHERE REGION = 'EAST'",
-        format="recordset")
-    runtime.execute(result.xquery)
-    counters = runtime.metrics.snapshot()["counters"]
-    # The EAST filter was applied in-store: only the 2 matching rows of
-    # the 6-row CUSTOMERS table ever crossed the SPI boundary.
-    assert counters.get("sources.rows_pushed", 0) == 2
-    assert counters["sources.rows_scanned"] == 2
+    runtime must be applied in-store, so only the matching rows of the
+    6-row CUSTOMERS table ever cross the SPI boundary — and with
+    pushdown off all 6 do, for the same result."""
+    for sql, matching in [
+        ("SELECT CUSTOMERNAME FROM CUSTOMERS WHERE REGION = 'EAST'", 2),
+        # One row of six: the >=5x scan reduction, as exact counts.
+        ("SELECT CUSTOMERNAME FROM CUSTOMERS WHERE CUSTOMERID = 23", 1),
+    ]:
+        rows, pushed, scanned = _scan_counts(sql, pushdown=True)
+        assert (pushed, scanned) == (matching, matching), sql
+        assert _scan_counts(sql, pushdown=False) == (rows, 0, 6), sql
 
 
 def test_cursor_description_types_from_catalog():

@@ -16,6 +16,7 @@ from repro.translator import SQLToXQueryTranslator
 from repro.workloads import build_runtime
 from repro.xmlmodel import Element, serialize
 from repro.xquery import Evaluator, compile_module, parse_xquery
+from repro.xquery.vector import VSTATS
 
 from tests.integration.test_equivalence import BATTERY, HARD_BATTERY
 
@@ -77,6 +78,23 @@ def test_compiled_matches_interpreted_delimited(sql):
 @pytest.mark.parametrize("sql", CORPUS)
 def test_compiled_matches_interpreted_recordset(sql):
     run_differential(sql, "recordset")
+
+
+@pytest.mark.parametrize("sql", CORPUS)
+def test_accepted_vector_plan_is_the_plan_that_runs(sql):
+    """Executor choice is the vector compiler's accept/decline and
+    nothing else: a runtime plan it accepted is ``batched`` and every
+    execution goes through the batch executor (the tuple closure
+    remains only as the parameter-shape fallback, which no corpus
+    statement takes); a declined plan never touches it."""
+    xquery = TRANSLATOR.translate(sql, format="delimited").xquery
+    plan = RUNTIME.prepare(xquery)
+    assert plan.batched == (plan.vector_plan is not None)
+    before = (VSTATS.executions, VSTATS.fallbacks)
+    for _chunk in plan.stream_chunks():
+        pass
+    assert VSTATS.executions - before[0] == int(plan.batched), sql
+    assert VSTATS.fallbacks == before[1], sql
 
 
 def test_unoptimized_plans_also_match():
