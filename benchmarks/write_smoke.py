@@ -9,7 +9,12 @@ explicit transactions that roll back — and asserts, per backend:
   memory backend restores every table's version token *exactly*;
 * the plan-cache epoch moves on every visible write (``note_write``),
   so token-guarded plans re-validate instead of serving stale rows;
-* final row counts match an independently-maintained oracle.
+* final row counts match an independently-maintained oracle;
+* on SQLite, the point UPDATEs/DELETEs pulled no more rows out of the
+  source (``sources.rows_scanned``) than they changed — victim
+  selection is a pushed handle scan, and a silent fall-back to full
+  scans fails the leg. (The memory demo table is below the index
+  threshold and is scanned whole by design; its figure is printed.)
 
 Reports read/write throughput per backend. Exit status is non-zero on
 any correctness failure — this is the CI leg for the write path.
@@ -52,6 +57,8 @@ def run_backend(backend: str, statements: int, seed: int) -> dict:
     reads = writes = rollbacks = 0
     read_seconds = write_seconds = 0.0
     epoch_failures = 0
+    rows_scanned = runtime.metrics.counter("sources.rows_scanned")
+    point_writes = point_scanned = point_changed = 0
 
     for step in range(statements):
         if rng.random() < 0.8:
@@ -88,7 +95,9 @@ def run_backend(backend: str, statements: int, seed: int) -> dict:
         epoch_before = runtime._stats_epoch
         started = time.perf_counter()
         roll = rng.random()
-        if roll < 0.6 or live < 5:
+        scanned_before = rows_scanned.value
+        point = roll >= 0.6 and live >= 5
+        if not point:
             cur.execute(
                 "INSERT INTO CUSTOMERS (CUSTOMERID, CUSTOMERNAME, "
                 "REGION, CREDITLIMIT) VALUES (?, ?, ?, ?)",
@@ -109,6 +118,10 @@ def run_backend(backend: str, statements: int, seed: int) -> dict:
                  else -1])
             live -= cur.rowcount
         write_seconds += time.perf_counter() - started
+        if point:
+            point_writes += 1
+            point_scanned += rows_scanned.value - scanned_before
+            point_changed += cur.rowcount
         writes += 1
         # The plan-cache epoch must move on every visible write, or
         # cached plans could keep cost decisions made on dead stats.
@@ -125,10 +138,17 @@ def run_backend(backend: str, statements: int, seed: int) -> dict:
         raise SystemExit(
             f"FAIL[{backend}]: {epoch_failures} writes did not move "
             f"the plan-cache epoch")
+    if backend == "sqlite" and point_scanned > point_changed:
+        raise SystemExit(
+            f"FAIL[{backend}]: {point_writes} point writes scanned "
+            f"{point_scanned} rows to change {point_changed} — victim "
+            f"selection fell back to full scans")
     return {
         "reads": reads, "writes": writes, "rollbacks": rollbacks,
         "read_qps": reads / read_seconds if read_seconds else 0.0,
         "write_qps": writes / write_seconds if write_seconds else 0.0,
+        "scanned_per_point_write":
+            point_scanned / point_writes if point_writes else 0.0,
     }
 
 
@@ -144,8 +164,9 @@ def main() -> None:
               f"({report['read_qps']:.0f}/s), "
               f"{report['writes']} writes "
               f"({report['write_qps']:.0f}/s), "
-              f"{report['rollbacks']} rollbacks — "
-              f"tokens + epoch + oracle OK")
+              f"{report['rollbacks']} rollbacks, "
+              f"{report['scanned_per_point_write']:.2f} rows scanned "
+              f"per point write — tokens + epoch + oracle + scan OK")
     print("PASS")
 
 

@@ -522,20 +522,33 @@ class Cursor:
             self.callproc(name, parameters)
             return self
         if is_mutation(operation):
-            return self._execute_mutation(operation, parameters)
+            return self._execute_mutation(operation, parameters, timeout)
         return self._execute_translated(operation, None, parameters,
                                         timeout)
 
-    def _execute_mutation(self, operation: str,
-                          parameters: Sequence) -> "Cursor":
+    def _new_context(self, timeout: Optional[float]) -> QueryContext:
+        """The lifecycle context of one execution (*timeout* defaults
+        to the connection's), registered on the cursor so ``cancel()``
+        reaches it. The deadline starts now."""
+        if timeout is None:
+            timeout = self.connection.default_timeout
+        self._context = QueryContext(timeout=timeout)
+        return self._context
+
+    def _execute_mutation(self, operation: str, parameters: Sequence,
+                          timeout: Optional[float] = None) -> "Cursor":
         """Execute one INSERT/UPDATE/DELETE through the transaction
         manager. DML has no result set: ``description`` becomes None
         (so fetching raises ``ProgrammingError``), ``rowcount`` is the
         affected-row count, and ``lastrowid`` is the backend-defined id
-        of the last inserted row (None for UPDATE/DELETE)."""
+        of the last inserted row (None for UPDATE/DELETE). *timeout*
+        and ``cancel()`` bound victim selection; once the victims are
+        chosen the apply runs to completion (it is atomic either way).
+        """
         connection = self.connection
         tracer = connection.tracer
         self._release_stream()
+        context = self._new_context(timeout)
         started = clock.monotonic()
         try:
             with tracer.span("execute", sql=operation):
@@ -554,12 +567,13 @@ class Cursor:
                     manager.begin()
                 result = manager.run(
                     lambda: plan_mutation(connection._runtime, statement,
-                                          metadata, parameters))
+                                          metadata, parameters, context))
         except errors.SQLError as exc:
             raise ProgrammingError(str(exc)) from exc
         except Error:
             raise
         except ReproError as exc:
+            self._note_lifecycle_failure(exc)
             raise to_driver_error(exc) from exc
         connection._queries_executed.increment()
         connection._execute_seconds.observe(clock.monotonic() - started)
@@ -581,12 +595,9 @@ class Cursor:
         connection = self.connection
         tracer = connection.tracer
         self._release_stream()
-        if timeout is None:
-            timeout = connection.default_timeout
         # The deadline starts now: admission queueing, translation, and
         # evaluation all spend from the same budget.
-        context = QueryContext(timeout=timeout)
-        self._context = context
+        context = self._new_context(timeout)
         started = clock.monotonic()
         streamed = False
         slot: Optional[AdmissionSlot] = None
@@ -683,7 +694,7 @@ class Cursor:
                 "executemany() does not accept CALL statements")
         if is_mutation(operation):
             return self._executemany_mutation(operation,
-                                              seq_of_parameters)
+                                              seq_of_parameters, timeout)
         try:
             translation = self.connection.translate(operation)
         except errors.SQLError as exc:
@@ -693,16 +704,17 @@ class Cursor:
                                      timeout)
         return self
 
-    def _executemany_mutation(self, operation: str,
-                              seq_of_parameters) -> "Cursor":
+    def _executemany_mutation(self, operation: str, seq_of_parameters,
+                              timeout: Optional[float] = None) -> "Cursor":
         """Batched DML: the statement parses once and every parameter
         set runs as one unit — inside the open transaction when there
         is one, otherwise wrapped in an implicit transaction so a
         mid-batch failure never leaves a torn batch behind.
         ``rowcount`` is the batch total; ``lastrowid`` is the last
-        statement's."""
+        statement's. One *timeout* bounds the whole batch."""
         connection = self.connection
         self._release_stream()
+        context = self._new_context(timeout)
         try:
             statement, marker_count = connection._parse_mutation(operation)
             sets = [tuple(parameters)
@@ -720,13 +732,15 @@ class Cursor:
                 manager.begin()
             results = manager.run_batch([
                 lambda parameters=parameters: plan_mutation(
-                    connection._runtime, statement, metadata, parameters)
+                    connection._runtime, statement, metadata, parameters,
+                    context)
                 for parameters in sets])
         except errors.SQLError as exc:
             raise ProgrammingError(str(exc)) from exc
         except Error:
             raise
         except ReproError as exc:
+            self._note_lifecycle_failure(exc)
             raise to_driver_error(exc) from exc
         connection._queries_executed.add(len(sets))
         self._rows = []

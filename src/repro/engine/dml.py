@@ -2,16 +2,27 @@
 
 The paper's translator is read-only — INSERT/UPDATE/DELETE never reach
 the XQuery generator. Instead the engine turns a parsed
-:class:`repro.sql.ast.MutationStatement` into a :class:`MutationPlan`:
-victim rows are selected by scanning the target table in canonical
-order and evaluating the full WHERE predicate per row with the
-reference SQL executor's expression evaluator (so DML predicates get
-exactly the SELECT path's SQL-92 semantics — three-valued logic, type
-promotion, LIKE, CASE, ...), and SET/VALUES expressions are evaluated
-and coerced to the column types the same way. The plan carries plain
-data (:class:`repro.sources.spi.Mutation` batches keyed by row
-ordinal) plus the version token the victims were selected under, so
-the source can refuse a stale plan.
+:class:`repro.sql.ast.MutationStatement` into a :class:`MutationPlan`.
+Victim selection is a *pushed scan that returns row handles*: the
+sargable top-level conjuncts of the WHERE become an advisory
+:class:`repro.sources.spi.ScanRequest` (reduced by the source's
+capabilities exactly as for a read), the source answers with
+``(handle, row)`` pairs, and the **whole** WHERE is then evaluated on
+every returned row with the reference SQL executor's expression
+evaluator (so DML predicates get exactly the SELECT path's SQL-92
+semantics — three-valued logic, type promotion, LIKE, CASE, ...).
+SET/VALUES expressions are evaluated and coerced to the column types
+the same way. The plan carries plain data
+(:class:`repro.sources.spi.Mutation` batches keyed by handle) plus the
+version token the victims were selected under, so the source can
+refuse a stale plan.
+
+One consequence of pushing: a conjunct is evaluated only on the rows
+the pushed conjuncts keep, so an error that only an excluded row would
+raise (``WHERE NAME = 5 AND ID = 1`` on a row whose ID is not 1) is not
+raised — the read path's rule under pushdown. ``runtime.pushdown =
+False`` requests nothing and restores strict left-to-right evaluation
+over every row.
 
 DML expressions are restricted to the subquery-free subset: scalar
 subqueries, EXISTS, IN (SELECT ...), and quantified comparisons in a
@@ -25,8 +36,8 @@ from dataclasses import dataclass
 
 from ..errors import SQLSemanticError, UnsupportedSQLError
 from ..sql import ast
-from ..sources.spi import DataSource, Mutation
-from .sqlexec import Binding, SQLExecutor, TableProvider, _Env
+from ..sources.spi import DataSource, Mutation, Predicate, ScanRequest
+from .sqlexec import Binding, SQLExecutor, TableProvider, flatten_and
 from .table import coerce_value
 
 __all__ = [
@@ -90,14 +101,16 @@ def _expressions_of(statement: ast.MutationStatement):
 
 
 def plan_mutation(runtime, statement: ast.MutationStatement,
-                  metadata, parameters=()) -> MutationPlan:
+                  metadata, parameters=(), context=None) -> MutationPlan:
     """Bind and evaluate *statement* into a :class:`MutationPlan`.
 
     *metadata* is the driver-fetched :class:`TableMetadata` of the
     target table (the same stage-two metadata SELECT uses); *runtime*
-    resolves it to a writable (source, physical table) pair. The
-    returned plan has not been applied — the caller (the transaction
-    manager) decides when ``apply_mutations`` runs.
+    resolves it to a writable (source, physical table) pair. *context*
+    (a ``QueryContext``) bounds the victim scan: a deadline or cancel
+    that fires during selection aborts the statement before anything
+    is applied. The returned plan has not been applied — the caller
+    (the transaction manager) decides when ``apply_mutations`` runs.
     """
     source, table = runtime.write_target(metadata.namespace,
                                          metadata.function_name)
@@ -109,24 +122,100 @@ def plan_mutation(runtime, statement: ast.MutationStatement,
         return MutationPlan(source=source, table=table, version=version,
                             mutations=(mutation,),
                             rowcount=len(mutation.rows))
-    # UPDATE/DELETE select victims against a snapshot scan; the token is
-    # read first so a concurrent change between token and scan surfaces
-    # as a version mismatch at apply time, never as corrupted rows.
-    version = source.version(table)
-    rows = [tuple(row) for row in source.scan(table, None, None)]
     binding = Binding(name=statement.table.name,
                       columns=tuple(name for name, _t in columns),
                       schema=metadata.schema, table=metadata.table)
     if isinstance(statement, ast.Update):
+        _check_update(statement, binding)
+    if statement.where is not None:
+        _check_scalar(statement.where, "WHERE")
+    # UPDATE/DELETE select victims against a snapshot scan; the token is
+    # read first so a concurrent change between token and scan surfaces
+    # as a version mismatch at apply time, never as corrupted rows.
+    version = source.version(table)
+    # Lazy, so an UPDATE still evaluates row by row: WHERE, then SET.
+    victims = (
+        (handle, row) for handle, row in runtime.scan_victims(
+            source, table,
+            _victim_request(statement.where, binding, parameters), context)
+        if statement.where is None or executor.evaluate_predicate(
+            statement.where, binding, row) is True)
+    if isinstance(statement, ast.Update):
         mutation = _plan_update(statement, columns, executor, binding,
-                                rows, table)
+                                victims, table)
         count = len(mutation.changes)
     else:
         assert isinstance(statement, ast.Delete)
-        mutation = _plan_delete(statement, executor, binding, rows, table)
-        count = len(mutation.ordinals)
+        mutation = Mutation(kind="delete", table=table,
+                            handles=tuple(h for h, _row in victims))
+        count = len(mutation.handles)
     return MutationPlan(source=source, table=table, version=version,
                         mutations=(mutation,), rowcount=count)
+
+
+#: SQL comparison -> the SPI operator seen by the column, written
+#: ``col op value`` / mirrored ``value op col``.
+_SARGABLE_OPS = {"=": ("eq", "eq"), "<>": ("ne", "ne"),
+                 "<": ("lt", "gt"), "<=": ("le", "ge"),
+                 ">": ("gt", "lt"), ">=": ("ge", "le")}
+
+
+def _victim_request(where, binding: Binding,
+                    parameters) -> ScanRequest | None:
+    """The advisory scan request of a DML WHERE: one predicate per
+    top-level ``AND`` conjunct of a shape the SPI names — ``col op
+    constant`` (either side), ``col IS [NOT] NULL``, ``col IN
+    (constants)`` — with ``?`` markers bound. Everything else, and any
+    comparison against NULL, requests nothing; the whole WHERE stays
+    the residual either way."""
+
+    def column(expr) -> str | None:
+        if isinstance(expr, ast.ColumnRef) \
+                and expr.column in binding.columns \
+                and expr.qualifier in ((), (binding.name,)):
+            return expr.column
+        return None
+
+    def constant(expr):
+        """The bound value of a literal or ``?``; None for NULL and
+        for anything that is not a per-statement constant."""
+        if isinstance(expr, ast.Literal):
+            return expr.value
+        if isinstance(expr, ast.Parameter) \
+                and 0 < expr.index <= len(parameters):
+            return parameters[expr.index - 1]
+        return None
+
+    def comparison(column_expr, op, value_expr):
+        name, value = column(column_expr), constant(value_expr)
+        if name is not None and value is not None:
+            return Predicate(name, op, value)
+        return None
+
+    if where is None:
+        return None
+    predicates = []
+    for conjunct in flatten_and(where):
+        if isinstance(conjunct, ast.Comparison) \
+                and conjunct.op in _SARGABLE_OPS:
+            op, mirrored = _SARGABLE_OPS[conjunct.op]
+            predicate = (
+                comparison(conjunct.left, op, conjunct.right)
+                or comparison(conjunct.right, mirrored, conjunct.left))
+            if predicate is not None:
+                predicates.append(predicate)
+        elif isinstance(conjunct, ast.IsNull):
+            name = column(conjunct.operand)
+            if name is not None:
+                predicates.append(Predicate(
+                    name, "notnull" if conjunct.negated else "isnull"))
+        elif isinstance(conjunct, ast.InList) and not conjunct.negated:
+            name = column(conjunct.operand)
+            values = tuple(constant(item) for item in conjunct.items)
+            if name is not None and None not in values:
+                predicates.append(Predicate(name, "in", values))
+    return ScanRequest(predicates=tuple(predicates)) if predicates \
+        else None
 
 
 def _plan_insert(statement: ast.Insert, columns, executor,
@@ -145,7 +234,6 @@ def _plan_insert(statement: ast.Insert, columns, executor,
             seen.add(name)
     else:
         targets = names
-    env = _Env([], ())  # VALUES rows see no range variables
     position = {name: i for i, name in enumerate(names)}
     types = [t for _n, t in columns]
     rows: list[tuple] = []
@@ -158,20 +246,17 @@ def _plan_insert(statement: ast.Insert, columns, executor,
         for name, expr in zip(targets, value_row):
             _check_scalar(expr, "VALUES")
             index = position[name]
-            values[index] = coerce_value(executor._eval(expr, env),
+            # VALUES items see no range variable.
+            values[index] = coerce_value(executor.evaluate_scalar(expr),
                                          types[index])
         rows.append(tuple(values))
     return Mutation(kind="insert", table=table, rows=tuple(rows))
 
 
-def _plan_update(statement: ast.Update, columns, executor,
-                 binding: Binding, rows, table: str) -> Mutation:
-    names = [name for name, _t in columns]
-    position = {name: i for i, name in enumerate(names)}
-    types = [t for _n, t in columns]
+def _check_update(statement: ast.Update, binding: Binding) -> None:
     seen: set[str] = set()
     for assignment in statement.assignments:
-        if assignment.column not in position:
+        if assignment.column not in binding.columns:
             raise SQLSemanticError(
                 f"table {statement.table.name} has no column "
                 f"{assignment.column}")
@@ -180,32 +265,18 @@ def _plan_update(statement: ast.Update, columns, executor,
                 f"column {assignment.column} assigned twice in UPDATE")
         seen.add(assignment.column)
         _check_scalar(assignment.value, "SET")
-    if statement.where is not None:
-        _check_scalar(statement.where, "WHERE")
-    changes: list[tuple[int, tuple]] = []
-    for ordinal, row in enumerate(rows):
-        env = _Env([binding], (row,))
-        if statement.where is not None and \
-                executor._truth(statement.where, env) is not True:
-            continue
+
+
+def _plan_update(statement: ast.Update, columns, executor,
+                 binding: Binding, victims, table: str) -> Mutation:
+    position = {name: i for i, (name, _t) in enumerate(columns)}
+    changes: list[tuple[object, tuple]] = []
+    for handle, row in victims:
         new_row = list(row)
         for assignment in statement.assignments:
             index = position[assignment.column]
             new_row[index] = coerce_value(
-                executor._eval(assignment.value, env), types[index])
-        changes.append((ordinal, tuple(new_row)))
+                executor.evaluate_scalar(assignment.value, binding, row),
+                columns[index][1])
+        changes.append((handle, tuple(new_row)))
     return Mutation(kind="update", table=table, changes=tuple(changes))
-
-
-def _plan_delete(statement: ast.Delete, executor, binding: Binding,
-                 rows, table: str) -> Mutation:
-    if statement.where is not None:
-        _check_scalar(statement.where, "WHERE")
-    ordinals: list[int] = []
-    for ordinal, row in enumerate(rows):
-        if statement.where is not None:
-            env = _Env([binding], (row,))
-            if executor._truth(statement.where, env) is not True:
-                continue
-        ordinals.append(ordinal)
-    return Mutation(kind="delete", table=table, ordinals=tuple(ordinals))

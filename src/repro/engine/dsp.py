@@ -691,6 +691,26 @@ class DSPRuntime:
                 f"{table!r}")
         return source, table
 
+    def scan_victims(self, source: DataSource, table: str,
+                     request: Optional[ScanRequest],
+                     context: Optional[QueryContext] = None) -> list:
+        """The DML planner's read: ``(handle, row)`` pairs of *table*
+        (a :meth:`write_target` answer) through the one scan seam.
+        *request* is reduced to what *source* accepts exactly as for a
+        read (nothing when :attr:`pushdown` is off) and the scan is
+        published on the same ``sources.*`` counters, so "what did this
+        UPDATE read" has an answer."""
+        if context is not None:
+            context.check()
+        # Victim requests carry predicates only (a write needs whole
+        # rows), so there is no projection to line up with a column list.
+        reduced = filter_request(source, table, request, ()) \
+            if self.pushdown else None
+        result = source.scan(table, reduced, context, handles=True)
+        victims = list(result)
+        self._count_scan(result, len(victims))
+        return victims
+
     def note_write(self) -> None:
         """A write was committed (or an autocommit statement applied):
         cached statistics may describe superseded rows, so drop them

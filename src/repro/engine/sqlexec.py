@@ -73,6 +73,11 @@ class _Env:
         self.group_rows = group_rows
 
 
+def _row_env(binding: Binding | None, row: tuple) -> _Env:
+    """The environment of one row of one range variable."""
+    return _Env([], ()) if binding is None else _Env([binding], (row,))
+
+
 def canonical_value(value: object) -> tuple:
     """Canonical hashable form for grouping/distinct/set-op row keys.
 
@@ -486,7 +491,7 @@ class SQLExecutor:
         resolve_env = _Env(bindings, None, outer_env)
         equis: list[tuple[tuple[int, int], tuple[int, int]]] = []
         residual: list[ast.Expr] = []
-        for conj in _flatten_and(condition):
+        for conj in flatten_and(condition):
             pair = None
             if isinstance(conj, ast.Comparison) and conj.op == "=" \
                     and isinstance(conj.left, ast.ColumnRef) \
@@ -614,6 +619,19 @@ class SQLExecutor:
         return condition
 
     # -- expression evaluation ----------------------------------------------------------
+
+    def evaluate_scalar(self, expr: ast.Expr,
+                        binding: Binding | None = None, row: tuple = ()):
+        """The value of *expr* for one *row* of one *binding* (no
+        binding: an expression that sees no range variable, e.g. an
+        INSERT's VALUES item) — the seam the DML planner evaluates SET
+        and VALUES expressions through."""
+        return self._eval(expr, _row_env(binding, row))
+
+    def evaluate_predicate(self, expr: ast.Expr, binding: Binding,
+                           row: tuple) -> Truth:
+        """Three-valued truth of *expr* for one *row* of *binding*."""
+        return self._truth(expr, _row_env(binding, row))
 
     def _truth(self, expr: ast.Expr, env: _Env) -> Truth:
         """Evaluate a predicate under three-valued logic."""
@@ -980,10 +998,10 @@ def _binding_with_column(relation: Relation, column: str,
 # ---------------------------------------------------------------------------
 
 
-def _flatten_and(expr: ast.Expr) -> list[ast.Expr]:
+def flatten_and(expr: ast.Expr) -> list[ast.Expr]:
     """The conjuncts of a left-to-right flattened AND tree."""
     if isinstance(expr, ast.And):
-        return _flatten_and(expr.left) + _flatten_and(expr.right)
+        return flatten_and(expr.left) + flatten_and(expr.right)
     return [expr]
 
 

@@ -328,7 +328,10 @@ class Shell:
         failures = runtime_counters.get("source.failures", 0)
         index_hits = runtime_counters.get("sources.index_hits", 0)
         index_builds = runtime_counters.get("sources.index_builds", 0)
-        self._out(f"SOURCES: retries={retries} failures={failures} "
+        scanned = runtime_counters.get("sources.rows_scanned", 0)
+        pushed = runtime_counters.get("sources.rows_pushed", 0)
+        self._out(f"SOURCES: rows_scanned={scanned} rows_pushed={pushed} "
+                  f"retries={retries} failures={failures} "
                   f"index_hits={index_hits} index_builds={index_builds}")
         estimated = runtime_counters.get("planner.estimated_rows", 0)
         self._out(f"PLANNER: estimated_rows={estimated}")

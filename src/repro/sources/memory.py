@@ -30,7 +30,10 @@ cached structure and it is rebuilt from current rows on next use.
 Since PR 9 the source is *writable*: :meth:`~TableSource.apply_mutations`
 applies one statement's inserts/updates/deletes copy-on-write — a new
 row list is built and swapped in via :meth:`Table.replace_rows`, so
-in-flight scans keep reading the snapshot they started on. Transactions
+in-flight scans keep reading the snapshot they started on. A row's
+handle (``scan(..., handles=True)``) is its position in that list; the
+index probe already works in positions, so a pushed victim scan costs
+the index lookup. Transactions
 (:meth:`~TableSource.begin_txn` et al.) snapshot each touched table's
 ``(rows, generation)`` pair at first write; rollback restores both, so
 the version token provably returns to its pre-transaction value.
@@ -182,7 +185,8 @@ class TableSource(DataSource):
 
     def scan(self, table: str, request: Optional[ScanRequest] = None,
              context=None,
-             partition: Optional[PartitionSpec] = None) -> Scan:
+             partition: Optional[PartitionSpec] = None,
+             handles: bool = False) -> Scan:
         self._check_open()
         physical = self.storage.table(table)
         lower, upper = row_range(partition)
@@ -190,7 +194,7 @@ class TableSource(DataSource):
         if not predicates:
             return Scan(columns=list(physical.columns),
                         rows=self._iter_rows(physical, lower, upper,
-                                             context),
+                                             context, handles),
                         pushed=False)
         # Probe the index on the most selective conjunct; apply the rest
         # inline (all accepted conjuncts are exact-typed eq/in, so plain
@@ -210,7 +214,7 @@ class TableSource(DataSource):
         positions = {name: i for i, (name, _) in enumerate(physical.columns)}
         return Scan(columns=list(physical.columns),
                     rows=self._iter_indexed(physical, indices, remaining,
-                                            positions, context),
+                                            positions, context, handles),
                     pushed=True, index_used=True, index_built=built)
 
     def scan_batches(self, table: str,
@@ -282,22 +286,16 @@ class TableSource(DataSource):
                     rowcount += 1
                 lastrowid = len(rows)
             elif mutation.kind == "update":
-                for ordinal, new_row in mutation.changes:
-                    if not 0 <= ordinal < len(rows):
-                        raise OperationalError(
-                            f"row ordinal {ordinal} out of range for "
-                            f"table {mutation.table!r} (stale plan?)")
-                    rows[ordinal] = tuple(
+                for position, new_row in mutation.changes:
+                    self._check_handle(position, rows, mutation.table)
+                    rows[position] = tuple(
                         coerce_value(v, t) for v, (_n, t)
                         in zip(new_row, physical.columns))
                     rowcount += 1
             else:  # delete
-                doomed = set(mutation.ordinals)
-                for ordinal in doomed:
-                    if not 0 <= ordinal < len(rows):
-                        raise OperationalError(
-                            f"row ordinal {ordinal} out of range for "
-                            f"table {mutation.table!r} (stale plan?)")
+                doomed = set(mutation.handles)
+                for position in doomed:
+                    self._check_handle(position, rows, mutation.table)
                 staged[mutation.table] = [
                     row for i, row in enumerate(rows) if i not in doomed]
                 rowcount += len(doomed)
@@ -307,6 +305,13 @@ class TableSource(DataSource):
                 self._txn[table] = (physical.rows, physical.generation)
             physical.replace_rows(rows)
         return MutationResult(rowcount=rowcount, lastrowid=lastrowid)
+
+    @staticmethod
+    def _check_handle(position, rows: list, table: str) -> None:
+        if not 0 <= position < len(rows):
+            raise OperationalError(
+                f"row handle {position} matches no row of table "
+                f"{table!r} (stale plan?)")
 
     def begin_txn(self) -> None:
         self._check_open()
@@ -398,15 +403,18 @@ class TableSource(DataSource):
         self._indexes[key] = (token, index)
         return index, True
 
-    def _iter_rows(self, physical, lower, upper, context):
-        for row in islice(physical.rows, lower, upper):
+    def _iter_rows(self, physical, lower, upper, context, handles=False):
+        """Rows of the slice; with *handles*, ``(position, row)`` pairs
+        — a row's handle is its position in the stored list."""
+        rows = islice(physical.rows, lower, upper)
+        for item in (enumerate(rows, lower) if handles else rows):
             self._check_open()
             if context is not None:
                 context.tick()
-            yield row
+            yield item
 
     def _iter_indexed(self, physical, indices, remaining, positions,
-                      context):
+                      context, handles=False):
         rows = physical.rows
         for row_index in indices:
             self._check_open()
@@ -428,4 +436,4 @@ class TableSource(DataSource):
                         ok = False
                         break
             if ok:
-                yield row
+                yield (row_index, row) if handles else row

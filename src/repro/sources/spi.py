@@ -24,6 +24,13 @@ the compiled plan as residual filters, so a source may return a superset
 of the matching rows (e.g. by ignoring part of the request) without
 affecting correctness — it must only never *drop* a row the residual
 filter would keep.
+
+Writes use the same seam. A writable source's ``scan(...,
+handles=True)`` pairs every row with a source-defined *handle*; the
+engine's DML planner pushes the statement's WHERE through it like any
+read, re-checks the whole predicate on what comes back, and names its
+victims in a :class:`Mutation` by those handles — a write reads the
+rows it touches, not the table.
 """
 
 from __future__ import annotations
@@ -280,21 +287,24 @@ class Mutation:
     expressions) and hands sources plain data:
 
     * ``insert`` — ``rows`` holds fully coerced value tuples to append.
-    * ``update`` — ``changes`` holds ``(ordinal, new_row)`` pairs.
-    * ``delete`` — ``ordinals`` holds row positions to remove.
+    * ``update`` — ``changes`` holds ``(handle, new_row)`` pairs.
+    * ``delete`` — ``handles`` holds the handles of the rows to remove.
 
-    Ordinals are 0-based positions in the source's canonical full-scan
-    order (the order an unfiltered :meth:`DataSource.scan` yields) as of
-    the version token the engine selected victims under; callers pass
-    that token as ``expected_version`` so a source can refuse a stale
-    plan instead of corrupting rows.
+    A handle is whatever the source's ``scan(..., handles=True)`` paired
+    with the row — source-defined and opaque to the engine (SQLite: the
+    ``rowid``; memory: the row's position in the stored list) — and
+    addresses that row for as long as the version token it was read
+    under stands; callers pass that token as ``expected_version`` so a
+    source can refuse a stale plan instead of corrupting rows. A handle
+    that addresses no row fails the whole statement (``OperationalError``,
+    rows unchanged).
     """
 
     kind: str
     table: str
     rows: tuple = ()
     changes: tuple = ()
-    ordinals: tuple = ()
+    handles: tuple = ()
 
     def __post_init__(self) -> None:
         if self.kind not in MUTATION_KINDS:
@@ -395,7 +405,8 @@ class DataSource:
 
     def scan(self, table: str, request: Optional[ScanRequest] = None,
              context=None,
-             partition: Optional[PartitionSpec] = None) -> Scan:
+             partition: Optional[PartitionSpec] = None,
+             handles: bool = False) -> Scan:
         """Stream *table*'s rows (stable order across repeated scans).
 
         *request* is advisory (see module docstring); *context* is an
@@ -406,7 +417,11 @@ class DataSource:
         by contract, never advisory: ``pushed`` on the result refers to
         the request's predicates only. Callers pass ``partition=`` only
         with such a spec, so a source that never partitions may keep
-        the three-argument signature.
+        the three-argument signature. *handles* — passed only to a
+        source that answered :meth:`supports_write` for *table*, so a
+        read-only source never sees it either — makes the stream
+        ``(handle, row)`` pairs: the handle is what a :class:`Mutation`
+        names the row by (the DML planner's victim scan).
         """
         raise NotImplementedError
 

@@ -35,9 +35,11 @@ Since PR 9 the source accepts mutations natively: each statement's
 batch runs inside a ``SAVEPOINT`` (statement atomicity), and the
 transaction surface (:meth:`~SQLiteSource.begin_txn` et al.) nests an
 outer savepoint around them, so multi-statement rollback undoes every
-row exactly. Engine row ordinals are mapped onto physical rows through
-``SELECT rowid ... ORDER BY rowid`` — the same canonical order every
-scan yields.
+row exactly. A row's handle is its ``rowid``: the victim scan
+(``scan(..., handles=True)``) is the ordinary scan SELECT — same WHERE
+rendering, same ``ORDER BY rowid`` — with ``rowid`` leading the select
+list, and UPDATE/DELETE address each victim with ``WHERE rowid = ?``. A
+handle that matches no row fails the statement inside its savepoint.
 """
 
 from __future__ import annotations
@@ -372,11 +374,13 @@ class SQLiteSource(DataSource):
     # -- scanning ----------------------------------------------------------
 
     def _scan_sql(self, table: str, request: Optional[ScanRequest],
-                  carving: Optional[tuple[int, int]] = None):
+                  carving: Optional[tuple[int, int]] = None,
+                  handles: bool = False):
         """Build the scan SELECT. *carving* is an inclusive rowid range
         appended as an extra WHERE conjunct; it never counts toward
         ``pushed`` (partition carving is exact by contract, while
-        ``pushed`` reports only the advisory request predicates)."""
+        ``pushed`` reports only the advisory request predicates).
+        *handles* puts ``rowid`` ahead of the selected columns."""
         all_columns = self.columns(table)
         by_name = dict(all_columns)
         out_columns = all_columns
@@ -390,6 +394,8 @@ class SQLiteSource(DataSource):
                 p for p in request.predicates
                 if self.supports_predicate(table, p))
         select_list = ", ".join(_quote(n) for n, _t in out_columns)
+        if handles:
+            select_list = "rowid, " + select_list
         sql = f"SELECT {select_list} FROM {_quote(table)}"
         params: list[object] = []
         clauses = []
@@ -416,7 +422,8 @@ class SQLiteSource(DataSource):
 
     def scan(self, table: str, request: Optional[ScanRequest] = None,
              context=None,
-             partition: Optional[PartitionSpec] = None) -> Scan:
+             partition: Optional[PartitionSpec] = None,
+             handles: bool = False) -> Scan:
         self._check_open()
         carving = None
         if partition is not None:
@@ -424,11 +431,12 @@ class SQLiteSource(DataSource):
                 raise ValueError(
                     f"unsupported partition kind {partition.kind!r}")
             carving = (int(partition.lower), int(partition.upper))
-        sql, params, out_columns, pushed = self._scan_sql(table, request,
-                                                          carving)
+        sql, params, out_columns, pushed = self._scan_sql(
+            table, request, carving, handles)
         out_types = [t for _n, t in out_columns]
         return Scan(columns=list(out_columns),
-                    rows=self._iter_rows(sql, params, out_types, context),
+                    rows=self._iter_rows(sql, params, out_types, context,
+                                         handles),
                     pushed=pushed)
 
     # -- writing -----------------------------------------------------------
@@ -439,14 +447,6 @@ class SQLiteSource(DataSource):
         except UnknownArtifactError:
             return False
         return True
-
-    def _rowids(self, table: str) -> list[int]:
-        """Rowids in canonical scan order (ORDER BY rowid — the same
-        order every scan yields), for mapping engine ordinals onto
-        physical rows."""
-        cursor = self._connection.execute(
-            f"SELECT rowid FROM {_quote(table)} ORDER BY rowid")
-        return [row[0] for row in cursor.fetchall()]
 
     def apply_mutations(self, mutations, expected_version=None
                         ) -> MutationResult:
@@ -469,7 +469,8 @@ class SQLiteSource(DataSource):
             try:
                 for mutation in mutations:
                     table = mutation.table
-                    types = [t for _n, t in self.columns(table)]
+                    columns = self.columns(table)
+                    types = [t for _n, t in columns]
                     if mutation.kind == "insert":
                         marks = ", ".join("?" for _ in types)
                         sql = (f"INSERT INTO {_quote(table)} "
@@ -481,37 +482,21 @@ class SQLiteSource(DataSource):
                             lastrowid = cursor.lastrowid
                             rowcount += 1
                     elif mutation.kind == "update":
-                        rowids = self._rowids(table)
-                        names = [n for n, _t in self.columns(table)]
                         sets = ", ".join(f"{_quote(n)} = ?"
-                                         for n in names)
-                        sql = (f"UPDATE {_quote(table)} SET {sets} "
-                               f"WHERE rowid = ?")
-                        for ordinal, new_row in mutation.changes:
-                            if not 0 <= ordinal < len(rowids):
-                                raise OperationalError(
-                                    f"row ordinal {ordinal} out of range "
-                                    f"for table {table!r} (stale plan?)")
-                            params = [_encode(v, t) for v, t
-                                      in zip(new_row, types)]
-                            params.append(rowids[ordinal])
-                            self._connection.execute(sql, params)
-                            rowcount += 1
+                                         for n, _t in columns)
+                        rowcount += self._write_by_rowid(
+                            table,
+                            f"UPDATE {_quote(table)} SET {sets} "
+                            f"WHERE rowid = ?",
+                            [[_encode(v, t) for v, t
+                              in zip(new_row, types)] + [handle]
+                             for handle, new_row in mutation.changes])
                     else:  # delete
-                        rowids = self._rowids(table)
-                        doomed = []
-                        for ordinal in set(mutation.ordinals):
-                            if not 0 <= ordinal < len(rowids):
-                                raise OperationalError(
-                                    f"row ordinal {ordinal} out of range "
-                                    f"for table {table!r} (stale plan?)")
-                            doomed.append(rowids[ordinal])
-                        if doomed:
-                            marks = ", ".join("?" for _ in doomed)
-                            self._connection.execute(
-                                f"DELETE FROM {_quote(table)} "
-                                f"WHERE rowid IN ({marks})", doomed)
-                        rowcount += len(doomed)
+                        rowcount += self._write_by_rowid(
+                            table,
+                            f"DELETE FROM {_quote(table)} WHERE rowid = ?",
+                            [(handle,) for handle
+                             in dict.fromkeys(mutation.handles)])
             except sqlite3.Error as exc:
                 self._connection.execute("ROLLBACK TO repro_stmt")
                 self._connection.execute("RELEASE repro_stmt")
@@ -522,6 +507,19 @@ class SQLiteSource(DataSource):
                 raise
             self._connection.execute("RELEASE repro_stmt")
             return MutationResult(rowcount=rowcount, lastrowid=lastrowid)
+
+    def _write_by_rowid(self, table: str, sql: str, batch: list) -> int:
+        """Run *sql* (one ``WHERE rowid = ?`` statement) once per
+        parameter row of *batch* — one bound variable per victim, so no
+        victim count can reach SQLite's variable limit. Every handle
+        must hit exactly one row; a short count is a plan made against
+        other rows."""
+        changed = self._connection.executemany(sql, batch).rowcount
+        if changed != len(batch):
+            raise OperationalError(
+                f"{len(batch) - changed} of {len(batch)} row handles "
+                f"match no row of table {table!r} (stale plan?)")
+        return changed
 
     def begin_txn(self) -> None:
         with self._lock:
@@ -594,7 +592,7 @@ class SQLiteSource(DataSource):
                               upper=bounds[i + 1] - 1)
                 for i in range(pieces)]
 
-    def _iter_rows(self, sql, params, out_types, context):
+    def _iter_rows(self, sql, params, out_types, context, handles=False):
         with self._lock:
             self._check_open()
             cursor = self._connection.execute(sql, params)
@@ -610,8 +608,13 @@ class SQLiteSource(DataSource):
                 for raw in batch:
                     if context is not None:
                         context.tick()
-                    yield tuple(_decode(v, t)
-                                for v, t in zip(raw, out_types))
+                    if handles:
+                        yield raw[0], tuple(
+                            _decode(v, t)
+                            for v, t in zip(raw[1:], out_types))
+                    else:
+                        yield tuple(_decode(v, t)
+                                    for v, t in zip(raw, out_types))
         finally:
             try:
                 cursor.close()

@@ -125,9 +125,6 @@ class TranslationUnit:
     def resolution_of(self, ref: ast.ColumnRef) -> ColumnResolution:
         return self.resolutions[id(ref)]
 
-    def parameter_count(self) -> int:
-        return len(self.param_types)
-
 
 class Binder:
     """Performs the stage-two analysis for one statement."""

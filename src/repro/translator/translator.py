@@ -39,10 +39,6 @@ class TranslationResult:
     #: "total"), populated by the full ``translate`` pipeline.
     stage_timings: dict[str, float] = field(default_factory=dict)
 
-    @property
-    def column_labels(self) -> list[str]:
-        return [c.label for c in self.columns]
-
     def parameter_variables(self, values) -> dict[str, object]:
         """Bind positional parameter values to the generated external
         variables ($p1, $p2, ...)."""

@@ -13,7 +13,10 @@ from repro.driver import OperationalError, connect
 from repro.engine import FaultProfile, RetryPolicy, install_fault
 from repro.errors import DatabaseError, XQueryDynamicError
 from repro.obs import Tracer
-from repro.workloads import build_runtime
+from repro.sources.spi import Scan
+from repro.workloads import build_runtime, build_scaled_storage
+
+from tests.fuzz.harness import build_runtime as build_scaled
 
 #: A cross join big enough (6^3 = 216 rows) that a streamed cursor has
 #: plenty of batches left after the first fetch.
@@ -136,6 +139,114 @@ class TestCancel:
             cursor.fetchall()
         cursor.execute("SELECT CUSTOMERID FROM CUSTOMERS")
         assert len(cursor.fetchall()) == 6
+
+
+class TestMutationLifecycle:
+    """DML honours ``timeout=`` and ``cancel()`` during victim
+    selection — the only phase that can be long — and an abort leaves
+    rows, version token, write lock and any open transaction alone.
+    At the parent commit ``execute`` dropped the timeout before the
+    mutation path and the victim scan ran without a context: an expired
+    deadline updated every row."""
+
+    UPDATE = "UPDATE FACTS SET NAME = 'x' WHERE AMOUNT > 1"
+
+    @pytest.fixture(params=["sqlite", "memory"])
+    def rig(self, request):
+        runtime = build_scaled(build_scaled_storage(2_000), request.param,
+                               0)
+        connection = connect(runtime)
+        yield connection, runtime._default_source
+        connection.close()
+
+    @staticmethod
+    def state(source):
+        return list(source.scan("FACTS")), source.version("FACTS")
+
+    def test_expired_deadline_raises_like_select(self, rig):
+        connection, source = rig
+        before = self.state(source)
+        cursor = connection.cursor()
+        with pytest.raises(OperationalError, match="deadline") as select:
+            cursor.execute("SELECT * FROM FACTS WHERE AMOUNT > 1",
+                           timeout=0.0001)
+            cursor.fetchall()
+        with pytest.raises(OperationalError, match="deadline") as update:
+            cursor.execute(self.UPDATE, timeout=0.0001)
+        assert type(update.value) is type(select.value)
+        with pytest.raises(OperationalError, match="deadline"):
+            cursor.executemany("DELETE FROM FACTS WHERE ID = ?",
+                               [(1,), (2,)], timeout=0.0001)
+        assert self.state(source) == before
+        stats = connection.stats()
+        assert stats["counters"]["queries.timeout"] == 3
+        assert stats["admission"]["active"] == 0
+        assert not connection._txn.in_transaction
+        # Nothing is left held: the same statement, unbounded, runs.
+        cursor.execute(self.UPDATE)
+        assert cursor.rowcount > 1_000
+
+    def test_connection_default_timeout_bounds_dml(self):
+        runtime = build_scaled(build_scaled_storage(300), "sqlite", 0)
+        connection = connect(runtime,
+                             config=RuntimeConfig(default_timeout=0.00001))
+        cursor = connection.cursor()
+        with pytest.raises(OperationalError, match="deadline"):
+            cursor.execute(self.UPDATE)
+        cursor.execute(self.UPDATE, timeout=60.0)  # per call wins
+        assert cursor.rowcount > 100
+
+    def test_cancel_from_second_thread_stops_victim_selection(
+            self, rig, monkeypatch):
+        connection, source = rig
+        before = self.state(source)
+        cursor = connection.cursor()
+        real_scan = source.scan
+
+        def scan_cancelled_midway(table, request=None, context=None,
+                                  **extra):
+            result = real_scan(table, request, context, **extra)
+            if not extra.get("handles"):
+                return result
+
+            def rows():
+                for count, item in enumerate(result.rows):
+                    if count == 100:
+                        thread = threading.Thread(target=cursor.cancel)
+                        thread.start()
+                        thread.join(timeout=5)
+                    yield item
+
+            return Scan(columns=result.columns, rows=rows(),
+                        pushed=result.pushed)
+
+        monkeypatch.setattr(source, "scan", scan_cancelled_midway)
+        with pytest.raises(OperationalError, match="cancelled"):
+            cursor.execute(self.UPDATE)
+        monkeypatch.undo()
+        assert self.state(source) == before
+        assert connection.stats()["counters"]["queries.cancelled"] == 1
+        cursor.execute(self.UPDATE)  # the cursor and the lock are free
+        assert cursor.rowcount > 1_000
+
+    def test_abort_inside_a_transaction_keeps_it_open(self, rig):
+        connection, source = rig
+        committed = self.state(source)
+        cursor = connection.cursor()
+        connection.begin()
+        cursor.execute("UPDATE FACTS SET NAME = 'first' WHERE ID = 5")
+        in_txn = self.state(source)
+        with pytest.raises(OperationalError, match="deadline"):
+            cursor.execute(self.UPDATE, timeout=0.0001)
+        assert connection._txn.in_transaction
+        assert self.state(source) == in_txn
+        cursor.execute("UPDATE FACTS SET NAME = 'second' WHERE ID = 6")
+        assert cursor.rowcount == 1
+        connection.commit()
+        cursor.execute("SELECT ID, NAME FROM FACTS WHERE ID IN (5, 6, 7) "
+                       "ORDER BY ID")
+        assert cursor.fetchall() == [
+            (5, "first"), (6, "second"), (7, committed[0][7][1])]
 
 
 class TestAdmission:

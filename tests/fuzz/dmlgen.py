@@ -14,8 +14,20 @@ The generator aims at the write path's decision surface: column-list vs
 positional INSERTs, multi-row VALUES, parameter markers, NULLs,
 expression-valued SET items (including column references), WHERE shapes
 the planner evaluates row-by-row (comparisons, IS NULL, IN, OR, NOT),
-whole-table UPDATE/DELETE, and deliberately ill-typed values that must
-fail with the same error class on every leg.
+multi-conjunct ``AND`` chains of the shapes victim selection pushes to
+the source (``col op value`` either way round, ``IS [NOT] NULL``,
+``IN``), whole-table UPDATE/DELETE, and deliberately ill-typed values
+that must fail with the same error class on every leg.
+
+Pushdown narrows the rows a conjunct is evaluated on (DESIGN §14), so
+an ill-typed conjunct may raise with pushdown off and not with it on
+when only excluded rows would trip it. The generator therefore puts an
+ill-typed conjunct only *after* a selective prefix that is never
+UNKNOWN (``col IS NOT NULL AND col = v AND <ill-typed>``): both ways
+evaluate it on exactly the rows where ``col = v``, so the legs agree
+statement by statement and scripts stay in lockstep. The divergent
+order is pinned by a hand-written test instead
+(``tests/engine/test_dml_victims.py``).
 """
 
 from __future__ import annotations
@@ -59,16 +71,17 @@ class MutationFuzzer:
             return text, value
         return f"DATE '{value.isoformat()}'", value
 
-    def _operand(self, kind: str, params: list) -> str:
+    def _operand(self, kind: str, params: list,
+                 wrong_rate: float = 0.06) -> str:
         """A literal, a ``?`` parameter, or (rarely) a wrong-kind value
         that must fail type coercion identically on every leg."""
         rng = self._rng
-        if rng.random() < 0.06:
+        if rng.random() < wrong_rate:
             wrong = rng.choice([k for k in ("int", "string", "decimal",
                                             "date") if k != kind])
             text, value = self._literal(wrong)
             if value is None:  # NULL is well-typed everywhere; retry
-                return self._operand(kind, params)
+                return self._operand(kind, params, wrong_rate)
             if rng.random() < 0.5:
                 params.append(value)
                 return "?"
@@ -81,8 +94,43 @@ class MutationFuzzer:
 
     # -- predicates ---------------------------------------------------------
 
+    def _sargable(self, table: FuzzTable, params: list) -> str:
+        """One well-typed conjunct of a shape the sources accept."""
+        rng = self._rng
+        column = rng.choice(table.columns)
+        roll = rng.random()
+        if roll < 0.2:
+            negated = "NOT " if rng.random() < 0.5 else ""
+            return f"{column.name} IS {negated}NULL"
+        if roll < 0.4:
+            members = ", ".join(self._literal(column.kind)[0]
+                                for _ in range(rng.randint(1, 3)))
+            return f"{column.name} IN ({members})"
+        op = rng.choice(("=", "=", "<>", "<", "<=", ">", ">="))
+        value = self._operand(column.kind, params, wrong_rate=0.0)
+        if rng.random() < 0.3:
+            return f"{value} {op} {column.name}"
+        return f"{column.name} {op} {value}"
+
+    def _conjunction(self, table: FuzzTable, params: list) -> str:
+        """A top-level AND chain; a third of them end in an ill-typed
+        conjunct behind a never-UNKNOWN selective prefix (see the
+        module docstring for why that order and no other)."""
+        rng = self._rng
+        if rng.random() < 0.33:
+            column = rng.choice(table.columns)
+            value = self._operand(column.kind, params, wrong_rate=0.0)
+            other = rng.choice(table.columns)
+            bad = self._operand(other.kind, params, wrong_rate=1.0)
+            return (f"{column.name} IS NOT NULL AND {column.name} = "
+                    f"{value} AND {other.name} = {bad}")
+        return " AND ".join(self._sargable(table, params)
+                            for _ in range(rng.randint(2, 3)))
+
     def _where(self, table: FuzzTable, params: list) -> str:
         rng = self._rng
+        if rng.random() < 0.3:
+            return self._conjunction(table, params)
         column = rng.choice(table.columns)
         roll = rng.random()
         if roll < 0.15:

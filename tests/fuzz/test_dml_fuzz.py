@@ -13,7 +13,13 @@ Legs:
   writable backends (copy-on-write swap vs SAVEPOINT atomicity);
 * **embedded vs remote** — the same script over the wire through a
   live ``repro.server``, proving the protocol-v2 transaction verbs
-  demarcate exactly like in-process calls.
+  demarcate exactly like in-process calls;
+* **pushdown on vs off** — the same script on one backend (SQLite, and
+  memory with every table grown past ``index_min_rows`` so its index
+  probe engages) with ``pushdown=True`` against ``pushdown=False``:
+  victim selection through a pushed handle scan must pick exactly the
+  victims the full scan picks. Both legs also assert that a version
+  token never names two different row-sets.
 
 The memory leg additionally asserts the version-token contract: every
 rollback restores each table's token to its pre-transaction value, so
@@ -27,21 +33,23 @@ past the 40-statement corpus floor the acceptance criteria name).
 from __future__ import annotations
 
 import os
+import random
 
 import pytest
 
 from repro.driver import Error, connect
 from repro.server.core import TenantConfig, serve_in_thread
+from repro.sources.memory import TableSource
 
 from .dmlgen import MutationFuzzer
 from .harness import build_runtime, typed
-from .sqlgen import generate_schema
+from .sqlgen import FuzzTable, _value, generate_schema
 
 SCRIPTS = int(os.environ.get("REPRO_DML_FUZZ_SCRIPTS", "10"))
 REMOTE_SCRIPTS = max(2, SCRIPTS // 3)
 SEED_BASE = int(os.environ.get("REPRO_FUZZ_SEED", "0"))
 
-_corpus = {"dml": 0}
+_corpus = {"dml": 0, "sqlite_pushed": 0, "memory_index_hits": 0}
 
 
 def _tokens(connection, schema) -> dict:
@@ -49,16 +57,33 @@ def _tokens(connection, schema) -> dict:
     return {table.name: source.version(table.name) for table in schema}
 
 
-def run_script_leg(connection, ops, schema=None) -> list:
+def _check_tokens_name_one_rowset(connection, tables, seen: dict) -> None:
+    """Record each table's (token, rows) and fail if a token seen
+    before now stands for other rows."""
+    source = connection._runtime._default_source
+    for table in tables:
+        rows = list(source.scan(table.name))
+        first = seen.setdefault((table.name, source.version(table.name)),
+                                rows)
+        assert first == rows, f"{table.name}: one token, two row-sets"
+
+
+def run_script_leg(connection, ops, schema=None, unique_tokens=()) -> list:
     """Replay *ops* on one connection, returning comparable outcomes.
 
     When *schema* is given (the embedded memory leg), every rollback
-    additionally asserts the version-token restore contract.
+    additionally asserts the version-token restore contract; with
+    *unique_tokens* (tables), every step asserts that no token is ever
+    reused for different rows.
     """
     outcomes = []
     pre_txn_tokens = None
+    seen_tokens: dict = {}
     cursor = connection.cursor()
     for op in ops:
+        if unique_tokens:
+            _check_tokens_name_one_rowset(connection, unique_tokens,
+                                          seen_tokens)
         if op[0] == "begin":
             if schema is not None:
                 pre_txn_tokens = _tokens(connection, schema)
@@ -95,9 +120,20 @@ def assert_outcomes_agree(ops, a_name, a, b_name, b) -> None:
             f"{a_name} {left!r} vs {b_name} {right!r} for op {op!r}")
 
 
-def _script_for(case: int):
+def _grown(schema, seed: int, rows: int) -> tuple:
+    """*schema* with every table padded to *rows* rows."""
+    rng = random.Random(("grow", seed).__repr__())
+    return tuple(
+        FuzzTable(table.name, table.columns, table.rows + tuple(
+            tuple(_value(rng, column.kind, 0.1)
+                  for column in table.columns)
+            for _ in range(rows - len(table.rows))))
+        for table in schema)
+
+
+def _script_for(case: int, rows: int = 0):
     schema_seed = SEED_BASE + case
-    schema = generate_schema(schema_seed)
+    schema = _grown(generate_schema(schema_seed), schema_seed, rows)
     fuzzer = MutationFuzzer(SEED_BASE * 1_000_003 + case, schema)
     ops = fuzzer.script(min_dml=10)
     _corpus["dml"] += sum(op[0] == "dml" for op in ops)
@@ -134,6 +170,30 @@ def test_dml_embedded_vs_remote(case):
         finally:
             remote.close()
             embedded.close()
+
+
+@pytest.mark.parametrize("backend", ["sqlite", "memory"])
+@pytest.mark.parametrize("case", range(SCRIPTS))
+def test_dml_pushdown_on_vs_off(case, backend):
+    schema, ops = _script_for(2000 + case,
+                              rows=TableSource.index_min_rows + 44)
+    pushed = connect(build_runtime(schema, backend, 0))
+    full = connect(build_runtime(schema, backend, 0, pushdown=False))
+    try:
+        a = run_script_leg(pushed, ops, unique_tokens=schema,
+                           schema=schema if backend == "memory" else None)
+        b = run_script_leg(full, ops, unique_tokens=schema)
+        assert_outcomes_agree(ops, "pushdown", a, "full scan", b)
+        counters = pushed.stats()["runtime"]["counters"]
+        _corpus["sqlite_pushed"] += (
+            backend == "sqlite" and counters["sources.rows_pushed"])
+        _corpus["memory_index_hits"] += (
+            backend == "memory" and counters["sources.index_hits"])
+        assert full.stats()["runtime"]["counters"][
+            "sources.rows_pushed"] == 0
+    finally:
+        pushed.close()
+        full.close()
 
 
 def test_rowcount_fetch_pattern_matrix():
@@ -200,3 +260,6 @@ def test_zz_dml_corpus_size():
     scripts above must clear that floor even at the default scale.
     (Named zz so it runs after the cases.)"""
     assert _corpus["dml"] >= 40, _corpus
+    # The on-vs-off leg compared something: both backends pushed.
+    assert _corpus["sqlite_pushed"] > 0, _corpus
+    assert _corpus["memory_index_hits"] > 0, _corpus

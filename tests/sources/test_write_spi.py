@@ -50,6 +50,13 @@ def rows_of(source):
     return sorted(tuple(r) for r in source.scan("ACCOUNTS"))
 
 
+def handles_of(source):
+    """The current rows' handles, in scan order — what a plan made now
+    would address them by (SQLite rowids, memory positions)."""
+    return [handle for handle, _row
+            in source.scan("ACCOUNTS", handles=True)]
+
+
 class TestWriteCapability:
     def test_supports_write_opt_in(self, source):
         assert source.supports_write("ACCOUNTS")
@@ -64,25 +71,28 @@ class TestWriteCapability:
 
         result = source.apply_mutations([Mutation(
             kind="update", table="ACCOUNTS",
-            changes=((0, (1, "Ann", Decimal("99.00"))),))])
+            changes=((handles_of(source)[0],
+                      (1, "Ann", Decimal("99.00"))),))])
         assert result.rowcount == 1
         assert (1, "Ann", Decimal("99.00")) in rows_of(source)
 
         result = source.apply_mutations([Mutation(
-            kind="delete", table="ACCOUNTS", ordinals=(1, 2))])
+            kind="delete", table="ACCOUNTS",
+            handles=tuple(handles_of(source)[1:3]))])
         assert result.rowcount == 2
-        assert len(rows_of(source)) == 2
+        assert rows_of(source) == [(1, "Ann", Decimal("99.00")),
+                                   (4, "Dee", Decimal("1.00"))]
 
     def test_every_mutation_moves_the_token(self, source):
         tokens = [source.version("ACCOUNTS")]
-        for mutation in (
-                Mutation(kind="insert", table="ACCOUNTS",
-                         rows=((5, "E", None),)),
-                Mutation(kind="update", table="ACCOUNTS",
-                         changes=((0, (1, "Z", None)),)),
-                Mutation(kind="delete", table="ACCOUNTS",
-                         ordinals=(0,))):
-            source.apply_mutations([mutation])
+        for build in (
+                lambda first: Mutation(kind="insert", table="ACCOUNTS",
+                                       rows=((5, "E", None),)),
+                lambda first: Mutation(kind="update", table="ACCOUNTS",
+                                       changes=((first, (1, "Z", None)),)),
+                lambda first: Mutation(kind="delete", table="ACCOUNTS",
+                                       handles=(first,))):
+            source.apply_mutations([build(handles_of(source)[0])])
             tokens.append(source.version("ACCOUNTS"))
         assert len(set(tokens)) == len(tokens)
 
@@ -93,22 +103,23 @@ class TestWriteCapability:
         with pytest.raises(OperationalError, match="changed under"):
             source.apply_mutations(
                 [Mutation(kind="delete", table="ACCOUNTS",
-                          ordinals=(0,))],
+                          handles=(handles_of(source)[0],))],
                 expected_version=token)
 
     def test_statement_atomicity_on_failure(self, source):
         """A batch that fails part-way leaves the visible rows
-        untouched — the insert ahead of the bad ordinal must not
+        untouched — the insert ahead of the dead handle must not
         survive. The token may move forward spuriously (SQLite's
         ``total_changes`` cannot be rewound) but must never stay put on
         changed rows; here the rows are unchanged either way."""
         before_rows = rows_of(source)
-        with pytest.raises(OperationalError, match="out of range"):
+        dead = max(handles_of(source)) + 99
+        with pytest.raises(OperationalError, match="stale plan"):
             source.apply_mutations([
                 Mutation(kind="insert", table="ACCOUNTS",
                          rows=((8, "Gone", None),)),
                 Mutation(kind="update", table="ACCOUNTS",
-                         changes=((99, (1, "x", None)),)),
+                         changes=((dead, (1, "x", None)),)),
             ])
         assert rows_of(source) == before_rows
         # Whatever the token did, a fresh write must move it again.
@@ -130,7 +141,8 @@ class TestTransactions:
         before = rows_of(source)
         source.begin_txn()
         source.apply_mutations([Mutation(
-            kind="delete", table="ACCOUNTS", ordinals=(0, 1, 2))])
+            kind="delete", table="ACCOUNTS",
+            handles=tuple(handles_of(source)))])
         assert rows_of(source) == []
         source.rollback_txn()
         assert rows_of(source) == before
