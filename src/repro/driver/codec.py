@@ -5,6 +5,12 @@
 its column's SQL type. This is the fast path the paper adopted after
 "initial prototyping" showed XML materialization was slow.
 
+The server side of that path lives here too, because it is the same
+format: :class:`PageCutter` cuts the engine's stream into pages on row
+boundaries without converting a cell (the remote driver decodes them
+with ``decode_delimited``), and ``encode_delimited`` writes rows that
+were materialized some other way as the same text.
+
 ``decode_xml`` is the baseline path the paper measured against: the
 server's ``<RECORDSET>`` tree is serialized to text (the wire format),
 re-parsed client-side, and converted row by row. Benchmarks compare the
@@ -20,7 +26,7 @@ from decimal import Decimal, InvalidOperation
 from ..errors import DataError
 from ..sql.types import SQLType
 from ..translator import NULL_MARK, VALUE_MARK, ResultColumn
-from ..xmlmodel import Element, parse_document, unescape
+from ..xmlmodel import Element, escape_text, parse_document, unescape
 
 
 #: The one SQL type kind -> converter mapping: ``convert_cell`` looks a
@@ -155,12 +161,12 @@ def _decode_block(text: str, converters: list) -> tuple:
 _BLOCK_CHARS = 1 << 16
 
 
-def _windows(chunks):
+def _windows(chunks, size: int = _BLOCK_CHARS):
     """*chunks* without the empty pieces, the long ones cut to at most
-    ``_BLOCK_CHARS`` characters."""
+    *size* characters."""
     for chunk in chunks:
-        for start in range(0, len(chunk), _BLOCK_CHARS):
-            yield chunk[start:start + _BLOCK_CHARS]
+        for start in range(0, len(chunk), size):
+            yield chunk[start:start + size]
 
 
 def iter_decode_delimited(chunks,
@@ -233,6 +239,74 @@ def decode_delimited(stream: str,
     """Parse a complete delimited result stream into typed rows (the
     one-shot form of :func:`iter_decode_delimited`)."""
     return list(iter_decode_delimited((stream,), columns))
+
+
+#: Text the page cutter looks at in one step: a page far smaller than
+#: the engine's chunk (a ``fetchone`` over a 1 024-row batch) costs one
+#: such window, not the chunk.
+_CUT_CHARS = 1 << 12
+
+
+class PageCutter:
+    """Cuts a delimited result stream into pages that end on row
+    boundaries, converting nothing: rows are *counted* — cell marks
+    divided by the column count — with ``str.count`` on every window
+    and one ``str.split`` on the window that straddles the page limit.
+
+    A page ends where the first cell of the next row begins (or at end
+    of stream): like the decoder, the cutter cannot know a value cell
+    is over until it sees what follows it. The concatenated pages are
+    the stream, and each page is a complete stream of its own.
+    """
+
+    def __init__(self, chunks, column_count: int):
+        if column_count < 1:
+            raise DataError("result schema has no columns")
+        self._windows = _windows(chunks, _CUT_CHARS)
+        self._width = column_count
+        self._carry = ""  # text already read that follows the last page
+        #: True once the stream has ended and every row was handed out.
+        self.exhausted = False
+
+    def take(self, limit=None) -> tuple:
+        """The next *limit* rows (fewer at end of stream; all that
+        remain when None) as ``(text, row count)``."""
+        if limit is not None and limit < 1:
+            return "", 0
+        want = None if limit is None else limit * self._width
+        pieces, cells = [], 0
+        piece = self._carry
+        while piece is not None:
+            marks = piece.count(VALUE_MARK) + piece.count(NULL_MARK)
+            if want is not None and cells + marks > want:
+                # The mark that opens the row after the page is in this
+                # piece: the page ends right before it.
+                rest = piece.replace(NULL_MARK, VALUE_MARK).split(
+                    VALUE_MARK, want - cells + 1)[-1]
+                cut = len(piece) - len(rest) - 1
+                pieces.append(piece[:cut])
+                self._carry = piece[cut:]
+                return "".join(pieces), limit
+            pieces.append(piece)
+            cells += marks
+            piece = next(self._windows, None)
+        self._carry = ""
+        self.exhausted = True
+        rows, trailing = divmod(cells, self._width)
+        if trailing:
+            raise DataError(
+                f"truncated delimited stream: {trailing} trailing cell(s)")
+        return "".join(pieces), rows
+
+
+def encode_delimited(rows) -> str:
+    """Decoded *rows* written back as delimited text — the inverse of
+    :func:`decode_delimited`. ``str`` is the lexical inverse of every
+    ``_CONVERTERS`` entry (``float`` and the ``fromisoformat`` family
+    included), so the text decodes to equal values of the same types."""
+    return "".join(
+        NULL_MARK if cell is None else VALUE_MARK + escape_text(str(cell))
+        for row in rows for cell in row)
 
 
 def decode_xml(document_text: str,

@@ -56,7 +56,13 @@ from ..translator import (
     TranslationResult,
 )
 from ..xmlmodel import Element, serialize
-from .codec import decode_delimited, decode_xml, iter_decode_delimited
+from .codec import (
+    PageCutter,
+    decode_delimited,
+    decode_xml,
+    encode_delimited,
+    iter_decode_delimited,
+)
 from .dsn import DSN, parse_dsn
 from .metadata import DatabaseMetaData
 
@@ -113,6 +119,17 @@ def _type_object_for(kind: str) -> _TypeObject:
         if kind == candidate:
             return candidate
     return STRING
+
+
+def describe(columns: Sequence[ResultColumn]) -> list[tuple]:
+    """The PEP 249 ``description`` of a result schema (embedded and
+    remote cursors build theirs here)."""
+    return [
+        (column.label, _type_object_for(column.sql_type.kind),
+         None, None, column.sql_type.precision,
+         column.sql_type.scale, column.nullable)
+        for column in columns
+    ]
 
 
 #: Registered runtimes addressable by DSN application name.
@@ -452,6 +469,12 @@ class Cursor:
     drains the stream and returns exactly what the eager path returned.
     The ``xml`` format and ``callproc`` still materialize at execute
     time.
+
+    A live stream is the engine's chunk iterator; what reads it is
+    built on the first fetch — the row decoder for ``fetchone`` /
+    ``fetchmany`` / ``fetchall``, or a page cutter for
+    :meth:`fetch_text`, which the network server uses to ship the text
+    undecoded (DESIGN.md §13).
     """
 
     arraysize = 1
@@ -460,7 +483,12 @@ class Cursor:
         self.connection = connection
         self._rows: list[tuple] = []
         self._index = 0
-        self._stream: Optional[Iterator[tuple]] = None
+        #: The live engine text stream (None: no result, a materialized
+        #: one, or a stream already drained) and its reader, built on
+        #: the first fetch: the row decoder or a ``PageCutter``.
+        self._chunks: Optional[Iterator[str]] = None
+        self._stream = None
+        self._columns: Sequence[ResultColumn] = ()
         self._fetched = 0
         #: Rows already charged against the admission slot's in-flight
         #: budget; with a batched pipeline this tracks rows *buffered*
@@ -482,13 +510,16 @@ class Cursor:
     def description(self) -> Optional[list[tuple]]:
         return self._description
 
+    @property
+    def columns(self) -> Optional[Sequence[ResultColumn]]:
+        """The result schema behind ``description`` — each column's own
+        SQL type, which the PEP 249 type objects blur (driver
+        extension; None when there is no result set)."""
+        return None if self._description is None else self._columns
+
     def _set_description(self, columns: Sequence[ResultColumn]) -> None:
-        self._description = [
-            (column.label, _type_object_for(column.sql_type.kind),
-             None, None, column.sql_type.precision,
-             column.sql_type.scale, column.nullable)
-            for column in columns
-        ]
+        self._columns = columns
+        self._description = describe(columns)
 
     # -- execution --------------------------------------------------------------
 
@@ -635,9 +666,6 @@ class Cursor:
                             if actuals is not None:
                                 chunks = _chunks_then_plan_events(
                                     chunks, tracer, plan, actuals)
-                            stream = iter_decode_delimited(
-                                chunks, translation.columns,
-                                context=context)
                             streamed = True
                         else:
                             result = plan.evaluate(variables,
@@ -673,7 +701,7 @@ class Cursor:
         self._fetched = 0
         self._charged_rows = 0
         if streamed:
-            self._stream = stream
+            self._chunks = chunks
             self._slot = slot
             self._rows = []
             self.rowcount = -1  # unknown until the stream is exhausted
@@ -841,7 +869,7 @@ class Cursor:
         """The stream is exhausted: the row count is now known and the
         admission slot is returned."""
         self.rowcount = self._fetched
-        self._stream = None
+        self._chunks = self._stream = None
         self._release_slot()
 
     def _release_slot(self) -> None:
@@ -854,41 +882,54 @@ class Cursor:
         generator close propagates through the decoder into the
         executor stages, so the engine drops its frames immediately,
         and the admission slot is returned."""
-        if self._stream is not None:
-            stream, self._stream = self._stream, None
+        for stream in (self._stream, self._chunks):
             close = getattr(stream, "close", None)
             if close is not None:
                 close()
+        self._chunks = self._stream = None
         self._release_slot()
 
-    def _pull_streamed(self, limit: Optional[int]) -> list[tuple]:
+    def _pull_streamed(self, limit: Optional[int], text: bool = False):
         """Pull up to *limit* rows (all remaining when None) from the
-        live stream, wrapping engine errors — which now surface at
-        fetch time — the same way execute() wraps them. The query's
-        deadline/cancellation is checked once per fetch call (in
-        addition to the pipeline's per-batch ticks), and freshly pulled
-        rows are charged against the admission controller's in-flight
-        budget."""
-        stream = self._stream
+        live stream — decoded, as a list of tuples, or with *text* as
+        ``(delimited text, row count)``: the engine's own text cut on a
+        row boundary, its rows counted and not converted. Engine errors
+        — which surface at fetch time — are wrapped the same way
+        execute() wraps them. The query's deadline/cancellation is
+        checked once per fetch call (in addition to the pipeline's
+        per-batch ticks; the decoder ticks per row, a text page once
+        for all its rows), and freshly pulled rows are charged against
+        the admission controller's in-flight budget."""
         context = self._context
         chunk: list[tuple] = []
+        page, pulled = "", 0
         exhausted = False
         try:
-            if context is not None:
-                context.check()
-            # A stream that raises mid-pull leaves the rows it already
-            # gave in `chunk`, for the accounting below.
-            chunk.extend(stream if limit is None
-                         else islice(stream, max(limit, 0)))
-            exhausted = limit is None or len(chunk) < limit
+            context.check()
+            stream = self._stream
+            if stream is None:
+                stream = self._stream = (
+                    PageCutter(self._chunks, len(self._columns)) if text
+                    else iter_decode_delimited(
+                        self._chunks, self._columns, context=context))
+            if text:
+                page, pulled = stream.take(limit)
+                exhausted = stream.exhausted
+                context.rows_emitted += pulled
+                context.tick_rows(pulled)
+            else:
+                # A stream that raises mid-pull leaves the rows it
+                # already gave in `chunk`, for the accounting below.
+                chunk.extend(stream if limit is None
+                             else islice(stream, max(limit, 0)))
+                exhausted = limit is None or len(chunk) < limit
             if self._slot is not None:
                 # Charge whichever is further along: rows the engine
                 # has buffered (whole batches decode ahead of the fetch
                 # position) or rows actually handed out. Monotonic, so
                 # each row is charged exactly once.
-                buffered = (context.rows_buffered
-                            if context is not None else 0)
-                total = max(buffered, self._fetched + len(chunk))
+                total = max(context.rows_buffered,
+                            self._fetched + (pulled or len(chunk)))
                 delta = total - self._charged_rows
                 if delta > 0:
                     self._slot.note_rows(delta)
@@ -902,16 +943,34 @@ class Cursor:
             self._release_stream()
             raise to_driver_error(exc) from exc
         finally:
-            self._fetched += len(chunk)
-            if chunk:
-                self.connection._rows_streamed.add(len(chunk))
+            pulled = pulled or len(chunk)
+            self._fetched += pulled
+            if pulled:
+                self.connection._rows_streamed.add(pulled)
             if exhausted:
                 self._finish_stream()
-        return chunk
+        return (page, pulled) if text else chunk
+
+    def fetch_text(self, size: int) -> tuple[str, int, bool]:
+        """The next up-to-*size* rows, undecoded: ``(delimited text
+        ending on a row boundary, row count, whether that was the
+        last of the result)``. Driver extension for the network server
+        (not PEP 249): a page travels as the text the engine wrote and
+        is decoded once, by the client. A materialized result (``xml``
+        format, ``callproc``) is written back as the same text. Use
+        either this or the row fetches on one result, not both."""
+        self._check_results()
+        if self._chunks is not None:
+            text, rows = self._pull_streamed(size, text=True)
+            return text, rows, self._chunks is None
+        chunk = self._rows[self._index:self._index + size]
+        self._index += len(chunk)
+        return (encode_delimited(chunk), len(chunk),
+                self._index >= len(self._rows))
 
     def fetchone(self) -> Optional[tuple]:
         self._check_results()
-        if self._stream is not None:
+        if self._chunks is not None:
             chunk = self._pull_streamed(1)
             return chunk[0] if chunk else None
         if self._index >= len(self._rows):
@@ -924,7 +983,7 @@ class Cursor:
         self._check_results()
         if size is None:
             size = self.arraysize
-        if self._stream is not None:
+        if self._chunks is not None:
             return self._pull_streamed(size)
         chunk = self._rows[self._index:self._index + size]
         self._index += len(chunk)
@@ -932,7 +991,7 @@ class Cursor:
 
     def fetchall(self) -> list[tuple]:
         self._check_results()
-        if self._stream is not None:
+        if self._chunks is not None:
             return self._pull_streamed(None)
         chunk = self._rows[self._index:]
         self._index = len(self._rows)

@@ -6,7 +6,7 @@ the embedded :class:`repro.driver.dbapi.Connection` — same cursor
 semantics (``arraysize`` paging, ``rowcount`` -1 until a streamed result
 is exhausted, ``description``, per-execute ``timeout``, cross-thread
 ``cancel()``), same exception classes, same transaction surface (``autocommit``,
-``begin``/``commit``/``rollback`` travel as protocol-v2 verbs and
+``begin``/``commit``/``rollback`` travel as protocol verbs and
 demarcate a transaction on the server's per-session embedded
 connection) — so application code cannot tell (and need not care) which
 side of the network boundary the engine is on.
@@ -20,8 +20,11 @@ Transport notes:
   execute/fetch, so it opens a fresh short-lived connection and sends
   an out-of-band ``cancel`` frame proving the session secret — the
   Postgres wire-protocol pattern.
-* Rows arrive as tagged lexical values (``repro.server.protocol``), so
-  fetches return exactly the Python objects the embedded cursor would.
+* A result page arrives as a slice of the engine's delimited text and
+  is decoded here, once, by the decoder the embedded cursor runs
+  (``repro.driver.codec``) against the column kinds the execute reply
+  carried — so fetches return exactly the Python objects the embedded
+  cursor would, and the server converts no cell (the paper's §4).
 """
 
 from __future__ import annotations
@@ -48,13 +51,18 @@ from ..obs import MetricsRegistry, Tracer
 from ..server.protocol import (
     MAX_FRAME,
     PROTOCOL_VERSION,
-    decode_row,
+    _LENGTH,
     encode_row,
     raise_error,
     recv_frame,
+    recv_payload,
     send_frame,
+    unpack_payload,
 )
-from .dbapi import FORMATS, _type_object_for
+from ..sql.types import SQLType
+from ..translator import ResultColumn
+from .codec import decode_delimited
+from .dbapi import FORMATS, describe
 from .dsn import DSN
 
 #: Rows requested per ``fetch`` frame when the caller gives no better
@@ -93,6 +101,7 @@ class RemoteConnection:
         self._queries_executed = self.metrics.counter("queries.executed")
         self._rows_fetched = self.metrics.counter("rows.fetched")
         self._roundtrips = self.metrics.counter("wire.roundtrips")
+        self._bytes_received = self.metrics.counter("wire.bytes_received")
         self._roundtrip_seconds = self.metrics.histogram(
             "wire.roundtrip_seconds")
         self._lock = threading.Lock()
@@ -141,7 +150,8 @@ class RemoteConnection:
             with self.tracer.span("wire.request", op=message["op"]):
                 try:
                     send_frame(self._sock, message)
-                    reply = recv_frame(self._sock, MAX_FRAME)
+                    payload = recv_payload(self._sock, MAX_FRAME)
+                    reply = unpack_payload(payload)
                 except InterfaceError:
                     self._abandon()
                     raise
@@ -151,6 +161,7 @@ class RemoteConnection:
                         f"connection to {self.dsn.display()} lost: "
                         f"{exc}") from exc
             self._roundtrips.increment()
+            self._bytes_received.add(_LENGTH.size + len(payload))
             self._roundtrip_seconds.observe(clock.monotonic() - started)
         if reply.get("id") != message["id"]:
             with self._lock:
@@ -338,15 +349,22 @@ class RemoteMetaData:
     get_procedure_columns = procedure_columns
 
 
-def _decode_description(wire) -> Optional[list[tuple]]:
+def _decode_columns(wire) -> Optional[list[ResultColumn]]:
+    """The result schema an execute reply describes (None for DML):
+    what the cursor's ``description`` is built from and what every page
+    of the result is decoded by."""
     if wire is None:
         return None
-    description = []
-    for label, kind, precision, scale, nullable in wire:
-        description.append(
-            (label, _type_object_for(kind), None, None, precision,
-             scale, nullable))
-    return description
+    try:
+        columns = [ResultColumn(label, label,
+                                SQLType(kind, precision, scale), nullable)
+                   for label, kind, precision, scale, nullable in wire]
+        if all(isinstance(column.sql_type.kind, str)
+               for column in columns):
+            return columns
+    except (TypeError, ValueError):
+        pass
+    raise InterfaceError(f"malformed result description {wire!r}")
 
 
 class RemoteCursor:
@@ -374,6 +392,7 @@ class RemoteCursor:
         self._buffer: list[tuple] = []
         self._index = 0
         self._exhausted = True
+        self._columns: Optional[list[ResultColumn]] = None
         self._description: Optional[list[tuple]] = None
         self._closed = False
         self.rowcount = -1
@@ -430,7 +449,9 @@ class RemoteCursor:
             self._executing = False
         connection._queries_executed.increment()
         self._cursor_id = reply["cursor"]
-        self._description = _decode_description(reply["description"])
+        self._columns = _decode_columns(reply["description"])
+        self._description = (None if self._columns is None
+                             else describe(self._columns))
         self.rowcount = reply["rowcount"]
         self.lastrowid = reply.get("lastrowid")
         connection._adopt_txn_state(reply)
@@ -453,23 +474,35 @@ class RemoteCursor:
     # -- fetching ------------------------------------------------------------
 
     def _pull(self, rows: int) -> None:
-        """One fetch round trip for up to *rows* more rows."""
+        """One fetch round trip for up to *rows* more rows. The page is
+        a complete delimited stream of its own (the server cuts on row
+        boundaries), decoded here against the cursor's columns; a page
+        that does not hold the rows it claims is a protocol error, and
+        the result is given up rather than read on past a gap."""
         reply = self.connection._request({
             "op": "fetch",
             "cursor": self._cursor_id,
             "rows": rows,
         })
-        page = [decode_row(row) for row in reply["rows"]]
+        text, claimed = reply.get("text"), reply.get("rows")
+        try:
+            if not isinstance(text, str):
+                raise InterfaceError(
+                    f"fetch reply carries no page text: {text!r}")
+            page = decode_delimited(text, self._columns)
+            if len(page) != claimed:
+                raise InterfaceError(
+                    f"fetch reply claims {claimed!r} rows, its text "
+                    f"holds {len(page)}")
+        except Error:
+            self._exhausted = True
+            raise
         del self._buffer[:self._index]
         self._index = 0
         self._buffer.extend(page)
         self.connection._rows_fetched.add(len(page))
-        # Adopt the server-side count whenever it is known, not only on
-        # the exhausted frame — the embedded cursor learns its rowcount
-        # the moment its stream drains, which can happen one frame
-        # before the server reports exhaustion on older paging logic;
-        # adopting eagerly keeps remote rowcount == embedded rowcount
-        # after identical fetch sequences.
+        # Known from the first page of a materialized result, from the
+        # last page of a streamed one.
         if reply["rowcount"] >= 0:
             self.rowcount = reply["rowcount"]
         if reply["exhausted"]:
@@ -484,12 +517,16 @@ class RemoteCursor:
             self._index = 0
         return chunk
 
-    def fetchone(self) -> Optional[tuple]:
+    def _next(self, page: int) -> Optional[tuple]:
+        """The next row, pulling *page* rows when the buffer is dry."""
         self._check_results()
         if not self._buffer and not self._exhausted:
-            self._pull(max(1, self.arraysize))
+            self._pull(page)
         chunk = self._take(1)
         return chunk[0] if chunk else None
+
+    def fetchone(self) -> Optional[tuple]:
+        return self._next(max(1, self.arraysize))
 
     def fetchmany(self, size: Optional[int] = None) -> list[tuple]:
         self._check_results()
@@ -507,11 +544,10 @@ class RemoteCursor:
         return self._take(len(self._buffer))
 
     def __iter__(self) -> Iterator[tuple]:
-        while True:
-            chunk = self.fetchmany(self.arraysize)
-            if not chunk:
-                return
-            yield from chunk
+        """Iterate the remaining rows, a page — not a row — per round
+        trip; rows not yet iterated stay fetchable."""
+        page = max(self.arraysize, DEFAULT_FETCH_PAGE)
+        return iter(lambda: self._next(page), None)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -534,7 +570,7 @@ class RemoteCursor:
         cursor_id, self._cursor_id = self._cursor_id, None
         self._buffer = []
         self._index = 0
-        self._description = None
+        self._columns = self._description = None
         if cursor_id is not None and not self.connection._closed:
             try:
                 self.connection._request({"op": "close_cursor",

@@ -33,6 +33,7 @@ raise ``SQLSemanticError`` (there is no group to aggregate over).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 
 from ..errors import SQLSemanticError, UnsupportedSQLError
 from ..sql import ast
@@ -164,7 +165,8 @@ def _victim_request(where, binding: Binding,
                     parameters) -> ScanRequest | None:
     """The advisory scan request of a DML WHERE: one predicate per
     top-level ``AND`` conjunct of a shape the SPI names — ``col op
-    constant`` (either side), ``col IS [NOT] NULL``, ``col IN
+    constant`` (either side), ``col BETWEEN constant AND constant``
+    (a ``ge`` and a ``le``), ``col IS [NOT] NULL``, ``col IN
     (constants)`` — with ``?`` markers bound. Everything else, and any
     comparison against NULL, requests nothing; the whole WHERE stays
     the residual either way."""
@@ -177,13 +179,19 @@ def _victim_request(where, binding: Binding,
         return None
 
     def constant(expr):
-        """The bound value of a literal or ``?``; None for NULL and
+        """The bound value of a literal, a ``?`` or a signed number
+        (``-5`` parses as a unary minus over ``5``); None for NULL and
         for anything that is not a per-statement constant."""
         if isinstance(expr, ast.Literal):
             return expr.value
         if isinstance(expr, ast.Parameter) \
                 and 0 < expr.index <= len(parameters):
             return parameters[expr.index - 1]
+        if isinstance(expr, ast.UnaryOp):
+            value = constant(expr.operand)
+            if isinstance(value, (int, float, Decimal)) \
+                    and not isinstance(value, bool):
+                return -value if expr.op == "-" else value
         return None
 
     def comparison(column_expr, op, value_expr):
@@ -204,6 +212,10 @@ def _victim_request(where, binding: Binding,
                 or comparison(conjunct.right, mirrored, conjunct.left))
             if predicate is not None:
                 predicates.append(predicate)
+        elif isinstance(conjunct, ast.Between) and not conjunct.negated:
+            predicates.extend(filter(None, (
+                comparison(conjunct.operand, "ge", conjunct.low),
+                comparison(conjunct.operand, "le", conjunct.high))))
         elif isinstance(conjunct, ast.IsNull):
             name = column(conjunct.operand)
             if name is not None:

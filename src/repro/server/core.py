@@ -22,7 +22,10 @@ Architecture:
 * Results page through the embedded **lazy cursor**: ``fetch`` pulls at
   most ``max_page_rows`` rows per frame, so server memory stays
   O(page) regardless of result size; the client re-issues ``fetch``
-  until the server reports exhaustion.
+  until the server reports exhaustion. A page is a slice of the
+  engine's delimited text (``Cursor.fetch_text``): the server counts
+  its rows — for ``max_page_rows``, the quotas and ``rowcount`` — and
+  converts none; decoding happens once, at the client (the paper's §4).
 * **Tenant quotas** (:class:`repro.engine.TenantQuota`) layer above the
   runtime's global admission controller: per-tenant concurrency is
   claimed before the global slot, per-tenant in-flight rows are charged
@@ -36,6 +39,7 @@ from __future__ import annotations
 import asyncio
 import hmac
 import itertools
+import logging
 import secrets
 import threading
 from dataclasses import dataclass, field
@@ -50,6 +54,7 @@ from ..errors import (
     AdmissionRejectedError,
     Error,
     InterfaceError,
+    InternalError,
     OperationalError,
     ReproError,
     to_driver_error,
@@ -62,10 +67,11 @@ from .protocol import (
     decode_row,
     encode_description,
     encode_error,
-    encode_row,
     pack_frame,
     unpack_payload,
 )
+
+_LOG = logging.getLogger(__name__)
 
 #: Rows the server will serve in one ``fetch`` frame at most, whatever
 #: the client asks for — the lazy cursor keeps memory O(page).
@@ -336,20 +342,32 @@ class DSPServer:
                         raise InterfaceError(
                             f"unknown operation {op!r}")
                 except Error as exc:
-                    self._note_error(exc)
-                    reply = {"id": message.get("id"), "ok": False,
-                             "error": encode_error(exc)}
+                    reply = self._error_reply(message, exc)
                 except ReproError as exc:
-                    mapped = to_driver_error(exc)
-                    self._note_error(mapped)
-                    reply = {"id": message.get("id"), "ok": False,
-                             "error": encode_error(mapped)}
+                    reply = self._error_reply(message,
+                                              to_driver_error(exc))
+                except Exception as exc:
+                    # A bug, or a field of a type no check anticipated
+                    # (frames are outside input): this boundary keeps
+                    # serving — the caller gets an answer, the session
+                    # and every other session go on.
+                    _LOG.exception("unhandled error serving %r", op)
+                    reply = self._error_reply(message, InternalError(
+                        f"{type(exc).__name__}: {exc}"))
                 await self._send(writer, reply)
         except (ConnectionError, asyncio.CancelledError):
             pass
         finally:
             if session is not None:
                 await self._teardown(session)
+            try:
+                # Pool workers forked while this connection was open
+                # hold a copy of its socket, so closing ours alone would
+                # never show the peer an end of stream; a shutdown does.
+                if writer.can_write_eof():
+                    writer.write_eof()
+            except (ConnectionError, OSError, RuntimeError):
+                pass
             writer.close()
             try:
                 await writer.wait_closed()
@@ -466,9 +484,11 @@ class DSPServer:
             raise
         self._c_executes.increment()
         self._h_execute.observe(clock.monotonic() - started)
+        columns = cursor.cursor.columns
         return {
             "cursor": cursor_id,
-            "description": encode_description(cursor.cursor.description),
+            "description": None if columns is None
+            else encode_description(columns),
             "rowcount": cursor.cursor.rowcount,
             "lastrowid": cursor.cursor.lastrowid,
             # A DML execute may have opened an implicit transaction
@@ -490,36 +510,34 @@ class DSPServer:
         started = clock.monotonic()
 
         def run():
-            rows = cursor.cursor.fetchmany(page)
+            # The cursor says when the result is over — a page cut from
+            # the stream knows it as soon as the text ends, so the last
+            # full page already reports it (and the final rowcount) and
+            # saves the client an empty round trip.
+            text, rows, exhausted = cursor.cursor.fetch_text(page)
             if rows and cursor.slot is not None:
                 # Tenant in-flight accounting; a breached budget aborts
                 # this query (stream dropped, slots released) without
                 # touching the session's other cursors.
-                cursor.slot.note_rows(len(rows))
-            # A short page always means exhaustion; a full page does
-            # too when the embedded cursor already knows its rowcount
-            # (the lazy stream only learns the count by draining), so
-            # report it eagerly and save the client an empty round trip
-            # that would otherwise leave its rowcount stale at -1.
-            exhausted = (len(rows) < page
-                         or cursor.cursor.rowcount >= 0)
+                cursor.slot.note_rows(rows)
             if exhausted:
                 cursor.release_slot()
-            return rows, exhausted, cursor.cursor.rowcount
+            return text, rows, exhausted, cursor.cursor.rowcount
 
         loop = asyncio.get_running_loop()
         try:
-            rows, exhausted, rowcount = await loop.run_in_executor(
-                None, run)
+            text, rows, exhausted, rowcount = \
+                await loop.run_in_executor(None, run)
         except BaseException:
             self._drop_cursor_on_error(session,
                                        message.get("cursor"))
             raise
         self._c_fetches.increment()
-        self._c_rows.add(len(rows))
+        self._c_rows.add(rows)
         self._h_fetch.observe(clock.monotonic() - started)
         return {
-            "rows": [encode_row(row) for row in rows],
+            "text": text,
+            "rows": rows,
             "exhausted": exhausted,
             "rowcount": rowcount,
         }
@@ -580,7 +598,7 @@ class DSPServer:
         return snapshot
 
     async def _txn(self, session: _Session, message: dict) -> dict:
-        """Transaction demarcation verbs (protocol v2): delegate to the
+        """Transaction demarcation verbs: delegate to the
         session's embedded connection on the executor — commit and
         rollback fan out to enlisted sources and may block. The reply
         echoes the connection's post-verb transaction state so the
@@ -603,11 +621,14 @@ class DSPServer:
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(None, run)
 
-    def _note_error(self, exc: Error) -> None:
+    def _error_reply(self, message: dict, exc: Error) -> dict:
+        """Count *exc* and put it in the reply to *message*."""
         self._c_errors.increment()
         if (isinstance(exc, OperationalError)
                 and "tenant quota" in str(exc)):
             self._c_quota_rejections.increment()
+        return {"id": message.get("id"), "ok": False,
+                "error": encode_error(exc)}
 
 
 # ---------------------------------------------------------------------------

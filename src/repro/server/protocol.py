@@ -8,11 +8,18 @@ is a protocol error on whichever side reads it — the server must not let
 one client balloon its memory, and the client must not trust a confused
 server.
 
-Result cells and query parameters travel as **tagged lexical values**
-(:func:`encode_value` / :func:`decode_value`), so the remote cursor
-reconstructs exactly the Python objects the embedded cursor produced —
-``Decimal`` stays ``Decimal``, ``datetime.date`` stays a date — and the
-remote-vs-embedded differential can demand byte equality.
+A result page travels as the paper's §4 encoding: a slice of the
+engine's **delimited text**, cut on a row boundary and never decoded
+server-side, beside its row count (``{"text", "rows", "exhausted",
+"rowcount"}``). The column kinds travel once per cursor, in the execute
+reply's ``description``, and the remote cursor decodes each page with
+the decoder the embedded cursor runs (``repro.driver.codec``) — so
+``Decimal`` stays ``Decimal``, ``datetime.date`` stays a date, and the
+remote-vs-embedded differential can demand type identity.
+
+Statement parameters travel the other way as **tagged lexical values**
+(:func:`encode_value` / :func:`decode_value`): they have no schema to
+be decoded by until the statement is translated.
 
 Errors cross the wire as ``{"cls": <PEP 249 class name>, "message":
 ...}`` and are re-raised client-side as the same class
@@ -33,8 +40,11 @@ from ..errors import DRIVER_ERROR_CLASSES, InterfaceError, OperationalError
 #: Protocol revision; the handshake rejects a mismatched major.
 #: v2 added the write path: the transaction verbs (``begin`` /
 #: ``commit`` / ``rollback`` / ``autocommit``) and the ``lastrowid``
-#: field in execute replies.
-PROTOCOL_VERSION = 2
+#: field in execute replies. v3 changed the ``fetch`` reply from
+#: ``"rows": [[tagged cells]]`` to ``"text"`` + ``"rows": n`` and made
+#: ``description`` carry each column's own SQL kind; a v2 peer is
+#: refused at ``hello``.
+PROTOCOL_VERSION = 3
 
 #: Default ceiling on one frame's JSON payload (16 MiB).
 MAX_FRAME = 16 * 1024 * 1024
@@ -93,9 +103,10 @@ def _recv_exact(sock: socket.socket, count: int) -> bytes:
     return b"".join(chunks)
 
 
-def recv_frame(sock: socket.socket,
-               max_frame: int = MAX_FRAME) -> dict:
-    """Read one frame from a blocking socket.
+def recv_payload(sock: socket.socket,
+                 max_frame: int = MAX_FRAME) -> bytes:
+    """Read one frame's JSON bytes from a blocking socket (the frame
+    occupied ``len(payload) + 4`` bytes of the wire).
 
     Raises ``InterfaceError`` on EOF, a short read, or an oversized
     length prefix (a corrupt or hostile peer).
@@ -106,11 +117,18 @@ def recv_frame(sock: socket.socket,
         raise InterfaceError(
             f"protocol frame of {length} bytes exceeds the "
             f"{max_frame}-byte limit")
-    return unpack_payload(_recv_exact(sock, length))
+    return _recv_exact(sock, length)
+
+
+def recv_frame(sock: socket.socket,
+               max_frame: int = MAX_FRAME) -> dict:
+    """Read one frame from a blocking socket (:func:`recv_payload`,
+    parsed)."""
+    return unpack_payload(recv_payload(sock, max_frame))
 
 
 # ---------------------------------------------------------------------------
-# Typed value codec (result cells and statement parameters)
+# Typed value codec (statement parameters)
 # ---------------------------------------------------------------------------
 
 #: Tag characters for non-string scalars; strings ride as bare JSON
@@ -137,7 +155,7 @@ _TAG_DECODERS = {
 
 
 def encode_value(value: object):
-    """One cell/parameter to its wire form: ``None`` for NULL, a bare
+    """One parameter to its wire form: ``None`` for NULL, a bare
     string for text, else a ``[tag, lexical]`` pair."""
     if value is None:
         return None
@@ -181,19 +199,14 @@ def decode_row(wire_row) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def encode_description(description) -> list | None:
-    """A cursor description to wire form: per column ``[label, kind,
-    precision, scale, nullable]`` (the PEP 249 seven-tuple's live
-    fields; the type object is rebuilt client-side from *kind*)."""
-    if description is None:
-        return None
-    encoded = []
-    for label, type_obj, _size, _internal, precision, scale, nullable \
-            in description:
-        kind = next(iter(type_obj._kinds)) if hasattr(type_obj, "_kinds") \
-            else str(type_obj)
-        encoded.append([label, kind, precision, scale, nullable])
-    return encoded
+def encode_description(columns) -> list:
+    """A result schema (``ResultColumn``s) to wire form: per column
+    ``[label, kind, precision, scale, nullable]``. *kind* is the
+    column's own SQL kind: the client rebuilds the PEP 249 description
+    from it and decodes every page of the cursor by it."""
+    return [[column.label, column.sql_type.kind, column.sql_type.precision,
+             column.sql_type.scale, column.nullable]
+            for column in columns]
 
 
 #: Every class an error frame may name. The server only ever sends PEP

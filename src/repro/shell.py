@@ -352,6 +352,11 @@ class Shell:
                 f"tenant_active={quota.get('active', 0)}"
                 f"/{quota.get('max_concurrent')} "
                 f"tenant_rejected={quota.get('rejected', 0)}")
+            wire = snapshot["client"]["counters"]
+            self._out(
+                f"WIRE: roundtrips={wire.get('wire.roundtrips', 0)} "
+                f"bytes_received={wire.get('wire.bytes_received', 0)} "
+                f"rows_fetched={wire.get('rows.fetched', 0)}")
         self._out(
             f"PARALLEL: "
             f"queries={runtime_counters.get('parallel.queries', 0)} "

@@ -9,7 +9,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.driver import convert_cell, decode_delimited, decode_xml
-from repro.driver.codec import iter_decode_delimited
+from repro.driver.codec import (
+    _CONVERTERS,
+    _CUT_CHARS,
+    PageCutter,
+    encode_delimited,
+    iter_decode_delimited,
+)
 from repro.errors import DataError
 from repro.sql.types import SQLType
 from repro.translator import ResultColumn
@@ -284,3 +290,132 @@ class TestLaziness:
                                           cols(*self.COLUMNS)))
         assert rows == [(i, "v") for i in range(3 * 1024)]
         assert consumed == [0, 1, 2] and closed == [True]
+
+
+# -- the server's page cutter and the inverse encoder -----------------------
+
+def pages_of(chunks, width, sizes):
+    """Every page a cutter hands out for the page-size sequence *sizes*
+    (the last size repeats until the stream is over)."""
+    cutter = PageCutter(iter(chunks), width)
+    sizes = iter(sizes)
+    size = next(sizes)
+    pages = []
+    while not cutter.exhausted:
+        pages.append((cutter.take(size), size))
+        size = next(sizes, size)
+    assert cutter.take(size) == ("", 0)  # over stays over
+    return pages
+
+
+class TestPageCutter:
+    @given(mixed_rows, st.data())
+    def test_pages_decode_to_the_stream_and_end_on_row_boundaries(
+            self, rows, data):
+        """For any result text — NULLs, entities, empty strings — any
+        chunking (arbitrary cuts, per character, per cell, one batch)
+        and any page-size sequence: each page is a whole number of rows
+        that decodes on its own, no page but the last is short, and the
+        pages in order are the stream."""
+        columns = cols(*MIXED)
+        text = "".join(encode(rows))
+        cuts = data.draw(st.lists(st.integers(0, len(text)), max_size=8))
+        sizes = data.draw(st.lists(st.integers(1, 5), min_size=1,
+                                   max_size=6))
+        for chunks in (cut(text, cuts), list(text), encode(rows), [text]):
+            pages = pages_of(chunks, len(columns), sizes)
+            assert "".join(page for (page, _n), _size in pages) == text
+            decoded = []
+            for index, ((page, count), size) in enumerate(pages):
+                page_rows = decode_delimited(page, columns)
+                assert len(page_rows) == count <= size
+                assert count == size or index == len(pages) - 1
+                decoded += page_rows
+            assert decoded == rows
+
+    @given(st.lists(st.one_of(st.none(),
+                              st.text(alphabet="a<>&", max_size=4)),
+                    max_size=12),
+           st.integers(1, 4))
+    def test_one_column_table(self, values, size):
+        text = "".join(encode([(value,) for value in values]))
+        for chunks in (list(text), [text]):
+            pages = pages_of(chunks, 1, [size])
+            assert [row for (page, _n), _s in pages
+                    for row in decode_delimited(page, cols("VARCHAR"))] \
+                == [(value,) for value in values]
+
+    def test_take_all_and_zero(self):
+        text = ">1>a>2<>3>c"
+        cutter = PageCutter(iter([text]), 2)
+        assert cutter.take(0) == ("", 0) and not cutter.exhausted
+        assert cutter.take(1) == (">1>a", 1)
+        assert cutter.take(None) == (">2<>3>c", 2)
+        assert cutter.exhausted
+
+    def test_exact_last_rows_report_exhaustion_with_them(self):
+        """The row before the end is only known to be complete once the
+        stream has ended, so the last full page already knows."""
+        cutter = PageCutter(iter([">1>a", ">2>b"]), 2)
+        assert cutter.take(1) == (">1>a", 1) and not cutter.exhausted
+        assert cutter.take(1) == (">2>b", 1) and cutter.exhausted
+
+    def test_truncated_stream_is_the_decoder_s_error(self):
+        cutter = PageCutter(iter([">1>a>2"]), 2)
+        with pytest.raises(DataError, match="truncated delimited stream: "
+                                            "1 trailing"):
+            cutter.take(5)
+
+    def test_no_columns(self):
+        with pytest.raises(DataError, match="no columns"):
+            PageCutter(iter([]), 0)
+
+    def test_a_small_page_reads_a_window_not_the_chunk(self):
+        """``fetchone`` pages over one big engine chunk: the chunk is
+        pulled once and each page costs one window of it."""
+        consumed, closed = [], []
+        chunks = TestLaziness().chunks(consumed, closed)
+        cutter = PageCutter(chunks, 2)
+        assert cutter.take(1) == (">0>v", 1)
+        assert consumed == [0]
+        for index in range(1, 1024):
+            assert cutter.take(1) == (f">{index}>v", 1)
+            assert len(cutter._carry) <= _CUT_CHARS
+        assert consumed == [0, 1]  # row 1023 ends where chunk 1 begins
+
+
+SAMPLES = {
+    "SMALLINT": [0, -7], "INTEGER": [42, -2**31], "BIGINT": [2**63, -1],
+    "DECIMAL": [Decimal("12000.00"), Decimal("-0.010"), Decimal("1E+3")],
+    "REAL": [1.5, -0.0], "DOUBLE": [0.1, 1e22, float("inf"), 5e-324],
+    "CHAR": ["", "x "], "VARCHAR": ["a<b>&c;", "&amp;", "'\"\n"],
+    "DATE": [datetime.date(2003, 1, 9)],
+    "TIME": [datetime.time(23, 59, 59, 999999), datetime.time(1, 2)],
+    "TIMESTAMP": [datetime.datetime(2003, 1, 9, 12, 30, 45, 1),
+                  datetime.datetime(2003, 1, 9)],
+}
+
+
+class TestEncodeDelimited:
+    def test_samples_cover_every_converter(self):
+        assert set(SAMPLES) == set(_CONVERTERS)
+
+    @pytest.mark.parametrize("kind", sorted(SAMPLES))
+    def test_round_trip_is_type_identical(self, kind):
+        rows = [(value, None, value) for value in SAMPLES[kind]]
+        decoded = decode_delimited(encode_delimited(rows),
+                                   cols(kind, kind, kind))
+        assert decoded == rows
+        assert [[type(cell) for cell in row] for row in decoded] == \
+            [[type(cell) for cell in row] for row in rows]
+        assert [repr(row) for row in decoded] == \
+            [repr(row) for row in rows]  # -0.0, Decimal exponents
+
+    @given(mixed_rows)
+    def test_inverse_of_the_decoder(self, rows):
+        assert decode_delimited(encode_delimited(rows), cols(*MIXED)) \
+            == rows
+        assert encode_delimited(rows) == "".join(encode(rows))
+
+    def test_no_rows(self):
+        assert encode_delimited([]) == ""

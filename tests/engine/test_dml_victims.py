@@ -85,6 +85,17 @@ REQUESTS = [
     ("NAME IS NOT NULL", (), [Predicate("NAME", "notnull")]),
     ("ID IN (1, ?, 3)", (2,), [Predicate("ID", "in", (1, 2, 3))]),
     ("MADE = DATE '2005-01-11'", (), [Predicate("MADE", "eq", MADE)]),
+    # A signed number is a unary operator over a literal (or a ``?``).
+    ("ID = -5", (), [Predicate("ID", "eq", -5)]),
+    ("PRICE > -1.5", (), [Predicate("PRICE", "gt", Decimal("-1.5"))]),
+    ("-? < ID", (5,), [Predicate("ID", "gt", -5)]),
+    ("ID = +5", (), [Predicate("ID", "eq", 5)]),
+    ("ID BETWEEN 3 AND ?", (5,),
+     [Predicate("ID", "ge", 3), Predicate("ID", "le", 5)]),
+    ("ID BETWEEN -2 AND 1", (),
+     [Predicate("ID", "ge", -2), Predicate("ID", "le", 1)]),
+    # Each bound stands alone: the constant one is still worth asking.
+    ("PRICE BETWEEN 1 AND ID", (), [Predicate("PRICE", "ge", 1)]),
     ("NAME = 'item3' AND ID < 100 AND PRICE > 1.5", (),
      [Predicate("NAME", "eq", "item3"), Predicate("ID", "lt", 100),
       Predicate("PRICE", "gt", Decimal("1.5"))]),
@@ -94,6 +105,8 @@ REQUESTS = [
     ("ID = NULL", (), []),
     ("ID IN (1, NULL)", (), []),
     ("ID NOT IN (1, 2)", (), []),
+    ("ID NOT BETWEEN 3 AND 5", (), []),
+    ("ID BETWEEN NULL AND ?", (None,), []),
     ("NOT (ID = 5)", (), []),
     ("ID = 5 OR ID = 6", (), []),
     ("ID + 1 = 5", (), []),
@@ -147,6 +160,34 @@ def test_pushed_victims_are_the_full_scan_victims(where, parameters,
         outcomes.append((count, items(connection)))
         connection.close()
     assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("where, parameters, victims", [
+    ("ID = -5", (), 1),
+    ("ID BETWEEN 100 AND ?", (104,), 5),
+    ("ID BETWEEN -5 AND -4", (), 2),
+])
+def test_signed_and_between_writes_read_what_they_touch(
+        where, parameters, victims, backend):
+    """ROADMAP 4(a)'s leftover: these two shapes requested nothing and
+    scanned the whole table. Exact counts: with the request pushed the
+    source hands back the victims and no other row. (Memory probes a
+    hash index, so it serves the equality and still walks a range.)"""
+    connection = connect(build_runtime(build_storage(), backend, 0))
+    run(connection, "INSERT INTO ITEMS (ID, NAME) VALUES (-5, 'neg'), "
+                    "(-4, 'neg')")
+    served = backend == "sqlite" or "BETWEEN" not in where
+    expected = (victims, victims) if served else (ROWS + 2, 0)
+    counters = connection._runtime.metrics
+    scanned = counters.counter("sources.rows_scanned")
+    pushed = counters.counter("sources.rows_pushed")
+    for statement in (f"UPDATE ITEMS SET PRICE = 1 WHERE {where}",
+                      f"DELETE FROM ITEMS WHERE {where}"):
+        before = scanned.value, pushed.value
+        assert run(connection, statement, parameters) == victims
+        assert (scanned.value - before[0], pushed.value - before[1]) \
+            == expected
+    connection.close()
 
 
 # -- the error-ordering rule ------------------------------------------------

@@ -14,9 +14,15 @@ from repro.driver.remote import RemoteConnection, RemoteCursor
 from repro.engine import FaultProfile, TenantQuota, install_fault
 from repro.errors import InterfaceError, OperationalError
 from repro.server import TenantConfig, serve_in_thread
-from repro.server.protocol import recv_frame, send_frame
+from repro.server.protocol import (
+    PROTOCOL_VERSION,
+    recv_frame,
+    send_frame,
+)
 from repro.workloads import build_runtime
 from repro.workloads.scaling import build_scaled_runtime
+
+from tests.driver.test_dbapi import runtime_with_procedure
 
 #: 6^3 = 216 rows — enough pages that a stream outlives its first fetch.
 BIG_QUERY = "SELECT * FROM CUSTOMERS C1, CUSTOMERS C2, CUSTOMERS C3"
@@ -39,6 +45,12 @@ def server(runtime):
 def remote_connect(handle, **kwargs):
     return connect(handle.dsn("app", "TestDataServices", token=TOKEN),
                    **kwargs)
+
+
+def connection_runtime(handle):
+    """The runtime behind a single-tenant test server."""
+    tenant, = handle.server.tenants.values()
+    return tenant.runtime
 
 
 def wait_until(predicate, timeout=5.0, interval=0.01):
@@ -84,6 +96,56 @@ class TestRemoteDriver:
             first = cursor.fetchone()
             rest = [row for row in cursor]
             assert len([first] + rest) == 6
+            # Iteration pages: with the default arraysize of 1 it used
+            # to cost one round trip per row.
+            roundtrips = connection.metrics.counter("wire.roundtrips")
+            cursor.execute(BIG_QUERY)
+            before = roundtrips.value
+            rows = iter(cursor)
+            head = [next(rows) for _ in range(10)]
+            assert roundtrips.value - before == 1
+            # Rows the loop did not reach are still there to fetch.
+            assert head + cursor.fetchall() == \
+                cursor.execute(BIG_QUERY).fetchall()
+            cursor.execute(BIG_QUERY)
+            before = roundtrips.value
+            assert len(list(cursor)) == 216
+            assert roundtrips.value - before == 1
+            assert cursor.rowcount == 216
+
+    @pytest.mark.parametrize("fmt", ["delimited", "xml"])
+    def test_small_pages_reach_the_end_of_any_result(self, server, fmt):
+        """Streamed (delimited) and materialized (xml) results page the
+        same way: the reply says exhausted when the rows are out, not
+        when the row count happens to be known."""
+        with remote_connect(server, format=fmt) as connection, \
+                connect(connection_runtime(server), format=fmt) as local:
+            cursor, expected = connection.cursor(), local.cursor()
+            expected.execute(BIG_QUERY)
+            cursor.execute(BIG_QUERY)
+            got = cursor.fetchmany(10) + [cursor.fetchone()]
+            for page in iter(lambda: cursor.fetchmany(50), []):
+                got += page
+            assert got == expected.fetchall()
+            assert cursor.rowcount == 216
+
+    def test_callproc_result_crosses_the_wire_as_text(self):
+        runtime = runtime_with_procedure()
+        tenant = TenantConfig(name="app", runtime=runtime, token=TOKEN)
+        with serve_in_thread(tenant) as handle, \
+                remote_connect(handle) as connection:
+            expected = connect(runtime).cursor()
+            expected.callproc("getCustomerById", [23])
+            cursor = connection.cursor()
+            cursor.callproc("getCustomerById", [23])
+            assert cursor.description == expected.description
+            assert cursor.rowcount == expected.rowcount == 6
+            got = [cursor.fetchone()] + cursor.fetchmany(2)
+            got += cursor.fetchall()
+            rows = expected.fetchall()
+            assert got == rows
+            assert [[type(cell) for cell in row] for row in got] == \
+                [[type(cell) for cell in row] for row in rows]
 
     def test_fetchone_drains_a_large_page(self):
         """A page of 20 000 rows handed out one ``fetchone()`` at a
@@ -147,14 +209,40 @@ class TestRemoteDriver:
             cursor = connection.cursor()
             cursor.execute("SELECT CUSTOMERID FROM CUSTOMERS")
             cursor.fetchall()
+            received = connection.metrics.counter(
+                "wire.bytes_received").value
             snapshot = connection.stats()
             assert snapshot["stats_schema_version"] == 3
             assert snapshot["server"]["counters"]["executes"] >= 1
             assert snapshot["server"]["tenant"]["name"] == "app"
-            assert snapshot["client"]["counters"]["wire.roundtrips"] > 0
+            client = snapshot["client"]["counters"]
+            assert client["wire.roundtrips"] > 0
+            # The only client of this server counted, on arrival, every
+            # byte the server had sent when it took the snapshot.
+            assert 0 < received \
+                == snapshot["server"]["counters"]["bytes_sent"]
+            assert client["wire.bytes_received"] > received
             health = connection.server_health()
             assert health["tenants"] == ["app"]
             assert health["sessions"] == 1
+
+    def test_shell_stats_show_the_wire(self, server):
+        """Bytes per row is answerable from the shell: ``\\stats`` on a
+        remote connection prints the client's wire counters."""
+        from repro.shell import Shell
+        lines = []
+        shell = Shell(out=lines.append)
+        shell.handle("\\connect " + server.dsn(
+            "app", "TestDataServices", token=TOKEN))
+        shell.handle(BIG_QUERY)
+        del lines[:]
+        shell.handle("\\stats")
+        wire, = [line for line in lines if line.startswith("WIRE:")]
+        fields = dict(field.split("=") for field in wire.split()[1:])
+        assert int(fields["rows_fetched"]) == 216
+        assert int(fields["roundtrips"]) >= 3  # hello, execute, fetch
+        # 216 rows x 12 cells of text and some framing, not JSON cells.
+        assert 216 * 12 < int(fields["bytes_received"]) < 216 * 12 * 12
 
     def test_closed_connection_raises_interface_error(self, server):
         connection = remote_connect(server)
@@ -201,7 +289,7 @@ class TestAuthentication:
             send_frame(sock, {"id": 1, "op": "health"})
             reply = recv_frame(sock)
             assert reply["ok"] is True
-            assert reply["protocol"] == 2
+            assert reply["protocol"] == PROTOCOL_VERSION == 3
         finally:
             sock.close()
 
@@ -286,6 +374,13 @@ class TestTenantQuotas:
                 with pytest.raises(OperationalError,
                                    match="tenant quota"):
                     cursor.fetchall()
+                # Pages are charged by counting their rows, not by
+                # decoding them: the abort came on the second page, and
+                # it gave back every hold the statement had.
+                assert tenant.quota.stats()["active"] == 0
+                assert tenant.quota.stats()["inflight_rows"] == 0
+                assert runtime.admission.stats()["active"] == 0
+                assert runtime.admission.stats()["inflight_rows"] == 0
                 # the tenant slot is returned, new statements run
                 cursor.execute("SELECT COUNT(*) FROM CUSTOMERS")
                 assert cursor.fetchall() == [(6,)]
