@@ -13,7 +13,6 @@ from .dsp import (
     import_source,
     import_tables,
     logical_function,
-    physical_function,
     source_function,
 )
 from .faults import FaultProfile, FaultyBinding, install_fault, make_faulty
@@ -65,7 +64,6 @@ __all__ = [
     "logical_function",
     "make_faulty",
     "mutation_parameter_count",
-    "physical_function",
     "plan_mutation",
     "row_key",
     "source_function",

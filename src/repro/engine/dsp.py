@@ -50,7 +50,7 @@ from ..xquery.atomic import parse_lexical, serialize_atomic
 from ..xquery.compile import CompiledQuery, compile_module
 from .faults import FaultyBinding
 from .lifecycle import AdmissionController, QueryContext, RetryPolicy
-from .table import Storage, Table
+from .table import Storage
 
 
 class DSPRuntime:
@@ -315,35 +315,26 @@ class DSPRuntime:
         if binding is None:
             raise UnknownArtifactError(
                 f"data service function {local} has no binding")
-        # Only sources that can raise TransientSourceError (files,
-        # custom functions, fault wrappers, external SPI sources) pay
-        # for the retry loop.
-        if isinstance(binding, (CsvBinding, CallableBinding,
-                                FaultyBinding, SourceBinding)) or \
-                (isinstance(binding, TableBinding)
-                 and self._default_source_retryable):
-            return self._call_with_retry(uri, local, function, binding,
-                                         args, context, scan)
-        return self._run_binding(uri, local, function, binding, args,
-                                 context, scan)
-
-    def _call_with_retry(self, uri: str, local: str, function, binding,
-                         args: list, context: Optional[QueryContext],
-                         scan: Optional[ScanRequest] = None) -> list:
-        """Run a (possibly fault-injected) physical source under the
-        runtime's retry policy: transient failures back off with jitter
-        and retry, bounded by the policy's attempt budget and the
-        query's deadline."""
-        return self._retry_loop(
-            local, context,
+        return self._with_retry(
+            binding, local, context,
             lambda: self._run_binding(uri, local, function, binding,
                                       args, context, scan))
 
-    def _retry_loop(self, local: str, context: Optional[QueryContext],
-                    operation):
-        """The retry policy around one source operation (row or
-        columnar scan): transient failures back off and retry, bounded
-        by the attempt budget and the query's remaining deadline."""
+    def _with_retry(self, binding, local: str,
+                    context: Optional[QueryContext], operation):
+        """Run one source operation (row or columnar scan) of a
+        function bound to *binding*. Only sources that can raise
+        TransientSourceError (files, custom functions, fault wrappers,
+        external SPI sources) pay for the retry policy: transient
+        failures back off with jitter and retry, bounded by the attempt
+        budget and the query's remaining deadline."""
+        if isinstance(binding, TableBinding):
+            retryable = self._default_source_retryable
+        else:
+            retryable = isinstance(binding, (CsvBinding, CallableBinding,
+                                             FaultyBinding, SourceBinding))
+        if not retryable:
+            return operation()
         policy = self.retry_policy
         last: Optional[TransientSourceError] = None
         for attempt in range(policy.attempts):
@@ -369,18 +360,15 @@ class DSPRuntime:
         if isinstance(binding, FaultyBinding):
             binding.apply(context)
             binding = binding.inner
-        if isinstance(binding, TableBinding):
-            if self._default_source is None:
+        target = self._physical(uri, local)
+        if target is not None:
+            _function, _faulty, source, table = target
+            if source is None:
                 raise UnknownArtifactError(
-                    f"data service function {local} is table-bound but "
-                    f"the runtime has no default source")
-            return self._scan_source(uri, local, function,
-                                     self._default_source,
-                                     binding.table_name, scan, context)
-        if isinstance(binding, SourceBinding):
-            return self._scan_source(uri, local, function,
-                                     self.source(binding.source),
-                                     binding.table, scan, context)
+                    f"data service function {local} is bound to a source "
+                    f"the runtime does not have")
+            return self._scan_source(uri, local, function, source, table,
+                                     scan, context)
         if isinstance(binding, CsvBinding):
             return self._rows_to_elements(
                 function.return_schema,
@@ -460,28 +448,34 @@ class DSPRuntime:
 
     # -- columnar scans (vectorized executor) -------------------------------
 
-    def _columnar_target(self, uri: str, local: str):
-        """(function, faulty_binding_or_None, source, table) when the
-        data service function ``{uri}local`` is a zero-arg scan over an
-        SPI source — the only shape the vectorized executor reads in
-        column form. None for every other binding kind."""
+    def _physical(self, uri: str, local: str):
+        """``(function, faulty_binding_or_None, source, table)`` when
+        the data service function ``{uri}local`` is bound (possibly
+        through a fault wrapper) to a table of an SPI source; *source*
+        is None when that source is not registered. None for an unknown
+        name and for every other binding kind."""
         function = self._functions.get((uri, local))
-        if function is None or function.parameters:
+        if function is None:
             return None
         binding = function.binding
         faulty = None
         if isinstance(binding, FaultyBinding):
-            faulty = binding
-            binding = binding.inner
+            faulty, binding = binding, binding.inner
         if isinstance(binding, TableBinding):
-            source, table = self._default_source, binding.table_name
-        elif isinstance(binding, SourceBinding):
-            source, table = self.sources.get(binding.source), binding.table
-        else:
+            return function, faulty, self._default_source, binding.table_name
+        if isinstance(binding, SourceBinding):
+            return (function, faulty, self.sources.get(binding.source),
+                    binding.table)
+        return None
+
+    def _columnar_target(self, uri: str, local: str):
+        """:meth:`_physical` for a zero-arg scan over a registered
+        source — the only shape the vectorized executor reads in column
+        form — else None."""
+        target = self._physical(uri, local)
+        if target is None or target[0].parameters or target[2] is None:
             return None
-        if source is None:
-            return None
-        return function, faulty, source, table
+        return target
 
     def column_scan_schema(self, uri: str, local: str):
         """Ordered (column name, xs type) pairs for a columnar-scannable
@@ -525,12 +519,7 @@ class DSPRuntime:
                                              table, scan, context,
                                              partition)
 
-        retryable = (faulty is not None
-                     or isinstance(function.binding, SourceBinding)
-                     or self._default_source_retryable)
-        if retryable:
-            return self._retry_loop(local, context, run)
-        return run()
+        return self._with_retry(function.binding, local, context, run)
 
     def _scan_source_columns(self, uri: str, local: str, function,
                              source: DataSource, table: str,
@@ -667,21 +656,15 @@ class DSPRuntime:
         ``NotSupportedError`` when the function is not backed by a
         source that accepts writes (logical/CSV/callable bindings, the
         read-only XML source, ...)."""
-        function = self._functions.get((uri, local))
-        if function is None:
+        if (uri, local) not in self._functions:
             raise UnknownArtifactError(
                 f"no data service function {{{uri}}}{local}")
-        binding = function.binding
-        if isinstance(binding, FaultyBinding):
-            binding = binding.inner
-        if isinstance(binding, TableBinding):
-            source, table = self._default_source, binding.table_name
-        elif isinstance(binding, SourceBinding):
-            source, table = self.sources.get(binding.source), binding.table
-        else:
+        target = self._physical(uri, local)
+        if target is None:
             raise NotSupportedError(
                 f"table {local} is not backed by a physical source and "
                 f"cannot be written")
+        _function, _faulty, source, table = target
         if source is None:
             raise UnknownArtifactError(
                 f"table {local} is bound to an unregistered source")
@@ -732,20 +715,10 @@ class DSPRuntime:
         token, and every (re)computation bumps the stats epoch so plans
         costed against superseded statistics age out of the plan cache.
         """
-        function = self._functions.get((uri, local))
-        if function is None:
+        target = self._physical(uri, local)
+        if target is None or target[2] is None:
             return None
-        binding = function.binding
-        if isinstance(binding, FaultyBinding):
-            binding = binding.inner
-        if isinstance(binding, TableBinding):
-            source, table = self._default_source, binding.table_name
-        elif isinstance(binding, SourceBinding):
-            source, table = self.sources.get(binding.source), binding.table
-        else:
-            return None
-        if source is None:
-            return None
+        _function, _faulty, source, table = target
         try:
             token = source.version(table)
             cached = self._stats_cache.get((uri, local))
@@ -827,20 +800,14 @@ class DSPRuntime:
         return MetadataAPI(self.application, latency=latency)
 
 
-def physical_function(table: Table, project_name: str,
-                      service_path: str) -> DataServiceFunction:
-    """Build the physical data service function a metadata import would
-    produce for *table* (paper Example 2)."""
+def _flat_schema(name: str, project_name: str, service_path: str,
+                 columns: list[tuple[str, str]]) -> RowSchema:
+    """The flat row schema of a data service function: namespace and
+    .xsd location follow from where the service lives."""
     service_name = service_path.rsplit("/", 1)[-1]
-    namespace = f"ld:{project_name}/{service_path}"
-    location = f"ld:{project_name}/schemas/{service_name}.xsd"
-    columns = [(name, sql_to_xs(sql_type))
-               for name, sql_type in table.columns]
-    return DataServiceFunction(
-        name=table.name,
-        return_schema=flat_schema(table.name, namespace, location, columns),
-        binding=TableBinding(table.name),
-    )
+    return flat_schema(name, f"ld:{project_name}/{service_path}",
+                       f"ld:{project_name}/schemas/{service_name}.xsd",
+                       columns)
 
 
 def csv_function(name: str, path: str, project_name: str,
@@ -850,12 +817,10 @@ def csv_function(name: str, path: str, project_name: str,
     """A physical data service over a delimited file (Figure 1's 'files'
     source kind). ``columns`` maps column names to xs: simple types, in
     file order."""
-    service_name = service_path.rsplit("/", 1)[-1]
-    namespace = f"ld:{project_name}/{service_path}"
-    location = f"ld:{project_name}/schemas/{service_name}.xsd"
     return DataServiceFunction(
         name=name,
-        return_schema=flat_schema(name, namespace, location, columns),
+        return_schema=_flat_schema(name, project_name, service_path,
+                                   columns),
         binding=CsvBinding(path=path, delimiter=delimiter, header=header),
     )
 
@@ -867,12 +832,10 @@ def callable_function(name: str, provider, project_name: str,
     """A physical data service over a host Python function (Figure 1's
     'custom functions' source kind). *provider* receives one positional
     argument per declared parameter and returns row tuples."""
-    service_name = service_path.rsplit("/", 1)[-1]
-    namespace = f"ld:{project_name}/{service_path}"
-    location = f"ld:{project_name}/schemas/{service_name}.xsd"
     return DataServiceFunction(
         name=name,
-        return_schema=flat_schema(name, namespace, location, columns),
+        return_schema=_flat_schema(name, project_name, service_path,
+                                   columns),
         parameters=parameters,
         binding=CallableBinding(provider=provider),
     )
@@ -889,13 +852,10 @@ def logical_function(name: str, body: str, project_name: str,
     ``columns`` maps the flat result's child element names to xs: simple
     type names, defining the .xsd the data service developer would author.
     """
-    service_name = service_path.rsplit("/", 1)[-1]
-    namespace = f"ld:{project_name}/{service_path}"
-    location = f"ld:{project_name}/schemas/{service_name}.xsd"
     return DataServiceFunction(
         name=name,
-        return_schema=flat_schema(element_name or name, namespace,
-                                  location, columns),
+        return_schema=_flat_schema(element_name or name, project_name,
+                                   service_path, columns),
         parameters=parameters,
         binding=XQueryBinding(body),
     )
@@ -911,17 +871,14 @@ def source_function(table_name: str,
     (:class:`SourceBinding`); without it, to the runtime's default
     source (:class:`TableBinding`) — the metadata-import shape the
     paper's relational wizard produces."""
-    service_name = service_path.rsplit("/", 1)[-1]
-    namespace = f"ld:{project_name}/{service_path}"
-    location = f"ld:{project_name}/schemas/{service_name}.xsd"
     schema_columns = [(name, sql_to_xs(sql_type))
                       for name, sql_type in columns]
     binding = (TableBinding(table_name) if source_name is None
                else SourceBinding(source_name, table_name))
     return DataServiceFunction(
         name=table_name,
-        return_schema=flat_schema(table_name, namespace, location,
-                                  schema_columns),
+        return_schema=_flat_schema(table_name, project_name, service_path,
+                                   schema_columns),
         binding=binding,
     )
 

@@ -310,13 +310,11 @@ class TenantQuota:
     """
 
     def __init__(self, max_concurrent: Optional[int] = None,
-                 queue_timeout: float = 0.0,
                  max_inflight_rows: Optional[int] = None,
                  max_timeout: Optional[float] = None):
         if max_concurrent is not None and max_concurrent < 1:
             raise ValueError("max_concurrent must be >= 1")
         self.max_concurrent = max_concurrent
-        self.queue_timeout = queue_timeout
         self.max_inflight_rows = max_inflight_rows
         self.max_timeout = max_timeout
         self._lock = threading.Lock()

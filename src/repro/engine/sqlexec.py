@@ -675,6 +675,11 @@ class SQLExecutor:
         value = self._eval(expr.operand, env)
         if value is None:
             return None
+        if isinstance(value, bool) \
+                or not isinstance(value, (int, float, Decimal)):
+            raise SQLSemanticError(
+                f"unary {expr.op} requires a numeric operand, "
+                f"got {type(value).__name__}")
         if expr.op == "-":
             return -value
         return value

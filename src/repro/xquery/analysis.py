@@ -1,4 +1,6 @@
-"""Static analysis over XQuery ASTs: free-variable computation.
+"""Static analysis over XQuery ASTs: free variables, and the child walk
+(:func:`children` / :func:`map_children`) read off the nodes' dataclass
+fields that the planner's traversals and rewrites are written on.
 
 Used by the evaluator's hash-join planner to decide whether a where
 condition is an equi-join between two for-bound variables (and whether a
@@ -9,6 +11,7 @@ whose value is fixed for a whole execution.
 
 from __future__ import annotations
 
+from dataclasses import fields, is_dataclass, replace
 from typing import Iterator
 
 from . import ast
@@ -51,51 +54,65 @@ def _collect(node, bound: frozenset[str], free: set[str]) -> None:
         _collect(node.source, bound, free)
         _collect(node.condition, bound | {node.var}, free)
         return
-    if isinstance(node, ast.SequenceExpr):
-        for item in node.items:
-            _collect(item, bound, free)
-        return
-    if isinstance(node, ast.IfExpr):
-        for child in (node.condition, node.then, node.else_):
-            _collect(child, bound, free)
-        return
-    if isinstance(node, (ast.OrExpr, ast.AndExpr, ast.ValueComparison,
-                         ast.GeneralComparison, ast.Arithmetic)):
-        _collect(node.left, bound, free)
-        _collect(node.right, bound, free)
-        return
-    if isinstance(node, ast.RangeExpr):
-        _collect(node.low, bound, free)
-        _collect(node.high, bound, free)
-        return
-    if isinstance(node, ast.UnaryMinus):
-        _collect(node.operand, bound, free)
-        return
-    if isinstance(node, ast.PathExpr):
-        _collect(node.base, bound, free)
-        for step in node.steps:
-            for predicate in step.predicates:
-                _collect(predicate, bound, free)
-        return
-    if isinstance(node, ast.FilterExpr):
-        _collect(node.base, bound, free)
-        for predicate in node.predicates:
-            _collect(predicate, bound, free)
-        return
-    if isinstance(node, ast.XFunctionCall):
-        for arg in node.args:
-            _collect(arg, bound, free)
-        return
-    if isinstance(node, ast.ElementConstructor):
-        for attr in node.attributes:
-            for part in attr.parts:
-                if not isinstance(part, str):
-                    _collect(part, bound, free)
-        for part in node.content:
-            if not isinstance(part, str):
-                _collect(part, bound, free)
-        return
-    # Literals, ContextItem: nothing to do.
+    # No other node kind binds a variable (literals and the context
+    # item have no children).
+    for child in children(node):
+        _collect(child, bound, free)
+
+
+#: Per node class, the fields that can hold sub-expressions: all but
+#: those annotated as plain text, a flag or a literal's value.
+_CHILD_FIELDS = {
+    cls: tuple(field.name for field in fields(cls)
+               if field.type not in ("str", "bool", "object",
+                                     "Optional[str]"))
+    for cls in vars(ast).values()
+    if isinstance(cls, type) and is_dataclass(cls)}
+
+
+def children(node: ast.XNode) -> list:
+    """The direct sub-expressions of *node*, read off its dataclass
+    fields; FLWOR clauses, order specs, path steps and attribute
+    constructors are looked through to the expressions they hold."""
+    found: list = []
+    for name in _CHILD_FIELDS[type(node)]:
+        _gather(getattr(node, name), found)
+    return found
+
+
+def _gather(value, found: list) -> None:
+    if isinstance(value, ast.XExpr):
+        found.append(value)
+    elif isinstance(value, tuple):
+        for member in value:
+            _gather(member, found)
+    elif isinstance(value, ast.XNode):
+        found.extend(children(value))
+
+
+def map_children(node, fn):
+    """*node* with each direct sub-expression (as :func:`children`
+    finds them) replaced by ``fn(child)``; *node* itself when nothing
+    changed."""
+    changes = {}
+    for name in _CHILD_FIELDS[type(node)]:
+        old = getattr(node, name)
+        new = _mapped(old, fn)
+        if new is not old:
+            changes[name] = new
+    return replace(node, **changes) if changes else node
+
+
+def _mapped(value, fn):
+    if isinstance(value, ast.XExpr):
+        return fn(value)
+    if isinstance(value, tuple):
+        members = tuple(_mapped(member, fn) for member in value)
+        unchanged = all(a is b for a, b in zip(members, value))
+        return value if unchanged else members
+    if isinstance(value, ast.XNode):
+        return map_children(value, fn)
+    return value
 
 
 def subexpressions(node, in_predicate: bool = False) \
@@ -110,7 +127,7 @@ def subexpressions(node, in_predicate: bool = False) \
             yield from subexpressions(member, in_predicate)
     elif isinstance(node, ast.XNode):
         yield node, in_predicate
-        for name in node.__dataclass_fields__:
+        for name in _CHILD_FIELDS[type(node)]:
             yield from subexpressions(
                 getattr(node, name), in_predicate or name == "predicates")
 

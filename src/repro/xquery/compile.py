@@ -17,12 +17,14 @@ frame before emitting their first output). The planner's let/for fusion
 directly streamable for, so even the wrapped form never materializes the
 inner query's result.
 
-A :class:`CompiledQuery` additionally recognizes the wrapper's outermost
-``fn:string-join(expr, "literal")`` call and exposes
-:meth:`CompiledQuery.stream_chunks`, which yields the joined string in
-separator-interleaved pieces — the concatenation is byte-identical to the
-single string the interpreter returns, but the driver can decode
-delimited cells incrementally as chunks arrive.
+Each FLWOR is planned once per compile (``_Compiler._planned``) and a
+module body is lowered once: when it is the wrapper's outermost
+``fn:string-join(expr, "literal")`` call, to a chunk stream that yields
+the joined string in separator-interleaved pieces — the concatenation is
+byte-identical to the single string the interpreter returns, but the
+driver can decode delimited cells incrementally as chunks arrive — and
+otherwise to one lazy item stream. :meth:`CompiledQuery.evaluate`,
+``stream_items`` and ``stream_chunks`` are views of that one form.
 
 Stage 3 writes outer joins and subqueries as expressions that sit inside
 a per-tuple clause (``let $t := (for ... where k eq k' ...)``,
@@ -44,8 +46,9 @@ from __future__ import annotations
 import inspect
 import threading
 import time
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, count
 from typing import Callable, Iterable, Iterator, Optional
 
 from ..errors import XQueryDynamicError, XQueryStaticError, XQueryTypeError
@@ -157,14 +160,13 @@ class CompiledQuery:
     """
 
     __slots__ = ("module", "compile_seconds", "plan_reports", "batched",
-                 "vector_plan", "_run", "_stream", "_chunks")
+                 "vector_plan", "_items", "_chunks")
 
-    def __init__(self, module: ast.Module, run: _Thunk,
-                 stream: Callable[[_Frame], Iterable],
+    def __init__(self, module: ast.Module,
+                 items: Optional[Callable[[_Frame], Iterable]],
                  chunks: Optional[Callable[[_Frame], Iterator[str]]],
                  compile_seconds: float,
                  plan_reports: Optional[list] = None,
-                 batched: bool = False,
                  vector_plan=None):
         self.module = module
         self.compile_seconds = compile_seconds
@@ -173,15 +175,18 @@ class CompiledQuery:
         #: :data:`ACTUALS_KEY` for the matching actual counts.
         self.plan_reports = plan_reports or []
         #: True when the delimited-wrapper body lowered to the columnar
-        #: batch executor (``repro.xquery.vector``); the tuple pipeline
-        #: remains compiled alongside as the exact-semantics fallback.
-        self.batched = batched
+        #: batch executor (``repro.xquery.vector``); its tuple chunk
+        #: stream then serves only parameter shapes outside the scalar
+        #: column model.
+        self.batched = vector_plan is not None
         #: The executing ``repro.xquery.vector._VectorPlan`` when
         #: ``batched`` — the scatter/gather executor reads its shape
         #: and partition entry points. None on the tuple path.
         self.vector_plan = vector_plan
-        self._run = run
-        self._stream = stream
+        #: The body's one compiled form: the wrapper's text-chunk
+        #: stream, else (``_chunks`` is None) a lazy item stream. The
+        #: three public views below all read it.
+        self._items = items
         self._chunks = chunks
 
     @property
@@ -225,13 +230,19 @@ class CompiledQuery:
         (keys match :attr:`plan_reports` node ids)."""
         if context is not None:
             context.check()
-        return self._run(self._root(variables, context, actuals))
+        root = self._root(variables, context, actuals)
+        if self._chunks is not None:
+            return ["".join(self._chunks(root))]
+        return list(self._items(root))
 
     def stream_items(self, variables: Optional[dict[str, object]] = None,
                      context=None, actuals=None) -> Iterator:
         """Lazily yield result items; FLWOR bodies pull rows through the
-        live pipeline on demand."""
-        return iter(self._stream(self._root(variables, context, actuals)))
+        live pipeline on demand (a text wrapper's one item is its whole
+        string)."""
+        if self._chunks is not None:
+            return iter(self.evaluate(variables, context, actuals))
+        return iter(self._items(self._root(variables, context, actuals)))
 
     def stream_chunks(self, variables: Optional[dict[str, object]] = None,
                       context=None, actuals=None) -> Iterator[str]:
@@ -275,11 +286,10 @@ def compile_module(module: ast.Module,
     started = time.perf_counter()
     compiler = _Compiler(module, resolver, optimize, pushdown, statistics,
                          batch_size=batch_size, columnar=columnar)
-    run, stream, chunks = compiler.compile_body()
-    return CompiledQuery(module, run, stream, chunks,
+    items, chunks = compiler.compile_body()
+    return CompiledQuery(module, items, chunks,
                          time.perf_counter() - started,
                          compiler.plan_reports,
-                         batched=compiler.batched,
                          vector_plan=compiler.vector_plan)
 
 
@@ -303,6 +313,10 @@ def _resolver_accepts_scan(resolver) -> bool:
     return "scan" in _resolver_params(resolver)
 
 
+def _comparison_thunk(op: str, left: _Thunk, right: _Thunk) -> _Thunk:
+    return lambda frame: value_comparison(op, left(frame), right(frame))
+
+
 def _raiser(exc: Exception) -> _Thunk:
     """Defer a statically-detected error to call time, so dead code
     containing it stays dead — exactly the interpreter's behavior."""
@@ -311,6 +325,22 @@ def _raiser(exc: Exception) -> _Thunk:
         raise exc
 
     return run
+
+
+@dataclass
+class _PlannedFLWOR:
+    """One FLWOR after planning — the single object every lowering of
+    that FLWOR reads: the planner's clauses, advisory scan hints by
+    clause index, and the for-variables a restore-order clause re-sorts
+    on (their stages carry ordinals). ``fid`` is set when the tuple
+    lowering numbers the pipeline; a straight-line let/where FLWOR has
+    no plan nodes and keeps None."""
+
+    node: ast.FLWOR
+    clauses: list
+    hints: dict
+    ordinal_vars: frozenset
+    fid: Optional[int] = None
 
 
 class _Compiler:
@@ -322,7 +352,6 @@ class _Compiler:
         self._optimize = optimize
         self._batch_size = max(0, int(batch_size))
         self._columnar = columnar
-        self.batched = False
         #: The _VectorPlan when the body lowered to the batch executor;
         #: carried onto CompiledQuery for the scatter/gather executor.
         self.vector_plan = None
@@ -344,12 +373,13 @@ class _Compiler:
             self._estimator = CostEstimator(
                 self._source_statistics(statistics),
                 pushdown=self._pushdown)
-        #: id(FLWOR ast node) -> flwor id (likewise for the call node of
-        #: a once-per-execution subquery, which reports as a one-node
-        #: plan of its own); the body compiles once for the
-        #: materializing path and once for the streaming path, and
-        #: plan-node ids must agree between the two.
-        self._flwor_ids: dict[int, int] = {}
+        #: id(FLWOR ast node) -> its :class:`_PlannedFLWOR`; the tuple
+        #: lowering, the vector lowering and the plan reports all read
+        #: this one object (which keeps the node alive, so the id holds).
+        self._plans: dict[int, _PlannedFLWOR] = {}
+        #: Plan ids: one per lowered pipeline FLWOR and one per
+        #: once-per-execution subquery (a one-node plan of its own).
+        self._fids = count()
         self.plan_reports: list[dict] = []
 
     def _source_statistics(self, statistics):
@@ -362,11 +392,14 @@ class _Compiler:
         return lookup
 
     def compile_body(self):
+        """``(items, chunks)``, exactly one of them a closure: the
+        section-4 wrapper compiles to its text-chunk stream, any other
+        body to one lazy item stream."""
         body = self._module.body
-        run = self._compile(body)
-        stream = self._compile_stream(body, compiled=run)
         chunks = self._compile_chunks(body)
-        return run, stream, chunks
+        if chunks is not None:
+            return None, chunks
+        return self._compile_stream(body), None
 
     # -- once per execution ------------------------------------------------
 
@@ -429,16 +462,14 @@ class _Compiler:
 
     def _report_once(self, call: ast.XFunctionCall):
         """Plan-node id of a once-per-execution subquery; lists it (with
-        why it qualified) in the plan reports the first time."""
-        fid = self._flwor_ids.get(id(call))
-        if fid is None:
-            fid = self._flwor_ids[id(call)] = len(self._flwor_ids)
-            if self._estimator is not None:
-                self.plan_reports.append({"flwor": fid, "nodes": [{
-                    "id": (fid, 0),
-                    "label": (f"{call.display} subquery, once per "
-                              f"execution (reads no FLWOR variable)"),
-                    "estimate": None}]})
+        why it qualified) in the plan reports."""
+        fid = next(self._fids)
+        if self._estimator is not None:
+            self.plan_reports.append({"flwor": fid, "nodes": [{
+                "id": (fid, 0),
+                "label": (f"{call.display} subquery, once per "
+                          f"execution (reads no FLWOR variable)"),
+                "estimate": None}]})
         return fid, 0
 
     # -- dispatch (happens ONCE, at compile time) -------------------------
@@ -450,24 +481,16 @@ class _Compiler:
                 f"cannot compile node {type(expr).__name__}")
         return method(self, expr)
 
-    def _compile_stream(self, expr: ast.XExpr,
-                        compiled: Optional[_Thunk] = None) \
+    def _compile_stream(self, expr: ast.XExpr) \
             -> Callable[[_Frame], Iterable]:
         """Like :meth:`_compile` but the closure returns a lazy iterable
-        for FLWOR bodies; every other node just materializes — through
-        *compiled*, the node's thunk, when the caller already has it
-        (so a whole module body is not closure-compiled twice)."""
+        for FLWOR bodies; every other node just materializes."""
         if isinstance(expr, ast.FLWOR):
-            clauses, ret, hints = self._flwor_parts(expr)
-            linear = self._compile_linear(clauses, ret)
-            if linear is not None:
-                return linear
-            stages, node_ids = self._pipeline_stages(expr, clauses, hints)
-            return _flwor_stream(stages, ret, node_ids)
+            return self._compile_flwor(expr, lazy=True)
         subsequence = self._subsequence_parts(expr)
         if subsequence is not None:
             return self._compile_subsequence_stream(*subsequence)
-        return compiled if compiled is not None else self._compile(expr)
+        return self._compile(expr)
 
     def _subsequence_parts(self, expr) -> Optional[tuple]:
         """``(source, start, length|None)`` when *expr* is a
@@ -475,12 +498,8 @@ class _Compiler:
         None."""
         if not (isinstance(expr, ast.XFunctionCall)
                 and expr.local == "subsequence"
-                and 2 <= len(expr.args) <= 3):
-            return None
-        try:
-            if self._static.resolve_prefix(expr.prefix) != FN_URI:
-                return None
-        except XQueryStaticError:
+                and 2 <= len(expr.args) <= 3
+                and self._namespace(expr) == FN_URI):
             return None
         length = expr.args[2] if len(expr.args) == 3 else None
         return expr.args[0], expr.args[1], length
@@ -527,12 +546,8 @@ class _Compiler:
         if not (isinstance(body, ast.XFunctionCall)
                 and body.local == "string-join" and len(body.args) == 2
                 and isinstance(body.args[1], ast.XLiteral)
-                and isinstance(body.args[1].value, str)):
-            return None
-        try:
-            if self._static.resolve_prefix(body.prefix) != FN_URI:
-                return None
-        except XQueryStaticError:
+                and isinstance(body.args[1].value, str)
+                and self._namespace(body) == FN_URI):
             return None
         separator = body.args[1].value
         items = self._compile_stream(body.args[0])
@@ -556,11 +571,8 @@ class _Compiler:
             # constants, so the cycle must break here.
             from .vector import try_compile_wrapper
 
-            plan = try_compile_wrapper(self, body.args[0],
-                                       self._batch_size,
-                                       self._columnar, chunks)
+            plan = try_compile_wrapper(self, body.args[0], chunks)
             if plan is not None:
-                self.batched = True
                 self.vector_plan = plan
                 return plan.chunks
         return chunks
@@ -632,10 +644,8 @@ class _Compiler:
         return run
 
     def _compile_value_comparison(self, expr: ast.ValueComparison) -> _Thunk:
-        op = expr.op
-        left = self._compile(expr.left)
-        right = self._compile(expr.right)
-        return lambda frame: value_comparison(op, left(frame), right(frame))
+        return _comparison_thunk(expr.op, self._compile(expr.left),
+                                 self._compile(expr.right))
 
     def _compile_general_comparison(self,
                                     expr: ast.GeneralComparison) -> _Thunk:
@@ -878,49 +888,47 @@ class _Compiler:
 
     # -- FLWOR: the streaming pipeline ------------------------------------
 
-    def _flwor_parts(self, expr: ast.FLWOR) -> tuple[list, _Thunk, dict]:
-        if self._optimize:
-            clauses = plan_clauses(expr.clauses, expr.return_expr,
-                                   estimator=self._estimator,
-                                   external_vars=self._external_vars)
-        else:
+    def _planned(self, expr: ast.FLWOR) -> "_PlannedFLWOR":
+        """The planned form of *expr*, built on first request."""
+        planned = self._plans.get(id(expr))
+        if planned is None:
             clauses = list(expr.clauses)
-        hints: dict = {}
-        if self._pushdown:
-            hints = scan_requests(
-                clauses, expr.return_expr, self._external_vars,
-                lambda source: self._scan_call(source) is not None)
-        return clauses, self._compile(expr.return_expr), hints
+            if self._optimize:
+                clauses = plan_clauses(expr.clauses, expr.return_expr,
+                                       estimator=self._estimator,
+                                       external_vars=self._external_vars)
+            hints: dict = {}
+            if self._pushdown:
+                hints = scan_requests(
+                    clauses, expr.return_expr, self._external_vars,
+                    lambda source: self._scan_call(source) is not None)
+            planned = self._plans[id(expr)] = _PlannedFLWOR(
+                expr, clauses, hints, frozenset(
+                    var for clause in clauses
+                    if isinstance(clause, RestoreOrderClause)
+                    for var in clause.vars))
+        return planned
 
-    def _pipeline_stages(self, expr: ast.FLWOR, clauses,
-                         hints: dict) -> tuple[list, list]:
-        """Compile *clauses* into pipeline stages plus their plan-node
-        ids; records the FLWOR's plan report (labels + estimates) once,
-        shared between the materializing and streaming compilations."""
-        ordinal_vars: set[str] = set()
-        for clause in clauses:
-            if isinstance(clause, RestoreOrderClause):
-                ordinal_vars.update(clause.vars)
-        stages = [self._compile_clause(clause, hints.get(i),
-                                       frozenset(ordinal_vars))
-                  for i, clause in enumerate(clauses)]
-        fid = self._flwor_ids.get(id(expr))
-        if fid is None:
-            fid = self._flwor_ids[id(expr)] = len(self._flwor_ids)
-            if self._estimator is not None:
-                estimates = estimate_plan(clauses, self._estimator,
-                                          self._external_vars)
-                self.plan_reports.append({
-                    "flwor": fid,
-                    "nodes": [{"id": (fid, i),
-                               "label": _clause_label(
-                                   clause,
-                                   isinstance(clause, HashJoinClause)
-                                   and self._built_once(clause)),
-                               "estimate": estimates[i]}
-                              for i, clause in enumerate(clauses)],
-                })
-        return stages, [(fid, i) for i in range(len(stages))]
+    def _number(self, planned: "_PlannedFLWOR") -> list:
+        """Give a lowered pipeline FLWOR its plan id and list its nodes
+        (labels + estimates) in the plan reports; returns the node ids
+        its stages count actual rows under."""
+        clauses = planned.clauses
+        fid = planned.fid = next(self._fids)
+        if self._estimator is not None:
+            estimates = estimate_plan(clauses, self._estimator,
+                                      self._external_vars)
+            self.plan_reports.append({
+                "flwor": fid,
+                "nodes": [{"id": (fid, i),
+                           "label": _clause_label(
+                               clause,
+                               isinstance(clause, HashJoinClause)
+                               and self._built_once(clause)),
+                           "estimate": estimates[i]}
+                          for i, clause in enumerate(clauses)],
+            })
+        return [(fid, i) for i in range(len(clauses))]
 
     def _compile_linear(self, clauses, ret: _Thunk) -> Optional[_Thunk]:
         """Straight-line lowering for FLWORs with only let/where clauses
@@ -945,17 +953,31 @@ class _Compiler:
                     return []
         return body
 
-    def _compile_flwor(self, expr: ast.FLWOR) -> _Thunk:
-        clauses, ret, hints = self._flwor_parts(expr)
-        linear = self._compile_linear(clauses, ret)
+    def _compile_flwor(self, expr: ast.FLWOR, lazy: bool = False):
+        """The one tuple lowering of a FLWOR: planned clauses become
+        pipeline stages feeding the return thunk. *lazy* picks the view
+        — an item stream for positions consumed incrementally, else the
+        materialized sequence."""
+        planned = self._planned(expr)
+        ret = self._compile(expr.return_expr)
+        linear = self._compile_linear(planned.clauses, ret)
         if linear is not None:
             return linear
-        stages, node_ids = self._pipeline_stages(expr, clauses, hints)
+        stages = [self._compile_clause(clause, planned.hints.get(i),
+                                       planned.ordinal_vars)
+                  for i, clause in enumerate(planned.clauses)]
+        node_ids = self._number(planned)
+
+        if lazy:
+            def stream(frame: _Frame) -> Iterator:
+                for t in _pipeline(stages, node_ids, frame):
+                    yield from ret(t)
+
+            return stream
 
         def run(frame: _Frame) -> Sequence:
-            frames = _pipeline(stages, node_ids, frame)
             result: list = []
-            for t in frames:
+            for t in _pipeline(stages, node_ids, frame):
                 result.extend(ret(t))
             return result
 
@@ -972,15 +994,19 @@ class _Compiler:
     def _service_call(self, expr) -> Optional[tuple[str, str]]:
         """``(uri, local)`` when *expr* is a call, of any arity, that
         goes to the host's resolver (a data service), else None."""
-        if not isinstance(expr, ast.XFunctionCall):
-            return None
-        try:
-            uri = self._static.resolve_prefix(expr.prefix)
-        except XQueryStaticError:
-            return None
-        if uri == XS_URI or is_builtin_namespace(uri):
+        uri = self._namespace(expr) \
+            if isinstance(expr, ast.XFunctionCall) else None
+        if uri is None or uri == XS_URI or is_builtin_namespace(uri):
             return None
         return uri, expr.local
+
+    def _namespace(self, call: ast.XFunctionCall) -> Optional[str]:
+        """The namespace *call*'s prefix resolves to, None when it is
+        undeclared (the call then fails when, and if, it runs)."""
+        try:
+            return self._static.resolve_prefix(call.prefix)
+        except XQueryStaticError:
+            return None
 
     def _compile_scan(self, expr: ast.XFunctionCall, request) -> _Thunk:
         """A scan closure that forwards the advisory *request* to the
@@ -1111,7 +1137,15 @@ class _Compiler:
         var = join.for_clause.var
         build_fns = [self._compile(build) for build, _p, _c in join.keys]
         probe_fns = [self._compile(probe) for _b, probe, _c in join.keys]
-        cond_fns = [self._compile(cond) for _b, _p, cond in join.keys]
+        # The pairwise condition is the ``eq`` whose two operands the
+        # planner split into build and probe key, so it is assembled
+        # from their thunks: no operand is lowered a second time.
+        cond_fns = [
+            _comparison_thunk(cond.op, build_fn, probe_fn)
+            if cond.left is build
+            else _comparison_thunk(cond.op, probe_fn, build_fn)
+            for (build, _p, cond), build_fn, probe_fn
+            in zip(join.keys, build_fns, probe_fns)]
         filter_fns = [self._compile(f) for f in join.filters]
         triples = list(zip(build_fns, probe_fns, cond_fns))
         stats = STATS
@@ -1351,15 +1385,6 @@ def _clause_label(clause, built_once: bool = False) -> str:
     if isinstance(clause, ast.OrderClause):
         return "order"
     return type(clause).__name__
-
-
-def _flwor_stream(stages: list[_Stage], ret: _Thunk,
-                  node_ids: list) -> Callable[[_Frame], Iterator]:
-    def stream(frame: _Frame) -> Iterator:
-        for t in _pipeline(stages, node_ids, frame):
-            yield from ret(t)
-
-    return stream
 
 
 def _apply_predicates(items: Sequence, predicates: list[_Thunk],

@@ -39,10 +39,8 @@ from .functions import DEFAULT_NAMESPACES, call_builtin, is_builtin_namespace
 from .planner import (
     HashJoinClause,
     grouping_key as _grouping_key,
-    hoist_filters,
     join_key as _join_key,
     plan_clauses,
-    split_conjuncts as _split_conjuncts,
 )
 
 #: Host-supplied resolver for module-level (data service) functions:
@@ -58,9 +56,6 @@ FunctionResolver = Callable[[str, str, list], list]
 #: XQuery variable name, and it rides along frame ``bind()`` copies for
 #: free. ``repro.engine.lifecycle`` re-exports it as the canonical name.
 CONTEXT_KEY = "\x00lifecycle"
-
-#: Back-compat alias: the planner owns the class since the executor split.
-_HashJoinClause = HashJoinClause
 
 
 class StaticContext:
@@ -382,14 +377,6 @@ class Evaluator:
     # is preserved exactly: NULL (empty) keys never match, cross-
     # category key comparisons fall back to pairwise evaluation so type
     # errors still surface, and NaN never matches itself.
-
-    def _hoist_filters(self, clauses):
-        """Back-compat shim over :func:`repro.xquery.planner.hoist_filters`."""
-        return hoist_filters(clauses)
-
-    def _plan_clauses(self, clauses):
-        """Back-compat shim over :func:`repro.xquery.planner.plan_clauses`."""
-        return plan_clauses(clauses)
 
     def _apply_hash_join(self, join: HashJoinClause,
                          tuples: list[_Frame]) -> list[_Frame]:

@@ -41,7 +41,7 @@ from decimal import Decimal
 from typing import Optional
 
 from . import ast
-from .analysis import free_vars
+from .analysis import children, free_vars, map_children, subexpressions
 from .atomic import is_node, is_numeric_value
 
 
@@ -1191,7 +1191,7 @@ def _columns_used(var: str, exprs) -> Optional[set]:
             return True
         if isinstance(node, ast.VarRef):
             return node.name != var
-        for child in _iter_children(node):
+        for child in children(node):
             if not walk(child):
                 return False
         return True
@@ -1200,61 +1200,6 @@ def _columns_used(var: str, exprs) -> Optional[set]:
         if not walk(expr):
             return None
     return used
-
-
-def _iter_children(node):
-    """Yield the direct sub-expressions of *node* (mirrors the node
-    kinds handled by ``analysis._collect``)."""
-    if isinstance(node, ast.FLWOR):
-        for clause in node.clauses:
-            if isinstance(clause, ast.ForClause):
-                yield clause.source
-            elif isinstance(clause, ast.LetClause):
-                yield clause.value
-            elif isinstance(clause, ast.WhereClause):
-                yield clause.condition
-            elif isinstance(clause, ast.GroupClause):
-                for key_expr, _v in clause.keys:
-                    yield key_expr
-            elif isinstance(clause, ast.OrderClause):
-                for spec in clause.specs:
-                    yield spec.key
-        yield node.return_expr
-    elif isinstance(node, ast.QuantifiedExpr):
-        yield node.source
-        yield node.condition
-    elif isinstance(node, ast.SequenceExpr):
-        yield from node.items
-    elif isinstance(node, ast.IfExpr):
-        yield node.condition
-        yield node.then
-        yield node.else_
-    elif isinstance(node, (ast.OrExpr, ast.AndExpr, ast.ValueComparison,
-                           ast.GeneralComparison, ast.Arithmetic)):
-        yield node.left
-        yield node.right
-    elif isinstance(node, ast.RangeExpr):
-        yield node.low
-        yield node.high
-    elif isinstance(node, ast.UnaryMinus):
-        yield node.operand
-    elif isinstance(node, ast.PathExpr):
-        yield node.base
-        for step in node.steps:
-            yield from step.predicates
-    elif isinstance(node, ast.FilterExpr):
-        yield node.base
-        yield from node.predicates
-    elif isinstance(node, ast.XFunctionCall):
-        yield from node.args
-    elif isinstance(node, ast.ElementConstructor):
-        for attr in node.attributes:
-            for part in attr.parts:
-                if not isinstance(part, str):
-                    yield part
-        for part in node.content:
-            if not isinstance(part, str):
-                yield part
 
 
 # ---------------------------------------------------------------------------
@@ -1385,48 +1330,11 @@ class AggregateClause:
 
 def _rewrite_expr(node, hook):
     """Rebuild *node* bottom-up, replacing any sub-expression for which
-    *hook* returns a non-None node (the replacement is NOT re-visited).
-    Node kinds mirror :func:`_iter_children`; unknown/leaf kinds are
-    returned unchanged."""
+    *hook* returns a non-None node (the replacement is NOT re-visited)."""
     replacement = hook(node)
     if replacement is not None:
         return replacement
-
-    def rw(child):
-        return _rewrite_expr(child, hook)
-
-    if isinstance(node, ast.SequenceExpr):
-        return replace(node, items=tuple(rw(item) for item in node.items))
-    if isinstance(node, ast.IfExpr):
-        return replace(node, condition=rw(node.condition),
-                       then=rw(node.then), else_=rw(node.else_))
-    if isinstance(node, (ast.OrExpr, ast.AndExpr, ast.ValueComparison,
-                         ast.GeneralComparison, ast.Arithmetic)):
-        return replace(node, left=rw(node.left), right=rw(node.right))
-    if isinstance(node, ast.RangeExpr):
-        return replace(node, low=rw(node.low), high=rw(node.high))
-    if isinstance(node, ast.UnaryMinus):
-        return replace(node, operand=rw(node.operand))
-    if isinstance(node, ast.PathExpr):
-        return replace(node, base=rw(node.base), steps=tuple(
-            replace(step, predicates=tuple(rw(p) for p in step.predicates))
-            for step in node.steps))
-    if isinstance(node, ast.FilterExpr):
-        return replace(node, base=rw(node.base),
-                       predicates=tuple(rw(p) for p in node.predicates))
-    if isinstance(node, ast.XFunctionCall):
-        return replace(node, args=tuple(rw(arg) for arg in node.args))
-    if isinstance(node, ast.ElementConstructor):
-        return replace(
-            node,
-            attributes=tuple(
-                replace(attr, parts=tuple(
-                    part if isinstance(part, str) else rw(part)
-                    for part in attr.parts))
-                for attr in node.attributes),
-            content=tuple(part if isinstance(part, str) else rw(part)
-                          for part in node.content))
-    return node
+    return map_children(node, lambda child: _rewrite_expr(child, hook))
 
 
 def substitute_var(expr, old: str, new: str):
@@ -1437,12 +1345,6 @@ def substitute_var(expr, old: str, new: str):
         expr,
         lambda node: ast.VarRef(name=new)
         if isinstance(node, ast.VarRef) and node.name == old else None)
-
-
-def _contains_binder(node) -> bool:
-    if isinstance(node, (ast.FLWOR, ast.QuantifiedExpr)):
-        return True
-    return any(_contains_binder(child) for child in _iter_children(node))
 
 
 def _match_aggregate(node, partition_var: str, is_fn):
@@ -1499,7 +1401,9 @@ def _match_aggregate(node, partition_var: str, is_fn):
             and head.source.name == partition_var):
         return None
     value = inner.return_expr
-    if _contains_binder(value) or partition_var in free_vars(value):
+    if partition_var in free_vars(value) or any(
+            isinstance(nested, (ast.FLWOR, ast.QuantifiedExpr))
+            for nested, _in_predicate in subexpressions(value)):
         return None
     return (func, False, distinct, empty_zero, head.var, value)
 

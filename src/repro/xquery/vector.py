@@ -66,8 +66,6 @@ from .planner import (
     grouping_key,
     join_key,
     lower_group_aggregates,
-    plan_clauses,
-    scan_requests,
 )
 
 #: xs: simple types whose :func:`serialize_atomic` form can never contain
@@ -349,10 +347,7 @@ def _vcompile(cc: _Ctx, expr, env: dict) -> Optional[_V]:
 
 def _vcompile_call(cc: _Ctx, expr: ast.XFunctionCall,
                    env: dict) -> Optional[_V]:
-    try:
-        uri = cc.compiler._static.resolve_prefix(expr.prefix)
-    except Exception:
-        return None
+    uri = cc.compiler._namespace(expr)
     local, args = expr.local, expr.args
     if uri == FN_URI:
         if local == "data" and len(args) == 1:
@@ -558,13 +553,9 @@ def _vcompile_value_comparison(cc: _Ctx, expr: ast.ValueComparison,
 
 def _is_fn_call(cc: _Ctx, expr, uri: str, local: str,
                 arity: int) -> bool:
-    if not (isinstance(expr, ast.XFunctionCall) and expr.local == local
-            and len(expr.args) == arity):
-        return False
-    try:
-        return cc.compiler._static.resolve_prefix(expr.prefix) == uri
-    except Exception:
-        return False
+    return (isinstance(expr, ast.XFunctionCall) and expr.local == local
+            and len(expr.args) == arity
+            and cc.compiler._namespace(expr) == uri)
 
 
 def _match_cell(cc: _Ctx, expr, tok: str) -> Optional[str]:
@@ -922,8 +913,7 @@ def _partial_agg_pays(info: _AggInfo) -> bool:
     return info.group_estimate <= 0.5 * info.row_estimate
 
 
-def try_compile_wrapper(compiler, arg, batch_size: int, columnar,
-                        fallback) -> Optional["_VectorPlan"]:
+def try_compile_wrapper(compiler, arg, fallback) -> Optional["_VectorPlan"]:
     """Compile the wrapper's ``fn:string-join`` argument *arg* into a
     vector plan. Returns the :class:`_VectorPlan` (its ``chunks`` bound
     method is the chunks closure) or None; *fallback* is the tuple-path
@@ -932,9 +922,9 @@ def try_compile_wrapper(compiler, arg, batch_size: int, columnar,
     if not isinstance(arg, ast.FLWOR):
         return None
     cc = _Ctx(compiler)
-    outer = plan_clauses(arg.clauses, arg.return_expr,
-                         estimator=compiler._estimator,
-                         external_vars=compiler._external_vars)
+    columnar = compiler._columnar
+    outer_plan = compiler._planned(arg)
+    outer = outer_plan.clauses
     if len(outer) != 1 or not isinstance(outer[0], ast.ForClause):
         return None
     tok = outer[0].var
@@ -964,21 +954,10 @@ def try_compile_wrapper(compiler, arg, batch_size: int, columnar,
     if not isinstance(source, ast.FLWOR):
         return None
 
-    clauses = plan_clauses(source.clauses, source.return_expr,
-                           estimator=compiler._estimator,
-                           external_vars=compiler._external_vars)
-    hints: dict = {}
-    if compiler._pushdown:
-        hints = scan_requests(
-            clauses, source.return_expr, compiler._external_vars,
-            lambda s: compiler._scan_call(s) is not None)
+    inner_plan = compiler._planned(source)
+    clauses, hints = inner_plan.clauses, inner_plan.hints
     if not clauses:
         return None
-
-    restore_vars: set[str] = set()
-    for clause in clauses:
-        if isinstance(clause, RestoreOrderClause):
-            restore_vars.update(clause.vars)
 
     def scan_info(for_clause, hint) -> Optional[_ScanInfo]:
         call = compiler._scan_call(for_clause.source)
@@ -987,7 +966,7 @@ def try_compile_wrapper(compiler, arg, batch_size: int, columnar,
         if columnar.column_scan_schema(*call) is None:
             return None
         return _ScanInfo(for_clause.var, call[0], call[1], hint,
-                         for_clause.var in restore_vars)
+                         for_clause.var in inner_plan.ordinal_vars)
 
     def scan_env(info: _ScanInfo) -> dict:
         schema = columnar.column_scan_schema(info.uri, info.local)
@@ -1107,13 +1086,13 @@ def try_compile_wrapper(compiler, arg, batch_size: int, columnar,
 
     return _VectorPlan(
         columnar=columnar,
-        batch_size=batch_size,
+        batch_size=compiler._batch_size,
         stages=stages,
         window=window,
         projections=projections,
         param_names=frozenset(cc.params),
-        inner_fid=compiler._flwor_ids.get(id(source)),
-        outer_fid=compiler._flwor_ids.get(id(arg)),
+        inner_fid=inner_plan.fid,
+        outer_fid=outer_plan.fid,
         fallback=fallback,
     )
 
@@ -1202,16 +1181,23 @@ class _VectorPlan:
 
     # -- entry ------------------------------------------------------------
 
-    def chunks(self, frame: _Frame) -> Iterator[str]:
+    def _scalar_params(self, frame: _Frame) -> Optional[dict]:
+        """The plan's external parameters as scalars (None = NULL), or
+        None when one is sequence- or node-valued: outside the scalar
+        column model, where only the tuple path is exact."""
         params: dict = {}
         for name in self.param_names:
             bound = frame.variables.get(name, [])
             if len(bound) > 1 or (bound and is_node(bound[0])):
-                # A sequence- or node-valued parameter is outside the
-                # scalar column model; the tuple path is exact.
-                VSTATS.fallbacks += 1
-                return self.fallback(frame)
+                return None
             params[name] = bound[0] if bound else None
+        return params
+
+    def chunks(self, frame: _Frame) -> Iterator[str]:
+        params = self._scalar_params(frame)
+        if params is None:
+            VSTATS.fallbacks += 1
+            return self.fallback(frame)
         state = _State(frame, frame.variables.get(CONTEXT_KEY), params,
                        frame.variables.get(ACTUALS_KEY))
         VSTATS.executions += 1
@@ -1238,14 +1224,11 @@ class _VectorPlan:
         the partition's scanned (post-pushdown, pre-filter) row count —
         the parent's admission charge.
         """
-        params: dict = {}
-        for name in self.param_names:
-            bound = frame.variables.get(name, [])
-            if len(bound) > 1 or (bound and is_node(bound[0])):
-                raise XQueryTypeError(
-                    "parameter shape outside the vector subset",
-                    code="FORG0006")
-            params[name] = bound[0] if bound else None
+        params = self._scalar_params(frame)
+        if params is None:
+            raise XQueryTypeError(
+                "parameter shape outside the vector subset",
+                code="FORG0006")
         state = _State(frame, frame.variables.get(CONTEXT_KEY), params,
                        None)
         scanned: list = [0]

@@ -4,7 +4,7 @@ the query lifecycle subsystem."""
 
 import threading
 import time
-from itertools import islice
+from itertools import count, islice
 
 import pytest
 
@@ -163,7 +163,18 @@ class TestMutationLifecycle:
     def state(source):
         return list(source.scan("FACTS")), source.version("FACTS")
 
-    def test_expired_deadline_raises_like_select(self, rig):
+    @pytest.fixture
+    def expiring_clock(self):
+        """Every clock reading is a second after the last, so a 100 us
+        deadline set from one reading has passed by the first check
+        after it, however fast the statement is."""
+        ticks = count()
+        clock.set_monotonic(lambda: float(next(ticks)))
+        yield
+        clock.set_monotonic(None)
+
+    def test_expired_deadline_raises_like_select(self, rig,
+                                                 expiring_clock):
         connection, source = rig
         before = self.state(source)
         cursor = connection.cursor()

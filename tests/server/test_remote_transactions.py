@@ -56,6 +56,21 @@ class TestRemoteDML:
             cur.execute("UPDATE CUSTOMERS SET CREDITLIMIT = "
                         "MAX(CREDITLIMIT)")
 
+    @pytest.mark.parametrize("sql", [
+        "SELECT CUSTOMERID FROM CUSTOMERS WHERE CUSTOMERID = -'5'",
+        "UPDATE CUSTOMERS SET CREDITLIMIT = 1 WHERE CUSTOMERID = -'5'",
+        "DELETE FROM CUSTOMERS WHERE CUSTOMERID = -'5'",
+    ])
+    def test_unary_minus_on_text_fails_alike(self, conn, sql):
+        """The DML predicate evaluator used to leak a bare TypeError
+        where the SELECT path raises the typed SQL error: one PEP 249
+        class for all three statement kinds, embedded and remote."""
+        for connection in (connect(build_runtime()), conn):
+            with pytest.raises(repro.ProgrammingError,
+                               match="requires a numeric operand"):
+                connection.cursor().execute(sql)
+            assert count(connection) == 6
+
     def test_executemany(self, conn):
         cur = conn.cursor()
         cur.executemany(

@@ -10,8 +10,9 @@ from repro.errors import XQueryTypeError
 from repro.xmlmodel import element
 from repro.xquery import parse_xquery
 from repro.xquery.analysis import free_vars
-from repro.xquery.evaluator import Evaluator, _HashJoinClause
+from repro.xquery.evaluator import Evaluator
 from repro.xquery.parser import parse_xquery_expr
+from repro.xquery.planner import HashJoinClause, plan_clauses
 
 
 def run_both(text, variables=None):
@@ -143,13 +144,10 @@ class TestHashJoinSemantics:
 
 class TestPlannerScope:
     def plan_of(self, text):
-        module = parse_xquery(text)
-        evaluator = Evaluator(module, variables={}, optimize=True)
-        flwor = module.body
-        return evaluator._plan_clauses(flwor.clauses)
+        return plan_clauses(parse_xquery(text).body.clauses)
 
     def has_hash_join(self, text):
-        return any(isinstance(c, _HashJoinClause)
+        return any(isinstance(c, HashJoinClause)
                    for c in self.plan_of(text))
 
     def test_equi_join_planned(self):
@@ -206,28 +204,26 @@ class TestPlannerScope:
         plan = self.plan_of(
             "for $a in $l for $b in $r "
             "where fn:data($a/K) eq fn:data($b/J) return 1")
-        assert any(isinstance(c, _HashJoinClause) for c in plan)
+        assert any(isinstance(c, HashJoinClause) for c in plan)
 
 
 class TestFilterHoisting:
     def plan_of(self, text):
-        module = parse_xquery(text)
-        evaluator = Evaluator(module, variables={}, optimize=True)
-        return evaluator._plan_clauses(module.body.clauses)
+        return plan_clauses(parse_xquery(text).body.clauses)
 
     def test_three_way_join_is_two_hash_joins(self):
         plan = self.plan_of(
             "for $a in $x for $b in $y for $c in $z "
             "where fn-bea:and3((fn:data($a/K) eq fn:data($b/K)), "
             "(fn:data($a/K) eq fn:data($c/K))) return 1")
-        assert sum(isinstance(c, _HashJoinClause) for c in plan) == 2
+        assert sum(isinstance(c, HashJoinClause) for c in plan) == 2
 
     def test_and_operator_also_split(self):
         plan = self.plan_of(
             "for $a in $x for $b in $y "
             "where fn:data($a/K) eq fn:data($b/K) and fn:data($b/V) eq 1 "
             "return 1")
-        assert any(isinstance(c, _HashJoinClause) for c in plan)
+        assert any(isinstance(c, HashJoinClause) for c in plan)
 
     def test_hoisting_preserves_rows(self):
         """Selection conjuncts that hoist above later fors keep exactly
@@ -290,7 +286,6 @@ class TestTranslatedJoins:
             "SELECT C.CUSTOMERNAME, P.PAYMENT FROM CUSTOMERS C "
             "INNER JOIN PAYMENTS P ON C.CUSTOMERID = P.CUSTID")
         module = parse_xquery(result.xquery)
-        evaluator = Evaluator(module, variables={}, optimize=True)
 
         def find_flwor(expr):
             from repro.xquery import ast as xast
@@ -306,5 +301,5 @@ class TestTranslatedJoins:
 
         flwor = find_flwor(module.body)
         assert flwor is not None
-        plan = evaluator._plan_clauses(flwor.clauses)
-        assert any(isinstance(c, _HashJoinClause) for c in plan)
+        plan = plan_clauses(flwor.clauses)
+        assert any(isinstance(c, HashJoinClause) for c in plan)
