@@ -381,13 +381,20 @@ class Connection:
         whose ``format`` changes never serves a ``delimited`` wrapper
         query where a ``recordset`` one is expected (or vice versa).
         Concurrent first translations of the same statement run once
-        (single-flight).
+        (single-flight). A cached entry holds what executing it needs —
+        the module, result columns and parameter types — and not the
+        stage-one/two ``unit`` it was generated from (EXPLAIN translates
+        afresh), nor its text unless someone asks for ``.xquery``.
         """
         self._check_open()
         fmt = "delimited" if self.format == "delimited" else "recordset"
         return self._statement_cache.get_or_load(
-            (fmt, sql),
-            lambda: self._translator.translate(sql, format=fmt))
+            (fmt, sql), lambda: self._load_translation(sql, fmt))
+
+    def _load_translation(self, sql: str, fmt: str) -> TranslationResult:
+        result = self._translator.translate(sql, format=fmt)
+        result.unit = None
+        return result
 
     def _parse_mutation(self, sql: str):
         """Parse a DML statement (with statement caching): returns the
@@ -643,8 +650,9 @@ class Cursor:
                 slot = connection._runtime.admission.acquire(context)
                 try:
                     with tracer.span("evaluate"):
-                        plan = connection._runtime.prepare(
-                            translation.xquery, tracer=tracer)
+                        plan = connection._runtime.prepare_module(
+                            (translation.format, operation),
+                            translation.module, tracer=tracer)
                         translation.stage_timings.setdefault(
                             "compile", plan.compile_seconds)
                         # With tracing on, a cost-planned statement also

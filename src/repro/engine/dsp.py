@@ -45,6 +45,7 @@ from ..obs import NULL_TRACER, LRUCache, MetricsRegistry
 from ..sources import DataSource, ScanRequest, filter_request
 from ..sources.memory import TableSource
 from ..xmlmodel import Element, QName, Text
+from ..xquery import ast as xq
 from ..xquery import parse_xquery
 from ..xquery.atomic import parse_lexical, serialize_atomic
 from ..xquery.compile import CompiledQuery, compile_module
@@ -123,10 +124,11 @@ class DSPRuntime:
         self.metrics = MetricsRegistry() if metrics is None else metrics
         self._functions: dict[tuple[str, str], DataServiceFunction] = {}
         #: Compiled-plan cache: bounded, thread-safe, single-flight, so
-        #: concurrent executions of the same XQuery parse and compile it
-        #: once. Keyed like the driver's statement cache, by query text
-        #: (plus the optimize/pushdown flags, so toggling either never
-        #: reuses a plan built under the other setting).
+        #: concurrent executions of the same query compile it once.
+        #: Keyed by the query's text (user-written XQuery) or by the
+        #: driver's statement-cache key (a translated module), plus the
+        #: optimize/pushdown flags, so toggling either never reuses a
+        #: plan built under the other setting.
         self.plan_cache = LRUCache(config.plan_cache_capacity,
                                    registry=self.metrics,
                                    prefix="plan_cache")
@@ -216,6 +218,9 @@ class DSPRuntime:
         self._agg_groups = self.metrics.counter("vector.agg_groups")
         self._partial_aggs = self.metrics.counter(
             "parallel.partial_aggs")
+        #: XQuery texts parsed (cold ``prepare(text)`` calls). A
+        #: translated statement arrives as a tree and never moves it.
+        self._parses = self.metrics.counter("xquery.parses")
 
     # -- source registry -----------------------------------------------------
 
@@ -743,7 +748,10 @@ class DSPRuntime:
     # -- query execution -----------------------------------------------------
 
     def prepare(self, xquery_text: str, tracer=None) -> CompiledQuery:
-        """Parse, plan, and closure-compile an XQuery (with caching).
+        """Parse, plan, and closure-compile XQuery *text* (with
+        caching): the entry point for user-written XQuery. A translated
+        statement never comes this way — see :meth:`prepare_module`,
+        which this joins once the text is parsed.
 
         The compiled plan is immutable and thread-safe, so one cache
         entry serves every subsequent execution of the same text. Pass a
@@ -752,9 +760,28 @@ class DSPRuntime:
         current span."""
         tracer = NULL_TRACER if tracer is None else tracer
 
-        def load() -> CompiledQuery:
+        def parse() -> xq.Module:
+            self._parses.increment()
             with tracer.span("xquery.parse"):
-                module = parse_xquery(xquery_text)
+                return parse_xquery(xquery_text)
+
+        return self._cached_plan(xquery_text, parse, tracer)
+
+    def prepare_module(self, key, module: xq.Module,
+                       tracer=None) -> CompiledQuery:
+        """Plan and closure-compile a module that is already a tree
+        (stage three's product), cached under *key*: whatever the
+        caller's own cache tells modules apart by — the driver passes
+        its statement-cache key, ``(format, sql)``, so looking a plan
+        up never prints or hashes the query. Plans are shared by every
+        connection of this runtime, so equal keys must mean equal
+        modules."""
+        return self._cached_plan(key, lambda: module,
+                                 NULL_TRACER if tracer is None else tracer)
+
+    def _cached_plan(self, key, load_module, tracer) -> CompiledQuery:
+        def load() -> CompiledQuery:
+            module = load_module()
             with tracer.span("xquery.compile"):
                 plan = compile_module(
                     module, resolver=self.call_function,
@@ -762,9 +789,9 @@ class DSPRuntime:
                     statistics=self.statistics_for if self.cost else None,
                     batch_size=self.batch_size, columnar=self)
             if plan.vector_plan is not None:
-                # The scatter executor re-prepares the plan by text in
-                # each worker; stamp the text so it can be shipped.
-                plan.vector_plan.xquery_text = xquery_text
+                # What the scatter executor prints and ships to its
+                # workers, should this plan ever scatter.
+                plan.vector_plan.module = module
             estimate = plan.estimated_rows
             if estimate is not None:
                 self._estimated_rows.add(int(round(estimate)))
@@ -775,7 +802,7 @@ class DSPRuntime:
         # epoch bumps and every plan costed under the old statistics
         # misses, forcing one recompile against fresh numbers.
         return self.plan_cache.get_or_load(
-            (xquery_text, self.optimize, self.pushdown, self.cost,
+            (key, self.optimize, self.pushdown, self.cost,
              self.batch_size, self._stats_epoch), load)
 
     def execute(self, xquery_text: str,

@@ -193,8 +193,9 @@ def execute(runtime, vplan, state) -> Optional[object]:
         return None
 
     timeout = state.ctx.remaining() if state.ctx is not None else None
+    text = vplan.xquery_text()
     tasks = [PartitionTask(
-        xquery_text=vplan.xquery_text, uri=info.uri, local=info.local,
+        xquery_text=text, uri=info.uri, local=info.local,
         spec=spec, params=dict(state.params), version=version,
         timeout=timeout, signature=vplan.signature)
         for spec in specs]

@@ -198,6 +198,10 @@ class DSPServer:
         self._server: Optional[asyncio.AbstractServer] = None
         self._sessions: dict[str, _Session] = {}
         self._session_ids = itertools.count(1)
+        #: The per-connection handler tasks now running; ``stop()``
+        #: cancels and awaits them, so none is left pending when the
+        #: loop stops.
+        self._handlers: set[asyncio.Task] = set()
         self._started_at: Optional[float] = None
         m = self.metrics
         self._c_connections = m.counter("server.connections")
@@ -235,6 +239,13 @@ class DSPServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
+        # A client still connected has a handler waiting on its socket:
+        # cancelling it runs the handler's own clean-up (session
+        # teardown, socket shutdown) before the loop goes away.
+        handlers = list(self._handlers)
+        for handler in handlers:
+            handler.cancel()
+        await asyncio.gather(*handlers, return_exceptions=True)
         sessions = list(self._sessions.values())
         self._sessions.clear()
         loop = asyncio.get_running_loop()
@@ -280,6 +291,8 @@ class DSPServer:
                              writer: asyncio.StreamWriter) -> None:
         self._c_connections.increment()
         session: Optional[_Session] = None
+        handler = asyncio.current_task()
+        self._handlers.add(handler)
         try:
             while True:
                 try:
@@ -358,6 +371,7 @@ class DSPServer:
         except (ConnectionError, asyncio.CancelledError):
             pass
         finally:
+            self._handlers.discard(handler)
             if session is not None:
                 await self._teardown(session)
             try:

@@ -202,7 +202,7 @@ class Shell:
             # Ask the active connection's runtime, which after \connect
             # may not be the one this shell was constructed over.
             runtime = getattr(self._connection, "_runtime", self._runtime)
-            plan = runtime.prepare(result.xquery)
+            plan = runtime.prepare_module((fmt, sql), result.module)
             self._out(explain(result.unit,
                               stage_timings=result.stage_timings,
                               plan_reports=plan.plan_reports))

@@ -2,8 +2,10 @@
 
 Paper section 3.4.1: "In stage-three, this transformed AST is traversed
 and, based on the context information in the nodes, the XQuery is
-generated piece by piece. Translated query snippets are stored in
-intermediate buffers and assembled as the translation proceeds."
+generated piece by piece." The pieces here are ``repro.xquery.ast``
+nodes, not text: the runtime compiles the tree as built, and
+``repro.xquery.printer`` renders it (and alone decides its layout)
+where text is wanted.
 
 Generation follows the paper's patterns:
 
@@ -21,10 +23,17 @@ Generation follows the paper's patterns:
 SQL three-valued logic is preserved by emitting value comparisons (which
 yield the empty sequence on NULL) and the ``fn-bea:`` 3VL combinators; see
 DESIGN.md section 5.
+
+Two rules keep the tree what the parser would build from its own text
+(``parse_xquery(print_module(m)) == m``): numbers are non-negative
+literals under :class:`~repro.xquery.ast.UnaryMinus`, and an expression
+the patterns use twice (a BETWEEN operand, say) is copied, never shared —
+the compiler memoises FLWOR plans by node identity.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Callable, Optional
@@ -33,6 +42,7 @@ from ..errors import SQLSemanticError, UnsupportedSQLError
 from ..sql import ast
 from ..sql.types import SQLType
 from ..catalog import sql_to_xs
+from ..xquery import ast as xq
 from .funcmap import extract_function_for, xquery_function_for
 from .rsn import DerivedRSN, JoinRSN, RSN, TableRSN
 from .stage2 import (
@@ -50,6 +60,37 @@ _EXACT_INT_KINDS = frozenset({"SMALLINT", "INTEGER", "BIGINT"})
 _VALUE_COMP_OPS = {"=": "eq", "<>": "ne", "<": "lt", "<=": "le",
                    ">": "gt", ">=": "ge"}
 
+#: A second occurrence of an already generated expression.
+_copy = copy.deepcopy
+
+_call = xq.call
+
+
+def _child(var: str, name: str) -> xq.PathExpr:
+    return xq.PathExpr(xq.VarRef(var), (xq.PathStep(name),))
+
+
+def _empty() -> xq.SequenceExpr:
+    return xq.SequenceExpr(())
+
+
+def _record(cells: list[tuple[str, xq.XExpr]]) -> xq.ElementConstructor:
+    return xq.ElementConstructor("RECORD", content=tuple(
+        xq.ElementConstructor(element, content=(value,))
+        for element, value in cells))
+
+
+def recordset(stream: xq.XExpr) -> xq.ElementConstructor:
+    return xq.ElementConstructor("RECORDSET", content=(stream,))
+
+
+def _flwor(clauses: list, result: xq.XExpr) -> xq.FLWOR:
+    return xq.FLWOR(tuple(clauses), result)
+
+
+def _not3_if(negated: bool, body: xq.XExpr) -> xq.XExpr:
+    return _call("fn-bea:not3", body) if negated else body
+
 
 @dataclass
 class Accessor:
@@ -66,13 +107,13 @@ class Accessor:
     mode: str            # "direct" | "record" | "join-record"
     rsn: RSN
 
-    def column_path(self, column_name: str) -> str:
+    def column_path(self, column_name: str) -> xq.PathExpr:
         if self.mode == "direct":
-            return f"${self.var}/{column_name}"
+            return _child(self.var, column_name)
         if self.mode == "record" and isinstance(self.rsn, DerivedRSN):
-            return f"${self.var}/{self.rsn.element_for(column_name)}"
-        element = record_element(self.rsn.binding_name, column_name)
-        return f"${self.var}/{element}"
+            return _child(self.var, self.rsn.element_for(column_name))
+        return _child(self.var,
+                      record_element(self.rsn.binding_name, column_name))
 
     def is_typed(self) -> bool:
         return self.mode == "direct"
@@ -135,9 +176,9 @@ class GroupContext:
 class _GroupRows:
     """The row stream feeding a group stage."""
 
-    source: str
+    source: xq.XExpr
     factory: Callable[[str], GenContext]
-    lets: list[tuple[str, str]]
+    lets: list[xq.LetClause]
     where_pending: bool
 
 
@@ -145,13 +186,13 @@ class _GroupRows:
 class _SourcePlan:
     """The FLWOR clauses a FROM clause compiles to."""
 
-    lets: list[tuple[str, str]] = field(default_factory=list)
-    fors: list[tuple[str, str]] = field(default_factory=list)
+    lets: list[xq.LetClause] = field(default_factory=list)
+    fors: list[xq.ForClause] = field(default_factory=list)
     conditions: list[ast.Expr] = field(default_factory=list)
 
 
 class Generator:
-    """Serializes a TranslationUnit into XQuery text."""
+    """Builds the XQuery tree of a TranslationUnit."""
 
     def __init__(self, unit: TranslationUnit):
         self._unit = unit
@@ -160,51 +201,33 @@ class Generator:
 
     # -- entry points ----------------------------------------------------
 
-    def generate(self) -> str:
-        """The complete query: prolog + <RECORDSET> body."""
-        body = self.generate_body()
-        return self._prolog() + f"<RECORDSET>{{\n{body}\n}}</RECORDSET>"
+    def generate(self, wrap: Callable[[xq.XExpr], xq.XExpr] = recordset) \
+            -> xq.Module:
+        """The complete query: prolog + the RECORD stream under *wrap*
+        (the ``<RECORDSET>`` constructor, or the section-4 wrapper)."""
+        for rsn in self._unit.table_rsns:
+            key = (rsn.metadata.namespace, rsn.metadata.schema_location)
+            if key not in self._imports:
+                self._imports[key] = f"ns{len(self._imports)}"
+        prolog = (*(xq.SchemaImport(prefix, uri, location or None)
+                    for (uri, location), prefix in self._imports.items()),
+                  *(xq.VarDecl(f"p{index}")
+                    for index in sorted(self._unit.param_types)))
+        return xq.Module(prolog, wrap(self._generate_body()))
 
-    def generate_body(self) -> str:
+    def _generate_body(self) -> xq.XExpr:
         """The RECORD-stream expression without prolog or RECORDSET."""
-        self._collect_imports()
-        root = GenContext()
-        stream = self._gen_query(self._unit.bound, root)
+        stream = self._gen_query(self._unit.bound, GenContext())
         query = self._unit.bound.query
         if query.limit is not None or query.offset is not None:
             # SQL LIMIT/OFFSET maps onto fn:subsequence over the RECORD
             # stream: OFFSET skips (1-based start), LIMIT bounds the
             # length. Applied outside ORDER BY, matching SQL semantics.
-            start = (query.offset or 0) + 1
+            bounds = [xq.XLiteral((query.offset or 0) + 1)]
             if query.limit is not None:
-                stream = (f"fn:subsequence((\n{stream}\n), {start}, "
-                          f"{query.limit})")
-            else:
-                stream = f"fn:subsequence((\n{stream}\n), {start})"
+                bounds.append(xq.XLiteral(query.limit))
+            stream = _call("fn:subsequence", stream, *bounds)
         return stream
-
-    def prolog(self) -> str:
-        self._collect_imports()
-        return self._prolog()
-
-    def _collect_imports(self) -> None:
-        for rsn in self._unit.table_rsns:
-            key = (rsn.metadata.namespace, rsn.metadata.schema_location)
-            if key not in self._imports:
-                self._imports[key] = f"ns{len(self._imports)}"
-
-    def _prolog(self) -> str:
-        lines = []
-        for (uri, location), prefix in self._imports.items():
-            line = f'import schema namespace {prefix} = "{uri}"'
-            if location:
-                line += f' at "{location}"'
-            lines.append(line + ";")
-        for index in sorted(self._unit.param_types):
-            lines.append(f"declare variable $p{index} external;")
-        if lines:
-            return "\n".join(lines) + "\n"
-        return ""
 
     def _prefix_for(self, rsn: TableRSN) -> str:
         return self._imports[(rsn.metadata.namespace,
@@ -213,7 +236,7 @@ class Generator:
     # -- query / set operations -----------------------------------------------
 
     def _gen_query(self, bound: BoundQuery, outer: GenContext,
-                   element_names: list[str] | None = None) -> str:
+                   element_names: list[str] | None = None) -> xq.XExpr:
         if isinstance(bound.body, BoundSetOp):
             stream = self._gen_setop(bound.body, outer, element_names)
             if bound.order_by:
@@ -224,48 +247,48 @@ class Generator:
                                 element_names)
 
     def _gen_setop(self, setop: BoundSetOp, outer: GenContext,
-                   element_names: list[str] | None) -> str:
+                   element_names: list[str] | None) -> xq.XExpr:
         names = element_names or [c.element for c in setop.result_columns]
         left = self._gen_body(setop.left, outer, names)
         right = self._gen_body(setop.right, outer, names)
         if setop.op == "UNION":
+            both = xq.SequenceExpr((left, right))
             if setop.all:
-                return f"({left},\n{right})"
-            return f"fn-bea:distinct-records(({left},\n{right}))"
-        flag = "fn:true()" if setop.all else "fn:false()"
+                return both
+            return _call("fn-bea:distinct-records", both)
         function = "fn-bea:intersect-records" if setop.op == "INTERSECT" \
             else "fn-bea:except-records"
-        return f"{function}(({left}),\n({right}), {flag})"
+        return _call(function, left, right,
+                     _call("fn:true" if setop.all else "fn:false"))
 
     def _gen_body(self, body, outer: GenContext,
-                  element_names: list[str]) -> str:
+                  element_names: list[str]) -> xq.XExpr:
         if isinstance(body, BoundSetOp):
             return self._gen_setop(body, outer, element_names)
         return self._gen_select(body, [], outer, element_names)
 
-    def _order_record_stream(self, stream: str, bound: BoundQuery,
-                             order_by: list[BoundSortItem]) -> str:
+    def _order_record_stream(self, stream: xq.XExpr, bound: BoundQuery,
+                             order_by: list[BoundSortItem]) -> xq.FLWOR:
         """ORDER BY over an opaque RECORD stream (set operations)."""
         var = self._alloc.var(0, "OB")
-        keys = []
+        specs = []
         for sort in order_by:
             if sort.item_index is None:
                 raise SQLSemanticError(
                     "ORDER BY over a set operation must use result "
                     "columns or positions")
             column = bound.result_columns[sort.item_index]
-            key = self._cast(f"fn:data(${var}/{column.element})",
+            key = self._cast(_call("fn:data", _child(var, column.element)),
                              column.sql_type)
-            keys.append(key + ("" if sort.ascending else " descending"))
-        return (f"for ${var} in ({stream})\n"
-                f"order by {', '.join(keys)}\n"
-                f"return ${var}")
+            specs.append(xq.OrderSpec(key, sort.ascending))
+        return _flwor([xq.ForClause(var, stream),
+                       xq.OrderClause(tuple(specs))], xq.VarRef(var))
 
     # -- SELECT generation ---------------------------------------------------------
 
     def _gen_select(self, bound: BoundSelect,
                     order_by: list[BoundSortItem], outer: GenContext,
-                    element_names: list[str] | None = None) -> str:
+                    element_names: list[str] | None = None) -> xq.XExpr:
         ctx_id = bound.context.id
         ctx = outer.child()
         plan = _SourcePlan()
@@ -274,61 +297,57 @@ class Generator:
 
         names = element_names or [item.element for item in bound.items]
         if bound.is_grouped:
-            text = self._gen_grouped(bound, order_by, ctx, outer, ctx_id,
-                                     plan, names)
+            stream = self._gen_grouped(bound, order_by, ctx, outer, ctx_id,
+                                       plan, names)
         else:
-            text = self._gen_plain(bound, order_by, ctx, ctx_id, plan,
-                                   names)
+            stream = self._gen_plain(bound, order_by, ctx, plan, names)
         if bound.distinct:
-            text = f"fn-bea:distinct-records(({text}))"
-        return text
+            stream = _call("fn-bea:distinct-records", stream)
+        return stream
 
     def _gen_plain(self, bound: BoundSelect,
                    order_by: list[BoundSortItem], ctx: GenContext,
-                   ctx_id: int, plan: _SourcePlan,
-                   names: list[str]) -> str:
-        lines = []
-        for var, expr in plan.lets:
-            lines.append(f"let ${var} :=\n{expr}")
-        for var, expr in plan.fors:
-            lines.append(f"for ${var} in {expr}")
-        for condition in plan.conditions:
-            lines.append(f"where {self._gen_pred(condition, ctx)}")
-        if bound.where is not None:
-            lines.append(f"where {self._gen_pred(bound.where, ctx)}")
+                   plan: _SourcePlan, names: list[str]) -> xq.FLWOR:
+        clauses = plan.lets + self._row_clauses(
+            plan.fors, plan.conditions, bound.where, ctx)
         if order_by:
-            lines.append(self._order_clause(order_by, bound, ctx))
-        lines.append("return")
-        lines.append(self._gen_record(bound.items, names, ctx))
-        return "\n".join(lines)
+            clauses.append(self._order_clause(order_by, bound, ctx))
+        return _flwor(clauses, self._gen_record(bound.items, names, ctx))
+
+    def _row_clauses(self, fors, conditions, where,
+                     ctx: GenContext) -> list:
+        """``for`` clauses, then one ``where`` per join condition and
+        the WHERE clause."""
+        clauses = fors + [xq.WhereClause(self._gen_pred(condition, ctx))
+                          for condition in conditions]
+        if where is not None:
+            clauses.append(xq.WhereClause(self._gen_pred(where, ctx)))
+        return clauses
 
     def _order_clause(self, order_by: list[BoundSortItem],
-                      bound: BoundSelect, ctx: GenContext) -> str:
-        keys = []
+                      bound: BoundSelect, ctx: GenContext) \
+            -> xq.OrderClause:
+        specs = []
         for sort in order_by:
             if sort.item_index is not None:
                 expr = bound.items[sort.item_index].expr
             else:
                 expr = sort.expr
-            key = self._gen_value(expr, ctx)
-            keys.append(key + ("" if sort.ascending else " descending"))
-        return f"order by {', '.join(keys)}"
+            specs.append(xq.OrderSpec(self._gen_value(expr, ctx),
+                                      sort.ascending))
+        return xq.OrderClause(tuple(specs))
 
     def _gen_record(self, items: list[BoundItem], names: list[str],
-                    ctx: GenContext) -> str:
-        parts = ["<RECORD>"]
-        for item, element in zip(items, names):
-            value = self._gen_value(item.expr, ctx)
-            parts.append(f"  <{element}>{{{value}}}</{element}>")
-        parts.append("</RECORD>")
-        return "\n".join(parts)
+                    ctx: GenContext) -> xq.ElementConstructor:
+        return _record([(element, self._gen_value(item.expr, ctx))
+                        for item, element in zip(items, names)])
 
     # -- grouped SELECT ---------------------------------------------------------------
 
     def _gen_grouped(self, bound: BoundSelect,
                      order_by: list[BoundSortItem], ctx: GenContext,
                      outer: GenContext, ctx_id: int, plan: _SourcePlan,
-                     names: list[str]) -> str:
+                     names: list[str]) -> xq.FLWOR:
         rows = self._rows_for_grouping(bound, ctx, ctx_id, plan)
         if bound.group_by:
             return self._gen_group_by(bound, order_by, outer, ctx_id,
@@ -346,7 +365,6 @@ class Generator:
         leaves = bound.scope.leaf_bindings()
         if len(plan.fors) == 1 and not plan.conditions and \
                 len(leaves) == 1:
-            _var, expr = plan.fors[0]
             source_rsn = leaves[0]
             mode = "direct" if isinstance(source_rsn, TableRSN) \
                 else "record"
@@ -357,23 +375,16 @@ class Generator:
                 inner.register(rsn, Accessor(var=row_var, mode=m, rsn=rsn))
                 return inner
 
-            return _GroupRows(source=expr, factory=factory, lets=lets,
+            return _GroupRows(source=plan.fors[0].source, factory=factory,
+                              lets=lets,
                               where_pending=bound.where is not None)
         # General case: materialize the (filtered, joined) rows into an
         # intermediate RECORDSET, as the paper does with $inter.
-        inner_lines = []
-        for var, expr in plan.fors:
-            inner_lines.append(f"for ${var} in {expr}")
-        for condition in plan.conditions:
-            inner_lines.append(f"where {self._gen_pred(condition, ctx)}")
-        if bound.where is not None:
-            inner_lines.append(f"where {self._gen_pred(bound.where, ctx)}")
-        record = self._all_columns_record(leaves, ctx)
-        inner_lines.append(f"return\n{record}")
+        inner_rows = _flwor(
+            self._row_clauses(plan.fors, plan.conditions, bound.where, ctx),
+            _record(self._join_record_columns(leaves, ctx)))
         inter = self._alloc.tempvar(ctx_id, "GB")
-        lets.append((inter,
-                     "<RECORDSET>{\n" + "\n".join(inner_lines)
-                     + "\n}</RECORDSET>"))
+        lets.append(xq.LetClause(inter, recordset(inner_rows)))
 
         def factory(row_var: str) -> GenContext:
             inner = ctx.child()
@@ -383,23 +394,11 @@ class Generator:
                                               rsn=leaf))
             return inner
 
-        return _GroupRows(source=f"${inter}/RECORD", factory=factory,
+        return _GroupRows(source=_child(inter, "RECORD"), factory=factory,
                           lets=lets, where_pending=False)
 
-    def _all_columns_record(self, leaves: list[RSN],
-                            ctx: GenContext) -> str:
-        parts = ["<RECORD>"]
-        for leaf in leaves:
-            accessor = ctx.lookup(leaf)
-            for column in leaf.columns():
-                element = record_element(leaf.binding_name, column.name)
-                value = f"fn:data({accessor.column_path(column.name)})"
-                parts.append(f"  <{element}>{{{value}}}</{element}>")
-        parts.append("</RECORD>")
-        return "\n".join(parts)
-
     def _gen_group_by(self, bound, order_by, outer, ctx_id, rows,
-                      names) -> str:
+                      names) -> xq.FLWOR:
         row_var = self._alloc.var(ctx_id, "GB")
         row_ctx = rows.factory(row_var)
         partition_var = self._alloc.partition(ctx_id)
@@ -408,8 +407,8 @@ class Generator:
         for key_expr in bound.group_by:
             key_var = self._alloc.var(ctx_id, "GB")
             keys.append((key_expr, key_var))
-            key_clauses.append(
-                f"{self._gen_value(key_expr, row_ctx)} as ${key_var}")
+            key_clauses.append((self._gen_value(key_expr, row_ctx),
+                                key_var))
         # Post-group expressions must not see this query's row variables;
         # the group context chains straight to the *outer* scope so
         # correlated references still resolve.
@@ -418,63 +417,42 @@ class Generator:
             partition_var=partition_var, keys=keys,
             make_row_context=rows.factory)
 
-        lines = []
-        for var, expr in rows.lets:
-            lines.append(f"let ${var} :=\n{expr}")
-        lines.append(f"for ${row_var} in {rows.source}")
+        clauses = rows.lets + [xq.ForClause(row_var, rows.source)]
         if rows.where_pending and bound.where is not None:
-            lines.append(f"where {self._gen_pred(bound.where, row_ctx)}")
-        lines.append(f"group ${row_var} as ${partition_var} by "
-                     + ", ".join(key_clauses))
+            clauses.append(
+                xq.WhereClause(self._gen_pred(bound.where, row_ctx)))
+        clauses.append(xq.GroupClause(row_var, partition_var,
+                                      tuple(key_clauses)))
         if bound.having is not None:
-            lines.append(
-                f"where {self._gen_pred(bound.having, group_ctx)}")
+            clauses.append(
+                xq.WhereClause(self._gen_pred(bound.having, group_ctx)))
         if order_by:
-            lines.append(self._order_clause_grouped(order_by, bound,
-                                                    group_ctx))
-        lines.append("return")
-        lines.append(self._gen_record(bound.items, names, group_ctx))
-        return "\n".join(lines)
-
-    def _order_clause_grouped(self, order_by, bound, group_ctx) -> str:
-        keys = []
-        for sort in order_by:
-            if sort.item_index is not None:
-                expr = bound.items[sort.item_index].expr
-            else:
-                expr = sort.expr
-            key = self._gen_value(expr, group_ctx)
-            keys.append(key + ("" if sort.ascending else " descending"))
-        return f"order by {', '.join(keys)}"
+            clauses.append(self._order_clause(order_by, bound, group_ctx))
+        return _flwor(clauses,
+                      self._gen_record(bound.items, names, group_ctx))
 
     def _gen_implicit_group(self, bound, outer, ctx_id, rows,
-                            names) -> str:
+                            names) -> xq.FLWOR:
         """Aggregates without GROUP BY: one group over all rows."""
         partition_var = self._alloc.partition(ctx_id)
         group_ctx = GenContext(parent=outer)
         group_ctx.group = GroupContext(
             partition_var=partition_var, keys=[],
             make_row_context=rows.factory)
-        lines = []
-        for var, expr in rows.lets:
-            lines.append(f"let ${var} :=\n{expr}")
         source = rows.source
         if rows.where_pending and bound.where is not None:
             row_var = self._alloc.var(ctx_id, "GB")
             row_ctx = rows.factory(row_var)
-            source = (f"(for ${row_var} in {rows.source}\n"
-                      f"where {self._gen_pred(bound.where, row_ctx)}\n"
-                      f"return ${row_var})")
-        lines.append(f"let ${partition_var} := {source}")
-        record = self._gen_record(bound.items, names, group_ctx)
+            source = _flwor(
+                [xq.ForClause(row_var, rows.source),
+                 xq.WhereClause(self._gen_pred(bound.where, row_ctx))],
+                xq.VarRef(row_var))
+        clauses = rows.lets + [xq.LetClause(partition_var, source)]
+        result = self._gen_record(bound.items, names, group_ctx)
         if bound.having is not None:
-            having = self._gen_pred(bound.having, group_ctx)
-            lines.append("return")
-            lines.append(f"if ({having}) then\n{record}\nelse ()")
-        else:
-            lines.append("return")
-            lines.append(record)
-        return "\n".join(lines)
+            result = xq.IfExpr(self._gen_pred(bound.having, group_ctx),
+                               result, _empty())
+        return _flwor(clauses, result)
 
     # -- FROM planning -----------------------------------------------------------------
 
@@ -483,29 +461,27 @@ class Generator:
         if isinstance(rsn, TableRSN):
             var = self._alloc.var(ctx_id, "FR")
             ctx.register(rsn, Accessor(var=var, mode="direct", rsn=rsn))
-            plan.fors.append((var, self._table_call(rsn)))
+            plan.fors.append(xq.ForClause(var, self._table_call(rsn)))
             return
         if isinstance(rsn, DerivedRSN):
             temp = self._alloc.tempvar(ctx_id, "FR")
             inner = self._gen_query(rsn.bound_query, ctx)
-            plan.lets.append(
-                (temp, "<RECORDSET>{\n" + inner + "\n}</RECORDSET>"))
+            plan.lets.append(xq.LetClause(temp, recordset(inner)))
             var = self._alloc.var(ctx_id, "FR")
             ctx.register(rsn, Accessor(var=var, mode="record", rsn=rsn))
-            plan.fors.append((var, f"${temp}/RECORD"))
+            plan.fors.append(xq.ForClause(var, _child(temp, "RECORD")))
             return
         assert isinstance(rsn, JoinRSN)
         if rsn.contains_outer():
             temp = self._alloc.tempvar(ctx_id, "FR")
             join_expr, join_lets = self._gen_join(rsn, ctx, ctx_id)
             plan.lets.extend(join_lets)
-            plan.lets.append(
-                (temp, "<RECORDSET>{\n" + join_expr + "\n}</RECORDSET>"))
+            plan.lets.append(xq.LetClause(temp, recordset(join_expr)))
             var = self._alloc.var(ctx_id, "FR")
             for leaf in rsn.leaf_bindings():
                 ctx.register(leaf, Accessor(var=var, mode="join-record",
                                             rsn=leaf))
-            plan.fors.append((var, f"${temp}/RECORD"))
+            plan.fors.append(xq.ForClause(var, _child(temp, "RECORD")))
             return
         # Inner/cross joins flatten into for clauses plus conditions.
         self._plan_source(rsn.left, ctx, ctx_id, plan)
@@ -513,16 +489,16 @@ class Generator:
         if rsn.condition is not None:
             plan.conditions.append(rsn.condition)
 
-    def _table_call(self, rsn: TableRSN) -> str:
-        prefix = self._prefix_for(rsn)
-        return f"{prefix}:{rsn.metadata.function_name}()"
+    def _table_call(self, rsn: TableRSN) -> xq.XFunctionCall:
+        return xq.XFunctionCall(self._prefix_for(rsn),
+                                rsn.metadata.function_name, ())
 
     # -- join materialization -------------------------------------------------------------
 
     def _gen_join(self, join: JoinRSN, outer_ctx: GenContext,
-                  ctx_id: int) -> tuple[str, list[tuple[str, str]]]:
+                  ctx_id: int) -> tuple[xq.XExpr, list]:
         """An outer-join RECORD stream per the paper's Example 10."""
-        lets: list[tuple[str, str]] = []
+        lets: list[xq.LetClause] = []
         ctx = outer_ctx.child()
         kind = join.kind
         left, right = join.left, join.right
@@ -535,68 +511,60 @@ class Generator:
         right_var = self._alloc.var(ctx_id, "FR")
         self._register_join_side(right, ctx, right_var)
 
-        left_cols = self._join_record_columns(left, ctx)
-        right_cols = self._join_record_columns(right, ctx)
-        all_record = self._record_of(left_cols + right_cols)
-        left_record = self._record_of(left_cols)
-        right_record = self._record_of(right_cols)
+        left_cols = self._join_record_columns(left.leaf_bindings(), ctx)
+        right_cols = self._join_record_columns(right.leaf_bindings(), ctx)
 
         if kind == "CROSS" or kind == "INNER":
-            condition = ""
-            if join.condition is not None:
-                condition = f"where {self._gen_pred(join.condition, ctx)}\n"
-            expr = (f"for ${left_var} in {left_source}\n"
-                    f"for ${right_var} in {right_rows}\n"
-                    f"{condition}return\n{all_record}")
-            return expr, lets
+            conditions = [] if join.condition is None else [join.condition]
+            return _flwor(
+                self._row_clauses([xq.ForClause(left_var, left_source),
+                                   xq.ForClause(right_var, right_rows)],
+                                  conditions, None, ctx),
+                _record(left_cols + right_cols)), lets
 
         assert kind in ("LEFT", "FULL")
         temp = self._alloc.tempvar(ctx_id, "FR")
-        condition = self._gen_pred(join.condition, ctx) \
-            if join.condition is not None else "fn:true()"
-        matched = (f"(for ${right_var} in {right_rows}\n"
-                   f"where {condition}\n"
-                   f"return ${right_var})")
-        left_outer = (
-            f"for ${left_var} in {left_source}\n"
-            f"let ${temp} := {matched}\n"
-            f"return\n"
-            f"if (fn:empty(${temp})) then\n"
-            f"{left_record}\n"
-            f"else\n"
-            f"for ${right_var} in ${temp}\n"
-            f"return\n{all_record}")
+        matched = _flwor(
+            [xq.ForClause(right_var, right_rows),
+             xq.WhereClause(self._join_condition(join, ctx))],
+            xq.VarRef(right_var))
+        left_outer = _flwor(
+            [xq.ForClause(left_var, left_source),
+             xq.LetClause(temp, matched)],
+            xq.IfExpr(
+                _call("fn:empty", xq.VarRef(temp)),
+                _record(left_cols),
+                _flwor([xq.ForClause(right_var, xq.VarRef(temp))],
+                       _record(left_cols + right_cols))))
         if kind == "LEFT":
             return left_outer, lets
-        # FULL OUTER: append right-side rows with no left match.
+        # FULL OUTER: append right-side rows with no left match, found
+        # by the join condition with the left side bound to a fresh
+        # variable.
         anti_left_var = self._alloc.var(ctx_id, "FR")
         anti_temp = self._alloc.tempvar(ctx_id, "FR")
-        anti_condition = self._rebind_condition(join, left, anti_left_var,
-                                                ctx)
-        anti = (f"for ${right_var} in {right_rows}\n"
-                f"let ${anti_temp} := (for ${anti_left_var} in "
-                f"{left_source}\n"
-                f"where {anti_condition}\n"
-                f"return ${anti_left_var})\n"
-                f"where fn:empty(${anti_temp})\n"
-                f"return\n{right_record}")
-        return f"({left_outer},\n{anti})", lets
-
-    def _rebind_condition(self, join: JoinRSN, left: RSN,
-                          new_left_var: str, ctx: GenContext) -> str:
-        """Regenerate the join condition with the left side bound to a
-        fresh variable (for the FULL OUTER anti-join pass)."""
         anti_ctx = ctx.child()
         for leaf in left.leaf_bindings():
-            old = ctx.lookup(leaf)
-            anti_ctx.register(leaf, Accessor(var=new_left_var,
-                                             mode=old.mode, rsn=leaf))
+            anti_ctx.register(leaf, Accessor(
+                var=anti_left_var, mode=ctx.lookup(leaf).mode, rsn=leaf))
+        unmatched = _flwor(
+            [xq.ForClause(anti_left_var, left_source),
+             xq.WhereClause(self._join_condition(join, anti_ctx))],
+            xq.VarRef(anti_left_var))
+        anti = _flwor(
+            [xq.ForClause(right_var, right_rows),
+             xq.LetClause(anti_temp, unmatched),
+             xq.WhereClause(_call("fn:empty", xq.VarRef(anti_temp)))],
+            _record(right_cols))
+        return xq.SequenceExpr((left_outer, anti)), lets
+
+    def _join_condition(self, join: JoinRSN, ctx: GenContext) -> xq.XExpr:
         if join.condition is None:
-            return "fn:true()"
-        return self._gen_pred(join.condition, anti_ctx)
+            return _call("fn:true")
+        return self._gen_pred(join.condition, ctx)
 
     def _join_side_source(self, side: RSN, ctx: GenContext, ctx_id: int,
-                          lets: list) -> tuple[str, str]:
+                          lets: list) -> tuple[str, xq.XExpr]:
         """(iteration variable, row-source expression) for a join side,
         registering accessors for its leaves."""
         rows = self._join_side_rows(side, ctx, ctx_id, lets)
@@ -605,22 +573,19 @@ class Generator:
         return var, rows
 
     def _join_side_rows(self, side: RSN, ctx: GenContext, ctx_id: int,
-                        lets: list) -> str:
+                        lets: list) -> xq.XExpr:
         if isinstance(side, TableRSN):
             return self._table_call(side)
         if isinstance(side, DerivedRSN):
             temp = self._alloc.tempvar(ctx_id, "FR")
             inner = self._gen_query(side.bound_query, ctx)
-            lets.append((temp,
-                         "<RECORDSET>{\n" + inner + "\n}</RECORDSET>"))
-            return f"${temp}/RECORD"
-        assert isinstance(side, JoinRSN)
-        inner_expr, inner_lets = self._gen_join(side, ctx, ctx_id)
-        lets.extend(inner_lets)
-        temp = self._alloc.tempvar(ctx_id, "FR")
-        lets.append((temp,
-                     "<RECORDSET>{\n" + inner_expr + "\n}</RECORDSET>"))
-        return f"${temp}/RECORD"
+        else:
+            assert isinstance(side, JoinRSN)
+            inner, inner_lets = self._gen_join(side, ctx, ctx_id)
+            lets.extend(inner_lets)
+            temp = self._alloc.tempvar(ctx_id, "FR")
+        lets.append(xq.LetClause(temp, recordset(inner)))
+        return _child(temp, "RECORD")
 
     def _register_join_side(self, side: RSN, ctx: GenContext,
                             var: str) -> None:
@@ -636,129 +601,121 @@ class Generator:
             ctx.register(leaf, Accessor(var=var, mode="join-record",
                                         rsn=leaf))
 
-    def _join_record_columns(self, side: RSN,
-                             ctx: GenContext) -> list[tuple[str, str]]:
+    def _join_record_columns(self, leaves: list[RSN], ctx: GenContext) \
+            -> list[tuple[str, xq.XExpr]]:
+        """(element, value) per column of *leaves*, named
+        ``binding.column``: the cells of an internal join RECORD."""
         columns = []
-        for leaf in side.leaf_bindings():
+        for leaf in leaves:
             accessor = ctx.lookup(leaf)
             for column in leaf.columns():
-                element = record_element(leaf.binding_name, column.name)
-                value = f"fn:data({accessor.column_path(column.name)})"
-                columns.append((element, value))
+                columns.append((
+                    record_element(leaf.binding_name, column.name),
+                    _call("fn:data", accessor.column_path(column.name))))
         return columns
-
-    def _record_of(self, columns: list[tuple[str, str]]) -> str:
-        parts = ["<RECORD>"]
-        for element, value in columns:
-            parts.append(f"  <{element}>{{{value}}}</{element}>")
-        parts.append("</RECORD>")
-        return "\n".join(parts)
 
     # -- predicates (three-valued logic) ---------------------------------------------------
 
-    def _gen_pred(self, expr: ast.Expr, ctx: GenContext) -> str:
+    def _gen_pred(self, expr: ast.Expr, ctx: GenContext) -> xq.XExpr:
         if isinstance(expr, ast.Comparison):
-            op = _VALUE_COMP_OPS[expr.op]
-            left = self._gen_value(expr.left, ctx)
-            right = self._gen_value(expr.right, ctx)
-            return f"({left} {op} {right})"
+            return xq.ValueComparison(_VALUE_COMP_OPS[expr.op],
+                                      self._gen_value(expr.left, ctx),
+                                      self._gen_value(expr.right, ctx))
         if isinstance(expr, ast.And):
-            return (f"fn-bea:and3({self._gen_pred(expr.left, ctx)}, "
-                    f"{self._gen_pred(expr.right, ctx)})")
+            return _call("fn-bea:and3", self._gen_pred(expr.left, ctx),
+                         self._gen_pred(expr.right, ctx))
         if isinstance(expr, ast.Or):
-            return (f"fn-bea:or3({self._gen_pred(expr.left, ctx)}, "
-                    f"{self._gen_pred(expr.right, ctx)})")
+            return _call("fn-bea:or3", self._gen_pred(expr.left, ctx),
+                         self._gen_pred(expr.right, ctx))
         if isinstance(expr, ast.Not):
-            return f"fn-bea:not3({self._gen_pred(expr.operand, ctx)})"
+            return _call("fn-bea:not3", self._gen_pred(expr.operand, ctx))
         if isinstance(expr, ast.IsNull):
-            test = "fn:exists" if expr.negated else "fn:empty"
-            return f"{test}({self._gen_value(expr.operand, ctx)})"
+            return _call("fn:exists" if expr.negated else "fn:empty",
+                         self._gen_value(expr.operand, ctx))
         if isinstance(expr, ast.Between):
             operand = self._gen_value(expr.operand, ctx)
             low = self._gen_value(expr.low, ctx)
             high = self._gen_value(expr.high, ctx)
-            body = (f"fn-bea:and3(({operand} ge {low}), "
-                    f"({operand} le {high}))")
-            return f"fn-bea:not3({body})" if expr.negated else body
+            return _not3_if(expr.negated, _call(
+                "fn-bea:and3",
+                xq.ValueComparison("ge", operand, low),
+                xq.ValueComparison("le", _copy(operand), high)))
         if isinstance(expr, ast.InList):
             operand = self._gen_value(expr.operand, ctx)
+            values = [self._gen_value(item, ctx) for item in expr.items]
             if all(isinstance(item, ast.Literal) for item in expr.items):
                 # Literal lists (the common reporting shape, sometimes
                 # hundreds of values) translate to one flat membership
                 # test: no item can be NULL, so fn-bea:in3 is exactly the
                 # OR-chain's semantics without its nesting depth.
-                values = ", ".join(self._gen_value(item, ctx)
-                                   for item in expr.items)
-                body = f"fn-bea:in3({operand}, ({values}))"
-                return f"fn-bea:not3({body})" if expr.negated else body
-            clauses = [f"({operand} eq {self._gen_value(item, ctx)})"
-                       for item in expr.items]
-            body = clauses[0]
-            for clause in clauses[1:]:
-                body = f"fn-bea:or3({body}, {clause})"
-            return f"fn-bea:not3({body})" if expr.negated else body
+                members = values[0] if len(values) == 1 \
+                    else xq.SequenceExpr(tuple(values))
+                return _not3_if(expr.negated,
+                                _call("fn-bea:in3", operand, members))
+            body = xq.ValueComparison("eq", operand, values[0])
+            for value in values[1:]:
+                body = _call("fn-bea:or3", body, xq.ValueComparison(
+                    "eq", _copy(operand), value))
+            return _not3_if(expr.negated, body)
         if isinstance(expr, ast.InSubquery):
-            operand = self._gen_value(expr.operand, ctx)
-            stream = self._subquery_column_stream(expr.query, ctx)
-            body = f"fn-bea:in3({operand}, {stream})"
-            return f"fn-bea:not3({body})" if expr.negated else body
+            return _not3_if(expr.negated, _call(
+                "fn-bea:in3", self._gen_value(expr.operand, ctx),
+                self._subquery_column_stream(expr.query, ctx)))
         if isinstance(expr, ast.QuantifiedComparison):
-            operand = self._gen_value(expr.left, ctx)
-            stream = self._subquery_column_stream(expr.query, ctx)
-            op = _VALUE_COMP_OPS[expr.op]
             function = "fn-bea:any3" if expr.quantifier == "ANY" \
                 else "fn-bea:all3"
-            return f'{function}({operand}, {stream}, "{op}")'
+            return _call(function, self._gen_value(expr.left, ctx),
+                         self._subquery_column_stream(expr.query, ctx),
+                         xq.XLiteral(_VALUE_COMP_OPS[expr.op]))
         if isinstance(expr, ast.Like):
-            operand = self._gen_value(expr.operand, ctx)
-            pattern = self._gen_value(expr.pattern, ctx)
-            args = f"{operand}, {pattern}"
+            args = [self._gen_value(expr.operand, ctx),
+                    self._gen_value(expr.pattern, ctx)]
             if expr.escape is not None:
-                args += f", {self._gen_value(expr.escape, ctx)}"
-            body = f"fn-bea:sql-like({args})"
-            return f"fn-bea:not3({body})" if expr.negated else body
+                args.append(self._gen_value(expr.escape, ctx))
+            return _not3_if(expr.negated,
+                            _call("fn-bea:sql-like", *args))
         if isinstance(expr, ast.Exists):
-            stream = self._gen_subquery(expr.query, ctx)
-            return f"fn:exists(({stream}))"
+            return _call("fn:exists", self._gen_subquery(expr.query, ctx))
         raise UnsupportedSQLError(
             f"unsupported predicate {type(expr).__name__}")
 
-    def _gen_subquery(self, query: ast.Query, ctx: GenContext) -> str:
+    def _gen_subquery(self, query: ast.Query, ctx: GenContext) -> xq.XExpr:
         bound = self._unit.subqueries[id(query)]
         return self._gen_query(bound, ctx)
 
     def _subquery_column_stream(self, query: ast.Query,
-                                ctx: GenContext) -> str:
+                                ctx: GenContext) -> xq.PathExpr:
         bound = self._unit.subqueries[id(query)]
         stream = self._gen_query(bound, ctx)
         element = bound.result_columns[0].element
-        return f"(({stream})/{element})"
+        return xq.PathExpr(stream, (xq.PathStep(element),))
 
     # -- value expressions ----------------------------------------------------------------
 
-    def _cast(self, text: str, sql_type: Optional[SQLType]) -> str:
+    def _cast(self, value: xq.XExpr,
+              sql_type: Optional[SQLType]) -> xq.XExpr:
         if sql_type is None:
-            return text
-        return f"xs:{sql_to_xs(sql_type)}({text})"
+            return value
+        return xq.XFunctionCall("xs", sql_to_xs(sql_type), (value,))
 
-    def _gen_value(self, expr: ast.Expr, ctx: GenContext) -> str:
+    def _gen_value(self, expr: ast.Expr, ctx: GenContext) -> xq.XExpr:
         if ctx.group is not None:
             key_var = ctx.group.key_var_for(expr)
             if key_var is not None:
-                return f"${key_var}"
+                return xq.VarRef(key_var)
             if isinstance(expr, ast.AggregateCall):
                 return self._gen_aggregate(expr, ctx)
         if isinstance(expr, ast.Literal):
             return self._gen_literal(expr)
         if isinstance(expr, ast.NullLiteral):
-            return "()"
+            return _empty()
         if isinstance(expr, ast.Parameter):
-            return f"$p{expr.index}"
+            return xq.VarRef(f"p{expr.index}")
         if isinstance(expr, ast.ColumnRef):
             return self._gen_column(expr, ctx)
         if isinstance(expr, ast.UnaryOp):
             value = self._gen_value(expr.operand, ctx)
-            return f"(-{value})" if expr.op == "-" else value
+            return xq.UnaryMinus(value) if expr.op == "-" else value
         if isinstance(expr, ast.BinaryOp):
             return self._gen_binary(expr, ctx)
         if isinstance(expr, ast.FunctionCall):
@@ -776,48 +733,52 @@ class Generator:
             return self._gen_trim(expr, ctx)
         if isinstance(expr, ast.ScalarSubquery):
             stream = self._gen_subquery(expr.query, ctx)
-            sql_type = self._unit.type_of(expr)
-            return self._cast(f"fn-bea:scalar(({stream}))", sql_type)
+            return self._cast(_call("fn-bea:scalar", stream),
+                              self._unit.type_of(expr))
         raise UnsupportedSQLError(
             f"unsupported value expression {type(expr).__name__}")
 
-    def _gen_literal(self, literal: ast.Literal) -> str:
+    def _gen_literal(self, literal: ast.Literal) -> xq.XExpr:
         value = literal.value
         if isinstance(value, str):
-            escaped = value.replace("&", "&amp;").replace('"', "&quot;")
-            return f'"{escaped}"'
+            return xq.XLiteral(value)
         if isinstance(value, bool):
-            return "fn:true()" if value else "fn:false()"
+            return _call("fn:true" if value else "fn:false")
         if isinstance(value, int):
-            return f"xs:int({value})" if -2147483648 <= value < 2147483648 \
-                else f"xs:long({value})"
+            return _call("xs:int" if -2147483648 <= value < 2147483648
+                         else "xs:long", xq.XLiteral(value))
         if isinstance(value, Decimal):
-            return f"xs:decimal({value})"
+            # XQuery reads digits without a fraction as an integer.
+            whole = value == value.to_integral_value() \
+                and value.as_tuple().exponent >= 0
+            return _call("xs:decimal",
+                         xq.XLiteral(int(value) if whole else value))
         if isinstance(value, float):
-            return f'xs:double("{value!r}")'
+            return _call("xs:double", xq.XLiteral(repr(value)))
         kind = literal.type.kind
         if kind == "DATE":
-            return f'xs:date("{value.isoformat()}")'
+            return _call("xs:date", xq.XLiteral(value.isoformat()))
         if kind == "TIME":
-            return f'xs:time("{value.isoformat()}")'
+            return _call("xs:time", xq.XLiteral(value.isoformat()))
         if kind == "TIMESTAMP":
-            return f'xs:dateTime("{value.isoformat(sep="T")}")'
+            return _call("xs:dateTime",
+                         xq.XLiteral(value.isoformat(sep="T")))
         raise UnsupportedSQLError(f"cannot render literal {value!r}")
 
-    def _gen_column(self, ref: ast.ColumnRef, ctx: GenContext) -> str:
+    def _gen_column(self, ref: ast.ColumnRef, ctx: GenContext) -> xq.XExpr:
         resolution = self._unit.resolution_of(ref)
         accessor = ctx.lookup(resolution.rsn)
-        path = accessor.column_path(resolution.column.name)
-        data = f"fn:data({path})"
+        data = _call("fn:data",
+                     accessor.column_path(resolution.column.name))
         if accessor.is_typed():
             return data
         return self._cast(data, resolution.column.sql_type)
 
-    def _gen_binary(self, expr: ast.BinaryOp, ctx: GenContext) -> str:
+    def _gen_binary(self, expr: ast.BinaryOp, ctx: GenContext) -> xq.XExpr:
         left = self._gen_value(expr.left, ctx)
         right = self._gen_value(expr.right, ctx)
         if expr.op == "||":
-            return f"fn-bea:sql-concat({left}, {right})"
+            return _call("fn-bea:sql-concat", left, right)
         op = expr.op
         if op == "/":
             left_type = self._unit.type_of(expr.left)
@@ -828,93 +789,87 @@ class Generator:
                 op = "idiv"
             else:
                 op = "div"
-        return f"({left} {op} {right})"
+        return xq.Arithmetic(op, left, right)
 
     def _gen_function(self, expr: ast.FunctionCall,
-                      ctx: GenContext) -> str:
+                      ctx: GenContext) -> xq.XExpr:
         name = expr.name.upper()
         args = [self._gen_value(arg, ctx) for arg in expr.args]
         if name == "COALESCE":
             body = args[-1]
             for arg in reversed(args[:-1]):
-                body = f"fn-bea:if-empty({arg}, {body})"
+                body = _call("fn-bea:if-empty", arg, body)
             return body
         if name == "NULLIF":
-            return (f"(if ({args[0]} eq {args[1]}) then () "
-                    f"else {args[0]})")
+            return xq.IfExpr(xq.ValueComparison("eq", args[0], args[1]),
+                             _empty(), _copy(args[0]))
         if name == "MOD":
-            return f"({args[0]} mod {args[1]})"
+            return xq.Arithmetic("mod", args[0], args[1])
         if name == "ROUND":
             if len(args) == 1:
-                return f"fn:round({args[0]})"
-            return f"fn-bea:sql-round({args[0]}, {args[1]})"
-        function = xquery_function_for(name)
-        return f"{function}({', '.join(args)})"
+                return _call("fn:round", args[0])
+            return _call("fn-bea:sql-round", args[0], args[1])
+        return _call(xquery_function_for(name), *args)
 
-    def _gen_case(self, expr: ast.CaseExpr, ctx: GenContext) -> str:
+    def _gen_case(self, expr: ast.CaseExpr, ctx: GenContext) -> xq.XExpr:
         branches = []
         for when, then in expr.whens:
             if expr.operand is not None:
-                condition = (f"({self._gen_value(expr.operand, ctx)} eq "
-                             f"{self._gen_value(when, ctx)})")
+                condition = xq.ValueComparison(
+                    "eq", self._gen_value(expr.operand, ctx),
+                    self._gen_value(when, ctx))
             else:
                 condition = self._gen_pred(when, ctx)
             branches.append((condition, self._gen_value(then, ctx)))
-        else_value = self._gen_value(expr.else_, ctx) \
-            if expr.else_ is not None else "()"
-        text = else_value
+        result = self._gen_value(expr.else_, ctx) \
+            if expr.else_ is not None else _empty()
         for condition, value in reversed(branches):
-            text = f"(if ({condition}) then {value} else {text})"
-        return text
+            result = xq.IfExpr(condition, value, result)
+        return result
 
-    def _gen_cast(self, expr: ast.Cast, ctx: GenContext) -> str:
+    def _gen_cast(self, expr: ast.Cast, ctx: GenContext) -> xq.XExpr:
         value = self._gen_value(expr.operand, ctx)
         target = expr.target
         if target.kind in ("CHAR", "VARCHAR") and target.length is not None:
-            return (f"fn-bea:sql-substring(xs:string({value}), 1, "
-                    f"{target.length})")
+            return _call("fn-bea:sql-substring", _call("xs:string", value),
+                         xq.XLiteral(1), xq.XLiteral(target.length))
         if target.kind == "DECIMAL" and target.scale is not None:
-            return (f"fn-bea:sql-round(xs:decimal({value}), "
-                    f"{target.scale})")
+            return _call("fn-bea:sql-round", _call("xs:decimal", value),
+                         xq.XLiteral(target.scale))
         return self._cast(value, target)
 
-    def _gen_extract(self, expr: ast.ExtractExpr, ctx: GenContext) -> str:
+    def _gen_extract(self, expr: ast.ExtractExpr,
+                     ctx: GenContext) -> xq.XExpr:
         source_type = self._unit.type_of(expr.source)
         kind = source_type.kind if source_type is not None else "TIMESTAMP"
-        function = extract_function_for(expr.field, kind)
-        return f"{function}({self._gen_value(expr.source, ctx)})"
+        return _call(extract_function_for(expr.field, kind),
+                     self._gen_value(expr.source, ctx))
 
-    def _gen_trim(self, expr: ast.TrimExpr, ctx: GenContext) -> str:
+    def _gen_trim(self, expr: ast.TrimExpr, ctx: GenContext) -> xq.XExpr:
         chars = self._gen_value(expr.chars, ctx) \
-            if expr.chars is not None else '" "'
+            if expr.chars is not None else xq.XLiteral(" ")
         source = self._gen_value(expr.source, ctx)
-        return f'fn-bea:sql-trim("{expr.mode}", {chars}, {source})'
+        return _call("fn-bea:sql-trim", xq.XLiteral(expr.mode), chars,
+                     source)
 
     # -- aggregates ----------------------------------------------------------------------
 
     def _gen_aggregate(self, expr: ast.AggregateCall,
-                       ctx: GenContext) -> str:
+                       ctx: GenContext) -> xq.XExpr:
         group = ctx.group
         assert group is not None
-        partition = f"${group.partition_var}"
+        partition = xq.VarRef(group.partition_var)
         if expr.star:
-            return f"fn:count({partition})"
+            return _call("fn:count", partition)
         row_var = self._alloc.var(0, "SL")
         row_ctx = group.make_row_context(row_var)
-        value = self._gen_value(expr.arg, row_ctx)
-        values = f"for ${row_var} in {partition} return {value}"
+        values: xq.XExpr = _flwor(
+            [xq.ForClause(row_var, partition)],
+            self._gen_value(expr.arg, row_ctx))
         if expr.distinct:
-            values = f"fn:distinct-values(({values}))"
-        else:
-            values = f"({values})"
-        if expr.func == "COUNT":
-            return f"fn:count({values})"
+            values = _call("fn:distinct-values", values)
         if expr.func == "SUM":
-            return f"fn:sum({values}, ())"
-        if expr.func == "AVG":
-            return f"fn:avg({values})"
-        if expr.func == "MIN":
-            return f"fn:min({values})"
-        if expr.func == "MAX":
-            return f"fn:max({values})"
+            return _call("fn:sum", values, _empty())
+        if expr.func in ("COUNT", "AVG", "MIN", "MAX"):
+            return _call(f"fn:{expr.func.lower()}", values)
         raise UnsupportedSQLError(f"unknown aggregate {expr.func}")

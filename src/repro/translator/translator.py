@@ -9,11 +9,14 @@ schema the driver needs to build result sets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .. import clock
 from ..catalog import MetadataAPI, MetadataCache
 from ..obs import NULL_TRACER, MetricsRegistry, Tracer
 from ..sql.types import SQLType
+from ..xquery import ast as xq
+from ..xquery.printer import print_module
 from .rsn import ResultColumn
 from .stage1 import Stage1Result, run_stage1
 from .stage2 import Binder, TranslationUnit
@@ -27,17 +30,26 @@ FORMATS = ("recordset", "delimited")
 
 @dataclass
 class TranslationResult:
-    """The product of a translation."""
+    """The product of a translation: the XQuery as the tree stage
+    three built, which the runtime compiles as it is."""
 
     sql: str
-    xquery: str
+    module: xq.Module
     format: str
     columns: list[ResultColumn]
     parameter_types: dict[int, SQLType] = field(default_factory=dict)
+    #: The stage-one/two state the module was generated from, for
+    #: EXPLAIN; None on a result served by a connection's statement
+    #: cache, which keeps only what execution needs.
     unit: TranslationUnit | None = None
     #: Per-stage wall time in seconds ("stage1", "stage2", "stage3",
     #: "total"), populated by the full ``translate`` pipeline.
     stage_timings: dict[str, float] = field(default_factory=dict)
+
+    @cached_property
+    def xquery(self) -> str:
+        """The query text: *module* printed, on first use."""
+        return print_module(self.module)
 
     def parameter_variables(self, values) -> dict[str, object]:
         """Bind positional parameter values to the generated external
@@ -90,20 +102,20 @@ class SQLToXQueryTranslator:
         generator = Generator(unit)
         columns = unit.bound.result_columns
         if format == "recordset":
-            xquery = generator.generate()
+            module = generator.generate()
         elif format == "delimited":
-            body = generator.generate_body()
-            xquery = wrap_delimited(generator.prolog(), body, columns)
+            module = generator.generate(
+                lambda body: wrap_delimited(body, columns))
         else:
             raise ValueError(
                 f"unknown format {format!r}; expected one of {FORMATS}")
         return TranslationResult(
-            sql="", xquery=xquery, format=format, columns=columns,
+            sql="", module=module, format=format, columns=columns,
             parameter_types=dict(unit.param_types), unit=unit)
 
     def translate(self, sql: str,
                   format: str = "recordset") -> TranslationResult:
-        """Full pipeline: SQL text in, XQuery text + result schema out.
+        """Full pipeline: SQL text in, XQuery tree + result schema out.
 
         Opens a ``translate`` span with ``stage1``/``stage2``/``stage3``
         children (stage two nests one ``metadata.fetch`` span per

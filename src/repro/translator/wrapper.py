@@ -23,6 +23,7 @@ computed result schema. The decoder lives in ``repro.driver.codec``.
 
 from __future__ import annotations
 
+from ..xquery import ast as xq
 from .rsn import ResultColumn
 
 #: Cell prefix for a present value.
@@ -31,8 +32,8 @@ VALUE_MARK = ">"
 NULL_MARK = "<"
 
 
-def wrap_delimited(prolog: str, body: str,
-                   columns: list[ResultColumn]) -> str:
+def wrap_delimited(body: xq.XExpr,
+                   columns: list[ResultColumn]) -> xq.XExpr:
     """Build the wrapper query around a translated RECORD-stream body.
 
     The RECORD stream is let-bound directly (not re-wrapped in a
@@ -42,22 +43,20 @@ def wrap_delimited(prolog: str, body: str,
     """
     cells = []
     for index, column in enumerate(columns):
-        cell_var = f"$cell{index}"
-        data = f"fn:data($tokenQuery/{column.element})"
-        cells.append(
-            "(let {var} := {data} return\n"
-            "    if (fn:empty({var})) then \"{null}\" else\n"
-            "    fn:concat(\"{value}\", fn-bea:xml-escape("
-            "fn-bea:serialize-atomic({var}))))".format(
-                var=cell_var, data=data, null=NULL_MARK,
-                value=VALUE_MARK))
-    cell_text = ",\n    ".join(cells)
-    return (
-        f"{prolog}"
-        f"fn:string-join(\n"
-        f"(let $actualQuery := (\n{body}\n)\n"
-        f"for $tokenQuery in $actualQuery\n"
-        f"return\n"
-        f"   ({cell_text})\n"
-        f'), "")'
-    )
+        name = f"cell{index}"
+        data = xq.call("fn:data", xq.PathExpr(
+            xq.VarRef("tokenQuery"), (xq.PathStep(column.element),)))
+        cells.append(xq.FLWOR(
+            (xq.LetClause(name, data),),
+            xq.IfExpr(
+                xq.call("fn:empty", xq.VarRef(name)),
+                xq.XLiteral(NULL_MARK),
+                xq.call("fn:concat", xq.XLiteral(VALUE_MARK),
+                        xq.call("fn-bea:xml-escape",
+                                xq.call("fn-bea:serialize-atomic",
+                                        xq.VarRef(name)))))))
+    rows = xq.FLWOR(
+        (xq.LetClause("actualQuery", body),
+         xq.ForClause("tokenQuery", xq.VarRef("actualQuery"))),
+        cells[0] if len(cells) == 1 else xq.SequenceExpr(tuple(cells)))
+    return xq.call("fn:string-join", rows, xq.XLiteral(""))

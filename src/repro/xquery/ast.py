@@ -266,6 +266,13 @@ class XFunctionCall(XExpr):
         return f"{self.prefix}:{self.local}" if self.prefix else self.local
 
 
+def call(name: str, *args: XExpr) -> XFunctionCall:
+    """``call("fn:data", x)``: a function call by its printed name, for
+    code that builds trees (the translator)."""
+    prefix, _, local = name.rpartition(":")
+    return XFunctionCall(prefix, local, args)
+
+
 @dataclass(frozen=True)
 class AttributeConstructor(XNode):
     """A static attribute in a direct constructor. ``parts`` alternates

@@ -58,6 +58,7 @@ from .atomic import (
 )
 from .evaluator import CONTEXT_KEY, _Directional, _Frame
 from .functions import _XS_CONSTRUCTOR_TYPES, BEA_URI, FN_URI, XS_URI
+from .printer import print_module
 from .planner import (
     HashJoinClause,
     RestoreOrderClause,
@@ -1117,7 +1118,7 @@ def _count_rows(batches, actuals: dict, node_id) -> Iterator[_Batch]:
 class _VectorPlan:
     __slots__ = ("columnar", "batch_size", "stages", "window",
                  "projections", "param_names", "inner_fid", "outer_fid",
-                 "fallback", "_escape_flags", "xquery_text",
+                 "fallback", "_escape_flags", "module", "_text",
                  "parallel_ready", "parallel_mode",
                  "partition_stage_count", "signature")
 
@@ -1134,9 +1135,11 @@ class _VectorPlan:
         self.fallback = fallback
         self._escape_flags = [p.vtype not in _NO_ESCAPE_TYPES
                               for p in projections]
-        #: Stamped by DSPRuntime.prepare so the scatter executor can
-        #: re-prepare the identical plan by text in pool workers.
-        self.xquery_text = None
+        #: The module this plan was compiled from, stamped by the
+        #: DSPRuntime that prepared it; only such plans scatter, because
+        #: pool workers re-prepare the plan from its text.
+        self.module = None
+        self._text = None
         #: Scatter/gather shape analysis. A plan scatters only when it
         #: is driven by a plain scan (a leading hash join probes the
         #: unit tuple stream — there is nothing to split) and what its
@@ -1193,6 +1196,13 @@ class _VectorPlan:
             params[name] = bound[0] if bound else None
         return params
 
+    def xquery_text(self) -> str:
+        """The plan's query as text, for shipping to pool workers:
+        printed on the first scatter, kept for the next."""
+        if self._text is None:
+            self._text = print_module(self.module)
+        return self._text
+
     def chunks(self, frame: _Frame) -> Iterator[str]:
         params = self._scalar_params(frame)
         if params is None:
@@ -1202,7 +1212,7 @@ class _VectorPlan:
                        frame.variables.get(ACTUALS_KEY))
         VSTATS.executions += 1
         if self.parallel_ready and state.actuals is None \
-                and self.xquery_text is not None:
+                and self.module is not None:
             # EXPLAIN (actuals) stays serial: per-node row accounting
             # happens inside worker processes and cannot be merged.
             gathered = self.columnar.try_parallel(self, state)

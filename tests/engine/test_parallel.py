@@ -302,6 +302,42 @@ class TestEnvOverrides:
         finally:
             runtime.close()
 
+    def test_scattered_plan_prints_its_text_once(self, monkeypatch):
+        """The driver hands the runtime a tree; the only text a
+        translated statement ever gets is the one the scatter executor
+        ships to its workers, printed on the first scatter."""
+        from repro.xquery import printer, vector
+        storage = _storage()
+        serial = _runtime(storage, parallelism=0)
+        monkeypatch.setenv("REPRO_PARALLELISM", "2")
+        monkeypatch.setenv("REPRO_PARALLEL_MIN_ROWS", "0")
+        parallel = _runtime(storage, parallelism=0)
+        printed = []
+
+        def counting(module):
+            printed.append(module)
+            return printer.print_module(module)
+
+        monkeypatch.setattr(vector, "print_module", counting)
+        sql = "SELECT ID, V FROM FACTS WHERE V > 3"
+        try:
+            expected = _rows(serial, sql)
+            connection = connect(parallel)
+            cursor = connection.cursor()
+            for _ in range(3):
+                cursor.execute(sql)
+                assert cursor.fetchall() == expected
+            assert _parallel_queries(parallel) == 3
+            assert _counter(parallel, "parallel.fallbacks") == 0
+            assert len(printed) == 1
+            # The parent never parsed: its workers did, in their own
+            # processes, once each.
+            assert _counter(parallel, "xquery.parses") == 0
+            connection.close()
+        finally:
+            serial.close()
+            parallel.close()
+
     def test_env_int_semantics(self, monkeypatch):
         monkeypatch.delenv("REPRO_X", raising=False)
         assert _env_int("REPRO_X", 3) == 3

@@ -15,6 +15,7 @@ from repro.driver import Error, connect
 from repro.engine import DSPRuntime, Storage, import_tables
 from repro.sources.sqlite import SQLiteSource
 from repro.sql.types import SQLType
+from repro.xquery import parse_xquery
 
 from .sqlgen import SQL_TYPE_NAME
 
@@ -116,4 +117,8 @@ def assert_legs_agree(sql: str, params, legs: Legs) -> bool:
             assert result[2] == baseline[2], (
                 f"rowcount mismatch {key}={result[2]} vs "
                 f"{baseline_key}={baseline[2]} for: {sql!r}")
+    if baseline[0] == "ok":
+        # The tree the legs ran is the tree its printed text parses to.
+        translation = legs.connections[baseline_key].translate(sql)
+        assert parse_xquery(translation.xquery) == translation.module, sql
     return baseline[0] == "ok"

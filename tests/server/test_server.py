@@ -2,6 +2,8 @@
 driver, multi-client concurrency, tenant quotas, disconnect cleanup,
 and out-of-band cancel (the ISSUE-8 acceptance scenarios)."""
 
+import gc
+import logging
 import socket
 import threading
 import time
@@ -514,3 +516,27 @@ class TestRemoteCancel:
             finally:
                 sock.close()
             assert len(cursor.fetchall()) == 216  # query unharmed
+
+
+class TestStop:
+    def test_stop_with_a_client_connected_leaves_no_pending_task(
+            self, runtime, caplog):
+        """The connection's handler task is cancelled and awaited
+        before the loop stops; left pending, asyncio logs "Task was
+        destroyed but it is pending" when it is collected."""
+        tenant = TenantConfig(name="app", runtime=runtime, token=TOKEN)
+        handle = serve_in_thread(tenant)
+        connection = remote_connect(handle)
+        cursor = connection.cursor()
+        cursor.execute("SELECT COUNT(*) FROM CUSTOMERS")
+        assert cursor.fetchall() == [(6,)]
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            handle.stop()
+            del handle
+            gc.collect()
+        assert "Task was destroyed" not in caplog.text
+        # The handler's own clean-up ran: the session is gone, and the
+        # client sees an end of stream rather than a hang.
+        assert tenant.quota.stats()["active"] == 0
+        with pytest.raises((InterfaceError, OperationalError)):
+            cursor.execute("SELECT COUNT(*) FROM CUSTOMERS")

@@ -19,7 +19,10 @@ The corpus holds, for both result formats, the text generated for
 
 ``test_golden.py`` beside this file asserts byte equality against it, so
 run this only for a change to the generated text that is meant, and
-review the diff: each text is stored as a list of lines for that.
+review the diff: each text is stored as a list of lines for that. An
+entry whose text changes keeps what was first frozen for it under
+``"parent"``; the test holds such an entry to "parses equal, differs in
+whitespace and parentheses only" and to a list of the ids allowed one.
 """
 
 from __future__ import annotations
@@ -162,7 +165,22 @@ def build() -> list[dict]:
     return entries
 
 
+def keep_parents(entries: list[dict], frozen: list[dict]) -> None:
+    """Carry the first-frozen text of every entry that now differs."""
+    before = {entry["id"]: entry for entry in frozen}
+    for entry in entries:
+        old = before.get(entry["id"])
+        if old is None or old["sql"] != entry["sql"]:
+            continue
+        parent = old.get("parent") or {fmt: old[fmt] for fmt in FORMATS}
+        if any(parent[fmt] != entry[fmt] for fmt in FORMATS):
+            entry["parent"] = parent
+
+
 if __name__ == "__main__":
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
-    CORPUS.write_text(json.dumps(build(), indent=1) + "\n")
+    entries = build()
+    if CORPUS.exists():
+        keep_parents(entries, json.loads(CORPUS.read_text()))
+    CORPUS.write_text(json.dumps(entries, indent=1) + "\n")
     print(f"wrote {CORPUS}")

@@ -1,24 +1,46 @@
 """The generated XQuery text is frozen: ``corpus.json`` is what stage
 three emitted before it was rebuilt to construct AST nodes, and every
 statement must still come out byte for byte (see ``freeze.py`` for what
-the corpus holds and how to regenerate it)."""
+the corpus holds and how to regenerate it). The same corpus carries the
+tree contract: the module stage three builds is the module the parser
+reads back from its printed text."""
 
 from __future__ import annotations
 
 import functools
 import json
+import re
 
 import pytest
+
+from repro.xquery import ast, parse_xquery
+from repro.xquery.analysis import subexpressions
 
 from .freeze import CORPUS, FORMATS, demo_translator, fuzz_translator
 
 ENTRIES = json.loads(CORPUS.read_text())
+
+#: The entries whose text is allowed to differ from the first freeze
+#: (EXPERIMENTS E27 lists why): one layout was picked where two call
+#: sites of the old generator disagreed on the same node shape.
+PARSE_EQUAL_EXCEPTIONS = {
+    # NULLIF wrote ``if (a eq b)``; CASE wrote ``if ((a eq b))``.
+    "battery-011", "battery-122", "extra-001",
+    # A UNION ALL sequence as an operand was ``((l, r))`` after ``in`` /
+    # ``fn:exists`` but ``(l, r)`` inside ``fn-bea:distinct-records``.
+    "extra-003", "extra-012",
+}
 
 
 @functools.lru_cache(maxsize=2)
 def translator_for(schema):
     return demo_translator() if schema == "demo" \
         else fuzz_translator(schema)
+
+
+def translate(entry, fmt):
+    return translator_for(entry["schema"]).translate(entry["sql"],
+                                                     format=fmt)
 
 
 def test_corpus_is_what_the_freeze_asked_for():
@@ -30,7 +52,42 @@ def test_corpus_is_what_the_freeze_asked_for():
 
 @pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e["id"])
 def test_text_is_byte_identical(entry):
-    translator = translator_for(entry["schema"])
     for fmt in FORMATS:
-        text = translator.translate(entry["sql"], format=fmt).xquery
+        text = translate(entry, fmt).xquery
         assert text == "\n".join(entry[fmt]), (fmt, entry["sql"])
+
+
+def test_changed_texts_are_the_listed_ones_and_parse_equal():
+    changed = [entry for entry in ENTRIES if "parent" in entry]
+    assert {entry["id"] for entry in changed} == PARSE_EQUAL_EXCEPTIONS
+    chars = {"now": 0, "parent": 0}
+    for entry in ENTRIES:
+        for fmt in FORMATS:
+            now = "\n".join(entry[fmt])
+            parent = "\n".join(entry.get("parent", entry)[fmt])
+            chars["now"] += len(now)
+            chars["parent"] += len(parent)
+            if now != parent:
+                assert parse_xquery(now) == parse_xquery(parent)
+                assert re.sub(r"[\s()]", "", now) \
+                    == re.sub(r"[\s()]", "", parent)
+    assert abs(chars["now"] - chars["parent"]) < 0.01 * chars["parent"]
+
+
+def _same(built, parsed) -> bool:
+    """Equal, and equal in the type of every literal: ``==`` alone
+    takes ``XLiteral(1)`` for ``XLiteral(Decimal(1))``."""
+    return built == parsed and repr(built) == repr(parsed)
+
+
+@pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e["id"])
+def test_module_is_what_its_text_parses_to(entry):
+    for fmt in FORMATS:
+        result = translate(entry, fmt)
+        assert _same(result.module, parse_xquery(result.xquery)), \
+            (fmt, entry["sql"])
+        # The compiler memoises FLWOR plans by node identity: one node
+        # object must not sit at two places in the tree.
+        flwors = [id(node) for node, _ in subexpressions(result.module)
+                  if isinstance(node, ast.FLWOR)]
+        assert len(flwors) == len(set(flwors)), (fmt, entry["sql"])

@@ -9,6 +9,8 @@ from repro.translator.funcmap import (
     extract_function_for,
     xquery_function_for,
 )
+from repro.xquery import ast, parse_xquery_expr
+from repro.xquery.printer import print_expr, print_module
 
 
 class TestFunctionMap:
@@ -56,24 +58,34 @@ class TestWrapperGeneration:
             ResultColumn("NAME", "NAME", SQLType("VARCHAR")),
         ]
 
+    def text(self, body=None):
+        """The wrapper around *body* (default: a ``$BODY`` stand-in),
+        printed."""
+        body = ast.VarRef("BODY") if body is None else body
+        return print_expr(wrap_delimited(body, self.columns()))
+
     def test_structure(self):
-        text = wrap_delimited("PROLOG;\n", "BODY", self.columns())
-        assert text.startswith("PROLOG;\n")
-        assert "let $actualQuery := (\nBODY\n)" in text
+        text = print_module(ast.Module(
+            (ast.VarDecl("p1"),),
+            wrap_delimited(ast.VarRef("BODY"), self.columns())))
+        assert text.startswith("declare variable $p1 external;\n")
+        assert "let $actualQuery := (\n$BODY\n)" in text
         assert "for $tokenQuery in $actualQuery" in text
         assert text.rstrip().endswith('), "")')
 
     def test_one_cell_binding_per_column(self):
-        text = wrap_delimited("", "BODY", self.columns())
+        text = self.text()
         assert "let $cell0 := fn:data($tokenQuery/ID)" in text
         assert "let $cell1 := fn:data($tokenQuery/NAME)" in text
 
     def test_null_and_value_marks(self):
-        text = wrap_delimited("", "BODY", self.columns())
+        text = self.text()
         assert 'then "<"' in text
         assert 'fn:concat(">", fn-bea:xml-escape(' in text
 
     def test_body_unmodified(self):
-        """Clean separation: the body is embedded verbatim."""
-        body = "for $x in ns0:T() return <RECORD/>"
-        assert body in wrap_delimited("", body, self.columns())
+        """Clean separation: the body is embedded as it is."""
+        body = parse_xquery_expr("for $x in ns0:T() return <RECORD/>")
+        wrapped = wrap_delimited(body, self.columns())
+        assert wrapped.args[0].clauses[0].value is body
+        assert print_expr(body) in self.text(body)

@@ -1,13 +1,18 @@
 """Tests for the XQuery pretty-printer, including the translator-output
 round-trip property: parse(print(parse(q))) == parse(q)."""
 
+import dataclasses
+import math
+from decimal import Decimal
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.translator import SQLToXQueryTranslator
 from repro.workloads import COMPLEXITY_CLASSES, build_runtime, generate_query
-from repro.xquery import parse_xquery, parse_xquery_expr
+from repro.xquery import ast, parse_xquery, parse_xquery_expr
+from repro.xquery.analysis import subexpressions
 from repro.xquery.printer import print_expr, print_module
 
 SNIPPETS = [
@@ -93,3 +98,88 @@ def test_random_translator_output_roundtrips(translator, seed):
     xquery = translator.translate(generate_query(seed)).xquery
     parsed = parse_xquery(xquery)
     assert parse_xquery(print_module(parsed)) == parsed
+
+
+class TestLiterals:
+    """Literal spellings that used to print text the parser rejected or
+    read as something else."""
+
+    @pytest.mark.parametrize("value", [
+        Decimal("1E+2"), Decimal("0E-7"), Decimal("1E-7"),
+        Decimal("12.50"), Decimal("7")])
+    def test_decimal_prints_in_plain_notation(self, value):
+        # str(Decimal) may choose an exponent, which XQuery reads as a
+        # double ("1E+2") or not at all ("1E+2.0").
+        text = print_expr(ast.XLiteral(value))
+        parsed = parse_xquery_expr(text)
+        assert "E" not in text and "." in text
+        assert parsed == ast.XLiteral(value)
+        assert isinstance(parsed.value, Decimal)
+
+    @pytest.mark.parametrize("value,lexical", [
+        (math.inf, "INF"), (-math.inf, "-INF"), (math.nan, "NaN")])
+    def test_non_finite_double_prints_as_a_cast(self, value, lexical):
+        # "infe0" / "nane0" parsed as path steps.
+        text = print_expr(ast.XLiteral(value))
+        assert text == f'xs:double("{lexical}")'
+        result, = build_runtime().execute(text)
+        assert result == value or (result != result and value != value)
+
+    @pytest.mark.parametrize("value", [-5, Decimal("-2.50"), -1.5e300])
+    def test_negative_number_prints_as_its_normal_form(self, value):
+        """Numeric literals are unsigned; the normal form of a negative
+        number is unary minus over its magnitude. The printer spells a
+        negative literal that way, so print -> parse normalises it."""
+        parsed = parse_xquery_expr(print_expr(ast.XLiteral(value)))
+        assert parsed == ast.UnaryMinus(ast.XLiteral(-value))
+        assert type(parsed.operand.value) is type(value)
+
+    def test_translator_builds_the_normal_form(self, translator):
+        module = translator.translate(
+            "SELECT -5, -2.5 FROM CUSTOMERS").module
+        literals = [node.value for node, _ in subexpressions(module)
+                    if isinstance(node, ast.XLiteral)
+                    and not isinstance(node.value, str)]
+        assert literals == [5, Decimal("2.5")]
+        assert "(-xs:int(5))" in print_module(module)
+
+    def test_quote_in_a_string_is_spelled_as_an_entity(self):
+        # Stage three's spelling, not the doubled quote.
+        literal = ast.XLiteral('say "hi" & go')
+        text = print_expr(literal)
+        assert text == '"say &quot;hi&quot; &amp; go"'
+        assert parse_xquery_expr(text) == literal
+
+    def test_tiny_decimal_stays_a_decimal(self, translator):
+        # The text generator wrote xs:decimal(1E-7): a double literal.
+        result = translator.translate(
+            "SELECT 0.0000001 FROM CUSTOMERS")
+        assert "xs:decimal(0.0000001)" in result.xquery
+        assert parse_xquery(result.xquery) == result.module
+
+
+#: One text per node class, between them; each must round-trip.
+COVERAGE = [
+    'import schema namespace ns0 = "u" at "l";\n'
+    'declare namespace p = "v";\n'
+    "declare variable $p1 external;\n"
+    "for $a in ns0:T()[1]/X[. eq 2] let $b := -$a where $a = 1 or $b "
+    "and 2 to 3 group $a as $g by $b + 1 as $k order by $k descending "
+    'return <R a="x{$k}"><C>{if ($k) then "s" else 1.5}</C></R>',
+    "some $x in (1, 2e0) satisfies $x",
+]
+
+
+def test_every_node_class_prints():
+    """A node class the printer cannot print fails here: the texts in
+    COVERAGE must between them contain every class of ``ast``."""
+    seen = set()
+    for text in COVERAGE:
+        module = parse_xquery(text)
+        assert parse_xquery(print_module(module)) == module
+        seen.add(ast.Module)
+        seen.update(type(decl) for decl in module.prolog)
+        seen.update(type(node) for node, _ in subexpressions(module.body))
+    classes = {cls for cls in vars(ast).values()
+               if isinstance(cls, type) and dataclasses.is_dataclass(cls)}
+    assert classes - seen == set()
