@@ -332,8 +332,8 @@ class _PlannedFLWOR:
     """One FLWOR after planning — the single object every lowering of
     that FLWOR reads: the planner's clauses, advisory scan hints by
     clause index, and the for-variables a restore-order clause re-sorts
-    on (their stages carry ordinals). ``fid`` is set when the tuple
-    lowering numbers the pipeline; a straight-line let/where FLWOR has
+    on (their stages carry ordinals). ``fid`` is set when the lowering
+    that runs numbers the pipeline; a straight-line let/where FLWOR has
     no plan nodes and keeps None."""
 
     node: ast.FLWOR
@@ -350,6 +350,9 @@ class _Compiler:
                  statistics=None, batch_size: int = 0, columnar=None):
         self._static = StaticContext(resolver)
         self._optimize = optimize
+        #: compile_module's own arguments, for the tuple fallback of a
+        #: batched plan (built on first use, see _compile_chunks).
+        self._options = (resolver, optimize, pushdown, statistics)
         self._batch_size = max(0, int(batch_size))
         self._columnar = columnar
         #: The _VectorPlan when the body lowered to the batch executor;
@@ -550,6 +553,23 @@ class _Compiler:
                 and self._namespace(body) == FN_URI):
             return None
         separator = body.args[1].value
+        if (separator == "" and self._batch_size >= 1
+                and self._columnar is not None and self._optimize):
+            # Lazy import: vector imports this module for shared
+            # constants, so the cycle must break here.
+            from .vector import try_compile_wrapper
+
+            plan = try_compile_wrapper(self, body.args[0])
+            if plan is not None:
+                # The tuple lowering of a batched body serves only a
+                # parameter the scalar column model cannot hold, which
+                # the SQL driver never binds: it is built if that
+                # happens, from the same module and options.
+                module, options = self._module, self._options
+                plan.fallback = lambda: compile_module(
+                    module, *options)._chunks
+                self.vector_plan = plan
+                return plan.chunks
         items = self._compile_stream(body.args[0])
 
         def chunks(frame: _Frame) -> Iterator[str]:
@@ -565,16 +585,6 @@ class _Compiler:
                         yield separator
                     yield string_value(value)
 
-        if (separator == "" and self._batch_size >= 1
-                and self._columnar is not None and self._optimize):
-            # Lazy import: vector imports this module for shared
-            # constants, so the cycle must break here.
-            from .vector import try_compile_wrapper
-
-            plan = try_compile_wrapper(self, body.args[0], chunks)
-            if plan is not None:
-                self.vector_plan = plan
-                return plan.chunks
         return chunks
 
     # -- leaves -----------------------------------------------------------

@@ -914,12 +914,10 @@ def _partial_agg_pays(info: _AggInfo) -> bool:
     return info.group_estimate <= 0.5 * info.row_estimate
 
 
-def try_compile_wrapper(compiler, arg, fallback) -> Optional["_VectorPlan"]:
+def try_compile_wrapper(compiler, arg) -> Optional["_VectorPlan"]:
     """Compile the wrapper's ``fn:string-join`` argument *arg* into a
     vector plan. Returns the :class:`_VectorPlan` (its ``chunks`` bound
-    method is the chunks closure) or None; *fallback* is the tuple-path
-    closure used when run-time parameter shapes disqualify the plan
-    (results must stay byte-identical)."""
+    method is the chunks closure) or None."""
     if not isinstance(arg, ast.FLWOR):
         return None
     cc = _Ctx(compiler)
@@ -1085,6 +1083,10 @@ def try_compile_wrapper(compiler, arg, fallback) -> Optional["_VectorPlan"]:
     if projections is None:
         return None
 
+    # Accepted: the plan's two FLWORs get their plan-node ids here, in
+    # the tuple lowering's order (a FLWOR after the ones it reads).
+    compiler._number(inner_plan)
+    compiler._number(outer_plan)
     return _VectorPlan(
         columnar=columnar,
         batch_size=compiler._batch_size,
@@ -1094,7 +1096,6 @@ def try_compile_wrapper(compiler, arg, fallback) -> Optional["_VectorPlan"]:
         param_names=frozenset(cc.params),
         inner_fid=inner_plan.fid,
         outer_fid=outer_plan.fid,
-        fallback=fallback,
     )
 
 
@@ -1118,12 +1119,13 @@ def _count_rows(batches, actuals: dict, node_id) -> Iterator[_Batch]:
 class _VectorPlan:
     __slots__ = ("columnar", "batch_size", "stages", "window",
                  "projections", "param_names", "inner_fid", "outer_fid",
-                 "fallback", "_escape_flags", "module", "_text",
+                 "fallback", "_tuple_chunks", "_escape_flags", "module",
+                 "_text",
                  "parallel_ready", "parallel_mode",
                  "partition_stage_count", "signature")
 
     def __init__(self, columnar, batch_size, stages, window, projections,
-                 param_names, inner_fid, outer_fid, fallback):
+                 param_names, inner_fid, outer_fid):
         self.columnar = columnar
         self.batch_size = batch_size
         self.stages = stages
@@ -1132,7 +1134,12 @@ class _VectorPlan:
         self.param_names = param_names
         self.inner_fid = inner_fid
         self.outer_fid = outer_fid
-        self.fallback = fallback
+        #: Set by the compiler: builds the tuple-path chunks closure of
+        #: the same module, for a run-time parameter shape outside the
+        #: scalar column model (results must stay byte-identical). Built
+        #: on first use — the SQL driver never binds such a parameter.
+        self.fallback = None
+        self._tuple_chunks = None
         self._escape_flags = [p.vtype not in _NO_ESCAPE_TYPES
                               for p in projections]
         #: The module this plan was compiled from, stamped by the
@@ -1207,7 +1214,12 @@ class _VectorPlan:
         params = self._scalar_params(frame)
         if params is None:
             VSTATS.fallbacks += 1
-            return self.fallback(frame)
+            if self._tuple_chunks is None:
+                self._tuple_chunks = self.fallback()
+            # The fallback numbers its own plan nodes: its row counts
+            # do not belong under this plan's ids.
+            frame.variables.pop(ACTUALS_KEY, None)
+            return self._tuple_chunks(frame)
         state = _State(frame, frame.variables.get(CONTEXT_KEY), params,
                        frame.variables.get(ACTUALS_KEY))
         VSTATS.executions += 1

@@ -93,10 +93,12 @@ def counters(monkeypatch):
 
 @pytest.mark.parametrize("sql", STATEMENTS)
 def test_each_flwor_planned_once_each_clause_lowered_once(sql, counters):
-    """The vector lowering reads the planned object the tuple lowering
-    made (``xquery/vector.py`` imports neither planner entry point, so
+    """Both lowerings read one planned object per FLWOR
+    (``xquery/vector.py`` imports neither planner entry point, so
     these two counters see every call), and the body is compiled
-    through one of the chunk / item streams, never both."""
+    through one of the chunk / item streams, never both. A batched body
+    has no tuple lowering until a run needs it, so the FLWORs only that
+    lowering reads (the wrapper's cells) are not planned at all."""
     for fmt in ("delimited", "recordset"):
         module = module_of(sql, fmt)
         flwors = sum(isinstance(node, ast.FLWOR)
@@ -104,9 +106,13 @@ def test_each_flwor_planned_once_each_clause_lowered_once(sql, counters):
         for batch_size in (0, 1024):
             counters["plan"] = counters["hints"] = 0
             counters["lowered"].clear()
-            compiled(module, batch_size)
-            assert counters["plan"] == flwors, (sql, fmt, batch_size)
-            assert counters["hints"] == flwors, (sql, fmt, batch_size)
+            plan = compiled(module, batch_size)
+            assert counters["plan"] == counters["hints"]
+            if plan.batched:
+                assert 0 < counters["plan"] < flwors, (sql, fmt)
+                assert not counters["lowered"], (sql, fmt)
+            else:
+                assert counters["plan"] == flwors, (sql, fmt, batch_size)
             assert set(counters["lowered"].values()) <= {1}, \
                 (sql, fmt, batch_size)
 
@@ -152,7 +158,10 @@ def test_evaluate_on_a_batched_plan_runs_the_vector_plan():
         return result, moved
 
     assert run({"p1": ["Sue"]}) == ([">23"], (1, 0))
+    # The tuple lowering of a batched body is built when first needed.
+    assert plan.vector_plan._tuple_chunks is None
     assert run({"p1": [element("X", "Sue")]}) == ([">23"], (0, 1))
+    assert plan.vector_plan._tuple_chunks is not None
     failed, moved = run({"p1": ["Sue", "Joe"]})
     assert moved == (0, 1) and isinstance(failed, tuple)
 
