@@ -260,6 +260,12 @@ class DSPRuntime:
         from . import parallel
         return parallel.execute(self, plan, state)
 
+    def note_decline(self, reason: str) -> None:
+        """Count, by reason code, a compiled wrapper that kept the
+        tuple pipeline (``vector.decline.<code>``; for ``param_shape``,
+        a run of a batched plan that took it)."""
+        self.metrics.counter(f"vector.decline.{reason}").increment()
+
     def shutdown_pool(self) -> None:
         """Terminate the scatter/gather worker pool (idempotent)."""
         pool, self._pool = self._pool, None
@@ -792,6 +798,8 @@ class DSPRuntime:
                 # What the scatter executor prints and ships to its
                 # workers, should this plan ever scatter.
                 plan.vector_plan.module = module
+            elif plan.batched_reason is not None:
+                self.note_decline(plan.batched_reason)
             estimate = plan.estimated_rows
             if estimate is not None:
                 self._estimated_rows.add(int(round(estimate)))

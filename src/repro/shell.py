@@ -205,7 +205,8 @@ class Shell:
             plan = runtime.prepare_module((fmt, sql), result.module)
             self._out(explain(result.unit,
                               stage_timings=result.stage_timings,
-                              plan_reports=plan.plan_reports))
+                              plan_reports=plan.plan_reports,
+                              executor=plan.executor))
         except ReproError as exc:
             self._out(f"error: {exc}")
 

@@ -18,7 +18,8 @@ from .stage2 import BoundQuery, BoundSelect, BoundSetOp, TranslationUnit
 def explain(unit: TranslationUnit,
             stage_timings: dict[str, float] | None = None,
             plan_reports: list | None = None,
-            actuals: dict | None = None) -> str:
+            actuals: dict | None = None,
+            executor: str | None = None) -> str:
     """A full report: contexts, RSN tree, result schema, parameters,
     and — when *stage_timings* (``TranslationResult.stage_timings``) is
     given — the per-stage wall time of the translation.
@@ -26,7 +27,9 @@ def explain(unit: TranslationUnit,
     *plan_reports* (``CompiledQuery.plan_reports``) adds the cost-based
     execution plan: one line per pipeline node with its estimated
     output rows; *actuals* (the dict filled by an execution) adds the
-    observed counts next to the estimates."""
+    observed counts next to the estimates; *executor*
+    (``CompiledQuery.executor``) says which executor runs the plan and,
+    for the tuple pipeline, why the batched one declined."""
     out = StringIO()
     out.write("QUERY CONTEXTS (stage 1)\n")
     _write_context(unit.stage1.root_context, out, indent=0)
@@ -42,6 +45,8 @@ def explain(unit: TranslationUnit,
         for index in sorted(unit.param_types):
             out.write(f"  ?{index} -> $p{index} "
                       f"({unit.param_types[index]})\n")
+    if executor:
+        out.write(f"\nexecutor: {executor}\n")
     if plan_reports:
         out.write("\nEXECUTION PLAN (cost-based)\n")
         for report in plan_reports:

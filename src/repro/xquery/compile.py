@@ -97,10 +97,12 @@ from .planner import (
     CostEstimator,
     HashJoinClause,
     ParamRef,
+    OuterJoin,
     RestoreOrderClause,
     bind_scan_request,
     estimate_plan,
     grouping_key,
+    match_outer_join,
     ordinal_key,
     plan_clauses,
     scan_requests,
@@ -160,14 +162,14 @@ class CompiledQuery:
     """
 
     __slots__ = ("module", "compile_seconds", "plan_reports", "batched",
-                 "vector_plan", "_items", "_chunks")
+                 "batched_reason", "vector_plan", "_items", "_chunks")
 
     def __init__(self, module: ast.Module,
                  items: Optional[Callable[[_Frame], Iterable]],
                  chunks: Optional[Callable[[_Frame], Iterator[str]]],
                  compile_seconds: float,
                  plan_reports: Optional[list] = None,
-                 vector_plan=None):
+                 vector_plan=None, batched_reason: Optional[str] = None):
         self.module = module
         self.compile_seconds = compile_seconds
         #: Per-FLWOR plan-node reports (labels + estimated rows) when
@@ -179,6 +181,10 @@ class CompiledQuery:
         #: stream then serves only parameter shapes outside the scalar
         #: column model.
         self.batched = vector_plan is not None
+        #: Why the vector lowering declined this wrapper (one of
+        #: ``repro.xquery.vector.DECLINE_REASONS``); None when batched
+        #: or when it was never asked (no batch size, not a wrapper).
+        self.batched_reason = batched_reason
         #: The executing ``repro.xquery.vector._VectorPlan`` when
         #: ``batched`` — the scatter/gather executor reads its shape
         #: and partition entry points. None on the tuple path.
@@ -199,6 +205,16 @@ class CompiledQuery:
             if estimates:
                 return estimates[-1]
         return None
+
+    @property
+    def executor(self) -> str:
+        """EXPLAIN's executor line: ``batched``, or ``tuple`` with the
+        vector lowering's decline code when it was asked."""
+        if self.batched:
+            return "batched"
+        if self.batched_reason is None:
+            return "tuple"
+        return f"tuple (decline: {self.batched_reason})"
 
     @property
     def streams_text(self) -> bool:
@@ -290,7 +306,8 @@ def compile_module(module: ast.Module,
     return CompiledQuery(module, items, chunks,
                          time.perf_counter() - started,
                          compiler.plan_reports,
-                         vector_plan=compiler.vector_plan)
+                         vector_plan=compiler.vector_plan,
+                         batched_reason=compiler.batched_reason)
 
 
 def _resolver_params(resolver) -> frozenset:
@@ -334,12 +351,16 @@ class _PlannedFLWOR:
     clause index, and the for-variables a restore-order clause re-sorts
     on (their stages carry ordinals). ``fid`` is set when the lowering
     that runs numbers the pipeline; a straight-line let/where FLWOR has
-    no plan nodes and keeps None."""
+    no plan nodes and keeps None. ``outer_join`` is set when the last
+    clause and the return are stage 3's left-outer-join pattern: the
+    vector lowering runs its join in their place, the tuple lowering
+    runs them as written."""
 
     node: ast.FLWOR
     clauses: list
     hints: dict
     ordinal_vars: frozenset
+    outer_join: Optional[OuterJoin] = None
     fid: Optional[int] = None
 
 
@@ -358,6 +379,7 @@ class _Compiler:
         #: The _VectorPlan when the body lowered to the batch executor;
         #: carried onto CompiledQuery for the scatter/gather executor.
         self.vector_plan = None
+        self.batched_reason: Optional[str] = None
         self._external_vars = frozenset(
             decl.name for decl in module.prolog
             if isinstance(decl, ast.VarDecl))
@@ -463,6 +485,18 @@ class _Compiler:
 
         return once
 
+    def _subquery_once(self, call: ast.XFunctionCall, members: _Thunk):
+        """*members* — *call*'s compiled invariant subquery argument —
+        evaluated once per execution and listed in the plan reports;
+        for a two-argument ``in3`` what is kept is the member table
+        (:class:`PreparedIn3`), to be called with the needle. Both
+        lowerings take their subquery constants from here."""
+        node_id = self._report_once(call)
+        if call.local == "in3" and len(call.args) == 2:
+            return self._once(
+                lambda frame: PreparedIn3(members(frame)), node_id)
+        return self._once(members, node_id)
+
     def _report_once(self, call: ast.XFunctionCall):
         """Plan-node id of a once-per-execution subquery; lists it (with
         why it qualified) in the plan reports."""
@@ -559,7 +593,8 @@ class _Compiler:
             # constants, so the cycle must break here.
             from .vector import try_compile_wrapper
 
-            plan = try_compile_wrapper(self, body.args[0])
+            plan, self.batched_reason = try_compile_wrapper(
+                self, body.args[0])
             if plan is not None:
                 # The tuple lowering of a batched body serves only a
                 # parameter the scalar column model cannot hold, which
@@ -784,19 +819,17 @@ class _Compiler:
         position = _SUBQUERY_ARGS.get((uri, local))
         if (position is not None and position < len(args)
                 and self._invariant_subquery(expr.args[position])):
-            node_id = self._report_once(expr)
+            once = self._subquery_once(expr, args[position])
             if local == "in3" and len(args) == 2:
-                needle, members = args
-                table = self._once(
-                    lambda frame: PreparedIn3(members(frame)), node_id)
+                needle = args[0]
 
                 def probe(frame: _Frame) -> Sequence:
                     # Needle first: the plain call's argument order.
                     value = needle(frame)
-                    return table(frame)(value)
+                    return once(frame)(value)
 
                 return probe
-            args[position] = self._once(args[position], node_id)
+            args[position] = once
         if uri == XS_URI:
             if local in _XS_CONSTRUCTOR_TYPES and len(args) == 1:
                 arg = args[0]
@@ -917,13 +950,30 @@ class _Compiler:
                     var for clause in clauses
                     if isinstance(clause, RestoreOrderClause)
                     for var in clause.vars))
+            if self._optimize:
+                planned.outer_join = match_outer_join(
+                    clauses, expr.return_expr,
+                    lambda inner: self._planned(inner).clauses,
+                    self._is_fn, self._external_vars)
         return planned
 
-    def _number(self, planned: "_PlannedFLWOR") -> list:
+    def _is_fn(self, expr, local: str, arity: int) -> bool:
+        """True when *expr* is a call of ``fn:local`` with *arity*
+        arguments (by namespace, whatever the prefix)."""
+        return (isinstance(expr, ast.XFunctionCall) and expr.local == local
+                and len(expr.args) == arity
+                and self._namespace(expr) == FN_URI)
+
+    def _number(self, planned: "_PlannedFLWOR",
+                batched: bool = False) -> list:
         """Give a lowered pipeline FLWOR its plan id and list its nodes
         (labels + estimates) in the plan reports; returns the node ids
-        its stages count actual rows under."""
+        its stages count actual rows under. *batched* says the vector
+        lowering runs it: an outer-join ``let`` is then the planner's
+        left outer hash join."""
         clauses = planned.clauses
+        if batched and planned.outer_join is not None:
+            clauses = clauses[:-1] + [planned.outer_join.join]
         fid = planned.fid = next(self._fids)
         if self._estimator is not None:
             estimates = estimate_plan(clauses, self._estimator,
@@ -1376,7 +1426,8 @@ def _clause_label(clause, built_once: bool = False) -> str:
             parts += f", {len(clause.filters)} filters"
         if built_once:
             parts += ", built once"
-        return f"hash-join ${clause.for_clause.var} ({parts})"
+        kind = "left outer hash join" if clause.outer else "hash-join"
+        return f"{kind} ${clause.for_clause.var} ({parts})"
     if isinstance(clause, RestoreOrderClause):
         return "restore-order"
     if isinstance(clause, ast.ForClause):

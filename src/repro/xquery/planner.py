@@ -60,16 +60,22 @@ class HashJoinClause:
     filtered once before entering the hash table instead of once per
     matching output tuple. Safe because such a conjunct evaluates
     identically on a build item and on any output frame binding it.
+
+    ``outer`` marks the left outer join :func:`match_outer_join` makes
+    of stage 3's ``if (fn:empty($t))`` pattern: a probe tuple no build
+    item matches is kept, once, with the join variable unbound.
     """
 
-    __slots__ = ("for_clause", "keys", "filters")
+    __slots__ = ("for_clause", "keys", "filters", "outer")
 
     def __init__(self, for_clause: ast.ForClause,
                  keys: tuple[tuple[ast.XExpr, ast.XExpr, ast.XExpr], ...],
-                 filters: tuple[ast.XExpr, ...] = ()):
+                 filters: tuple[ast.XExpr, ...] = (),
+                 outer: bool = False):
         self.for_clause = for_clause
         self.keys = keys
         self.filters = filters
+        self.outer = outer
 
     # Single-key accessors, kept for the common case and older callers.
 
@@ -336,6 +342,105 @@ def _match_join_conjunct(for_clause: ast.ForClause,
             and right_free <= {var}:
         return condition.right, condition.left, condition
     return None
+
+
+# ---------------------------------------------------------------------------
+# Stage 3's left-outer-join pattern
+# ---------------------------------------------------------------------------
+
+
+class OuterJoin:
+    """What :func:`match_outer_join` found on a FLWOR whose last clause
+    and return are stage 3's outer-join pattern: the left outer
+    :class:`HashJoinClause` that stands for that last ``let`` and the
+    matched-branch record that stands for the ``if``. ``join`` is None
+    when the pattern is there but is not a hash join with the left
+    outer rule (see :func:`match_outer_join`)."""
+
+    __slots__ = ("join", "record")
+
+    def __init__(self, join: Optional[HashJoinClause], record: ast.XExpr):
+        self.join = join
+        self.record = record
+
+
+def match_outer_join(clauses, return_expr, planned_clauses, is_fn,
+                     external_vars: frozenset) -> Optional[OuterJoin]:
+    """Recognise stage 3's left outer join (``_gen_join``)::
+
+        for $a in A ...
+        let $t := (for $b in B where <conjuncts> return $b)
+        return if (fn:empty($t)) then R1 else for $b in $t return R2
+
+    on a FLWOR's planned *clauses* and *return_expr*; None when it is
+    not there. *planned_clauses* gives the planned clauses of the inner
+    FLWOR, *is_fn* is ``(expr, local, arity) -> bool`` for ``fn:`` calls
+    (the caller owns the static context).
+
+    The pattern is a left outer hash join when the inner FLWOR planned
+    to one hash join on ``$b`` — its equality conjuncts are the keys —
+    whose every other conjunct reads only ``$b`` (a build filter), and
+    R1 is R2 without the cells that read ``$b``, each of those a plain
+    ``fn:data($b/COL)``: with ``$b`` unbound such a cell is an empty
+    element, which atomizes like the child R1 does not have, so one R2
+    serves both branches. Anything else keeps ``join`` None.
+    """
+    if not (clauses and isinstance(clauses[-1], ast.LetClause)
+            and isinstance(return_expr, ast.IfExpr)):
+        return None
+    let = clauses[-1]
+    inner, matched = let.value, return_expr.else_
+    temp = ast.VarRef(name=let.var)
+    if not (isinstance(inner, ast.FLWOR)
+            and isinstance(inner.return_expr, ast.VarRef)
+            and is_fn(return_expr.condition, "empty", 1)
+            and return_expr.condition.args[0] == temp
+            and isinstance(matched, ast.FLWOR)
+            and len(matched.clauses) == 1
+            and isinstance(matched.clauses[0], ast.ForClause)
+            and matched.clauses[0].source == temp
+            and matched.clauses[0].var == inner.return_expr.name):
+        return None
+    var = inner.return_expr.name
+    record = matched.return_expr
+    if let.var in free_vars(record) | free_vars(return_expr.then):
+        return None
+    found = OuterJoin(None, record)
+    head, *rest = planned_clauses(inner)
+    if not (isinstance(head, HashJoinClause)
+            and head.for_clause.var == var
+            and all(isinstance(clause, ast.WhereClause)
+                    and free_vars(clause.condition) - external_vars
+                    <= {var} for clause in rest)
+            and _null_extends(record, return_expr.then, var)):
+        return found
+    found.join = HashJoinClause(
+        head.for_clause, head.keys,
+        head.filters + tuple(clause.condition for clause in rest),
+        outer=True)
+    return found
+
+
+def _null_extends(record, unmatched, var: str) -> bool:
+    """True when constructor *record* minus its children that read
+    *var* — each of them exactly ``<N>{fn:data($var/COL)}</N>`` — is
+    constructor *unmatched*."""
+    if not (isinstance(record, ast.ElementConstructor)
+            and isinstance(unmatched, ast.ElementConstructor)
+            and (record.name, record.prefix, record.attributes)
+            == (unmatched.name, unmatched.prefix, unmatched.attributes)):
+        return False
+    kept = []
+    for part in record.content:
+        if isinstance(part, str) or var not in free_vars(part):
+            kept.append(part)
+        elif not (isinstance(part, ast.ElementConstructor)
+                  and not part.attributes and len(part.content) == 1
+                  and not isinstance(part.content[0], str)
+                  and _scan_column(part.content[0], var) is not None):
+            return False
+    return [p for p in kept if not isinstance(p, str)] \
+        == [p for p in unmatched.content if not isinstance(p, str)]
 
 
 # ---------------------------------------------------------------------------
@@ -897,7 +1002,8 @@ def _advance_estimate(card: Optional[float], clause,
         for condition in clause.filters:
             result *= conjunct_selectivity(condition, var, stats,
                                            external_vars)
-        return result
+        # A left outer join keeps every probe tuple at least once.
+        return max(result, card) if clause.outer else result
     if isinstance(clause, ast.WhereClause):
         if card is None:
             return None

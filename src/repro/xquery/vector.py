@@ -2,11 +2,11 @@
 
 The tuple pipeline in ``repro.xquery.compile`` moves one row element at a
 time through for/where/join stages, constructing a RECORD element per row
-and re-atomizing it in the wrapper's per-cell closures. For the driver's
-dominant shape — the section-4 delimited wrapper over a planned FLWOR of
-scans, filters, hash joins, and sorts — all of that per-row work is
-schema-determined at compile time. This module lowers exactly that shape
-onto column-oriented batches instead:
+and re-atomizing it in the wrapper's per-cell closures — and, for the
+patterns stage 3 writes outer joins, derived tables and GROUP BY inputs
+in, a RECORDSET of such elements per nesting level. All of that is
+schema-determined at compile time, so this module lowers the section-4
+delimited wrapper onto column-oriented batches instead:
 
 * a :class:`_Batch` holds plain Python lists, one per referenced column,
   ``None`` marking SQL NULL; operators slice, filter, and gather whole
@@ -15,19 +15,25 @@ onto column-oriented batches instead:
   columnar API (cached per storage version) and slice them into batches
   of ``batch_size`` rows;
 * predicates evaluate column-wise into three-valued masks, hash joins
-  build and probe on key columns, ORDER BY sorts an index permutation,
-  and the delimited codec's cells are encoded a column at a time;
+  (inner and left outer) build and probe on key columns, GROUP BY folds
+  a hash table, ORDER BY sorts an index permutation, and the delimited
+  codec's cells are encoded a column at a time;
+* the plan is recursive (:func:`lower_flwor`): a source or a join build
+  side is a scan or a *record-set sub-plan* — the FLWOR inside a
+  ``<RECORDSET>`` — whose RECORD cells cross the boundary as untyped
+  lexical columns, never as elements; an invariant subquery is such a
+  sub-plan evaluated once per execution;
 * the generator protocol is preserved: each stage yields batches, so
   deadlines/cancellation tick per batch (``QueryContext.tick_rows``) and
   a lazily-consumed cursor materializes O(batches fetched) rows.
 
 Correctness contract: the vector compiler only engages for shapes it can
-prove equivalent, and the compiled tuple ``chunks`` closure is kept as a
-wholesale fallback — both at compile time (unsupported expression or
-clause) and at run time (a parameter bound to a non-scalar). Within a
-supported shape the byte output is identical to the tuple path; the one
-relaxation is error *granularity*: a dynamic error raised while
-evaluating a batch surfaces before that batch's earlier rows are
+prove equivalent — all or nothing per statement: anything else declines
+under one of :data:`DECLINE_REASONS` and the statement keeps the tuple
+pipeline, as does a run whose parameter is bound to a non-scalar.
+Within a supported shape the byte output is identical to the tuple
+path; the one relaxation is error *granularity*: a dynamic error raised
+while evaluating a batch surfaces before that batch's earlier rows are
 emitted, where the tuple path would have emitted them first (the error
 itself, and whether the query errors at all, are unchanged).
 """
@@ -41,9 +47,11 @@ from decimal import Decimal
 from itertools import chain
 from typing import Callable, Iterator, Optional
 
-from ..errors import XQueryTypeError
+from ..errors import XQueryDynamicError, XQueryTypeError
+from ..xmlmodel import Element, QName
 from ..xmlmodel.escape import escape_text
 from . import ast
+from .analysis import subexpressions
 from .atomic import (
     UntypedAtomic,
     _coerce_for_value_comparison,
@@ -56,8 +64,17 @@ from .atomic import (
     order_key,
     serialize_atomic,
 )
+from .compile import _SUBQUERY_ARGS, ACTUALS_KEY
 from .evaluator import CONTEXT_KEY, _Directional, _Frame
-from .functions import _XS_CONSTRUCTOR_TYPES, BEA_URI, FN_URI, XS_URI
+from .functions import (
+    _XS_CONSTRUCTOR_TYPES,
+    BEA_URI,
+    BUILTINS,
+    FN_URI,
+    XS_URI,
+    PreparedIn3,
+    bea_in3,
+)
 from .printer import print_module
 from .planner import (
     HashJoinClause,
@@ -90,6 +107,10 @@ _ORD = "\x00ord"
 #: keys and finalized aggregates): ``cols[(_GRP, var)]``.
 _GRP = "\x00grp"
 
+#: The vtype of a record-set column: already the untyped lexical form a
+#: RECORD boundary leaves, so crossing another one is a rename.
+_UNTYPED = "untypedAtomic"
+
 _CMP_OPS = {"eq": operator.eq, "ne": operator.ne, "lt": operator.lt,
             "le": operator.le, "gt": operator.gt, "ge": operator.ge}
 
@@ -100,8 +121,9 @@ class _VectorStats(threading.local):
     path, ``batches``/``rows`` the encoded output volume — a lazily
     consumed cursor over a large scan shows O(batches fetched) rows
     encoded, not O(table) — ``parallel`` the runs that scattered
-    across the process pool, and ``agg_groups`` the group-table entries
-    the hash-aggregation stage emitted."""
+    across the process pool, ``agg_groups`` the group-table entries
+    the hash-aggregation stage emitted, and ``join_builds`` the hash
+    tables join stages built."""
 
     def __init__(self):
         self.executions = 0
@@ -110,6 +132,7 @@ class _VectorStats(threading.local):
         self.rows = 0
         self.parallel = 0
         self.agg_groups = 0
+        self.join_builds = 0
 
 
 VSTATS = _VectorStats()
@@ -182,15 +205,19 @@ class _V:
 
 
 class _State:
-    """Per-execution mutable context threaded through every stage."""
+    """Per-execution mutable context threaded through every stage;
+    ``memo`` holds what is computed once per execution (subquery
+    constants, see :func:`_vcompile_once`)."""
 
-    __slots__ = ("frame", "ctx", "params", "actuals")
+    __slots__ = ("plan", "frame", "ctx", "params", "actuals", "memo")
 
-    def __init__(self, frame: _Frame, ctx, params: dict, actuals):
+    def __init__(self, plan, frame: _Frame, params: dict, actuals):
+        self.plan = plan
         self.frame = frame
-        self.ctx = ctx
+        self.ctx = frame.variables.get(CONTEXT_KEY)
         self.params = params
         self.actuals = actuals
+        self.memo: dict = {}
 
 
 # ---------------------------------------------------------------------------
@@ -198,15 +225,52 @@ class _State:
 # ---------------------------------------------------------------------------
 
 
-class _Ctx:
-    """Compile-time context: the host compiler (namespaces, external
-    vars) plus the set of parameter names the plan ends up reading."""
+#: Why a wrapper kept the tuple path (``CompiledQuery.batched_reason``,
+#: EXPLAIN's ``executor:`` line, ``vector.decline.<code>`` counters).
+#: ``param_shape`` is the one run-time decline: an external parameter
+#: bound to a sequence or a node.
+DECLINE_REASONS = frozenset({
+    "not_wrapper",          # body is not the section-4 cells over a FLWOR
+    "window_bounds",        # fn:subsequence bounds are not int literals
+    "duplicate_cell_name",  # two cells / record children of one name
+    "record_shape",         # return is not a flat RECORD of {expr} cells
+    "non_scan_source",      # for/join source: no columnar scan, no record set
+    "unsupported_clause",   # cross product, scalar let, unread record set
+    "unsupported_aggregate",  # a use of the group partition did not lower
+    "outer_join_residual",  # outer-join pattern, not equi-keys + build filters
+    "correlated_subquery",  # subquery argument reads a FLWOR variable
+    "bare_row_var",         # a row variable used as a node
+    "unsupported_expr",     # expression outside the vector subset
+    "param_shape",
+})
 
-    __slots__ = ("compiler", "params")
+
+class _Decline(Exception):
+    """Raised anywhere in the lowering: the whole wrapper keeps the
+    tuple path, for *reason* (one of :data:`DECLINE_REASONS`)."""
+
+    def __init__(self, reason: str):
+        super().__init__(reason)
+        self.reason = reason
+
+
+class _Ctx:
+    """Compile-time context of one wrapper: the host compiler
+    (namespaces, external vars, the once-memo), the parameter names the
+    plan ends up reading, the let-bound record sets no ``for`` has read
+    yet, and what accepting the plan still has to do — plan-node
+    numbering and the tuple compilation of once-per-execution
+    subqueries, both deferred so that a decline leaves the compiler as
+    it found it."""
+
+    __slots__ = ("compiler", "params", "recordsets", "accept", "once")
 
     def __init__(self, compiler):
         self.compiler = compiler
         self.params: set[str] = set()
+        self.recordsets: dict = {}
+        self.accept: list = []
+        self.once = False
 
 
 def _vtype_of_literal(value) -> Optional[str]:
@@ -232,11 +296,26 @@ def _vconst(value, vtype: Optional[str]) -> _V:
     return _V(run, vtype)
 
 
+class _RowVar:
+    """Environment entry of a row variable: ``schema`` maps the child
+    names ``$var/NAME`` may step to onto their xs: type. A data-service
+    row has its declared columns; a record-set row (see
+    :class:`_SubPlan`) has its RECORD's cells, all :data:`_UNTYPED`, and
+    a *demand* hook: the sub-plan computes a plain-column cell only if
+    somebody reads it."""
+
+    __slots__ = ("schema", "demand")
+
+    def __init__(self, schema: dict, demand=None):
+        self.schema = schema
+        self.demand = demand
+
+
 class _ScalarCol:
     """Environment entry for a scalar-valued variable materialized as a
     batch column (post-aggregation group keys and aggregate results) —
-    unlike a row variable's ``{column: xs_type}`` schema dict, a bare
-    reference to one of these IS the column."""
+    unlike a row variable, a bare reference to one of these IS the
+    column."""
 
     __slots__ = ("key", "vtype")
 
@@ -245,31 +324,41 @@ class _ScalarCol:
         self.vtype = vtype
 
 
-def _vcolumn(cc: _Ctx, expr, env: dict) -> Optional[_V]:
-    """Match ``$var/COLUMN`` under ``fn:data`` — the translator's column
-    access — against the in-scope row variables."""
+def _column_ref(expr, env: dict) -> Optional[tuple]:
+    """``(row variable entry, batch key)`` when *expr* is ``$var/NAME``
+    over an in-scope row variable that has such a child."""
     if not (isinstance(expr, ast.PathExpr)
             and isinstance(expr.base, ast.VarRef)
             and len(expr.steps) == 1):
         return None
-    var = expr.base.name
     step = expr.steps[0]
-    columns = env.get(var)
-    if (not isinstance(columns, dict) or step.name is None
-            or step.predicates or step.name not in columns):
+    row = env.get(expr.base.name)
+    if (not isinstance(row, _RowVar) or step.predicates
+            or step.name not in row.schema):
         return None
-    key = (var, step.name)
+    return row, (expr.base.name, step.name)
+
+
+def _vcolumn(expr, env: dict) -> Optional[_V]:
+    """Match ``$var/COLUMN`` under ``fn:data`` — the translator's column
+    access — against the in-scope row variables."""
+    ref = _column_ref(expr, env)
+    if ref is None:
+        return None
+    row, key = ref
+    if row.demand is not None:
+        row.demand(key[1])
 
     def run(state, batch):
         return batch.cols[key]
 
-    return _V(run, columns[step.name])
+    return _V(run, row.schema[key[1]])
 
 
-def _vcompile(cc: _Ctx, expr, env: dict) -> Optional[_V]:
-    """Lower *expr* to a vector expression over the row variables in
-    *env* (var -> {column: xs type}); None when the shape is outside the
-    supported subset (the caller then falls back to the tuple path)."""
+def _vcompile(cc: _Ctx, expr, env: dict) -> _V:
+    """Lower *expr* to a vector expression over the variables in *env*
+    (var -> :class:`_RowVar` / :class:`_ScalarCol`); a shape outside
+    the supported subset raises :class:`_Decline`."""
     if isinstance(expr, ast.XLiteral):
         return _vconst(expr.value, _vtype_of_literal(expr.value))
     if isinstance(expr, ast.VarRef):
@@ -281,10 +370,10 @@ def _vcompile(cc: _Ctx, expr, env: dict) -> Optional[_V]:
                 return batch.cols[key]
 
             return _V(run_scalar, entry.vtype)
-        if expr.name in env:
-            return None  # a bare row variable is a node sequence
+        if entry is not None:
+            raise _Decline("bare_row_var")  # a node sequence
         if expr.name not in cc.compiler._external_vars:
-            return None
+            raise _Decline("unsupported_expr")
         cc.params.add(expr.name)
         name = expr.name
 
@@ -299,8 +388,6 @@ def _vcompile(cc: _Ctx, expr, env: dict) -> Optional[_V]:
     if isinstance(expr, ast.GeneralComparison):
         left = _vcompile(cc, expr.left, env)
         right = _vcompile(cc, expr.right, env)
-        if left is None or right is None:
-            return None
         op = expr.op
 
         def run(state, batch):
@@ -315,8 +402,6 @@ def _vcompile(cc: _Ctx, expr, env: dict) -> Optional[_V]:
     if isinstance(expr, ast.Arithmetic):
         left = _vcompile(cc, expr.left, env)
         right = _vcompile(cc, expr.right, env)
-        if left is None or right is None:
-            return None
         op = expr.op
 
         def run(state, batch):
@@ -332,8 +417,6 @@ def _vcompile(cc: _Ctx, expr, env: dict) -> Optional[_V]:
         return _V(run)
     if isinstance(expr, ast.UnaryMinus):
         operand = _vcompile(cc, expr.operand, env)
-        if operand is None:
-            return None
 
         def run(state, batch):
             out = []
@@ -343,24 +426,27 @@ def _vcompile(cc: _Ctx, expr, env: dict) -> Optional[_V]:
             return out
 
         return _V(run)
-    return None
+    raise _Decline("unsupported_expr")
 
 
-def _vcompile_call(cc: _Ctx, expr: ast.XFunctionCall,
-                   env: dict) -> Optional[_V]:
-    uri = cc.compiler._namespace(expr)
+def _vcompile_call(cc: _Ctx, expr: ast.XFunctionCall, env: dict) -> _V:
+    compiler = cc.compiler
+    uri = compiler._namespace(expr)
     local, args = expr.local, expr.args
+    position = _SUBQUERY_ARGS.get((uri, local))
+    if position is not None and position < len(args):
+        subquery = args[position]
+        if compiler._invariant_subquery(subquery):
+            return _vcompile_once(cc, expr, uri, position, env)
+        if any(isinstance(node, ast.FLWOR)
+               for node, _p in subexpressions(subquery)):
+            raise _Decline("correlated_subquery")
     if uri == FN_URI:
         if local == "data" and len(args) == 1:
-            column = _vcolumn(cc, args[0], env)
-            if column is not None:
-                return column
             # fn:data of an already-atomic vector value is the identity.
-            return _vcompile(cc, args[0], env)
+            return _vcolumn(args[0], env) or _vcompile(cc, args[0], env)
         if local in ("empty", "exists", "not", "boolean") and len(args) == 1:
             arg = _vcompile(cc, args[0], env)
-            if arg is None:
-                return None
             if local == "empty":
                 def run(state, batch):
                     return [x is None for x in arg.eval(state, batch)]
@@ -379,12 +465,9 @@ def _vcompile_call(cc: _Ctx, expr: ast.XFunctionCall,
             return _vconst(True, "boolean")
         if local == "false" and not args:
             return _vconst(False, "boolean")
-        return None
-    if uri == XS_URI:
+    elif uri == XS_URI:
         if local in _XS_CONSTRUCTOR_TYPES and len(args) == 1:
             arg = _vcompile(cc, args[0], env)
-            if arg is None:
-                return None
 
             def run(state, batch):
                 out = []
@@ -397,12 +480,9 @@ def _vcompile_call(cc: _Ctx, expr: ast.XFunctionCall,
 
             vtype = local if local != "untypedAtomic" else None
             return _V(run, vtype)
-        return None
-    if uri == BEA_URI:
+    elif uri == BEA_URI:
         if local == "not3" and len(args) == 1:
             arg = _vcompile(cc, args[0], env)
-            if arg is None:
-                return None
 
             def run(state, batch):
                 return [None if x is None else not bool(x)
@@ -412,8 +492,6 @@ def _vcompile_call(cc: _Ctx, expr: ast.XFunctionCall,
         if local in ("and3", "or3") and len(args) == 2:
             left = _vcompile(cc, args[0], env)
             right = _vcompile(cc, args[1], env)
-            if left is None or right is None:
-                return None
             want_or = local == "or3"
 
             def run(state, batch):
@@ -439,75 +517,155 @@ def _vcompile_call(cc: _Ctx, expr: ast.XFunctionCall,
             return _V(run, "boolean")
         if local == "in3" and len(args) == 2:
             return _vcompile_in3(cc, args, env)
-        return None
-    return None
+    raise _Decline("unsupported_expr")
 
 
-def _vcompile_in3(cc: _Ctx, args, env: dict) -> Optional[_V]:
-    needle = _vcompile(cc, args[0], env)
-    if needle is None:
-        return None
-    members_expr = args[1]
-    if isinstance(members_expr, ast.SequenceExpr):
-        member_exprs = list(members_expr.items)
-    else:
-        member_exprs = [members_expr]
-    members = [_vcompile(cc, m, env) for m in member_exprs]
-    if any(m is None for m in members):
-        return None
+def _vcompile_once(cc: _Ctx, expr: ast.XFunctionCall, uri: str,
+                   position: int, env: dict) -> _V:
+    """A call whose subquery argument (at *position*) the compiler
+    proves invariant. The argument is a run-time constant: evaluated
+    once per execution, on first use by a non-empty batch (a subquery
+    no row reaches never runs, one that raises raises on every use) —
+    as a sub-plan of this plan when it lowers, else by the tuple
+    compiler under its once-memo — and the builtin is applied per row
+    to it and the other, vectorized, arguments. A call with no other
+    argument (``fn-bea:scalar``, ``fn:exists``, ``fn:empty``) is one
+    value broadcast; a two-argument ``in3`` probes a
+    :class:`PreparedIn3` of the members."""
+    entry = BUILTINS.get((uri, expr.local))
+    if entry is None or not entry[1] <= len(expr.args) <= entry[2]:
+        raise _Decline("unsupported_expr")
+    func = entry[0]
+    others = [None if index == position else _vcompile(cc, arg, env)
+              for index, arg in enumerate(expr.args)]
+    prepared = expr.local == "in3" and len(expr.args) == 2
+    subquery = expr.args[position]
+    compiler = cc.compiler
+    mark = (len(cc.accept), set(cc.params), dict(cc.recordsets))
+    try:
+        members = _subquery_members(cc, subquery, expr.local,
+                                    len(others) > 1)
+        slot = object()
+
+        def constant(state):
+            try:
+                return state.memo[slot]
+            except KeyError:
+                value = members(state)
+                if prepared:
+                    value = PreparedIn3(value)
+                state.memo[slot] = value
+                return value
+    except _Decline:
+        del cc.accept[mark[0]:]
+        cc.params, cc.recordsets = mark[1:]
+        once: list = []
+        cc.accept.append(lambda: once.append(compiler._subquery_once(
+            expr, compiler._compile(subquery))))
+
+        def constant(state):
+            return once[0](state.frame)
+    cc.once = True
 
     def run(state, batch):
-        cols = [m.eval(state, batch) for m in members]
-        needles = needle.eval(state, batch)
+        if not batch.n:
+            return []
+        members = constant(state)
+        if len(others) == 1:
+            result = func([members])
+            return [result[0] if result else None] * batch.n
+        cols = [None if other is None else other.eval(state, batch)
+                for other in others]
         out = []
-        for i, x in enumerate(needles):
-            if x is None:
-                out.append(None)
-                continue
-            saw_null = False
-            matched = False
-            for col in cols:
-                value = col[i]
-                if value is None:
-                    saw_null = True
-                    continue
-                if isinstance(value, UntypedAtomic):
-                    # Mirror bea_in3's untyped coercion toward the
-                    # needle's type.
-                    if isinstance(x, (int, float, Decimal)) \
-                            and not isinstance(x, bool):
-                        try:
-                            value = float(value)
-                        except ValueError:
-                            continue
-                    else:
-                        value = str(value)
-                try:
-                    if compare_values("eq", x, value):
-                        matched = True
-                        break
-                except XQueryTypeError:
-                    continue
-            if matched:
-                out.append(True)
-            elif saw_null:
-                out.append(None)
+        for i in range(batch.n):
+            if prepared:  # members is the PreparedIn3 table
+                cell = cols[0][i]
+                result = members([] if cell is None else [cell])
             else:
-                out.append(False)
+                result = func([
+                    members if col is None
+                    else [] if col[i] is None else [col[i]]
+                    for col in cols])
+            out.append(result[0] if result else None)
+        return out
+
+    return _V(run, "boolean" if expr.local != "scalar" else None)
+
+
+#: The member a NULL cell of a subquery column is: like the empty
+#: element the tree path holds there, it atomizes to the empty sequence.
+_NULL_MEMBER = Element(QName("NULL"))
+
+
+def _subquery_members(cc: _Ctx, subquery, local: str, has_needle: bool):
+    """Lower an invariant subquery argument — ``(FLWOR)/COL``, the
+    member column of an IN / ANY / ALL, or a bare FLWOR of RECORDs — to
+    ``state -> item sequence`` on the batch executor. A column's
+    members are its untyped cells (:data:`_NULL_MEMBER` for NULL); of a
+    bare FLWOR its consumers read only the row count, and
+    ``fn-bea:scalar`` the single cell of a single row."""
+    column = None
+    if (isinstance(subquery, ast.PathExpr) and len(subquery.steps) == 1
+            and not subquery.steps[0].predicates):
+        subquery, column = subquery.base, subquery.steps[0].name
+    if not isinstance(subquery, ast.FLWOR) or (has_needle
+                                               and column is None):
+        raise _Decline("unsupported_expr")
+    sub = _SubPlan("\x00sub", lower_flwor(cc, subquery), False)
+    cells = sub.lowered.cells
+    if column is not None and column not in cells:
+        raise _Decline("record_shape")
+    for name in cells if column is None else (column,):
+        sub.lowered.project(name)
+
+    def members(state):
+        rows = state.plan._build_side(state, sub)
+        if column is not None:
+            return [_NULL_MEMBER if v is None else v
+                    for v in rows.cols[(sub.var, column)]]
+        if local != "scalar" or rows.n != 1:
+            return [True] * rows.n  # only the count is read
+        if len(cells) != 1:
+            raise XQueryDynamicError(
+                f"scalar subquery returned {len(cells)} columns",
+                code="FOBEA002")
+        (value,) = rows.cols[(sub.var, next(iter(cells)))]
+        return [] if value is None else [value]
+
+    return members
+
+
+def _vcompile_in3(cc: _Ctx, args, env: dict) -> _V:
+    """``fn-bea:in3`` over a written-out member list: the builtin
+    itself, row by row, on the members' cells."""
+    needle = _vcompile(cc, args[0], env)
+    listed = args[1].items if isinstance(args[1], ast.SequenceExpr) \
+        else (args[1],)
+    members = [_vcompile(cc, member, env) for member in listed]
+
+    def run(state, batch):
+        cols = [member.eval(state, batch) for member in members]
+        out = []
+        for i, x in enumerate(needle.eval(state, batch)):
+            result = bea_in3([
+                [] if x is None else [x],
+                [_NULL_MEMBER if col[i] is None else col[i]
+                 for col in cols]])
+            out.append(result[0] if result else None)
         return out
 
     return _V(run, "boolean")
 
 
 def _vcompile_value_comparison(cc: _Ctx, expr: ast.ValueComparison,
-                               env: dict) -> Optional[_V]:
-    left = _vcompile(cc, expr.left, env)
-    right = _vcompile(cc, expr.right, env)
-    if left is None or right is None:
-        return None
-    op = expr.op
+                               env: dict) -> _V:
+    return _vcompare(expr.op, _vcompile(cc, expr.left, env),
+                     _vcompile(cc, expr.right, env))
+
+
+def _vcompare(op: str, left: _V, right: _V) -> _V:
     if op not in _CMP_OPS:
-        return None
+        raise _Decline("unsupported_expr")
     direct = _CMP_OPS[op]
     lt, rt = left.vtype, right.vtype
     fast = None
@@ -608,7 +766,7 @@ def _match_cell(cc: _Ctx, expr, tok: str) -> Optional[str]:
     return name
 
 
-def _match_cells(cc: _Ctx, expr, tok: str) -> Optional[list]:
+def _match_cells(cc: _Ctx, expr, tok: str) -> list:
     if isinstance(expr, ast.SequenceExpr):
         parts = list(expr.items)
     else:
@@ -617,41 +775,54 @@ def _match_cells(cc: _Ctx, expr, tok: str) -> Optional[list]:
     for part in parts:
         name = _match_cell(cc, part, tok)
         if name is None:
-            return None
+            raise _Decline("not_wrapper")
         names.append(name)
     if len(set(names)) != len(names):
         # Duplicate record child names would make the tuple path's
         # per-cell fn:data multi-valued (a type error); stay exact.
-        return None
+        raise _Decline("duplicate_cell_name")
     return names
 
 
-def _match_record(cc: _Ctx, expr, names: list,
-                  env: dict) -> Optional[list]:
-    """Match the inner return ``<RECORD><NAME>{expr}</NAME>...</RECORD>``
-    and vector-compile the projection of each cell, in cell order."""
+def _record_cells(expr, env: dict) -> tuple:
+    """``(element name, {child name: content expression})`` of a return
+    ``<RECORD><NAME>{expr}</NAME>...</RECORD>``, in child order."""
+    if isinstance(expr, ast.VarRef) and isinstance(env.get(expr.name),
+                                                   _RowVar):
+        raise _Decline("bare_row_var")  # the row returned whole
+    if not isinstance(expr, ast.ElementConstructor) or expr.attributes:
+        raise _Decline("record_shape")
+    cells: dict = {}
+    for child in expr.content:
+        if isinstance(child, str):
+            continue
+        if not (isinstance(child, ast.ElementConstructor)
+                and not child.attributes and not child.prefix
+                and len(child.content) == 1
+                and not isinstance(child.content[0], str)):
+            raise _Decline("record_shape")
+        if child.name in cells:
+            raise _Decline("duplicate_cell_name")
+        cells[child.name] = child.content[0]
+    return expr.name, cells
+
+
+def _recordset_body(expr) -> Optional[ast.FLWOR]:
+    """The FLWOR inside ``<RECORDSET>{FLWOR}</RECORDSET>`` (whatever
+    the element is called: its consumer steps to the children)."""
     if not isinstance(expr, ast.ElementConstructor) or expr.attributes:
         return None
-    children = [part for part in expr.content
-                if not isinstance(part, str)]
-    if len(children) != len(names):
-        return None
-    projections = []
-    for child, name in zip(children, names):
-        if not (isinstance(child, ast.ElementConstructor)
-                and child.name == name and not child.attributes
-                and not child.prefix and len(child.content) == 1
-                and not isinstance(child.content[0], str)):
-            return None
-        projection = _vcompile(cc, child.content[0], env)
-        if projection is None:
-            return None
-        projections.append(projection)
-    return projections
+    parts = [part for part in expr.content if not isinstance(part, str)]
+    if len(parts) == 1 and isinstance(parts[0], ast.FLWOR):
+        return parts[0]
+    return None
 
 
 class _ScanInfo:
+    """A data-service scan source (``for $var in ns:TABLE()``)."""
+
     __slots__ = ("var", "uri", "local", "request", "with_ordinal")
+    kind = "scan"
 
     def __init__(self, var, uri, local, request, with_ordinal):
         self.var = var
@@ -661,17 +832,69 @@ class _ScanInfo:
         self.with_ordinal = with_ordinal
 
 
-class _JoinInfo:
-    __slots__ = ("scan", "build_exprs", "probe_exprs", "cond_exprs",
-                 "filter_exprs")
+class _SubPlan:
+    """A record-set source: ``for $var in <RECORDSET>{F}</RECORDSET>
+    /RECORD`` (the record set let-bound or inline), F lowered by
+    :func:`lower_flwor` like any other FLWOR. Its batches carry, per
+    ``(var, child name)``, what ``fn:data($var/NAME)`` yields on the
+    tree path — ``UntypedAtomic(serialize_atomic(v))`` for a present
+    value (the empty string included), ``None`` for an empty or absent
+    child — so no RECORD element is ever built."""
 
-    def __init__(self, scan, build_exprs, probe_exprs, cond_exprs,
-                 filter_exprs):
-        self.scan = scan
+    __slots__ = ("var", "lowered", "with_ordinal")
+    kind = "sub"
+
+    def __init__(self, var, lowered, with_ordinal):
+        self.var = var
+        self.lowered = lowered
+        self.with_ordinal = with_ordinal
+
+
+class _Lowered:
+    """One lowered FLWOR: ``stages`` — ``(kind, payload, plan node)``
+    triples, the source first, a node the ``(planned FLWOR, clause
+    index)`` EXPLAIN counts it under — the environment after the last,
+    and the returned RECORD's cells. A cell that is a plain column of a
+    row variable can neither raise nor do work worth sharing, so it is
+    compiled when a reader asks for it (:meth:`project`) and a cell
+    nobody reads is never computed; every other cell is compiled with
+    the FLWOR and evaluated for every row, as the tree path does."""
+
+    __slots__ = ("cc", "planned", "stages", "env", "record_name",
+                 "cells", "projections")
+
+    def __init__(self, cc, planned, stages, env, record):
+        self.cc = cc
+        self.planned = planned
+        self.stages = stages
+        self.env = env
+        self.record_name, self.cells = _record_cells(record, env)
+        self.projections: dict = {}
+        for name, content in self.cells.items():
+            if not (_is_fn_call(cc, content, FN_URI, "data", 1)
+                    and _column_ref(content.args[0], env) is not None):
+                self.project(name)
+
+    def project(self, name: str) -> _V:
+        projection = self.projections.get(name)
+        if projection is None:
+            projection = self.projections[name] = _vcompile(
+                self.cc, self.cells[name], self.env)
+        return projection
+
+
+class _JoinInfo:
+    __slots__ = ("source", "build_exprs", "probe_exprs", "cond_exprs",
+                 "filter_exprs", "outer")
+
+    def __init__(self, source, build_exprs, probe_exprs, cond_exprs,
+                 filter_exprs, outer):
+        self.source = source
         self.build_exprs = build_exprs
         self.probe_exprs = probe_exprs
         self.cond_exprs = cond_exprs
         self.filter_exprs = filter_exprs
+        self.outer = outer
 
 
 class _AggInfo:
@@ -713,11 +936,15 @@ def _spec_parallel_safe(spec, vtype: Optional[str]) -> bool:
         return vtype in _EXACT_NUM_TYPES
     # min/max: a NaN inside one partition poisons that partition's fold
     # differently than the serial left-to-right fold, so floats (and
-    # unknown types, which may hold floats) aggregate at the parent.
-    return vtype is not None and vtype not in _FLOAT_TYPES
+    # unknown or untyped values, which fold as floats) aggregate at the
+    # parent.
+    return vtype is not None and vtype != _UNTYPED \
+        and vtype not in _FLOAT_TYPES
 
 
 def _spec_out_vtype(spec, vtype: Optional[str]) -> Optional[str]:
+    if vtype == _UNTYPED:
+        vtype = None  # the folds cast untyped cells (double / string)
     if spec.func == "count":
         return "integer"
     if spec.func == "sum":
@@ -731,16 +958,11 @@ def _spec_out_vtype(spec, vtype: Optional[str]) -> Optional[str]:
     return vtype  # min/max preserve the input type
 
 
-def _compile_aggregate(cc: _Ctx, agg, env: dict,
-                       compiler, clauses) -> Optional[_AggInfo]:
+def _compile_aggregate(cc: _Ctx, agg, env: dict, lead) -> _AggInfo:
     """Vector-compile an ``AggregateClause``'s key and value expressions
-    over the pre-group *env*; None falls back to the tuple path."""
-    key_exprs = []
-    for key_expr, _key_var in agg.keys:
-        compiled = _vcompile(cc, key_expr, env)
-        if compiled is None:
-            return None
-        key_exprs.append(compiled)
+    over the pre-group *env*."""
+    key_exprs = [_vcompile(cc, key_expr, env)
+                 for key_expr, _key_var in agg.keys]
     value_exprs = []
     out_vtypes = []
     parallel_safe = True
@@ -750,16 +972,13 @@ def _compile_aggregate(cc: _Ctx, agg, env: dict,
             out_vtypes.append("integer")
             continue
         value = _vcompile(cc, spec.value, env)
-        if value is None:
-            return None
         value_exprs.append(value)
         out_vtypes.append(_spec_out_vtype(spec, value.vtype))
         if not _spec_parallel_safe(spec, value.vtype):
             parallel_safe = False
     group_estimate = None
     row_estimate = None
-    estimator = compiler._estimator
-    lead = clauses[0]
+    estimator = cc.compiler._estimator
     if (estimator is not None and isinstance(lead, ast.ForClause)
             and lead.var == agg.source_var):
         stats = estimator.table_stats(lead.source)
@@ -914,188 +1133,234 @@ def _partial_agg_pays(info: _AggInfo) -> bool:
     return info.group_estimate <= 0.5 * info.row_estimate
 
 
-def try_compile_wrapper(compiler, arg) -> Optional["_VectorPlan"]:
-    """Compile the wrapper's ``fn:string-join`` argument *arg* into a
-    vector plan. Returns the :class:`_VectorPlan` (its ``chunks`` bound
-    method is the chunks closure) or None."""
-    if not isinstance(arg, ast.FLWOR):
-        return None
-    cc = _Ctx(compiler)
-    columnar = compiler._columnar
-    outer_plan = compiler._planned(arg)
-    outer = outer_plan.clauses
-    if len(outer) != 1 or not isinstance(outer[0], ast.ForClause):
-        return None
-    tok = outer[0].var
-    names = _match_cells(cc, arg.return_expr, tok)
-    if names is None:
-        return None
+def _lower_source(cc: _Ctx, for_clause: ast.ForClause, hint,
+                  with_ordinal: bool) -> tuple:
+    """``(source, row variable entry)`` of a for / join clause: a
+    columnar data-service scan, or a record-set sub-plan."""
+    compiler = cc.compiler
+    var, source = for_clause.var, for_clause.source
+    call = compiler._scan_call(source)
+    if call is not None:
+        schema = compiler._columnar.column_scan_schema(*call)
+        if schema is None:
+            raise _Decline("non_scan_source")
+        return (_ScanInfo(var, call[0], call[1], hint, with_ordinal),
+                _RowVar(dict(schema)))
+    # $t/RECORD over a let-bound record set nobody has read yet, or
+    # over the constructor written in place.
+    body = None
+    if (isinstance(source, ast.PathExpr) and len(source.steps) == 1
+            and not source.steps[0].predicates):
+        if isinstance(source.base, ast.VarRef):
+            body = cc.recordsets.pop(source.base.name, None)
+        else:
+            body = _recordset_body(source.base)
+    if body is None:
+        raise _Decline("non_scan_source")
+    lowered = lower_flwor(cc, body)
+    if lowered.record_name != source.steps[0].name:
+        raise _Decline("record_shape")
+    return (_SubPlan(var, lowered, with_ordinal),
+            _RowVar(dict.fromkeys(lowered.cells, _UNTYPED),
+                    lowered.project))
 
-    source = outer[0].source
-    window = None
-    parts = compiler._subsequence_parts(source)
-    if parts is not None:
-        inner_expr, start, length = parts
-        if not (isinstance(start, ast.XLiteral)
-                and isinstance(start.value, int)
-                and not isinstance(start.value, bool)):
-            return None
-        begin = start.value
-        end = None
-        if length is not None:
-            if not (isinstance(length, ast.XLiteral)
-                    and isinstance(length.value, int)
-                    and not isinstance(length.value, bool)):
-                return None
-            end = begin + length.value
-        window = (begin, end)
-        source = inner_expr
-    if not isinstance(source, ast.FLWOR):
-        return None
 
-    inner_plan = compiler._planned(source)
-    clauses, hints = inner_plan.clauses, inner_plan.hints
-    if not clauses:
-        return None
+def _lower_join(cc: _Ctx, clause: HashJoinClause, hint, env: dict,
+                with_ordinal: bool) -> _JoinInfo:
+    """Vector-compile a hash join (extending *env*). With an empty
+    *env* — a leading join — the probe keys may only read literals and
+    parameters: a constant selection over the planner's unit tuple
+    stream."""
+    var = clause.for_clause.var
+    source, row = _lower_source(cc, clause.for_clause, hint, with_ordinal)
+    build_env = {var: row}
+    builds = [_vcompile(cc, build, build_env)
+              for build, _p, _c in clause.keys]
+    probes = [_vcompile(cc, probe, env) for _b, probe, _c in clause.keys]
+    # The pairwise condition is the ``eq`` whose two operands the
+    # planner split into build and probe key, so it is assembled from
+    # their lowered forms: no operand is lowered a second time.
+    conds = [_vcompare(cond.op, b, p) if cond.left is build
+             else _vcompare(cond.op, p, b)
+             for (build, _p, cond), b, p in zip(clause.keys, builds, probes)]
+    filters = [_vcompile(cc, f, build_env) for f in clause.filters]
+    env[var] = row
+    return _JoinInfo(source, builds, probes, conds, filters, clause.outer)
 
-    def scan_info(for_clause, hint) -> Optional[_ScanInfo]:
-        call = compiler._scan_call(for_clause.source)
-        if call is None:
-            return None
-        if columnar.column_scan_schema(*call) is None:
-            return None
-        return _ScanInfo(for_clause.var, call[0], call[1], hint,
-                         for_clause.var in inner_plan.ordinal_vars)
 
-    def scan_env(info: _ScanInfo) -> dict:
-        schema = columnar.column_scan_schema(info.uri, info.local)
-        return {name: xs_type for name, xs_type in schema}
+def lower_flwor(cc: _Ctx, flwor: ast.FLWOR) -> _Lowered:
+    """Lower one planned FLWOR — the wrapper's own, the body of a
+    record set one of its sources reads, or an invariant subquery — onto
+    batch stages.
 
+    The first stage is a source (scan, sub-plan, or a leading hash join
+    probed from the unit tuple); where / hash join / order / restore
+    stages follow clause by clause, and a group clause lowers, with
+    everything downstream of it, to one hash-aggregation stage. A
+    ``let`` is accepted as a record set bound ahead of the source, for
+    a later ``for`` (here or in a nested record set) to read once, and,
+    last, as the partition of an aggregate without GROUP BY; stage 3's
+    outer-join ``let`` + ``if`` is the planner's left outer
+    :class:`HashJoinClause`. Anything else raises :class:`_Decline`.
+    """
+    compiler = cc.compiler
+    planned = compiler._planned(flwor)
+    record = flwor.return_expr
+    # (clause, the planned FLWOR whose plan node it is, node index)
+    items = [(clause, planned, index)
+             for index, clause in enumerate(planned.clauses)]
+    last = items[-1][0]
+    if planned.outer_join is not None:
+        if planned.outer_join.join is None:
+            raise _Decline("outer_join_residual")
+        items[-1] = (planned.outer_join.join, planned, len(items) - 1)
+        record = planned.outer_join.record
+    elif isinstance(last, ast.LetClause) \
+            and _recordset_body(last.value) is None:
+        # SELECT aggregates without GROUP BY: ``let $P := rows`` is one
+        # group over all rows (one even over none), keyed by nothing.
+        # The rows are a bare source, or a FLWOR that returns its row
+        # variable, whose clauses then run here in its place.
+        rows, row = last.value, "\x00row"
+        head = [(ast.ForClause(var=row, source=rows), planned, None)]
+        if isinstance(rows, ast.FLWOR) \
+                and isinstance(rows.return_expr, ast.VarRef):
+            inner, row = compiler._planned(rows), rows.return_expr.name
+            head = [(clause, inner, index)
+                    for index, clause in enumerate(inner.clauses)]
+            cc.accept.append(lambda: compiler._number(inner))
+        items[-1:] = head + [(ast.GroupClause(
+            source_var=row, partition_var=last.var, keys=()),
+            planned, len(items) - 1)]
     env: dict = {}
-
-    def compile_join(clause, hint) -> Optional[_JoinInfo]:
-        """Vector-compile a hash join (updating *env* on success). With
-        an empty *env* — a leading join — the probe keys may only read
-        literals and parameters: a constant selection over the planner's
-        unit tuple stream."""
-        info = scan_info(clause.for_clause, hint)
-        if info is None:
-            return None
-        build_env = {info.var: scan_env(info)}
-        both_env = dict(env)
-        both_env[info.var] = build_env[info.var]
-        build_exprs = [_vcompile(cc, b, build_env)
-                       for b, _p, _c in clause.keys]
-        probe_exprs = [_vcompile(cc, p, env)
-                       for _b, p, _c in clause.keys]
-        cond_exprs = [_vcompile(cc, c, both_env)
-                      for _b, _p, c in clause.keys]
-        filter_exprs = [_vcompile(cc, f, build_env)
-                        for f in clause.filters]
-        if any(e is None for e in chain(build_exprs, probe_exprs,
-                                        cond_exprs, filter_exprs)):
-            return None
-        env[info.var] = build_env[info.var]
-        return _JoinInfo(info, build_exprs, probe_exprs, cond_exprs,
-                         filter_exprs)
-
     stages: list = []
-    if isinstance(clauses[0], ast.ForClause):
-        first = scan_info(clauses[0], hints.get(0))
-        if first is None:
-            return None
-        env[first.var] = scan_env(first)
-        stages.append(("scan", first))
-    elif isinstance(clauses[0], HashJoinClause):
-        info = compile_join(clauses[0], hints.get(0))
-        if info is None:
-            return None
-        stages.append(("join", info))
-    else:
-        return None
-    def compile_order(clause) -> Optional[list]:
-        specs = []
-        for spec in clause.specs:
-            key = _vcompile(cc, spec.key, env)
-            if key is None:
-                return None
-            specs.append((key, spec.ascending, spec.empty_least))
-        return specs
+    bound_here: list = []
 
-    record_return = source.return_expr
-    for index, clause in enumerate(clauses[1:], start=1):
-        if isinstance(clause, ast.WhereClause):
-            condition = _vcompile(cc, clause.condition, env)
-            if condition is None:
-                return None
-            stages.append(("where", condition))
+    def order_specs(clause) -> list:
+        return [(_vcompile(cc, spec.key, env), spec.ascending,
+                 spec.empty_least) for spec in clause.specs]
+
+    for at, (clause, owner, index) in enumerate(items):
+        node = None if index is None else (owner, index)
+        hint = owner.hints.get(index)
+        if isinstance(clause, ast.LetClause):
+            body = _recordset_body(clause.value)
+            if body is None or stages or clause.var in cc.recordsets:
+                raise _Decline("unsupported_clause")
+            cc.recordsets[clause.var] = body
+            bound_here.append(clause.var)
+        elif isinstance(clause, ast.ForClause):
+            if stages:  # a cross product
+                raise _Decline("unsupported_clause")
+            source, env[clause.var] = _lower_source(
+                cc, clause, hint, clause.var in owner.ordinal_vars)
+            stages.append((source.kind, source, node))
         elif isinstance(clause, HashJoinClause):
-            info = compile_join(clause, hints.get(index))
-            if info is None:
-                return None
-            stages.append(("join", info))
+            stages.append(("join", _lower_join(
+                cc, clause, hint, env,
+                clause.for_clause.var in owner.ordinal_vars), node))
+        elif not stages:
+            raise _Decline("unsupported_clause")
+        elif isinstance(clause, ast.WhereClause):
+            stages.append(("where",
+                           _vcompile(cc, clause.condition, env), node))
         elif isinstance(clause, ast.OrderClause):
-            specs = compile_order(clause)
-            if specs is None:
-                return None
-            stages.append(("order", specs))
+            stages.append(("order", order_specs(clause), node))
         elif isinstance(clause, RestoreOrderClause):
-            if not all(v in env for v in clause.vars):
-                return None
-            stages.append(("restore", clause.vars))
+            if not all(var in env for var in clause.vars):
+                raise _Decline("unsupported_clause")
+            stages.append(("restore", clause.vars, node))
         elif isinstance(clause, ast.GroupClause):
             # Lower the group plus everything downstream (HAVING,
             # grouped ORDER BY, the record) into one hash-aggregation
             # stage followed by scalar-column where/order stages.
-            lowered = lower_group_aggregates(
-                clause, clauses[index + 1:], source.return_expr,
-                lambda e, local, arity: _is_fn_call(cc, e, FN_URI,
-                                                    local, arity))
-            if lowered is None:
-                return None
-            agg_clause, post_clauses, record_return = lowered
-            info = _compile_aggregate(cc, agg_clause, env, compiler,
-                                      clauses)
-            if info is None:
-                return None
-            stages.append(("agg", info))
+            aggregated = lower_group_aggregates(
+                clause, [item[0] for item in items[at + 1:]], record,
+                compiler._is_fn)
+            if aggregated is None:
+                raise _Decline("unsupported_aggregate")
+            agg_clause, post_clauses, record = aggregated
+            info = _compile_aggregate(cc, agg_clause, env, items[0][0])
+            stages.append(("agg", info, node))
             env = {key_var: _ScalarCol((_GRP, key_var), key_v.vtype)
                    for key_var, key_v in zip(info.key_vars,
                                              info.key_exprs)}
             for spec, vtype in zip(info.specs, info.out_vtypes):
                 env[spec.var] = _ScalarCol((_GRP, spec.var), vtype)
-            for post in post_clauses:
+            for offset, post in enumerate(post_clauses, start=1):
+                node = (owner, index + offset)
                 if isinstance(post, ast.WhereClause):
-                    condition = _vcompile(cc, post.condition, env)
-                    if condition is None:
-                        return None
-                    stages.append(("where", condition))
+                    stages.append(("where", _vcompile(
+                        cc, post.condition, env), node))
                 else:  # OrderClause (lowering admits nothing else)
-                    specs = compile_order(post)
-                    if specs is None:
-                        return None
-                    stages.append(("order", specs))
+                    stages.append(("order", order_specs(post), node))
             break
         else:
-            return None
+            raise _Decline("unsupported_clause")
+    if not stages or any(var in cc.recordsets for var in bound_here):
+        # No source at all, or a record set nobody read: the tree path
+        # would still build it (and raise what it raises).
+        raise _Decline("unsupported_clause")
+    lowered = _Lowered(cc, planned, stages, env, record)
+    cc.accept.append(lambda: compiler._number(planned, batched=True))
+    return lowered
 
-    projections = _match_record(cc, record_return, names, env)
-    if projections is None:
-        return None
 
-    # Accepted: the plan's two FLWORs get their plan-node ids here, in
-    # the tuple lowering's order (a FLWOR after the ones it reads).
-    compiler._number(inner_plan)
-    compiler._number(outer_plan)
+def try_compile_wrapper(compiler, arg) -> tuple:
+    """Compile the wrapper's ``fn:string-join`` argument *arg* into a
+    vector plan: ``(plan, None)`` — the :class:`_VectorPlan`'s
+    ``chunks`` bound method is the chunks closure — or ``(None, one of
+    DECLINE_REASONS)``. All or nothing: the section-4 cells are matched
+    here and everything under them goes through :func:`lower_flwor`; a
+    decline anywhere leaves the whole statement to the tuple path."""
+    cc = _Ctx(compiler)
+    try:
+        plan = _lower_wrapper(cc, arg)
+    except _Decline as decline:
+        return None, decline.reason
+    for step in cc.accept:
+        step()
+    return plan, None
+
+
+def _lower_wrapper(cc: _Ctx, arg) -> "_VectorPlan":
+    compiler = cc.compiler
+    if not isinstance(arg, ast.FLWOR):
+        raise _Decline("not_wrapper")
+    outer_plan = compiler._planned(arg)
+    outer = outer_plan.clauses
+    if len(outer) != 1 or not isinstance(outer[0], ast.ForClause):
+        raise _Decline("not_wrapper")
+    names = _match_cells(cc, arg.return_expr, outer[0].var)
+
+    source = outer[0].source
+    window = None
+    parts = compiler._subsequence_parts(source)
+    if parts is not None:
+        source, start, length = parts
+        bounds = [bound.value if isinstance(bound, ast.XLiteral) else None
+                  for bound in (start, length) if bound is not None]
+        if not all(isinstance(bound, int) and not isinstance(bound, bool)
+                   for bound in bounds):
+            raise _Decline("window_bounds")
+        window = (bounds[0],
+                  bounds[0] + bounds[1] if len(bounds) == 2 else None)
+    if not isinstance(source, ast.FLWOR):
+        raise _Decline("not_wrapper")
+
+    lowered = lower_flwor(cc, source)
+    if list(lowered.cells) != names:
+        raise _Decline("record_shape")
+    cc.accept.append(lambda: compiler._number(outer_plan))
     return _VectorPlan(
-        columnar=columnar,
+        columnar=compiler._columnar,
         batch_size=compiler._batch_size,
-        stages=stages,
+        lowered=lowered,
         window=window,
-        projections=projections,
+        projections=[lowered.project(name) for name in names],
         param_names=frozenset(cc.params),
-        inner_fid=inner_plan.fid,
-        outer_fid=outer_plan.fid,
+        outer_plan=outer_plan,
+        scatters=not cc.once,
     )
 
 
@@ -1117,23 +1382,27 @@ def _count_rows(batches, actuals: dict, node_id) -> Iterator[_Batch]:
 
 
 class _VectorPlan:
-    __slots__ = ("columnar", "batch_size", "stages", "window",
-                 "projections", "param_names", "inner_fid", "outer_fid",
+    __slots__ = ("columnar", "batch_size", "lowered", "stages", "window",
+                 "projections", "param_names", "outer_plan",
                  "fallback", "_tuple_chunks", "_escape_flags", "module",
                  "_text",
                  "parallel_ready", "parallel_mode",
                  "partition_stage_count", "signature")
 
-    def __init__(self, columnar, batch_size, stages, window, projections,
-                 param_names, inner_fid, outer_fid):
+    def __init__(self, columnar, batch_size, lowered, window, projections,
+                 param_names, outer_plan, scatters):
         self.columnar = columnar
         self.batch_size = batch_size
-        self.stages = stages
+        #: The wrapper's source FLWOR, lowered; ``stages`` are its own
+        #: (a sub-plan's hang off the source or join that reads it).
+        self.lowered = lowered
+        stages = self.stages = lowered.stages
         self.window = window
         self.projections = projections
         self.param_names = param_names
-        self.inner_fid = inner_fid
-        self.outer_fid = outer_fid
+        #: The wrapper's ``for $tokenQuery`` FLWOR (its one plan node
+        #: counts the rows that reach the encoder).
+        self.outer_plan = outer_plan
         #: Set by the compiler: builds the tuple-path chunks closure of
         #: the same module, for a run-time parameter shape outside the
         #: scalar column model (results must stay byte-identical). Built
@@ -1149,8 +1418,11 @@ class _VectorPlan:
         self._text = None
         #: Scatter/gather shape analysis. A plan scatters only when it
         #: is driven by a plain scan (a leading hash join probes the
-        #: unit tuple stream — there is nothing to split) and what its
-        #: workers send back is small next to what they read. With no
+        #: unit tuple stream, a sub-plan is a pipeline of its own —
+        #: there is nothing to split), holds no once-per-execution
+        #: subquery (*scatters*: every worker would run it again), and
+        #: what its workers send back is small next to what they read.
+        #: With no
         #: pipeline breaker (order/restore need every row; agg needs
         #: every row of its group) and no window, workers run the whole
         #: pipeline including the encode and ship text ("encode" mode).
@@ -1162,24 +1434,24 @@ class _VectorPlan:
         #: merge to do, so it runs serially — by plan shape, not by
         #: fallback. ``parallel_mode`` is read only when
         #: ``parallel_ready``.
-        breakers = [i for i, (kind, _p) in enumerate(stages)
+        breakers = [i for i, (kind, _p, _i) in enumerate(stages)
                     if kind in ("order", "restore", "agg")]
         self.partition_stage_count = breakers[0] if breakers \
             else len(stages)
-        kind, info = stages[breakers[0]] if breakers else (None, None)
+        kind, info = stages[breakers[0]][:2] if breakers else (None, None)
         partial = kind == "agg" and info.parallel_safe \
             and _partial_agg_pays(info)
         self.parallel_mode = "partial_agg" if partial else "encode"
-        self.parallel_ready = bool(stages) and stages[0][0] == "scan" \
+        self.parallel_ready = scatters and stages[0][0] == "scan" \
             and (partial or (not breakers and window is None))
         scan0 = stages[0][1] if self.parallel_ready else None
         agg_shape = tuple(
             (len(payload.key_vars),)
             + tuple((s.func, s.star, s.distinct, s.empty_zero)
                     for s in payload.specs)
-            for kind, payload in stages if kind == "agg")
+            for kind, payload, _i in stages if kind == "agg")
         self.signature = (
-            tuple(kind for kind, _p in stages),
+            tuple(kind for kind, _p, _i in stages),
             window,
             len(projections),
             tuple(sorted(param_names)),
@@ -1214,13 +1486,16 @@ class _VectorPlan:
         params = self._scalar_params(frame)
         if params is None:
             VSTATS.fallbacks += 1
+            note = getattr(self.columnar, "note_decline", None)
+            if note is not None:
+                note("param_shape")
             if self._tuple_chunks is None:
                 self._tuple_chunks = self.fallback()
             # The fallback numbers its own plan nodes: its row counts
             # do not belong under this plan's ids.
             frame.variables.pop(ACTUALS_KEY, None)
             return self._tuple_chunks(frame)
-        state = _State(frame, frame.variables.get(CONTEXT_KEY), params,
+        state = _State(self, frame, params,
                        frame.variables.get(ACTUALS_KEY))
         VSTATS.executions += 1
         if self.parallel_ready and state.actuals is None \
@@ -1251,17 +1526,15 @@ class _VectorPlan:
             raise XQueryTypeError(
                 "parameter shape outside the vector subset",
                 code="FORG0006")
-        state = _State(frame, frame.variables.get(CONTEXT_KEY), params,
-                       None)
+        state = _State(self, frame, params, None)
         scanned: list = [0]
-        _head, info = self.stages[0]
-        batches = self._scan(state, info, partition=spec,
+        batches = self._scan(state, self.stages[0][1], partition=spec,
                              scanned=scanned)
         # Breaker stages never sit inside the prefix: where/join only.
         batches = self._run_stages(
             state, batches, self.stages[1:self.partition_stage_count])
         if self.parallel_mode == "partial_agg":
-            _kind, info = self.stages[self.partition_stage_count]
+            info = self.stages[self.partition_stage_count][1]
             table = self._fold_groups(state, batches, info)
             return [(canon, record[0], record[1])
                     for canon, record in table.items()], scanned[0]
@@ -1286,7 +1559,7 @@ class _VectorPlan:
         so finalized values match the serial fold exactly. The order/
         window/encode suffix then runs in-process as usual."""
         agg_index = self.partition_stage_count
-        _kind, info = self.stages[agg_index]
+        info = self.stages[agg_index][1]
         specs = info.specs
         groups: dict = {}
         for table, _scanned in parts:
@@ -1309,34 +1582,38 @@ class _VectorPlan:
         return self._encode(state, batches)
 
     def _batches(self, state: _State) -> Iterator[_Batch]:
-        head, info = self.stages[0]
-        if head == "scan":
-            batches = self._scan(state, info)
-        else:
-            # Leading hash join: a constant selection probed from the
-            # planner's unit tuple stream (one frame, no bindings).
-            batches = self._join(state, iter((_Batch(1, {}),)), info)
-        count_from = None
-        if state.actuals is not None and self.inner_fid is not None:
-            batches = _count_rows(batches, state.actuals,
-                                  (self.inner_fid, 0))
-            count_from = 1
-        batches = self._run_stages(state, batches, self.stages[1:],
-                                   count_from)
+        batches = self._open(state, self.lowered)
         if self.window is not None:
             batches = self._window_batches(batches)
-        if state.actuals is not None and self.outer_fid is not None:
+        if state.actuals is not None:
             batches = _count_rows(batches, state.actuals,
-                                  (self.outer_fid, 0))
+                                  (self.outer_plan.fid, 0))
         return batches
 
-    def _run_stages(self, state: _State, batches, stages,
-                    count_from: Optional[int] = None) -> Iterator[_Batch]:
-        """Chain *stages* (a slice of ``self.stages`` past the driving
-        scan) onto *batches*. With *count_from* — the plan-node index
-        of ``stages[0]`` — every stage's output rows are tallied into
-        the EXPLAIN actuals."""
-        for offset, (kind, payload) in enumerate(stages):
+    def _open(self, state: _State, lowered: _Lowered) -> Iterator[_Batch]:
+        """The batch stream of one lowered FLWOR — the wrapper's, or a
+        sub-plan's — each stage counting its output rows under its own
+        plan node when EXPLAIN asked for actuals."""
+        kind, source, node = lowered.stages[0]
+        if kind == "join":
+            # Leading hash join: a constant selection probed from the
+            # planner's unit tuple stream (one frame, no bindings).
+            batches = self._join(state, iter((_Batch(1, {}),)), source)
+        else:
+            batches = self._source(state, source)
+        if state.actuals is not None and node is not None:
+            for let_index in range(node[1]):
+                # The record-set lets ahead of the source: bound once.
+                state.actuals[(node[0].fid, let_index)] = 1
+            batches = _count_rows(batches, state.actuals,
+                                  (node[0].fid, node[1]))
+        return self._run_stages(state, batches, lowered.stages[1:])
+
+    def _run_stages(self, state: _State, batches,
+                    stages) -> Iterator[_Batch]:
+        """Chain *stages* (a slice of a lowered FLWOR's, past its
+        source) onto *batches*."""
+        for kind, payload, node in stages:
             if kind == "where":
                 batches = self._where(state, batches, payload)
             elif kind == "join":
@@ -1347,9 +1624,9 @@ class _VectorPlan:
                 batches = self._aggregate(state, batches, payload)
             else:
                 batches = self._restore(state, batches, payload)
-            if count_from is not None:
+            if state.actuals is not None and node is not None:
                 batches = _count_rows(batches, state.actuals,
-                                      (self.inner_fid, count_from + offset))
+                                      (node[0].fid, node[1]))
         return batches
 
     # -- stages -----------------------------------------------------------
@@ -1363,6 +1640,11 @@ class _VectorPlan:
         colmap = {name: col
                   for (name, _xs), col in zip(columns, values)}
         return colmap, nrows
+
+    def _source(self, state: _State, source) -> Iterator[_Batch]:
+        if source.kind == "scan":
+            return self._scan(state, source)
+        return self._subplan(state, source)
 
     def _scan(self, state: _State, info: _ScanInfo, partition=None,
               scanned=None) -> Iterator[_Batch]:
@@ -1385,6 +1667,44 @@ class _VectorPlan:
                 state.ctx.tick_rows(batch.n)
             yield batch
 
+    def _subplan(self, state: _State, sub: _SubPlan) -> Iterator[_Batch]:
+        """Run a record-set sub-plan and re-key its RECORD cells as the
+        columns of ``sub.var`` — the RECORD boundary, without the
+        RECORD: a typed cell becomes its untyped lexical form, a cell
+        that is a column of an inner record set is already one."""
+        var = sub.var
+        cells = [((var, name), projection, projection.vtype != _UNTYPED)
+                 for name, projection in sub.lowered.projections.items()]
+        position = 0
+        for b in self._open(state, sub.lowered):
+            cols = {}
+            for key, projection, typed in cells:
+                col = projection.eval(state, b)
+                if typed:
+                    col = [None if v is None
+                           else UntypedAtomic(serialize_atomic(v))
+                           for v in col]
+                cols[key] = col
+            if sub.with_ordinal:
+                cols[(_ORD, var)] = list(range(position, position + b.n))
+                position += b.n
+            if state.ctx is not None:
+                state.ctx.tick_rows(b.n)
+            yield _Batch(b.n, cols)
+
+    def _build_side(self, state: _State, source) -> _Batch:
+        """A join's whole build side as one batch."""
+        var = source.var
+        if source.kind == "scan":
+            colmap, nrows = self._scan_columns(state, source)
+            return _Batch(nrows, {(var, name): col
+                                  for name, col in colmap.items()})
+        batches = [b for b in self._subplan(state, source) if b.n]
+        if not batches:  # still one (empty) column per cell
+            return _Batch(0, {(var, name): []
+                              for name in source.lowered.projections})
+        return _concat(batches)
+
     def _where(self, state: _State, batches, condition: _V) \
             -> Iterator[_Batch]:
         for b in batches:
@@ -1397,10 +1717,9 @@ class _VectorPlan:
 
     def _join(self, state: _State, batches, info: _JoinInfo) \
             -> Iterator[_Batch]:
-        scan = info.scan
-        colmap, nrows = self._scan_columns(state, scan)
-        build = _Batch(nrows, {(scan.var, name): col
-                               for name, col in colmap.items()})
+        scan = info.source
+        build = self._build_side(state, scan)
+        VSTATS.join_builds += 1
         # Absorbed build filters run once, before hashing; compacting
         # between conjuncts preserves the tuple path's short-circuit
         # (a later filter never sees a row an earlier one dropped).
@@ -1439,49 +1758,52 @@ class _VectorPlan:
         if not pairwise and any(len(found) > 1 for found in categories):
             pairwise = True  # mixed-category keys: exact path only
 
+        outer = info.outer
         for b in batches:
             probe_idx: list = []
             build_idx: list = []
-            if pairwise:
-                for i in range(b.n):
-                    for entry in self._pairwise_row(state, b, i, build,
-                                                    info):
-                        probe_idx.append(i)
-                        build_idx.append(entry)
-            else:
-                probe_cols = [e.eval(state, b)
-                              for e in info.probe_exprs]
-                for i in range(b.n):
-                    parts = []
-                    row_pairwise = False
-                    for j, col in enumerate(probe_cols):
-                        value = col[i]
-                        if value is None:
-                            parts = None
-                            break
-                        category, canon = join_key(value)
-                        if category is None or (
-                                categories[j]
-                                and category not in categories[j]):
-                            row_pairwise = True
-                            break
-                        parts.append(canon)
-                    if row_pairwise:
-                        matches = self._pairwise_row(state, b, i, build,
-                                                     info)
-                    elif parts is None:
-                        matches = []
-                    else:
-                        matches = table.get(tuple(parts), [])
-                    for entry in matches:
-                        probe_idx.append(i)
-                        build_idx.append(entry)
+            probe_cols = [] if pairwise else [e.eval(state, b)
+                                              for e in info.probe_exprs]
+            for i in range(b.n):
+                parts = []
+                row_pairwise = pairwise
+                for j, col in enumerate(probe_cols):
+                    value = col[i]
+                    if value is None:
+                        parts = None
+                        break
+                    category, canon = join_key(value)
+                    if category is None or (
+                            categories[j]
+                            and category not in categories[j]):
+                        row_pairwise = True
+                        break
+                    parts.append(canon)
+                if row_pairwise:
+                    matches = self._pairwise_row(state, b, i, build, info)
+                elif parts is None:
+                    matches = ()
+                else:
+                    matches = table.get(tuple(parts), ())
+                if outer and not matches:
+                    # Left outer: no build entry matched (a NULL key
+                    # matches none) — the probe row goes on, once, with
+                    # the build side's columns NULL.
+                    matches = (None,)
+                for entry in matches:
+                    probe_idx.append(i)
+                    build_idx.append(entry)
             if not probe_idx:
                 continue
             cols = {key: [col[i] for i in probe_idx]
                     for key, col in b.cols.items()}
-            for key, col in build.cols.items():
-                cols[key] = [col[e] for e in build_idx]
+            if outer:
+                for key, col in build.cols.items():
+                    cols[key] = [None if e is None else col[e]
+                                 for e in build_idx]
+            else:
+                for key, col in build.cols.items():
+                    cols[key] = [col[e] for e in build_idx]
             out = _Batch(len(probe_idx), cols)
             if state.ctx is not None:
                 state.ctx.tick_rows(out.n)
@@ -1549,6 +1871,9 @@ class _VectorPlan:
             -> Iterator[_Batch]:
         """Finalize a group table into scalar-column batches: one
         ``(_GRP, var)`` column per group key and per aggregate."""
+        if not groups and not info.key_vars:
+            # Aggregates without GROUP BY: one group, even over no rows.
+            groups = {(): ([], [_new_agg_state(s) for s in info.specs])}
         records = list(groups.values())
         size = self.batch_size
         for start in range(0, len(records), size):
@@ -1661,8 +1986,3 @@ class _VectorPlan:
                 # charges buffered rows, not just fetched ones.
                 state.ctx.rows_buffered += b.n
             yield chunk
-
-
-# Shared with the tuple compiler; imported late to break the module
-# cycle (compile imports this module inside _compile_chunks).
-from .compile import ACTUALS_KEY  # noqa: E402

@@ -310,3 +310,156 @@ class QueryFuzzer:
                 sql.append(f"OFFSET {rng.randint(0, total)}")
 
         return " ".join(sql), tuple(params)
+
+
+class ShapedFuzzer(QueryFuzzer):
+    """The paper's C4/C5 shapes over the same generated schemas, on a
+    seed space of its own (``query()`` of the base class keeps returning
+    the same text for every seed — the golden corpus pins 200 of them):
+    LEFT / RIGHT / FULL OUTER JOIN on the NULL-heavy, duplicate-rich
+    ``K0`` (a side may be empty), derived tables over a join + GROUP BY,
+    plain derived tables whose cells cross a RECORD boundary as text
+    (``1.50``, ``''`` beside NULL, dates), and uncorrelated scalar / IN
+    subqueries under OR."""
+
+    def __init__(self, seed: int, schema: tuple):
+        super().__init__(seed, schema)
+        self._rng = random.Random(("shaped", seed).__repr__())
+
+    def _two_tables(self) -> tuple:
+        tables = list(self._schema)
+        first = self._rng.choice(tables)
+        second = self._rng.choice([t for t in tables if t is not first])
+        return first, second
+
+    def _numeric(self, table):
+        columns = [c for c in table.columns
+                   if c.kind in ("int", "decimal")]
+        return self._rng.choice(columns)
+
+    def _order_limit(self, sql: list, keys: list, rows: int) -> None:
+        rng = self._rng
+        if rng.random() < 0.7:
+            rng.shuffle(keys)
+            sql.append("ORDER BY " + ", ".join(
+                key + (" DESC" if rng.random() < 0.3 else "")
+                for key in keys[:rng.randint(1, 2)]))
+        if rng.random() < 0.25:
+            sql.append(f"LIMIT {rng.randint(0, rows + 2)}")
+
+    def _outer_join(self) -> tuple:
+        rng = self._rng
+        params: list = []
+        first, second = self._two_tables()
+        scope = [("A", first), ("B", second)]
+        kind = rng.choice(("LEFT", "LEFT", "LEFT", "RIGHT", "FULL"))
+        on = ["A.K0 = B.K0"]
+        if rng.random() < 0.3:
+            # A second key, or a build-side-only conjunct.
+            shared = [c for c in first.columns[1:]
+                      if any(c == o for o in second.columns[1:])]
+            if shared and rng.random() < 0.5:
+                name = rng.choice(shared).name
+                on.append(f"A.{name} = B.{name}")
+            else:
+                on.append(self._comparison([scope[1]], params))
+        columns = [f"{alias}.{column.name}" for alias, table in scope
+                   for column in table.columns]
+        rng.shuffle(columns)
+        projection = columns[:rng.randint(2, min(5, len(columns)))]
+        sql = [f"SELECT {', '.join(projection)}",
+               f"FROM {first.name} A {kind} OUTER JOIN {second.name} B "
+               f"ON {' AND '.join(on)}"]
+        if rng.random() < 0.4:
+            sql.append("WHERE " + self._predicate(scope, params))
+        self._order_limit(sql, list(projection),
+                          len(first.rows) + len(second.rows))
+        return " ".join(sql), tuple(params)
+
+    def _derived_group(self) -> tuple:
+        rng = self._rng
+        params: list = []
+        first, second = self._two_tables()
+        scope = [("A", first), ("B", second)]
+        key = rng.choice(first.columns)
+        join = rng.choice(("INNER JOIN", "LEFT OUTER JOIN"))
+        aggregates = ["COUNT(*) N"]
+        value = self._numeric(second)
+        aggregates.append(
+            f"{rng.choice(('SUM', 'MIN', 'MAX', 'AVG', 'COUNT'))}"
+            f"(B.{value.name}) V")
+        inner = [f"SELECT A.{key.name} G, {', '.join(aggregates)}",
+                 f"FROM {first.name} A {join} {second.name} B "
+                 f"ON A.K0 = B.K0"]
+        if rng.random() < 0.3:
+            inner.append("WHERE " + self._predicate(scope, params))
+        inner.append(f"GROUP BY A.{key.name}")
+        sql = ["SELECT T.G, T.N, T.V", f"FROM ({' '.join(inner)}) AS T"]
+        if rng.random() < 0.5:
+            sql.append(f"WHERE T.N {rng.choice(('>', '>=', '<', '='))} "
+                       f"{rng.randint(0, 3)}")
+        self._order_limit(sql, ["T.G", "T.N", "T.V"], len(first.rows))
+        return " ".join(sql), tuple(params)
+
+    def _derived_plain(self) -> tuple:
+        """Every column kind through a RECORD boundary, then compared
+        and printed on the far side."""
+        rng = self._rng
+        params: list = []
+        table = rng.choice(self._schema)
+        columns = list(table.columns)
+        rng.shuffle(columns)
+        columns = columns[:rng.randint(1, len(columns))]
+        inner = (f"SELECT {', '.join(f'A.{c.name} {c.name}X' for c in columns)}"
+                 f" FROM {table.name} A")
+        if rng.random() < 0.4:
+            inner += " WHERE " + self._predicate([("A", table)], params)
+        sql = [f"SELECT {', '.join(f'T.{c.name}X' for c in columns)}",
+               f"FROM ({inner}) AS T"]
+        if rng.random() < 0.7:
+            column = rng.choice(columns)
+            if rng.random() < 0.3:
+                sql.append(f"WHERE T.{column.name}X IS "
+                           f"{'NOT ' if rng.random() < 0.5 else ''}NULL")
+            else:
+                op = rng.choice(("=", "<>", "<", ">="))
+                sql.append(f"WHERE T.{column.name}X {op} "
+                           f"{self._operand(column.kind, params)}")
+        self._order_limit(sql, [f"T.{c.name}X" for c in columns],
+                          len(table.rows))
+        return " ".join(sql), tuple(params)
+
+    def _subqueries(self) -> tuple:
+        rng = self._rng
+        params: list = []
+        first, second = self._two_tables()
+        probe = self._numeric(first)
+        measured = self._numeric(second)
+        func = rng.choice(("AVG", "MAX", "MIN", "SUM"))
+        scalar = (f"A.{probe.name} {rng.choice(('>', '<=', '='))} "
+                  f"(SELECT {func}({measured.name}) FROM {second.name})")
+        if rng.random() < 0.1:
+            # Not a scalar at all once the table has two rows: every
+            # leg must raise.
+            scalar = (f"A.{probe.name} > "
+                      f"(SELECT {measured.name} FROM {second.name})")
+        member = rng.choice([c for c in second.columns
+                             if c.kind == probe.kind] or [second.columns[0]])
+        needle = probe if member.kind == probe.kind else first.columns[0]
+        members = f"SELECT {member.name} FROM {second.name}"
+        if rng.random() < 0.5:
+            members += " WHERE " + self._predicate([(second.name, second)],
+                                                   params)
+        negated = "NOT " if rng.random() < 0.25 else ""
+        listed = f"A.{needle.name} {negated}IN ({members})"
+        glue = rng.choice(("OR", "OR", "AND"))
+        columns = [f"A.{c.name}" for c in first.columns]
+        sql = [f"SELECT {', '.join(columns)}", f"FROM {first.name} A",
+               f"WHERE {scalar} {glue} {listed}"]
+        self._order_limit(sql, columns, len(first.rows))
+        return " ".join(sql), tuple(params)
+
+    def shaped_query(self) -> tuple:
+        """One (sql, params) pair of one of the four shapes."""
+        return self._rng.choice((self._outer_join, self._derived_group,
+                                 self._derived_plain, self._subqueries))()

@@ -21,7 +21,7 @@ import pytest
 from repro.xquery.vector import VSTATS
 
 from .harness import Legs, assert_legs_agree, leg_seed_batch_size
-from .sqlgen import QueryFuzzer, generate_schema
+from .sqlgen import QueryFuzzer, ShapedFuzzer, generate_schema
 
 CASES = int(os.environ.get("REPRO_FUZZ_CASES", "500"))
 SEED_BASE = int(os.environ.get("REPRO_FUZZ_SEED", "0"))
@@ -30,12 +30,20 @@ SEED_BASE = int(os.environ.get("REPRO_FUZZ_SEED", "0"))
 #: schema while still cycling through many schemas.
 QUERIES_PER_SCHEMA = 20
 
+#: The shaped family (outer joins, derived tables, subqueries) runs at
+#: the three sizes that matter to a recursive plan: every row its own
+#: batch, pairs (a sub-plan boundary inside most groups), one batch.
+SHAPED_CASES = max(CASES // 5, 40)
+SHAPED_BATCH_SIZES = (1, 2, 1024)
+
 _legs_cache: dict = {}
-_engagement = {"vectorized": 0, "executed": 0}
+_engagement = {"vectorized": 0, "executed": 0,
+               "shaped_vectorized": 0, "shaped_executed": 0}
 
 
-def _legs_for(schema_seed: int) -> Legs:
-    legs = _legs_cache.get(schema_seed)
+def _legs_for(schema_seed: int, batch_size=None) -> Legs:
+    key = (schema_seed, batch_size)
+    legs = _legs_cache.get(key)
     if legs is None:
         # One schema's legs at a time: four runtimes per schema would
         # otherwise accumulate across the whole battery.
@@ -43,8 +51,8 @@ def _legs_for(schema_seed: int) -> Legs:
             old.close()
         _legs_cache.clear()
         schema = generate_schema(schema_seed)
-        legs = Legs(schema, leg_seed_batch_size(schema_seed))
-        _legs_cache[schema_seed] = legs
+        legs = Legs(schema, batch_size or leg_seed_batch_size(schema_seed))
+        _legs_cache[key] = legs
     return legs
 
 
@@ -63,6 +71,21 @@ def test_fuzz_differential(case):
             _engagement["vectorized"] += 1
 
 
+@pytest.mark.parametrize("case", range(SHAPED_CASES))
+@pytest.mark.parametrize("batch_size", SHAPED_BATCH_SIZES)
+def test_shaped_differential(case, batch_size):
+    schema_seed = SEED_BASE + case // QUERIES_PER_SCHEMA
+    legs = _legs_for(schema_seed, batch_size)
+    fuzzer = ShapedFuzzer(SEED_BASE * 1_000_003 + case,
+                          generate_schema(schema_seed))
+    sql, params = fuzzer.shaped_query()
+    before = VSTATS.executions
+    if assert_legs_agree(sql, params, legs):
+        _engagement["shaped_executed"] += 1
+        if VSTATS.executions > before:
+            _engagement["shaped_vectorized"] += 1
+
+
 def test_zz_fuzz_engagement():
     """The battery must actually exercise the vector executor — if the
     compiler silently fell back everywhere, the differential above
@@ -70,6 +93,10 @@ def test_zz_fuzz_engagement():
     assert _engagement["executed"] >= CASES * 0.8, _engagement
     assert _engagement["vectorized"] >= _engagement["executed"] * 0.5, \
         _engagement
+    shaped = SHAPED_CASES * len(SHAPED_BATCH_SIZES)
+    assert _engagement["shaped_executed"] >= shaped * 0.7, _engagement
+    assert _engagement["shaped_vectorized"] >= \
+        _engagement["shaped_executed"] * 0.7, _engagement
     for legs in _legs_cache.values():
         legs.close()
     _legs_cache.clear()

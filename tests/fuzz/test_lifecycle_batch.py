@@ -137,3 +137,83 @@ class TestRowAccountingRegression:
         assert cursor.rowcount == -1  # still streaming
         cursor.fetchall()
         assert cursor.rowcount == 20
+
+
+class TestLifecycleInsideSubPlans:
+    """A recursive plan ticks in its sub-plans too: the ``nested`` shape
+    (a derived table over an outer join under GROUP BY, beside two
+    subquery constants) at 5 000 rows aborts within one batch of a
+    sub-plan, and leaves neither an admission slot nor charged rows
+    behind."""
+
+    SQL = ("SELECT INFO.ID, INFO.TOTAL FROM (SELECT F.ID ID, SUM(D.QTY) "
+           "TOTAL FROM FACTS F LEFT OUTER JOIN DETAILS D ON F.ID = D.FACTID "
+           "GROUP BY F.ID) AS INFO "
+           "WHERE INFO.TOTAL > (SELECT AVG(QTY) FROM DETAILS) "
+           "OR INFO.ID IN (SELECT ID FROM FACTS WHERE REGION = ?) "
+           "ORDER BY INFO.ID")
+
+    @staticmethod
+    def _connection():
+        from repro.workloads import build_scaled_storage
+        from repro.workloads.scaling import APPLICATION, PROJECT
+        storage = build_scaled_storage(5_000)
+        application = Application(APPLICATION)
+        import_tables(application, PROJECT, storage)
+        runtime = DSPRuntime(application, storage,
+                             config=RuntimeConfig(batch_size=64))
+        connection = connect(runtime)
+        cursor = connection.cursor()
+        cursor.execute(TestLifecycleInsideSubPlans.SQL, ("EAST",))
+        assert len(cursor.fetchall()) > 2_000  # warm, and it is batched
+        return runtime, connection
+
+    @staticmethod
+    def _in_sub_plan(error: BaseException) -> bool:
+        import traceback
+        frames = traceback.extract_tb(error.__cause__.__traceback__)
+        return any(frame.name == "_subplan" for frame in frames)
+
+    def _assert_released(self, runtime, connection):
+        admission = runtime.admission.stats()
+        assert admission["active"] == 0
+        assert admission["inflight_rows"] == 0
+        # ... and the connection still works.
+        cursor = connection.cursor()
+        cursor.execute("SELECT COUNT(*) FROM FACTS")
+        assert cursor.fetchall() == [(5_000,)]
+
+    def test_cancel_lands_within_one_batch_of_a_sub_plan(self, monkeypatch):
+        from repro.engine.lifecycle import QueryContext
+        runtime, connection = self._connection()
+        cursor = connection.cursor()
+        ticks = {"seen": 0, "after_cancel": 0}
+        real_tick = QueryContext.tick_rows
+
+        def tick_rows(context, count):
+            ticks["seen"] += 1
+            if ticks["seen"] == 40:  # deep inside the outer join
+                cursor.cancel()
+            elif ticks["seen"] > 40:
+                ticks["after_cancel"] += 1
+            return real_tick(context, count)
+
+        monkeypatch.setattr(QueryContext, "tick_rows", tick_rows)
+        with pytest.raises(OperationalError, match="cancel") as caught:
+            cursor.execute(self.SQL, ("EAST",))
+            cursor.fetchall()
+        monkeypatch.undo()
+        assert ticks["after_cancel"] == 0  # the cancelling tick raised
+        assert self._in_sub_plan(caught.value)
+        self._assert_released(runtime, connection)
+
+    def test_timeout_aborts_inside_a_sub_plan(self):
+        runtime, connection = self._connection()
+        cursor = connection.cursor()
+        started = time.monotonic()
+        with pytest.raises(OperationalError, match="deadline") as caught:
+            cursor.execute(self.SQL, ("EAST",), timeout=0.02)
+            cursor.fetchall()
+        assert time.monotonic() - started < 1.0
+        assert self._in_sub_plan(caught.value)
+        self._assert_released(runtime, connection)

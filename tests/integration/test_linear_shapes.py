@@ -1,13 +1,18 @@
 """The paper's C4/C5 shapes cost O(rows), checked without a stopwatch.
 
-Outer joins, derived tables, scalar / IN / EXISTS subqueries all reach
-the tuple pipeline as a FLWOR that is re-run for every outer tuple.
-What that FLWOR scans and builds does not depend on the outer tuple, so
-one execution must scan each table and build each hash table a fixed
-number of times — the same number at 100 rows and at 400 — and the
-frames it creates may grow only with the rows (4x the rows, at most
-4.5x the frames). At the parent commit the scans and builds grew with
-the table (400 builds for 400 rows) and the frames with its square.
+Outer joins, derived tables and uncorrelated scalar / IN subqueries run
+on the batched executor as sub-plans and hash joins; correlated EXISTS /
+scalar subqueries keep the tuple pipeline, as a FLWOR re-run for every
+outer tuple behind an execution-scoped memo. On whichever executor ran,
+what a statement scans and builds does not depend on the outer tuple, so
+one execution must call each data service and build each hash table a
+fixed number of times — the same number at 100 rows and at 400 — and the
+tuple frames it creates may grow only with the rows (4x the rows, at
+most 4.5x the frames). Before PR 17 the scans and builds grew with the
+table (400 builds for 400 rows) and the frames with its square.
+
+Between batched operators a row is a tuple of columns: one ``nested``
+execution builds no element at all (28 870 ``copy_node`` calls before).
 """
 
 import pytest
@@ -15,6 +20,8 @@ import pytest
 from repro import connect
 from repro.workloads import build_scaled_runtime
 from repro.xquery import compile as xq_compile
+from repro.xquery import evaluator as xq_evaluator
+from repro.xquery.vector import VSTATS
 
 SHAPES = {
     "nested": (
@@ -47,7 +54,8 @@ SMALL_CONSTANT = 6
 
 def measure(rows: int, monkeypatch) -> dict:
     """Per shape, one warm execution's (result rows, data-service calls,
-    hash-table builds, frames) at *rows* rows."""
+    hash-table builds on either executor, tuple frames, vector-plan
+    runs) at *rows* rows."""
     runtime = build_scaled_runtime(rows)
     cursor = connect(runtime).cursor()
     builds = []
@@ -66,12 +74,14 @@ def measure(rows: int, monkeypatch) -> dict:
         del builds[:]
         calls = runtime.function_call_count
         frames = xq_compile.STATS.frames
+        vector = (VSTATS.join_builds, VSTATS.executions)
         cursor.execute(sql, params)
         result = cursor.fetchall()
         measured[name] = (len(result),
                           runtime.function_call_count - calls,
-                          len(builds),
-                          xq_compile.STATS.frames - frames)
+                          len(builds) + VSTATS.join_builds - vector[0],
+                          xq_compile.STATS.frames - frames,
+                          VSTATS.executions - vector[1])
     return measured
 
 
@@ -87,10 +97,42 @@ def sizes():
 @pytest.mark.parametrize("shape", SHAPES)
 def test_scans_and_builds_do_not_grow_with_the_table(sizes, shape):
     small, large = sizes
-    rows_small, scans_small, builds_small, frames_small = small[shape]
-    rows_large, scans_large, builds_large, frames_large = large[shape]
+    rows_small, scans_small, builds_small, frames_small, batched = \
+        small[shape]
+    rows_large, scans_large, builds_large, frames_large, _ = large[shape]
     assert rows_small > 0 and rows_large > rows_small  # real work
-    assert scans_small == scans_large <= SMALL_CONSTANT
+    assert 0 < scans_small == scans_large <= SMALL_CONSTANT
     assert builds_small == builds_large <= SMALL_CONSTANT
-    assert frames_small > 0
+    # The correlated shapes keep the tuple pipeline (frames); the rest
+    # run batched and create none.
+    assert batched == (not shape.startswith("correlated"))
+    assert (frames_small == 0) == bool(batched)
     assert frames_large <= 4.5 * frames_small
+
+
+def test_a_nested_execution_builds_no_element(monkeypatch):
+    """Derived table over an outer join under GROUP BY, with a scalar
+    and an IN subquery: RECORDs cross every boundary as columns."""
+    runtime = build_scaled_runtime(200)
+    cursor = connect(runtime).cursor()
+    sql, params = SHAPES["nested"]
+    cursor.execute(sql, params)
+    cursor.fetchall()
+    calls = {"copy_node": 0, "_append_content": 0}
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(xq_evaluator, "copy_node",
+                        counted("copy_node", xq_evaluator.copy_node))
+    for module in (xq_evaluator, xq_compile):
+        monkeypatch.setattr(module, "_append_content", counted(
+            "_append_content", module._append_content))
+    before = VSTATS.executions
+    cursor.execute(sql, params)
+    assert len(cursor.fetchall()) > 100
+    assert VSTATS.executions == before + 1
+    assert calls == {"copy_node": 0, "_append_content": 0}

@@ -109,8 +109,9 @@ def test_each_flwor_planned_once_each_clause_lowered_once(sql, counters):
             plan = compiled(module, batch_size)
             assert counters["plan"] == counters["hints"]
             if plan.batched:
+                # (what the tuple compiler does lower of a batched
+                # body is its once-per-execution subqueries)
                 assert 0 < counters["plan"] < flwors, (sql, fmt)
-                assert not counters["lowered"], (sql, fmt)
             else:
                 assert counters["plan"] == flwors, (sql, fmt, batch_size)
             assert set(counters["lowered"].values()) <= {1}, \
