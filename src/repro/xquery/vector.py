@@ -300,7 +300,7 @@ class _RowVar:
     """Environment entry of a row variable: ``schema`` maps the child
     names ``$var/NAME`` may step to onto their xs: type. A data-service
     row has its declared columns; a record-set row (see
-    :class:`_SubPlan`) has its RECORD's cells, all :data:`_UNTYPED`, and
+    :class:`_Lowered`) has its RECORD's cells, all :data:`_UNTYPED`, and
     a *demand* hook: the sub-plan computes a plain-column cell only if
     somebody reads it."""
 
@@ -611,12 +611,12 @@ def _subquery_members(cc: _Ctx, subquery, local: str, has_needle: bool):
     if not isinstance(subquery, ast.FLWOR) or (has_needle
                                                and column is None):
         raise _Decline("unsupported_expr")
-    sub = _SubPlan("\x00sub", lower_flwor(cc, subquery), False)
-    cells = sub.lowered.cells
+    sub = lower_flwor(cc, subquery)
+    sub.var, cells = "\x00sub", sub.cells
     if column is not None and column not in cells:
         raise _Decline("record_shape")
     for name in cells if column is None else (column,):
-        sub.lowered.project(name)
+        sub.project(name)
 
     def members(state):
         rows = state.plan._build_side(state, sub)
@@ -832,36 +832,26 @@ class _ScanInfo:
         self.with_ordinal = with_ordinal
 
 
-class _SubPlan:
-    """A record-set source: ``for $var in <RECORDSET>{F}</RECORDSET>
-    /RECORD`` (the record set let-bound or inline), F lowered by
-    :func:`lower_flwor` like any other FLWOR. Its batches carry, per
-    ``(var, child name)``, what ``fn:data($var/NAME)`` yields on the
-    tree path — ``UntypedAtomic(serialize_atomic(v))`` for a present
-    value (the empty string included), ``None`` for an empty or absent
-    child — so no RECORD element is ever built."""
-
-    __slots__ = ("var", "lowered", "with_ordinal")
-    kind = "sub"
-
-    def __init__(self, var, lowered, with_ordinal):
-        self.var = var
-        self.lowered = lowered
-        self.with_ordinal = with_ordinal
-
-
 class _Lowered:
     """One lowered FLWOR: ``stages`` — ``(kind, payload, plan node)``
     triples, the source first, a node the ``(planned FLWOR, clause
     index)`` EXPLAIN counts it under — the environment after the last,
     and the returned RECORD's cells. A cell that is a plain column of a
-    row variable can neither raise nor do work worth sharing, so it is
-    compiled when a reader asks for it (:meth:`project`) and a cell
-    nobody reads is never computed; every other cell is compiled with
-    the FLWOR and evaluated for every row, as the tree path does."""
+    row variable cannot raise, so it is compiled when a reader asks for
+    it (:meth:`project`) and one nobody reads is never computed; every
+    other cell is compiled with the FLWOR and evaluated for every row,
+    as the tree path does.
+
+    Read as a *record-set source* — ``for $var in <RECORDSET>{F}
+    </RECORDSET>/RECORD``, the record set let-bound or inline — its
+    batches carry, per ``(var, child name)``, what ``fn:data($var/NAME)``
+    yields on the tree path: ``UntypedAtomic(serialize_atomic(v))`` for
+    a present value (the empty string included), ``None`` for an empty
+    or absent child. No RECORD element is ever built."""
 
     __slots__ = ("cc", "planned", "stages", "env", "record_name",
-                 "cells", "projections")
+                 "cells", "projections", "var", "with_ordinal")
+    kind = "sub"
 
     def __init__(self, cc, planned, stages, env, record):
         self.cc = cc
@@ -870,6 +860,7 @@ class _Lowered:
         self.env = env
         self.record_name, self.cells = _record_cells(record, env)
         self.projections: dict = {}
+        self.var, self.with_ordinal = None, False  # set by its reader
         for name, content in self.cells.items():
             if not (_is_fn_call(cc, content, FN_URI, "data", 1)
                     and _column_ref(content.args[0], env) is not None):
@@ -1160,9 +1151,9 @@ def _lower_source(cc: _Ctx, for_clause: ast.ForClause, hint,
     lowered = lower_flwor(cc, body)
     if lowered.record_name != source.steps[0].name:
         raise _Decline("record_shape")
-    return (_SubPlan(var, lowered, with_ordinal),
-            _RowVar(dict.fromkeys(lowered.cells, _UNTYPED),
-                    lowered.project))
+    lowered.var, lowered.with_ordinal = var, with_ordinal
+    return lowered, _RowVar(dict.fromkeys(lowered.cells, _UNTYPED),
+                            lowered.project)
 
 
 def _lower_join(cc: _Ctx, clause: HashJoinClause, hint, env: dict,
@@ -1667,16 +1658,16 @@ class _VectorPlan:
                 state.ctx.tick_rows(batch.n)
             yield batch
 
-    def _subplan(self, state: _State, sub: _SubPlan) -> Iterator[_Batch]:
+    def _subplan(self, state: _State, sub: _Lowered) -> Iterator[_Batch]:
         """Run a record-set sub-plan and re-key its RECORD cells as the
         columns of ``sub.var`` — the RECORD boundary, without the
         RECORD: a typed cell becomes its untyped lexical form, a cell
         that is a column of an inner record set is already one."""
         var = sub.var
         cells = [((var, name), projection, projection.vtype != _UNTYPED)
-                 for name, projection in sub.lowered.projections.items()]
+                 for name, projection in sub.projections.items()]
         position = 0
-        for b in self._open(state, sub.lowered):
+        for b in self._open(state, sub):
             cols = {}
             for key, projection, typed in cells:
                 col = projection.eval(state, b)
@@ -1702,7 +1693,7 @@ class _VectorPlan:
         batches = [b for b in self._subplan(state, source) if b.n]
         if not batches:  # still one (empty) column per cell
             return _Batch(0, {(var, name): []
-                              for name in source.lowered.projections})
+                              for name in source.projections})
         return _concat(batches)
 
     def _where(self, state: _State, batches, condition: _V) \

@@ -184,8 +184,9 @@ class QueryFuzzer:
 
     def _grouped_query(self) -> tuple:
         """One grouped/aggregate (sql, params) pair. Single-table groups
-        exercise the vectorized hash-aggregation stage; joined groups
-        and implicit (no GROUP BY) aggregates pin the tuple fallback.
+        exercise the vectorized hash-aggregation stage directly, joined
+        groups through a record-set sub-plan, implicit (no GROUP BY)
+        aggregates its keyless form.
         NULL-heavy group keys, empty inputs (COUNT=0 vs SUM=NULL),
         HAVING, aggregate/ordinal ORDER BY, and LIMIT windows over the
         group stream are all in the mix."""

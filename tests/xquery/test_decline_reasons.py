@@ -13,6 +13,7 @@ from repro import RuntimeConfig, connect
 from repro.translator.explain import explain
 from repro.workloads import build_runtime
 from repro.xmlmodel import element
+from repro.xquery import compile_module, parse_xquery
 from repro.xquery.vector import DECLINE_REASONS
 
 _PROLOG = ('import schema namespace ns0 = "ld:TestDataServices/CUSTOMERS" '
@@ -114,11 +115,11 @@ def test_a_batched_plan_says_so_and_counts_a_parameter_it_cannot_hold(
     assert _declines(connection).get("param_shape", 0) == before + 1
 
 
-def test_a_tuple_only_runtime_asks_nobody():
-    runtime = build_runtime(config=RuntimeConfig(batch_size=0))
-    plan = runtime.prepare(_wrapper(_SCAN))
+def test_a_tuple_only_compile_asks_nobody(connection):
+    runtime = connection._runtime
+    plan = compile_module(parse_xquery(_wrapper(_SCAN)),
+                          resolver=runtime.call_function, batch_size=0)
     assert plan.batched_reason is None and plan.executor == "tuple"
-    runtime.close()
 
 
 def test_every_reason_code_has_a_case():
