@@ -1226,6 +1226,7 @@ def lower_flwor(cc: _Ctx, flwor: ast.FLWOR) -> _Lowered:
     env: dict = {}
     stages: list = []
     bound_here: list = []
+    sourced = False  # a for / leading join has bound a row variable
 
     def order_specs(clause) -> list:
         return [(_vcompile(cc, spec.key, env), spec.ascending,
@@ -1236,25 +1237,30 @@ def lower_flwor(cc: _Ctx, flwor: ast.FLWOR) -> _Lowered:
         hint = owner.hints.get(index)
         if isinstance(clause, ast.LetClause):
             body = _recordset_body(clause.value)
-            if body is None or stages or clause.var in cc.recordsets:
+            if body is None or sourced or clause.var in cc.recordsets:
                 raise _Decline("unsupported_clause")
             cc.recordsets[clause.var] = body
             bound_here.append(clause.var)
+            stages.append(("let", None, node))  # the unit tuple passes
         elif isinstance(clause, ast.ForClause):
-            if stages:  # a cross product
+            if sourced:  # a cross product
                 raise _Decline("unsupported_clause")
             source, env[clause.var] = _lower_source(
                 cc, clause, hint, clause.var in owner.ordinal_vars)
             stages.append((source.kind, source, node))
+            sourced = True
         elif isinstance(clause, HashJoinClause):
             stages.append(("join", _lower_join(
                 cc, clause, hint, env,
                 clause.for_clause.var in owner.ordinal_vars), node))
-        elif not stages:
-            raise _Decline("unsupported_clause")
+            sourced = True
         elif isinstance(clause, ast.WhereClause):
+            # (ahead of the source: a conjunct that reads no row, hoisted
+            # there by the planner, filters the unit tuple)
             stages.append(("where",
                            _vcompile(cc, clause.condition, env), node))
+        elif not sourced:
+            raise _Decline("unsupported_clause")
         elif isinstance(clause, ast.OrderClause):
             stages.append(("order", order_specs(clause), node))
         elif isinstance(clause, RestoreOrderClause):
@@ -1288,7 +1294,7 @@ def lower_flwor(cc: _Ctx, flwor: ast.FLWOR) -> _Lowered:
             break
         else:
             raise _Decline("unsupported_clause")
-    if not stages or any(var in cc.recordsets for var in bound_here):
+    if not sourced or any(var in cc.recordsets for var in bound_here):
         # No source at all, or a record set nobody read: the tree path
         # would still build it (and raise what it raises).
         raise _Decline("unsupported_clause")
@@ -1311,6 +1317,8 @@ def try_compile_wrapper(compiler, arg) -> tuple:
         return None, decline.reason
     for step in cc.accept:
         step()
+    # The plan is cached for long; what lowered it is not kept with it.
+    cc.compiler, cc.accept = None, []
     return plan, None
 
 
@@ -1413,10 +1421,9 @@ class _VectorPlan:
         #: there is nothing to split), holds no once-per-execution
         #: subquery (*scatters*: every worker would run it again), and
         #: what its workers send back is small next to what they read.
-        #: With no
-        #: pipeline breaker (order/restore need every row; agg needs
-        #: every row of its group) and no window, workers run the whole
-        #: pipeline including the encode and ship text ("encode" mode).
+        #: With no pipeline breaker (order/restore need every row; agg
+        #: needs every row of its group) and no window, workers run the
+        #: whole pipeline including the encode and ship text ("encode").
         #: When the first breaker is a parallel-safe aggregation whose
         #: NDV estimate predicts real compression, workers fold their
         #: partition into a partial-state table and ship O(groups)
@@ -1583,27 +1590,17 @@ class _VectorPlan:
 
     def _open(self, state: _State, lowered: _Lowered) -> Iterator[_Batch]:
         """The batch stream of one lowered FLWOR — the wrapper's, or a
-        sub-plan's — each stage counting its output rows under its own
-        plan node when EXPLAIN asked for actuals."""
-        kind, source, node = lowered.stages[0]
-        if kind == "join":
-            # Leading hash join: a constant selection probed from the
-            # planner's unit tuple stream (one frame, no bindings).
-            batches = self._join(state, iter((_Batch(1, {}),)), source)
-        else:
-            batches = self._source(state, source)
-        if state.actuals is not None and node is not None:
-            for let_index in range(node[1]):
-                # The record-set lets ahead of the source: bound once.
-                state.actuals[(node[0].fid, let_index)] = 1
-            batches = _count_rows(batches, state.actuals,
-                                  (node[0].fid, node[1]))
-        return self._run_stages(state, batches, lowered.stages[1:])
+        sub-plan's: its stages chained onto the planner's unit tuple
+        stream (one row, no bindings), which a source stage replaces
+        with its rows and a leading hash join probes as it is."""
+        return self._run_stages(state, iter((_Batch(1, {}),)),
+                                lowered.stages)
 
     def _run_stages(self, state: _State, batches,
                     stages) -> Iterator[_Batch]:
-        """Chain *stages* (a slice of a lowered FLWOR's, past its
-        source) onto *batches*."""
+        """Chain *stages* onto *batches*, each stage counting its
+        output rows under its own plan node when EXPLAIN asked for
+        actuals."""
         for kind, payload, node in stages:
             if kind == "where":
                 batches = self._where(state, batches, payload)
@@ -1613,8 +1610,10 @@ class _VectorPlan:
                 batches = self._order(state, batches, payload)
             elif kind == "agg":
                 batches = self._aggregate(state, batches, payload)
-            else:
+            elif kind == "restore":
                 batches = self._restore(state, batches, payload)
+            elif kind != "let":  # (a record-set let: read downstream)
+                batches = self._source(state, batches, payload)
             if state.actuals is not None and node is not None:
                 batches = _count_rows(batches, state.actuals,
                                       (node[0].fid, node[1]))
@@ -1632,10 +1631,15 @@ class _VectorPlan:
                   for (name, _xs), col in zip(columns, values)}
         return colmap, nrows
 
-    def _source(self, state: _State, source) -> Iterator[_Batch]:
-        if source.kind == "scan":
-            return self._scan(state, source)
-        return self._subplan(state, source)
+    def _source(self, state: _State, unit, source) -> Iterator[_Batch]:
+        """The rows of a scan or sub-plan *source*, if the unit tuple
+        reaches it (a conjunct ahead of the source may have dropped
+        it: then the source is never opened)."""
+        for _ in unit:
+            if source.kind == "scan":
+                yield from self._scan(state, source)
+            else:
+                yield from self._subplan(state, source)
 
     def _scan(self, state: _State, info: _ScanInfo, partition=None,
               scanned=None) -> Iterator[_Batch]:
@@ -1708,6 +1712,10 @@ class _VectorPlan:
 
     def _join(self, state: _State, batches, info: _JoinInfo) \
             -> Iterator[_Batch]:
+        first = next(batches, None)
+        if first is None:
+            return  # nothing to probe with: the build side stays shut
+        batches = chain((first,), batches)
         scan = info.source
         build = self._build_side(state, scan)
         VSTATS.join_builds += 1
