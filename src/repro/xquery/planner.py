@@ -38,7 +38,7 @@ from __future__ import annotations
 import datetime
 from dataclasses import replace
 from decimal import Decimal
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import ast
 from .analysis import children, free_vars, map_children, subexpressions
@@ -349,19 +349,14 @@ def _match_join_conjunct(for_clause: ast.ForClause,
 # ---------------------------------------------------------------------------
 
 
-class OuterJoin:
-    """What :func:`match_outer_join` found on a FLWOR whose last clause
-    and return are stage 3's outer-join pattern: the left outer
-    :class:`HashJoinClause` that stands for that last ``let`` and the
-    matched-branch record that stands for the ``if``. ``join`` is None
-    when the pattern is there but is not a hash join with the left
-    outer rule (see :func:`match_outer_join`)."""
+class OuterJoin(NamedTuple):
+    """What :func:`match_outer_join` found: the left outer
+    :class:`HashJoinClause` that stands for the FLWOR's last ``let``
+    (None when the pattern is there but is not such a join) and the
+    matched-branch record that stands for the ``if``."""
 
-    __slots__ = ("join", "record")
-
-    def __init__(self, join: Optional[HashJoinClause], record: ast.XExpr):
-        self.join = join
-        self.record = record
+    join: Optional[HashJoinClause]
+    record: ast.XExpr
 
 
 def match_outer_join(clauses, return_expr, planned_clauses, is_fn,
@@ -405,7 +400,6 @@ def match_outer_join(clauses, return_expr, planned_clauses, is_fn,
     record = matched.return_expr
     if let.var in free_vars(record) | free_vars(return_expr.then):
         return None
-    found = OuterJoin(None, record)
     head, *rest = planned_clauses(inner)
     if not (isinstance(head, HashJoinClause)
             and head.for_clause.var == var
@@ -413,12 +407,11 @@ def match_outer_join(clauses, return_expr, planned_clauses, is_fn,
                     and free_vars(clause.condition) - external_vars
                     <= {var} for clause in rest)
             and _null_extends(record, return_expr.then, var)):
-        return found
-    found.join = HashJoinClause(
+        return OuterJoin(None, record)
+    return OuterJoin(HashJoinClause(
         head.for_clause, head.keys,
         head.filters + tuple(clause.condition for clause in rest),
-        outer=True)
-    return found
+        outer=True), record)
 
 
 def _null_extends(record, unmatched, var: str) -> bool:

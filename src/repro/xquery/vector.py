@@ -255,13 +255,11 @@ class _Decline(Exception):
 
 
 class _Ctx:
-    """Compile-time context of one wrapper: the host compiler
-    (namespaces, external vars, the once-memo), the parameter names the
-    plan ends up reading, the let-bound record sets no ``for`` has read
-    yet, and what accepting the plan still has to do — plan-node
-    numbering and the tuple compilation of once-per-execution
-    subqueries, both deferred so that a decline leaves the compiler as
-    it found it."""
+    """Compile-time context of one wrapper: the host compiler, the
+    parameter names the plan reads, the let-bound record sets no
+    ``for`` has read yet, and what accepting the plan still has to do
+    (plan-node numbering, tuple-compiling a subquery), deferred so that
+    a decline leaves the compiler as it found it."""
 
     __slots__ = ("compiler", "params", "recordsets", "accept", "once")
 
@@ -523,15 +521,13 @@ def _vcompile_call(cc: _Ctx, expr: ast.XFunctionCall, env: dict) -> _V:
 def _vcompile_once(cc: _Ctx, expr: ast.XFunctionCall, uri: str,
                    position: int, env: dict) -> _V:
     """A call whose subquery argument (at *position*) the compiler
-    proves invariant. The argument is a run-time constant: evaluated
-    once per execution, on first use by a non-empty batch (a subquery
-    no row reaches never runs, one that raises raises on every use) —
-    as a sub-plan of this plan when it lowers, else by the tuple
-    compiler under its once-memo — and the builtin is applied per row
-    to it and the other, vectorized, arguments. A call with no other
-    argument (``fn-bea:scalar``, ``fn:exists``, ``fn:empty``) is one
-    value broadcast; a two-argument ``in3`` probes a
-    :class:`PreparedIn3` of the members."""
+    proves invariant: a run-time constant, evaluated once per execution
+    on first use by a non-empty batch (never reached, never run; a
+    raise raises on every use) — as a sub-plan when it lowers, else by
+    the tuple compiler under its once-memo. The builtin is applied per
+    row to it and the other, vectorized, arguments; with no other
+    argument (``fn-bea:scalar``, ``fn:exists``) it is one value
+    broadcast; a two-argument ``in3`` probes a :class:`PreparedIn3`."""
     entry = BUILTINS.get((uri, expr.local))
     if entry is None or not entry[1] <= len(expr.args) <= entry[2]:
         raise _Decline("unsupported_expr")
@@ -834,20 +830,18 @@ class _ScanInfo:
 
 class _Lowered:
     """One lowered FLWOR: ``stages`` — ``(kind, payload, plan node)``
-    triples, the source first, a node the ``(planned FLWOR, clause
-    index)`` EXPLAIN counts it under — the environment after the last,
-    and the returned RECORD's cells. A cell that is a plain column of a
-    row variable cannot raise, so it is compiled when a reader asks for
-    it (:meth:`project`) and one nobody reads is never computed; every
-    other cell is compiled with the FLWOR and evaluated for every row,
-    as the tree path does.
+    triples, a node the ``(planned FLWOR, clause index)`` EXPLAIN counts
+    it under — the environment after the last, and the returned RECORD's
+    cells. A cell that is a plain column of a row variable cannot raise:
+    it is compiled when a reader asks (:meth:`project`) and never
+    computed if nobody does; every other cell is evaluated for every
+    row, as the tree path does.
 
-    Read as a *record-set source* — ``for $var in <RECORDSET>{F}
-    </RECORDSET>/RECORD``, the record set let-bound or inline — its
-    batches carry, per ``(var, child name)``, what ``fn:data($var/NAME)``
-    yields on the tree path: ``UntypedAtomic(serialize_atomic(v))`` for
-    a present value (the empty string included), ``None`` for an empty
-    or absent child. No RECORD element is ever built."""
+    Read as a *record-set source* (``for $var in <RECORDSET>{F}
+    </RECORDSET>/RECORD``) its batches carry, per ``(var, child name)``,
+    what ``fn:data($var/NAME)`` yields on the tree path:
+    ``UntypedAtomic(serialize_atomic(v))`` for a present value (the
+    empty string included), ``None`` for an empty or absent child."""
 
     __slots__ = ("cc", "planned", "stages", "env", "record_name",
                  "cells", "projections", "var", "with_ordinal")
@@ -1181,19 +1175,15 @@ def _lower_join(cc: _Ctx, clause: HashJoinClause, hint, env: dict,
 
 def lower_flwor(cc: _Ctx, flwor: ast.FLWOR) -> _Lowered:
     """Lower one planned FLWOR — the wrapper's own, the body of a
-    record set one of its sources reads, or an invariant subquery — onto
-    batch stages.
-
-    The first stage is a source (scan, sub-plan, or a leading hash join
-    probed from the unit tuple); where / hash join / order / restore
-    stages follow clause by clause, and a group clause lowers, with
-    everything downstream of it, to one hash-aggregation stage. A
-    ``let`` is accepted as a record set bound ahead of the source, for
-    a later ``for`` (here or in a nested record set) to read once, and,
-    last, as the partition of an aggregate without GROUP BY; stage 3's
-    outer-join ``let`` + ``if`` is the planner's left outer
-    :class:`HashJoinClause`. Anything else raises :class:`_Decline`.
-    """
+    record set, an invariant subquery — onto batch stages, clause by
+    clause: one source (scan, sub-plan, or a leading hash join), where
+    / hash join / order / restore stages, and a group clause with
+    everything downstream of it as one hash aggregation. A ``let`` is a
+    record set bound ahead of the source for a later ``for`` (here or
+    in a nested record set) to read once, or, last, the partition of an
+    aggregate without GROUP BY; stage 3's outer-join ``let`` + ``if`` is
+    the planner's left outer :class:`HashJoinClause`. Anything else
+    raises :class:`_Decline`."""
     compiler = cc.compiler
     planned = compiler._planned(flwor)
     record = flwor.return_expr
@@ -1304,12 +1294,11 @@ def lower_flwor(cc: _Ctx, flwor: ast.FLWOR) -> _Lowered:
 
 
 def try_compile_wrapper(compiler, arg) -> tuple:
-    """Compile the wrapper's ``fn:string-join`` argument *arg* into a
-    vector plan: ``(plan, None)`` — the :class:`_VectorPlan`'s
-    ``chunks`` bound method is the chunks closure — or ``(None, one of
-    DECLINE_REASONS)``. All or nothing: the section-4 cells are matched
-    here and everything under them goes through :func:`lower_flwor`; a
-    decline anywhere leaves the whole statement to the tuple path."""
+    """Compile the wrapper's ``fn:string-join`` argument *arg* into
+    ``(plan, None)`` — the :class:`_VectorPlan`'s ``chunks`` method is
+    the chunks closure — or ``(None, one of DECLINE_REASONS)``. The
+    section-4 cells are matched here, everything under them goes
+    through :func:`lower_flwor`; all or nothing."""
     cc = _Ctx(compiler)
     try:
         plan = _lower_wrapper(cc, arg)
