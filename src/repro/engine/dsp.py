@@ -216,6 +216,10 @@ class DSPRuntime:
         #: emitted, and scatters that aggregated partially in workers.
         self._agg_queries = self.metrics.counter("vector.agg_queries")
         self._agg_groups = self.metrics.counter("vector.agg_groups")
+        #: Batch columns (encode, join and group keys) whose cells were
+        #: not of one kind a typed kernel serves: the per-cell path.
+        self._generic_columns = self.metrics.counter(
+            "vector.generic_columns")
         self._partial_aggs = self.metrics.counter(
             "parallel.partial_aggs")
         #: XQuery texts parsed (cold ``prepare(text)`` calls). A

@@ -28,9 +28,14 @@ _NAMED_ENTITIES = {
 _ENTITY_RE = re.compile(r"&(#x[0-9A-Fa-f]+|#[0-9]+|[A-Za-z]+);")
 
 
+def has_specials(text: str) -> bool:
+    """Whether :func:`escape_text` would change *text*."""
+    return "&" in text or "<" in text or ">" in text
+
+
 def escape_text(text: str) -> str:
     """Escape character data for use as element content."""
-    if "&" not in text and "<" not in text and ">" not in text:
+    if not has_specials(text):
         return text
     return "".join(_ESCAPES.get(ch, ch) for ch in text)
 

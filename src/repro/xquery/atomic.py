@@ -155,6 +155,39 @@ def string_value(item: object) -> str:
     return serialize_atomic(item)
 
 
+def _float_text(value: float) -> str:
+    if math.isnan(value):
+        return "NaN"
+    if math.isinf(value):
+        return "INF" if value > 0 else "-INF"
+    if value == int(value) and abs(value) < 1e15:
+        return str(int(value))
+    return repr(value)
+
+
+#: Exact type -> lexical form: the one definition both
+#: :func:`serialize_atomic` (per value) and the batch encoder (resolved
+#: once per column) read. ``str`` on a ``str`` is the identity.
+SERIALIZERS = {
+    str: str,
+    UntypedAtomic: str,
+    int: str,
+    bool: lambda value: "true" if value else "false",
+    float: _float_text,
+    Decimal: lambda value: format(value, "f"),
+    datetime.datetime: datetime.datetime.isoformat,
+    datetime.date: datetime.date.isoformat,
+    datetime.time: datetime.time.isoformat,
+}
+
+
+def base_entry(table: dict, kind: type, default=None):
+    """What a per-kind *table* holds for the nearest base class of
+    *kind* it lists (a ``date`` subclass reads ``date``'s entry)."""
+    return next((table[base] for base in kind.__mro__ if base in table),
+                default)
+
+
 def serialize_atomic(value: object) -> str:
     """Lexical form of an atomic value, SQL-result-friendly.
 
@@ -163,25 +196,9 @@ def serialize_atomic(value: object) -> str:
     an exponent ("12", not "1.2E1") because the driver's text codec parses
     these strings back by SQL column type.
     """
-    if type(value) is str:
-        return value
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "NaN"
-        if math.isinf(value):
-            return "INF" if value > 0 else "-INF"
-        if value == int(value) and abs(value) < 1e15:
-            return str(int(value))
-        return repr(value)
-    if isinstance(value, Decimal):
-        return format(value, "f")
-    if isinstance(value, datetime.datetime):
-        return value.isoformat(sep="T")
-    if isinstance(value, (datetime.date, datetime.time)):
-        return value.isoformat()
-    return str(value)
+    kind = type(value)
+    return (SERIALIZERS.get(kind)
+            or base_entry(SERIALIZERS, kind, str))(value)
 
 
 # ---------------------------------------------------------------------------

@@ -539,6 +539,9 @@ def _build_join_table(join: HashJoinClause, items: Sequence, eval_key):
             if category is None:
                 return None
             categories[index].add(category)
+            if canon is None:
+                canon_parts = None
+                break  # nor does eq against NaN
             canon_parts.append(canon)
         if canon_parts is None:
             continue
@@ -566,6 +569,8 @@ def _probe_join_table(join: HashJoinClause, table: dict,
         if category is None or (categories[index]
                                 and category not in categories[index]):
             return _PAIRWISE
+        if canon is None:
+            return []  # so does a NaN
         probe_parts.append(canon)
     return table.get(tuple(probe_parts), [])
 

@@ -40,9 +40,10 @@ from dataclasses import replace
 from decimal import Decimal
 from typing import NamedTuple, Optional
 
+from ..errors import XQueryTypeError
 from . import ast
 from .analysis import children, free_vars, map_children, subexpressions
-from .atomic import is_node, is_numeric_value
+from .atomic import UntypedAtomic, base_entry, is_node
 
 
 class HashJoinClause:
@@ -1306,65 +1307,54 @@ def _columns_used(var: str, exprs) -> Optional[set]:
 # ---------------------------------------------------------------------------
 
 
-def join_key(value) -> tuple[Optional[str], object]:
-    """(comparison category, canonical hash key) for an eq join key.
+#: Exact type -> ``(eq category, value -> canonical key)``: the one
+#: definition :func:`join_key` and :func:`grouping_key` read per value
+#: and the batch executor resolves once per key column. No function
+#: means the key is ``(category, value)`` itself. Categories mirror
+#: ``compare_values``: values eq refuses to compare differ in category,
+#: values eq holds equal get keys that are equal and hash alike
+#: (Python's numeric hash makes ``5``, ``Decimal("5.0")`` and the
+#: ``Decimal("5.0")`` of float ``5.0`` one key; an untyped atomic is its
+#: string). A NaN equals nothing: its key is None.
+KEY_KINDS = {
+    bool: ("b", None),
+    int: ("n", None),
+    Decimal: ("n", lambda value: ("n", value) if value == value else None),
+    float: ("n", lambda value: ("n", Decimal(repr(value)))
+            if value == value else None),
+    str: ("s", None),
+    UntypedAtomic: ("s", lambda value: ("s", str(value))),
+    datetime.datetime: ("dt", None),
+    datetime.date: ("d", None),
+    datetime.time: ("t", None),
+}
 
-    Categories mirror ``compare_values``: values that eq would refuse to
-    compare get different categories; values eq treats as equal get the
-    same canonical key. UntypedAtomic follows the value-comparison rule
-    (cast to string). Returns (None, None) for uncanonicalizable types.
-    """
-    if isinstance(value, bool):
-        return "b", ("b", value)
-    if is_numeric_value(value):
-        if isinstance(value, float):
-            if value != value:  # NaN never equals anything
-                return "n", ("nan", id(object()))
-            dec = Decimal(repr(value))
-        else:
-            dec = Decimal(value)
-        return "n", ("n", dec.normalize())
-    if isinstance(value, str):  # includes UntypedAtomic
-        return "s", ("s", str(value))
-    if isinstance(value, datetime.datetime):
-        return "dt", ("dt", value)
-    if isinstance(value, datetime.date):
-        return "d", ("d", value)
-    if isinstance(value, datetime.time):
-        return "t", ("t", value)
-    return None, None
+
+def join_key(value) -> tuple[Optional[str], object]:
+    """(comparison category, canonical hash key) of an eq join key per
+    :data:`KEY_KINDS`: ``(category, None)`` for a NaN — like a NULL key
+    it is neither stored nor probed — and ``(None, None)`` for a type
+    with no canonical form (the caller compares pairwise)."""
+    kind = type(value)
+    entry = KEY_KINDS.get(kind) or base_entry(KEY_KINDS, kind)
+    if entry is None:
+        return None, None
+    category, canon = entry
+    return category, (category, value) if canon is None else canon(value)
 
 
 def grouping_key(value) -> tuple:
-    """Canonical hashable form of a group-by key value.
-
-    NULL (None) forms its own group, as SQL GROUP BY requires. Numeric
-    values of different representations (2, 2.0, Decimal("2")) group
-    together via Decimal canonicalization.
-    """
-    from ..errors import XQueryTypeError
-
+    """Canonical hashable form of a group-by key value: its eq key.
+    NULL (None) forms its own group, as SQL GROUP BY requires; so does
+    every NaN (a fresh NaN key equals no other)."""
     if value is None:
         return ("null",)
-    if isinstance(value, bool):
-        return ("b", value)
-    if is_numeric_value(value):
-        if isinstance(value, float):
-            dec = Decimal(repr(value))
-        else:
-            dec = Decimal(value)
-        return ("n", dec.normalize())
-    if isinstance(value, str):
-        return ("s", str(value))
-    if isinstance(value, datetime.datetime):
-        return ("dt", value.isoformat())
-    if isinstance(value, datetime.date):
-        return ("d", value.isoformat())
-    if isinstance(value, datetime.time):
-        return ("t", value.isoformat())
-    raise XQueryTypeError(
-        f"cannot group by values of type {type(value).__name__}",
-        code="XPTY0004")
+    category, canon = join_key(value)
+    if category is None:
+        raise XQueryTypeError(
+            f"cannot group by values of type {type(value).__name__}",
+            code="XPTY0004")
+    return canon or ("n", Decimal("NaN"))
 
 
 # ---------------------------------------------------------------------------

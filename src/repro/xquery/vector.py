@@ -40,19 +40,21 @@ itself, and whether the query errors at all, are unchanged).
 
 from __future__ import annotations
 
+import datetime
 import math
 import operator
 import threading
 from decimal import Decimal
-from itertools import chain
+from itertools import chain, compress, repeat
 from typing import Callable, Iterator, Optional
 
 from ..errors import XQueryDynamicError, XQueryTypeError
 from ..xmlmodel import Element, QName
-from ..xmlmodel.escape import escape_text
+from ..xmlmodel.escape import escape_text, has_specials
 from . import ast
 from .analysis import subexpressions
 from .atomic import (
+    SERIALIZERS,
     UntypedAtomic,
     _coerce_for_value_comparison,
     arithmetic,
@@ -77,6 +79,7 @@ from .functions import (
 )
 from .printer import print_module
 from .planner import (
+    KEY_KINDS,
     HashJoinClause,
     RestoreOrderClause,
     bind_scan_request,
@@ -85,13 +88,6 @@ from .planner import (
     join_key,
     lower_group_aggregates,
 )
-
-#: xs: simple types whose :func:`serialize_atomic` form can never contain
-#: an XML special character, so the encoder may skip ``xml-escape``.
-_NO_ESCAPE_TYPES = frozenset({
-    "short", "int", "long", "integer", "decimal", "float", "double",
-    "boolean", "date", "time", "dateTime",
-})
 
 #: Numeric xs: types with exact value semantics (int/Decimal in Python);
 #: mixed comparisons within this set need no float promotion.
@@ -122,8 +118,10 @@ class _VectorStats(threading.local):
     consumed cursor over a large scan shows O(batches fetched) rows
     encoded, not O(table) — ``parallel`` the runs that scattered
     across the process pool, ``agg_groups`` the group-table entries
-    the hash-aggregation stage emitted, and ``join_builds`` the hash
-    tables join stages built."""
+    the hash-aggregation stage emitted, ``join_builds`` the hash
+    tables join stages built, and ``generic_columns`` the encode, join-
+    and group-key batch columns that took the per-cell path because
+    their cells were not of one kind a kernel serves (:func:`_kernel`)."""
 
     def __init__(self):
         self.executions = 0
@@ -133,6 +131,7 @@ class _VectorStats(threading.local):
         self.parallel = 0
         self.agg_groups = 0
         self.join_builds = 0
+        self.generic_columns = 0
 
 
 VSTATS = _VectorStats()
@@ -171,6 +170,88 @@ def _concat(batches: list) -> _Batch:
         for key, col in b.cols.items():
             cols[key].extend(col)
     return _Batch(sum(b.n for b in batches), cols)
+
+
+_NONE = type(None)
+
+#: Exact type -> comparison class: within one the Python operator is
+#: ``compare_values`` (int/Decimal compare exactly, an untyped atomic
+#: as its string). Floats promote both operands and zoned times may
+#: refuse to order: those stay per cell.
+_COMPARE_CLASS = {int: "n", Decimal: "n", str: "s", UntypedAtomic: "s",
+                  bool: "b", datetime.date: "d"}
+
+
+def _kind(col: list) -> tuple:
+    """``(kind, nulls)`` of a batch column, observed in one C-level
+    pass (a parameter has no static type, a source's declared one is
+    not enforced): the exact type its non-NULL cells share — a ``bool``
+    is no ``int`` — or ``NoneType`` when it has none, None when they
+    mix; and whether it holds a NULL."""
+    kinds = set(map(type, col))
+    nulls = _NONE in kinds
+    kinds.discard(_NONE)
+    if len(kinds) > 1:
+        return None, nulls
+    return (kinds.pop() if kinds else _NONE), nulls
+
+
+def _kernel(col: list, table: dict, columnar=None) -> tuple:
+    """``(kind, table[kind], nulls)``: the per-kind rule resolved once
+    for the whole column. No entry means the caller's per-cell loop —
+    counted (``vector.generic_columns`` on the runtime *columnar*),
+    unless the column is all NULL."""
+    kind, nulls = _kind(col)
+    entry = table.get(kind)
+    if entry is None and kind is not _NONE:
+        VSTATS.generic_columns += 1
+        counter = getattr(columnar, "_generic_columns", None)
+        if counter is not None:
+            counter.increment()
+    return kind, entry, nulls
+
+
+def _canon_keys(col: list, columnar=None) -> Optional[tuple]:
+    """``(eq categories, canonical key per row)`` of a join or group
+    key column: ``join_key`` of every cell — None for a NULL or NaN,
+    which equals nothing — resolved once by :data:`KEY_KINDS` when the
+    cells are of one kind. None when a cell has no canonical form."""
+    _kind_, entry, nulls = _kernel(col, KEY_KINDS, columnar)
+    if entry is None:  # mixed kinds: cell by cell
+        pairs = [v if v is None else join_key(v) for v in col]
+        categories = {pair[0] for pair in pairs if pair}
+        if None in categories:
+            return None
+        return categories, [pair and pair[1] for pair in pairs]
+    category, canon = entry
+    if canon is not None:
+        keys = [v if v is None else canon(v) for v in col] if nulls \
+            else list(map(canon, col))
+    elif nulls:  # (no function: the key is the tagged value itself)
+        keys = [v if v is None else (category, v) for v in col]
+    else:
+        keys = list(zip(repeat(category), col))
+    return {category}, keys
+
+
+def _group_keys(col: list, columnar=None) -> list:
+    """``grouping_key`` of every cell of a group key column."""
+    canon = _canon_keys(col, columnar)
+    if canon is None:
+        return list(map(grouping_key, col))  # (raises on that cell)
+    keys = canon[1]
+    if None in keys:  # NULL and NaN cells: grouping_key's own rule
+        keys = [grouping_key(v) if key is None else key
+                for key, v in zip(keys, col)]
+    return keys
+
+
+def _selected(mask: list) -> list:
+    """Row indexes whose mask cell's effective boolean value is true; a
+    mask of booleans and NULLs is its own truth."""
+    if _kind(mask)[0] is bool:
+        return list(compress(range(len(mask)), mask))
+    return [i for i, cell in enumerate(mask) if _ebv_scalar(cell)]
 
 
 def _ebv_scalar(value) -> bool:
@@ -689,6 +770,11 @@ def _vcompare(op: str, left: _V, right: _V) -> _V:
         def run(state, batch):
             xs = left.eval(state, batch)
             ys = right.eval(state, batch)
+            shared = _COMPARE_CLASS.get(_kind(xs)[0])
+            if shared is not None \
+                    and shared == _COMPARE_CLASS.get(_kind(ys)[0]):
+                return [None if x is None or y is None else direct(x, y)
+                        for x, y in zip(xs, ys)]
             out = []
             for x, y in zip(xs, ys):
                 if x is None or y is None:
@@ -997,9 +1083,6 @@ def _fold_agg_cell(spec, states: list, j: int, cell) -> None:
     (the per-row value sequence is empty), untyped atomics cast to
     double (string for distinct), sums fold with ``+`` left-to-right,
     min/max keep the first value on ties."""
-    if spec.star:
-        states[j] += 1
-        return
     if cell is None:
         return
     if spec.distinct:
@@ -1372,7 +1455,7 @@ def _count_rows(batches, actuals: dict, node_id) -> Iterator[_Batch]:
 class _VectorPlan:
     __slots__ = ("columnar", "batch_size", "lowered", "stages", "window",
                  "projections", "param_names", "outer_plan",
-                 "fallback", "_tuple_chunks", "_escape_flags", "module",
+                 "fallback", "_tuple_chunks", "module",
                  "_text",
                  "parallel_ready", "parallel_mode",
                  "partition_stage_count", "signature")
@@ -1397,8 +1480,6 @@ class _VectorPlan:
         #: on first use — the SQL driver never binds such a parameter.
         self.fallback = None
         self._tuple_chunks = None
-        self._escape_flags = [p.vtype not in _NO_ESCAPE_TYPES
-                              for p in projections]
         #: The module this plan was compiled from, stamped by the
         #: DSPRuntime that prepared it; only such plans scatter, because
         #: pool workers re-prepare the plan from its text.
@@ -1692,8 +1773,7 @@ class _VectorPlan:
     def _where(self, state: _State, batches, condition: _V) \
             -> Iterator[_Batch]:
         for b in batches:
-            mask = condition.eval(state, b)
-            idx = [i for i in range(b.n) if _ebv_scalar(mask[i])]
+            idx = _selected(condition.eval(state, b))
             if len(idx) == b.n:
                 yield b
             elif idx:
@@ -1712,8 +1792,7 @@ class _VectorPlan:
         # between conjuncts preserves the tuple path's short-circuit
         # (a later filter never sees a row an earlier one dropped).
         for filter_expr in info.filter_exprs:
-            mask = filter_expr.eval(state, build)
-            idx = [i for i in range(build.n) if _ebv_scalar(mask[i])]
+            idx = _selected(filter_expr.eval(state, build))
             if len(idx) != build.n:
                 build = _gather(build, idx)
         if scan.with_ordinal:
@@ -1721,59 +1800,44 @@ class _VectorPlan:
             # the tuple path's enumerate() positions.
             build.cols[(_ORD, scan.var)] = list(range(build.n))
 
-        pairwise = False
+        # Keys are canonicalised a column at a time (see _canon_keys);
+        # a row holding a NULL or NaN key is not stored: eq against it
+        # never matches. A key with no canonical form, or a key column
+        # mixing comparison categories, sends every probe to the exact
+        # pairwise path.
         table: dict = {}
-        categories = [set() for _ in info.build_exprs]
-        key_cols = [e.eval(state, build) for e in info.build_exprs]
-        for i in range(build.n):
-            parts: Optional[list] = []
-            for j, col in enumerate(key_cols):
-                value = col[i]
-                if value is None:
-                    parts = None
-                    break  # eq against NULL never matches
-                category, canon = join_key(value)
-                if category is None:
-                    pairwise = True
-                    break
-                categories[j].add(category)
-                parts.append(canon)
-            if pairwise:
-                break
-            if parts is None:
-                continue
-            table.setdefault(tuple(parts), []).append(i)
-        if not pairwise and any(len(found) > 1 for found in categories):
-            pairwise = True  # mixed-category keys: exact path only
+        canons = [_canon_keys(e.eval(state, build), self.columnar)
+                  for e in info.build_exprs]
+        pairwise = not all(canons) \
+            or any(len(found) > 1 for found, _keys in canons)
+        if not pairwise:
+            for i, key in enumerate(zip(*[keys for _c, keys in canons])):
+                if None not in key:
+                    table.setdefault(key, []).append(i)
 
         outer = info.outer
         for b in batches:
             probe_idx: list = []
             build_idx: list = []
-            probe_cols = [] if pairwise else [e.eval(state, b)
-                                              for e in info.probe_exprs]
-            for i in range(b.n):
-                parts = []
-                row_pairwise = pairwise
-                for j, col in enumerate(probe_cols):
-                    value = col[i]
-                    if value is None:
-                        parts = None
-                        break
-                    category, canon = join_key(value)
-                    if category is None or (
-                            categories[j]
-                            and category not in categories[j]):
-                        row_pairwise = True
-                        break
-                    parts.append(canon)
-                if row_pairwise:
-                    matches = self._pairwise_row(state, b, i, build, info)
-                elif parts is None:
-                    matches = ()
-                else:
-                    matches = table.get(tuple(parts), ())
-                if outer and not matches:
+            matched = None
+            if not pairwise:
+                probes = [_canon_keys(e.eval(state, b), self.columnar)
+                          for e in info.probe_exprs]
+                # (against no build key at all there is nothing to
+                # compare, whatever the category)
+                if all(probe and (probe[0] <= found or not found)
+                       for probe, (found, _keys) in zip(probes, canons)):
+                    matched = map(table.get,
+                                  zip(*[keys for _c, keys in probes]))
+            if matched is None:
+                # A category the build side does not hold: eq decides
+                # (or raises its type error), pair by pair.
+                matched = (self._pairwise_row(state, b, i, build, info)
+                           for i in range(b.n))
+            for i, matches in enumerate(matched):
+                if not matches:
+                    if not outer:
+                        continue
                     # Left outer: no build entry matched (a NULL key
                     # matches none) — the probe row goes on, once, with
                     # the build side's columns NULL.
@@ -1831,19 +1895,46 @@ class _VectorPlan:
             key_cols = [key.eval(state, b) for key in info.key_exprs]
             value_cols = [None if value is None else value.eval(state, b)
                           for value in info.value_exprs]
-            for i in range(b.n):
-                key_cells = [col[i] for col in key_cols]
-                canon = tuple(grouping_key(cell) for cell in key_cells)
+            # Rows partitioned by canonical key in row order: groups
+            # are first seen, and a group's cells folded, in the order
+            # a row-at-a-time fold would.
+            parts: dict = {}
+            if key_cols:
+                canons = [_group_keys(col, self.columnar)
+                          for col in key_cols]
+                for i, canon in enumerate(zip(*canons)):
+                    parts.setdefault(canon, []).append(i)
+            else:
+                parts[()] = range(b.n)
+            # SUM / AVG over exact numerics fold a group's cells at
+            # once, by the same ``+`` left to right (float addition
+            # through ``sum`` is not that fold on every Python).
+            summed = [col is not None and not spec.distinct
+                      and spec.func in ("sum", "avg")
+                      and _kind(col)[0] in (int, Decimal)
+                      for spec, col in zip(specs, value_cols)]
+            for canon, idx in parts.items():
                 record = groups.get(canon)
                 if record is None:
-                    record = (key_cells,
-                              [_new_agg_state(spec) for spec in specs])
-                    groups[canon] = record
+                    record = groups[canon] = (
+                        [col[idx[0]] for col in key_cols],
+                        [_new_agg_state(spec) for spec in specs])
                 states = record[1]
                 for j, spec in enumerate(specs):
                     col = value_cols[j]
-                    _fold_agg_cell(spec, states, j,
-                                   None if col is None else col[i])
+                    if col is None:  # COUNT(*)
+                        states[j] += len(idx)
+                    elif not summed[j]:
+                        for i in idx:
+                            _fold_agg_cell(spec, states, j, col[i])
+                    else:
+                        cells = [col[i] for i in idx
+                                 if col[i] is not None]
+                        if cells:
+                            acc = states[j]
+                            acc[0] = sum(cells, acc[0]) if acc[1] \
+                                else sum(cells[1:], cells[0])
+                            acc[1] += len(cells)
         return groups
 
     def _count_groups(self, n_groups: int) -> None:
@@ -1942,27 +2033,32 @@ class _VectorPlan:
 
     def _encode(self, state: _State, batches) -> Iterator[str]:
         projections = self.projections
-        escape_flags = self._escape_flags
         stats = VSTATS
         for b in batches:
             if b.n == 0:
                 continue
             parts = []
-            for projection, needs_escape in zip(projections,
-                                                escape_flags):
+            for projection in projections:
                 col = projection.eval(state, b)
-                if needs_escape:
+                kind, text, nulls = _kernel(col, SERIALIZERS,
+                                            self.columnar)
+                if text is None:  # mixed kinds: cell by cell
                     parts.append([
                         "<" if v is None
                         else ">" + escape_text(serialize_atomic(v))
                         for v in col])
+                    continue
+                # One kind: its serialiser, resolved once. Only string
+                # forms can hold XML specials (elsewhere skipping
+                # xml-escape is byte-identical): one test per column.
+                if issubclass(kind, str) \
+                        and has_specials("".join(filter(None, col))):
+                    text = escape_text
+                if nulls:
+                    parts.append(["<" if v is None else ">" + text(v)
+                                  for v in col])
                 else:
-                    # Numeric/date/boolean lexical forms contain no XML
-                    # specials; skipping xml-escape is byte-identical.
-                    parts.append([
-                        "<" if v is None
-                        else ">" + serialize_atomic(v)
-                        for v in col])
+                    parts.append([">" + t for t in map(text, col)])
             if len(parts) == 1:
                 chunk = "".join(parts[0])
             else:

@@ -15,12 +15,21 @@ reproduces from the test id alone.
 from __future__ import annotations
 
 import os
+import random
+from decimal import Decimal
 
 import pytest
 
+from repro.driver import connect
 from repro.xquery.vector import VSTATS
 
-from .harness import Legs, assert_legs_agree, leg_seed_batch_size
+from .harness import (
+    Legs,
+    assert_legs_agree,
+    build_runtime,
+    build_storage,
+    leg_seed_batch_size,
+)
 from .sqlgen import QueryFuzzer, ShapedFuzzer, generate_schema
 
 CASES = int(os.environ.get("REPRO_FUZZ_CASES", "500"))
@@ -38,7 +47,8 @@ SHAPED_BATCH_SIZES = (1, 2, 1024)
 
 _legs_cache: dict = {}
 _engagement = {"vectorized": 0, "executed": 0,
-               "shaped_vectorized": 0, "shaped_executed": 0}
+               "shaped_vectorized": 0, "shaped_executed": 0,
+               "mixed_generic": 0}
 
 
 def _legs_for(schema_seed: int, batch_size=None) -> Legs:
@@ -86,6 +96,52 @@ def test_shaped_differential(case, batch_size):
             _engagement["shaped_vectorized"] += 1
 
 
+class _MixedKindLegs(Legs):
+    """Tuple and batch legs over one memory storage whose INTEGER
+    columns hold, here and there, the same number as a Decimal — a
+    source is trusted for its declared types, not checked — so a batch
+    column can mix kinds (and a string column XML specials beside plain
+    text, as the generated data already does). An integral Decimal
+    prints as the integer: the tuple leg, which reads cells back from
+    text, is the reference for every row."""
+
+    def __init__(self, schema, batch_size: int, seed: int):
+        rng = random.Random(("mixed", seed).__repr__())
+        storage = build_storage(schema)
+        for table in schema:
+            rows = [tuple(Decimal(cell) if type(cell) is int
+                          and rng.random() < 0.15 else cell
+                          for cell in row) for row in table.rows]
+            storage.table(table.name).replace_rows(rows)
+        self.batch_size = batch_size
+        self.connections = {
+            ("memory", mode): connect(build_runtime(storage, "memory", size))
+            for mode, size in (("tuple", 0), ("batch", batch_size))}
+
+
+@pytest.mark.parametrize("case", range(SHAPED_CASES))
+@pytest.mark.parametrize("batch_size", SHAPED_BATCH_SIZES)
+def test_mixed_kind_differential(case, batch_size):
+    """The shaped family (odd cases: the plain one) over mixed-kind
+    columns: every typed kernel next to its per-cell fallback."""
+    schema_seed = SEED_BASE + case // QUERIES_PER_SCHEMA
+    key = ("mixed", schema_seed, batch_size)
+    legs = _legs_cache.get(key)
+    if legs is None:
+        for old in _legs_cache.values():
+            old.close()
+        _legs_cache.clear()
+        legs = _legs_cache[key] = _MixedKindLegs(
+            generate_schema(schema_seed), batch_size, schema_seed)
+    seed = SEED_BASE * 1_000_003 + case
+    schema = generate_schema(schema_seed)
+    sql, params = QueryFuzzer(seed, schema).query() if case % 2 \
+        else ShapedFuzzer(seed, schema).shaped_query()
+    before = VSTATS.generic_columns
+    assert_legs_agree(sql, params, legs)
+    _engagement["mixed_generic"] += VSTATS.generic_columns > before
+
+
 def test_zz_fuzz_engagement():
     """The battery must actually exercise the vector executor — if the
     compiler silently fell back everywhere, the differential above
@@ -97,6 +153,9 @@ def test_zz_fuzz_engagement():
     assert _engagement["shaped_executed"] >= shaped * 0.7, _engagement
     assert _engagement["shaped_vectorized"] >= \
         _engagement["shaped_executed"] * 0.7, _engagement
+    # (mixed-kind columns did reach the kernels' per-cell fallback; a
+    # batch of one row never mixes)
+    assert _engagement["mixed_generic"] >= shaped * 0.1, _engagement
     for legs in _legs_cache.values():
         legs.close()
     _legs_cache.clear()
