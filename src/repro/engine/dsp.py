@@ -143,9 +143,10 @@ class DSPRuntime:
         #: Columnar twin of ``_table_elements``: materialized column
         #: lists for unpushed scans, guarded by the same version token.
         #: Column lists handed to the vectorized executor are read-only
-        #: by contract (operators always build fresh output lists).
+        #: by contract (operators always build fresh output lists). The
+        #: last slot keeps the join hash tables over them (join_tables).
         self._table_columns: dict[tuple[str, str],
-                                  tuple[object, list, int]] = {}
+                                  tuple[object, list, int, dict]] = {}
         self.function_call_count = 0
         #: Admission control for top-level queries: bounded concurrency
         #: with a queue-with-timeout, plus a global in-flight streamed
@@ -220,6 +221,9 @@ class DSPRuntime:
         #: not of one kind a typed kernel serves: the per-cell path.
         self._generic_columns = self.metrics.counter(
             "vector.generic_columns")
+        #: Join hash tables built, and kept ones probed again.
+        self._join_builds = self.metrics.counter("vector.join_builds")
+        self._join_reuses = self.metrics.counter("vector.join_reuses")
         self._partial_aggs = self.metrics.counter(
             "parallel.partial_aggs")
         #: XQuery texts parsed (cold ``prepare(text)`` calls). A
@@ -236,6 +240,12 @@ class DSPRuntime:
         # old one, and cached plans may have been costed without it.
         self._stats_cache.clear()
         self._stats_epoch += 1
+        # Two sources' tokens may coincide, so nothing cached from the
+        # one replaced may answer for the functions that now scan this.
+        for cache in (self._table_elements, self._table_columns):
+            for key in list(cache):
+                if self._physical(*key)[2] is source:
+                    cache.pop(key, None)
         return source
 
     def source(self, name: str) -> DataSource:
@@ -570,11 +580,19 @@ class DSPRuntime:
         row_count = len(values[0]) if values else 0
         self._count_scan(result, row_count)
         if token is not None:
-            self._table_columns[(uri, local)] = (token, values, row_count)
+            self._table_columns[(uri, local)] = (token, values, row_count, {})
         if reduced is not None:
             schema = self._project_schema(schema, result.columns)
         return ([(decl.name, decl.xs_type) for decl in schema.columns],
                 values, row_count)
+
+    def join_tables(self, uri: str, local: str, column: list):
+        """The dict of join hash tables (by key column names) kept in
+        the column-cache entry that holds *column* — a list
+        :meth:`scan_columns` returned — or None when it did not come
+        from that entry (a pushed, partitioned or uncached scan)."""
+        cached = self._table_columns.get((uri, local), (None, ()))
+        return cached[3] if any(c is column for c in cached[1]) else None
 
     @staticmethod
     def _project_schema(schema: RowSchema, scan_columns) -> RowSchema:

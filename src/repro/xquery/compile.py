@@ -964,13 +964,14 @@ class _Compiler:
                 and len(expr.args) == arity
                 and self._namespace(expr) == FN_URI)
 
-    def _number(self, planned: "_PlannedFLWOR",
-                batched: bool = False) -> list:
+    def _number(self, planned: "_PlannedFLWOR", batched: bool = False,
+                notes: Optional[dict] = None) -> list:
         """Give a lowered pipeline FLWOR its plan id and list its nodes
         (labels + estimates) in the plan reports; returns the node ids
         its stages count actual rows under. *batched* says the vector
         lowering runs it: an outer-join ``let`` is then the planner's
-        left outer hash join."""
+        left outer hash join. *notes* (the vector lowering's) map a
+        hash join clause's id to what its label adds."""
         clauses = planned.clauses
         if batched and planned.outer_join is not None:
             clauses = clauses[:-1] + [planned.outer_join.join]
@@ -984,7 +985,8 @@ class _Compiler:
                            "label": _clause_label(
                                clause,
                                isinstance(clause, HashJoinClause)
-                               and self._built_once(clause)),
+                               and self._built_once(clause),
+                               (notes or {}).get(id(clause))),
                            "estimate": estimates[i]}
                           for i, clause in enumerate(clauses)],
             })
@@ -1416,16 +1418,19 @@ def _pipeline(stages: list[_Stage], node_ids: list,
     return frames
 
 
-def _clause_label(clause, built_once: bool = False) -> str:
+def _clause_label(clause, built_once: bool = False, note=None) -> str:
     """A short human-readable plan-node label for EXPLAIN output;
     *built_once* marks a hash join whose build side the execution's
-    memo keeps (see ``_Compiler._built_once``)."""
+    memo keeps (see ``_Compiler._built_once``), *note* says whether the
+    batched join re-uses its hash table across executions."""
     if isinstance(clause, HashJoinClause):
         parts = f"{len(clause.keys)} keys"
         if clause.filters:
             parts += f", {len(clause.filters)} filters"
         if built_once:
             parts += ", built once"
+        if note:
+            parts += f", {note}"
         kind = "left outer hash join" if clause.outer else "hash-join"
         return f"{kind} ${clause.for_clause.var} ({parts})"
     if isinstance(clause, RestoreOrderClause):

@@ -119,7 +119,8 @@ class _VectorStats(threading.local):
     encoded, not O(table) — ``parallel`` the runs that scattered
     across the process pool, ``agg_groups`` the group-table entries
     the hash-aggregation stage emitted, ``join_builds`` the hash
-    tables join stages built, and ``generic_columns`` the encode, join-
+    tables join stages built, ``join_reuses`` those they probed again
+    (see :class:`_JoinInfo`), and ``generic_columns`` the encode, join-
     and group-key batch columns that took the per-cell path because
     their cells were not of one kind a kernel serves (:func:`_kernel`)."""
 
@@ -131,6 +132,7 @@ class _VectorStats(threading.local):
         self.parallel = 0
         self.agg_groups = 0
         self.join_builds = 0
+        self.join_reuses = 0
         self.generic_columns = 0
 
 
@@ -955,17 +957,21 @@ class _Lowered:
 
 
 class _JoinInfo:
+    """``reuse``: the build key column names when the join's hash table
+    may outlive its execution (see :func:`_lower_join`), else None."""
+
     __slots__ = ("source", "build_exprs", "probe_exprs", "cond_exprs",
-                 "filter_exprs", "outer")
+                 "filter_exprs", "outer", "reuse")
 
     def __init__(self, source, build_exprs, probe_exprs, cond_exprs,
-                 filter_exprs, outer):
+                 filter_exprs, outer, reuse):
         self.source = source
         self.build_exprs = build_exprs
         self.probe_exprs = probe_exprs
         self.cond_exprs = cond_exprs
         self.filter_exprs = filter_exprs
         self.outer = outer
+        self.reuse = reuse
 
 
 class _AggInfo:
@@ -1234,14 +1240,28 @@ def _lower_source(cc: _Ctx, for_clause: ast.ForClause, hint,
 
 
 def _lower_join(cc: _Ctx, clause: HashJoinClause, hint, env: dict,
-                with_ordinal: bool) -> _JoinInfo:
+                with_ordinal: bool, notes: dict) -> _JoinInfo:
     """Vector-compile a hash join (extending *env*). With an empty
     *env* — a leading join — the probe keys may only read literals and
     parameters: a constant selection over the planner's unit tuple
-    stream."""
+    stream. Over a scan with no build filter and no predicate asked of
+    the source, keyed by ``fn:data($v/COL)`` columns, its hash table is
+    kept when the column cache serves the scan; *notes* gets the
+    EXPLAIN note saying so, or why not."""
     var = clause.for_clause.var
     source, row = _lower_source(cc, clause.for_clause, hint, with_ordinal)
     build_env = {var: row}
+    refs = [_is_fn_call(cc, build, FN_URI, "data", 1)
+            and _column_ref(build.args[0], build_env)
+            for build, _p, _c in clause.keys]
+    why = ("sub-plan" if source.kind != "scan"
+           else "build filters" if clause.filters
+           else "computed key" if not all(refs)
+           else "pushed scan" if hint is not None and hint.predicates
+           else None)
+    notes[id(clause)] = f"not reused: {why}" if why \
+        else "reused per table version"
+    reuse = None if why else tuple(ref[1][1] for ref in refs)
     builds = [_vcompile(cc, build, build_env)
               for build, _p, _c in clause.keys]
     probes = [_vcompile(cc, probe, env) for _b, probe, _c in clause.keys]
@@ -1253,7 +1273,8 @@ def _lower_join(cc: _Ctx, clause: HashJoinClause, hint, env: dict,
              for (build, _p, cond), b, p in zip(clause.keys, builds, probes)]
     filters = [_vcompile(cc, f, build_env) for f in clause.filters]
     env[var] = row
-    return _JoinInfo(source, builds, probes, conds, filters, clause.outer)
+    return _JoinInfo(source, builds, probes, conds, filters, clause.outer,
+                     reuse)
 
 
 def lower_flwor(cc: _Ctx, flwor: ast.FLWOR) -> _Lowered:
@@ -1274,6 +1295,7 @@ def lower_flwor(cc: _Ctx, flwor: ast.FLWOR) -> _Lowered:
     items = [(clause, planned, index)
              for index, clause in enumerate(planned.clauses)]
     last = items[-1][0]
+    notes: dict = {}  # id(hash join clause) -> its EXPLAIN reuse note
     if planned.outer_join is not None:
         if planned.outer_join.join is None:
             raise _Decline("outer_join_residual")
@@ -1292,7 +1314,7 @@ def lower_flwor(cc: _Ctx, flwor: ast.FLWOR) -> _Lowered:
             inner, row = compiler._planned(rows), rows.return_expr.name
             head = [(clause, inner, index)
                     for index, clause in enumerate(inner.clauses)]
-            cc.accept.append(lambda: compiler._number(inner))
+            cc.accept.append(lambda: compiler._number(inner, notes=notes))
         items[-1:] = head + [(ast.GroupClause(
             source_var=row, partition_var=last.var, keys=()),
             planned, len(items) - 1)]
@@ -1325,7 +1347,7 @@ def lower_flwor(cc: _Ctx, flwor: ast.FLWOR) -> _Lowered:
         elif isinstance(clause, HashJoinClause):
             stages.append(("join", _lower_join(
                 cc, clause, hint, env,
-                clause.for_clause.var in owner.ordinal_vars), node))
+                clause.for_clause.var in owner.ordinal_vars, notes), node))
             sourced = True
         elif isinstance(clause, ast.WhereClause):
             # (ahead of the source: a conjunct that reads no row, hoisted
@@ -1372,7 +1394,8 @@ def lower_flwor(cc: _Ctx, flwor: ast.FLWOR) -> _Lowered:
         # would still build it (and raise what it raises).
         raise _Decline("unsupported_clause")
     lowered = _Lowered(cc, planned, stages, env, record)
-    cc.accept.append(lambda: compiler._number(planned, batched=True))
+    cc.accept.append(lambda: compiler._number(planned, batched=True,
+                                              notes=notes))
     return lowered
 
 
@@ -1787,7 +1810,6 @@ class _VectorPlan:
         batches = chain((first,), batches)
         scan = info.source
         build = self._build_side(state, scan)
-        VSTATS.join_builds += 1
         # Absorbed build filters run once, before hashing; compacting
         # between conjuncts preserves the tuple path's short-circuit
         # (a later filter never sees a row an earlier one dropped).
@@ -1799,21 +1821,36 @@ class _VectorPlan:
             # Entry index within the post-filter build order — exactly
             # the tuple path's enumerate() positions.
             build.cols[(_ORD, scan.var)] = list(range(build.n))
-
-        # Keys are canonicalised a column at a time (see _canon_keys);
-        # a row holding a NULL or NaN key is not stored: eq against it
-        # never matches. A key with no canonical form, or a key column
-        # mixing comparison categories, sends every probe to the exact
-        # pairwise path.
-        table: dict = {}
-        canons = [_canon_keys(e.eval(state, build), self.columnar)
-                  for e in info.build_exprs]
-        pairwise = not all(canons) \
-            or any(len(found) > 1 for found, _keys in canons)
-        if not pairwise:
-            for i, key in enumerate(zip(*[keys for _c, keys in canons])):
-                if None not in key:
-                    table.setdefault(key, []).append(i)
+        # A hash table over cached columns is kept beside them, keyed by
+        # the key column names, for every execution over that table
+        # version. One assignment publishes it: two first executions
+        # may both build, and the last to assign wins.
+        tables = info.reuse and self.columnar.join_tables(
+            scan.uri, scan.local, build.cols[(scan.var, info.reuse[0])])
+        hashed = tables.get(info.reuse) if tables else None
+        name = "join_builds" if hashed is None else "join_reuses"
+        setattr(VSTATS, name, getattr(VSTATS, name) + 1)
+        getattr(self.columnar, "_" + name).increment()
+        if hashed is None:
+            # Keys are canonicalised a column at a time (see
+            # _canon_keys); a row holding a NULL or NaN key is not
+            # stored: eq against it never matches. A key with no
+            # canonical form, or a key column mixing comparison
+            # categories, sends every probe to the exact pairwise path.
+            table: dict = {}
+            canons = [_canon_keys(e.eval(state, build), self.columnar)
+                      for e in info.build_exprs]
+            pairwise = not all(canons) \
+                or any(len(found) > 1 for found, _keys in canons)
+            if not pairwise:
+                for i, key in enumerate(zip(*[k for _c, k in canons])):
+                    if None not in key:
+                        table.setdefault(key, []).append(i)
+            hashed = (None if pairwise else [c for c, _k in canons],
+                      table, pairwise)
+            if tables is not None:
+                tables[info.reuse] = hashed
+        categories, table, pairwise = hashed
 
         outer = info.outer
         for b in batches:
@@ -1826,7 +1863,7 @@ class _VectorPlan:
                 # (against no build key at all there is nothing to
                 # compare, whatever the category)
                 if all(probe and (probe[0] <= found or not found)
-                       for probe, (found, _keys) in zip(probes, canons)):
+                       for probe, found in zip(probes, categories)):
                     matched = map(table.get,
                                   zip(*[keys for _c, keys in probes]))
             if matched is None:

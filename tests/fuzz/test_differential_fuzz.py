@@ -123,9 +123,11 @@ class _MixedKindLegs(Legs):
 @pytest.mark.parametrize("batch_size", SHAPED_BATCH_SIZES)
 def test_mixed_kind_differential(case, batch_size):
     """The shaped family (odd cases: the plain one) over mixed-kind
-    columns: every typed kernel next to its per-cell fallback."""
+    columns: every typed kernel next to its per-cell fallback. Each
+    case gets fresh legs: a join's hash table kept from an earlier
+    case over the same rows would spare this one its per-cell build."""
     schema_seed = SEED_BASE + case // QUERIES_PER_SCHEMA
-    key = ("mixed", schema_seed, batch_size)
+    key = ("mixed", schema_seed, batch_size, case)
     legs = _legs_cache.get(key)
     if legs is None:
         for old in _legs_cache.values():
