@@ -24,29 +24,28 @@ from typing import Optional
 class RuntimeConfig:
     """Every tuning knob of the runtime and the driver, in one place.
 
-    Engine side: ``optimize`` (the XQuery optimizer), ``pushdown``
-    (source predicate/projection pushdown), the plan cache bound,
-    admission control, and the transient-source retry policy.
-    Driver side: the result ``format``, simulated metadata latency,
-    the statement/metadata cache bounds, and the per-statement default
-    deadline.
+    Engine side: ``pushdown`` (source predicate/projection pushdown),
+    cost-based planning, the plan cache bound, admission control, the
+    transient-source retry policy, and the batch executor's batch size
+    and parallelism. Driver side: the result ``format``, simulated
+    metadata latency, the statement/metadata cache bounds, and the
+    per-statement default deadline.
     """
 
     # -- engine ------------------------------------------------------------
-    optimize: bool = True
     pushdown: bool = True
     #: Statistics-driven cost-based planning (join build-side choice,
-    #: for-clause reordering, selectivity-ordered conjuncts). Requires
-    #: ``optimize``; also gated by the ``REPRO_COST_PLANNING`` env var.
+    #: for-clause reordering, selectivity-ordered conjuncts). Also
+    #: gated by the ``REPRO_COST_PLANNING`` env var.
     cost: bool = True
     plan_cache_capacity: int = 256
     max_concurrent_queries: int = 32
     admission_queue_timeout: float = 5.0
     max_inflight_rows: Optional[int] = 1_000_000
     retry_policy: Optional[object] = None  # engine.lifecycle.RetryPolicy
-    #: Rows per column-oriented batch in the vectorized streaming
-    #: executor. ``0`` disables batching (tuple-at-a-time pipeline).
-    #: Overridable per process with the ``REPRO_BATCH_SIZE`` env var.
+    #: Rows per column-oriented batch in the batch executor (a value
+    #: below 1 runs as 1). Overridable per process with the
+    #: ``REPRO_BATCH_SIZE`` env var.
     batch_size: int = 1024
     #: Worker processes for partitioned scatter/gather execution of
     #: vectorized scans. ``0`` (the default) disables parallelism;
@@ -94,7 +93,7 @@ def with_environment(config: RuntimeConfig) -> RuntimeConfig:
     return config.replace(
         cost=config.cost
         and os.environ.get("REPRO_COST_PLANNING", "1") != "0",
-        batch_size=_env_int("REPRO_BATCH_SIZE", config.batch_size),
+        batch_size=max(1, _env_int("REPRO_BATCH_SIZE", config.batch_size)),
         parallelism=_env_int("REPRO_PARALLELISM", config.parallelism),
         parallel_min_rows=_env_int("REPRO_PARALLEL_MIN_ROWS",
                                    config.parallel_min_rows),

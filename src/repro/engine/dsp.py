@@ -92,11 +92,6 @@ class DSPRuntime:
         #: transiently (not the in-process table wrapper).
         self._default_source_retryable = not isinstance(
             self._default_source, (TableSource, type(None)))
-        #: Enable the XQuery engine's optimizer (hash equi-joins, filter
-        #: hoisting, let/for fusion). The paper's translator leaves
-        #: "any/all optimizations ... to the XQuery processor"; this is
-        #: that processor's knob.
-        self.optimize = config.optimize
         #: Enable predicate/projection pushdown into capable sources.
         self.pushdown = config.pushdown
         #: The four knobs below can be forced process-wide through the
@@ -104,11 +99,9 @@ class DSPRuntime:
         effective = with_environment(config)
         #: Statistics-driven cost-based planning: join build-side
         #: choice, order-restoring for-clause reordering, and
-        #: most-selective-first conjunct ordering. Needs the optimizer
-        #: (the cost pass rewrites its plans).
-        self.cost = effective.cost and config.optimize
-        #: Rows per column-oriented batch in the vectorized streaming
-        #: executor; 0 keeps the tuple-at-a-time pipeline everywhere.
+        #: most-selective-first conjunct ordering.
+        self.cost = effective.cost
+        #: Rows per column-oriented batch in the batch executor.
         self.batch_size = effective.batch_size
         #: Worker processes for partitioned scatter/gather execution
         #: (0 keeps every scan serial) and the estimated-row threshold
@@ -127,8 +120,8 @@ class DSPRuntime:
         #: concurrent executions of the same query compile it once.
         #: Keyed by the query's text (user-written XQuery) or by the
         #: driver's statement-cache key (a translated module), plus the
-        #: optimize/pushdown flags, so toggling either never reuses a
-        #: plan built under the other setting.
+        #: pushdown/cost flags, so toggling either never reuses a plan
+        #: built under the other setting.
         self.plan_cache = LRUCache(config.plan_cache_capacity,
                                    registry=self.metrics,
                                    prefix="plan_cache")
@@ -275,9 +268,10 @@ class DSPRuntime:
         return parallel.execute(self, plan, state)
 
     def note_decline(self, reason: str) -> None:
-        """Count, by reason code, a compiled wrapper that kept the
-        tuple pipeline (``vector.decline.<code>``; for ``param_shape``,
-        a run of a batched plan that took it)."""
+        """Count, by reason code, a compiled body the Evaluator runs
+        because the vector lowering declined it
+        (``vector.decline.<code>``; for ``param_shape``, a run of a
+        batched plan)."""
         self.metrics.counter(f"vector.decline.{reason}").increment()
 
     def shutdown_pool(self) -> None:
@@ -572,7 +566,7 @@ class DSPRuntime:
         # accept the keyword.
         extra = {} if partition is None else {"partition": partition}
         result = source.scan_batches(table, reduced, context,
-                                     self.batch_size or 1024, **extra)
+                                     self.batch_size, **extra)
         values = [[] for _ in result.columns]
         for block in result:
             for acc, col in zip(values, block):
@@ -776,8 +770,8 @@ class DSPRuntime:
     # -- query execution -----------------------------------------------------
 
     def prepare(self, xquery_text: str, tracer=None) -> CompiledQuery:
-        """Parse, plan, and closure-compile XQuery *text* (with
-        caching): the entry point for user-written XQuery. A translated
+        """Parse and compile XQuery *text* (with caching): the entry
+        point for user-written XQuery. A translated
         statement never comes this way — see :meth:`prepare_module`,
         which this joins once the text is parsed.
 
@@ -797,8 +791,8 @@ class DSPRuntime:
 
     def prepare_module(self, key, module: xq.Module,
                        tracer=None) -> CompiledQuery:
-        """Plan and closure-compile a module that is already a tree
-        (stage three's product), cached under *key*: whatever the
+        """Compile a module that is already a tree (stage three's
+        product), cached under *key*: whatever the
         caller's own cache tells modules apart by — the driver passes
         its statement-cache key, ``(format, sql)``, so looking a plan
         up never prints or hashes the query. Plans are shared by every
@@ -813,7 +807,7 @@ class DSPRuntime:
             with tracer.span("xquery.compile"):
                 plan = compile_module(
                     module, resolver=self.call_function,
-                    optimize=self.optimize, pushdown=self.pushdown,
+                    pushdown=self.pushdown,
                     statistics=self.statistics_for if self.cost else None,
                     batch_size=self.batch_size, columnar=self)
             if plan.vector_plan is not None:
@@ -832,8 +826,8 @@ class DSPRuntime:
         # epoch bumps and every plan costed under the old statistics
         # misses, forcing one recompile against fresh numbers.
         return self.plan_cache.get_or_load(
-            (key, self.optimize, self.pushdown, self.cost,
-             self.batch_size, self._stats_epoch), load)
+            (key, self.pushdown, self.cost, self.batch_size,
+             self._stats_epoch), load)
 
     def execute(self, xquery_text: str,
                 variables: dict[str, object] | None = None,
@@ -842,8 +836,8 @@ class DSPRuntime:
                 actuals: Optional[dict] = None) -> list:
         """Compile (with plan caching) and evaluate an XQuery, returning
         the materialized result sequence. *context* bounds the run with
-        a deadline/cancellation token checked at tuple-batch granularity
-        inside the compiled pipeline. *actuals* (a dict) collects actual
+        a deadline/cancellation token checked per batch (or, on the
+        Evaluator, per tuple batch). *actuals* (a dict) collects actual
         output rows per plan node, keyed to the plan's
         ``plan_reports``."""
         tracer = NULL_TRACER if tracer is None else tracer

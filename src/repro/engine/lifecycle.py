@@ -39,9 +39,9 @@ from ..errors import (
 )
 
 #: Reserved variable-frame key under which the active QueryContext rides
-#: through the compiled executor's per-row frames. Defined next to
-#: ``_Frame`` (repro.xquery.evaluator) so the executor needs no import
-#: from the engine layer; re-exported here as the canonical name.
+#: in the batch executor's root frame. Defined next to ``_Frame``
+#: (repro.xquery.evaluator) so the executor needs no import from the
+#: engine layer; re-exported here as the canonical name.
 from ..xquery.evaluator import CONTEXT_KEY  # noqa: F401
 
 #: How many ticks (frames/rows) pass between deadline/cancel checks.
@@ -76,8 +76,9 @@ class QueryContext:
     """Per-query lifecycle state carried through the execution layers.
 
     Built once per ``Cursor.execute`` (or handed to ``DSPRuntime``
-    methods directly); travels to the compiled pipeline inside the root
-    variable frame under :data:`CONTEXT_KEY` and to physical sources via
+    methods directly); travels to the batch executor inside the root
+    variable frame under :data:`CONTEXT_KEY`, to the Evaluator as its
+    ``context`` argument, and to physical sources via
     ``DSPRuntime.call_function(..., context=...)``.
     """
 

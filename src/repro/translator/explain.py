@@ -29,7 +29,7 @@ def explain(unit: TranslationUnit,
     output rows; *actuals* (the dict filled by an execution) adds the
     observed counts next to the estimates; *executor*
     (``CompiledQuery.executor``) says which executor runs the plan and,
-    for the tuple pipeline, why the batched one declined."""
+    for the Evaluator, why the batched one declined."""
     out = StringIO()
     out.write("QUERY CONTEXTS (stage 1)\n")
     _write_context(unit.stage1.root_context, out, indent=0)
@@ -61,7 +61,7 @@ def explain(unit: TranslationUnit,
                 out.write(line + "\n")
     if stage_timings:
         out.write("\nSTAGE TIMINGS\n")
-        # "compile" (the XQuery closure-compilation time) is present
+        # "compile" (the XQuery compile time) is present
         # once the statement has been executed; translate-only results
         # carry the three translation stages plus the total.
         for stage in ("stage1", "stage2", "stage3", "compile", "total"):

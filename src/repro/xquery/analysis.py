@@ -2,11 +2,11 @@
 (:func:`children` / :func:`map_children`) read off the nodes' dataclass
 fields that the planner's traversals and rewrites are written on.
 
-Used by the evaluator's hash-join planner to decide whether a where
-condition is an equi-join between two for-bound variables (and whether a
-join side's source is independent of the tuple stream, so its hash table
-can be built once), and by the closure compiler to find expressions
-whose value is fixed for a whole execution.
+Used by the hash-join planner to decide whether a where condition is an
+equi-join between two for-bound variables (and whether a join side's
+source is independent of the tuple stream, so its hash table can be
+built once), and by the compiler to find expressions whose value is
+fixed for a whole execution.
 """
 
 from __future__ import annotations

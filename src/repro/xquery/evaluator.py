@@ -5,18 +5,25 @@ expressions are evaluated as tuple streams (lists of variable
 environments), the model the XQuery formal semantics uses, which makes the
 BEA ``group`` clause a natural stream transformation.
 
-This interpreter is the engine's semantics oracle: the closure compiler
-(``repro.xquery.compile``) is the production executor and is differentially
-tested against it. Clause planning (filter hoisting, hash equi-joins) lives
-in ``repro.xquery.planner`` and is shared by both.
+This interpreter is the engine's semantics oracle — the columnar batch
+executor (``repro.xquery.vector``), which runs every translated SQL
+statement, is differentially tested against it — and the executor of
+whatever is not translated SQL: user XQuery text, logical data-service
+bodies, and a run whose parameter is bound to a node or a sequence (see
+``repro.xquery.compile``). Clause planning (filter hoisting, hash
+equi-joins) lives in ``repro.xquery.planner``; with ``optimize=False``
+the clauses run as written, the oracle's unplanned leg.
 
 Function calls into non-builtin namespaces (the data service functions,
 ``ns0:CUSTOMERS()``) are delegated to a *function resolver* supplied by the
-host — in this package, the DSP runtime (``repro.engine.dsp``).
+host — in this package, the DSP runtime (``repro.engine.dsp``), which also
+receives the query's lifecycle context when it declares a ``context``
+parameter; every for / join output tuple ticks that context.
 """
 
 from __future__ import annotations
 
+import inspect
 from typing import Callable, Optional
 
 from ..errors import XQueryDynamicError, XQueryStaticError, XQueryTypeError
@@ -47,15 +54,25 @@ from .planner import (
 #: (namespace_uri, local_name, evaluated_argument_sequences) -> sequence.
 #: A resolver declaring a keyword parameter named ``context`` (like
 #: ``DSPRuntime.call_function``) additionally receives the executing
-#: query's lifecycle context from the compiled executor.
+#: query's lifecycle context.
 FunctionResolver = Callable[[str, str, list], list]
 
-#: Reserved variable-frame key under which the compiled executor threads
-#: the active ``repro.engine.lifecycle.QueryContext`` through per-row
-#: frames. The NUL prefix guarantees it can never collide with a real
-#: XQuery variable name, and it rides along frame ``bind()`` copies for
-#: free. ``repro.engine.lifecycle`` re-exports it as the canonical name.
+#: Reserved variable-frame key under which the batch executor finds the
+#: active ``repro.engine.lifecycle.QueryContext`` in its root frame. The
+#: NUL prefix guarantees it can never collide with a real XQuery
+#: variable name. ``repro.engine.lifecycle`` re-exports it as the
+#: canonical name.
 CONTEXT_KEY = "\x00lifecycle"
+
+
+def accepts_keyword(resolver, name: str) -> bool:
+    """True when *resolver* declares a parameter called *name* (the DSP
+    runtime's ``context`` and ``scan``); plain three-argument resolvers
+    — tests, ad-hoc hosts — are called without it."""
+    try:
+        return name in inspect.signature(resolver).parameters
+    except (TypeError, ValueError):  # builtins, odd callables
+        return False
 
 
 class StaticContext:
@@ -138,10 +155,15 @@ class Evaluator:
     def __init__(self, module: ast.Module,
                  resolver: Optional[FunctionResolver] = None,
                  variables: Optional[dict[str, object]] = None,
-                 optimize: bool = True):
+                 optimize: bool = True, context=None):
         self._module = module
         self._static = StaticContext(resolver)
         self._optimize = optimize
+        #: The ``QueryContext`` bounding this evaluation, or None.
+        self._context = context
+        self._tick = (lambda: None) if context is None else context.tick
+        self._resolver_context = resolver is not None \
+            and context is not None and accepts_keyword(resolver, "context")
         #: Per-FLWOR planned clause lists, keyed by node identity: a
         #: nested FLWOR (e.g. a wrapper cell) is planned once per
         #: evaluator, not once per tuple.
@@ -292,6 +314,9 @@ class Evaluator:
         if self._static.resolver is None:
             raise XQueryStaticError(
                 f"no resolver for function {expr.display}", code="XPST0017")
+        if self._resolver_context:
+            return self._static.resolver(uri, expr.local, args,
+                                         context=self._context)
         return self._static.resolver(uri, expr.local, args)
 
     # -- constructors ------------------------------------------------------------
@@ -365,8 +390,10 @@ class Evaluator:
     def _apply_for(self, clause: ast.ForClause,
                    tuples: list[_Frame]) -> list[_Frame]:
         output = []
+        tick = self._tick
         for t in tuples:
             for item in self._eval(clause.source, t):
+                tick()
                 output.append(t.bind(clause.var, [item]))
         return output
 
@@ -388,21 +415,20 @@ class Evaluator:
             join, items,
             lambda expr, item: single_atomic(
                 self._eval(expr, tuples[0].bind(var, [item])), "join key"))
-        if build is None:
-            output = []
-            for t in tuples:
-                for item in self._pairwise_matches(join, t, items):
-                    output.append(t.bind(var, [item]))
-            return output
-        table, categories = build
+        tick = self._tick
         output = []
         for t in tuples:
-            matched = _probe_join_table(
-                join, table, categories,
-                lambda expr: single_atomic(self._eval(expr, t), "join key"))
-            if matched is _PAIRWISE:
+            if build is None:
                 matched = self._pairwise_matches(join, t, items)
+            else:
+                matched = _probe_join_table(
+                    join, *build,
+                    lambda expr: single_atomic(self._eval(expr, t),
+                                               "join key"))
+                if matched is _PAIRWISE:
+                    matched = self._pairwise_matches(join, t, items)
             for item in matched:
+                tick()
                 output.append(t.bind(var, [item]))
         return output
 

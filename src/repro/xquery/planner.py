@@ -1,9 +1,9 @@
 """FLWOR clause planning, shared by both XQuery executors.
 
 The paper delegates "any/all optimizations ... to the XQuery processor"
-(section 3.2); this module is that processor's planner, refactored out of
-the tree-walking ``Evaluator`` so the closure compiler
-(``repro.xquery.compile``) can reuse it. Planning is purely structural —
+(section 3.2); this module is that processor's planner, shared by the
+tree-walking ``Evaluator`` and the batch executor's lowering
+(``repro.xquery.compile`` / ``vector``). Planning is purely structural —
 it rewrites a FLWOR's clause list, never evaluates anything — so one
 plan is valid for every evaluation of the query.
 
@@ -28,9 +28,9 @@ Rewrites, in order:
    behavior.
 
 Correctness invariants preserved by the join (see the evaluator's and
-compiler's apply sides): NULL (empty) keys never match, cross-category
-key comparisons fall back to pairwise evaluation so type errors still
-surface, and NaN never matches itself.
+the batch executor's apply sides): NULL (empty) keys never match,
+cross-category key comparisons fall back to pairwise evaluation so type
+errors still surface, and NaN never matches itself.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from typing import NamedTuple, Optional
 
 from ..errors import XQueryTypeError
 from . import ast
-from .analysis import children, free_vars, map_children, subexpressions
+from .analysis import bound_vars, children, free_vars, map_children
 from .atomic import UntypedAtomic, base_entry, is_node
 
 
@@ -64,19 +64,26 @@ class HashJoinClause:
 
     ``outer`` marks the left outer join :func:`match_outer_join` makes
     of stage 3's ``if (fn:empty($t))`` pattern: a probe tuple no build
-    item matches is kept, once, with the join variable unbound.
+    item matches is kept, once, with the join variable unbound. Its
+    ``residuals`` are the ON conjuncts that are neither keys nor build
+    filters, in conjunct order: one that does not read the join
+    variable rules a probe tuple's matches out before the probe, the
+    rest rule out (probe tuple, build item) pairs after it — either way
+    before NULL-extension. With no keys at all the join is a product.
     """
 
-    __slots__ = ("for_clause", "keys", "filters", "outer")
+    __slots__ = ("for_clause", "keys", "filters", "outer", "residuals")
 
     def __init__(self, for_clause: ast.ForClause,
                  keys: tuple[tuple[ast.XExpr, ast.XExpr, ast.XExpr], ...],
                  filters: tuple[ast.XExpr, ...] = (),
-                 outer: bool = False):
+                 outer: bool = False,
+                 residuals: tuple[ast.XExpr, ...] = ()):
         self.for_clause = for_clause
         self.keys = keys
         self.filters = filters
         self.outer = outer
+        self.residuals = residuals
 
     # Single-key accessors, kept for the common case and older callers.
 
@@ -374,12 +381,15 @@ def match_outer_join(clauses, return_expr, planned_clauses, is_fn,
     (the caller owns the static context).
 
     The pattern is a left outer hash join when the inner FLWOR planned
-    to one hash join on ``$b`` — its equality conjuncts are the keys —
-    whose every other conjunct reads only ``$b`` (a build filter), and
-    R1 is R2 without the cells that read ``$b``, each of those a plain
-    ``fn:data($b/COL)``: with ``$b`` unbound such a cell is an empty
-    element, which atomizes like the child R1 does not have, so one R2
-    serves both branches. Anything else keeps ``join`` None.
+    to one hash join on ``$b`` — its equality conjuncts are the keys;
+    with none, a ``for $b`` the join takes as a product — preceded only
+    by conjuncts that do not read ``$b`` and followed only by conjuncts
+    (a conjunct reading only ``$b`` is a build filter, any other one a
+    residual), and R1 is R2 without the cells that read ``$b``, each of
+    those a plain ``fn:data($b/COL)``: with ``$b`` unbound such a cell
+    is an empty element, which atomizes like the child R1 does not
+    have, so one R2 serves both branches. Anything else keeps ``join``
+    None.
     """
     if not (clauses and isinstance(clauses[-1], ast.LetClause)
             and isinstance(return_expr, ast.IfExpr)):
@@ -401,18 +411,25 @@ def match_outer_join(clauses, return_expr, planned_clauses, is_fn,
     record = matched.return_expr
     if let.var in free_vars(record) | free_vars(return_expr.then):
         return None
-    head, *rest = planned_clauses(inner)
+    clauses = list(planned_clauses(inner))
+    residuals = []
+    while len(clauses) > 1 and isinstance(clauses[0], ast.WhereClause):
+        residuals.append(clauses.pop(0).condition)
+    head, *rest = clauses
+    if type(head) is ast.ForClause:
+        head = HashJoinClause(head, ())
     if not (isinstance(head, HashJoinClause)
             and head.for_clause.var == var
-            and all(isinstance(clause, ast.WhereClause)
-                    and free_vars(clause.condition) - external_vars
-                    <= {var} for clause in rest)
+            and all(isinstance(clause, ast.WhereClause) for clause in rest)
             and _null_extends(record, return_expr.then, var)):
         return OuterJoin(None, record)
+    filters = list(head.filters)
+    for clause in rest:
+        build_only = free_vars(clause.condition) - external_vars <= {var}
+        (filters if build_only else residuals).append(clause.condition)
     return OuterJoin(HashJoinClause(
-        head.for_clause, head.keys,
-        head.filters + tuple(clause.condition for clause in rest),
-        outer=True), record)
+        head.for_clause, head.keys, tuple(filters), outer=True,
+        residuals=tuple(residuals)), record)
 
 
 def _null_extends(record, unmatched, var: str) -> bool:
@@ -1428,8 +1445,8 @@ def _rewrite_expr(node, hook):
 
 def substitute_var(expr, old: str, new: str):
     """*expr* with every ``VarRef(old)`` replaced by ``VarRef(new)``.
-    Callers guarantee *expr* contains no binding forms (FLWOR /
-    quantifier), so no shadowing analysis is needed."""
+    Callers guarantee no binding form in *expr* binds *old* or *new*,
+    so no shadowing analysis is needed."""
     return _rewrite_expr(
         expr,
         lambda node: ast.VarRef(name=new)
@@ -1452,8 +1469,8 @@ def _match_aggregate(node, partition_var: str, is_fn):
         ...(fn:distinct-values((for ...)))      DISTINCT variants
 
     Returns ``(func, star, distinct, empty_zero, row_var, value)`` or
-    None. *value* may read only the row variable (no partition refs, no
-    nested binders — that rejects scalar subqueries).
+    None. *value* may not read the partition, and no binder nested in
+    it (a subquery's) may rebind the row variable.
     """
     if not isinstance(node, ast.XFunctionCall):
         return None
@@ -1490,9 +1507,7 @@ def _match_aggregate(node, partition_var: str, is_fn):
             and head.source.name == partition_var):
         return None
     value = inner.return_expr
-    if partition_var in free_vars(value) or any(
-            isinstance(nested, (ast.FLWOR, ast.QuantifiedExpr))
-            for nested, _in_predicate in subexpressions(value)):
+    if partition_var in free_vars(value) or head.var in bound_vars(value):
         return None
     return (func, False, distinct, empty_zero, head.var, value)
 
@@ -1509,7 +1524,7 @@ def lower_group_aggregates(group: ast.GroupClause, post_clauses,
     unify). Returns ``(clause, new_post_clauses, new_return_expr)``, or
     None when any aggregate shape is unsupported or a partition/source
     reference survives the rewrite — the caller then falls back to the
-    tuple path wholesale.
+    Evaluator wholesale.
     """
     specs: list[AggregateSpec] = []
 
@@ -1518,6 +1533,8 @@ def lower_group_aggregates(group: ast.GroupClause, post_clauses,
         if matched is not None:
             func, star, distinct, empty_zero, row_var, value = matched
             if value is not None:
+                if group.source_var in bound_vars(value):
+                    return node  # left whole: its partition read fails
                 value = substitute_var(value, row_var, group.source_var)
             for spec in specs:
                 if (spec.func == func and spec.star == star

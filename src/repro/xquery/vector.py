@@ -1,12 +1,8 @@
-"""Vectorized (columnar batch) execution of the delimited wrapper.
+"""Columnar batch execution of translated SQL, in both result formats.
 
-The tuple pipeline in ``repro.xquery.compile`` moves one row element at a
-time through for/where/join stages, constructing a RECORD element per row
-and re-atomizing it in the wrapper's per-cell closures — and, for the
-patterns stage 3 writes outer joins, derived tables and GROUP BY inputs
-in, a RECORDSET of such elements per nesting level. All of that is
-schema-determined at compile time, so this module lowers the section-4
-delimited wrapper onto column-oriented batches instead:
+Every statement stage 3 writes — the section-4 delimited wrapper and the
+``<RECORDSET>`` body — is schema-determined at compile time, so this
+module lowers it onto column-oriented batches rather than row elements:
 
 * a :class:`_Batch` holds plain Python lists, one per referenced column,
   ``None`` marking SQL NULL; operators slice, filter, and gather whole
@@ -14,28 +10,36 @@ delimited wrapper onto column-oriented batches instead:
 * scans pull entire columns through the runtime's ``scan_columns``
   columnar API (cached per storage version) and slice them into batches
   of ``batch_size`` rows;
-* predicates evaluate column-wise into three-valued masks, hash joins
-  (inner and left outer) build and probe on key columns, GROUP BY folds
-  a hash table, ORDER BY sorts an index permutation, and the delimited
-  codec's cells are encoded a column at a time;
-* the plan is recursive (:func:`lower_flwor`): a source or a join build
-  side is a scan or a *record-set sub-plan* — the FLWOR inside a
-  ``<RECORDSET>`` — whose RECORD cells cross the boundary as untyped
-  lexical columns, never as elements; an invariant subquery is such a
-  sub-plan evaluated once per execution;
+* predicates evaluate column-wise into three-valued masks, a scalar
+  function is its ``functions.BUILTINS`` body applied per row, and a
+  conditional is a masked select (each branch runs on the rows that
+  take it); hash joins (inner, left outer, and with no key a product)
+  build and probe on key columns, GROUP BY folds a hash table, ORDER BY
+  sorts an index permutation;
+* the plan is recursive (:func:`lower_records`): a source or a join
+  build side is a scan or a *record-set sub-plan* — the FLWOR inside a
+  ``<RECORDSET>``, a sequence of them, or a DISTINCT / INTERSECT /
+  EXCEPT hash stage over them — whose RECORD cells cross the boundary
+  as untyped lexical columns, never as elements; an invariant subquery
+  is such a sub-plan evaluated once per execution, a correlated one a
+  sub-plan run per outer row with the outer cells it reads bound as
+  parameters (its hash-join build made once per execution);
+* the output stage encodes the delimited codec's cells a column at a
+  time, or builds the RECORD elements of the xml format;
 * the generator protocol is preserved: each stage yields batches, so
   deadlines/cancellation tick per batch (``QueryContext.tick_rows``) and
   a lazily-consumed cursor materializes O(batches fetched) rows.
 
-Correctness contract: the vector compiler only engages for shapes it can
-prove equivalent — all or nothing per statement: anything else declines
-under one of :data:`DECLINE_REASONS` and the statement keeps the tuple
-pipeline, as does a run whose parameter is bound to a non-scalar.
-Within a supported shape the byte output is identical to the tuple
-path; the one relaxation is error *granularity*: a dynamic error raised
-while evaluating a batch surfaces before that batch's earlier rows are
-emitted, where the tuple path would have emitted them first (the error
-itself, and whether the query errors at all, are unchanged).
+Correctness contract: the lowering is all or nothing per statement. A
+shape outside it — only hand-written XQuery reaches one — declines under
+one of :data:`DECLINE_REASONS` and the ``Evaluator`` runs the statement,
+as it runs a run whose parameter is bound to a node or a sequence. The
+rows, their order and their types are the Evaluator's. Errors are
+pinned to the Evaluator's by test at statement level: a batched run
+raises if and only if the Evaluator raises, with the same error code
+and driver exception class, but expressions run column by column, so
+the row whose error surfaces — and the operation its message names —
+may differ, and it surfaces before the rows of its batch are emitted.
 """
 
 from __future__ import annotations
@@ -44,15 +48,16 @@ import datetime
 import math
 import operator
 import threading
+from collections import Counter
 from decimal import Decimal
 from itertools import chain, compress, repeat
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from ..errors import XQueryDynamicError, XQueryTypeError
 from ..xmlmodel import Element, QName
 from ..xmlmodel.escape import escape_text, has_specials
 from . import ast
-from .analysis import subexpressions
+from .analysis import free_vars, subexpressions
 from .atomic import (
     SERIALIZERS,
     UntypedAtomic,
@@ -66,8 +71,7 @@ from .atomic import (
     order_key,
     serialize_atomic,
 )
-from .compile import _SUBQUERY_ARGS, ACTUALS_KEY
-from .evaluator import CONTEXT_KEY, _Directional, _Frame
+from .evaluator import CONTEXT_KEY, _append_content, _Directional, _Frame
 from .functions import (
     _XS_CONSTRUCTOR_TYPES,
     BEA_URI,
@@ -88,6 +92,24 @@ from .planner import (
     join_key,
     lower_group_aggregates,
 )
+
+#: Reserved frame key under which an actual-row-count dict rides when
+#: the caller asked for estimated-vs-actual accounting; stage outputs
+#: are counted per (flwor id, clause index) plan-node id.
+ACTUALS_KEY = "\x00actuals"
+
+#: The subquery positions stage 3 emits, as (namespace, function) ->
+#: argument index. Every one of these consumers atomizes its argument or
+#: tests it for emptiness, so a sub-plan's untyped cells stand in for
+#: the RECORD elements the Evaluator hands them.
+_SUBQUERY_ARGS = {
+    (BEA_URI, "scalar"): 0,
+    (BEA_URI, "in3"): 1,
+    (BEA_URI, "any3"): 1,
+    (BEA_URI, "all3"): 1,
+    (FN_URI, "exists"): 0,
+    (FN_URI, "empty"): 0,
+}
 
 #: Numeric xs: types with exact value semantics (int/Decimal in Python);
 #: mixed comparisons within this set need no float promotion.
@@ -113,8 +135,9 @@ _CMP_OPS = {"eq": operator.eq, "ne": operator.ne, "lt": operator.lt,
 
 class _VectorStats(threading.local):
     """Per-thread executor counters for tests: ``executions`` counts
-    vector-plan runs, ``fallbacks`` run-time reversions to the tuple
-    path, ``batches``/``rows`` the encoded output volume — a lazily
+    vector-plan runs, ``fallbacks`` runs handed to the Evaluator (a
+    parameter bound to a node or a sequence), ``batches``/``rows`` the
+    output volume (encoded or built as RECORDs) — a lazily
     consumed cursor over a large scan shows O(batches fetched) rows
     encoded, not O(table) — ``parallel`` the runs that scattered
     across the process pool, ``agg_groups`` the group-table entries
@@ -172,6 +195,21 @@ def _concat(batches: list) -> _Batch:
         for key, col in b.cols.items():
             cols[key].extend(col)
     return _Batch(sum(b.n for b in batches), cols)
+
+
+def _pairs(probe: _Batch, build: _Batch, probe_idx: list, build_idx: list,
+           outer: bool) -> _Batch:
+    """Joined rows: *probe*'s rows at *probe_idx* beside *build*'s at
+    *build_idx* (with *outer*, an entry None is a NULL-extended row)."""
+    cols = {key: [col[i] for i in probe_idx]
+            for key, col in probe.cols.items()}
+    if outer:
+        for key, col in build.cols.items():
+            cols[key] = [None if e is None else col[e] for e in build_idx]
+    else:
+        for key, col in build.cols.items():
+            cols[key] = [col[e] for e in build_idx]
+    return _Batch(len(probe_idx), cols)
 
 
 _NONE = type(None)
@@ -290,9 +328,12 @@ class _V:
 class _State:
     """Per-execution mutable context threaded through every stage;
     ``memo`` holds what is computed once per execution (subquery
-    constants, see :func:`_vcompile_once`)."""
+    constants, join builds, scans — see :func:`_vcompile_subquery`),
+    ``bound`` the outer cells a correlated sub-plan's current run
+    reads (by slot)."""
 
-    __slots__ = ("plan", "frame", "ctx", "params", "actuals", "memo")
+    __slots__ = ("plan", "frame", "ctx", "params", "actuals", "memo",
+                 "bound")
 
     def __init__(self, plan, frame: _Frame, params: dict, actuals):
         self.plan = plan
@@ -301,6 +342,7 @@ class _State:
         self.params = params
         self.actuals = actuals
         self.memo: dict = {}
+        self.bound: dict = {}
 
 
 # ---------------------------------------------------------------------------
@@ -308,20 +350,25 @@ class _State:
 # ---------------------------------------------------------------------------
 
 
-#: Why a wrapper kept the tuple path (``CompiledQuery.batched_reason``,
-#: EXPLAIN's ``executor:`` line, ``vector.decline.<code>`` counters).
-#: ``param_shape`` is the one run-time decline: an external parameter
-#: bound to a sequence or a node.
+#: Why the Evaluator runs a translated-shape body
+#: (``CompiledQuery.batched_reason``, EXPLAIN's ``executor:`` line,
+#: ``vector.decline.<code>`` counters). Only hand-written XQuery reaches
+#: the compile-time codes. ``param_shape`` is the one run-time decline:
+#: an external parameter bound to a sequence or a node.
 DECLINE_REASONS = frozenset({
-    "not_wrapper",          # body is not the section-4 cells over a FLWOR
+    "not_wrapper",          # body is not the section-4 cells over records
     "window_bounds",        # fn:subsequence bounds are not int literals
     "duplicate_cell_name",  # two cells / record children of one name
-    "record_shape",         # return is not a flat RECORD of {expr} cells
+    "record_shape",         # not a flat RECORD of {expr} cells, or
+                            # set-operation branches of other shapes
     "non_scan_source",      # for/join source: no columnar scan, no record set
-    "unsupported_clause",   # cross product, scalar let, unread record set
+    "unsupported_clause",   # a let read other than as a record set or
+                            # an EXISTS operand, an unread record set
     "unsupported_aggregate",  # a use of the group partition did not lower
-    "outer_join_residual",  # outer-join pattern, not equi-keys + build filters
-    "correlated_subquery",  # subquery argument reads a FLWOR variable
+    "outer_join_residual",  # outer-join pattern whose records do not
+                            # NULL-extend, or not over one join
+    "correlated_subquery",  # a subquery argument that reads a FLWOR
+                            # variable and is no FLWOR or (FLWOR)/COLUMN
     "bare_row_var",         # a row variable used as a node
     "unsupported_expr",     # expression outside the vector subset
     "param_shape",
@@ -329,8 +376,8 @@ DECLINE_REASONS = frozenset({
 
 
 class _Decline(Exception):
-    """Raised anywhere in the lowering: the whole wrapper keeps the
-    tuple path, for *reason* (one of :data:`DECLINE_REASONS`)."""
+    """Raised anywhere in the lowering: the Evaluator runs the whole
+    body, for *reason* (one of :data:`DECLINE_REASONS`)."""
 
     def __init__(self, reason: str):
         super().__init__(reason)
@@ -338,18 +385,24 @@ class _Decline(Exception):
 
 
 class _Ctx:
-    """Compile-time context of one wrapper: the host compiler, the
-    parameter names the plan reads, the let-bound record sets no
-    ``for`` has read yet, and what accepting the plan still has to do
-    (plan-node numbering, tuple-compiling a subquery), deferred so that
-    a decline leaves the compiler as it found it."""
+    """Compile-time context of one body: the host compiler, the
+    parameter names the plan reads, the let-bound record sets (by
+    variable) and those some ``for`` has read, the enclosing plans'
+    environments a correlated sub-plan reads (``scopes``: ``(env,
+    inputs)`` pairs, innermost last), and what accepting the plan still
+    has to do (plan-node numbering), deferred so that a decline leaves
+    the compiler as it found it. ``once`` is set when the plan holds a subquery: pool
+    workers would each run it again, so it does not scatter."""
 
-    __slots__ = ("compiler", "params", "recordsets", "accept", "once")
+    __slots__ = ("compiler", "params", "recordsets", "read", "scopes",
+                 "accept", "once")
 
     def __init__(self, compiler):
         self.compiler = compiler
         self.params: set[str] = set()
         self.recordsets: dict = {}
+        self.read: set[str] = set()
+        self.scopes: list = []
         self.accept: list = []
         self.once = False
 
@@ -381,15 +434,28 @@ class _RowVar:
     """Environment entry of a row variable: ``schema`` maps the child
     names ``$var/NAME`` may step to onto their xs: type. A data-service
     row has its declared columns; a record-set row (see
-    :class:`_Lowered`) has its RECORD's cells, all :data:`_UNTYPED`, and
-    a *demand* hook: the sub-plan computes a plain-column cell only if
-    somebody reads it."""
+    :func:`lower_records`) has its RECORD's cells, all
+    :data:`_UNTYPED`, the sub-plan itself (``source``), and a *demand*
+    hook: the sub-plan computes a plain-column cell only if somebody
+    reads it."""
 
-    __slots__ = ("schema", "demand")
+    __slots__ = ("schema", "demand", "source")
 
-    def __init__(self, schema: dict, demand=None):
+    def __init__(self, schema: dict, demand=None, source=None):
         self.schema = schema
         self.demand = demand
+        self.source = source
+
+
+class _LetRows:
+    """Environment entry of ``let $t := FLWOR`` read only as the operand
+    of ``fn:empty($t)`` / ``fn:exists($t)`` (stage 3's FULL OUTER anti
+    probe): the FLWOR is that call's subquery."""
+
+    __slots__ = ("flwor",)
+
+    def __init__(self, flwor: ast.FLWOR):
+        self.flwor = flwor
 
 
 class _ScalarCol:
@@ -436,10 +502,33 @@ def _vcolumn(expr, env: dict) -> Optional[_V]:
     return _V(run, row.schema[key[1]])
 
 
+def _correlated(cc: _Ctx, expr, name: str) -> Optional[_V]:
+    """*expr* — ``$name`` or ``$name/COLUMN`` — when *name* belongs to
+    an enclosing plan (see ``_Ctx.scopes``): the sub-plan reads it as a
+    parameter, bound per run from the cell the enclosing plan computes
+    for the outer row (an *input* of the consumer that runs the
+    sub-plan). None when no enclosing plan binds *name*."""
+    for env, inputs in reversed(cc.scopes):
+        if name in env:
+            outer = _vcolumn(expr, env) if isinstance(expr, ast.PathExpr) \
+                else _vcompile(cc, expr, env)
+            if outer is None:
+                raise _Decline("bare_row_var")
+            slot = object()
+            inputs.append((slot, outer))
+
+            def run(state, batch):
+                return [state.bound[slot]] * batch.n
+
+            return _V(run, outer.vtype)
+    return None
+
+
 def _vcompile(cc: _Ctx, expr, env: dict) -> _V:
     """Lower *expr* to a vector expression over the variables in *env*
-    (var -> :class:`_RowVar` / :class:`_ScalarCol`); a shape outside
-    the supported subset raises :class:`_Decline`."""
+    (var -> :class:`_RowVar` / :class:`_ScalarCol` / :class:`_LetRows`)
+    and, for a correlated sub-plan, the enclosing plans'; a shape
+    outside the supported subset raises :class:`_Decline`."""
     if isinstance(expr, ast.XLiteral):
         return _vconst(expr.value, _vtype_of_literal(expr.value))
     if isinstance(expr, ast.VarRef):
@@ -451,8 +540,13 @@ def _vcompile(cc: _Ctx, expr, env: dict) -> _V:
                 return batch.cols[key]
 
             return _V(run_scalar, entry.vtype)
-        if entry is not None:
+        if isinstance(entry, _RowVar):
             raise _Decline("bare_row_var")  # a node sequence
+        if entry is not None:
+            raise _Decline("unsupported_clause")  # a let's row sequence
+        correlated = _correlated(cc, expr, expr.name)
+        if correlated is not None:
+            return correlated
         if expr.name not in cc.compiler._external_vars:
             raise _Decline("unsupported_expr")
         cc.params.add(expr.name)
@@ -462,6 +556,10 @@ def _vcompile(cc: _Ctx, expr, env: dict) -> _V:
             return [state.params[name]] * batch.n
 
         return _V(run)
+    if isinstance(expr, ast.SequenceExpr) and not expr.items:
+        return _vconst(None, None)  # SQL NULL
+    if isinstance(expr, ast.IfExpr):
+        return _vcompile_if(cc, expr, env)
     if isinstance(expr, ast.XFunctionCall):
         return _vcompile_call(cc, expr, env)
     if isinstance(expr, ast.ValueComparison):
@@ -510,6 +608,48 @@ def _vcompile(cc: _Ctx, expr, env: dict) -> _V:
     raise _Decline("unsupported_expr")
 
 
+def _vcompile_if(cc: _Ctx, expr: ast.IfExpr, env: dict) -> _V:
+    """``if (c) then a else b`` as a masked select: each branch runs on
+    the rows whose condition selects it, and only if some row does —
+    what the Evaluator evaluates, row by row."""
+    condition = _vcompile(cc, expr.condition, env)
+    then = _vcompile(cc, expr.then, env)
+    else_ = _vcompile(cc, expr.else_, env)
+
+    def run(state, batch):
+        chosen = _selected(condition.eval(state, batch))
+        if len(chosen) == batch.n:
+            return then.eval(state, batch)
+        if not chosen:
+            return else_.eval(state, batch)
+        taken = set(chosen)
+        rest = [i for i in range(batch.n) if i not in taken]
+        out = [None] * batch.n
+        for idx, branch in ((chosen, then), (rest, else_)):
+            for i, value in zip(idx, branch.eval(state, _gather(batch, idx))):
+                out[i] = value
+        return out
+
+    return _V(run, then.vtype if then.vtype == else_.vtype else None)
+
+
+def _vcompile_builtin(cc: _Ctx, func, args, env: dict) -> _V:
+    """A ``functions.BUILTINS`` entry over per-row arguments: the same
+    body the Evaluator calls, once per row, on each argument's cell
+    (the empty sequence for NULL)."""
+    columns = [_vcompile(cc, arg, env) for arg in args]
+
+    def run(state, batch):
+        cols = [column.eval(state, batch) for column in columns]
+        out = []
+        for row in zip(*cols) if cols else repeat((), batch.n):
+            result = func([[] if v is None else [v] for v in row])
+            out.append(result[0] if result else None)
+        return out
+
+    return _V(run)
+
+
 def _vcompile_call(cc: _Ctx, expr: ast.XFunctionCall, env: dict) -> _V:
     compiler = cc.compiler
     uri = compiler._namespace(expr)
@@ -517,15 +657,25 @@ def _vcompile_call(cc: _Ctx, expr: ast.XFunctionCall, env: dict) -> _V:
     position = _SUBQUERY_ARGS.get((uri, local))
     if position is not None and position < len(args):
         subquery = args[position]
-        if compiler._invariant_subquery(subquery):
-            return _vcompile_once(cc, expr, uri, position, env)
-        if any(isinstance(node, ast.FLWOR)
-               for node, _p in subexpressions(subquery)):
-            raise _Decline("correlated_subquery")
+        if isinstance(subquery, ast.VarRef) \
+                and isinstance(env.get(subquery.name), _LetRows):
+            return _vcompile_subquery(cc, expr, uri, position, env,
+                                      env[subquery.name].flwor)
+        if compiler._invariant_subquery(subquery) or any(
+                isinstance(node, ast.FLWOR)
+                for node, _p in subexpressions(subquery)):
+            return _vcompile_subquery(cc, expr, uri, position, env,
+                                      subquery)
     if uri == FN_URI:
         if local == "data" and len(args) == 1:
             # fn:data of an already-atomic vector value is the identity.
-            return _vcolumn(args[0], env) or _vcompile(cc, args[0], env)
+            arg = args[0]
+            column = _vcolumn(arg, env)
+            if column is None and isinstance(arg, ast.PathExpr) \
+                    and isinstance(arg.base, ast.VarRef) \
+                    and arg.base.name not in env:
+                column = _correlated(cc, arg, arg.base.name)
+            return column or _vcompile(cc, arg, env)
         if local in ("empty", "exists", "not", "boolean") and len(args) == 1:
             arg = _vcompile(cc, args[0], env)
             if local == "empty":
@@ -598,71 +748,82 @@ def _vcompile_call(cc: _Ctx, expr: ast.XFunctionCall, env: dict) -> _V:
             return _V(run, "boolean")
         if local == "in3" and len(args) == 2:
             return _vcompile_in3(cc, args, env)
+    entry = BUILTINS.get((uri, local))
+    if entry is not None and entry[1] <= len(args) <= entry[2]:
+        return _vcompile_builtin(cc, entry[0], args, env)
     raise _Decline("unsupported_expr")
 
 
-def _vcompile_once(cc: _Ctx, expr: ast.XFunctionCall, uri: str,
-                   position: int, env: dict) -> _V:
-    """A call whose subquery argument (at *position*) the compiler
-    proves invariant: a run-time constant, evaluated once per execution
-    on first use by a non-empty batch (never reached, never run; a
-    raise raises on every use) — as a sub-plan when it lowers, else by
-    the tuple compiler under its once-memo. The builtin is applied per
-    row to it and the other, vectorized, arguments; with no other
-    argument (``fn-bea:scalar``, ``fn:exists``) it is one value
-    broadcast; a two-argument ``in3`` probes a :class:`PreparedIn3`."""
+def _vcompile_subquery(cc: _Ctx, expr: ast.XFunctionCall, uri: str,
+                       position: int, env: dict, subquery) -> _V:
+    """A call whose argument at *position* is a subquery (*subquery*:
+    that argument, or the FLWOR a ``let`` bound to it), lowered as a
+    sub-plan. One the compiler proves invariant is a run-time constant,
+    evaluated once per execution on first use by a non-empty batch
+    (never reached, never run; a raise raises on every use). A
+    correlated one runs once per outer row that reaches the call, with
+    the outer cells it reads bound as parameters; its hash-join builds
+    are made once per execution (see ``_VectorPlan._join``), so EXISTS
+    / IN / scalar shapes keyed on the correlation cost O(outer + inner).
+    The builtin is applied per row to the members and the other,
+    vectorized, arguments; a two-argument ``in3`` over an invariant
+    subquery probes a :class:`PreparedIn3`."""
     entry = BUILTINS.get((uri, expr.local))
     if entry is None or not entry[1] <= len(expr.args) <= entry[2]:
         raise _Decline("unsupported_expr")
     func = entry[0]
     others = [None if index == position else _vcompile(cc, arg, env)
               for index, arg in enumerate(expr.args)]
-    prepared = expr.local == "in3" and len(expr.args) == 2
-    subquery = expr.args[position]
-    compiler = cc.compiler
-    mark = (len(cc.accept), set(cc.params), dict(cc.recordsets))
+    invariant = cc.compiler._invariant_subquery(subquery)
+    prepared = invariant and expr.local == "in3" and len(expr.args) == 2
+    inputs: list = []  # (slot, outer cell) pairs the sub-plan reads
+    cc.scopes.append((env, inputs))
     try:
         members = _subquery_members(cc, subquery, expr.local,
                                     len(others) > 1)
-        slot = object()
-
-        def constant(state):
-            try:
-                return state.memo[slot]
-            except KeyError:
-                value = members(state)
-                if prepared:
-                    value = PreparedIn3(value)
-                state.memo[slot] = value
-                return value
-    except _Decline:
-        del cc.accept[mark[0]:]
-        cc.params, cc.recordsets = mark[1:]
-        once: list = []
-        cc.accept.append(lambda: once.append(compiler._subquery_once(
-            expr, compiler._compile(subquery))))
-
-        def constant(state):
-            return once[0](state.frame)
+    finally:
+        cc.scopes.pop()
+    if invariant and not isinstance(_strip_column(subquery), ast.FLWOR):
+        # A set operation has no plan node of its own: its one run per
+        # execution is listed as one.
+        compiler = cc.compiler
+        cc.accept.append(lambda: compiler._report_once(expr))
     cc.once = True
+    slot = object()
+
+    def constant(state):
+        try:
+            return state.memo[slot]
+        except KeyError:
+            value = members(state)
+            if prepared:
+                value = PreparedIn3(value)
+            state.memo[slot] = value
+            return value
 
     def run(state, batch):
         if not batch.n:
             return []
-        members = constant(state)
-        if len(others) == 1:
-            result = func([members])
+        if invariant and len(others) == 1:
+            result = func([constant(state)])
             return [result[0] if result else None] * batch.n
         cols = [None if other is None else other.eval(state, batch)
                 for other in others]
+        bound = [(key, cell.eval(state, batch)) for key, cell in inputs]
         out = []
         for i in range(batch.n):
-            if prepared:  # members is the PreparedIn3 table
+            if invariant:
+                current = constant(state)
+            else:
+                for key, col in bound:
+                    state.bound[key] = col[i]
+                current = members(state)
+            if prepared:  # current is the PreparedIn3 table
                 cell = cols[0][i]
-                result = members([] if cell is None else [cell])
+                result = current([] if cell is None else [cell])
             else:
                 result = func([
-                    members if col is None
+                    current if col is None
                     else [] if col[i] is None else [col[i]]
                     for col in cols])
             out.append(result[0] if result else None)
@@ -672,28 +833,42 @@ def _vcompile_once(cc: _Ctx, expr: ast.XFunctionCall, uri: str,
 
 
 #: The member a NULL cell of a subquery column is: like the empty
-#: element the tree path holds there, it atomizes to the empty sequence.
+#: element the Evaluator holds there, it atomizes to the empty sequence.
 _NULL_MEMBER = Element(QName("NULL"))
 
 
-def _subquery_members(cc: _Ctx, subquery, local: str, has_needle: bool):
-    """Lower an invariant subquery argument — ``(FLWOR)/COL``, the
-    member column of an IN / ANY / ALL, or a bare FLWOR of RECORDs — to
-    ``state -> item sequence`` on the batch executor. A column's
-    members are its untyped cells (:data:`_NULL_MEMBER` for NULL); of a
-    bare FLWOR its consumers read only the row count, and
-    ``fn-bea:scalar`` the single cell of a single row."""
-    column = None
+def _strip_column(subquery):
+    """The record set under a subquery argument ``(records)/COL``, else
+    the argument itself."""
     if (isinstance(subquery, ast.PathExpr) and len(subquery.steps) == 1
             and not subquery.steps[0].predicates):
+        return subquery.base
+    return subquery
+
+
+def _subquery_members(cc: _Ctx, subquery, local: str, has_needle: bool):
+    """Lower a subquery argument — ``(records)/COL``, the member column
+    of an IN / ANY / ALL, or a bare record set — to ``state -> item
+    sequence`` on the batch executor. A column's members are its
+    untyped cells (:data:`_NULL_MEMBER` for NULL); of a bare record set
+    its consumers read only the row count, and ``fn-bea:scalar`` the
+    single cell of a single row."""
+    column = None
+    if subquery is not _strip_column(subquery):
         subquery, column = subquery.base, subquery.steps[0].name
-    if not isinstance(subquery, ast.FLWOR) or (has_needle
-                                               and column is None):
-        raise _Decline("unsupported_expr")
-    sub = lower_flwor(cc, subquery)
-    sub.var, cells = "\x00sub", sub.cells
+    if not _is_records(cc, subquery) or (has_needle and column is None):
+        raise _Decline("unsupported_expr"
+                       if cc.compiler._invariant_subquery(subquery)
+                       else "correlated_subquery")
+    sub = lower_records(cc, subquery)
+    sub.var, cells = "\x00sub", list(sub.cells)
     if column is not None and column not in cells:
         raise _Decline("record_shape")
+    if sub.record_name is None and (column is not None
+                                    or local == "scalar"):
+        raise _Decline("bare_row_var")
+    if sub.ragged and local == "scalar":
+        raise _Decline("record_shape")  # its cells differ per RECORD
     for name in cells if column is None else (column,):
         sub.project(name)
 
@@ -708,7 +883,7 @@ def _subquery_members(cc: _Ctx, subquery, local: str, has_needle: bool):
             raise XQueryDynamicError(
                 f"scalar subquery returned {len(cells)} columns",
                 code="FOBEA002")
-        (value,) = rows.cols[(sub.var, next(iter(cells)))]
+        (value,) = rows.cols[(sub.var, cells[0])]
         return [] if value is None else [value]
 
     return members
@@ -716,7 +891,8 @@ def _subquery_members(cc: _Ctx, subquery, local: str, has_needle: bool):
 
 def _vcompile_in3(cc: _Ctx, args, env: dict) -> _V:
     """``fn-bea:in3`` over a written-out member list: the builtin
-    itself, row by row, on the members' cells."""
+    itself, row by row, on the members' cells (a NULL member is, like
+    ``()`` in a sequence, no member at all)."""
     needle = _vcompile(cc, args[0], env)
     listed = args[1].items if isinstance(args[1], ast.SequenceExpr) \
         else (args[1],)
@@ -728,8 +904,7 @@ def _vcompile_in3(cc: _Ctx, args, env: dict) -> _V:
         for i, x in enumerate(needle.eval(state, batch)):
             result = bea_in3([
                 [] if x is None else [x],
-                [_NULL_MEMBER if col[i] is None else col[i]
-                 for col in cols]])
+                [col[i] for col in cols if col[i] is not None]])
             out.append(result[0] if result else None)
         return out
 
@@ -862,7 +1037,7 @@ def _match_cells(cc: _Ctx, expr, tok: str) -> list:
             raise _Decline("not_wrapper")
         names.append(name)
     if len(set(names)) != len(names):
-        # Duplicate record child names would make the tuple path's
+        # Duplicate record child names would make the Evaluator's
         # per-cell fn:data multi-valued (a type error); stay exact.
         raise _Decline("duplicate_cell_name")
     return names
@@ -870,16 +1045,26 @@ def _match_cells(cc: _Ctx, expr, tok: str) -> list:
 
 def _record_cells(expr, env: dict) -> tuple:
     """``(element name, {child name: content expression})`` of a return
-    ``<RECORD><NAME>{expr}</NAME>...</RECORD>``, in child order."""
+    ``<RECORD><NAME>{expr}</NAME>...</RECORD>``, in child order — or of
+    a record-set row returned whole, whose cells are its children. A
+    data-service row returned whole has neither: ``(None, {})``, which
+    only a reader of the row count accepts."""
     if isinstance(expr, ast.VarRef) and isinstance(env.get(expr.name),
                                                    _RowVar):
-        raise _Decline("bare_row_var")  # the row returned whole
-    if not isinstance(expr, ast.ElementConstructor) or expr.attributes:
+        source = env[expr.name].source
+        if source is None:
+            return None, {}
+        if source.ragged:  # RECORDs of other cells: not one shape
+            raise _Decline("record_shape")
+        return source.record_name, {
+            name: ast.call("fn:data", ast.PathExpr(
+                ast.VarRef(expr.name), (ast.PathStep(name),)))
+            for name in source.cells}
+    if not isinstance(expr, ast.ElementConstructor) or expr.attributes \
+            or expr.prefix:
         raise _Decline("record_shape")
     cells: dict = {}
     for child in expr.content:
-        if isinstance(child, str):
-            continue
         if not (isinstance(child, ast.ElementConstructor)
                 and not child.attributes and not child.prefix
                 and len(child.content) == 1
@@ -891,15 +1076,14 @@ def _record_cells(expr, env: dict) -> tuple:
     return expr.name, cells
 
 
-def _recordset_body(expr) -> Optional[ast.FLWOR]:
-    """The FLWOR inside ``<RECORDSET>{FLWOR}</RECORDSET>`` (whatever
-    the element is called: its consumer steps to the children)."""
+def _recordset_body(expr) -> Optional[ast.XExpr]:
+    """The record-set expression inside ``<RECORDSET>{...}</RECORDSET>``
+    (whatever the element is called: its consumer steps to the
+    children)."""
     if not isinstance(expr, ast.ElementConstructor) or expr.attributes:
         return None
     parts = [part for part in expr.content if not isinstance(part, str)]
-    if len(parts) == 1 and isinstance(parts[0], ast.FLWOR):
-        return parts[0]
-    return None
+    return parts[0] if len(parts) == 1 else None
 
 
 class _ScanInfo:
@@ -923,17 +1107,18 @@ class _Lowered:
     cells. A cell that is a plain column of a row variable cannot raise:
     it is compiled when a reader asks (:meth:`project`) and never
     computed if nobody does; every other cell is evaluated for every
-    row, as the tree path does.
+    row, as the Evaluator does.
 
     Read as a *record-set source* (``for $var in <RECORDSET>{F}
     </RECORDSET>/RECORD``) its batches carry, per ``(var, child name)``,
-    what ``fn:data($var/NAME)`` yields on the tree path:
+    what ``fn:data($var/NAME)`` yields in the Evaluator:
     ``UntypedAtomic(serialize_atomic(v))`` for a present value (the
     empty string included), ``None`` for an empty or absent child."""
 
     __slots__ = ("cc", "planned", "stages", "env", "record_name",
                  "cells", "projections", "var", "with_ordinal")
     kind = "sub"
+    ragged = False
 
     def __init__(self, cc, planned, stages, env, record):
         self.cc = cc
@@ -956,15 +1141,107 @@ class _Lowered:
         return projection
 
 
+class _RecordOp:
+    """A record set computed from others: ``concat`` — a sequence of
+    record sets, read one after another (UNION ALL, FULL OUTER's two
+    halves) — or a hash stage over the cell tuple: ``distinct``,
+    ``intersect`` or ``except`` (``fn-bea:distinct-records`` /
+    ``intersect-records`` / ``except-records``, with their key: two
+    RECORDs are one when every cell's lexical form, or its absence,
+    agrees; ``all`` is the third argument of the last two). Every
+    input has the same RECORD name. A hash stage's inputs have the same
+    cells, and it reads all of them; a concatenation's cells are its
+    inputs' together (FULL OUTER's anti half has only the right side's:
+    the others are absent, NULL) and it reads what its reader demands
+    (``projections``: the cells it puts out)."""
+
+    kind = "records"
+    __slots__ = ("op", "parts", "all", "record_name", "cells", "ragged",
+                 "projections", "var", "with_ordinal")
+
+    def __init__(self, op: str, parts: list, all_flag: bool = False):
+        self.op, self.parts, self.all = op, parts, all_flag
+        self.record_name = parts[0].record_name
+        self.cells = list(dict.fromkeys(
+            name for part in parts for name in part.cells))
+        #: Inputs of other cells: only a reader by cell name may read it.
+        self.ragged = any(part.ragged or list(part.cells) != self.cells
+                          for part in parts)
+        if self.record_name is None or not self.cells \
+                or (self.ragged and op != "concat") \
+                or any(part.record_name != self.record_name
+                       for part in parts):
+            raise _Decline("record_shape")
+        self.projections: dict = {}
+        self.var, self.with_ordinal = None, False  # set by its reader
+        if op != "concat":
+            for name in self.cells:
+                self.project(name)
+
+    def project(self, name: str) -> None:
+        if name not in self.projections:
+            self.projections[name] = None
+            for part in self.parts:
+                if name in part.cells:
+                    part.project(name)
+
+
+#: Record-set builtins of stage 3: ``fn-bea:`` name -> (op, arity).
+_RECORD_OPS = {"distinct-records": ("distinct", 1),
+               "intersect-records": ("intersect", 3),
+               "except-records": ("except", 3)}
+
+
+def _is_records(cc: _Ctx, expr) -> bool:
+    """True when *expr* has a shape :func:`lower_records` reads."""
+    if isinstance(expr, ast.FLWOR):
+        return True
+    if isinstance(expr, ast.SequenceExpr):
+        return bool(expr.items) and all(_is_records(cc, item)
+                                        for item in expr.items)
+    return (isinstance(expr, ast.XFunctionCall)
+            and cc.compiler._namespace(expr) == BEA_URI
+            and _RECORD_OPS.get(expr.local, (None, -1))[1]
+            == len(expr.args))
+
+
+def lower_records(cc: _Ctx, expr):
+    """Lower a record-set expression — a FLWOR returning RECORDs (or a
+    record-set row), a sequence of record sets, or one of stage 3's
+    set-operation builtins over them — onto a sub-plan: a
+    :class:`_Lowered` or a :class:`_RecordOp`."""
+    if isinstance(expr, ast.FLWOR):
+        return lower_flwor(cc, expr)
+    if not _is_records(cc, expr):
+        raise _Decline("non_scan_source")
+    if isinstance(expr, ast.SequenceExpr):
+        parts = [lower_records(cc, item) for item in expr.items]
+        return parts[0] if len(parts) == 1 else _RecordOp("concat", parts)
+    op, arity = _RECORD_OPS[expr.local]
+    if arity == 1:
+        return _RecordOp(op, [lower_records(cc, expr.args[0])])
+    flag = expr.args[2]
+    if not (cc.compiler._is_fn(flag, "true", 0)
+            or cc.compiler._is_fn(flag, "false", 0)):
+        raise _Decline("unsupported_expr")
+    return _RecordOp(op, [lower_records(cc, arg) for arg in expr.args[:2]],
+                     flag.local == "true")
+
+
 class _JoinInfo:
     """``reuse``: the build key column names when the join's hash table
-    may outlive its execution (see :func:`_lower_join`), else None."""
+    may outlive its execution (see :func:`_lower_join`), else None.
+    ``fixed``: the build side is the same for every run in one
+    execution (a correlated sub-plan's join builds once). ``guards`` /
+    ``residuals``: an outer join's residual ON conjuncts over the probe
+    row / over the (probe row, build row) pair."""
 
     __slots__ = ("source", "build_exprs", "probe_exprs", "cond_exprs",
-                 "filter_exprs", "outer", "reuse")
+                 "filter_exprs", "outer", "reuse", "fixed", "guards",
+                 "residuals")
 
     def __init__(self, source, build_exprs, probe_exprs, cond_exprs,
-                 filter_exprs, outer, reuse):
+                 filter_exprs, outer, reuse, fixed, guards, residuals):
         self.source = source
         self.build_exprs = build_exprs
         self.probe_exprs = probe_exprs
@@ -972,6 +1249,9 @@ class _JoinInfo:
         self.filter_exprs = filter_exprs
         self.outer = outer
         self.reuse = reuse
+        self.fixed = fixed
+        self.guards = guards
+        self.residuals = residuals
 
 
 class _AggInfo:
@@ -1083,8 +1363,8 @@ def _new_agg_state(spec):
 
 
 def _fold_agg_cell(spec, states: list, j: int, cell) -> None:
-    """Fold one row's value into group state *j*, replicating the tuple
-    path's ``fn:sum``/``fn:avg``/``fn:min``/``fn:max``/
+    """Fold one row's value into group state *j*, replicating the
+    Evaluator's ``fn:sum``/``fn:avg``/``fn:min``/``fn:max``/
     ``fn:distinct-values`` folds exactly: NULL cells contribute nothing
     (the per-row value sequence is empty), untyped atomics cast to
     double (string for distinct), sums fold with ``+`` left-to-right,
@@ -1220,50 +1500,63 @@ def _lower_source(cc: _Ctx, for_clause: ast.ForClause, hint,
             raise _Decline("non_scan_source")
         return (_ScanInfo(var, call[0], call[1], hint, with_ordinal),
                 _RowVar(dict(schema)))
-    # $t/RECORD over a let-bound record set nobody has read yet, or
-    # over the constructor written in place.
-    body = None
+    # $t/RECORD over a let-bound record set (each read runs it: FULL
+    # OUTER reads both sides twice), or over the constructor written in
+    # place; else a record-set expression read as it is.
+    body, step = source, None
     if (isinstance(source, ast.PathExpr) and len(source.steps) == 1
             and not source.steps[0].predicates):
+        step = source.steps[0].name
         if isinstance(source.base, ast.VarRef):
-            body = cc.recordsets.pop(source.base.name, None)
+            body = cc.recordsets.get(source.base.name)
+            cc.read.add(source.base.name)
         else:
             body = _recordset_body(source.base)
     if body is None:
         raise _Decline("non_scan_source")
-    lowered = lower_flwor(cc, body)
-    if lowered.record_name != source.steps[0].name:
+    lowered = lower_records(cc, body)
+    if lowered.record_name is None:
+        raise _Decline("bare_row_var")
+    if step is not None and lowered.record_name != step:
         raise _Decline("record_shape")
     lowered.var, lowered.with_ordinal = var, with_ordinal
     return lowered, _RowVar(dict.fromkeys(lowered.cells, _UNTYPED),
-                            lowered.project)
+                            lowered.project, lowered)
 
 
 def _lower_join(cc: _Ctx, clause: HashJoinClause, hint, env: dict,
                 with_ordinal: bool, notes: dict) -> _JoinInfo:
     """Vector-compile a hash join (extending *env*). With an empty
     *env* — a leading join — the probe keys may only read literals and
-    parameters: a constant selection over the planner's unit tuple
-    stream. Over a scan with no build filter and no predicate asked of
-    the source, keyed by ``fn:data($v/COL)`` columns, its hash table is
-    kept when the column cache serves the scan; *notes* gets the
-    EXPLAIN note saying so, or why not."""
+    parameters (or a correlated sub-plan's outer cells): a constant
+    selection over the planner's unit tuple stream. Over a scan with no
+    build filter and no predicate asked of the source, keyed by
+    ``fn:data($v/COL)`` columns, its hash table is kept when the column
+    cache serves the scan; *notes* gets the EXPLAIN note saying so, or
+    why not. With no keys the join is a product. The build side is
+    ``fixed`` when lowering it bound no outer cell of an enclosing
+    plan."""
     var = clause.for_clause.var
+    bound = _correlation_count(cc)
     source, row = _lower_source(cc, clause.for_clause, hint, with_ordinal)
     build_env = {var: row}
-    refs = [_is_fn_call(cc, build, FN_URI, "data", 1)
-            and _column_ref(build.args[0], build_env)
-            for build, _p, _c in clause.keys]
-    why = ("sub-plan" if source.kind != "scan"
-           else "build filters" if clause.filters
-           else "computed key" if not all(refs)
-           else "pushed scan" if hint is not None and hint.predicates
-           else None)
-    notes[id(clause)] = f"not reused: {why}" if why \
-        else "reused per table version"
-    reuse = None if why else tuple(ref[1][1] for ref in refs)
+    reuse = None
+    if clause.keys:
+        refs = [_is_fn_call(cc, build, FN_URI, "data", 1)
+                and _column_ref(build.args[0], build_env)
+                for build, _p, _c in clause.keys]
+        why = ("sub-plan" if source.kind != "scan"
+               else "build filters" if clause.filters
+               else "computed key" if not all(refs)
+               else "pushed scan" if hint is not None and hint.predicates
+               else None)
+        notes[id(clause)] = f"not reused: {why}" if why \
+            else "reused per table version"
+        reuse = None if why else tuple(ref[1][1] for ref in refs)
     builds = [_vcompile(cc, build, build_env)
               for build, _p, _c in clause.keys]
+    filters = [_vcompile(cc, f, build_env) for f in clause.filters]
+    fixed = _correlation_count(cc) == bound
     probes = [_vcompile(cc, probe, env) for _b, probe, _c in clause.keys]
     # The pairwise condition is the ``eq`` whose two operands the
     # planner split into build and probe key, so it is assembled from
@@ -1271,23 +1564,33 @@ def _lower_join(cc: _Ctx, clause: HashJoinClause, hint, env: dict,
     conds = [_vcompare(cond.op, b, p) if cond.left is build
              else _vcompare(cond.op, p, b)
              for (build, _p, cond), b, p in zip(clause.keys, builds, probes)]
-    filters = [_vcompile(cc, f, build_env) for f in clause.filters]
+    guards = [_vcompile(cc, r, env) for r in clause.residuals
+              if var not in free_vars(r)]
     env[var] = row
+    residuals = [_vcompile(cc, r, env) for r in clause.residuals
+                 if var in free_vars(r)]
     return _JoinInfo(source, builds, probes, conds, filters, clause.outer,
-                     reuse)
+                     reuse, fixed, guards, residuals)
+
+
+def _correlation_count(cc: _Ctx) -> int:
+    """How many outer cells the sub-plans being lowered read so far."""
+    return sum(len(inputs) for _env, inputs in cc.scopes)
 
 
 def lower_flwor(cc: _Ctx, flwor: ast.FLWOR) -> _Lowered:
     """Lower one planned FLWOR — the wrapper's own, the body of a
-    record set, an invariant subquery — onto batch stages, clause by
-    clause: one source (scan, sub-plan, or a leading hash join), where
-    / hash join / order / restore stages, and a group clause with
+    record set, a subquery — onto batch stages, clause by clause: one
+    source (scan, sub-plan, or a leading hash join), where / hash join
+    / product / order / restore stages, and a group clause with
     everything downstream of it as one hash aggregation. A ``let`` is a
     record set bound ahead of the source for a later ``for`` (here or
-    in a nested record set) to read once, or, last, the partition of an
-    aggregate without GROUP BY; stage 3's outer-join ``let`` + ``if`` is
-    the planner's left outer :class:`HashJoinClause`. Anything else
-    raises :class:`_Decline`."""
+    in a nested record set) to read once, a FLWOR read through
+    ``fn:empty`` / ``fn:exists`` after it, or, last, the partition of
+    an aggregate without GROUP BY (HAVING then filters its one
+    record); stage 3's outer-join ``let`` + ``if`` is the planner's
+    left outer :class:`HashJoinClause`. Anything else raises
+    :class:`_Decline`."""
     compiler = cc.compiler
     planned = compiler._planned(flwor)
     record = flwor.return_expr
@@ -1318,6 +1621,14 @@ def lower_flwor(cc: _Ctx, flwor: ast.FLWOR) -> _Lowered:
         items[-1:] = head + [(ast.GroupClause(
             source_var=row, partition_var=last.var, keys=()),
             planned, len(items) - 1)]
+        if isinstance(record, ast.IfExpr) \
+                and isinstance(record.else_, ast.SequenceExpr) \
+                and not record.else_.items:
+            # HAVING without GROUP BY: the one group's record, if the
+            # condition holds — a filter after the aggregation.
+            items.append((ast.WhereClause(condition=record.condition),
+                          planned, None))
+            record = record.then
     env: dict = {}
     stages: list = []
     bound_here: list = []
@@ -1332,14 +1643,21 @@ def lower_flwor(cc: _Ctx, flwor: ast.FLWOR) -> _Lowered:
         hint = owner.hints.get(index)
         if isinstance(clause, ast.LetClause):
             body = _recordset_body(clause.value)
-            if body is None or sourced or clause.var in cc.recordsets:
+            if body is not None and not sourced \
+                    and clause.var not in cc.recordsets:
+                cc.recordsets[clause.var] = body
+                bound_here.append(clause.var)
+            elif sourced and isinstance(clause.value, ast.FLWOR):
+                env[clause.var] = _LetRows(clause.value)
+            else:
                 raise _Decline("unsupported_clause")
-            cc.recordsets[clause.var] = body
-            bound_here.append(clause.var)
-            stages.append(("let", None, node))  # the unit tuple passes
+            stages.append(("let", None, node))  # the rows pass
         elif isinstance(clause, ast.ForClause):
-            if sourced:  # a cross product
-                raise _Decline("unsupported_clause")
+            if sourced:  # a cross product: a join without keys
+                stages.append(("join", _lower_join(
+                    cc, HashJoinClause(clause, ()), hint, env,
+                    clause.var in owner.ordinal_vars, notes), node))
+                continue
             source, env[clause.var] = _lower_source(
                 cc, clause, hint, clause.var in owner.ordinal_vars)
             stages.append((source.kind, source, node))
@@ -1366,8 +1684,9 @@ def lower_flwor(cc: _Ctx, flwor: ast.FLWOR) -> _Lowered:
             # Lower the group plus everything downstream (HAVING,
             # grouped ORDER BY, the record) into one hash-aggregation
             # stage followed by scalar-column where/order stages.
+            posts = items[at + 1:]
             aggregated = lower_group_aggregates(
-                clause, [item[0] for item in items[at + 1:]], record,
+                clause, [item[0] for item in posts], record,
                 compiler._is_fn)
             if aggregated is None:
                 raise _Decline("unsupported_aggregate")
@@ -1379,8 +1698,10 @@ def lower_flwor(cc: _Ctx, flwor: ast.FLWOR) -> _Lowered:
                                              info.key_exprs)}
             for spec, vtype in zip(info.specs, info.out_vtypes):
                 env[spec.var] = _ScalarCol((_GRP, spec.var), vtype)
-            for offset, post in enumerate(post_clauses, start=1):
-                node = (owner, index + offset)
+            for post, (_c, post_owner, post_index) in zip(post_clauses,
+                                                          posts):
+                node = None if post_index is None \
+                    else (post_owner, post_index)
                 if isinstance(post, ast.WhereClause):
                     stages.append(("where", _vcompile(
                         cc, post.condition, env), node))
@@ -1389,8 +1710,8 @@ def lower_flwor(cc: _Ctx, flwor: ast.FLWOR) -> _Lowered:
             break
         else:
             raise _Decline("unsupported_clause")
-    if not sourced or any(var in cc.recordsets for var in bound_here):
-        # No source at all, or a record set nobody read: the tree path
+    if not sourced or any(var not in cc.read for var in bound_here):
+        # No source at all, or a record set nobody read: the Evaluator
         # would still build it (and raise what it raises).
         raise _Decline("unsupported_clause")
     lowered = _Lowered(cc, planned, stages, env, record)
@@ -1399,15 +1720,25 @@ def lower_flwor(cc: _Ctx, flwor: ast.FLWOR) -> _Lowered:
     return lowered
 
 
-def try_compile_wrapper(compiler, arg) -> tuple:
-    """Compile the wrapper's ``fn:string-join`` argument *arg* into
-    ``(plan, None)`` — the :class:`_VectorPlan`'s ``chunks`` method is
-    the chunks closure — or ``(None, one of DECLINE_REASONS)``. The
-    section-4 cells are matched here, everything under them goes
-    through :func:`lower_flwor`; all or nothing."""
+def try_compile_body(compiler, body) -> tuple:
+    """``(plan, None)`` — the :class:`_VectorPlan` that runs module body
+    *body* — or ``(None, reason)``: one of :data:`DECLINE_REASONS` when
+    the body has a translated shape (the section-4 text wrapper, or a
+    ``<RECORDSET>`` constructor) the lowering declines, None when it
+    has neither. The section-4 cells are matched here, everything under
+    them goes through :func:`lower_records`; all or nothing."""
+    wrapper = compiler.text_wrapper(body)
+    if wrapper is not None and wrapper[1] == "":
+        lower = _lower_wrapper
+        body = wrapper[0]
+    elif (isinstance(body, ast.ElementConstructor)
+          and body.name == "RECORDSET" and not body.prefix):
+        lower = _lower_recordset
+    else:
+        return None, None
     cc = _Ctx(compiler)
     try:
-        plan = _lower_wrapper(cc, arg)
+        plan = lower(cc, body)
     except _Decline as decline:
         return None, decline.reason
     for step in cc.accept:
@@ -1415,6 +1746,31 @@ def try_compile_wrapper(compiler, arg) -> tuple:
     # The plan is cached for long; what lowered it is not kept with it.
     cc.compiler, cc.accept = None, []
     return plan, None
+
+
+def _lower_top(cc: _Ctx, source, var: str) -> tuple:
+    """``(lowered FLWOR, window)`` of a statement's record set *source*:
+    a ``fn:subsequence`` window with literal bounds (LIMIT / OFFSET)
+    comes off first; a record set other than a FLWOR is read by a
+    ``for $var`` over it that returns its RECORDs whole."""
+    window = None
+    parts = cc.compiler._subsequence_parts(source)
+    if parts is not None:
+        source, start, length = parts
+        bounds = [bound.value if isinstance(bound, ast.XLiteral) else None
+                  for bound in (start, length) if bound is not None]
+        if not all(isinstance(bound, int) and not isinstance(bound, bool)
+                   for bound in bounds):
+            raise _Decline("window_bounds")
+        window = (bounds[0],
+                  bounds[0] + bounds[1] if len(bounds) == 2 else None)
+    if not isinstance(source, ast.FLWOR):
+        source = ast.FLWOR((ast.ForClause(var=var, source=source),),
+                           ast.VarRef(var))
+    lowered = lower_flwor(cc, source)
+    if lowered.record_name is None:
+        raise _Decline("bare_row_var")
+    return lowered, window
 
 
 def _lower_wrapper(cc: _Ctx, arg) -> "_VectorPlan":
@@ -1426,36 +1782,24 @@ def _lower_wrapper(cc: _Ctx, arg) -> "_VectorPlan":
     if len(outer) != 1 or not isinstance(outer[0], ast.ForClause):
         raise _Decline("not_wrapper")
     names = _match_cells(cc, arg.return_expr, outer[0].var)
-
-    source = outer[0].source
-    window = None
-    parts = compiler._subsequence_parts(source)
-    if parts is not None:
-        source, start, length = parts
-        bounds = [bound.value if isinstance(bound, ast.XLiteral) else None
-                  for bound in (start, length) if bound is not None]
-        if not all(isinstance(bound, int) and not isinstance(bound, bool)
-                   for bound in bounds):
-            raise _Decline("window_bounds")
-        window = (bounds[0],
-                  bounds[0] + bounds[1] if len(bounds) == 2 else None)
-    if not isinstance(source, ast.FLWOR):
-        raise _Decline("not_wrapper")
-
-    lowered = lower_flwor(cc, source)
+    lowered, window = _lower_top(cc, outer[0].source, outer[0].var)
     if list(lowered.cells) != names:
         raise _Decline("record_shape")
     cc.accept.append(lambda: compiler._number(outer_plan))
-    return _VectorPlan(
-        columnar=compiler._columnar,
-        batch_size=compiler._batch_size,
-        lowered=lowered,
-        window=window,
-        projections=[lowered.project(name) for name in names],
-        param_names=frozenset(cc.params),
-        outer_plan=outer_plan,
-        scatters=not cc.once,
-    )
+    return _VectorPlan(compiler, lowered, window, names, frozenset(cc.params),
+                       outer_plan, scatters=not cc.once)
+
+
+def _lower_recordset(cc: _Ctx, body) -> "_VectorPlan":
+    """The xml format: ``<RECORDSET>{records}</RECORDSET>``, built from
+    the record set's batches by the output stage."""
+    content = _recordset_body(body)
+    if content is None:
+        raise _Decline("not_wrapper")
+    lowered, window = _lower_top(cc, content, "record")
+    return _VectorPlan(cc.compiler, lowered, window, list(lowered.cells),
+                       frozenset(cc.params), None, scatters=False,
+                       recordset=body.name)
 
 
 # ---------------------------------------------------------------------------
@@ -1464,8 +1808,8 @@ def _lower_wrapper(cc: _Ctx, arg) -> "_VectorPlan":
 
 
 def _count_rows(batches, actuals: dict, node_id) -> Iterator[_Batch]:
-    """Mirror the tuple pipeline's per-stage actual-row accounting at
-    batch granularity (tallied even on partial consumption)."""
+    """Per-stage actual-row accounting at batch granularity (tallied
+    even on partial consumption)."""
     count = 0
     try:
         for b in batches:
@@ -1477,32 +1821,32 @@ def _count_rows(batches, actuals: dict, node_id) -> Iterator[_Batch]:
 
 class _VectorPlan:
     __slots__ = ("columnar", "batch_size", "lowered", "stages", "window",
-                 "projections", "param_names", "outer_plan",
-                 "fallback", "_tuple_chunks", "module",
-                 "_text",
+                 "names", "projections", "param_names", "outer_plan",
+                 "recordset", "module", "_text",
                  "parallel_ready", "parallel_mode",
                  "partition_stage_count", "signature")
 
-    def __init__(self, columnar, batch_size, lowered, window, projections,
-                 param_names, outer_plan, scatters):
-        self.columnar = columnar
-        self.batch_size = batch_size
-        #: The wrapper's source FLWOR, lowered; ``stages`` are its own
-        #: (a sub-plan's hang off the source or join that reads it).
+    def __init__(self, compiler, lowered, window, names, param_names,
+                 outer_plan, scatters, recordset=None):
+        self.columnar = compiler._columnar
+        self.batch_size = compiler._batch_size
+        #: The statement's record set FLWOR, lowered; ``stages`` are
+        #: its own (a sub-plan's hang off the source or join that reads
+        #: it).
         self.lowered = lowered
         stages = self.stages = lowered.stages
         self.window = window
-        self.projections = projections
+        #: The output cells and their vector expressions.
+        self.names = names
+        self.projections = [lowered.project(name) for name in names]
         self.param_names = param_names
         #: The wrapper's ``for $tokenQuery`` FLWOR (its one plan node
-        #: counts the rows that reach the encoder).
+        #: counts the rows that reach the encoder); None for the xml
+        #: format.
         self.outer_plan = outer_plan
-        #: Set by the compiler: builds the tuple-path chunks closure of
-        #: the same module, for a run-time parameter shape outside the
-        #: scalar column model (results must stay byte-identical). Built
-        #: on first use — the SQL driver never binds such a parameter.
-        self.fallback = None
-        self._tuple_chunks = None
+        #: The xml format's RECORDSET element name; None when the
+        #: output stage encodes delimited text.
+        self.recordset = recordset
         #: The module this plan was compiled from, stamped by the
         #: DSPRuntime that prepared it; only such plans scatter, because
         #: pool workers re-prepare the plan from its text.
@@ -1544,7 +1888,7 @@ class _VectorPlan:
         self.signature = (
             tuple(kind for kind, _p, _i in stages),
             window,
-            len(projections),
+            len(names),
             tuple(sorted(param_names)),
             (scan0.uri, scan0.local, scan0.with_ordinal)
             if scan0 is not None else None,
@@ -1557,7 +1901,7 @@ class _VectorPlan:
     def _scalar_params(self, frame: _Frame) -> Optional[dict]:
         """The plan's external parameters as scalars (None = NULL), or
         None when one is sequence- or node-valued: outside the scalar
-        column model, where only the tuple path is exact."""
+        column model (the Evaluator runs such a run)."""
         params: dict = {}
         for name in self.param_names:
             bound = frame.variables.get(name, [])
@@ -1573,22 +1917,23 @@ class _VectorPlan:
             self._text = print_module(self.module)
         return self._text
 
-    def chunks(self, frame: _Frame) -> Iterator[str]:
+    def run(self, frame: _Frame):
+        """One execution over the root *frame*: the delimited text as a
+        chunk stream, or the xml format's RECORDSET as a one-item list.
+        None when a parameter is bound to a node or a sequence
+        (``param_shape``, counted): the caller runs the Evaluator."""
         params = self._scalar_params(frame)
         if params is None:
             VSTATS.fallbacks += 1
             note = getattr(self.columnar, "note_decline", None)
             if note is not None:
                 note("param_shape")
-            if self._tuple_chunks is None:
-                self._tuple_chunks = self.fallback()
-            # The fallback numbers its own plan nodes: its row counts
-            # do not belong under this plan's ids.
-            frame.variables.pop(ACTUALS_KEY, None)
-            return self._tuple_chunks(frame)
+            return None
         state = _State(self, frame, params,
                        frame.variables.get(ACTUALS_KEY))
         VSTATS.executions += 1
+        if self.recordset is not None:
+            return [self._build_records(state, self._batches(state))]
         if self.parallel_ready and state.actuals is None \
                 and self.module is not None:
             # EXPLAIN (actuals) stays serial: per-node row accounting
@@ -1676,7 +2021,7 @@ class _VectorPlan:
         batches = self._open(state, self.lowered)
         if self.window is not None:
             batches = self._window_batches(batches)
-        if state.actuals is not None:
+        if state.actuals is not None and self.outer_plan is not None:
             batches = _count_rows(batches, state.actuals,
                                   (self.outer_plan.fid, 0))
         return batches
@@ -1716,13 +2061,21 @@ class _VectorPlan:
 
     def _scan_columns(self, state: _State, info: _ScanInfo,
                       partition=None):
-        request = bind_scan_request(info.request, state.frame.lookup)
-        columns, values, nrows = self.columnar.scan_columns(
-            info.uri, info.local, context=state.ctx, scan=request,
-            partition=partition)
-        colmap = {name: col
-                  for (name, _xs), col in zip(columns, values)}
-        return colmap, nrows
+        """``(column name -> values, row count)`` of one scan — read
+        once per execution, however often a correlated sub-plan runs
+        it (a partition's, once per call)."""
+        scanned = state.memo.get(info) if partition is None else None
+        if scanned is None:
+            request = bind_scan_request(info.request, state.frame.lookup)
+            columns, values, nrows = self.columnar.scan_columns(
+                info.uri, info.local, context=state.ctx, scan=request,
+                partition=partition)
+            scanned = ({name: col
+                        for (name, _xs), col in zip(columns, values)},
+                       nrows)
+            if partition is None:
+                state.memo[info] = scanned
+        return scanned
 
     def _source(self, state: _State, unit, source) -> Iterator[_Batch]:
         """The rows of a scan or sub-plan *source*, if the unit tuple
@@ -1755,24 +2108,83 @@ class _VectorPlan:
                 state.ctx.tick_rows(batch.n)
             yield batch
 
-    def _subplan(self, state: _State, sub: _Lowered) -> Iterator[_Batch]:
-        """Run a record-set sub-plan and re-key its RECORD cells as the
-        columns of ``sub.var`` — the RECORD boundary, without the
-        RECORD: a typed cell becomes its untyped lexical form, a cell
-        that is a column of an inner record set is already one."""
+    def _records(self, state: _State, src) -> Iterator[_Batch]:
+        """The RECORDs of record-set sub-plan *src* as batches keyed by
+        cell name — the RECORD boundary, without the RECORD: a typed
+        cell becomes its untyped lexical form, a cell that is a column
+        of an inner record set is already one."""
+        if src.kind == "sub":
+            cells = [(name, projection, projection.vtype != _UNTYPED)
+                     for name, projection in src.projections.items()]
+            for b in self._open(state, src):
+                cols = {}
+                for name, projection, typed in cells:
+                    col = projection.eval(state, b)
+                    if typed:
+                        col = [None if v is None
+                               else UntypedAtomic(serialize_atomic(v))
+                               for v in col]
+                    cols[name] = col
+                yield _Batch(b.n, cols)
+        elif src.op == "concat":
+            for part in src.parts:
+                for b in self._records(state, part):
+                    yield _Batch(b.n, {
+                        name: b.cols[name] if name in b.cols
+                        else [None] * b.n for name in src.projections})
+        else:
+            yield from self._set_operation(state, src)
+
+    def _set_operation(self, state: _State, op) -> Iterator[_Batch]:
+        """DISTINCT, INTERSECT [ALL] or EXCEPT [ALL] over the cell tuple
+        (see :class:`_RecordOp`): the rows ``functions.bea_*_records``
+        keeps, in the left input's order. Like those builtins, the
+        left input is read whole before the right one."""
+        names = op.cells
+
+        def keyed(part):
+            for b in self._records(state, part):
+                yield b, list(zip(*[b.cols[name] for name in names]))
+
+        if op.op == "distinct":
+            seen: set = set()
+            inputs = keyed(op.parts[0])
+        else:
+            inputs = list(keyed(op.parts[0]))
+            bag = Counter(key for _b, keys in keyed(op.parts[1])
+                          for key in keys)
+            used: Counter = Counter()
+        for b, keys in inputs:
+            idx = []
+            for i, key in enumerate(keys):
+                if op.op == "distinct":
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                elif op.op == "intersect":
+                    if used[key] >= (bag[key] if op.all
+                                     else min(bag[key], 1)):
+                        continue
+                    used[key] += 1
+                elif op.all:  # EXCEPT ALL: each right row removes one
+                    if used[key] < bag[key]:
+                        used[key] += 1
+                        continue
+                elif key in bag or used[key]:
+                    continue
+                else:
+                    used[key] = 1
+                idx.append(i)
+            if idx:
+                yield b if len(idx) == b.n else _gather(b, idx)
+
+    def _subplan(self, state: _State, sub) -> Iterator[_Batch]:
+        """Read a record-set sub-plan: its RECORD cells re-keyed as the
+        columns of ``sub.var``."""
         var = sub.var
-        cells = [((var, name), projection, projection.vtype != _UNTYPED)
-                 for name, projection in sub.projections.items()]
         position = 0
-        for b in self._open(state, sub):
-            cols = {}
-            for key, projection, typed in cells:
-                col = projection.eval(state, b)
-                if typed:
-                    col = [None if v is None
-                           else UntypedAtomic(serialize_atomic(v))
-                           for v in col]
-                cols[key] = col
+        for b in self._records(state, sub):
+            cols = {(var, name): col for name, col in b.cols.items()}
             if sub.with_ordinal:
                 cols[(_ORD, var)] = list(range(position, position + b.n))
                 position += b.n
@@ -1802,16 +2214,19 @@ class _VectorPlan:
             elif idx:
                 yield _gather(b, idx)
 
-    def _join(self, state: _State, batches, info: _JoinInfo) \
-            -> Iterator[_Batch]:
-        first = next(batches, None)
-        if first is None:
-            return  # nothing to probe with: the build side stays shut
-        batches = chain((first,), batches)
+    def _join_build(self, state: _State, info: _JoinInfo) -> tuple:
+        """``(build batch, (categories, table, pairwise))``: the join's
+        build side, filtered and hashed — once per execution when it is
+        the same for every run (a correlated sub-plan probes the one
+        table), and kept across executions beside the cached columns
+        when ``info.reuse`` allows. A product has no table."""
+        built = state.memo.get(info)
+        if built is not None:
+            return built
         scan = info.source
         build = self._build_side(state, scan)
         # Absorbed build filters run once, before hashing; compacting
-        # between conjuncts preserves the tuple path's short-circuit
+        # between conjuncts preserves the Evaluator's short-circuit
         # (a later filter never sees a row an earlier one dropped).
         for filter_expr in info.filter_exprs:
             idx = _selected(filter_expr.eval(state, build))
@@ -1819,58 +2234,77 @@ class _VectorPlan:
                 build = _gather(build, idx)
         if scan.with_ordinal:
             # Entry index within the post-filter build order — exactly
-            # the tuple path's enumerate() positions.
+            # the Evaluator's nested-loop positions.
             build.cols[(_ORD, scan.var)] = list(range(build.n))
-        # A hash table over cached columns is kept beside them, keyed by
-        # the key column names, for every execution over that table
-        # version. One assignment publishes it: two first executions
-        # may both build, and the last to assign wins.
-        tables = info.reuse and self.columnar.join_tables(
-            scan.uri, scan.local, build.cols[(scan.var, info.reuse[0])])
-        hashed = tables.get(info.reuse) if tables else None
-        name = "join_builds" if hashed is None else "join_reuses"
-        setattr(VSTATS, name, getattr(VSTATS, name) + 1)
-        getattr(self.columnar, "_" + name).increment()
-        if hashed is None:
-            # Keys are canonicalised a column at a time (see
-            # _canon_keys); a row holding a NULL or NaN key is not
-            # stored: eq against it never matches. A key with no
-            # canonical form, or a key column mixing comparison
-            # categories, sends every probe to the exact pairwise path.
-            table: dict = {}
-            canons = [_canon_keys(e.eval(state, build), self.columnar)
-                      for e in info.build_exprs]
-            pairwise = not all(canons) \
-                or any(len(found) > 1 for found, _keys in canons)
-            if not pairwise:
-                for i, key in enumerate(zip(*[k for _c, k in canons])):
-                    if None not in key:
-                        table.setdefault(key, []).append(i)
-            hashed = (None if pairwise else [c for c, _k in canons],
-                      table, pairwise)
-            if tables is not None:
-                tables[info.reuse] = hashed
-        categories, table, pairwise = hashed
+        hashed = None
+        if info.build_exprs:
+            # A hash table over cached columns is kept beside them,
+            # keyed by the key column names, for every execution over
+            # that table version. One assignment publishes it: two
+            # first executions may both build, and the last to assign
+            # wins.
+            tables = info.reuse and self.columnar.join_tables(
+                scan.uri, scan.local,
+                build.cols[(scan.var, info.reuse[0])])
+            hashed = tables.get(info.reuse) if tables else None
+            name = "join_builds" if hashed is None else "join_reuses"
+            setattr(VSTATS, name, getattr(VSTATS, name) + 1)
+            getattr(self.columnar, "_" + name).increment()
+            if hashed is None:
+                hashed = self._hash(state, build, info)
+                if tables is not None:
+                    tables[info.reuse] = hashed
+        built = (build, hashed)
+        if info.fixed:
+            state.memo[info] = built
+        return built
 
+    def _hash(self, state: _State, build: _Batch, info: _JoinInfo):
+        """``(categories, table, pairwise)`` over the build keys. Keys
+        are canonicalised a column at a time (see :func:`_canon_keys`);
+        a row holding a NULL or NaN key is not stored: eq against it
+        never matches. A key with no canonical form, or a key column
+        mixing comparison categories, sends every probe to the exact
+        pairwise path."""
+        table: dict = {}
+        canons = [_canon_keys(e.eval(state, build), self.columnar)
+                  for e in info.build_exprs]
+        pairwise = not all(canons) \
+            or any(len(found) > 1 for found, _keys in canons)
+        if not pairwise:
+            for i, key in enumerate(zip(*[k for _c, k in canons])):
+                if None not in key:
+                    table.setdefault(key, []).append(i)
+        return (None if pairwise else [c for c, _k in canons], table,
+                pairwise)
+
+    def _join(self, state: _State, batches, info: _JoinInfo) \
+            -> Iterator[_Batch]:
+        first = next(batches, None)
+        if first is None:
+            return  # nothing to probe with: the build side stays shut
+        batches = chain((first,), batches)
+        build, hashed = self._join_build(state, info)
         outer = info.outer
         for b in batches:
+            probed, kept = b, None
+            if info.guards:
+                # An outer join's ON conjunct over the probe row alone:
+                # a row it rules out is not probed and matches nothing.
+                kept = list(range(b.n))
+                for guard in info.guards:
+                    part = b if len(kept) == b.n else _gather(b, kept)
+                    kept = [kept[k]
+                            for k in _selected(guard.eval(state, part))]
+                probed = b if len(kept) == b.n else _gather(b, kept)
+            matched = self._probe(state, probed, build, info, hashed)
+            if kept is not None:
+                found = dict(zip(kept, matched))
+                matched = (found.get(i, ()) for i in range(b.n))
+            if info.residuals:
+                matched = self._residuals(state, b, build, info, matched)
             probe_idx: list = []
             build_idx: list = []
-            matched = None
-            if not pairwise:
-                probes = [_canon_keys(e.eval(state, b), self.columnar)
-                          for e in info.probe_exprs]
-                # (against no build key at all there is nothing to
-                # compare, whatever the category)
-                if all(probe and (probe[0] <= found or not found)
-                       for probe, found in zip(probes, categories)):
-                    matched = map(table.get,
-                                  zip(*[keys for _c, keys in probes]))
-            if matched is None:
-                # A category the build side does not hold: eq decides
-                # (or raises its type error), pair by pair.
-                matched = (self._pairwise_row(state, b, i, build, info)
-                           for i in range(b.n))
             for i, matches in enumerate(matched):
                 if not matches:
                     if not outer:
@@ -1884,25 +2318,56 @@ class _VectorPlan:
                     build_idx.append(entry)
             if not probe_idx:
                 continue
-            cols = {key: [col[i] for i in probe_idx]
-                    for key, col in b.cols.items()}
-            if outer:
-                for key, col in build.cols.items():
-                    cols[key] = [None if e is None else col[e]
-                                 for e in build_idx]
-            else:
-                for key, col in build.cols.items():
-                    cols[key] = [col[e] for e in build_idx]
-            out = _Batch(len(probe_idx), cols)
+            out = _pairs(b, build, probe_idx, build_idx, outer)
             if state.ctx is not None:
                 state.ctx.tick_rows(out.n)
             yield out
+
+    def _probe(self, state: _State, b: _Batch, build: _Batch,
+               info: _JoinInfo, hashed):
+        """The build entries each row of *b* matches, in row order."""
+        if not info.build_exprs:  # a product: every build row
+            return repeat(range(build.n), b.n)
+        categories, table, pairwise = hashed
+        if not pairwise:
+            probes = [_canon_keys(e.eval(state, b), self.columnar)
+                      for e in info.probe_exprs]
+            # (against no build key at all there is nothing to compare,
+            # whatever the category)
+            if all(probe and (probe[0] <= found or not found)
+                   for probe, found in zip(probes, categories)):
+                return map(table.get, zip(*[keys for _c, keys in probes]))
+        # A category the build side does not hold: eq decides (or
+        # raises its type error), pair by pair.
+        return (self._pairwise_row(state, b, i, build, info)
+                for i in range(b.n))
+
+    def _residuals(self, state: _State, b: _Batch, build: _Batch,
+                   info: _JoinInfo, matched) -> list:
+        """Per row of *b*, its matches that pass the outer join's
+        residual ON conjuncts, evaluated on the (probe row, build row)
+        pairs conjunct by conjunct, compacting between them."""
+        pairs = [(i, entry) for i, matches in enumerate(matched)
+                 for entry in matches or ()]
+        survivors: list = [[] for _ in range(b.n)]
+        if not pairs:
+            return survivors
+        both = _pairs(b, build, [i for i, _e in pairs],
+                      [e for _i, e in pairs], False)
+        keep = list(range(len(pairs)))
+        for residual in info.residuals:
+            part = both if len(keep) == both.n else _gather(both, keep)
+            keep = [keep[k] for k in _selected(residual.eval(state, part))]
+        for k in keep:
+            i, entry = pairs[k]
+            survivors[i].append(entry)
+        return survivors
 
     def _pairwise_row(self, state: _State, b: _Batch, i: int,
                       build: _Batch, info: _JoinInfo) -> list:
         """Exact fallback: re-evaluate the original eq conditions per
         (probe row, build entry) pair, conjuncts short-circuiting per
-        entry like the tuple path's ``all()``."""
+        entry like the Evaluator's ``all()``."""
         matches = []
         probe_cells = {key: col[i] for key, col in b.cols.items()}
         for entry in range(build.n):
@@ -2026,7 +2491,7 @@ class _VectorPlan:
             return keys
 
         # sorted() is stable over row indexes, so ties keep the input
-        # order — the same permutation the tuple path's frame sort picks.
+        # order — the same permutation the Evaluator's tuple sort picks.
         yield from self._reslice(big, sorted(range(big.n), key=sort_key))
 
     def _restore(self, state: _State, batches, vars) -> Iterator[_Batch]:
@@ -2066,7 +2531,34 @@ class _VectorPlan:
             if end is not None and position >= end - 1:
                 return
 
-    # -- encode -----------------------------------------------------------
+    # -- output -----------------------------------------------------------
+
+    def _build_records(self, state: _State, batches) -> Element:
+        """The xml format's RECORDSET: per row, a RECORD element whose
+        children are the cells, built the way the Evaluator's element
+        constructors build them (``_append_content``: an absent cell is
+        an empty child, a present one its lexical text)."""
+        recordset = Element(QName(self.recordset))
+        record = QName(self.lowered.record_name)
+        cells = [QName(name) for name in self.names]
+        for b in batches:
+            if b.n == 0:
+                continue
+            cols = [projection.eval(state, b)
+                    for projection in self.projections]
+            for row in zip(*cols):
+                element = Element(record)
+                for name, value in zip(cells, row):
+                    cell = Element(name)
+                    if value is not None:
+                        _append_content(cell, (value,))
+                    element.append(cell)
+                recordset.append(element)
+            VSTATS.batches += 1
+            VSTATS.rows += b.n
+            if state.ctx is not None:
+                state.ctx.rows_buffered += b.n
+        return recordset
 
     def _encode(self, state: _State, batches) -> Iterator[str]:
         projections = self.projections

@@ -5,7 +5,8 @@ rows are pulled from the engine and decoded only as the application
 fetches them. These tests pin the PEP 249 behaviors that follow —
 rowcount discovery, close() releasing the pipeline, re-execute on a
 half-fetched cursor, fetch-time error surfacing — and assert the
-pipeline really is lazy (O(fetched) frames on a large scan).
+pipeline really is lazy (O(batches fetched) rows encoded on a large
+scan).
 """
 
 import pytest
@@ -14,7 +15,7 @@ from repro.driver import connect
 from repro.errors import DatabaseError, InterfaceError
 from repro.workloads import build_runtime
 from repro.workloads.scaling import build_scaled_runtime
-from repro.xquery import compile as xqcompile
+from repro.xquery.vector import VSTATS
 
 
 @pytest.fixture
@@ -110,18 +111,26 @@ class TestBoundedMaterialization:
     ROWS = 5000
     FETCH = 10
 
-    def test_large_scan_materializes_only_fetched_frames(self):
-        connection = connect(build_scaled_runtime(self.ROWS))
+    def test_large_scan_materializes_only_fetched_frames(self, monkeypatch):
+        # Serial: a scattered scan encodes every partition before the
+        # first row is handed out (a full barrier, by design).
+        monkeypatch.delenv("REPRO_PARALLELISM", raising=False)
+        runtime = build_scaled_runtime(self.ROWS)
+        size = runtime.batch_size
+        connection = connect(runtime)
         try:
             cursor = connection.cursor()
             cursor.execute("SELECT * FROM FACTS")
-            xqcompile.STATS.frames = 0
+            before = (VSTATS.batches, VSTATS.rows)
             rows = cursor.fetchmany(self.FETCH)
             assert len(rows) == self.FETCH
-            # One frame per row pulled through the single for-clause,
-            # plus a small decode lookahead — nowhere near ROWS.
-            assert xqcompile.STATS.frames <= self.FETCH * 4 + 16, \
-                xqcompile.STATS.frames
+            batches = VSTATS.batches - before[0]
+            encoded = VSTATS.rows - before[1]
+            # The batches the fetched rows sit in, plus one of decode
+            # lookahead — nowhere near ROWS.
+            assert 0 < batches <= self.FETCH // size + 2, batches
+            assert self.FETCH <= encoded <= batches * size < self.ROWS, \
+                encoded
         finally:
             connection.close()
 

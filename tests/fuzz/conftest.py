@@ -2,10 +2,10 @@
 
 Every test in here pins ``batch_size`` (and, in the parallel
 differentials, ``parallelism``/``parallel_min_rows``) explicitly on
-*both* sides of a differential (the tuple leg needs a real
-``batch_size=0``, the serial leg a real ``parallelism=0``), so the env
-knobs — which win over the config for A/B runs of the rest of the
-suite — must not leak in. The CI ``REPRO_BATCH_SIZE=1`` and
+the batched side of a differential whose other leg is the Evaluator
+(``harness.evaluator_leg``) or a true serial leg (``parallelism=0``),
+so the env knobs — which win over the config for A/B runs of the rest
+of the suite — must not leak in. The CI ``REPRO_BATCH_SIZE=1`` and
 ``REPRO_PARALLELISM=2`` legs therefore run the committed differentials
 unchanged while reshaping everything else.
 """

@@ -1,8 +1,11 @@
-"""Four-legged differential harness: batch/tuple × memory/SQLite.
+"""Four-legged differential harness: batch/Evaluator × memory/SQLite.
 
 Builds one runtime per leg over the same generated storage and runs
 each query through the PEP 249 driver on all four, comparing rows,
-order, Python types, and the driver's row-accounting invariants.
+order, Python types, and the driver's row-accounting invariants. The
+batch legs run every statement on the vector plan, with no decline
+(``vector.decline.*`` stays 0 but for ``param_shape``); the other legs
+run it on the Evaluator, through :func:`evaluator_leg`.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from repro.driver import Error, connect
 from repro.engine import DSPRuntime, Storage, import_tables
 from repro.sources.sqlite import SQLiteSource
 from repro.sql.types import SQLType
-from repro.xquery import parse_xquery
+from repro.xquery import Evaluator, compile_module, parse_xquery
+from repro.xquery.compile import CompiledQuery
 
 from .sqlgen import SQL_TYPE_NAME
 
@@ -24,6 +28,46 @@ PROJECT = "FuzzServices"
 #: Batch sizes worth fuzzing: tiny ones maximize boundary crossings on
 #: 0-45-row tables, the default exercises the single-batch fast path.
 BATCH_SIZES = (2, 3, 5, 8, 1024)
+
+
+class _Unplanned(CompiledQuery):
+    """A compile the Evaluator runs without clause planning."""
+
+    __slots__ = ()
+
+    def _interpret(self, variables, context):
+        return Evaluator(self.module, resolver=self._resolver,
+                         variables=variables, context=context,
+                         optimize=False).evaluate()
+
+
+def evaluator_leg(runtime: DSPRuntime, optimize: bool = True) -> DSPRuntime:
+    """*runtime*, every statement of it run by the Evaluator — the
+    differential's other leg. Its compiles get no columnar host, so
+    nothing lowers onto the batch executor; with *optimize* False the
+    Evaluator runs the clauses as written. Not cached: each execution
+    compiles."""
+
+    def prepare_module(key, module, tracer=None):
+        plan = compile_module(module, resolver=runtime.call_function)
+        if not optimize:
+            plan = _Unplanned(module, runtime.call_function,
+                              plan.compile_seconds, plan.streams_text)
+        return plan
+
+    runtime.prepare_module = prepare_module
+    runtime.prepare = lambda text, tracer=None: prepare_module(
+        None, parse_xquery(text))
+    return runtime
+
+
+def declines(runtime: DSPRuntime) -> dict:
+    """``vector.decline.<code>`` counts of *runtime*, but ``param_shape``
+    (the one a translated statement may meet: a bound node)."""
+    counters = runtime.metrics.snapshot()["counters"]
+    return {name: value for name, value in counters.items()
+            if name.startswith("vector.decline.")
+            and name != "vector.decline.param_shape" and value}
 
 
 def build_storage(schema) -> Storage:
@@ -39,8 +83,9 @@ def build_storage(schema) -> Storage:
 
 
 def build_runtime(schema_or_storage, backend: str,
-                  batch_size: int, **options) -> DSPRuntime:
-    """One runtime leg. ``batch_size=0`` is the tuple executor."""
+                  batch_size: int, evaluator: bool = False,
+                  **options) -> DSPRuntime:
+    """One runtime leg; *evaluator* makes it an :func:`evaluator_leg`."""
     storage = (schema_or_storage
                if isinstance(schema_or_storage, Storage)
                else build_storage(schema_or_storage))
@@ -51,7 +96,8 @@ def build_runtime(schema_or_storage, backend: str,
     application = Application("FuzzApp")
     import_tables(application, PROJECT, source)
     config = RuntimeConfig(batch_size=batch_size, **options)
-    return DSPRuntime(application, source, config=config)
+    runtime = DSPRuntime(application, source, config=config)
+    return evaluator_leg(runtime) if evaluator else runtime
 
 
 class Legs:
@@ -62,8 +108,9 @@ class Legs:
         self.batch_size = batch_size
         self.connections = {}
         for backend in ("memory", "sqlite"):
-            for mode, size in (("tuple", 0), ("batch", batch_size)):
-                runtime = build_runtime(storage, backend, size)
+            for mode in ("evaluator", "batch"):
+                runtime = build_runtime(storage, backend, batch_size,
+                                        evaluator=mode == "evaluator")
                 self.connections[(backend, mode)] = connect(runtime)
 
     def close(self) -> None:
@@ -97,11 +144,12 @@ def typed(rows) -> list:
 
 
 def assert_legs_agree(sql: str, params, legs: Legs) -> bool:
-    """Run *sql* on all four legs and assert pairwise agreement.
-    Returns True when the query executed (vs. all legs erroring)."""
+    """Run *sql* on all four legs and assert pairwise agreement, and
+    that no batch leg declined it. Returns True when the query executed
+    (vs. all legs erroring)."""
     results = {key: run_leg(conn, sql, params)
                for key, conn in legs.connections.items()}
-    baseline_key = ("memory", "tuple")
+    baseline_key = ("memory", "evaluator")
     baseline = results[baseline_key]
     for key, result in results.items():
         if key == baseline_key:
@@ -117,6 +165,9 @@ def assert_legs_agree(sql: str, params, legs: Legs) -> bool:
             assert result[2] == baseline[2], (
                 f"rowcount mismatch {key}={result[2]} vs "
                 f"{baseline_key}={baseline[2]} for: {sql!r}")
+    for (backend, mode), connection in legs.connections.items():
+        if mode == "batch":
+            assert declines(connection._runtime) == {}, (backend, sql)
     if baseline[0] == "ok":
         # The tree the legs ran is the tree its printed text parses to.
         translation = legs.connections[baseline_key].translate(sql)

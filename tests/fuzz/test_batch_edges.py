@@ -1,6 +1,6 @@
 """Batch-boundary edge cases for the vectorized executor.
 
-Every test compares the batch executor against the tuple executor on
+Every test compares the batch executor against the Evaluator on
 sources whose extent sits exactly on, just under, or just over the batch
 size — the off-by-one territory of any windowed pipeline — plus
 LIMIT/OFFSET windows straddling a boundary and the ``batch_size=1``
@@ -18,7 +18,12 @@ from repro.sql.types import SQLType
 from repro import RuntimeConfig
 from repro.xquery.vector import VSTATS
 
+from .harness import evaluator_leg
+
 BATCH = 8
+
+#: The leg that runs every statement on the Evaluator.
+EVALUATOR = None
 
 
 def _storage(n_rows: int) -> Storage:
@@ -33,15 +38,18 @@ def _storage(n_rows: int) -> Storage:
     return storage
 
 
-def _connect(storage: Storage, batch_size: int):
+def _connect(storage: Storage, batch_size):
+    """A connection running batches of *batch_size* rows, or the
+    Evaluator when it is :data:`EVALUATOR`."""
     application = Application("EdgeApp")
     import_tables(application, "EdgeProject", storage)
-    runtime = DSPRuntime(application, storage,
-                         config=RuntimeConfig(batch_size=batch_size))
-    return connect(runtime)
+    runtime = DSPRuntime(application, storage, config=RuntimeConfig(
+        batch_size=batch_size or 1))
+    return connect(runtime if batch_size is not EVALUATOR
+                   else evaluator_leg(runtime))
 
 
-def _rows(storage: Storage, batch_size: int, sql: str,
+def _rows(storage: Storage, batch_size, sql: str,
           expect_vectorized: bool = True) -> tuple:
     connection = _connect(storage, batch_size)
     before = VSTATS.executions
@@ -49,7 +57,7 @@ def _rows(storage: Storage, batch_size: int, sql: str,
     cursor.execute(sql)
     rows = cursor.fetchall()
     count = cursor.rowcount
-    if batch_size and expect_vectorized:
+    if batch_size is not EVALUATOR and expect_vectorized:
         assert VSTATS.executions > before, \
             f"vector executor did not engage for: {sql!r}"
     connection.close()
@@ -66,7 +74,7 @@ def test_scan_extents_match_tuple(n_rows):
     storage = _storage(n_rows)
     sql = "SELECT N, LABEL FROM NUMS ORDER BY N"
     batch_rows, batch_count = _rows(storage, BATCH, sql)
-    tuple_rows, tuple_count = _rows(storage, 0, sql)
+    tuple_rows, tuple_count = _rows(storage, EVALUATOR, sql)
     assert batch_rows == tuple_rows
     assert batch_count == tuple_count == n_rows
 
@@ -86,7 +94,7 @@ def test_limit_offset_straddles_boundary(limit, offset):
     storage = _storage(3 * BATCH + 2)
     sql = f"SELECT N FROM NUMS ORDER BY N LIMIT {limit} OFFSET {offset}"
     batch_rows, batch_count = _rows(storage, BATCH, sql)
-    tuple_rows, tuple_count = _rows(storage, 0, sql)
+    tuple_rows, tuple_count = _rows(storage, EVALUATOR, sql)
     assert batch_rows == tuple_rows
     assert batch_count == tuple_count
     n_rows = 3 * BATCH + 2
@@ -104,7 +112,7 @@ def test_small_lead_join_runs_batched(lead_rows):
     sql = ("SELECT P.N, M.LABEL FROM PICKS P, NUMS M "
            "WHERE P.N = M.N ORDER BY P.N")
     batch_rows, batch_count = _rows(storage, BATCH, sql)
-    tuple_rows, tuple_count = _rows(storage, 0, sql)
+    tuple_rows, tuple_count = _rows(storage, EVALUATOR, sql)
     assert batch_rows == tuple_rows
     assert batch_count == tuple_count == lead_rows
 
@@ -118,7 +126,7 @@ def test_batch_size_one_degenerates_to_tuple_at_a_time():
         "SELECT LABEL FROM NUMS WHERE LABEL IS NOT NULL",
     ]:
         one_rows, one_count = _rows(storage, 1, sql)
-        tuple_rows, tuple_count = _rows(storage, 0, sql)
+        tuple_rows, tuple_count = _rows(storage, EVALUATOR, sql)
         assert one_rows == tuple_rows, sql
         assert one_count == tuple_count, sql
 
@@ -146,7 +154,7 @@ def _pairs_storage(n_rows: int) -> Storage:
     return storage
 
 
-def _outcome(storage: Storage, batch_size: int, sql: str) -> tuple:
+def _outcome(storage: Storage, batch_size, sql: str) -> tuple:
     """Rows, or the error's class and message."""
     connection = _connect(storage, batch_size)
     cursor = connection.cursor()
@@ -169,7 +177,7 @@ def test_left_outer_join_keeps_unmatched_rows_at_batch_boundaries(
     sql = ("SELECT M.N, M.LABEL, P.TAG FROM NUMS M LEFT OUTER JOIN PICKS P "
            "ON M.N = P.N")
     batch_rows, batch_count = _rows(storage, batch_size, sql)
-    tuple_rows, tuple_count = _rows(storage, 0, sql)
+    tuple_rows, tuple_count = _rows(storage, EVALUATOR, sql)
     assert batch_rows == tuple_rows
     assert batch_count == tuple_count == 17 + 6  # 6 keys match twice
     assert batch_rows[:3] == [(0, "row0", "t0"), (0, "row0", "t0"),
@@ -177,7 +185,7 @@ def test_left_outer_join_keeps_unmatched_rows_at_batch_boundaries(
     # The other way round, the NULL-keyed and the stray row are kept.
     sql = ("SELECT P.TAG, M.N FROM PICKS P LEFT OUTER JOIN NUMS M "
            "ON P.N = M.N ORDER BY P.TAG")
-    assert _rows(storage, batch_size, sql) == _rows(storage, 0, sql)
+    assert _rows(storage, batch_size, sql) == _rows(storage, EVALUATOR, sql)
 
 
 def test_outer_join_over_an_empty_build_side():
@@ -185,7 +193,7 @@ def test_outer_join_over_an_empty_build_side():
     storage.create_table("NONE", [("N", SQLType("INTEGER"))])
     sql = "SELECT M.N, E.N FROM NUMS M LEFT OUTER JOIN NONE E ON M.N = E.N"
     batch_rows, _count = _rows(storage, 2, sql)
-    assert batch_rows == _rows(storage, 0, sql)[0]
+    assert batch_rows == _rows(storage, EVALUATOR, sql)[0]
     assert batch_rows == [(n, None) for n in range(BATCH + 1)]
 
 
@@ -193,8 +201,8 @@ def test_mixed_category_outer_join_key_takes_the_pairwise_path():
     """A derived table's column is untyped text on the far side of its
     RECORD boundary; stage 3 always casts it back, hand-written XQuery
     need not. Joined bare to a typed key, hash categories differ and
-    the join compares pair by pair: ``eq`` raises its type error as on
-    the tuple path, and over an empty build side — nothing to compare —
+    the join compares pair by pair: ``eq`` raises its type error as in
+    the Evaluator, and over an empty build side — nothing to compare —
     every row is kept, unmatched."""
     sql = ("SELECT T.K, P.TAG FROM (SELECT M.N K FROM NUMS M) AS T "
            "LEFT OUTER JOIN PICKS P ON T.K = P.N")
@@ -206,7 +214,7 @@ def test_mixed_category_outer_join_key_takes_the_pairwise_path():
         assert cast in text
         plan = connection._runtime.prepare(
             text.replace(cast, "fn:data($var1FR0/K) eq"))
-        assert plan.batched == bool(batch_size)
+        assert plan.batched == (batch_size is not EVALUATOR)
         try:
             return "".join(plan.stream_chunks())
         except Exception as exc:
@@ -214,13 +222,13 @@ def test_mixed_category_outer_join_key_takes_the_pairwise_path():
 
     storage = _pairs_storage(BATCH + 1)
     failed = run(storage, 3)
-    assert failed == run(storage, 0)
+    assert failed == run(storage, EVALUATOR)
     assert "cannot compare string with numeric" in failed[1]
     empty = _storage(BATCH + 1)
     empty.create_table("PICKS", [("N", SQLType("INTEGER")),
                                  ("TAG", SQLType("VARCHAR"))])
     kept = run(empty, 3)
-    assert kept == run(empty, 0)
+    assert kept == run(empty, EVALUATOR)
     assert kept.count("<") == BATCH + 1  # every TAG is NULL
 
 
@@ -228,10 +236,10 @@ def test_scalar_subquery_of_two_rows_raises_the_same_error():
     storage = _pairs_storage(BATCH)
     sql = "SELECT N FROM NUMS WHERE N > (SELECT N FROM PICKS)"
     failed = _outcome(storage, 3, sql)
-    assert failed == _outcome(storage, 0, sql)
+    assert failed == _outcome(storage, EVALUATOR, sql)
     assert failed[0] != "ok" and "scalar subquery" in failed[1]
     # Two columns, one row: the other FOBEA002.
-    for batch_size in (0, 3):
+    for batch_size in (EVALUATOR, 3):
         runtime = _connect(storage, batch_size)._runtime
         text = _connect(storage, batch_size).translate(
             "SELECT N FROM NUMS WHERE N > (SELECT MAX(N) FROM PICKS)"
@@ -244,7 +252,7 @@ def test_scalar_subquery_of_two_rows_raises_the_same_error():
 @pytest.mark.parametrize("batch_size", [0, 2])
 def test_a_subquery_no_row_reaches_never_runs(batch_size):
     """Zero rows in the outer table: the subquery's table is not even
-    scanned."""
+    scanned (a batch size below 1 runs as 1)."""
     storage = _pairs_storage(BATCH)
     storage.create_table("NONE", [("N", SQLType("INTEGER"))])
     connection = _connect(storage, batch_size)

@@ -1,12 +1,12 @@
-"""The existing translator corpus, replayed batch-vs-tuple.
+"""The existing translator corpus, replayed batch-vs-Evaluator.
 
 The equivalence battery (tests/integration/test_equivalence.py) already
-proves the tuple executor against the reference SQL engine; here every
-corpus query must additionally produce byte-identical rows, types, and
-rowcounts under the vectorized batch executor — on the in-memory source
-and on SQLite. Queries outside the vector subset (aggregates, outer
-joins, set ops) exercise the wholesale-fallback contract: ``batched``
-may be False, but results must still agree.
+proves the driver against the reference SQL engine; here every corpus
+query must additionally produce byte-identical rows, types, and
+rowcounts under the vectorized batch executor and the tuple-at-a-time
+Evaluator — on the in-memory source and on SQLite. Every one of them
+runs batched: aggregates, outer joins, set operations and correlated
+subqueries included.
 """
 
 from __future__ import annotations
@@ -19,18 +19,19 @@ from repro.workloads import build_runtime
 from tests.integration.test_equivalence import BATTERY, HARD_BATTERY
 from tests.xquery.test_compile_differential import PAPER_EXAMPLES
 
-from .harness import typed
+from .harness import declines, evaluator_leg, typed
 
 CORPUS = PAPER_EXAMPLES + BATTERY + HARD_BATTERY
 
 _connections: dict = {}
 
 
-def _connection(backend: str, batch_size: int):
-    key = (backend, batch_size)
+def _connection(backend: str, mode: str):
+    key = (backend, mode)
     if key not in _connections:
+        runtime = build_runtime(backend=backend, batch_size=1024)
         _connections[key] = connect(
-            build_runtime(backend=backend, batch_size=batch_size))
+            evaluator_leg(runtime) if mode == "evaluator" else runtime)
     return _connections[key]
 
 
@@ -39,12 +40,13 @@ def _connection(backend: str, batch_size: int):
 def test_corpus_batch_matches_tuple(backend, sql):
     rows = {}
     counts = {}
-    for batch_size in (0, 1024):
-        cursor = _connection(backend, batch_size).cursor()
+    for mode in ("evaluator", "batch"):
+        cursor = _connection(backend, mode).cursor()
         cursor.execute(sql)
-        rows[batch_size] = cursor.fetchall()
-        counts[batch_size] = cursor.rowcount
+        rows[mode] = cursor.fetchall()
+        counts[mode] = cursor.rowcount
         cursor.close()
-    assert typed(rows[1024]) == typed(rows[0]), (
-        f"batch/tuple divergence on {backend} for: {sql!r}")
-    assert counts[1024] == counts[0]
+    assert typed(rows["batch"]) == typed(rows["evaluator"]), (
+        f"batch/Evaluator divergence on {backend} for: {sql!r}")
+    assert counts["batch"] == counts["evaluator"]
+    assert declines(_connection(backend, "batch")._runtime) == {}, sql

@@ -1,9 +1,11 @@
 """The generative differential fuzz battery (PR 6's headline harness).
 
 Each case derives a schema, data, a batch size, and a query from one
-integer seed, then runs the query on four legs — batch/tuple executor ×
-memory/SQLite source — asserting identical rows, order, value types, and
-rowcounts everywhere (or that every leg errors).
+integer seed, then runs the query on four legs — batch executor /
+Evaluator × memory/SQLite source — asserting identical rows, order,
+value types, and rowcounts everywhere (or that every leg errors), and
+that the batch legs ran every statement on the vector plan: no
+``vector.decline.*`` but ``param_shape``.
 
 ``REPRO_FUZZ_CASES`` scales the battery (default 500; CI's smoke step
 runs 100), ``REPRO_FUZZ_SEED`` shifts the seed base so a nightly run can
@@ -97,12 +99,12 @@ def test_shaped_differential(case, batch_size):
 
 
 class _MixedKindLegs(Legs):
-    """Tuple and batch legs over one memory storage whose INTEGER
+    """Evaluator and batch legs over one memory storage whose INTEGER
     columns hold, here and there, the same number as a Decimal — a
     source is trusted for its declared types, not checked — so a batch
     column can mix kinds (and a string column XML specials beside plain
     text, as the generated data already does). An integral Decimal
-    prints as the integer: the tuple leg, which reads cells back from
+    prints as the integer: the Evaluator, which reads cells back from
     text, is the reference for every row."""
 
     def __init__(self, schema, batch_size: int, seed: int):
@@ -115,8 +117,10 @@ class _MixedKindLegs(Legs):
             storage.table(table.name).replace_rows(rows)
         self.batch_size = batch_size
         self.connections = {
-            ("memory", mode): connect(build_runtime(storage, "memory", size))
-            for mode, size in (("tuple", 0), ("batch", batch_size))}
+            ("memory", mode): connect(build_runtime(
+                storage, "memory", batch_size,
+                evaluator=mode == "evaluator"))
+            for mode in ("evaluator", "batch")}
 
 
 @pytest.mark.parametrize("case", range(SHAPED_CASES))
@@ -146,15 +150,16 @@ def test_mixed_kind_differential(case, batch_size):
 
 def test_zz_fuzz_engagement():
     """The battery must actually exercise the vector executor — if the
-    compiler silently fell back everywhere, the differential above
-    would be vacuously green. (Named zz so it runs after the cases.)"""
+    compiler silently declined, the differential above would compare
+    the Evaluator with itself. Every statement that ran, ran batched.
+    (Named zz so it runs after the cases.)"""
     assert _engagement["executed"] >= CASES * 0.8, _engagement
-    assert _engagement["vectorized"] >= _engagement["executed"] * 0.5, \
+    assert _engagement["vectorized"] == _engagement["executed"], \
         _engagement
     shaped = SHAPED_CASES * len(SHAPED_BATCH_SIZES)
     assert _engagement["shaped_executed"] >= shaped * 0.7, _engagement
-    assert _engagement["shaped_vectorized"] >= \
-        _engagement["shaped_executed"] * 0.7, _engagement
+    assert _engagement["shaped_vectorized"] == \
+        _engagement["shaped_executed"], _engagement
     # (mixed-kind columns did reach the kernels' per-cell fallback; a
     # batch of one row never mixes)
     assert _engagement["mixed_generic"] >= shaped * 0.1, _engagement

@@ -4,7 +4,7 @@ Groups that straddle batch edges are where a hash-aggregation kernel
 earns its keep: the accumulator for a key must survive across batches
 and merge NULL-skipping, DISTINCT dedup, and Decimal-exact sums no
 matter how the scan is windowed. Every test compares the batch executor
-against the tuple executor on sources whose extent sits exactly on,
+against the Evaluator on sources whose extent sits exactly on,
 just under, or just over the batch size, plus the ``batch_size=1``
 degenerate configuration.
 """
@@ -20,7 +20,12 @@ from repro.sql.types import SQLType
 from repro import RuntimeConfig
 from repro.xquery.vector import VSTATS
 
+from .harness import evaluator_leg
+
 BATCH = 8
+
+#: The leg that runs every statement on the Evaluator.
+EVALUATOR = None
 
 
 def _storage(n_rows: int) -> Storage:
@@ -46,22 +51,25 @@ def _storage(n_rows: int) -> Storage:
     return storage
 
 
-def _connect(storage: Storage, batch_size: int):
+def _connect(storage: Storage, batch_size):
+    """A connection running batches of *batch_size* rows, or the
+    Evaluator when it is :data:`EVALUATOR`."""
     application = Application("EdgeApp")
     import_tables(application, "EdgeProject", storage)
-    runtime = DSPRuntime(application, storage,
-                         config=RuntimeConfig(batch_size=batch_size))
-    return connect(runtime)
+    runtime = DSPRuntime(application, storage, config=RuntimeConfig(
+        batch_size=batch_size or 1))
+    return connect(runtime if batch_size is not EVALUATOR
+                   else evaluator_leg(runtime))
 
 
-def _rows(storage: Storage, batch_size: int, sql: str) -> tuple:
+def _rows(storage: Storage, batch_size, sql: str) -> tuple:
     connection = _connect(storage, batch_size)
     before = VSTATS.executions
     cursor = connection.cursor()
     cursor.execute(sql)
     rows = cursor.fetchall()
     count = cursor.rowcount
-    if batch_size:
+    if batch_size is not EVALUATOR:
         assert VSTATS.executions > before, \
             f"vector executor did not engage for: {sql!r}"
     connection.close()
@@ -83,7 +91,7 @@ GROUP_SQL = ("SELECT GRP, COUNT(*), COUNT(LABEL), COUNT(DISTINCT LABEL),"
 def test_group_extents_match_tuple(n_rows):
     storage = _storage(n_rows)
     batch_rows, batch_count = _rows(storage, BATCH, GROUP_SQL)
-    tuple_rows, tuple_count = _rows(storage, 0, GROUP_SQL)
+    tuple_rows, tuple_count = _rows(storage, EVALUATOR, GROUP_SQL)
     assert batch_rows == tuple_rows
     assert batch_count == tuple_count
 
@@ -95,7 +103,7 @@ def test_count_star_vs_count_column(n_rows):
     storage = _storage(n_rows)
     sql = ("SELECT GRP, COUNT(*), COUNT(AMOUNT) FROM NUMS "
            "GROUP BY GRP ORDER BY GRP")
-    assert _rows(storage, BATCH, sql) == _rows(storage, 0, sql)
+    assert _rows(storage, BATCH, sql) == _rows(storage, EVALUATOR, sql)
 
 
 def test_groups_straddling_batch_edges():
@@ -110,14 +118,14 @@ def test_groups_straddling_batch_edges():
     table.insert_many(rows)
     sql = ("SELECT K, COUNT(*), SUM(V), MIN(V), MAX(V) FROM EDGY "
            "GROUP BY K ORDER BY K")
-    assert _rows(storage, BATCH, sql) == _rows(storage, 0, sql)
+    assert _rows(storage, BATCH, sql) == _rows(storage, EVALUATOR, sql)
 
 
 def test_having_and_order_by_aggregate():
     storage = _storage(3 * BATCH + 2)
     sql = ("SELECT GRP, SUM(AMOUNT) FROM NUMS GROUP BY GRP "
            "HAVING COUNT(*) > 1 ORDER BY SUM(AMOUNT) DESC")
-    assert _rows(storage, BATCH, sql) == _rows(storage, 0, sql)
+    assert _rows(storage, BATCH, sql) == _rows(storage, EVALUATOR, sql)
 
 
 @pytest.mark.parametrize("limit,offset", [
@@ -128,7 +136,7 @@ def test_limit_offset_over_group_stream(limit, offset):
     sql = (f"SELECT GRP, COUNT(*) FROM NUMS GROUP BY GRP "
            f"ORDER BY GRP LIMIT {limit} OFFSET {offset}")
     batch_rows, batch_count = _rows(storage, BATCH, sql)
-    tuple_rows, tuple_count = _rows(storage, 0, sql)
+    tuple_rows, tuple_count = _rows(storage, EVALUATOR, sql)
     assert batch_rows == tuple_rows
     assert batch_count == tuple_count
 
@@ -137,7 +145,7 @@ def test_where_before_group():
     storage = _storage(3 * BATCH + 2)
     sql = ("SELECT GRP, COUNT(*), AVG(AMOUNT) FROM NUMS "
            "WHERE N > 2 GROUP BY GRP ORDER BY GRP")
-    assert _rows(storage, BATCH, sql) == _rows(storage, 0, sql)
+    assert _rows(storage, BATCH, sql) == _rows(storage, EVALUATOR, sql)
 
 
 @pytest.mark.parametrize("n_rows", [1, 3, BATCH + 1])
@@ -150,7 +158,7 @@ def test_one_group_runs_batched(n_rows):
         ("K", SQLType("INTEGER")), ("V", SQLType("INTEGER"))])
     table.insert_many([(7, i) for i in range(n_rows)])
     sql = "SELECT K, COUNT(*), SUM(V) FROM FLAT GROUP BY K"
-    assert _rows(storage, BATCH, sql) == _rows(storage, 0, sql)
+    assert _rows(storage, BATCH, sql) == _rows(storage, EVALUATOR, sql)
 
 
 def test_batch_size_one_degenerates_to_tuple_at_a_time():
@@ -161,7 +169,7 @@ def test_batch_size_one_degenerates_to_tuple_at_a_time():
         ("SELECT GRP, MAX(LABEL) FROM NUMS GROUP BY GRP "
          "ORDER BY 2 DESC LIMIT 2"),
     ]:
-        assert _rows(storage, 1, sql) == _rows(storage, 0, sql), sql
+        assert _rows(storage, 1, sql) == _rows(storage, EVALUATOR, sql), sql
 
 
 def test_empty_source_yields_no_groups():

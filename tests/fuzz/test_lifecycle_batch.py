@@ -23,6 +23,8 @@ from repro.engine import DSPRuntime, Storage, import_tables
 from repro.engine.faults import FaultProfile, install_fault
 from repro.sql.types import SQLType
 
+from .harness import evaluator_leg
+
 
 def _runtime(n_rows: int = 64, **config) -> DSPRuntime:
     storage = Storage()
@@ -92,8 +94,8 @@ class TestAdmissionCountsBufferedRows:
             cursor.fetchone()
 
     def test_tuple_mode_still_charges_fetched_rows_only(self):
-        runtime = _runtime(n_rows=64, batch_size=0,
-                           max_inflight_rows=10)
+        # The Evaluator buffers no batch: only fetched rows count.
+        runtime = evaluator_leg(_runtime(n_rows=64, max_inflight_rows=10))
         cursor = connect(runtime).cursor()
         cursor.execute("SELECT ID FROM EVENTS")
         for _ in range(10):

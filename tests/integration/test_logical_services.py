@@ -2,16 +2,24 @@
 
 Regression coverage for schema validation of logical function results:
 constructor-built rows must become typed per the declared return schema,
-or numeric/date predicates over logical views break.
+or numeric/date predicates over logical views break. A logical body,
+and SQL that reads one, runs on the Evaluator (DESIGN §7) — under the
+statement's deadline.
 """
 
+import time
 from decimal import Decimal
 
 import pytest
 
 from repro.catalog import DataService, FunctionParameter
-from repro.driver import connect
-from repro.engine import DSPRuntime, logical_function
+from repro.driver import OperationalError, connect
+from repro.engine import (
+    DSPRuntime,
+    FaultProfile,
+    install_fault,
+    logical_function,
+)
 from repro.workloads import PROJECT, build_runtime
 
 BODY = f"""
@@ -30,8 +38,8 @@ return
 """
 
 
-@pytest.fixture(scope="module")
-def conn():
+def with_view() -> DSPRuntime:
+    """The demo runtime plus the CUSTOMER_PAYMENTS logical view."""
     runtime = build_runtime()
     project = runtime.application.project(PROJECT)
     service = DataService("views/CUSTOMER_PAYMENTS")
@@ -40,7 +48,34 @@ def conn():
         [("CUSTOMERID", "int"), ("CUSTOMERNAME", "string"),
          ("PAYMENT", "decimal"), ("PAYDATE", "date")]))
     project.add_data_service(service)
-    return connect(DSPRuntime(runtime.application, runtime.storage))
+    return DSPRuntime(runtime.application, runtime.storage)
+
+
+@pytest.fixture(scope="module")
+def conn():
+    return connect(with_view())
+
+
+def test_a_deadline_fires_inside_the_evaluator_run_body():
+    """The view's body reads PAYMENTS, which hangs: the Evaluator that
+    runs the body passes the statement's context to the source, whose
+    wait notices the deadline; the admission slot is released."""
+    runtime = with_view()
+    install_fault(runtime, "PAYMENTS",
+                  FaultProfile(hang=True, hang_seconds=10.0))
+    connection = connect(runtime)
+    cursor = connection.cursor()
+    started = time.monotonic()
+    with pytest.raises(OperationalError, match="deadline"):
+        cursor.execute("SELECT * FROM CUSTOMER_PAYMENTS", timeout=0.2)
+        cursor.fetchall()
+    assert time.monotonic() - started < 2.0
+    stats = connection.stats()
+    assert stats["admission"]["active"] == 0
+    assert stats["counters"]["queries.timeout"] == 1
+    # SQL over a logical view is not lowered: it has no columnar scan.
+    assert stats["runtime"]["counters"][
+        "vector.decline.non_scan_source"] == 1
 
 
 class TestLogicalViewAsTable:

@@ -1,26 +1,28 @@
 """Integration parity: the XQuery engine's optimizer never changes rows.
 
 Runs a join/subquery-heavy slice of the equivalence battery (and random
-queries) against two runtimes that differ only in the ``optimize`` flag.
+queries) on the batch executor — planned, hash joins, cost-based — and
+on the Evaluator running every FLWOR's clauses as written.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import RuntimeConfig
 from repro.catalog import Application
 from repro.driver import connect
 from repro.engine import DSPRuntime, import_tables
 from repro.workloads import PROJECT, build_storage, generate_query
+
+from tests.fuzz.harness import evaluator_leg
 
 
 def make_runtime(optimize: bool) -> DSPRuntime:
     storage = build_storage()
     application = Application("RTLApp")
     import_tables(application, PROJECT, storage)
-    return DSPRuntime(application, storage,
-                      config=RuntimeConfig(optimize=optimize))
+    runtime = DSPRuntime(application, storage)
+    return runtime if optimize else evaluator_leg(runtime, optimize=False)
 
 
 FAST = connect(make_runtime(True))

@@ -6,8 +6,8 @@ The members must therefore be cast to the needle's type — comparing a
 date with a string raised XPTY0004 inside the helpers, which swallowed
 it, so these predicates silently matched nothing. Every form is checked
 against the reference SQL executor, against its EXISTS spelling where
-the two are equivalent, and — as text — across the memoising plan, the
-plain plan and the tree-walking oracle.
+the two are equivalent, and — as text — across the batched plan and the
+tree-walking oracle, planned and unplanned.
 
 (BOOLEAN has no column type in any source here; its leg of the rule is
 covered on XQuery text in tests/xquery/test_execution_memo.py and by
@@ -78,17 +78,16 @@ def reference_rows(sql: str) -> list:
 
 
 def executor_texts(sql: str) -> set:
-    """The delimited result text under the memoising plan, the plain
-    plan and the oracle evaluator."""
+    """The delimited result text under the batched plan and the oracle
+    evaluator, planned and unplanned."""
     module = parse_xquery(CONNECTION.translate(sql).xquery)
     resolver = RUNTIME.call_function
     return {
         "".join(compile_module(module, resolver=resolver,
-                               optimize=True).stream_chunks()),
-        "".join(compile_module(module, resolver=resolver,
-                               optimize=False).stream_chunks()),
-        Evaluator(module, resolver=resolver,
-                  optimize=False).evaluate()[0],
+                               columnar=RUNTIME).stream_chunks()),
+        *(Evaluator(module, resolver=resolver,
+                    optimize=optimize).evaluate()[0]
+          for optimize in (True, False)),
     }
 
 

@@ -49,6 +49,15 @@ def remote_connect(handle, **kwargs):
                    **kwargs)
 
 
+def drop(connection) -> None:
+    """Drop a remote connection's TCP link mid-flight. Shut down, not
+    just closed: pool workers forked while this in-process client was
+    connected hold a copy of its socket, so a close alone would never
+    reach the server as an end of stream."""
+    connection._sock.shutdown(socket.SHUT_RDWR)
+    connection._sock.close()
+
+
 def connection_runtime(handle):
     """The runtime behind a single-tenant test server."""
     tenant, = handle.server.tenants.values()
@@ -417,7 +426,7 @@ class TestDisconnectCleanup:
         # Drop the TCP connection with the stream mid-flight; the
         # server must tear the session down and return the global
         # admission slot and its in-flight row charge.
-        connection._sock.close()
+        drop(connection)
         assert wait_until(
             lambda: runtime.admission.stats()["active"] == 0)
         assert wait_until(
@@ -432,7 +441,7 @@ class TestDisconnectCleanup:
             cursor = connection.cursor()
             cursor.execute(BIG_QUERY)
             cursor.fetchone()
-            connection._sock.close()
+            drop(connection)
             # once the server notices, a new client gets the only slot
             assert wait_until(
                 lambda: tenant.quota.stats()["active"] == 0)

@@ -1,10 +1,25 @@
 """Tests for the top-level package facade (repro/__init__.py)."""
 
+import dataclasses
+import pathlib
+import re
 import warnings
 
 import pytest
 
 import repro
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+#: Every tuning knob, by name: a knob removed (or added) changes this
+#: set, the README's knob table, and the test below together.
+KNOBS = {
+    "pushdown", "cost", "plan_cache_capacity", "max_concurrent_queries",
+    "admission_queue_timeout", "max_inflight_rows", "retry_policy",
+    "batch_size", "parallelism", "parallel_min_rows", "format",
+    "metadata_latency", "statement_cache_capacity",
+    "metadata_cache_capacity", "default_timeout", "remote_connect_timeout",
+}
 
 
 class TestFacade:
@@ -126,6 +141,20 @@ class TestRuntimeConfig:
         with pytest.raises(TypeError):
             repro.RuntimeConfig().replace(bogus=1)
 
+    def test_field_set_is_exact(self):
+        fields = {field.name for field in
+                  dataclasses.fields(repro.RuntimeConfig)}
+        assert fields == KNOBS and len(fields) == 16
+
+    def test_readme_knob_table_lists_every_field(self):
+        """README's "RuntimeConfig knobs" table has one row per field,
+        in field order."""
+        section = README.read_text().split("### RuntimeConfig knobs", 1)[1]
+        table = section.split("| field |", 1)[1].split("\n\n", 1)[0]
+        listed = re.findall(r"^\| `(\w+)` \|", table, re.MULTILINE)
+        assert listed == [field.name for field in
+                          dataclasses.fields(repro.RuntimeConfig)]
+
     def test_connect_accepts_config(self):
         from repro.workloads import build_runtime
 
@@ -148,9 +177,9 @@ class TestRuntimeConfig:
             warnings.simplefilter("error", DeprecationWarning)
             runtime = DSPRuntime(base.application, base.storage,
                                  config=repro.RuntimeConfig(
-                                     optimize=False,
+                                     pushdown=False,
                                      plan_cache_capacity=7))
-        assert runtime.optimize is False
+        assert runtime.pushdown is False
         assert runtime.plan_cache.stats()["capacity"] == 7
 
     @pytest.mark.parametrize("keyword", ["bogus", "default_timeout"])

@@ -1,23 +1,27 @@
-"""Differential testing: compiled+streaming executor vs the interpreter.
+"""Differential testing: the batch executor vs the interpreter.
 
-The tree-walking ``Evaluator`` is the semantics oracle; the closure
-compiler (``repro.xquery.compile``) must produce byte-identical results
-for every XQuery the translator can emit. Every query in the translator
-corpus (the E7 equivalence battery plus the paper's worked examples
-E1-E4) is translated in both result formats and executed three ways —
-interpreted, compiled-materialized, and compiled-streaming — and the
-serialized results must match exactly. For the delimited wrapper the
-chunked text stream must concatenate to the interpreter's single string.
+The tree-walking ``Evaluator`` is the semantics oracle; the batched
+plan (``repro.xquery.compile`` / ``vector``) must produce byte-identical
+results for every XQuery the translator can emit. Every query in the
+translator corpus (the E7 equivalence battery plus the paper's worked
+examples E1-E4) is translated in both result formats and executed three
+ways — interpreted, batched-materialized, and batched-streaming — and
+the serialized results must match exactly: the xml format's RECORDSET
+element is built by the batch executor's output stage. For the
+delimited wrapper the chunked text stream must concatenate to the
+interpreter's single string.
 """
 
 import pytest
 
+from repro.driver import Error, OperationalError, connect
 from repro.translator import SQLToXQueryTranslator
 from repro.workloads import build_runtime
 from repro.xmlmodel import Element, serialize
 from repro.xquery import Evaluator, compile_module, parse_xquery
 from repro.xquery.vector import VSTATS
 
+from tests.fuzz.harness import evaluator_leg
 from tests.integration.test_equivalence import BATTERY, HARD_BATTERY
 
 #: The paper's worked translation examples (sections 3.3-3.6): E1
@@ -55,10 +59,11 @@ def canonical(sequence) -> list[str]:
 def run_differential(sql: str, fmt: str) -> None:
     xquery = TRANSLATOR.translate(sql, format=fmt).xquery
     module = parse_xquery(xquery)
-    interpreted = Evaluator(module, resolver=RUNTIME.call_function,
-                            optimize=True).evaluate()
+    interpreted = Evaluator(module,
+                            resolver=RUNTIME.call_function).evaluate()
     plan = compile_module(module, resolver=RUNTIME.call_function,
-                          optimize=True)
+                          columnar=RUNTIME)
+    assert plan.batched, sql
     expected = canonical(interpreted)
     assert canonical(plan.evaluate()) == expected, sql
     assert canonical(list(plan.stream_items())) == expected, sql
@@ -83,28 +88,81 @@ def test_compiled_matches_interpreted_recordset(sql):
 @pytest.mark.parametrize("sql", CORPUS)
 def test_accepted_vector_plan_is_the_plan_that_runs(sql):
     """Executor choice is the vector compiler's accept/decline and
-    nothing else: a runtime plan it accepted is ``batched`` and every
-    execution goes through the batch executor (the tuple closure
-    remains only as the parameter-shape fallback, which no corpus
-    statement takes); a declined plan never touches it."""
+    nothing else: every translated statement is ``batched`` and every
+    execution goes through the batch executor (the Evaluator takes only
+    a run whose parameter is a node or a sequence, which no corpus
+    statement binds)."""
     xquery = TRANSLATOR.translate(sql, format="delimited").xquery
     plan = RUNTIME.prepare(xquery)
-    assert plan.batched == (plan.vector_plan is not None)
+    assert plan.batched and plan.vector_plan is not None, sql
     before = (VSTATS.executions, VSTATS.fallbacks)
     for _chunk in plan.stream_chunks():
         pass
-    assert VSTATS.executions - before[0] == int(plan.batched), sql
+    assert VSTATS.executions - before[0] == 1, sql
     assert VSTATS.fallbacks == before[1], sql
 
 
 def test_unoptimized_plans_also_match():
-    """The optimize=False path (no hoisting/fusion/joins) must agree
-    with the interpreter too — it is the fallback configuration."""
+    """The Evaluator's unplanned leg (no hoisting/fusion/joins) agrees
+    with the batched plan too."""
     for sql in PAPER_EXAMPLES:
         xquery = TRANSLATOR.translate(sql, format="delimited").xquery
         module = parse_xquery(xquery)
         interpreted = Evaluator(module, resolver=RUNTIME.call_function,
                                 optimize=False).evaluate()
         plan = compile_module(module, resolver=RUNTIME.call_function,
-                              optimize=False)
+                              columnar=RUNTIME)
         assert canonical(plan.evaluate()) == canonical(interpreted), sql
+
+
+#: Statements that divide by zero in two operations — ``idiv`` (INTEGER
+#: operands) and ``div`` (DECIMAL) — on different rows: which row's
+#: error a batch surfaces first is not the Evaluator's row order.
+DIVIDING = [
+    "SELECT 100 / (CUSTOMERID - 23), 1.5 / (CUSTOMERID - 55) "
+    "FROM CUSTOMERS",
+    "SELECT 1.5 / (CUSTOMERID - 55) FROM CUSTOMERS "
+    "WHERE 100 / (CUSTOMERID - 7) > 0",
+]
+
+
+def failure(connection, sql: str):
+    """``(driver exception class, error code)`` of *sql*, or None."""
+    cursor = connection.cursor()
+    try:
+        cursor.execute(sql)
+        cursor.fetchall()
+    except Error as exc:
+        return type(exc), getattr(exc.__cause__, "code", None)
+    return None
+
+
+@pytest.mark.parametrize("fmt", ["delimited", "xml"])
+@pytest.mark.parametrize("batch_size", [1, 2, 1024])
+@pytest.mark.parametrize("sql", DIVIDING)
+def test_which_error_wins(sql, batch_size, fmt):
+    """The contract: a batched statement raises if and only if the
+    Evaluator raises, with the same error code and driver exception
+    class; the message may name another row's operation."""
+    batched = connect(build_runtime(batch_size=batch_size), format=fmt)
+    oracle = connect(evaluator_leg(build_runtime()), format=fmt)
+    expected = failure(oracle, sql)
+    assert expected == (OperationalError, "FOAR0001")
+    assert failure(batched, sql) == expected
+
+
+@pytest.mark.parametrize("batch_size", [1, 2, 1024])
+def test_a_case_branch_runs_only_on_the_rows_that_take_it(batch_size):
+    """A masked select: the ELSE branch never divides by the row the
+    WHEN branch takes."""
+    sql = ("SELECT CASE WHEN CUSTOMERID = 55 THEN 0 "
+           "ELSE 100 / (CUSTOMERID - 55) END FROM CUSTOMERS")
+    rows = {}
+    for name, runtime in (
+            ("batched", build_runtime(batch_size=batch_size)),
+            ("evaluator", evaluator_leg(build_runtime()))):
+        cursor = connect(runtime).cursor()
+        cursor.execute(sql)
+        rows[name] = cursor.fetchall()
+    assert rows["batched"] == rows["evaluator"]
+    assert rows["batched"][0] == (0,) and len(rows["batched"]) == 6

@@ -10,8 +10,10 @@ the cost model may only ever change speed.
 
 import pytest
 
+from repro.catalog import Application
+from repro.engine import DSPRuntime, Storage, import_tables
 from repro.sources.spi import ColumnStats, TableStatistics
-from repro.xmlmodel import element
+from repro.sql.types import SQLType
 from repro.xquery import ast, compile_module, parse_xquery
 from repro.xquery.evaluator import Evaluator
 from repro.xquery.parser import parse_xquery_expr
@@ -230,31 +232,43 @@ class TestEstimatePlan:
 # -- semantic safety: wrong statistics may never change results ------------
 
 MODULE = """\
-import schema namespace ns0 = "ld:test";
-for $a in ns0:BIG()
-for $b in ns0:SMALL()
+declare namespace b = "ld:T/BIG";
+declare namespace s = "ld:T/SMALL";
+<RECORDSET>{
+for $a in b:BIG()
+for $b in s:SMALL()
 where fn:data($a/K) eq fn:data($b/K)
-return fn:concat(fn:string(fn:data($a/V)), "-",
-                 fn:string(fn:data($b/K)))
+return <RECORD><V>{fn:data($a/V)}</V><K>{fn:data($b/K)}</K></RECORD>
+}</RECORDSET>
 """
 
 
-def dataset():
-    def row(table, k, v):
-        return element(table, element("K", str(k), type_annotation="int"),
-                       element("V", str(v), type_annotation="int"))
+def dataset() -> DSPRuntime:
+    """BIG (40 rows, keys 0..6) and SMALL (7 keys, one duplicated: a
+    fan-out) behind a runtime, the batch executor's columnar host."""
+    storage = Storage()
+    for name, rows in (
+            ("BIG", [(k % 7, k) for k in range(40)]),
+            ("SMALL", [(k, k * 10) for k in range(7)] + [(3, 99)])):
+        table = storage.create_table(name, [("K", SQLType("INTEGER")),
+                                            ("V", SQLType("INTEGER"))])
+        table.insert_many(rows)
+    application = Application("CostApp")
+    import_tables(application, "T", storage)
+    return DSPRuntime(application, storage)
 
-    big = [row("R", k % 7, k) for k in range(40)]
-    small = [row("S", k, k * 10) for k in range(7)] \
-        + [row("S", 3, 99)]  # duplicate key: fan-out
-    return {"BIG": big, "SMALL": small}
+
+def compiled(runtime: DSPRuntime, statistics):
+    plan = compile_module(parse_xquery(MODULE),
+                          resolver=runtime.call_function,
+                          statistics=statistics, columnar=runtime)
+    assert plan.batched
+    return plan
 
 
-def resolver_for(tables):
-    def resolver(uri, local, args, context=None, scan=None):
-        return tables[local]
-
-    return resolver
+def oracle(runtime: DSPRuntime) -> list:
+    return Evaluator(parse_xquery(MODULE), resolver=runtime.call_function,
+                     optimize=False).evaluate()
 
 
 LYING_STATS = [
@@ -268,35 +282,28 @@ LYING_STATS = [
 
 @pytest.mark.parametrize("stats", LYING_STATS)
 def test_lying_statistics_are_byte_identical(stats):
-    module = parse_xquery(MODULE)
-    tables = dataset()
-    oracle = Evaluator(module, resolver=resolver_for(tables),
-                       optimize=False).evaluate()
+    runtime = dataset()
 
     def statistics(uri, local):
         return stats.get(local)
 
-    plan = compile_module(module, resolver=resolver_for(tables),
-                          optimize=True, statistics=statistics)
-    assert plan.evaluate() == oracle
-    assert list(plan.stream_items()) == oracle
+    plan = compiled(runtime, statistics)
+    expected = oracle(runtime)
+    assert plan.evaluate() == expected
+    assert list(plan.stream_items()) == expected
 
 
 def test_reorder_restores_original_tuple_order():
     """The reorder demonstrably fires (estimates in plan_reports) yet
-    the emitted sequence matches the unoptimized order exactly."""
-    module = parse_xquery(MODULE)
-    tables = dataset()
+    the emitted sequence matches the unplanned order exactly."""
+    runtime = dataset()
 
     def statistics(uri, local):
         return {"BIG": BIG, "SMALL": SMALL}[local]
 
-    plan = compile_module(module, resolver=resolver_for(tables),
-                          optimize=True, statistics=statistics)
+    plan = compiled(runtime, statistics)
     assert plan.plan_reports  # cost pipeline engaged
     labels = [node["label"] for report in plan.plan_reports
               for node in report["nodes"]]
     assert any("restore-order" in label for label in labels)
-    oracle = Evaluator(module, resolver=resolver_for(tables),
-                       optimize=False).evaluate()
-    assert plan.evaluate() == oracle
+    assert plan.evaluate() == oracle(runtime)

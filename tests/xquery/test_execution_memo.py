@@ -1,28 +1,36 @@
-"""The compiled executor's per-execution memo: what cannot change while
-one execution runs — an invariant subquery, a hash-join build, a
-prepared IN table — is evaluated once, lazily, and never outlives or
-crosses an execution. Every case is also a three-way differential: the
-memoising plan (``optimize=True``), the plain-semantics plan
-(``optimize=False``) and the tree-walking oracle must produce the same
-text or the same error.
+"""The batched plan's per-execution memo: what cannot change while one
+execution runs — an invariant subquery, a hash-join build, a scan — is
+evaluated once, lazily, and never outlives or crosses an execution.
+Every case is also a three-way differential: the batched plan
+(materialized and streamed), the planned Evaluator and the unplanned
+one must produce the same text or the same error.
 """
 
 import threading
 import time
-from collections import Counter
 
 import pytest
 
 from repro import RuntimeConfig
+from repro.catalog import Application
 from repro.driver import OperationalError, connect
-from repro.engine import FaultProfile, install_fault
-from repro.errors import XQueryError
+from repro.engine import (
+    DSPRuntime,
+    FaultProfile,
+    RetryPolicy,
+    Storage,
+    import_tables,
+    install_fault,
+)
+from repro.errors import ReproError
+from repro.sql.types import SQLType
 from repro.translator import SQLToXQueryTranslator
 from repro.translator.explain import explain
 from repro.workloads import build_runtime
-from repro.xmlmodel import Element, element, serialize
+from repro.xmlmodel import Element, serialize
 from repro.xquery import Evaluator, compile_module, parse_xquery
-from repro.xquery.compile import MEMO_KEY, _Compiler
+from repro.xquery import parse_xquery_expr
+from repro.xquery.compile import _Compiler
 
 from tests.integration.test_equivalence import BATTERY, HARD_BATTERY
 
@@ -42,23 +50,28 @@ def render(sequence) -> str:
 def outcome(run) -> str:
     try:
         return render(run())
-    except XQueryError as exc:
-        return f"error {exc.code}"
+    except ReproError as exc:
+        return f"error {getattr(exc, 'code', type(exc).__name__)}"
 
 
-def three_ways(xquery: str, variables=None,
-               resolver=RUNTIME.call_function) -> str:
-    """The query's outcome, asserted identical under the memoising
-    plan (materialized and streamed), the plain plan and the oracle."""
+def three_ways(xquery: str, variables=None, runtime=RUNTIME) -> str:
+    """The query's outcome, asserted identical under the batched plan
+    (materialized and streamed) and the planned and unplanned
+    Evaluator."""
     module = parse_xquery(xquery)
-    memo = compile_module(module, resolver=resolver, optimize=True)
-    plain = compile_module(module, resolver=resolver, optimize=False)
-    expected = outcome(lambda: Evaluator(
-        module, resolver=resolver, variables=variables,
-        optimize=False).evaluate())
-    assert outcome(lambda: memo.evaluate(variables)) == expected
-    assert outcome(lambda: list(memo.stream_items(variables))) == expected
-    assert outcome(lambda: plain.evaluate(variables)) == expected
+    plan = compile_module(module, resolver=runtime.call_function,
+                          columnar=runtime)
+    assert plan.batched, plan.batched_reason
+
+    def oracle(optimize):
+        return lambda: Evaluator(module, resolver=runtime.call_function,
+                                 variables=variables,
+                                 optimize=optimize).evaluate()
+
+    expected = outcome(oracle(False))
+    assert outcome(lambda: plan.evaluate(variables)) == expected
+    assert outcome(lambda: list(plan.stream_items(variables))) == expected
+    assert outcome(oracle(True)) == expected
     return expected
 
 
@@ -66,31 +79,41 @@ def translate(sql: str) -> str:
     return TRANSLATOR.translate(sql, format="delimited").xquery
 
 
-class Tables:
-    """A plain three-argument resolver over fixed row lists that counts
-    its calls per function."""
+def tables(outer=(), inner=(), **options) -> DSPRuntime:
+    """A runtime over two one-column tables, OUTER and INNER (``V``
+    INTEGER), each wrapped in a fault-free fault binding so tests can
+    read its call count (``runtime.calls[name]``)."""
+    storage = Storage()
+    for name, values in (("OUTER", outer), ("INNER", inner)):
+        table = storage.create_table(name, [("V", SQLType("INTEGER"))])
+        table.insert_many([(value,) for value in values])
+    application = Application("MemoApp")
+    import_tables(application, "T", storage)
+    runtime = DSPRuntime(application, storage,
+                         config=RuntimeConfig(**options))
+    runtime.calls = {name: install_fault(runtime, name, FaultProfile())
+                     for name in ("OUTER", "INNER")}
+    return runtime
 
-    def __init__(self, **tables):
-        self.tables = tables
-        self.calls = Counter()
 
-    def __call__(self, uri, local, args):
-        self.calls[local] += 1
-        return self.tables[local]
+PROLOG = ('declare namespace o = "ld:T/OUTER";\n'
+          'declare namespace i = "ld:T/INNER";\n')
 
 
-def rows(*values):
-    return [element("ROW", element("V", str(value), type_annotation="int"))
-            for value in values]
+def recordset(body: str) -> str:
+    return PROLOG + "<RECORDSET>{" + body + "}</RECORDSET>"
 
 
-PROLOG = 'declare namespace t = "urn:test";\n'
-
-SCALAR = PROLOG + """
-for $o in t:OUTER()
+SCALAR = recordset("""
+for $o in o:OUTER()
 where fn:data($o/V) gt xs:int(fn-bea:scalar(
-    (for $i in t:INNER() return <R><V>{fn:data($i/V)}</V></R>)))
-return fn:data($o/V)"""
+    (for $i in i:INNER() return <R><V>{fn:data($i/V)}</V></R>)))
+return <RECORD><V>{fn:data($o/V)}</V></RECORD>""")
+
+
+def values(result) -> list:
+    return [cell.string_value() for record in result[0].children
+            for cell in record.children]
 
 
 # -- (a) laziness and failures ------------------------------------------------
@@ -98,34 +121,38 @@ return fn:data($o/V)"""
 
 class TestLazinessAndFailures:
     def test_invariant_subquery_runs_once_per_execution(self):
-        tables = Tables(OUTER=rows(1, 5, 9), INNER=rows(4))
+        runtime = tables(outer=(1, 5, 9), inner=(4,))
+        inner = runtime.calls["INNER"]
         module = parse_xquery(SCALAR)
-        plan = compile_module(module, resolver=tables, optimize=True)
-        assert plan.evaluate() == [5, 9]
-        assert tables.calls == {"OUTER": 1, "INNER": 1}
-        assert plan.evaluate() == [5, 9]  # a new execution, a new memo
-        assert tables.calls == {"OUTER": 2, "INNER": 2}
-        plain = compile_module(module, resolver=tables, optimize=False)
-        assert plain.evaluate() == [5, 9]
-        assert tables.calls["INNER"] == 2 + 3  # once per outer row
+        plan = compile_module(module, resolver=runtime.call_function,
+                              columnar=runtime)
+        assert values(plan.evaluate()) == ["5", "9"]
+        assert inner.calls == 1
+        assert values(plan.evaluate()) == ["5", "9"]  # a new memo
+        assert inner.calls == 2
+        oracle = Evaluator(module, resolver=runtime.call_function)
+        assert values(oracle.evaluate()) == ["5", "9"]
+        assert inner.calls == 2 + 3  # the Evaluator: once per outer row
 
     def test_subquery_never_reached_never_runs(self):
-        tables = Tables(OUTER=[], INNER=rows(4, 5))
-        plan = compile_module(parse_xquery(SCALAR), resolver=tables,
-                              optimize=True)
-        assert plan.evaluate() == []
-        assert tables.calls["INNER"] == 0
-        assert three_ways(SCALAR, resolver=tables) == ""
+        runtime = tables(outer=(), inner=(4, 5))
+        plan = compile_module(parse_xquery(SCALAR),
+                              resolver=runtime.call_function,
+                              columnar=runtime)
+        assert values(plan.evaluate()) == []
+        assert runtime.calls["INNER"].calls == 0
+        assert three_ways(SCALAR, runtime=runtime) == "<RECORDSET/>"
 
     def test_two_row_scalar_raises_on_every_execution(self):
-        tables = Tables(OUTER=rows(1, 5), INNER=rows(4, 5))
-        plan = compile_module(parse_xquery(SCALAR), resolver=tables,
-                              optimize=True)
+        runtime = tables(outer=(1, 5), inner=(4, 5))
+        plan = compile_module(parse_xquery(SCALAR),
+                              resolver=runtime.call_function,
+                              columnar=runtime)
         for _ in range(2):
-            with pytest.raises(XQueryError) as raised:
+            with pytest.raises(ReproError) as raised:
                 plan.evaluate()
             assert raised.value.code == "FOBEA002"
-        assert three_ways(SCALAR, resolver=tables) == "error FOBEA002"
+        assert three_ways(SCALAR, runtime=runtime) == "error FOBEA002"
 
     def test_scalar_subquery_through_sql(self):
         two_rows = ("(SELECT PAYMENT FROM PAYMENTS WHERE CUSTID = 55)")
@@ -140,47 +167,43 @@ class TestLazinessAndFailures:
         assert three_ways(empty_outer) == "str:''"
 
     def test_failures_are_not_cached(self):
-        compiler = _Compiler(parse_xquery("1"), None, True)
-        calls = []
-
-        def flaky(frame):
-            calls.append(frame)
-            if len(calls) == 1:
-                raise ValueError("first use fails")
-            return ["value"]
-
-        once = compiler._once(flaky)
-        root = compile_module(parse_xquery("1"))._root(None)
-        with pytest.raises(ValueError):
-            once(root)
-        assert once(root.bind("x", [1])) == ["value"]  # re-evaluated
-        assert once(root) == ["value"]                 # now memoised
-        assert len(calls) == 2
-        other = compile_module(parse_xquery("1"))._root(None)
-        assert other.variables[MEMO_KEY] is not root.variables[MEMO_KEY]
-        assert once(other) == ["value"]
-        assert len(calls) == 3
+        """A subquery whose source fails leaves nothing in the memo: the
+        next execution runs it again, and succeeds."""
+        runtime = tables(outer=(1, 5, 9), inner=(4,),
+                         retry_policy=RetryPolicy(attempts=1))
+        runtime.calls["INNER"].profile.fail_times = 1
+        plan = compile_module(parse_xquery(SCALAR),
+                              resolver=runtime.call_function,
+                              columnar=runtime)
+        with pytest.raises(ReproError, match="unavailable"):
+            plan.evaluate()
+        assert values(plan.evaluate()) == ["5", "9"]
+        assert values(plan.evaluate()) == ["5", "9"]
+        assert runtime.calls["INNER"].calls == 3
 
     def test_external_rebound_by_a_flwor_is_not_invariant(self):
         """$p is external, but below ``for $p`` it is a FLWOR variable:
-        the subquery that reads it there must run per tuple."""
-        query = PROLOG + """
-declare variable $p external;
-for $p in t:OUTER()
-where fn:exists((for $i in t:INNER()
+        the subquery that reads it there runs per row."""
+        query = PROLOG.replace(
+            "\n", "\ndeclare variable $p external;\n", 1) + """
+<RECORDSET>{
+for $p in o:OUTER()
+where fn:exists((for $i in i:INNER()
                  where fn:data($i/V) eq fn:data($p/V) return $i))
-return fn:data($p/V)"""
-        tables = Tables(OUTER=rows(1, 4, 5), INNER=rows(4, 5))
-        assert three_ways(query, {"p": 0}, resolver=tables) \
-            == "int:4|int:5"
+return <RECORD><V>{fn:data($p/V)}</V></RECORD>}</RECORDSET>"""
+        runtime = tables(outer=(1, 4, 5), inner=(4, 5))
+        assert three_ways(query, {"p": 0}, runtime=runtime) == (
+            "<RECORDSET><RECORD><V>4</V></RECORD>"
+            "<RECORD><V>5</V></RECORD></RECORDSET>")
 
     def test_context_item_from_outside_is_not_invariant(self):
-        query = PROLOG + """
-t:OUTER()[fn:exists((for $i in t:INNER()
-                     where fn:data($i/V) eq fn:data(./V) return $i))]/V"""
-        tables = Tables(OUTER=rows(1, 4, 5), INNER=rows(4, 5))
-        assert three_ways(query, resolver=tables) \
-            == "<V>4</V>|<V>5</V>"
+        compiler = _Compiler(parse_xquery("1"), None)
+        # (inside its own predicate the context item is the subquery's)
+        assert compiler._fixed(parse_xquery_expr(
+            "i:INNER()[fn:data(./V) gt 4]"))
+        assert not compiler._fixed(parse_xquery_expr(
+            "(for $i in i:INNER() where fn:data($i/V) eq fn:data(./V) "
+            "return $i)"))
 
 
 # -- (b) one plan, many executions --------------------------------------------
@@ -280,8 +303,8 @@ class TestLifecycle:
         assert stats["admission"]["active"] == 0
 
     def test_subquery_frames_tick_the_deadline(self):
-        """No hung source: the subquery's own tuple stream (6^4 frames)
-        notices an expired deadline."""
+        """No hung source: the subquery's own batches (a 6^4-row
+        product) notice an expired deadline."""
         from repro import clock
 
         connection = connect(build_runtime(), config=RuntimeConfig(
@@ -315,19 +338,23 @@ def test_boolean_members_three_ways():
     """No source stores a BOOLEAN column, so the boolean leg of the
     untyped-member rule is checked on XQuery text: the members are
     constructed (untyped) elements, the needle is an xs:boolean."""
+    runtime = tables(outer=(1,), inner=(4, 5))
+    members = ("(for $i in i:INNER() return <R><B>{if (fn:data($i/V) "
+               "gt 4) then xs:boolean('true') else ()}</B></R>)/B")
     for call, expected in [
-        ("fn-bea:in3(xs:boolean('true'), $m/B)", "bool:True"),
-        ("fn-bea:in3(xs:boolean('false'), $m/B)", ""),
-        ("fn-bea:any3(xs:boolean('false'), $m/B, 'lt')", "bool:True"),
-        ("fn-bea:all3(xs:boolean('true'), $m/B, 'ge')", ""),
+        (f"fn-bea:in3(xs:boolean('true'), {members})", "true"),
+        (f"fn-bea:in3(xs:boolean('false'), {members})", ""),
+        (f"fn-bea:any3(xs:boolean('false'), {members}, 'lt')", "true"),
+        (f"fn-bea:all3(xs:boolean('true'), {members}, 'ge')", ""),
     ]:
-        query = PROLOG + f"""
-let $m := (for $i in t:INNER() return
-           <R><B>{{if (fn:data($i/V) gt 4) then xs:boolean('true')
-                  else ()}}</B></R>)
-return {call}"""
-        tables = Tables(INNER=rows(4, 5))
-        assert three_ways(query, resolver=tables) == expected, call
+        query = recordset(
+            f"for $o in o:OUTER() return <RECORD><X>{{{call}}}</X>"
+            f"</RECORD>")
+        text = three_ways(query, runtime=runtime)
+        assert text == (f"<RECORDSET><RECORD><X>{expected}</X></RECORD>"
+                        f"</RECORDSET>" if expected else
+                        "<RECORDSET><RECORD><X/></RECORD></RECORDSET>"), \
+            call
 
 
 # -- EXPLAIN says what was decided --------------------------------------------
@@ -348,7 +375,7 @@ class TestExplain:
         result = TRANSLATOR.translate(NESTED_SQL, format="delimited")
         return result, compile_module(
             parse_xquery(result.xquery), resolver=RUNTIME.call_function,
-            statistics=RUNTIME.statistics_for)
+            statistics=RUNTIME.statistics_for, columnar=RUNTIME)
 
     def labels(self, plan):
         return [node["label"] for report in plan.plan_reports
@@ -357,16 +384,15 @@ class TestExplain:
     def test_memoised_build_and_subqueries_are_labelled(self):
         _result, plan = self.plan()
         labels = self.labels(plan)
-        assert any(label.startswith("hash-join $")
-                   and label.endswith("(1 keys, built once)")
+        assert plan.batched
+        assert any(label.startswith("left outer hash join $")
+                   and "(1 keys, built once" in label
                    for label in labels), labels
-        once = [label for label in labels if "once per execution" in label]
-        assert len(once) == 2, labels
-        assert any(label.startswith("fn-bea:scalar subquery")
-                   for label in once)
-        assert any(label.startswith("fn-bea:in3 subquery")
-                   for label in once)
-        assert all("reads no FLWOR variable" in label for label in once)
+        # Each subquery is a plan of its own: the scalar one's one-group
+        # aggregation, the IN one's constant selection.
+        assert "let $var3Partition1" in labels, labels
+        assert any(label.startswith("hash-join $var4FR0 (1 keys, built "
+                                    "once") for label in labels), labels
 
     def test_actuals_are_the_single_runs_counts(self):
         result, plan = self.plan()
@@ -375,16 +401,12 @@ class TestExplain:
         by_label = {node["label"]: actuals.get(node["id"])
                     for report in plan.plan_reports
                     for node in report["nodes"]}
-        once = {label: count for label, count in by_label.items()
-                if "once per execution" in label}
-        # One <RECORD> from the scalar aggregate; two WEST customers.
-        assert sorted(once.values()) == [1, 2]
-        # The IN subquery's own pipeline ran once: its scan of
-        # CUSTOMERS put out the two WEST rows once, not once per X row.
-        inner = [count for label, count in by_label.items()
-                 if "$var4FR0" in label]
-        assert inner == [2]
+        # One <RECORD> from the scalar aggregate; two WEST customers:
+        # each subquery's own pipeline ran once, not once per X row.
+        subqueries = sorted(count for label, count in by_label.items()
+                            if "$var3Partition1" in label
+                            or "$var4FR0" in label)
+        assert subqueries == [1, 2]
         text = explain(result.unit, plan_reports=plan.plan_reports,
                        actuals=actuals)
         assert "built once" in text
-        assert "once per execution (reads no FLWOR variable)" in text

@@ -5,11 +5,11 @@ runtime's column cache served — no absorbed build filter, every key a
 ``fn:data($v/COL)`` column — its hash table is stored beside those
 columns in the cache entry (``DSPRuntime.join_tables``) and the next
 execution over the same table version probes it instead of building it
-again. Every test here holds the batched plan's result to the tuple
-pipeline's (``batch_size=0``) and the interpreter's over the same
-sources, across whatever moved the table between executions, and
-counts builds and reuses (``vector.join_builds`` /
-``vector.join_reuses``) so a reuse is never silent — or wrong.
+again. Every test here holds the batched plan's result to the
+Evaluator's, planned and unplanned, over the same sources, across
+whatever moved the table between executions, and counts builds and
+reuses (``vector.join_builds`` / ``vector.join_reuses``) so a reuse is
+never silent — or wrong.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from repro.sources.sqlite import SQLiteSource
 from repro.sources.xmlfile import XMLFileSource
 from repro.sql.types import SQLType
 from repro.workloads.scaling import build_scaled_storage
-from repro.xquery import Evaluator, compile_module
+from repro.xquery import Evaluator
 from repro.xquery.vector import VSTATS
 
 NAN = float("nan")
@@ -49,9 +49,8 @@ REPORT_JOIN = ("SELECT F.ID, F.NAME, D.DETAILID, D.QTY FROM FACTS F "
 @pytest.fixture(autouse=True)
 def _pin_executor_shape(monkeypatch):
     """Batch size, parallelism and cost planning are pinned per test
-    (the tuple leg needs a real ``batch_size=0``; the plans asserted on
-    are the cost planner's): the CI legs' overrides must not reshape
-    them."""
+    (the plans asserted on are the cost planner's): the CI legs'
+    overrides must not reshape them."""
     for name in ("REPRO_BATCH_SIZE", "REPRO_PARALLELISM",
                  "REPRO_PARALLEL_MIN_ROWS", "REPRO_COST_PLANNING"):
         monkeypatch.delenv(name, raising=False)
@@ -100,10 +99,9 @@ def moved(runtime: DSPRuntime, thunk) -> tuple:
 
 class Statement:
     """One translated SELECT over *runtime*, run on three legs: the
-    batched plan the runtime caches (what a prepared statement runs),
-    a tuple plan (``batch_size=0``) and the interpreter — all three
-    over the runtime's own sources, so each sees the rows as they are
-    now."""
+    batched plan the runtime caches (what a prepared statement runs)
+    and the interpreter, planned and unplanned — all three over the
+    runtime's own sources, so each sees the rows as they are now."""
 
     def __init__(self, runtime: DSPRuntime, sql: str):
         self.runtime = runtime
@@ -126,12 +124,10 @@ class Statement:
         batched = outcome(lambda: plan.evaluate(variables))
         after = join_counts(self.runtime)
         resolver = self.runtime.call_function
-        tuple_plan = compile_module(self.module, resolver=resolver,
-                                    batch_size=0)
-        assert outcome(lambda: tuple_plan.evaluate(variables)) == batched
-        assert outcome(lambda: Evaluator(
-            self.module, resolver=resolver, variables=variables,
-            optimize=True).evaluate()) == batched
+        for optimize in (True, False):
+            assert outcome(lambda: Evaluator(
+                self.module, resolver=resolver, variables=variables,
+                optimize=optimize).evaluate()) == batched
         return batched, (after[0] - before[0], after[1] - before[1])
 
     def build_table(self) -> str:

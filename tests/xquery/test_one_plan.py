@@ -1,9 +1,9 @@
 """One plan, one compile — asserted by count, not by stopwatch.
 
-A module's FLWORs are planned once each and its body is closure-compiled
-once; ``evaluate``, ``stream_items`` and ``stream_chunks`` are three
-views of that one compiled form, so they agree with each other and with
-the interpreter at every batch size, run the same executor, and report
+A module's FLWORs are planned once each and lowered onto one executor;
+``evaluate``, ``stream_items`` and ``stream_chunks`` are three views of
+that one compiled form, so they agree with each other and with the
+interpreter at every batch size, run the same executor, and report
 actual rows under the same plan-node ids.
 """
 
@@ -16,6 +16,7 @@ from repro.workloads import build_runtime
 from repro.xmlmodel import element
 from repro.xquery import Evaluator, ast, compile_module, parse_xquery
 from repro.xquery import compile as xq_compile
+from repro.xquery import vector as xq_vector
 from repro.xquery.analysis import subexpressions
 from repro.xquery.vector import VSTATS
 
@@ -47,7 +48,7 @@ ADHOC = [
 ]
 
 STATEMENTS = CORPUS + ADHOC
-BATCH_SIZES = (0, 1, 1024)
+BATCH_SIZES = (1, 2, 1024)
 
 RUNTIME = build_runtime()
 TRANSLATOR = SQLToXQueryTranslator(RUNTIME.metadata_api())
@@ -65,67 +66,74 @@ def compiled(module: ast.Module, batch_size: int):
                           batch_size=batch_size, columnar=RUNTIME)
 
 
+def interpreted(module: ast.Module, variables=None) -> list:
+    return Evaluator(module, resolver=RUNTIME.call_function,
+                     variables=variables).evaluate()
+
+
 @pytest.fixture
 def counters(monkeypatch):
-    """Count planner entries and tuple-stage lowerings of one compile."""
-    seen = {"plan": 0, "hints": 0, "lowered": Counter()}
+    """Count planner entries (by the FLWOR's clause tuple) and FLWOR
+    lowerings (by node) of one compile."""
+    seen = {"plan": Counter(), "hints": 0, "lowered": Counter()}
     real_plan = xq_compile.plan_clauses
     real_hints = xq_compile.scan_requests
-    real_lower = xq_compile._Compiler._compile_clause
+    real_lower = xq_vector.lower_flwor
 
-    def plan(*args, **kwargs):
-        seen["plan"] += 1
-        return real_plan(*args, **kwargs)
+    def plan(clauses, *args, **kwargs):
+        seen["plan"][id(clauses)] += 1
+        return real_plan(clauses, *args, **kwargs)
 
     def hints(*args, **kwargs):
         seen["hints"] += 1
         return real_hints(*args, **kwargs)
 
-    def lower(self, clause, *args, **kwargs):
-        seen["lowered"][id(clause)] += 1
-        return real_lower(self, clause, *args, **kwargs)
+    def lower(cc, flwor):
+        seen["lowered"][id(flwor)] += 1
+        return real_lower(cc, flwor)
 
     monkeypatch.setattr(xq_compile, "plan_clauses", plan)
     monkeypatch.setattr(xq_compile, "scan_requests", hints)
-    monkeypatch.setattr(xq_compile._Compiler, "_compile_clause", lower)
+    monkeypatch.setattr(xq_vector, "lower_flwor", lower)
     return seen
 
 
 @pytest.mark.parametrize("sql", STATEMENTS)
 def test_each_flwor_planned_once_each_clause_lowered_once(sql, counters):
-    """Both lowerings read one planned object per FLWOR
-    (``xquery/vector.py`` imports neither planner entry point, so
-    these two counters see every call), and the body is compiled
-    through one of the chunk / item streams, never both. A batched body
-    has no tuple lowering until a run needs it, so the FLWORs only that
-    lowering reads (the wrapper's cells) are not planned at all."""
+    """The lowering reads one planned object per FLWOR (``plan_clauses``
+    and ``scan_requests`` run once per FLWOR planned, never twice for
+    one), and lowers each FLWOR once per place it is read: a record set
+    FULL OUTER reads on both of its sides is lowered twice. The
+    wrapper's cell FLWORs are matched, not planned, and an aggregate's
+    per-row FLWORs are folded into its hash aggregation; a statement
+    whose record set is a set operation plans one more, the ``for``
+    that reads it."""
     for fmt in ("delimited", "recordset"):
         module = module_of(sql, fmt)
         flwors = sum(isinstance(node, ast.FLWOR)
                      for node, _p in subexpressions(module.body))
-        for batch_size in (0, 1024):
-            counters["plan"] = counters["hints"] = 0
+        for batch_size in (1, 1024):
+            counters["plan"].clear()
+            counters["hints"] = 0
             counters["lowered"].clear()
             plan = compiled(module, batch_size)
-            assert counters["plan"] == counters["hints"]
-            if plan.batched:
-                # (what the tuple compiler does lower of a batched
-                # body is its once-per-execution subqueries)
-                assert 0 < counters["plan"] < flwors, (sql, fmt)
-            else:
-                assert counters["plan"] == flwors, (sql, fmt, batch_size)
-            assert set(counters["lowered"].values()) <= {1}, \
+            assert plan.batched, (sql, fmt)
+            planned = sum(counters["plan"].values())
+            assert planned == counters["hints"]
+            assert set(counters["plan"].values()) == {1}, (sql, fmt)
+            assert 0 < planned <= flwors + 1, (sql, fmt)
+            limit = 2 if "FULL OUTER" in sql else 1
+            assert max(counters["lowered"].values()) <= limit, \
                 (sql, fmt, batch_size)
 
 
 @pytest.mark.parametrize("sql", STATEMENTS)
 def test_three_views_agree_with_the_interpreter(sql):
     module = module_of(sql)
-    expected = Evaluator(module, resolver=RUNTIME.call_function,
-                         optimize=True).evaluate()
+    expected = interpreted(module)
     for batch_size in BATCH_SIZES:
         plan = compiled(module, batch_size)
-        assert plan.streams_text
+        assert plan.streams_text and plan.batched
         assert plan.evaluate() == expected, (sql, batch_size)
         assert ["".join(plan.stream_chunks())] == expected, \
             (sql, batch_size)
@@ -134,8 +142,9 @@ def test_three_views_agree_with_the_interpreter(sql):
 
 def test_evaluate_on_a_batched_plan_runs_the_vector_plan():
     """One plan means one executor: ``evaluate`` is the chunk stream
-    joined, so it counts as a vector execution — and takes the tuple
-    stream only for a parameter the scalar column model cannot hold."""
+    joined, so it counts as a vector execution — and hands a run to the
+    Evaluator only for a parameter the scalar column model cannot
+    hold."""
     module = module_of("SELECT CUSTOMERID FROM CUSTOMERS "
                        "WHERE CUSTOMERNAME = ?")
     plan = compiled(module, 1024)
@@ -150,19 +159,14 @@ def test_evaluate_on_a_batched_plan_runs_the_vector_plan():
         moved = (VSTATS.executions - before[0],
                  VSTATS.fallbacks - before[1])
         try:
-            oracle = Evaluator(module, resolver=RUNTIME.call_function,
-                               variables=variables,
-                               optimize=True).evaluate()
+            oracle = interpreted(module, variables)
         except Exception as exc:
             oracle = (type(exc), str(exc))
         assert result == oracle, variables
         return result, moved
 
     assert run({"p1": ["Sue"]}) == ([">23"], (1, 0))
-    # The tuple lowering of a batched body is built when first needed.
-    assert plan.vector_plan._tuple_chunks is None
     assert run({"p1": [element("X", "Sue")]}) == ([">23"], (0, 1))
-    assert plan.vector_plan._tuple_chunks is not None
     failed, moved = run({"p1": ["Sue", "Joe"]})
     assert moved == (0, 1) and isinstance(failed, tuple)
 
@@ -170,7 +174,7 @@ def test_evaluate_on_a_batched_plan_runs_the_vector_plan():
 @pytest.mark.parametrize("sql", STATEMENTS)
 def test_views_count_actual_rows_under_the_reported_node_ids(sql):
     module = module_of(sql)
-    for batch_size in (0, 1024):
+    for batch_size in (1, 1024):
         plan = compiled(module, batch_size)
         reported = [node["id"] for report in plan.plan_reports
                     for node in report["nodes"]]

@@ -1,15 +1,18 @@
 """Property tests: FLWOR ``order by`` is a stable sort.
 
 SQL result determinism depends on it: when a multi-key ``order by``
-leaves ties, rows must keep their source order, and the streaming
-compiled executor must order exactly like the list-based interpreter
-(including empty-least/greatest handling and descending inversion via
+leaves ties, rows must keep their source order, and the batch executor
+must order exactly like the list-based interpreter (including
+empty-least/greatest handling and descending inversion via
 ``_Directional``).
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.catalog import Application
+from repro.engine import DSPRuntime, Storage, import_tables
+from repro.sql.types import SQLType
 from repro.xmlmodel import element
 from repro.xquery import compile_module, parse_xquery
 from repro.xquery.evaluator import Evaluator
@@ -68,19 +71,47 @@ def test_order_by_is_stable_and_matches_reference(pairs):
     assert interpreted == reference_order(pairs)
 
 
+#: :data:`ORDERED` over a table, as translated SQL writes it.
+ORDERED_RECORDS = """
+declare namespace t = "ld:T/ROWS";
+<RECORDSET>{
+for $r in t:ROWS()
+order by fn:data($r/K1) ascending empty least,
+         fn:data($r/K2) descending empty greatest
+return <RECORD><V>{fn:data($r/V)}</V></RECORD>
+}</RECORDSET>
+"""
+
+
+def runtime_over(pairs) -> DSPRuntime:
+    """ROWS (K1, K2, V): one row per pair, V its position."""
+    storage = Storage()
+    table = storage.create_table("ROWS", [(name, SQLType("INTEGER"))
+                                          for name in ("K1", "K2", "V")])
+    table.insert_many([(k1, k2, position)
+                       for position, (k1, k2) in enumerate(pairs)])
+    application = Application("OrderApp")
+    import_tables(application, "T", storage)
+    return DSPRuntime(application, storage)
+
+
 @given(PAIRS)
 @settings(max_examples=200, deadline=None)
 def test_compiled_order_matches_interpreter_exactly(pairs):
-    module = parse_xquery(ORDERED)
-    variables = {"src": rows(pairs)}
-    interpreted = Evaluator(module, variables=variables,
+    runtime = runtime_over(pairs)
+    module = parse_xquery(ORDERED_RECORDS)
+    interpreted = Evaluator(module, resolver=runtime.call_function,
                             optimize=True).evaluate()
-    unoptimized = Evaluator(module, variables=variables,
+    unoptimized = Evaluator(module, resolver=runtime.call_function,
                             optimize=False).evaluate()
-    plan = compile_module(module)
+    # Three-row batches: ties straddle batch edges.
+    plan = compile_module(module, resolver=runtime.call_function,
+                          batch_size=3, columnar=runtime)
+    assert plan.batched
     assert interpreted == unoptimized
-    assert plan.evaluate(variables) == interpreted
-    assert list(plan.stream_items(variables)) == interpreted
+    assert plan.evaluate() == interpreted
+    assert [int(record.string_value())
+            for record in interpreted[0].children] == reference_order(pairs)
 
 
 @given(PAIRS)

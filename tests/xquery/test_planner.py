@@ -2,7 +2,8 @@
 
 The planner (``repro.xquery.planner``) is shared by both executors, so
 every structural claim here is also checked semantically against the
-unoptimized interpreter and the compiled executor.
+unoptimized interpreter and a compiled module (node-valued externals:
+the Evaluator runs it).
 """
 
 import pytest
@@ -22,7 +23,7 @@ def run_all(text, variables=None):
     fast = Evaluator(module, variables=variables, optimize=True).evaluate()
     slow = Evaluator(module, variables=variables,
                      optimize=False).evaluate()
-    compiled = compile_module(module, optimize=True).evaluate(variables)
+    compiled = compile_module(module).evaluate(variables)
     assert fast == slow == compiled
     return fast
 
@@ -133,7 +134,7 @@ class TestCompositeKeySemantics:
                 Evaluator(module, variables={"left": left,
                                              "right": right},
                           optimize=optimize).evaluate()
-        plan = compile_module(module, optimize=True)
+        plan = compile_module(module)
         with pytest.raises(XQueryTypeError):
             plan.evaluate({"left": left, "right": right})
 

@@ -1,8 +1,8 @@
 """Pushdown hints: what the planner/compiler attach to source scans.
 
 These tests observe the advisory :class:`repro.ScanRequest` each scan
-receives by compiling translated SQL against a recording resolver, then
-pin the hint *shapes*: which conjuncts are deemed sargable (literals,
+receives by compiling translated SQL against a recording columnar host,
+then pin the hint *shapes*: which conjuncts are deemed sargable (literals,
 mirrored comparisons, ``xs:`` casts, external-variable parameters,
 IS [NOT] NULL), which are not (OR, column-vs-column), and when the
 projection narrows versus staying full-width.
@@ -21,28 +21,40 @@ RUNTIME = build_runtime(backend="memory")
 TRANSLATOR = SQLToXQueryTranslator(RUNTIME.metadata_api())
 
 
-class RecordingResolver:
-    """Delegates to the runtime, remembering the scan request (if any)
-    each data-service call arrived with."""
+class RecordingHost:
+    """The runtime as the batch executor's columnar host, remembering
+    the scan request (if any) each column scan arrived with."""
 
     def __init__(self, runtime):
         self._runtime = runtime
         self.requests = []
 
-    def __call__(self, uri, local, args, context=None, scan=None):
+    def __getattr__(self, name):
+        return getattr(self._runtime, name)
+
+    def scan_columns(self, uri, local, context=None, scan=None,
+                     partition=None):
         self.requests.append((local, scan))
-        return self._runtime.call_function(uri, local, args,
-                                           context=context, scan=scan)
+        return self._runtime.scan_columns(uri, local, context=context,
+                                          scan=scan, partition=partition)
+
+
+def scanned(xquery: str, resolver=RUNTIME.call_function, variables=None,
+            **options) -> list:
+    """Compile *xquery* batched and evaluate it, returning
+    [(table, ScanRequest|None)]."""
+    host = RecordingHost(RUNTIME)
+    plan = compile_module(parse_xquery(xquery), resolver=resolver,
+                          columnar=host, **options)
+    assert plan.batched
+    plan.evaluate(variables=variables)
+    return host.requests
 
 
 def scans_for(sql: str, variables=None):
     """Compile and evaluate *sql*, returning [(table, ScanRequest|None)]."""
     xquery = TRANSLATOR.translate(sql, format="recordset").xquery
-    resolver = RecordingResolver(RUNTIME)
-    plan = compile_module(parse_xquery(xquery), resolver=resolver,
-                          optimize=True)
-    plan.evaluate(variables=variables)
-    return resolver.requests
+    return scanned(xquery, variables=variables)
 
 
 def only_scan(sql: str, variables=None):
@@ -149,29 +161,19 @@ class TestProjection:
 
 class TestGating:
     def test_no_hints_without_scan_capable_resolver(self):
-        calls = []
-
         def resolver(uri, local, args):  # no scan/context params
-            calls.append(local)
             return RUNTIME.call_function(uri, local, args)
 
         xquery = TRANSLATOR.translate(
             "SELECT CUSTOMERNAME FROM CUSTOMERS WHERE REGION = 'EAST'",
             format="recordset").xquery
-        plan = compile_module(parse_xquery(xquery), resolver=resolver,
-                              optimize=True)
-        assert len(plan.evaluate()) == 1  # recordset wrapper, 2 rows in
-        assert calls == ["CUSTOMERS"]
+        assert scanned(xquery, resolver=resolver) == [("CUSTOMERS", None)]
 
     def test_pushdown_false_disables_hints(self):
         xquery = TRANSLATOR.translate(
             "SELECT CUSTOMERNAME FROM CUSTOMERS WHERE REGION = 'EAST'",
             format="recordset").xquery
-        resolver = RecordingResolver(RUNTIME)
-        plan = compile_module(parse_xquery(xquery), resolver=resolver,
-                              optimize=True, pushdown=False)
-        plan.evaluate()
-        assert resolver.requests == [("CUSTOMERS", None)]
+        assert scanned(xquery, pushdown=False) == [("CUSTOMERS", None)]
 
     def test_results_identical_with_and_without_pushdown(self):
         sql = ("SELECT CUSTOMERNAME FROM CUSTOMERS "
@@ -179,7 +181,7 @@ class TestGating:
         xquery = TRANSLATOR.translate(sql, format="delimited").xquery
         module = parse_xquery(xquery)
         pushed = compile_module(module, resolver=RUNTIME.call_function,
-                                optimize=True, pushdown=True)
+                                pushdown=True, columnar=RUNTIME)
         plain = compile_module(module, resolver=RUNTIME.call_function,
-                               optimize=True, pushdown=False)
+                               pushdown=False, columnar=RUNTIME)
         assert pushed.evaluate() == plain.evaluate()

@@ -10,10 +10,10 @@ kind and columns that mix int / bool / Decimal / float (NaN, signed
 zero, infinities) / strings with XML specials / untyped atomics /
 dates / times / NULL: same values, same exception class. The statement
 level tests then pin what the kernels must not change: rows against
-the tuple path where kinds meet inside one join or aggregate, the
-partial-aggregation state shapes, NaN join keys on all three
-executors, and — by count — that the benchmark's report and shape
-statements never take the per-cell path.
+the Evaluator where kinds meet inside one join or aggregate, the
+partial-aggregation state shapes, NaN join keys at every batch size
+and on the Evaluator, and — by count — that the benchmark's report and
+shape statements never take the per-cell path.
 
 ``REPRO_FUZZ_SEED`` shifts the statement-level generators (CI's
 shifted-seed step runs this file too).
@@ -58,6 +58,8 @@ from repro.xquery.vector import (
     _VectorPlan,
 )
 
+from tests.fuzz.harness import evaluator_leg
+
 SEED_BASE = int(os.environ.get("REPRO_FUZZ_SEED", "0"))
 NAN = float("nan")
 
@@ -65,8 +67,8 @@ NAN = float("nan")
 @pytest.fixture(autouse=True)
 def _pin_executor_shape(monkeypatch):
     """Batch sizes and parallelism are pinned per test (a batch of one
-    row never mixes kinds; the tuple leg needs a real ``batch_size=0``):
-    the CI legs' environment overrides must not reshape them."""
+    row never mixes kinds): the CI legs' environment overrides must not
+    reshape them."""
     for name in ("REPRO_BATCH_SIZE", "REPRO_PARALLELISM",
                  "REPRO_PARALLEL_MIN_ROWS"):
         monkeypatch.delenv(name, raising=False)
@@ -229,11 +231,19 @@ def test_mask_compaction_is_ebv_per_cell(mask):
 # -- statements: where kinds meet ---------------------------------------------
 
 
-def _runtime(storage: Storage, batch_size: int, **options) -> DSPRuntime:
+#: The leg that runs every statement on the Evaluator.
+EVALUATOR = None
+
+
+def _runtime(storage: Storage, batch_size, **options) -> DSPRuntime:
+    """Batches of *batch_size* rows, or the Evaluator when it is
+    :data:`EVALUATOR`."""
     application = Application("KernelApp")
     import_tables(application, "Kernels", storage)
-    return DSPRuntime(application, storage, config=RuntimeConfig(
-        batch_size=batch_size, **options))
+    runtime = DSPRuntime(application, storage, config=RuntimeConfig(
+        batch_size=batch_size or 1024, **options))
+    return runtime if batch_size is not EVALUATOR \
+        else evaluator_leg(runtime)
 
 
 def _scaled_runtime(rows: int, **options) -> DSPRuntime:
@@ -248,7 +258,7 @@ def _cursor_rows(connection, sql: str, params=()) -> list:
     return cursor.fetchall()
 
 
-def _rows(storage: Storage, batch_size: int, sql: str, params=(),
+def _rows(storage: Storage, batch_size, sql: str, params=(),
           **options):
     connection = connect(_runtime(storage, batch_size, **options))
     try:
@@ -268,7 +278,7 @@ def _table(storage: Storage, name: str, columns: list, rows: list) -> None:
 def _mixed_storage(seed: int) -> Storage:
     """L(ID, K INTEGER, S) / R(ID, K INTEGER, D DECIMAL, F DOUBLE): the
     INTEGER columns hold a few integral Decimals (which print as the
-    integer, so the tuple path reads them back as one) at seed-chosen
+    integer, so the Evaluator reads them back as one) at seed-chosen
     rows, D holds ints and Decimals of several scales, S XML specials."""
     rng = random.Random(("kernels", SEED_BASE, seed).__repr__())
     storage = Storage()
@@ -309,11 +319,11 @@ def test_mixed_kind_columns_return_the_tuple_paths_rows(seed):
     """Build and probe batches of different kinds share one hash table
     (batch size 2: an all-int batch beside one holding a Decimal; an
     int build probed by Decimal and float batches), groups and sums
-    that meet both kinds fold as the tuple path does."""
+    that meet both kinds fold as the Evaluator does."""
     storage = _mixed_storage(seed)
     for sql in MIXED_STATEMENTS:
         params = (2, "a<b")[:sql.count("?")]
-        expected = _rows(storage, 0, sql, params)
+        expected = _rows(storage, EVALUATOR, sql, params)
         for batch_size in (1, 2, 1024):
             assert _rows(storage, batch_size, sql, params) == expected, \
                 (seed, sql, batch_size)
@@ -332,7 +342,7 @@ def test_decimal_sums_round_as_the_tuple_paths_left_fold():
                (-wide, None), (Decimal("1e-10"), 7)] * 3)])
     for sql in ("SELECT G, SUM(D), AVG(D), SUM(M), AVG(M) FROM T GROUP BY G",
                 "SELECT SUM(D), AVG(D), SUM(M), AVG(M) FROM T"):
-        expected = _rows(storage, 0, sql)
+        expected = _rows(storage, EVALUATOR, sql)
         assert any(len(str(cell)) > 28 for row in expected for cell in row)
         for batch_size in (1, 4, 1024):
             assert _rows(storage, batch_size, sql) == expected
@@ -395,9 +405,9 @@ def test_a_nan_join_key_matches_nothing_on_any_executor(join, expected):
     _table(storage, "B", [("ID", "INTEGER"), ("Y", "DOUBLE")],
            [(0, NAN), (1, 2.5), (2, NAN)])
     sql = f"SELECT A.ID, B.ID FROM A {join} B ON A.X = B.Y"
-    for batch_size in (1024, 2, 0):
+    for batch_size in (1024, 2, EVALUATOR):
         assert _rows(storage, batch_size, sql) == expected, batch_size
-    runtime = _runtime(storage, 0)
+    runtime = _runtime(storage, 1024)
     text = "".join(">" + str(a) + ("<" if b is None else ">" + str(b))
                    for a, b in expected)
     module = connect(runtime).translate(sql).module
@@ -476,4 +486,4 @@ def test_group_by_over_any_int_decimal_mix(cells, batch_size):
     _table(storage, "M", [("ID", "INTEGER"), ("K", "INTEGER")],
            list(enumerate(cells)))
     sql = "SELECT K, COUNT(*), SUM(ID), AVG(K) FROM M GROUP BY K"
-    assert _rows(storage, batch_size, sql) == _rows(storage, 0, sql)
+    assert _rows(storage, batch_size, sql) == _rows(storage, EVALUATOR, sql)
