@@ -214,6 +214,8 @@ class DSPRuntime:
         #: not of one kind a typed kernel serves: the per-cell path.
         self._generic_columns = self.metrics.counter(
             "vector.generic_columns")
+        #: Record-set batch columns read as their untyped view.
+        self._untyped_views = self.metrics.counter("vector.untyped_views")
         #: Join hash tables built, and kept ones probed again.
         self._join_builds = self.metrics.counter("vector.join_builds")
         self._join_reuses = self.metrics.counter("vector.join_reuses")

@@ -26,8 +26,10 @@ def explain(unit: TranslationUnit,
 
     *plan_reports* (``CompiledQuery.plan_reports``) adds the cost-based
     execution plan: one line per pipeline node with its estimated
-    output rows; *actuals* (the dict filled by an execution) adds the
-    observed counts next to the estimates; *executor*
+    output rows, and under a FLWOR whose RECORDs are read, how each
+    cell read crosses that boundary (``record cells:``, typed or as a
+    view, and by which consumer); *actuals* (the dict filled by an
+    execution) adds the observed counts next to the estimates; *executor*
     (``CompiledQuery.executor``) says which executor runs the plan and,
     for the Evaluator, why the batched one declined."""
     out = StringIO()
@@ -59,6 +61,10 @@ def explain(unit: TranslationUnit,
                 if actuals is not None:
                     line += f"  actual={actuals.get(node['id'], 0)}"
                 out.write(line + "\n")
+            if report.get("boundary"):
+                out.write("      record cells: " + ", ".join(
+                    f"{cell} {mode} ({consumer})"
+                    for cell, mode, consumer in report["boundary"]) + "\n")
     if stage_timings:
         out.write("\nSTAGE TIMINGS\n")
         # "compile" (the XQuery compile time) is present

@@ -359,12 +359,13 @@ class _Compiler:
                 and self._namespace(expr) == FN_URI)
 
     def _number(self, planned: _PlannedFLWOR, batched: bool = False,
-                notes: Optional[dict] = None) -> None:
+                notes: Optional[dict] = None, boundary=()) -> None:
         """Give a lowered pipeline FLWOR its plan id — its stages count
         actual rows under ``(fid, clause index)`` — and list its nodes
         (labels + estimates) in the plan reports. *batched* says an
         outer-join ``let`` is the planner's left outer hash join.
-        *notes* map a hash join clause's id to what its label adds. A
+        *notes* map a hash join clause's id to what its label adds;
+        *boundary* says how readers read the RECORDs it returns. A
         FLWOR lowered twice (a record set read twice) is listed once;
         both runs count under its ids."""
         if planned.fid is not None:
@@ -386,6 +387,7 @@ class _Compiler:
                                (notes or {}).get(id(clause))),
                            "estimate": estimates[i]}
                           for i, clause in enumerate(clauses)],
+                "boundary": boundary,
             })
 
     def text_wrapper(self, body) -> Optional[tuple]:

@@ -458,17 +458,6 @@ def _null_extends(record, unmatched, var: str) -> bool:
 # Cost-based planning (statistics-driven, PR 5)
 # ---------------------------------------------------------------------------
 
-#: Frames produced by a reordered for clause also bind the item's
-#: position in the binding sequence under this reserved-prefix key
-#: (invisible to queries, like the lifecycle context's "\x00" key);
-#: a RestoreOrderClause sorts by those ordinals to put the stream back
-#: into original FLWOR order.
-ORDINAL_PREFIX = "\x00ord:"
-
-
-def ordinal_key(var: str) -> str:
-    return ORDINAL_PREFIX + var
-
 
 class RestoreOrderClause:
     """Planner-emitted pipeline breaker that undoes a cost-based for
@@ -1379,16 +1368,9 @@ def grouping_key(value) -> tuple:
 # ---------------------------------------------------------------------------
 
 #: Reserved prefix for the synthetic variables that hold finalized
-#: aggregate values after an :class:`AggregateClause` (shares the \\x00
-#: convention with ``ORDINAL_PREFIX`` so no user query can collide).
+#: aggregate values after an :class:`AggregateClause` (a \\x00 prefix,
+#: so no user query can collide).
 AGG_VAR_PREFIX = "\x00agg:"
-
-#: Aggregate functions the vector executor can lower. Each decomposes
-#: into a partial state and an associative merge (the Tout-XML mediator
-#: contract): count → int, sum/avg → (total, count), min/max →
-#: (best, seen), distinct-backed forms → ordered value list.
-AGG_FUNCS = frozenset({"count", "sum", "avg", "min", "max"})
-
 
 class AggregateSpec:
     """One aggregate column of an :class:`AggregateClause`.

@@ -20,7 +20,9 @@ module lowers it onto column-oriented batches rather than row elements:
   build side is a scan or a *record-set sub-plan* — the FLWOR inside a
   ``<RECORDSET>``, a sequence of them, or a DISTINCT / INTERSECT /
   EXCEPT hash stage over them — whose RECORD cells cross the boundary
-  as untyped lexical columns, never as elements; an invariant subquery
+  as the columns it computed, never as elements; a reader that needs
+  the Evaluator's untyped cells reads their *view* (:func:`_untyped`),
+  an ``xs:`` cast the values (:func:`_cast_kernel`); an invariant subquery
   is such a sub-plan evaluated once per execution, a correlated one a
   sub-plan run per outer row with the outer cells it reads bound as
   parameters (its hash-join build made once per execution);
@@ -125,8 +127,8 @@ _ORD = "\x00ord"
 #: keys and finalized aggregates): ``cols[(_GRP, var)]``.
 _GRP = "\x00grp"
 
-#: The vtype of a record-set column: already the untyped lexical form a
-#: RECORD boundary leaves, so crossing another one is a rename.
+#: The vtype of a record-set column as its readers see it: the untyped
+#: lexical form the Evaluator's RECORD child atomizes to.
 _UNTYPED = "untypedAtomic"
 
 _CMP_OPS = {"eq": operator.eq, "ne": operator.ne, "lt": operator.lt,
@@ -143,9 +145,11 @@ class _VectorStats(threading.local):
     across the process pool, ``agg_groups`` the group-table entries
     the hash-aggregation stage emitted, ``join_builds`` the hash
     tables join stages built, ``join_reuses`` those they probed again
-    (see :class:`_JoinInfo`), and ``generic_columns`` the encode, join-
-    and group-key batch columns that took the per-cell path because
-    their cells were not of one kind a kernel serves (:func:`_kernel`)."""
+    (see :class:`_JoinInfo`), ``generic_columns`` the encode, cast,
+    view, join- and group-key batch columns that took the per-cell path
+    because their cells were not of one kind a kernel serves
+    (:func:`_kernel`), and ``untyped_views`` the record-set batch
+    columns read as their untyped view (:func:`_untyped`)."""
 
     def __init__(self):
         self.executions = 0
@@ -157,21 +161,32 @@ class _VectorStats(threading.local):
         self.join_builds = 0
         self.join_reuses = 0
         self.generic_columns = 0
+        self.untyped_views = 0
 
 
 VSTATS = _VectorStats()
 
 
+def _count(columnar, name: str) -> None:
+    """One more *name* in :data:`VSTATS` and *columnar*'s counter."""
+    setattr(VSTATS, name, getattr(VSTATS, name) + 1)
+    counter = getattr(columnar, "_" + name, None)
+    if counter is not None:
+        counter.increment()
+
+
 class _Batch:
     """``n`` rows in column-major layout: ``cols[(var, column)]`` is a
     list of ``n`` scalars with ``None`` for SQL NULL; ``cols[(_ORD,
-    var)]`` carries restore-order ordinals when a plan needs them."""
+    var)]`` carries restore-order ordinals when a plan needs them;
+    ``views`` the record-set columns' views built so far (:func:`_view`)."""
 
-    __slots__ = ("n", "cols")
+    __slots__ = ("n", "cols", "views")
 
     def __init__(self, n: int, cols: dict):
         self.n = n
         self.cols = cols
+        self.views = None
 
 
 def _gather(batch: _Batch, idx: list) -> _Batch:
@@ -244,10 +259,7 @@ def _kernel(col: list, table: dict, columnar=None) -> tuple:
     kind, nulls = _kind(col)
     entry = table.get(kind)
     if entry is None and kind is not _NONE:
-        VSTATS.generic_columns += 1
-        counter = getattr(columnar, "_generic_columns", None)
-        if counter is not None:
-            counter.increment()
+        _count(columnar, "generic_columns")
     return kind, entry, nulls
 
 
@@ -286,6 +298,80 @@ def _group_keys(col: list, columnar=None) -> list:
     return keys
 
 
+def _untyped(col: list, columnar=None) -> list:
+    """The *view* of a record-set column — the Evaluator's ``fn:data``
+    of each RECORD child, ``UntypedAtomic(serialize_atomic(v))``, by one
+    serialiser per column; counted (``vector.untyped_views``)."""
+    _count(columnar, "untyped_views")
+    kind, text, _nulls = _kernel(col, SERIALIZERS, columnar)
+    if kind is UntypedAtomic or kind is _NONE:
+        return col
+    text = text or serialize_atomic  # (mixed kinds: cell by cell)
+    return [None if v is None else UntypedAtomic(text(v)) for v in col]
+
+
+def _view(state, batch: _Batch, key: tuple) -> list:
+    """The view of record-set column *key* of *batch*, built once."""
+    views = batch.views = batch.views or {}
+    if key not in views:
+        views[key] = _untyped(batch.cols[key], state.plan.columnar)
+    return views[key]
+
+
+def _no_positive_exponent(col: list) -> bool:
+    """``Decimal('1E+2')`` prints as ``100``, read as ``Decimal('100')``."""
+    return all(type(exponent) is int and exponent <= 0 for exponent in (
+        v.as_tuple().exponent for v in col if v is not None))
+
+
+def _no_negative_zero(col: list) -> bool:
+    """``-0.0`` prints as ``0``, read back as ``0.0``."""
+    return not any(v == 0 and math.copysign(1.0, v) < 0
+                   for v in col if v is not None)
+
+
+def _naive(col: list) -> bool:
+    """A lexical form keeps an offset, but no tzinfo object nor fold."""
+    return all(v.tzinfo is None and not v.fold for v in col if v is not None)
+
+
+#: ``xs:`` cast -> {exact cell kind: column guard}: the pairs whose cast
+#: of a cell's view is the cell itself (value, type, repr) on a column
+#: the guard passes; tests/xquery/test_typed_boundary.py proves each.
+_CAST_IDENTITY = {
+    **dict.fromkeys(("integer", "int", "long", "short"), {int: True}),
+    "decimal": {Decimal: _no_positive_exponent},
+    "double": {float: _no_negative_zero},
+    "float": {float: _no_negative_zero},
+    "string": {str: True},
+    "boolean": {bool: True},
+    "date": {datetime.date: True},
+    "time": {datetime.time: _naive},
+    "dateTime": {datetime.datetime: _naive},
+}
+
+
+def _cast_kernel(local: str, raw):
+    """``xs:local`` over the record-set column *raw* reads as computed:
+    the column itself for a pair in :data:`_CAST_IDENTITY`, else the
+    Evaluator's cast of each cell's view, counted as generic."""
+    table = _CAST_IDENTITY.get(local, {})
+
+    def run(state, batch):
+        col = raw(state, batch)
+        columnar = state.plan.columnar
+        kind, guard, _nulls = _kernel(col, table, columnar)
+        if kind is _NONE or guard is True \
+                or (guard is not None and guard(col)):
+            return col
+        if guard is not None:
+            _count(columnar, "generic_columns")
+        return [None if v is None else cast_to(local, [UntypedAtomic(
+            serialize_atomic(v))])[0] for v in col]
+
+    return run
+
+
 def _selected(mask: list) -> list:
     """Row indexes whose mask cell's effective boolean value is true; a
     mask of booleans and NULLs is its own truth."""
@@ -316,13 +402,15 @@ def _ebv_scalar(value) -> bool:
 class _V:
     """A compiled vector expression: ``eval(state, batch)`` returns one
     scalar-or-None per row. ``vtype`` is the statically known xs: simple
-    type of non-NULL cells, or None when unknown."""
+    type of non-NULL cells, or None when unknown. A record-set cell
+    evaluates to its view; ``raw`` holds ``(eval as computed, read)``."""
 
-    __slots__ = ("eval", "vtype")
+    __slots__ = ("eval", "vtype", "raw")
 
-    def __init__(self, eval_fn, vtype: Optional[str] = None):
+    def __init__(self, eval_fn, vtype: Optional[str] = None, raw=None):
         self.eval = eval_fn
         self.vtype = vtype
+        self.raw = raw
 
 
 class _State:
@@ -435,9 +523,9 @@ class _RowVar:
     names ``$var/NAME`` may step to onto their xs: type. A data-service
     row has its declared columns; a record-set row (see
     :func:`lower_records`) has its RECORD's cells, all
-    :data:`_UNTYPED`, the sub-plan itself (``source``), and a *demand*
-    hook: the sub-plan computes a plain-column cell only if somebody
-    reads it."""
+    :data:`_UNTYPED` to a reader, the sub-plan itself (``source``), and
+    a *demand* hook: the sub-plan computes a plain-column cell only if
+    somebody reads it."""
 
     __slots__ = ("schema", "demand", "source")
 
@@ -486,20 +574,28 @@ def _column_ref(expr, env: dict) -> Optional[tuple]:
     return row, (expr.base.name, step.name)
 
 
-def _vcolumn(expr, env: dict) -> Optional[_V]:
+def _vcolumn(expr, env: dict, reader: str = "expression") -> Optional[_V]:
     """Match ``$var/COLUMN`` under ``fn:data`` — the translator's column
-    access — against the in-scope row variables."""
+    access — against the in-scope row variables; a record-set cell's
+    read is noted as *reader*'s view until a consumer takes ``raw``."""
     ref = _column_ref(expr, env)
     if ref is None:
         return None
     row, key = ref
-    if row.demand is not None:
-        row.demand(key[1])
 
     def run(state, batch):
         return batch.cols[key]
 
-    return _V(run, row.schema[key[1]])
+    if row.source is None:
+        return _V(run, row.schema[key[1]])
+    row.demand(key[1])
+    read = ["view", reader]
+    row.source.note_read(key[1], read)
+
+    def view(state, batch):
+        return _view(state, batch, key)
+
+    return _V(view, _UNTYPED, (run, read))
 
 
 def _correlated(cc: _Ctx, expr, name: str) -> Optional[_V]:
@@ -510,8 +606,8 @@ def _correlated(cc: _Ctx, expr, name: str) -> Optional[_V]:
     sub-plan). None when no enclosing plan binds *name*."""
     for env, inputs in reversed(cc.scopes):
         if name in env:
-            outer = _vcolumn(expr, env) if isinstance(expr, ast.PathExpr) \
-                else _vcompile(cc, expr, env)
+            outer = _vcolumn(expr, env, "correlated") \
+                if isinstance(expr, ast.PathExpr) else _vcompile(cc, expr, env)
             if outer is None:
                 raise _Decline("bare_row_var")
             slot = object()
@@ -699,6 +795,10 @@ def _vcompile_call(cc: _Ctx, expr: ast.XFunctionCall, env: dict) -> _V:
     elif uri == XS_URI:
         if local in _XS_CONSTRUCTOR_TYPES and len(args) == 1:
             arg = _vcompile(cc, args[0], env)
+            vtype = local if local != "untypedAtomic" else None
+            if arg.raw is not None:
+                arg.raw[1][:] = ("typed", f"xs:{local}")
+                return _V(_cast_kernel(local, arg.raw[0]), vtype)
 
             def run(state, batch):
                 out = []
@@ -709,7 +809,6 @@ def _vcompile_call(cc: _Ctx, expr: ast.XFunctionCall, env: dict) -> _V:
                         out.append(cast_to(local, [x])[0])
                 return out
 
-            vtype = local if local != "untypedAtomic" else None
             return _V(run, vtype)
     elif uri == BEA_URI:
         if local == "not3" and len(args) == 1:
@@ -776,11 +875,13 @@ def _vcompile_subquery(cc: _Ctx, expr: ast.XFunctionCall, uri: str,
               for index, arg in enumerate(expr.args)]
     invariant = cc.compiler._invariant_subquery(subquery)
     prepared = invariant and expr.local == "in3" and len(expr.args) == 2
+    scalar = expr.local == "scalar"
+    read = ["view", "scalar" if scalar else f"{expr.local} members"]
     inputs: list = []  # (slot, outer cell) pairs the sub-plan reads
     cc.scopes.append((env, inputs))
     try:
         members = _subquery_members(cc, subquery, expr.local,
-                                    len(others) > 1)
+                                    len(others) > 1, read)
     finally:
         cc.scopes.pop()
     if invariant and not isinstance(_strip_column(subquery), ast.FLWOR):
@@ -829,7 +930,13 @@ def _vcompile_subquery(cc: _Ctx, expr: ast.XFunctionCall, uri: str,
             out.append(result[0] if result else None)
         return out
 
-    return _V(run, "boolean" if expr.local != "scalar" else None)
+    if not scalar:
+        return _V(run, "boolean")
+
+    def view(state, batch):  # (the cell fn-bea:scalar atomizes)
+        return _untyped(run(state, batch), state.plan.columnar)
+
+    return _V(view, None, (run, read))
 
 
 #: The member a NULL cell of a subquery column is: like the empty
@@ -846,13 +953,14 @@ def _strip_column(subquery):
     return subquery
 
 
-def _subquery_members(cc: _Ctx, subquery, local: str, has_needle: bool):
+def _subquery_members(cc: _Ctx, subquery, local: str, has_needle: bool,
+                      read: list):
     """Lower a subquery argument — ``(records)/COL``, the member column
     of an IN / ANY / ALL, or a bare record set — to ``state -> item
-    sequence`` on the batch executor. A column's members are its
-    untyped cells (:data:`_NULL_MEMBER` for NULL); of a bare record set
-    its consumers read only the row count, and ``fn-bea:scalar`` the
-    single cell of a single row."""
+    sequence`` on the batch executor. A column's members are its view
+    (:data:`_NULL_MEMBER` for NULL); of a bare record set its consumers
+    read only the row count, and ``fn-bea:scalar`` the single cell of a
+    single row (noted as *read*, as the column is)."""
     column = None
     if subquery is not _strip_column(subquery):
         subquery, column = subquery.base, subquery.steps[0].name
@@ -871,12 +979,14 @@ def _subquery_members(cc: _Ctx, subquery, local: str, has_needle: bool):
         raise _Decline("record_shape")  # its cells differ per RECORD
     for name in cells if column is None else (column,):
         sub.project(name)
+    if column is not None or (local == "scalar" and len(cells) == 1):
+        sub.note_read(column or cells[0], read)
 
     def members(state):
         rows = state.plan._build_side(state, sub)
         if column is not None:
-            return [_NULL_MEMBER if v is None else v
-                    for v in rows.cols[(sub.var, column)]]
+            return [_NULL_MEMBER if v is None else v for v in _untyped(
+                rows.cols[(sub.var, column)], state.plan.columnar)]
         if local != "scalar" or rows.n != 1:
             return [True] * rows.n  # only the count is read
         if len(cells) != 1:
@@ -1111,12 +1221,12 @@ class _Lowered:
 
     Read as a *record-set source* (``for $var in <RECORDSET>{F}
     </RECORDSET>/RECORD``) its batches carry, per ``(var, child name)``,
-    what ``fn:data($var/NAME)`` yields in the Evaluator:
-    ``UntypedAtomic(serialize_atomic(v))`` for a present value (the
-    empty string included), ``None`` for an empty or absent child."""
+    the values the cell computed (an inner record set's column as that
+    computed it), ``None`` for an empty or absent child; ``reads`` the
+    ``[mode, consumer]`` of each read, per cell (:meth:`boundary`)."""
 
     __slots__ = ("cc", "planned", "stages", "env", "record_name",
-                 "cells", "projections", "var", "with_ordinal")
+                 "cells", "projections", "reads", "var", "with_ordinal")
     kind = "sub"
     ragged = False
 
@@ -1127,18 +1237,31 @@ class _Lowered:
         self.env = env
         self.record_name, self.cells = _record_cells(record, env)
         self.projections: dict = {}
+        self.reads: dict = {}
         self.var, self.with_ordinal = None, False  # set by its reader
         for name, content in self.cells.items():
             if not (_is_fn_call(cc, content, FN_URI, "data", 1)
                     and _column_ref(content.args[0], env) is not None):
                 self.project(name)
 
-    def project(self, name: str) -> _V:
+    def project(self, name: str, read=("typed", "record")) -> _V:
+        """Cell *name*'s expression (a record-set cell's *read* as is)."""
         projection = self.projections.get(name)
         if projection is None:
             projection = self.projections[name] = _vcompile(
                 self.cc, self.cells[name], self.env)
+            if projection.raw is not None:
+                projection.raw[1][:] = read
         return projection
+
+    def note_read(self, name: str, read: list) -> None:
+        self.reads.setdefault(name, []).append(read)
+
+    def boundary(self) -> list:
+        """EXPLAIN's ``(cell, "typed" | "view", consumer)`` reads."""
+        return list(dict.fromkeys(
+            (name, *read) for name in self.cells
+            for read in self.reads.get(name, ())))
 
 
 class _RecordOp:
@@ -1177,6 +1300,7 @@ class _RecordOp:
         if op != "concat":
             for name in self.cells:
                 self.project(name)
+                self.note_read(name, ["view", f"{op} key"])
 
     def project(self, name: str) -> None:
         if name not in self.projections:
@@ -1184,6 +1308,11 @@ class _RecordOp:
             for part in self.parts:
                 if name in part.cells:
                     part.project(name)
+
+    def note_read(self, name: str, read: list) -> None:
+        for part in self.parts:
+            if name in part.cells:
+                part.note_read(name, read)
 
 
 #: Record-set builtins of stage 3: ``fn-bea:`` name -> (op, arity).
@@ -1715,8 +1844,8 @@ def lower_flwor(cc: _Ctx, flwor: ast.FLWOR) -> _Lowered:
         # would still build it (and raise what it raises).
         raise _Decline("unsupported_clause")
     lowered = _Lowered(cc, planned, stages, env, record)
-    cc.accept.append(lambda: compiler._number(planned, batched=True,
-                                              notes=notes))
+    cc.accept.append(lambda: compiler._number(
+        planned, batched=True, notes=notes, boundary=lowered.boundary()))
     return lowered
 
 
@@ -1836,9 +1965,12 @@ class _VectorPlan:
         self.lowered = lowered
         stages = self.stages = lowered.stages
         self.window = window
-        #: The output cells and their vector expressions.
+        #: The output cells and their vector expressions (a record-set
+        #: cell's text is the same encoded raw, by its view's serialiser).
         self.names = names
-        self.projections = [lowered.project(name) for name in names]
+        self.projections = [lowered.project(
+            name, ("view", "xml record") if recordset is not None
+            else ("typed", "encode")) for name in names]
         self.param_names = param_names
         #: The wrapper's ``for $tokenQuery`` FLWOR (its one plan node
         #: counts the rows that reach the encoder); None for the xml
@@ -2110,22 +2242,16 @@ class _VectorPlan:
 
     def _records(self, state: _State, src) -> Iterator[_Batch]:
         """The RECORDs of record-set sub-plan *src* as batches keyed by
-        cell name — the RECORD boundary, without the RECORD: a typed
-        cell becomes its untyped lexical form, a cell that is a column
-        of an inner record set is already one."""
+        cell name — the RECORD boundary, without the RECORD: every cell
+        as computed, a cell that is a column of an inner record set as
+        that record set computed it (its readers take the view)."""
         if src.kind == "sub":
-            cells = [(name, projection, projection.vtype != _UNTYPED)
+            cells = [(name, projection.eval if projection.raw is None
+                      else projection.raw[0])
                      for name, projection in src.projections.items()]
             for b in self._open(state, src):
-                cols = {}
-                for name, projection, typed in cells:
-                    col = projection.eval(state, b)
-                    if typed:
-                        col = [None if v is None
-                               else UntypedAtomic(serialize_atomic(v))
-                               for v in col]
-                    cols[name] = col
-                yield _Batch(b.n, cols)
+                yield _Batch(b.n, {name: run(state, b)
+                                   for name, run in cells})
         elif src.op == "concat":
             for part in src.parts:
                 for b in self._records(state, part):
@@ -2139,12 +2265,14 @@ class _VectorPlan:
         """DISTINCT, INTERSECT [ALL] or EXCEPT [ALL] over the cell tuple
         (see :class:`_RecordOp`): the rows ``functions.bea_*_records``
         keeps, in the left input's order. Like those builtins, the
-        left input is read whole before the right one."""
+        left input is read whole before the right one. The key is the
+        cells' views: ``1.5`` and ``1.50`` are two RECORDs."""
         names = op.cells
 
         def keyed(part):
             for b in self._records(state, part):
-                yield b, list(zip(*[b.cols[name] for name in names]))
+                yield b, list(zip(*[_untyped(b.cols[name], self.columnar)
+                                    for name in names]))
 
         if op.op == "distinct":
             seen: set = set()
@@ -2247,9 +2375,8 @@ class _VectorPlan:
                 scan.uri, scan.local,
                 build.cols[(scan.var, info.reuse[0])])
             hashed = tables.get(info.reuse) if tables else None
-            name = "join_builds" if hashed is None else "join_reuses"
-            setattr(VSTATS, name, getattr(VSTATS, name) + 1)
-            getattr(self.columnar, "_" + name).increment()
+            _count(self.columnar,
+                   "join_builds" if hashed is None else "join_reuses")
             if hashed is None:
                 hashed = self._hash(state, build, info)
                 if tables is not None:
@@ -2561,14 +2688,15 @@ class _VectorPlan:
         return recordset
 
     def _encode(self, state: _State, batches) -> Iterator[str]:
-        projections = self.projections
+        cells = [projection.eval if projection.raw is None
+                 else projection.raw[0] for projection in self.projections]
         stats = VSTATS
         for b in batches:
             if b.n == 0:
                 continue
             parts = []
-            for projection in projections:
-                col = projection.eval(state, b)
+            for cell in cells:
+                col = cell(state, b)
                 kind, text, nulls = _kernel(col, SERIALIZERS,
                                             self.columnar)
                 if text is None:  # mixed kinds: cell by cell
