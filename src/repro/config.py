@@ -8,7 +8,7 @@ lists for one logical thing: how this DSP instance should behave.
 accepted by ``DSPRuntime(config=...)`` and ``connect(config=...)``.
 
 This module is also the only reader of the process environment: the
-five ``REPRO_*`` variables the CI legs force are parsed here, by
+three ``REPRO_*`` variables the CI legs force are parsed here, by
 :func:`with_environment` and :func:`default_demo_backend`.
 """
 
@@ -26,10 +26,10 @@ class RuntimeConfig:
 
     Engine side: ``pushdown`` (source predicate/projection pushdown),
     cost-based planning, the plan cache bound, admission control, the
-    transient-source retry policy, and the batch executor's batch size
-    and parallelism. Driver side: the result ``format``, simulated
-    metadata latency, the statement/metadata cache bounds, and the
-    per-statement default deadline.
+    transient-source retry policy, and the batch executor's batch size.
+    Driver side: the result ``format``, simulated metadata latency, the
+    statement/metadata cache bounds, and the per-statement default
+    deadline.
     """
 
     # -- engine ------------------------------------------------------------
@@ -47,15 +47,6 @@ class RuntimeConfig:
     #: below 1 runs as 1). Overridable per process with the
     #: ``REPRO_BATCH_SIZE`` env var.
     batch_size: int = 1024
-    #: Worker processes for partitioned scatter/gather execution of
-    #: vectorized scans. ``0`` (the default) disables parallelism;
-    #: ``N >= 2`` splits eligible scans into up to N partitions run on
-    #: a process pool. Overridable with ``REPRO_PARALLELISM``.
-    parallelism: int = 0
-    #: Minimum estimated row count before a scan is worth scattering
-    #: across the pool — small scans must not pay the fork/IPC tax.
-    #: Overridable with ``REPRO_PARALLEL_MIN_ROWS``.
-    parallel_min_rows: int = 5_000
 
     # -- driver ------------------------------------------------------------
     format: str = "delimited"
@@ -87,16 +78,12 @@ def _env_int(name: str, configured: int) -> int:
 
 def with_environment(config: RuntimeConfig) -> RuntimeConfig:
     """*config* as one runtime in this process will actually run it:
-    ``REPRO_BATCH_SIZE``, ``REPRO_PARALLELISM`` and
-    ``REPRO_PARALLEL_MIN_ROWS`` override their fields for A/B runs, and
+    ``REPRO_BATCH_SIZE`` overrides its field for A/B runs, and
     ``REPRO_COST_PLANNING=0`` switches cost-based planning off."""
     return config.replace(
         cost=config.cost
         and os.environ.get("REPRO_COST_PLANNING", "1") != "0",
         batch_size=max(1, _env_int("REPRO_BATCH_SIZE", config.batch_size)),
-        parallelism=_env_int("REPRO_PARALLELISM", config.parallelism),
-        parallel_min_rows=_env_int("REPRO_PARALLEL_MIN_ROWS",
-                                   config.parallel_min_rows),
     )
 
 

@@ -82,9 +82,9 @@ DEFAULT_STATEMENT_CACHE_CAPACITY = 256
 #: breaking change to its sections so dashboards can detect drift.
 #: v2 added the ``transactions`` section (the write path); v3 added the
 #: grouped-aggregation runtime counters (``vector.agg_queries``,
-#: ``vector.agg_groups``, ``parallel.partial_aggs``) to the ``runtime``
-#: section's counter set.
-STATS_SCHEMA_VERSION = 3
+#: ``vector.agg_groups``) to the ``runtime`` section's counter set; v4
+#: removed the ``parallel.*`` counters and histogram from it.
+STATS_SCHEMA_VERSION = 4
 
 #: PEP 249 type objects.
 
@@ -418,14 +418,15 @@ class Connection:
 
         The document's shape is a versioned contract
         (``stats_schema_version``, currently :data:`STATS_SCHEMA_VERSION`
-        = 3); dashboard consumers should pin on it, and any PR that
+        = 4); dashboard consumers should pin on it, and any PR that
         renames or removes a section must bump it (README "Connection
         stats schema" documents every section). v2 added the
         ``transactions`` section: begun/committed/rolled_back counts,
         autocommitted and total DML statements, and rows written. v3
         added the grouped-aggregation counters (``vector.agg_queries``,
-        ``vector.agg_groups``, ``parallel.partial_aggs``) under
-        ``runtime.counters`` — same sections as v2."""
+        ``vector.agg_groups``) under ``runtime.counters`` — same
+        sections as v2. v4 removed the ``parallel.*`` counters and the
+        ``parallel.gather_seconds`` histogram from ``runtime``."""
         snapshot = self.metrics.snapshot()
         snapshot["stats_schema_version"] = STATS_SCHEMA_VERSION
         snapshot["statement_cache"] = self._statement_cache.stats()

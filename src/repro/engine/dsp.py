@@ -94,7 +94,7 @@ class DSPRuntime:
             self._default_source, (TableSource, type(None)))
         #: Enable predicate/projection pushdown into capable sources.
         self.pushdown = config.pushdown
-        #: The four knobs below can be forced process-wide through the
+        #: The two knobs below can be forced process-wide through the
         #: environment (the CI legs do); ``config.py`` reads it.
         effective = with_environment(config)
         #: Statistics-driven cost-based planning: join build-side
@@ -103,14 +103,6 @@ class DSPRuntime:
         self.cost = effective.cost
         #: Rows per column-oriented batch in the batch executor.
         self.batch_size = effective.batch_size
-        #: Worker processes for partitioned scatter/gather execution
-        #: (0 keeps every scan serial) and the estimated-row threshold
-        #: below which scattering is skipped.
-        self.parallelism = effective.parallelism
-        self.parallel_min_rows = effective.parallel_min_rows
-        #: Lazy fork-server state for engine.parallel (created on first
-        #: eligible scatter, torn down in close()).
-        self._pool = None
         #: Runtime-side metrics: the plan cache publishes
         #: ``plan_cache.hits`` / ``plan_cache.misses`` /
         #: ``plan_cache.evictions`` here.
@@ -156,7 +148,38 @@ class DSPRuntime:
         #: ``source.failures`` on this runtime's metrics.
         self.retry_policy = RetryPolicy() if config.retry_policy is None \
             else config.retry_policy
-        self._init_counters()
+        #: Per-source retry with backoff+jitter publishes these.
+        self._source_retries = self.metrics.counter("source.retries")
+        self._source_failures = self.metrics.counter("source.failures")
+        #: Pushdown observability: rows actually pulled out of sources,
+        #: and the subset that came from scans the source pre-filtered.
+        self._rows_scanned = self.metrics.counter("sources.rows_scanned")
+        self._rows_pushed = self.metrics.counter("sources.rows_pushed")
+        #: Secondary-index observability: scans answered by a source
+        #: hash index, and the (lazy) index builds those scans caused.
+        self._index_hits = self.metrics.counter("sources.index_hits")
+        self._index_builds = self.metrics.counter("sources.index_builds")
+        #: Sum of the cost model's estimated output rows over cold
+        #: compiles; paired with per-node actuals in EXPLAIN output.
+        self._estimated_rows = self.metrics.counter(
+            "planner.estimated_rows")
+        #: Grouped-aggregation observability: queries that ran the
+        #: vectorized hash-aggregation stage, and group-table entries
+        #: it emitted.
+        self._agg_queries = self.metrics.counter("vector.agg_queries")
+        self._agg_groups = self.metrics.counter("vector.agg_groups")
+        #: Batch columns (encode, join and group keys) whose cells were
+        #: not of one kind a typed kernel serves: the per-cell path.
+        self._generic_columns = self.metrics.counter(
+            "vector.generic_columns")
+        #: Record-set batch columns read as their untyped view.
+        self._untyped_views = self.metrics.counter("vector.untyped_views")
+        #: Join hash tables built, and kept ones probed again.
+        self._join_builds = self.metrics.counter("vector.join_builds")
+        self._join_reuses = self.metrics.counter("vector.join_reuses")
+        #: XQuery texts parsed (cold ``prepare(text)`` calls). A
+        #: translated statement arrives as a tree and never moves it.
+        self._parses = self.metrics.counter("xquery.parses")
         #: Table statistics cache for cost-based planning, keyed by
         #: function identity and guarded by the source's ``version``
         #: token. ``_stats_epoch`` counts cache (re)computations and
@@ -175,55 +198,6 @@ class DSPRuntime:
             uri = function_namespace(project, service)
             for function in service.functions.values():
                 self._functions[(uri, function.name)] = function
-
-    def _init_counters(self) -> None:
-        """Bind the runtime's named counters/histograms against the
-        current metrics registry (re-run after a fork swaps it)."""
-        #: Per-source retry with backoff+jitter publishes these.
-        self._source_retries = self.metrics.counter("source.retries")
-        self._source_failures = self.metrics.counter("source.failures")
-        #: Pushdown observability: rows actually pulled out of sources,
-        #: and the subset that came from scans the source pre-filtered.
-        self._rows_scanned = self.metrics.counter("sources.rows_scanned")
-        self._rows_pushed = self.metrics.counter("sources.rows_pushed")
-        #: Secondary-index observability: scans answered by a source
-        #: hash index, and the (lazy) index builds those scans caused.
-        self._index_hits = self.metrics.counter("sources.index_hits")
-        self._index_builds = self.metrics.counter("sources.index_builds")
-        #: Sum of the cost model's estimated output rows over cold
-        #: compiles; paired with per-node actuals in EXPLAIN output.
-        self._estimated_rows = self.metrics.counter(
-            "planner.estimated_rows")
-        #: Scatter/gather observability: queries that ran partitioned,
-        #: partitions scattered, distinct pool workers used, wholesale
-        #: fallbacks to the serial path, and gather-merge wall time.
-        self._parallel_queries = self.metrics.counter("parallel.queries")
-        self._parallel_partitions = self.metrics.counter(
-            "parallel.partitions")
-        self._parallel_workers = self.metrics.counter("parallel.workers")
-        self._parallel_fallbacks = self.metrics.counter(
-            "parallel.fallbacks")
-        self._gather_seconds = self.metrics.histogram(
-            "parallel.gather_seconds")
-        #: Grouped-aggregation observability: queries that ran the
-        #: vectorized hash-aggregation stage, group-table entries it
-        #: emitted, and scatters that aggregated partially in workers.
-        self._agg_queries = self.metrics.counter("vector.agg_queries")
-        self._agg_groups = self.metrics.counter("vector.agg_groups")
-        #: Batch columns (encode, join and group keys) whose cells were
-        #: not of one kind a typed kernel serves: the per-cell path.
-        self._generic_columns = self.metrics.counter(
-            "vector.generic_columns")
-        #: Record-set batch columns read as their untyped view.
-        self._untyped_views = self.metrics.counter("vector.untyped_views")
-        #: Join hash tables built, and kept ones probed again.
-        self._join_builds = self.metrics.counter("vector.join_builds")
-        self._join_reuses = self.metrics.counter("vector.join_reuses")
-        self._partial_aggs = self.metrics.counter(
-            "parallel.partial_aggs")
-        #: XQuery texts parsed (cold ``prepare(text)`` calls). A
-        #: translated statement arrives as a tree and never moves it.
-        self._parses = self.metrics.counter("xquery.parses")
 
     # -- source registry -----------------------------------------------------
 
@@ -251,23 +225,9 @@ class DSPRuntime:
                 f"no data source {name!r} registered") from None
 
     def close(self) -> None:
-        """Close every registered source (idempotent) and tear down the
-        worker pool if one was started."""
-        self.shutdown_pool()
+        """Close every registered source (idempotent)."""
         for source in self.sources.values():
             source.close()
-
-    # -- parallel execution --------------------------------------------------
-
-    def try_parallel(self, plan, state):
-        """Scatter an eligible vectorized plan across the process pool;
-        None means "run serially" (ineligible, below threshold, or any
-        worker-side failure — the serial path is the fallback for every
-        parallel problem)."""
-        if self.parallelism < 2:
-            return None
-        from . import parallel
-        return parallel.execute(self, plan, state)
 
     def note_decline(self, reason: str) -> None:
         """Count, by reason code, a compiled body the Evaluator runs
@@ -275,39 +235,6 @@ class DSPRuntime:
         (``vector.decline.<code>``; for ``param_shape``, a run of a
         batched plan)."""
         self.metrics.counter(f"vector.decline.{reason}").increment()
-
-    def shutdown_pool(self) -> None:
-        """Terminate the scatter/gather worker pool (idempotent)."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.terminate()
-            pool.join()
-
-    def reset_after_fork(self) -> None:
-        """Re-initialize process-local state inside a pool worker.
-
-        The fork snapshot shares no execution with the parent from here
-        on: locks may have been captured mid-acquire, so every
-        lock-bearing structure (metrics, plan cache, admission) is
-        rebuilt, sources get their own reset hook, and parallelism is
-        forced off — workers never nest pools. Plain-dict caches
-        (element trees, column lists, statistics) stay: they describe
-        the copy-on-write snapshot the worker scans.
-        """
-        self.parallelism = 0
-        self._pool = None
-        self.write_lock = threading.Lock()
-        self.metrics = MetricsRegistry()
-        self._init_counters()
-        self.plan_cache = LRUCache(self.config.plan_cache_capacity,
-                                   registry=self.metrics,
-                                   prefix="plan_cache")
-        self.admission = AdmissionController(
-            max_concurrent=self.config.max_concurrent_queries,
-            queue_timeout=self.config.admission_queue_timeout,
-            max_inflight_rows=self.config.max_inflight_rows)
-        for source in self.sources.values():
-            source.reset_after_fork()
 
     # -- function execution -------------------------------------------------
 
@@ -510,17 +437,13 @@ class DSPRuntime:
 
     def scan_columns(self, uri: str, local: str,
                      context: Optional[QueryContext] = None,
-                     scan: Optional[ScanRequest] = None,
-                     partition=None):
+                     scan: Optional[ScanRequest] = None):
         """The columnar twin of a zero-arg :meth:`call_function`:
         returns ``(columns, values, row_count)`` where *columns* is the
         (possibly projected) ``(name, xs_type)`` schema and *values* is
         one Python-value list per column. Counters, fault injection,
         retries, and pushdown reduction all match the row path; the
-        returned lists are shared (cached) and must not be mutated.
-        *partition* (a :class:`repro.sources.PartitionSpec`) restricts
-        the scan to one partition; partition scans bypass the column
-        cache — their results are partition-specific."""
+        returned lists are shared (cached) and must not be mutated."""
         target = self._columnar_target(uri, local)
         if target is None:
             raise UnknownArtifactError(
@@ -537,25 +460,22 @@ class DSPRuntime:
             if faulty is not None:
                 faulty.apply(context)
             return self._scan_source_columns(uri, local, function, source,
-                                             table, scan, context,
-                                             partition)
+                                             table, scan, context)
 
         return self._with_retry(function.binding, local, context, run)
 
     def _scan_source_columns(self, uri: str, local: str, function,
                              source: DataSource, table: str,
                              request: Optional[ScanRequest],
-                             context: Optional[QueryContext],
-                             partition=None):
+                             context: Optional[QueryContext]):
         """Materialize a source table scan as column lists, mirroring
         :meth:`_scan_source`'s pushdown/metrics behavior. Only a plain
         whole-table scan is served from (and fills) the column cache:
-        a reduced request's or a partition's result is specific to it.
-        """
+        a reduced request's result is specific to it."""
         schema = function.return_schema
         reduced = self._reduced_request(function, source, table, request)
         token = None
-        if reduced is None and partition is None:
+        if reduced is None:
             token = source.version(table)
             cached = self._table_columns.get((uri, local))
             if cached is not None and token is not None \
@@ -563,12 +483,8 @@ class DSPRuntime:
                 return ([(decl.name, decl.xs_type)
                          for decl in schema.columns],
                         cached[1], cached[2])
-        # partition= only ever carries a spec the source itself
-        # returned, so sources that never partition are not asked to
-        # accept the keyword.
-        extra = {} if partition is None else {"partition": partition}
         result = source.scan_batches(table, reduced, context,
-                                     self.batch_size, **extra)
+                                     self.batch_size)
         values = [[] for _ in result.columns]
         for block in result:
             for acc, col in zip(values, block):
@@ -586,7 +502,7 @@ class DSPRuntime:
         """The dict of join hash tables (by key column names) kept in
         the column-cache entry that holds *column* — a list
         :meth:`scan_columns` returned — or None when it did not come
-        from that entry (a pushed, partitioned or uncached scan)."""
+        from that entry (a pushed or uncached scan)."""
         cached = self._table_columns.get((uri, local), (None, ()))
         return cached[3] if any(c is column for c in cached[1]) else None
 
@@ -812,11 +728,7 @@ class DSPRuntime:
                     pushdown=self.pushdown,
                     statistics=self.statistics_for if self.cost else None,
                     batch_size=self.batch_size, columnar=self)
-            if plan.vector_plan is not None:
-                # What the scatter executor prints and ships to its
-                # workers, should this plan ever scatter.
-                plan.vector_plan.module = module
-            elif plan.batched_reason is not None:
+            if plan.batched_reason is not None:
                 self.note_decline(plan.batched_reason)
             estimate = plan.estimated_rows
             if estimate is not None:

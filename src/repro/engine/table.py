@@ -90,9 +90,6 @@ class Table:
     def column_names(self) -> tuple[str, ...]:
         return tuple(name for name, _t in self.columns)
 
-    def column_types(self) -> tuple[SQLType, ...]:
-        return tuple(t for _n, t in self.columns)
-
     def insert(self, *values: object) -> None:
         """Append one row, type-checking each value."""
         if len(values) != len(self.columns):

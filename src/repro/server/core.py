@@ -375,9 +375,10 @@ class DSPServer:
             if session is not None:
                 await self._teardown(session)
             try:
-                # Pool workers forked while this connection was open
-                # hold a copy of its socket, so closing ours alone would
-                # never show the peer an end of stream; a shutdown does.
+                # Half-close first: a shutdown shows the peer an end of
+                # stream even when another process (one forked while
+                # this connection was open) still holds a copy of the
+                # socket, which closing ours alone would not.
                 if writer.can_write_eof():
                     writer.write_eof()
             except (ConnectionError, OSError, RuntimeError):

@@ -359,16 +359,6 @@ class Shell:
                 f"bytes_received={wire.get('wire.bytes_received', 0)} "
                 f"rows_fetched={wire.get('rows.fetched', 0)}")
         self._out(
-            f"PARALLEL: "
-            f"queries={runtime_counters.get('parallel.queries', 0)} "
-            f"partitions="
-            f"{runtime_counters.get('parallel.partitions', 0)} "
-            f"workers={runtime_counters.get('parallel.workers', 0)} "
-            f"fallbacks="
-            f"{runtime_counters.get('parallel.fallbacks', 0)} "
-            f"partial_aggs="
-            f"{runtime_counters.get('parallel.partial_aggs', 0)}")
-        self._out(
             f"AGGREGATION: "
             f"queries={runtime_counters.get('vector.agg_queries', 0)} "
             f"groups={runtime_counters.get('vector.agg_groups', 0)}")

@@ -17,7 +17,6 @@ from .spi import (
     DataSource,
     Mutation,
     MutationResult,
-    PartitionSpec,
     Predicate,
     Scan,
     ScanBatches,
@@ -36,7 +35,6 @@ __all__ = [
     "DataSource",
     "Mutation",
     "MutationResult",
-    "PartitionSpec",
     "Predicate",
     "Scan",
     "ScanBatches",

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import datetime
 from decimal import Decimal
-from itertools import islice
 from typing import Optional
 
 from ..engine.table import Storage, coerce_value
@@ -52,7 +51,6 @@ from ..sql.types import SQLType
 from .spi import (
     DataSource,
     MutationResult,
-    PartitionSpec,
     Predicate,
     Scan,
     ScanBatches,
@@ -60,7 +58,6 @@ from .spi import (
     SourceCapabilities,
     TableStatistics,
     compute_statistics,
-    row_range,
 )
 
 _INT_KINDS = frozenset({"SMALLINT", "INTEGER", "BIGINT"})
@@ -184,17 +181,13 @@ class TableSource(DataSource):
                      if self.supports_predicate(table, p))
 
     def scan(self, table: str, request: Optional[ScanRequest] = None,
-             context=None,
-             partition: Optional[PartitionSpec] = None,
-             handles: bool = False) -> Scan:
+             context=None, handles: bool = False) -> Scan:
         self._check_open()
         physical = self.storage.table(table)
-        lower, upper = row_range(partition)
         predicates = self._pushable(table, request)
         if not predicates:
             return Scan(columns=list(physical.columns),
-                        rows=self._iter_rows(physical, lower, upper,
-                                             context, handles),
+                        rows=self._iter_rows(physical, context, handles),
                         pushed=False)
         # Probe the index on the most selective conjunct; apply the rest
         # inline (all accepted conjuncts are exact-typed eq/in, so plain
@@ -208,8 +201,6 @@ class TableSource(DataSource):
             for value in probe.value:
                 hit.update(index.get(value, ()))
             indices = sorted(hit)  # restore physical scan order
-        if partition is not None:
-            indices = [i for i in indices if lower <= i < upper]
         remaining = tuple(p for p in predicates if p is not probe)
         positions = {name: i for i, (name, _) in enumerate(physical.columns)}
         return Scan(columns=list(physical.columns),
@@ -219,9 +210,7 @@ class TableSource(DataSource):
 
     def scan_batches(self, table: str,
                      request: Optional[ScanRequest] = None,
-                     context=None, batch_size: int = 1024,
-                     partition: Optional[PartitionSpec] = None) \
-            -> ScanBatches:
+                     context=None, batch_size: int = 1024) -> ScanBatches:
         """Columnar fast path: slice the stored row list directly.
 
         Only the no-pushdown shape is specialized — an indexed scan
@@ -236,14 +225,12 @@ class TableSource(DataSource):
         physical = self.storage.table(table)
         if self._pushable(table, request):
             return super().scan_batches(table, request, context,
-                                        batch_size, partition)
-        lower, upper = row_range(partition)
+                                        batch_size)
 
         def batches(rows=physical.rows):
-            stop = len(rows) if upper is None else upper
-            for start in range(lower, stop, batch_size):
+            for start in range(0, len(rows), batch_size):
                 self._check_open()
-                block = rows[start:min(start + batch_size, stop)]
+                block = rows[start:start + batch_size]
                 if context is not None:
                     context.tick_rows(len(block))
                 yield [list(col) for col in zip(*block)]
@@ -345,30 +332,6 @@ class TableSource(DataSource):
             physical.rows = rows
             physical.generation = generation
 
-    # -- partitioning ------------------------------------------------------
-
-    def partitions(self, table: str,
-                   request: Optional[ScanRequest] = None,
-                   target: int = 2) -> Optional[list[PartitionSpec]]:
-        """Contiguous row-index ranges: [lower, upper) over the stored
-        row list. Concatenated in index order they replay the physical
-        scan order exactly (copy-on-write mutation keeps a captured row
-        list — and so the positions — stable for one version token)."""
-        self._check_open()
-        if target < 2:
-            return None
-        total = len(self.storage.table(table).rows)
-        if total < 2:
-            return None
-        count = min(target, total)
-        step = total / count
-        bounds = [round(i * step) for i in range(count + 1)]
-        bounds[-1] = total
-        return [PartitionSpec(table=table, index=i, count=count,
-                              kind="rows", lower=bounds[i],
-                              upper=bounds[i + 1])
-                for i in range(count)]
-
     def _most_selective(self, table: str,
                         predicates: tuple[Predicate, ...]) -> Predicate:
         stats = self.statistics(table)
@@ -403,11 +366,11 @@ class TableSource(DataSource):
         self._indexes[key] = (token, index)
         return index, True
 
-    def _iter_rows(self, physical, lower, upper, context, handles=False):
-        """Rows of the slice; with *handles*, ``(position, row)`` pairs
+    def _iter_rows(self, physical, context, handles=False):
+        """The table's rows; with *handles*, ``(position, row)`` pairs
         — a row's handle is its position in the stored list."""
-        rows = islice(physical.rows, lower, upper)
-        for item in (enumerate(rows, lower) if handles else rows):
+        rows = physical.rows
+        for item in (enumerate(rows) if handles else rows):
             self._check_open()
             if context is not None:
                 context.tick()

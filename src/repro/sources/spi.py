@@ -136,45 +136,6 @@ class ScanBatches:
         return iter(self.batches)
 
 
-@dataclass(frozen=True)
-class PartitionSpec:
-    """One horizontal slice of a table, for scatter/gather execution.
-
-    The contract binding all partitions of one ``partitions()`` answer:
-    concatenating ``scan(table, request, partition=spec)`` row streams
-    in ``index`` order yields exactly the rows of a full
-    :meth:`DataSource.scan` with the same request, in the same order,
-    each row exactly once.
-    That makes the parallel gather's order restoration a pure offset
-    computation — no re-sort is needed for the scan's physical order.
-
-    ``kind`` names the carving scheme (``"rows"`` for positional row
-    ranges over materialized tables, ``"rowid"`` for SQLite rowid
-    ranges); ``lower``/``upper`` are the scheme-specific bounds
-    (half-open ``[lower, upper)`` for ``"rows"``, inclusive for
-    ``"rowid"``). Instances must pickle — they are shipped to worker
-    processes verbatim.
-    """
-
-    table: str
-    index: int
-    count: int
-    kind: str = "rows"
-    lower: object = None
-    upper: object = None
-
-
-def row_range(partition: Optional[PartitionSpec]) \
-        -> tuple[int, Optional[int]]:
-    """The half-open row-position slice a ``"rows"`` *partition* covers;
-    ``(0, None)`` — the whole table — when there is no partition."""
-    if partition is None:
-        return 0, None
-    if partition.kind != "rows":
-        raise ValueError(f"unsupported partition kind {partition.kind!r}")
-    return int(partition.lower), int(partition.upper)
-
-
 def _column_blocks(rows: Iterable[tuple], batch_size: int,
                    context) -> Iterator[list[list]]:
     """Transpose a row stream into column blocks of up to *batch_size*
@@ -404,34 +365,24 @@ class DataSource:
     # -- scanning ----------------------------------------------------------
 
     def scan(self, table: str, request: Optional[ScanRequest] = None,
-             context=None,
-             partition: Optional[PartitionSpec] = None,
-             handles: bool = False) -> Scan:
+             context=None, handles: bool = False) -> Scan:
         """Stream *table*'s rows (stable order across repeated scans).
 
         *request* is advisory (see module docstring); *context* is an
         optional ``QueryContext`` whose ``tick()`` must run per row.
-        *partition* — a spec this source's :meth:`partitions` returned —
-        restricts the scan to that slice; a spec of a ``kind`` the
-        source does not carve raises ``ValueError``. Carving is exact
-        by contract, never advisory: ``pushed`` on the result refers to
-        the request's predicates only. Callers pass ``partition=`` only
-        with such a spec, so a source that never partitions may keep
-        the three-argument signature. *handles* — passed only to a
-        source that answered :meth:`supports_write` for *table*, so a
-        read-only source never sees it either — makes the stream
-        ``(handle, row)`` pairs: the handle is what a :class:`Mutation`
-        names the row by (the DML planner's victim scan).
+        *handles* — passed only to a source that answered
+        :meth:`supports_write` for *table*, so a read-only source never
+        sees it — makes the stream ``(handle, row)`` pairs: the handle
+        is what a :class:`Mutation` names the row by (the DML planner's
+        victim scan).
         """
         raise NotImplementedError
 
     def scan_batches(self, table: str,
                      request: Optional[ScanRequest] = None,
-                     context=None, batch_size: int = 1024,
-                     partition: Optional[PartitionSpec] = None) \
-            -> ScanBatches:
-        """Stream *table* (or one *partition* of it) as column-oriented
-        batches of *batch_size* rows.
+                     context=None, batch_size: int = 1024) -> ScanBatches:
+        """Stream *table* as column-oriented batches of *batch_size*
+        rows.
 
         The default transposes :meth:`scan`'s row stream, so every
         source gets a batch surface from its one row scan; sources with
@@ -441,8 +392,7 @@ class DataSource:
         """
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        extra = {} if partition is None else {"partition": partition}
-        result = self.scan(table, request, None, **extra)
+        result = self.scan(table, request, None)
         return ScanBatches(
             columns=result.columns,
             batches=_column_blocks(result.rows, batch_size, context),
@@ -503,31 +453,7 @@ class DataSource:
         raise NotSupportedError(
             f"source {self.name!r} does not support transactions")
 
-    # -- partitioning ------------------------------------------------------
-
-    def partitions(self, table: str,
-                   request: Optional[ScanRequest] = None,
-                   target: int = 2) -> Optional[list[PartitionSpec]]:
-        """Split *table* into up to *target* disjoint partitions.
-
-        Returns None (the default) when the source cannot partition the
-        table — the engine then runs the scan serially. A non-None
-        answer must satisfy the :class:`PartitionSpec` concatenation
-        contract for the given *request*; sources should return None
-        rather than a single-element list when splitting is pointless.
-        """
-        return None
-
     # -- lifecycle ---------------------------------------------------------
-
-    def reset_after_fork(self) -> None:
-        """Re-initialize process-local state in a forked worker.
-
-        Called once in each pool worker before it serves partition
-        scans. The default is a no-op; sources holding locks, file
-        handles, or socket/database connections that must not be shared
-        across a fork boundary override it.
-        """
 
     @property
     def closed(self) -> bool:

@@ -66,7 +66,6 @@ from .spi import (
     ColumnStats,
     DataSource,
     MutationResult,
-    PartitionSpec,
     Predicate,
     Scan,
     ScanRequest,
@@ -374,13 +373,9 @@ class SQLiteSource(DataSource):
     # -- scanning ----------------------------------------------------------
 
     def _scan_sql(self, table: str, request: Optional[ScanRequest],
-                  carving: Optional[tuple[int, int]] = None,
                   handles: bool = False):
-        """Build the scan SELECT. *carving* is an inclusive rowid range
-        appended as an extra WHERE conjunct; it never counts toward
-        ``pushed`` (partition carving is exact by contract, while
-        ``pushed`` reports only the advisory request predicates).
-        *handles* puts ``rowid`` ahead of the selected columns."""
+        """Build the scan SELECT. *handles* puts ``rowid`` ahead of the
+        selected columns."""
         all_columns = self.columns(table)
         by_name = dict(all_columns)
         out_columns = all_columns
@@ -412,27 +407,16 @@ class SQLiteSource(DataSource):
             else:
                 clauses.append(f"{_quote(p.column)} {_OP_SQL[p.op]} ?")
                 params.append(_encode(p.value, by_name[p.column]))
-        if carving is not None:
-            clauses.append("rowid >= ? AND rowid <= ?")
-            params.extend(carving)
         if clauses:
             sql += " WHERE " + " AND ".join(clauses)
         sql += " ORDER BY rowid"
         return sql, params, out_columns, bool(predicates)
 
     def scan(self, table: str, request: Optional[ScanRequest] = None,
-             context=None,
-             partition: Optional[PartitionSpec] = None,
-             handles: bool = False) -> Scan:
+             context=None, handles: bool = False) -> Scan:
         self._check_open()
-        carving = None
-        if partition is not None:
-            if partition.kind != "rowid":
-                raise ValueError(
-                    f"unsupported partition kind {partition.kind!r}")
-            carving = (int(partition.lower), int(partition.upper))
         sql, params, out_columns, pushed = self._scan_sql(
-            table, request, carving, handles)
+            table, request, handles)
         out_types = [t for _n, t in out_columns]
         return Scan(columns=list(out_columns),
                     rows=self._iter_rows(sql, params, out_types, context,
@@ -558,40 +542,6 @@ class SQLiteSource(DataSource):
             self._in_txn = False
             self._mutation_epoch += 1
 
-    # -- partitioning ------------------------------------------------------
-
-    def partitions(self, table: str,
-                   request: Optional[ScanRequest] = None,
-                   target: int = 2) -> Optional[list[PartitionSpec]]:
-        """Inclusive rowid ranges carved from the table's rowid span.
-
-        Rowid gaps (from deletes) only skew partition sizes, never
-        correctness: the ranges tile [MIN(rowid), MAX(rowid)] exactly,
-        and every scan — full or partitioned — orders by rowid, so the
-        concatenation contract holds.
-        """
-        self._check_open()
-        if target < 2:
-            return None
-        with self._lock:
-            self._check_open()
-            low, high, count = self._connection.execute(
-                f"SELECT MIN(rowid), MAX(rowid), COUNT(*) "
-                f"FROM {_quote(table)}").fetchone()
-        if count < 2 or low is None:
-            return None
-        pieces = min(target, count, high - low + 1)
-        if pieces < 2:
-            return None
-        span = high - low + 1
-        step = span / pieces
-        bounds = [low + round(i * step) for i in range(pieces)]
-        bounds.append(high + 1)
-        return [PartitionSpec(table=table, index=i, count=pieces,
-                              kind="rowid", lower=bounds[i],
-                              upper=bounds[i + 1] - 1)
-                for i in range(pieces)]
-
     def _iter_rows(self, sql, params, out_types, context, handles=False):
         with self._lock:
             self._check_open()
@@ -622,25 +572,6 @@ class SQLiteSource(DataSource):
                 pass  # connection already closed
 
     # -- lifecycle ---------------------------------------------------------
-
-    def reset_after_fork(self) -> None:
-        """Make the forked copy safe to scan from a worker process.
-
-        The inherited lock may have been held mid-fork, so it is
-        replaced outright. File-backed databases get a fresh connection
-        (SQLite file handles must never be shared across a fork); the
-        inherited handle is abandoned, not closed — closing it could
-        flush shared journal state out from under the parent. For
-        ``:memory:`` the forked pages *are* the database — a fresh
-        connection would be empty — so the copy-on-write snapshot is
-        kept; workers are read-only and staleness is caught by version
-        tokens.
-        """
-        self._lock = threading.RLock()
-        if self.path != ":memory:" and not self._closed:
-            self._connection = sqlite3.connect(
-                self.path, check_same_thread=False)
-            self._connection.isolation_level = None
 
     def close(self) -> None:
         with self._lock:

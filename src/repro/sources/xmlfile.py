@@ -33,7 +33,6 @@ are someone else's files, not ours to rewrite.
 
 from __future__ import annotations
 
-from itertools import islice
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -44,13 +43,11 @@ from ..xmlmodel import parse_document
 from ..xquery.atomic import parse_lexical
 from .spi import (
     DataSource,
-    PartitionSpec,
     Scan,
     ScanRequest,
     SourceCapabilities,
     TableStatistics,
     compute_statistics,
-    row_range,
 )
 
 
@@ -115,46 +112,18 @@ class XMLFileSource(DataSource):
     # -- scanning ----------------------------------------------------------
 
     def scan(self, table: str, request: Optional[ScanRequest] = None,
-             context=None,
-             partition: Optional[PartitionSpec] = None) -> Scan:
+             context=None) -> Scan:
         self._check_open()
-        lower, upper = row_range(partition)
         _version, columns, rows = self._load(table)
         return Scan(columns=list(columns),
-                    rows=self._iter_rows(rows, lower, upper, context),
-                    pushed=False)
+                    rows=self._iter_rows(rows, context), pushed=False)
 
-    def _iter_rows(self, rows, lower, upper, context):
-        for row in islice(rows, lower, upper):
+    def _iter_rows(self, rows, context):
+        for row in rows:
             self._check_open()
             if context is not None:
                 context.tick()
             yield row
-
-    # -- partitioning ------------------------------------------------------
-
-    def partitions(self, table: str,
-                   request: Optional[ScanRequest] = None,
-                   target: int = 2) -> Optional[list[PartitionSpec]]:
-        """Row-index ranges over the materialized parse cache. The
-        whole file is parsed either way, so partitioning buys only
-        downstream (filter/encode) parallelism — still worth it for
-        large documents."""
-        self._check_open()
-        if target < 2:
-            return None
-        _version, _columns, rows = self._load(table)
-        total = len(rows)
-        if total < 2:
-            return None
-        count = min(target, total)
-        step = total / count
-        bounds = [round(i * step) for i in range(count + 1)]
-        bounds[-1] = total
-        return [PartitionSpec(table=table, index=i, count=count,
-                              kind="rows", lower=bounds[i],
-                              upper=bounds[i + 1])
-                for i in range(count)]
 
     # -- parsing -----------------------------------------------------------
 

@@ -81,8 +81,7 @@ class CompiledQuery:
         #: translated body).
         self.batched_reason = batched_reason
         #: The executing ``repro.xquery.vector._VectorPlan`` when
-        #: ``batched`` — the scatter/gather executor reads its shape
-        #: and partition entry points. None when the Evaluator runs it.
+        #: ``batched``; None when the Evaluator runs it.
         self.vector_plan = vector_plan
         #: True when the body is a text wrapper (top-level
         #: ``fn:string-join(..., "lit")``), whose one string

@@ -1364,7 +1364,7 @@ def grouping_key(value) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Grouped-aggregation lowering (vector executor + parallel partial-agg)
+# Grouped-aggregation lowering (vector executor)
 # ---------------------------------------------------------------------------
 
 #: Reserved prefix for the synthetic variables that hold finalized
@@ -1557,18 +1557,3 @@ def lower_group_aggregates(group: ast.GroupClause, post_clauses,
     clause = AggregateClause(group.source_var, group.partition_var,
                              group.keys, tuple(specs))
     return clause, tuple(new_post), new_return
-
-
-def estimate_group_count(stats, keys, source_var: str) -> Optional[int]:
-    """NDV-product estimate of a grouped scan's output cardinality,
-    clamped to the table's row count. None when any key column lacks NDV
-    statistics (unknown column shape, stats disabled)."""
-    if stats is None or stats.row_count is None:
-        return None
-    estimate = 1
-    for key_expr, _key_var in keys:
-        ndv = _column_ndv(stats, _scan_column(key_expr, source_var))
-        if not ndv:
-            return None
-        estimate *= ndv
-    return min(estimate, stats.row_count)

@@ -2,9 +2,9 @@
 
 Stage three of the translator builds AST nodes; this module is the one
 place that knows what the generated text looks like. ``TranslationResult.
-xquery``, ``\\translate``, EXPLAIN and the scatter executor's per-worker
-re-prepare print through it. The layout (docs/XQUERY_DIALECT.md, "House
-style") is keyed on node shape only, never on who built the node:
+xquery``, ``\\translate`` and EXPLAIN print through it. The layout
+(docs/XQUERY_DIALECT.md, "House style") is keyed on node shape only,
+never on who built the node:
 
 * one FLWOR clause per line, ``return`` on its own line before a
   constructor or a multi-line conditional; a single ``for`` with a

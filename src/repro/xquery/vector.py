@@ -83,13 +83,11 @@ from .functions import (
     PreparedIn3,
     bea_in3,
 )
-from .printer import print_module
 from .planner import (
     KEY_KINDS,
     HashJoinClause,
     RestoreOrderClause,
     bind_scan_request,
-    estimate_group_count,
     grouping_key,
     join_key,
     lower_group_aggregates,
@@ -141,8 +139,7 @@ class _VectorStats(threading.local):
     parameter bound to a node or a sequence), ``batches``/``rows`` the
     output volume (encoded or built as RECORDs) — a lazily
     consumed cursor over a large scan shows O(batches fetched) rows
-    encoded, not O(table) — ``parallel`` the runs that scattered
-    across the process pool, ``agg_groups`` the group-table entries
+    encoded, not O(table) — ``agg_groups`` the group-table entries
     the hash-aggregation stage emitted, ``join_builds`` the hash
     tables join stages built, ``join_reuses`` those they probed again
     (see :class:`_JoinInfo`), ``generic_columns`` the encode, cast,
@@ -156,7 +153,6 @@ class _VectorStats(threading.local):
         self.fallbacks = 0
         self.batches = 0
         self.rows = 0
-        self.parallel = 0
         self.agg_groups = 0
         self.join_builds = 0
         self.join_reuses = 0
@@ -479,11 +475,10 @@ class _Ctx:
     environments a correlated sub-plan reads (``scopes``: ``(env,
     inputs)`` pairs, innermost last), and what accepting the plan still
     has to do (plan-node numbering), deferred so that a decline leaves
-    the compiler as it found it. ``once`` is set when the plan holds a subquery: pool
-    workers would each run it again, so it does not scatter."""
+    the compiler as it found it."""
 
     __slots__ = ("compiler", "params", "recordsets", "read", "scopes",
-                 "accept", "once")
+                 "accept")
 
     def __init__(self, compiler):
         self.compiler = compiler
@@ -492,7 +487,6 @@ class _Ctx:
         self.read: set[str] = set()
         self.scopes: list = []
         self.accept: list = []
-        self.once = False
 
 
 def _vtype_of_literal(value) -> Optional[str]:
@@ -889,7 +883,6 @@ def _vcompile_subquery(cc: _Ctx, expr: ast.XFunctionCall, uri: str,
         # execution is listed as one.
         compiler = cc.compiler
         cc.accept.append(lambda: compiler._report_once(expr))
-    cc.once = True
     slot = object()
 
     def constant(state):
@@ -1384,48 +1377,19 @@ class _JoinInfo:
 
 
 class _AggInfo:
-    """Compiled hash-aggregation stage: vectorized key/value inputs plus
-    the decomposition metadata the scatter executor needs.
-
-    ``parallel_safe`` is True only when every spec's partial states
-    merge associatively to the *exact* serial result: counts always do;
-    sums/averages only over exact-numeric columns (float addition is
-    not associative); min/max only over typed non-float columns (NaN
-    breaks the fold's comparison transitivity); distinct-backed specs
-    always do (ordered set union in partition order reproduces the
-    serial first-occurrence order). ``group_estimate``/``row_estimate``
-    come from NDV statistics and decide whether the plan scatters at
-    all (worker-side partial aggregation, or one serial fold).
-    """
+    """Compiled hash-aggregation stage: vectorized key/value inputs and
+    the statically known output type of each aggregate."""
 
     __slots__ = ("key_exprs", "key_vars", "specs", "value_exprs",
-                 "out_vtypes", "parallel_safe", "group_estimate",
-                 "row_estimate")
+                 "out_vtypes")
 
     def __init__(self, key_exprs, key_vars, specs, value_exprs,
-                 out_vtypes, parallel_safe, group_estimate,
-                 row_estimate):
+                 out_vtypes):
         self.key_exprs = key_exprs
         self.key_vars = key_vars
         self.specs = specs
         self.value_exprs = value_exprs
         self.out_vtypes = out_vtypes
-        self.parallel_safe = parallel_safe
-        self.group_estimate = group_estimate
-        self.row_estimate = row_estimate
-
-
-def _spec_parallel_safe(spec, vtype: Optional[str]) -> bool:
-    if spec.star or spec.distinct or spec.func == "count":
-        return True
-    if spec.func in ("sum", "avg"):
-        return vtype in _EXACT_NUM_TYPES
-    # min/max: a NaN inside one partition poisons that partition's fold
-    # differently than the serial left-to-right fold, so floats (and
-    # unknown or untyped values, which fold as floats) aggregate at the
-    # parent.
-    return vtype is not None and vtype != _UNTYPED \
-        and vtype not in _FLOAT_TYPES
 
 
 def _spec_out_vtype(spec, vtype: Optional[str]) -> Optional[str]:
@@ -1444,14 +1408,13 @@ def _spec_out_vtype(spec, vtype: Optional[str]) -> Optional[str]:
     return vtype  # min/max preserve the input type
 
 
-def _compile_aggregate(cc: _Ctx, agg, env: dict, lead) -> _AggInfo:
+def _compile_aggregate(cc: _Ctx, agg, env: dict) -> _AggInfo:
     """Vector-compile an ``AggregateClause``'s key and value expressions
     over the pre-group *env*."""
     key_exprs = [_vcompile(cc, key_expr, env)
                  for key_expr, _key_var in agg.keys]
     value_exprs = []
     out_vtypes = []
-    parallel_safe = True
     for spec in agg.specs:
         if spec.star:
             value_exprs.append(None)
@@ -1460,28 +1423,14 @@ def _compile_aggregate(cc: _Ctx, agg, env: dict, lead) -> _AggInfo:
         value = _vcompile(cc, spec.value, env)
         value_exprs.append(value)
         out_vtypes.append(_spec_out_vtype(spec, value.vtype))
-        if not _spec_parallel_safe(spec, value.vtype):
-            parallel_safe = False
-    group_estimate = None
-    row_estimate = None
-    estimator = cc.compiler._estimator
-    if (estimator is not None and isinstance(lead, ast.ForClause)
-            and lead.var == agg.source_var):
-        stats = estimator.table_stats(lead.source)
-        if stats is not None:
-            row_estimate = stats.row_count
-            group_estimate = estimate_group_count(stats, agg.keys,
-                                                  agg.source_var)
     return _AggInfo(key_exprs, [kv for _k, kv in agg.keys], agg.specs,
-                    value_exprs, out_vtypes, parallel_safe,
-                    group_estimate, row_estimate)
+                    value_exprs, out_vtypes)
 
 
 def _new_agg_state(spec):
-    """Fresh partial state for one aggregate: int for counts, ordered
-    value list for distinct forms, ``[total, count]`` for sum/avg,
-    ``[best, seen]`` for min/max. All forms pickle (they cross the
-    worker pipe as partial-state tables)."""
+    """Fresh state for one aggregate: int for counts, ordered value
+    list for distinct forms, ``[total, count]`` for sum/avg, ``[best,
+    seen]`` for min/max."""
     if spec.star or (spec.func == "count" and not spec.distinct):
         return 0
     if spec.distinct:
@@ -1531,39 +1480,6 @@ def _fold_agg_cell(spec, states: list, j: int, cell) -> None:
             acc[0] = cell
 
 
-def _merge_agg_states(spec, a, b):
-    """Associative merge of two partial states (partition-index order:
-    *a* is the earlier partition — ties and first-occurrence order
-    resolve exactly as the serial fold would)."""
-    if spec.star or (spec.func == "count" and not spec.distinct):
-        return a + b
-    if spec.distinct:
-        for value in b:
-            duplicate = False
-            for prior in a:
-                try:
-                    if compare_values("eq", prior, value):
-                        duplicate = True
-                        break
-                except XQueryTypeError:
-                    continue
-            if not duplicate:
-                a.append(value)
-        return a
-    if spec.func in ("sum", "avg"):
-        if b[1] == 0:
-            return a
-        if a[1] == 0:
-            return b
-        return [a[0] + b[0], a[1] + b[1]]
-    if not b[1]:
-        return a
-    if not a[1]:
-        return b
-    op = "lt" if spec.func == "min" else "gt"
-    return b if compare_values(op, b[0], a[0]) else a
-
-
 def _final_sum_avg(spec, total, count):
     if count == 0:
         return 0 if (spec.func == "sum" and spec.empty_zero) else None
@@ -1578,7 +1494,7 @@ def _final_sum_avg(spec, total, count):
 
 
 def _finalize_agg_state(spec, agg_state):
-    """Partial state → the aggregate's final scalar (or None = NULL)."""
+    """Group state → the aggregate's final scalar (or None = NULL)."""
     func = spec.func
     if spec.distinct:
         if func == "count":
@@ -1602,18 +1518,6 @@ def _finalize_agg_state(spec, agg_state):
     if func in ("sum", "avg"):
         return _final_sum_avg(spec, agg_state[0], agg_state[1])
     return agg_state[0] if agg_state[1] else None
-
-
-def _partial_agg_pays(info: _AggInfo) -> bool:
-    """Scatter-or-not for an aggregate-led plan: worker-side partial
-    aggregation wins when the group table is meaningfully smaller than
-    its input (the gather payload is O(groups), not O(rows)); a plan it
-    does not pay for runs serially. With no NDV estimate, default to
-    partial aggregation — it is never wrong, only potentially no
-    smaller than its input."""
-    if info.group_estimate is None or not info.row_estimate:
-        return True
-    return info.group_estimate <= 0.5 * info.row_estimate
 
 
 def _lower_source(cc: _Ctx, for_clause: ast.ForClause, hint,
@@ -1820,7 +1724,7 @@ def lower_flwor(cc: _Ctx, flwor: ast.FLWOR) -> _Lowered:
             if aggregated is None:
                 raise _Decline("unsupported_aggregate")
             agg_clause, post_clauses, record = aggregated
-            info = _compile_aggregate(cc, agg_clause, env, items[0][0])
+            info = _compile_aggregate(cc, agg_clause, env)
             stages.append(("agg", info, node))
             env = {key_var: _ScalarCol((_GRP, key_var), key_v.vtype)
                    for key_var, key_v in zip(info.key_vars,
@@ -1916,7 +1820,7 @@ def _lower_wrapper(cc: _Ctx, arg) -> "_VectorPlan":
         raise _Decline("record_shape")
     cc.accept.append(lambda: compiler._number(outer_plan))
     return _VectorPlan(compiler, lowered, window, names, frozenset(cc.params),
-                       outer_plan, scatters=not cc.once)
+                       outer_plan)
 
 
 def _lower_recordset(cc: _Ctx, body) -> "_VectorPlan":
@@ -1927,8 +1831,7 @@ def _lower_recordset(cc: _Ctx, body) -> "_VectorPlan":
         raise _Decline("not_wrapper")
     lowered, window = _lower_top(cc, content, "record")
     return _VectorPlan(cc.compiler, lowered, window, list(lowered.cells),
-                       frozenset(cc.params), None, scatters=False,
-                       recordset=body.name)
+                       frozenset(cc.params), None, recordset=body.name)
 
 
 # ---------------------------------------------------------------------------
@@ -1949,21 +1852,17 @@ def _count_rows(batches, actuals: dict, node_id) -> Iterator[_Batch]:
 
 
 class _VectorPlan:
-    __slots__ = ("columnar", "batch_size", "lowered", "stages", "window",
-                 "names", "projections", "param_names", "outer_plan",
-                 "recordset", "module", "_text",
-                 "parallel_ready", "parallel_mode",
-                 "partition_stage_count", "signature")
+    __slots__ = ("columnar", "batch_size", "lowered", "window", "names",
+                 "projections", "param_names", "outer_plan", "recordset")
 
     def __init__(self, compiler, lowered, window, names, param_names,
-                 outer_plan, scatters, recordset=None):
+                 outer_plan, recordset=None):
         self.columnar = compiler._columnar
         self.batch_size = compiler._batch_size
-        #: The statement's record set FLWOR, lowered; ``stages`` are
-        #: its own (a sub-plan's hang off the source or join that reads
-        #: it).
+        #: The statement's record set FLWOR, lowered; its ``stages``
+        #: are its own (a sub-plan's hang off the source or join that
+        #: reads it).
         self.lowered = lowered
-        stages = self.stages = lowered.stages
         self.window = window
         #: The output cells and their vector expressions (a record-set
         #: cell's text is the same encoded raw, by its view's serialiser).
@@ -1979,54 +1878,6 @@ class _VectorPlan:
         #: The xml format's RECORDSET element name; None when the
         #: output stage encodes delimited text.
         self.recordset = recordset
-        #: The module this plan was compiled from, stamped by the
-        #: DSPRuntime that prepared it; only such plans scatter, because
-        #: pool workers re-prepare the plan from its text.
-        self.module = None
-        self._text = None
-        #: Scatter/gather shape analysis. A plan scatters only when it
-        #: is driven by a plain scan (a leading hash join probes the
-        #: unit tuple stream, a sub-plan is a pipeline of its own —
-        #: there is nothing to split), holds no once-per-execution
-        #: subquery (*scatters*: every worker would run it again), and
-        #: what its workers send back is small next to what they read.
-        #: With no pipeline breaker (order/restore need every row; agg
-        #: needs every row of its group) and no window, workers run the
-        #: whole pipeline including the encode and ship text ("encode").
-        #: When the first breaker is a parallel-safe aggregation whose
-        #: NDV estimate predicts real compression, workers fold their
-        #: partition into a partial-state table and ship O(groups)
-        #: ("partial_agg" mode). Every other shape would pickle O(rows)
-        #: columns back to a parent that still has the whole sort or
-        #: merge to do, so it runs serially — by plan shape, not by
-        #: fallback. ``parallel_mode`` is read only when
-        #: ``parallel_ready``.
-        breakers = [i for i, (kind, _p, _i) in enumerate(stages)
-                    if kind in ("order", "restore", "agg")]
-        self.partition_stage_count = breakers[0] if breakers \
-            else len(stages)
-        kind, info = stages[breakers[0]][:2] if breakers else (None, None)
-        partial = kind == "agg" and info.parallel_safe \
-            and _partial_agg_pays(info)
-        self.parallel_mode = "partial_agg" if partial else "encode"
-        self.parallel_ready = scatters and stages[0][0] == "scan" \
-            and (partial or (not breakers and window is None))
-        scan0 = stages[0][1] if self.parallel_ready else None
-        agg_shape = tuple(
-            (len(payload.key_vars),)
-            + tuple((s.func, s.star, s.distinct, s.empty_zero)
-                    for s in payload.specs)
-            for kind, payload, _i in stages if kind == "agg")
-        self.signature = (
-            tuple(kind for kind, _p, _i in stages),
-            window,
-            len(names),
-            tuple(sorted(param_names)),
-            (scan0.uri, scan0.local, scan0.with_ordinal)
-            if scan0 is not None else None,
-            self.parallel_mode,
-            agg_shape,
-        )
 
     # -- entry ------------------------------------------------------------
 
@@ -2041,13 +1892,6 @@ class _VectorPlan:
                 return None
             params[name] = bound[0] if bound else None
         return params
-
-    def xquery_text(self) -> str:
-        """The plan's query as text, for shipping to pool workers:
-        printed on the first scatter, kept for the next."""
-        if self._text is None:
-            self._text = print_module(self.module)
-        return self._text
 
     def run(self, frame: _Frame):
         """One execution over the root *frame*: the delimited text as a
@@ -2066,88 +1910,7 @@ class _VectorPlan:
         VSTATS.executions += 1
         if self.recordset is not None:
             return [self._build_records(state, self._batches(state))]
-        if self.parallel_ready and state.actuals is None \
-                and self.module is not None:
-            # EXPLAIN (actuals) stays serial: per-node row accounting
-            # happens inside worker processes and cannot be merged.
-            gathered = self.columnar.try_parallel(self, state)
-            if gathered is not None:
-                VSTATS.parallel += 1
-                return gathered
         return self._encode(state, self._batches(state))
-
-    # -- scatter/gather (engine.parallel) ----------------------------------
-
-    def run_partition(self, frame: _Frame, spec):
-        """Worker-side entry: run this plan over one partition (the
-        signature check guarantees the parent chose the same mode).
-
-        In ``"encode"`` mode returns ``(chunk_text, out_rows)`` — the
-        partition's fully encoded output. In ``"partial_agg"`` mode
-        returns ``(table, scanned)`` where *table* is the partition's
-        partial-state group table in first-seen order and *scanned* is
-        the partition's scanned (post-pushdown, pre-filter) row count —
-        the parent's admission charge.
-        """
-        params = self._scalar_params(frame)
-        if params is None:
-            raise XQueryTypeError(
-                "parameter shape outside the vector subset",
-                code="FORG0006")
-        state = _State(self, frame, params, None)
-        scanned: list = [0]
-        batches = self._scan(state, self.stages[0][1], partition=spec,
-                             scanned=scanned)
-        # Breaker stages never sit inside the prefix: where/join only.
-        batches = self._run_stages(
-            state, batches, self.stages[1:self.partition_stage_count])
-        if self.parallel_mode == "partial_agg":
-            info = self.stages[self.partition_stage_count][1]
-            table = self._fold_groups(state, batches, info)
-            return [(canon, record[0], record[1])
-                    for canon, record in table.items()], scanned[0]
-        out_rows = 0
-
-        def counted(source=batches):
-            nonlocal out_rows
-            for b in source:
-                out_rows += b.n
-                yield b
-
-        text = "".join(self._encode(state, counted()))
-        return text, out_rows
-
-    def gather_partial(self, state: _State, parts) -> Iterator[str]:
-        """Parent-side merge for ``"partial_agg"`` mode: *parts* is the
-        per-partition ``(table, scanned)`` list in partition
-        index order. Partitions are contiguous slices of the serial
-        scan order, so merging their first-seen group tables in index
-        order reproduces the serial group order, and every partial
-        state's merge is associative (``parallel_safe`` gated the mode),
-        so finalized values match the serial fold exactly. The order/
-        window/encode suffix then runs in-process as usual."""
-        agg_index = self.partition_stage_count
-        info = self.stages[agg_index][1]
-        specs = info.specs
-        groups: dict = {}
-        for table, _scanned in parts:
-            for canon, key_values, states in table:
-                record = groups.get(canon)
-                if record is None:
-                    groups[canon] = (key_values, states)
-                else:
-                    merged = record[1]
-                    for j, spec in enumerate(specs):
-                        merged[j] = _merge_agg_states(spec, merged[j],
-                                                      states[j])
-        self._count_groups(len(groups))
-        # Only where/order stages survive the aggregate lowering.
-        batches = self._run_stages(
-            state, self._group_batches(info, groups),
-            self.stages[agg_index + 1:])
-        if self.window is not None:
-            batches = self._window_batches(batches)
-        return self._encode(state, batches)
 
     def _batches(self, state: _State) -> Iterator[_Batch]:
         batches = self._open(state, self.lowered)
@@ -2191,22 +1954,18 @@ class _VectorPlan:
 
     # -- stages -----------------------------------------------------------
 
-    def _scan_columns(self, state: _State, info: _ScanInfo,
-                      partition=None):
+    def _scan_columns(self, state: _State, info: _ScanInfo):
         """``(column name -> values, row count)`` of one scan — read
         once per execution, however often a correlated sub-plan runs
-        it (a partition's, once per call)."""
-        scanned = state.memo.get(info) if partition is None else None
+        it."""
+        scanned = state.memo.get(info)
         if scanned is None:
             request = bind_scan_request(info.request, state.frame.lookup)
             columns, values, nrows = self.columnar.scan_columns(
-                info.uri, info.local, context=state.ctx, scan=request,
-                partition=partition)
-            scanned = ({name: col
-                        for (name, _xs), col in zip(columns, values)},
-                       nrows)
-            if partition is None:
-                state.memo[info] = scanned
+                info.uri, info.local, context=state.ctx, scan=request)
+            scanned = state.memo[info] = (
+                {name: col for (name, _xs), col in zip(columns, values)},
+                nrows)
         return scanned
 
     def _source(self, state: _State, unit, source) -> Iterator[_Batch]:
@@ -2219,11 +1978,8 @@ class _VectorPlan:
             else:
                 yield from self._subplan(state, source)
 
-    def _scan(self, state: _State, info: _ScanInfo, partition=None,
-              scanned=None) -> Iterator[_Batch]:
-        colmap, nrows = self._scan_columns(state, info, partition)
-        if scanned is not None:
-            scanned[0] = nrows
+    def _scan(self, state: _State, info: _ScanInfo) -> Iterator[_Batch]:
+        colmap, nrows = self._scan_columns(state, info)
         var = info.var
         size = self.batch_size
         for start in range(0, nrows, size):
@@ -2510,9 +2266,7 @@ class _VectorPlan:
     def _fold_groups(self, state: _State, batches,
                      info: _AggInfo) -> dict:
         """Consume *batches* into a group table: canonical key tuple →
-        ``(key_values, [partial state per spec])`` in first-seen order.
-        Shared by the serial stage (which finalizes it) and the worker
-        side of partial aggregation (which ships it)."""
+        ``(key_values, [state per spec])`` in first-seen order."""
         specs = info.specs
         groups: dict = {}
         for b in batches:

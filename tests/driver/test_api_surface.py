@@ -210,11 +210,12 @@ class TestStatsSchema:
     Renaming or removing any of them requires bumping
     ``STATS_SCHEMA_VERSION`` (and this test)."""
 
-    #: Version-3 sections and the keys each must carry (version 2 = the
+    #: Version-4 sections and the keys each must carry (version 2 = the
     #: version-1 document plus the write path's ``transactions``;
     #: version 3 keeps the same sections and adds the grouped-
-    #: aggregation counters under ``runtime.counters``).
-    SCHEMA_V3 = {
+    #: aggregation counters under ``runtime.counters``; version 4 keeps
+    #: them and drops the ``parallel.*`` counters and histogram).
+    SCHEMA_V4 = {
         "statement_cache": {"hits", "misses", "evictions", "size",
                             "capacity"},
         "metadata_cache": {"hits", "misses", "evictions", "size",
@@ -230,7 +231,7 @@ class TestStatsSchema:
     def test_version_key_present(self):
         snapshot = connect(build_runtime()).stats()
         assert snapshot["stats_schema_version"] == \
-            repro.STATS_SCHEMA_VERSION == 3
+            repro.STATS_SCHEMA_VERSION == 4
 
     def test_v3_sections_and_keys(self):
         connection = connect(build_runtime())
@@ -240,7 +241,7 @@ class TestStatsSchema:
         snapshot = connection.stats()
         assert isinstance(snapshot["counters"], dict)
         assert isinstance(snapshot["histograms"], dict)
-        for section, keys in self.SCHEMA_V3.items():
+        for section, keys in self.SCHEMA_V4.items():
             assert section in snapshot, section
             missing = keys - set(snapshot[section])
             assert not missing, f"{section} lost keys {sorted(missing)}"
@@ -252,11 +253,20 @@ class TestStatsSchema:
                        "GROUP BY REGION")
         cursor.fetchall()
         counters = connection.stats()["runtime"]["counters"]
-        for name in ("vector.agg_queries", "vector.agg_groups",
-                     "parallel.partial_aggs"):
+        for name in ("vector.agg_queries", "vector.agg_groups"):
             assert name in counters, name
         assert counters["vector.agg_queries"] >= 1
         assert counters["vector.agg_groups"] >= 1
+
+    def test_v4_runtime_has_no_parallel_keys(self):
+        connection = connect(build_runtime())
+        cursor = connection.cursor()
+        cursor.execute("SELECT REGION, COUNT(*) FROM CUSTOMERS "
+                       "GROUP BY REGION")
+        cursor.fetchall()
+        runtime = connection.stats()["runtime"]
+        names = set(runtime["counters"]) | set(runtime["histograms"])
+        assert not {name for name in names if name.startswith("parallel.")}
 
     def test_counter_names_stable(self):
         connection = connect(build_runtime())
@@ -278,8 +288,8 @@ class TestStatsSchema:
                 handle.dsn("app", "TestDataServices", token="t"))
             try:
                 snapshot = connection.stats()
-                assert snapshot["stats_schema_version"] == 3
-                for section in self.SCHEMA_V3:
+                assert snapshot["stats_schema_version"] == 4
+                for section in self.SCHEMA_V4:
                     assert section in snapshot, section
                 # plus the server-only and client-only sections
                 assert "server" in snapshot

@@ -404,11 +404,7 @@ class TestLifecycleObservability:
         assert counters["queries.cancelled"] == 1
         assert counters["queries.rejected"] == 1
 
-    def test_source_retries_visible_in_connection_stats(self, monkeypatch):
-        # Parent-side counter contract: under forced parallelism the
-        # retries happen inside pool workers (whose metrics die with
-        # them), so this test pins the serial path.
-        monkeypatch.delenv("REPRO_PARALLELISM", raising=False)
+    def test_source_retries_visible_in_connection_stats(self):
         runtime = build_runtime()
         runtime.retry_policy = RetryPolicy(attempts=3, base=0.001,
                                            sleep=lambda seconds: None)

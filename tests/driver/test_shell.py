@@ -121,7 +121,7 @@ class TestShellCommands:
         assert "translate.total.seconds" in text
         assert "STATEMENT_CACHE: hits=0 misses=1" in text
         assert "METADATA_CACHE:" in text
-        assert "partial_aggs=" in text
+        assert "PARALLEL" not in text
         assert "AGGREGATION: queries=" in text
 
     def test_format_validation(self, shell_io):

@@ -111,10 +111,7 @@ class TestBoundedMaterialization:
     ROWS = 5000
     FETCH = 10
 
-    def test_large_scan_materializes_only_fetched_frames(self, monkeypatch):
-        # Serial: a scattered scan encodes every partition before the
-        # first row is handed out (a full barrier, by design).
-        monkeypatch.delenv("REPRO_PARALLELISM", raising=False)
+    def test_large_scan_materializes_only_fetched_frames(self):
         runtime = build_scaled_runtime(self.ROWS)
         size = runtime.batch_size
         connection = connect(runtime)

@@ -1,0 +1,103 @@
+"""Executor coverage gated by count, not by stopwatch.
+
+The benchmark's statement shapes over ``build_scaled_runtime``, checked
+through ``Connection.stats()`` counters that say which path a statement
+took:
+
+* the four ``report_50k`` statements never take the per-cell path —
+  int / str / Decimal / date columns all have typed kernels, so
+  ``vector.generic_columns`` stays 0;
+* the three ``shapes_200`` texts read exactly as many record-set
+  columns as untyped views (``vector.untyped_views``) as their EXPLAIN
+  notes list ``view`` reads — for ``nested`` and ``subq`` the IN
+  subquery's member column, for ``group`` none;
+* the report join, run twice over the same rows, probes the DETAILS
+  hash table kept from the first run (``vector.join_reuses`` up by
+  exactly 1; FACTS is index-pushed and still builds).
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro import connect
+from repro.workloads.scaling import build_scaled_runtime
+
+REPORT_JOIN = ("SELECT F.ID, F.NAME, D.DETAILID, D.QTY FROM FACTS F "
+               "INNER JOIN DETAILS D ON F.ID = D.FACTID WHERE F.REGION = ?")
+
+REPORT_STATEMENTS = [
+    ("SELECT * FROM FACTS", ()),
+    ("SELECT ID, NAME, AMOUNT FROM FACTS WHERE REGION = ? AND AMOUNT > ?",
+     ("WEST", 50)),
+    (REPORT_JOIN, ("WEST",)),
+    ("SELECT NAME, COUNT(*), SUM(AMOUNT) FROM FACTS WHERE REGION <> ? "
+     "GROUP BY NAME", ("WEST",)),
+]
+
+SHAPE_STATEMENTS = {
+    "group": ("SELECT F.REGION, COUNT(*), SUM(D.QTY) FROM FACTS F INNER "
+              "JOIN DETAILS D ON F.ID = D.FACTID GROUP BY F.REGION HAVING "
+              "COUNT(*) > ? ORDER BY 1", (10,)),
+    "nested": ("SELECT INFO.ID, INFO.TOTAL FROM (SELECT F.ID ID, "
+               "SUM(D.QTY) TOTAL FROM FACTS F LEFT OUTER JOIN DETAILS D ON "
+               "F.ID = D.FACTID GROUP BY F.ID) AS INFO WHERE INFO.TOTAL > "
+               "(SELECT AVG(QTY) FROM DETAILS) OR INFO.ID IN (SELECT ID "
+               "FROM FACTS WHERE REGION = ?) ORDER BY INFO.ID", ("WEST",)),
+    "subq": ("SELECT F.ID, F.NAME FROM FACTS F WHERE F.AMOUNT > (SELECT "
+             "AVG(AMOUNT) FROM FACTS) OR F.ID IN (SELECT FACTID FROM "
+             "DETAILS WHERE QTY = ?) ORDER BY F.ID", (3,)),
+}
+
+
+@pytest.fixture(autouse=True)
+def _pin_executor_shape(monkeypatch):
+    """The gates hold for the default batch size and cost planning
+    (EXPLAIN's boundary notes come from the cost planner): the CI legs'
+    overrides must not reshape them."""
+    for name in ("REPRO_BATCH_SIZE", "REPRO_COST_PLANNING"):
+        monkeypatch.delenv(name, raising=False)
+
+
+def _counter(connection, name: str) -> int:
+    return connection.stats()["runtime"]["counters"].get(name, 0)
+
+
+def test_report_statements_take_no_per_cell_path():
+    connection = connect(build_scaled_runtime(2_000))
+    cursor = connection.cursor()
+    for sql, params in REPORT_STATEMENTS:
+        cursor.execute(sql, params)
+        assert cursor.fetchall(), sql
+    assert _counter(connection, "vector.generic_columns") == 0
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPE_STATEMENTS))
+def test_untyped_views_are_the_explained_view_reads(shape):
+    sql, params = SHAPE_STATEMENTS[shape]
+    runtime = build_scaled_runtime(200)
+    connection = connect(runtime)
+    plan = runtime.prepare_module(
+        ("delimited", sql),
+        connection.translator.translate(sql, format="delimited").module)
+    predicted = [read for report in plan.plan_reports
+                 for read in report.get("boundary", ()) if read[1] == "view"]
+    before = _counter(connection, "vector.untyped_views")
+    cursor = connection.cursor()
+    cursor.execute(sql, params)
+    assert cursor.fetchall(), sql
+    views = _counter(connection, "vector.untyped_views") - before
+    assert views == len(predicted), (shape, views, predicted)
+    assert len(predicted) == (0 if shape == "group" else 1)
+    assert _counter(connection, "vector.generic_columns") == 0
+
+
+def test_repeated_report_join_reuses_one_hash_table():
+    connection = connect(build_scaled_runtime(2_000))
+    cursor = connection.cursor()
+    reuses = []
+    for _ in range(2):
+        cursor.execute(REPORT_JOIN, ("WEST",))
+        assert cursor.fetchall()
+        reuses.append(_counter(connection, "vector.join_reuses"))
+    assert reuses[1] - reuses[0] == 1, reuses

@@ -32,11 +32,10 @@ class RecordingHost:
     def __getattr__(self, name):
         return getattr(self._runtime, name)
 
-    def scan_columns(self, uri, local, context=None, scan=None,
-                     partition=None):
+    def scan_columns(self, uri, local, context=None, scan=None):
         self.requests.append((local, scan))
         return self._runtime.scan_columns(uri, local, context=context,
-                                          scan=scan, partition=partition)
+                                          scan=scan)
 
 
 def scanned(xquery: str, resolver=RUNTIME.call_function, variables=None,
