@@ -15,6 +15,7 @@ variables.
 from __future__ import annotations
 
 import threading
+from dataclasses import dataclass, field
 from typing import Optional
 
 from ..catalog import (
@@ -52,6 +53,21 @@ from ..xquery.compile import CompiledQuery, compile_module
 from .faults import FaultyBinding
 from .lifecycle import AdmissionController, QueryContext, RetryPolicy
 from .table import Storage
+
+
+@dataclass(eq=False, slots=True)
+class _TableScan:
+    """The column cache's entry for one version of one table: its
+    column lists (read-only by contract — operators always build fresh
+    output lists), the join hash tables built over them (by key column
+    names), and the element trees a ``call_function`` read made of
+    them (None until one asks)."""
+
+    token: object
+    values: list
+    row_count: int
+    join_tables: dict = field(default_factory=dict)
+    elements: Optional[list] = None
 
 
 class DSPRuntime:
@@ -117,21 +133,15 @@ class DSPRuntime:
         self.plan_cache = LRUCache(config.plan_cache_capacity,
                                    registry=self.metrics,
                                    prefix="plan_cache")
-        #: Materialized element trees for source-bound physical
-        #: functions, keyed by function identity and guarded by the
-        #: source's ``version`` staleness token (row count for in-memory
-        #: tables, data-version counters for SQLite, file mtime/size for
-        #: XML). Pushed scans bypass this cache — their element trees
-        #: are request-specific.
-        self._table_elements: dict[tuple[str, str],
-                                   tuple[object, list]] = {}
-        #: Columnar twin of ``_table_elements``: materialized column
-        #: lists for unpushed scans, guarded by the same version token.
-        #: Column lists handed to the vectorized executor are read-only
-        #: by contract (operators always build fresh output lists). The
-        #: last slot keeps the join hash tables over them (join_tables).
-        self._table_columns: dict[tuple[str, str],
-                                  tuple[object, list, int, dict]] = {}
+        #: One :class:`_TableScan` per source-bound physical function,
+        #: keyed by function identity and guarded by the source's
+        #: ``version`` staleness token (row count for in-memory tables,
+        #: data-version counters for SQLite, file mtime/size for XML):
+        #: the unpushed scan's column lists, and what is derived from
+        #: them for that version — join hash tables and the element
+        #: trees a ``call_function`` read returns. Pushed scans bypass
+        #: it; their results are request-specific.
+        self._table_columns: dict[tuple[str, str], _TableScan] = {}
         self.function_call_count = 0
         #: Admission control for top-level queries: bounded concurrency
         #: with a queue-with-timeout, plus a global in-flight streamed
@@ -211,10 +221,9 @@ class DSPRuntime:
         self._stats_epoch += 1
         # Two sources' tokens may coincide, so nothing cached from the
         # one replaced may answer for the functions that now scan this.
-        for cache in (self._table_elements, self._table_columns):
-            for key in list(cache):
-                if self._physical(*key)[2] is source:
-                    cache.pop(key, None)
+        for key in list(self._table_columns):
+            if self._physical(*key)[2] is source:
+                self._table_columns.pop(key, None)
         return source
 
     def source(self, name: str) -> DataSource:
@@ -239,14 +248,13 @@ class DSPRuntime:
     # -- function execution -------------------------------------------------
 
     def call_function(self, uri: str, local: str, args: list,
-                      context: Optional[QueryContext] = None,
-                      scan: Optional[ScanRequest] = None) -> list:
+                      context: Optional[QueryContext] = None) -> list:
         """Execute a data service function; this is also the evaluator's
         FunctionResolver. *context* (threaded down from the executing
         query's frames) bounds source waits and is consulted by fault
-        wrappers and the retry policy. *scan* is an advisory pushdown
-        request the compiler attaches to source-backed scans; bindings
-        that are not SPI scans ignore it."""
+        wrappers and the retry policy. A physical function reads the
+        same cached table version :meth:`scan_columns` does, and its
+        element trees are kept beside those columns."""
         self.function_call_count += 1
         if context is not None:
             context.source_calls += 1
@@ -266,7 +274,7 @@ class DSPRuntime:
         return self._with_retry(
             binding, local, context,
             lambda: self._run_binding(uri, local, function, binding,
-                                      args, context, scan))
+                                      args, context))
 
     def _with_retry(self, binding, local: str,
                     context: Optional[QueryContext], operation):
@@ -300,8 +308,7 @@ class DSPRuntime:
             attempts=policy.attempts) from last
 
     def _run_binding(self, uri: str, local: str, function, binding,
-                     args: list, context: Optional[QueryContext],
-                     scan: Optional[ScanRequest] = None) -> list:
+                     args: list, context: Optional[QueryContext]) -> list:
         """Execute one binding once (faults applied, no retry)."""
         if context is not None:
             context.check()
@@ -315,8 +322,8 @@ class DSPRuntime:
                 raise UnknownArtifactError(
                     f"data service function {local} is bound to a source "
                     f"the runtime does not have")
-            return self._scan_source(uri, local, function, source, table,
-                                     scan, context)
+            return self._scan_elements(uri, local, function, source,
+                                       table, context)
         if isinstance(binding, CsvBinding):
             return self._rows_to_elements(
                 function.return_schema,
@@ -365,34 +372,23 @@ class DSPRuntime:
         if result.index_built:
             self._index_builds.increment()
 
-    def _scan_source(self, uri: str, local: str, function,
-                     source: DataSource, table: str,
-                     request: Optional[ScanRequest],
-                     context: Optional[QueryContext]) -> list:
-        """Materialize a source table scan as typed flat elements.
-
-        A request that survives :meth:`_reduced_request` bypasses the
-        element-tree cache (its result is request-specific), while a
-        plain scan goes through the cache guarded by the source's
-        ``version`` staleness token."""
-        schema = function.return_schema
-        reduced = self._reduced_request(function, source, table, request)
-        token = None
-        if reduced is None:
-            token = source.version(table)
-            cached = self._table_elements.get((uri, local))
-            if cached is not None and token is not None \
-                    and cached[0] == token:
-                return cached[1]
-        result = source.scan(table, reduced, context)
-        rows = list(result)
-        self._count_scan(result, len(rows))
-        if reduced is not None:
-            schema = self._project_schema(schema, result.columns)
-        elements = self._rows_to_elements(schema, rows)
-        if token is not None:
-            self._table_elements[(uri, local)] = (token, elements)
-        return elements
+    def _scan_elements(self, uri: str, local: str, function,
+                       source: DataSource, table: str,
+                       context: Optional[QueryContext]) -> list:
+        """A plain scan of *table* as typed flat elements, built from
+        the column lists :meth:`_scan_source_columns` reads and kept in
+        their cache entry, so the table version is scanned once for
+        both executors."""
+        _columns, values, _rows = self._scan_source_columns(
+            uri, local, function, source, table, None, context)
+        entry = self._table_columns.get((uri, local))
+        if entry is None or entry.values is not values:  # unversioned
+            return self._rows_to_elements(function.return_schema,
+                                          zip(*values))
+        if entry.elements is None:
+            entry.elements = self._rows_to_elements(
+                function.return_schema, zip(*values))
+        return entry.elements
 
     # -- columnar scans (vectorized executor) -------------------------------
 
@@ -438,12 +434,13 @@ class DSPRuntime:
     def scan_columns(self, uri: str, local: str,
                      context: Optional[QueryContext] = None,
                      scan: Optional[ScanRequest] = None):
-        """The columnar twin of a zero-arg :meth:`call_function`:
-        returns ``(columns, values, row_count)`` where *columns* is the
+        """A zero-arg physical function's rows in column form: returns
+        ``(columns, values, row_count)`` where *columns* is the
         (possibly projected) ``(name, xs_type)`` schema and *values* is
-        one Python-value list per column. Counters, fault injection,
-        retries, and pushdown reduction all match the row path; the
-        returned lists are shared (cached) and must not be mutated."""
+        one Python-value list per column. Counters, fault injection and
+        retries match :meth:`call_function`, which reads the same cache
+        entry; *scan* is an advisory pushdown request. The returned
+        lists are shared (cached) and must not be mutated."""
         target = self._columnar_target(uri, local)
         if target is None:
             raise UnknownArtifactError(
@@ -468,10 +465,9 @@ class DSPRuntime:
                              source: DataSource, table: str,
                              request: Optional[ScanRequest],
                              context: Optional[QueryContext]):
-        """Materialize a source table scan as column lists, mirroring
-        :meth:`_scan_source`'s pushdown/metrics behavior. Only a plain
-        whole-table scan is served from (and fills) the column cache:
-        a reduced request's result is specific to it."""
+        """Materialize a source table scan as column lists. Only a
+        plain whole-table scan is served from (and fills) the column
+        cache: a reduced request's result is specific to it."""
         schema = function.return_schema
         reduced = self._reduced_request(function, source, table, request)
         token = None
@@ -479,10 +475,10 @@ class DSPRuntime:
             token = source.version(table)
             cached = self._table_columns.get((uri, local))
             if cached is not None and token is not None \
-                    and cached[0] == token:
+                    and cached.token == token:
                 return ([(decl.name, decl.xs_type)
                          for decl in schema.columns],
-                        cached[1], cached[2])
+                        cached.values, cached.row_count)
         result = source.scan_batches(table, reduced, context,
                                      self.batch_size)
         values = [[] for _ in result.columns]
@@ -492,7 +488,8 @@ class DSPRuntime:
         row_count = len(values[0]) if values else 0
         self._count_scan(result, row_count)
         if token is not None:
-            self._table_columns[(uri, local)] = (token, values, row_count, {})
+            self._table_columns[(uri, local)] = _TableScan(
+                token, values, row_count)
         if reduced is not None:
             schema = self._project_schema(schema, result.columns)
         return ([(decl.name, decl.xs_type) for decl in schema.columns],
@@ -503,8 +500,10 @@ class DSPRuntime:
         the column-cache entry that holds *column* — a list
         :meth:`scan_columns` returned — or None when it did not come
         from that entry (a pushed or uncached scan)."""
-        cached = self._table_columns.get((uri, local), (None, ()))
-        return cached[3] if any(c is column for c in cached[1]) else None
+        cached = self._table_columns.get((uri, local))
+        if cached is None or not any(c is column for c in cached.values):
+            return None
+        return cached.join_tables
 
     @staticmethod
     def _project_schema(schema: RowSchema, scan_columns) -> RowSchema:

@@ -82,16 +82,19 @@ def canonical_value(value: object) -> tuple:
     """Canonical hashable form for grouping/distinct/set-op row keys.
 
     NULLs compare equal to each other here (SQL GROUP BY / DISTINCT / set
-    operation semantics), and numeric kinds unify.
+    operation semantics), and numeric kinds unify exactly: int and
+    Decimal key as themselves (Python hashes ``5`` and ``Decimal("5.0")``
+    alike), a float as the Decimal of its repr — no rounding context, so
+    two numbers that differ in any digit never share a key.
     """
     if value is None:
         return ("null",)
     if isinstance(value, bool):
         return ("b", value)
     if isinstance(value, float):
-        return ("n", Decimal(repr(value)).normalize())
+        return ("n", Decimal(repr(value)))
     if isinstance(value, (int, Decimal)):
-        return ("n", Decimal(value).normalize())
+        return ("n", value)
     if isinstance(value, str):
         return ("s", value)
     if isinstance(value, datetime.datetime):
@@ -126,22 +129,15 @@ class TableProvider:
 class SQLExecutor:
     """Evaluates SQL Query ASTs with SQL-92 semantics.
 
-    ``hash_joins`` enables a hash-based fast path for inner/outer joins
-    whose condition contains equality conjuncts between the two sides:
-    matching pairs are found through a hash table built on the smaller
-    input instead of the quadratic nested loop, with any non-equality
-    conjuncts kept as residual filters. Output rows, their order, and
-    NULL/outer-join semantics are identical to the nested loop; the
-    fast path declines (falls back) whenever key types could make
-    hashing diverge from SQL comparison semantics.
+    Every join is a nested loop over the two inputs, its ON condition
+    evaluated once per pair in written order, so the oracle raises
+    wherever the condition would: no fast path can skip a pair.
     """
 
     def __init__(self, provider: TableProvider,
-                 parameters: list | tuple = (), *,
-                 hash_joins: bool = True):
+                 parameters: list | tuple = ()):
         self._provider = provider
         self._parameters = list(parameters)
-        self._hash_joins = hash_joins
 
     # -- entry point ------------------------------------------------------
 
@@ -446,11 +442,6 @@ class SQLExecutor:
             condition = self._using_condition(join, left, right)
         if join.kind == "CROSS":
             return _cross_join(left, right)
-        if self._hash_joins and condition is not None:
-            hashed = self._hash_equi_join(join, left, right, bindings,
-                                          condition, outer_env)
-            if hashed is not None:
-                return hashed
 
         def matches(lrow, rrow) -> bool:
             if condition is None:
@@ -467,126 +458,6 @@ class SQLExecutor:
                     matched = True
                     right_matched[rindex] = True
                     rows.append(lrow + rrow)
-            if not matched and join.kind in ("LEFT", "FULL"):
-                rows.append(lrow + _null_row(right))
-        if join.kind in ("RIGHT", "FULL"):
-            for rindex, rrow in enumerate(right.rows):
-                if not right_matched[rindex]:
-                    rows.append(_null_row(left) + rrow)
-        return Relation(bindings, rows)
-
-    def _hash_equi_join(self, join: ast.Join, left: Relation,
-                        right: Relation, bindings: list[Binding],
-                        condition: ast.Expr,
-                        outer_env) -> Relation | None:
-        """Hash-based equi-join; returns None (nested-loop fallback)
-        when no usable equality conjunct exists or the key values
-        decline the exact-type gate.
-
-        Matching pairs are recorded per left row (probe rindices stay
-        ascending either way the table is built), so emission —
-        including LEFT/RIGHT/FULL padding — replays the nested loop's
-        exact output order."""
-        split = len(left.bindings)
-        resolve_env = _Env(bindings, None, outer_env)
-        equis: list[tuple[tuple[int, int], tuple[int, int]]] = []
-        residual: list[ast.Expr] = []
-        for conj in flatten_and(condition):
-            pair = None
-            if isinstance(conj, ast.Comparison) and conj.op == "=" \
-                    and isinstance(conj.left, ast.ColumnRef) \
-                    and isinstance(conj.right, ast.ColumnRef):
-                try:
-                    lres = resolve_column(conj.left, resolve_env)
-                    rres = resolve_column(conj.right, resolve_env)
-                except SQLSemanticError:
-                    # Let the nested loop raise (or not, on empty
-                    # inputs) with its per-row timing.
-                    return None
-                if lres[2] == 0 and rres[2] == 0 \
-                        and (lres[0] < split) != (rres[0] < split):
-                    if lres[0] < split:
-                        pair = ((lres[0], lres[1]),
-                                (rres[0] - split, rres[1]))
-                    else:
-                        pair = ((rres[0], rres[1]),
-                                (lres[0] - split, lres[1]))
-            if pair is None:
-                residual.append(conj)
-            else:
-                equis.append(pair)
-        if not equis:
-            return None
-        left_keys = [tuple(row[b][c] for (b, c), _r in equis)
-                     for row in left.rows]
-        right_keys = [tuple(row[b][c] for _l, (b, c) in equis)
-                      for row in right.rows]
-        # Exact-type gate: hashing matches _compare("=") only when every
-        # key position holds one value shape across both sides (int
-        # promotion, date/datetime mixing, and float/Decimal rounding
-        # all make dict equality diverge from SQL comparison — or from
-        # its errors).
-        for position in range(len(equis)):
-            tags = set()
-            for keys in (left_keys, right_keys):
-                for key in keys:
-                    value = key[position]
-                    if value is None:
-                        continue
-                    tag = _hash_key_tag(value)
-                    if tag is None:
-                        return None
-                    tags.add(tag)
-            if len(tags) > 1:
-                return None
-
-        def residual_true(lrow, rrow) -> bool:
-            # The conjuncts evaluate in original AND order: a False
-            # short-circuits the rest (like the And tree), an UNKNOWN
-            # keeps evaluating but can no longer match.
-            matched = True
-            if residual:
-                env = _Env(bindings, lrow + rrow, outer_env)
-                for conj in residual:
-                    truth = self._truth(conj, env)
-                    if truth is False:
-                        return False
-                    if truth is None:
-                        matched = False
-            return matched
-
-        matches_by_left: list[list[int]] = [[] for _ in left.rows]
-        right_matched = [False] * len(right.rows)
-        table: dict[tuple, list[int]] = {}
-        if len(right.rows) <= len(left.rows):
-            for rindex, key in enumerate(right_keys):
-                if None not in key:
-                    table.setdefault(key, []).append(rindex)
-            for lindex, key in enumerate(left_keys):
-                if None in key:
-                    continue
-                for rindex in table.get(key, ()):
-                    if residual_true(left.rows[lindex],
-                                     right.rows[rindex]):
-                        matches_by_left[lindex].append(rindex)
-                        right_matched[rindex] = True
-        else:
-            for lindex, key in enumerate(left_keys):
-                if None not in key:
-                    table.setdefault(key, []).append(lindex)
-            for rindex, key in enumerate(right_keys):
-                if None in key:
-                    continue
-                for lindex in table.get(key, ()):
-                    if residual_true(left.rows[lindex],
-                                     right.rows[rindex]):
-                        matches_by_left[lindex].append(rindex)
-                        right_matched[rindex] = True
-        rows = []
-        for lindex, lrow in enumerate(left.rows):
-            matched = matches_by_left[lindex]
-            for rindex in matched:
-                rows.append(lrow + right.rows[rindex])
             if not matched and join.kind in ("LEFT", "FULL"):
                 rows.append(lrow + _null_row(right))
         if join.kind in ("RIGHT", "FULL"):
@@ -1008,25 +879,6 @@ def flatten_and(expr: ast.Expr) -> list[ast.Expr]:
     if isinstance(expr, ast.And):
         return flatten_and(expr.left) + flatten_and(expr.right)
     return [expr]
-
-
-def _hash_key_tag(value) -> str | None:
-    """The type shape of a join-key value, or None for shapes where
-    hashing could diverge from ``_compare`` (bool/int aliasing, numeric
-    cross-type promotion, float/Decimal equality)."""
-    if isinstance(value, bool):
-        return None
-    if isinstance(value, int):
-        return "i"
-    if isinstance(value, str):
-        return "s"
-    if isinstance(value, datetime.datetime):
-        return "dt"
-    if isinstance(value, datetime.date):
-        return "d"
-    if isinstance(value, datetime.time):
-        return "t"
-    return None
 
 
 def _cross_join(left: Relation, right: Relation) -> Relation:

@@ -92,7 +92,7 @@ class TableSource(DataSource):
     """A :class:`DataSource` over an in-process :class:`Storage`."""
 
     #: Tables smaller than this are never indexed — the engine's cached
-    #: element trees beat an index build + per-query element rebuild on
+    #: scans beat an index build + per-query column rebuild on
     #: small tables (and the demo benchmarks pin that path's speed).
     index_min_rows: int = 256
     #: Decline probes estimated to match more than this fraction of the

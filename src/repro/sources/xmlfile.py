@@ -22,7 +22,7 @@ raises ``FORG0001`` instead of leaking a mistyped value.
 Documents are parsed through :mod:`repro.xmlmodel` lazily, once per
 scan generation: the ``version`` token is the file's ``(mtime_ns,
 size)``, so an edited file invalidates both this source's row cache
-and the engine's element-tree cache. No pushdown — the whole file must
+and the engine's scan cache. No pushdown — the whole file must
 be read anyway.
 
 The source is deliberately **read-only**: it keeps the SPI's default

@@ -35,7 +35,6 @@ from .evaluator import (
     FunctionResolver,
     StaticContext,
     _Frame,
-    accepts_keyword,
     bind_module_variables,
 )
 from .functions import FN_URI, XS_URI, is_builtin_namespace
@@ -186,9 +185,9 @@ def compile_module(module: ast.Module,
 
     *pushdown* lets the planner attach advisory
     :class:`~repro.sources.spi.ScanRequest` hints to data-service scans
-    when the resolver's signature accepts them (the DSP runtime's
-    does); each hinted conjunct stays in the plan as a residual filter,
-    so hints can only shrink scans, never change results.
+    when there is a columnar host to hand them to; each hinted conjunct
+    stays in the plan as a residual filter, so hints can only shrink
+    scans, never change results.
 
     *statistics* — a ``(uri, local) -> Optional[TableStatistics]``
     callback for data-service scans — switches cost-based planning on:
@@ -245,11 +244,9 @@ class _Compiler:
             if isinstance(decl, (ast.SchemaImport, ast.NamespaceDecl)):
                 self._static.declare(decl.prefix, decl.uri)
         self._module = module
-        # Hints require a resolver that can actually route a scan
-        # request.
-        self._pushdown = (pushdown and resolver is not None
-                          and accepts_keyword(resolver, "scan")
-                          and accepts_keyword(resolver, "context"))
+        # Hints reach a source only through the columnar host's
+        # scan_columns; the Evaluator reads whole tables.
+        self._pushdown = pushdown and columnar is not None
         self._estimator: Optional[CostEstimator] = None
         if statistics is not None:
             self._estimator = CostEstimator(

@@ -67,8 +67,8 @@ CONTEXT_KEY = "\x00lifecycle"
 
 def accepts_keyword(resolver, name: str) -> bool:
     """True when *resolver* declares a parameter called *name* (the DSP
-    runtime's ``context`` and ``scan``); plain three-argument resolvers
-    — tests, ad-hoc hosts — are called without it."""
+    runtime's ``context``); plain three-argument resolvers — tests,
+    ad-hoc hosts — are called without it."""
     try:
         return name in inspect.signature(resolver).parameters
     except (TypeError, ValueError):  # builtins, odd callables

@@ -1,13 +1,14 @@
-"""The engine's one scan seam: the row path (``call_function``) and
-the column path (``scan_columns``) reduce, count, and cache a source
-scan by the same rules, and late-bound pushdown values resolve through
-one helper."""
+"""The engine's one scan seam: the column path (``scan_columns``)
+reduces and counts a source scan as the source reports it, the row path
+(``call_function``) reads elements built from the same cache entry, so
+one table version is scanned once for both, and late-bound pushdown
+values resolve through one helper."""
 
 import pytest
 
 from repro.catalog import Application
 from repro.engine import DSPRuntime, Storage, import_tables
-from repro.sources import Predicate, ScanRequest
+from repro.sources import Mutation, Predicate, ScanRequest, filter_request
 from repro.sources.sqlite import SQLiteSource
 from repro.sql.types import SQLType
 from repro.xmlmodel import Element, QName
@@ -56,64 +57,117 @@ def _moved(runtime, scan) -> dict:
     return {name: after[name] - before[name] for name in COUNTERS}
 
 
+def _source_report(backend: str, request) -> dict:
+    """The counters one scan under *request* must move, read off the
+    source's own row scan on a fresh runtime: rows it returned, those
+    it pre-filtered, and its index use."""
+    runtime = _runtime(backend)
+    source = runtime.sources[next(iter(runtime.sources))]
+    if request is not None:
+        request = filter_request(source, "FACTS", request,
+                                 ["ID", "NAME", "V"])
+    result = source.scan("FACTS", request)
+    rows = len(list(result))
+    return {"sources.rows_scanned": rows,
+            "sources.rows_pushed": rows if result.pushed else 0,
+            "sources.index_hits": int(result.index_used),
+            "sources.index_builds": int(result.index_built)}
+
+
+def _satisfies(row: dict, request) -> bool:
+    """True when *row* (column name -> text) passes every predicate of
+    *request* (``eq`` / ``in`` on integer columns)."""
+    for predicate in () if request is None else request.predicates:
+        value = int(row[predicate.column])
+        wanted = predicate.value if predicate.op == "in" \
+            else (predicate.value,)
+        if value not in wanted:
+            return False
+    return True
+
+
 @pytest.mark.parametrize("backend", ["memory", "sqlite"])
 class TestRowAndColumnPathsAgree:
     @pytest.mark.parametrize("kind", sorted(REQUESTS))
     def test_counters_move_identically(self, backend, kind):
-        # One fresh runtime per path: the first pushed scan builds the
-        # memory index, and both paths must report that build.
+        # One fresh runtime per leg: the first pushed scan builds the
+        # memory index, and the engine must report that build. A plain
+        # scan reads the same way through call_function.
         request = REQUESTS[kind]
-        by_rows, by_columns = _runtime(backend), _runtime(backend)
-        rows = _moved(by_rows, lambda: by_rows.call_function(
-            URI, "FACTS", [], scan=request))
-        columns = _moved(by_columns, lambda: by_columns.scan_columns(
-            URI, "FACTS", scan=request))
-        assert rows == columns
-        assert rows["sources.rows_scanned"] > 0
+        expected = _source_report(backend, request)
+        assert expected["sources.rows_scanned"] > 0
+        by_columns = _runtime(backend)
+        assert _moved(by_columns, lambda: by_columns.scan_columns(
+            URI, "FACTS", scan=request)) == expected
+        if request is None:
+            by_rows = _runtime(backend)
+            assert _moved(by_rows, lambda: by_rows.call_function(
+                URI, "FACTS", [])) == expected
 
     @pytest.mark.parametrize("kind", sorted(REQUESTS))
     def test_same_rows_either_way(self, backend, kind):
+        # The row leg reads the plain scan as elements built from the
+        # column cache entry; a pushed column scan keeps, in scan order,
+        # every one of those rows its predicates pass (a declined
+        # predicate stays a residual filter, so more rows may come).
         runtime = _runtime(backend)
-        elements = runtime.call_function(URI, "FACTS", [],
-                                         scan=REQUESTS[kind])
+        elements = runtime.call_function(URI, "FACTS", [])
+        rows = [{child.name.local: child.string_value()
+                 for child in element.child_elements()}
+                for element in elements]
         names, values, row_count = runtime.scan_columns(
             URI, "FACTS", scan=REQUESTS[kind])
-        assert row_count == len(elements)
-        assert [name for name, _xs in names] == \
-            [child.name.local for child in elements[0].child_elements()]
-        assert [str(v) for v in values[0]] == \
-            [next(e.child_elements()).string_value() for e in elements]
+        names = [name for name, _xs in names]
+        got = [tuple(str(v) for v in row) for row in zip(*values)]
+        assert row_count == len(got)
+        plain = [tuple(row[name] for name in names) for row in rows]
+        wanted = [tuple(row[name] for name in names) for row in rows
+                  if _satisfies(row, REQUESTS[kind])]
+        if kind == "plain":
+            assert got == plain and len(got) == N_ROWS
+        kept = iter(got)
+        assert all(row in kept for row in wanted)  # in order
+        assert set(got) <= set(plain)
 
-    def test_plain_scan_is_cached_by_both_paths(self, backend):
+    def test_one_version_is_scanned_once(self, backend):
         runtime = _runtime(backend)
-        first = _moved(runtime, lambda: runtime.scan_columns(URI, "FACTS"))
-        again = _moved(runtime, lambda: runtime.scan_columns(URI, "FACTS"))
-        assert first["sources.rows_scanned"] == N_ROWS
-        assert again["sources.rows_scanned"] == 0
-        first = _moved(runtime, lambda: runtime.call_function(
-            URI, "FACTS", []))
-        again = _moved(runtime, lambda: runtime.call_function(
-            URI, "FACTS", []))
-        assert first["sources.rows_scanned"] == N_ROWS
-        assert again["sources.rows_scanned"] == 0
+        source = runtime.sources[next(iter(runtime.sources))]
+
+        def scanned(scan) -> int:
+            return _moved(runtime, scan)["sources.rows_scanned"]
+
+        def columns():
+            return runtime.scan_columns(URI, "FACTS")
+
+        def rows():
+            return runtime.call_function(URI, "FACTS", [])
+
+        assert [scanned(columns), scanned(rows), scanned(rows)] == \
+            [N_ROWS, 0, 0]
+        elements = rows()
+        assert len(elements) == N_ROWS and rows() is elements
+        source.apply_mutations([Mutation("insert", "FACTS",
+                                         rows=((N_ROWS, "new", 0),))])
+        assert [scanned(rows), scanned(columns)] == [N_ROWS + 1, 0]
+        assert len(rows()) == N_ROWS + 1 and elements is not rows()
 
     def test_partition_scan_bypasses_column_cache(self, backend):
         # Nothing bypasses the column cache any more: the column path
         # takes no partition, and a plain scan under the live token is
-        # answered from the cache — a poisoned entry shows through.
+        # answered from the cache — a poisoned entry shows through, to
+        # the row path as well.
         runtime = _runtime(backend)
-        source = runtime.sources[next(iter(runtime.sources))]
         with pytest.raises(TypeError):
             runtime.scan_columns(URI, "FACTS", partition=object())
         names, values, row_count = runtime.scan_columns(URI, "FACTS")
         assert row_count == N_ROWS
-        assert runtime._table_columns[(URI, "FACTS")][1] is values
-        token = source.version("FACTS")
-        runtime._table_columns[(URI, "FACTS")] = (token, [[], [], []], 0,
-                                                  {})
+        entry = runtime._table_columns[(URI, "FACTS")]
+        assert entry.values is values
+        entry.values, entry.row_count = [[], [], []], 0
         moved = _moved(runtime, lambda: runtime.scan_columns(URI, "FACTS"))
         assert moved["sources.rows_scanned"] == 0
         assert runtime.scan_columns(URI, "FACTS")[1:] == ([[], [], []], 0)
+        assert runtime.call_function(URI, "FACTS", []) == []
 
 
 class TestBindScanRequest:

@@ -6,7 +6,16 @@ from decimal import Decimal
 
 import pytest
 
-from repro.engine import SQLExecutor, Storage, TableProvider, sql_cast
+from repro import connect
+from repro.catalog import Application
+from repro.engine import (
+    DSPRuntime,
+    SQLExecutor,
+    Storage,
+    TableProvider,
+    import_tables,
+    sql_cast,
+)
 from repro.engine.sqlexec import _and3, _not3, _or3, canonical_value
 from repro.errors import SQLSemanticError
 from repro.sql import parse_statement
@@ -133,6 +142,36 @@ class TestCanonicalValue:
     def test_unkeyable(self):
         with pytest.raises(SQLSemanticError):
             canonical_value(object())
+
+
+class TestLargeNumberKeys:
+    """Two 32-digit DECIMALs that a 28-digit rounding context would
+    merge stay two keys in DISTINCT, GROUP BY and UNION — in the oracle
+    as through the driver."""
+
+    VALUES = [Decimal("12345678901234567890123456789012"),
+              Decimal("12345678901234567890123456790000")]
+
+    @pytest.fixture(scope="class")
+    def storage(self):
+        storage = Storage()
+        storage.create_table("BIG", [("X", SQLType("DECIMAL"))]) \
+            .insert_many([(value,) for value in self.VALUES])
+        return storage
+
+    @pytest.mark.parametrize("sql,expected", [
+        ("SELECT DISTINCT X FROM BIG", [(v,) for v in VALUES]),
+        ("SELECT X, COUNT(*) FROM BIG GROUP BY X", [(v, 1) for v in VALUES]),
+        ("SELECT X FROM BIG UNION SELECT X FROM BIG",
+         [(v,) for v in VALUES]),
+    ], ids=["distinct", "group-by", "union"])
+    def test_oracle_and_driver_keep_both(self, storage, sql, expected):
+        application = Application("BigApp")
+        import_tables(application, "Big", storage)
+        cursor = connect(DSPRuntime(application, storage)).cursor()
+        cursor.execute(sql)
+        assert sorted(cursor.fetchall()) == expected
+        assert sorted(run(sql, storage).rows) == expected
 
 
 class TestNaturalJoinEdge:

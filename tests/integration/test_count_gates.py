@@ -13,7 +13,11 @@ took:
   subquery's member column, for ``group`` none;
 * the report join, run twice over the same rows, probes the DETAILS
   hash table kept from the first run (``vector.join_reuses`` up by
-  exactly 1; FACTS is index-pushed and still builds).
+  exactly 1; FACTS is index-pushed and still builds);
+* a report statement and an Evaluator read of the same FACTS version
+  scan it once (``sources.rows_scanned`` moves by the table's rows,
+  then by 0), on memory and on SQLite: the Evaluator's elements are
+  built from the column-cache entry the batch executor filled.
 """
 
 from __future__ import annotations
@@ -21,7 +25,15 @@ from __future__ import annotations
 import pytest
 
 from repro import connect
-from repro.workloads.scaling import build_scaled_runtime
+from repro.catalog import Application
+from repro.engine import DSPRuntime, import_tables
+from repro.sources.sqlite import SQLiteSource
+from repro.workloads.scaling import (
+    APPLICATION,
+    PROJECT,
+    build_scaled_runtime,
+    build_scaled_storage,
+)
 
 REPORT_JOIN = ("SELECT F.ID, F.NAME, D.DETAILID, D.QTY FROM FACTS F "
                "INNER JOIN DETAILS D ON F.ID = D.FACTID WHERE F.REGION = ?")
@@ -101,3 +113,28 @@ def test_repeated_report_join_reuses_one_hash_table():
         assert cursor.fetchall()
         reuses.append(_counter(connection, "vector.join_reuses"))
     assert reuses[1] - reuses[0] == 1, reuses
+
+
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+def test_report_and_evaluator_reads_scan_one_version_once(backend):
+    storage = build_scaled_storage(2_000)
+    source = SQLiteSource.from_storage(storage) \
+        if backend == "sqlite" else storage
+    application = Application(APPLICATION)
+    import_tables(application, PROJECT, source)
+    runtime = DSPRuntime(application, source)
+    connection = connect(runtime)
+    cursor = connection.cursor()
+    scanned = [_counter(connection, "sources.rows_scanned")]
+    cursor.execute("SELECT * FROM FACTS")
+    assert len(cursor.fetchall()) == 2_000
+    scanned.append(_counter(connection, "sources.rows_scanned"))
+    # User XQuery runs on the Evaluator, which reads through
+    # call_function.
+    counted = runtime.execute(
+        f'import schema namespace ns0 = "ld:{PROJECT}/FACTS";\n'
+        f'fn:count(ns0:FACTS())')
+    assert counted == [2_000]
+    scanned.append(_counter(connection, "sources.rows_scanned"))
+    assert [b - a for a, b in zip(scanned, scanned[1:])] == [2_000, 0]
+    connection.close()

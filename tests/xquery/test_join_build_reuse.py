@@ -312,7 +312,7 @@ def test_null_and_nan_keys_are_never_stored(join):
     assert statement.run() == (first, REUSED)
     (_keys, (_categories, table, pairwise)), = [
         item for entry in runtime._table_columns.values()
-        for item in entry[3].items()]
+        for item in entry.join_tables.items()]
     assert not pairwise and len(table) == 2  # 1.5 and 2.5
     runtime.close()
 
@@ -354,7 +354,7 @@ def test_a_mixed_category_build_keeps_its_pairwise_flag():
     assert statement.run() == ([">0<>1<"], BUILT)
     assert statement.run() == ([">0<>1<"], REUSED)
     (_keys, kept), = [item for entry in runtime._table_columns.values()
-                      for item in entry[3].items()]
+                      for item in entry.join_tables.items()]
     assert kept == (None, {}, True)
     runtime.close()
 

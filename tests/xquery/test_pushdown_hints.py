@@ -159,14 +159,18 @@ class TestProjection:
 
 
 class TestGating:
-    def test_no_hints_without_scan_capable_resolver(self):
-        def resolver(uri, local, args):  # no scan/context params
+    def test_three_argument_resolver_still_gets_hints(self):
+        # Hints reach the source through the columnar host's
+        # scan_columns; the resolver's signature has no say in them.
+        def resolver(uri, local, args):  # no context parameter
             return RUNTIME.call_function(uri, local, args)
 
         xquery = TRANSLATOR.translate(
             "SELECT CUSTOMERNAME FROM CUSTOMERS WHERE REGION = 'EAST'",
             format="recordset").xquery
-        assert scanned(xquery, resolver=resolver) == [("CUSTOMERS", None)]
+        (table, request), = scanned(xquery, resolver=resolver)
+        assert table == "CUSTOMERS"
+        assert Predicate("REGION", "eq", "EAST") in request.predicates
 
     def test_pushdown_false_disables_hints(self):
         xquery = TRANSLATOR.translate(
