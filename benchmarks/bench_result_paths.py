@@ -4,11 +4,14 @@ The paper: "performance could be measurably improved if we replaced XML
 as the return type for translated XQuery expressions with a more compact
 format" parsed "using computed result schema information".
 
-Series R1: end-to-end query latency through the driver for the two result
-paths — ``delimited`` (wrapper query + text codec) vs ``xml``
-(materialize ``<RECORDSET>``, serialize, re-parse client-side) — swept
-over row count and row width. The paper's claim holds if delimited wins
-throughout and the gap grows with result volume.
+Series R1: end-to-end query latency through the driver for the result
+paths — ``wire`` (wrapper query + text codec: the delimited pages a
+server ships, ``Cursor.fetch_text``, decoded by ``decode_delimited``)
+vs ``xml`` (materialize ``<RECORDSET>``, serialize, re-parse
+client-side) — swept over row count and row width. The paper's claim
+holds if the text codec wins throughout and the gap grows with result
+volume. ``delimited`` is the embedded cursor, which prints no text: it
+converts the executor's typed cells by the same result schema.
 
 Series R1b isolates the client-side cost: decoding a prematerialized
 result through each codec.
@@ -21,15 +24,30 @@ from repro.workloads import build_scaled_runtime
 
 ROWS = [100, 1000, 4000]
 SQL = "SELECT * FROM FACTS"
+FORMATS = ["delimited", "wire", "xml"]
+PAGE_ROWS = 1000
 
 
 def _connection(rows, fmt, extra_columns=0):
     runtime = build_scaled_runtime(rows, extra_columns=extra_columns)
-    return connect(runtime, format=fmt)
+    return connect(runtime, format="delimited" if fmt == "wire" else fmt)
+
+
+def _fetch(cursor, fmt):
+    """All rows: ``fetchall``, or for ``wire`` the text pages a server
+    would ship, each decoded as a remote cursor decodes it."""
+    if fmt != "wire":
+        return cursor.fetchall()
+    rows = []
+    while True:
+        text, _count, last = cursor.fetch_text(PAGE_ROWS)
+        rows.extend(decode_delimited(text, cursor.columns))
+        if last:
+            return rows
 
 
 @pytest.mark.parametrize("rows", ROWS)
-@pytest.mark.parametrize("fmt", ["delimited", "xml"])
+@pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.benchmark(group="E6-result-paths-by-rows")
 def test_result_path_by_rows(benchmark, rows, fmt):
     cursor = _connection(rows, fmt).cursor()
@@ -37,14 +55,14 @@ def test_result_path_by_rows(benchmark, rows, fmt):
 
     def run():
         cursor.execute(SQL)
-        return cursor.fetchall()
+        return _fetch(cursor, fmt)
 
     result = benchmark(run)
     assert len(result) == rows
 
 
 @pytest.mark.parametrize("extra_columns", [0, 8])
-@pytest.mark.parametrize("fmt", ["delimited", "xml"])
+@pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.benchmark(group="E6-result-paths-by-width")
 def test_result_path_by_width(benchmark, extra_columns, fmt):
     cursor = _connection(1000, fmt, extra_columns=extra_columns).cursor()
@@ -52,7 +70,7 @@ def test_result_path_by_width(benchmark, extra_columns, fmt):
 
     def run():
         cursor.execute(SQL)
-        return cursor.fetchall()
+        return _fetch(cursor, fmt)
 
     result = benchmark(run)
     assert len(result) == 1000

@@ -11,6 +11,10 @@ boundaries without converting a cell (the remote driver decodes them
 with ``decode_delimited``), and ``encode_delimited`` writes rows that
 were materialized some other way as the same text.
 
+In one process there is no text to cut or decode: :func:`iter_rows`
+turns the batch executor's typed cells into the rows the decoder would
+have produced from their text, by the same result schema.
+
 ``decode_xml`` is the baseline path the paper measured against: the
 server's ``<RECORDSET>`` tree is serialized to text (the wire format),
 re-parsed client-side, and converted row by row. Benchmarks compare the
@@ -27,6 +31,13 @@ from ..errors import DataError
 from ..sql.types import SQLType
 from ..translator import NULL_MARK, VALUE_MARK, ResultColumn
 from ..xmlmodel import Element, escape_text, parse_document, unescape
+from ..xquery.atomic import (
+    SERIALIZERS,
+    naive,
+    no_negative_zero,
+    plain_decimals,
+    serialize_atomic,
+)
 
 
 #: The one SQL type kind -> converter mapping: ``convert_cell`` looks a
@@ -57,6 +68,23 @@ def convert_cell(text: str, sql_type: SQLType) -> object:
     except (ValueError, InvalidOperation) as exc:
         raise DataError(
             f"cannot convert cell {text!r} to {sql_type}") from exc
+
+
+#: (exact cell kind, SQL kind) -> column guard (True: any column): the
+#: pairs :func:`iter_rows` hands over as computed, because on a column
+#: the guard passes each cell's lexical form (``serialize_atomic``)
+#: converts back to the cell itself — value, type and repr;
+#: tests/driver/test_codec.py proves each against the decoder.
+_AS_COMPUTED = {
+    **dict.fromkeys([(int, "SMALLINT"), (int, "INTEGER"), (int, "BIGINT"),
+                     (str, "CHAR"), (str, "VARCHAR"),
+                     (datetime.date, "DATE")], True),
+    (Decimal, "DECIMAL"): plain_decimals,
+    (float, "REAL"): no_negative_zero,
+    (float, "DOUBLE"): no_negative_zero,
+    (datetime.time, "TIME"): naive,
+    (datetime.datetime, "TIMESTAMP"): naive,
+}
 
 
 def _unsupported(text: str):
@@ -239,6 +267,64 @@ def decode_delimited(stream: str,
     """Parse a complete delimited result stream into typed rows (the
     one-shot form of :func:`iter_decode_delimited`)."""
     return list(iter_decode_delimited((stream,), columns))
+
+
+_NONE = type(None)
+
+
+def _typed_column(col: list, sql_kind: str, per_cell=None) -> list:
+    """One batch column as the decoder would hand it over: itself for
+    a pair of :data:`_AS_COMPUTED` its guard passes, else each cell's
+    lexical form converted — one serialiser for cells of one kind, else
+    cell by cell (then *per_cell* is called)."""
+    kinds = set(map(type, col))
+    nulls = _NONE in kinds
+    kinds.discard(_NONE)
+    if not kinds:
+        return col
+    text = serialize_atomic  # (mixed kinds: cell by cell)
+    if len(kinds) == 1:
+        kind = kinds.pop()
+        guard = _AS_COMPUTED.get((kind, sql_kind))
+        if guard is True or (guard is not None and guard(col)):
+            return col
+        text = SERIALIZERS.get(kind, text)
+    elif per_cell is not None:
+        per_cell()
+    convert = _CONVERTERS.get(sql_kind, _unsupported)
+    if nulls:
+        return [None if v is None else convert(text(v)) for v in col]
+    return list(map(convert, map(text, col)))
+
+
+def iter_rows(batches, columns: list[ResultColumn], context=None,
+              per_cell=None):
+    """Typed rows of the engine's output batches — per batch, one list
+    per result column of the values the plan computed — without text:
+    the same rows, of the same types and ``repr``, that
+    :func:`iter_decode_delimited` yields from the batches' delimited
+    text, and on a cell it rejects the same ``DataError``, after the
+    same rows. *context*, as there, counts the rows handed over;
+    *per_cell* is called for each column whose cells mix kinds."""
+    if not columns:
+        raise DataError("result schema has no columns")
+    kinds = [column.sql_type.kind for column in columns]
+    for cols in batches:
+        try:
+            rows = list(zip(*[_typed_column(col, kind, per_cell)
+                              for col, kind in zip(cols, kinds)]))
+        except (ValueError, InvalidOperation):
+            # Replay the batch a row at a time, as the decoder reads it:
+            # the rows before the first bad cell, then its error.
+            for row in zip(*cols):
+                yield tuple(
+                    None if v is None
+                    else convert_cell(serialize_atomic(v), column.sql_type)
+                    for v, column in zip(row, columns))
+            raise  # not reached: convert_cell raised at the bad cell
+        if context is not None:
+            context.rows_emitted += len(rows)
+        yield from rows
 
 
 #: Text the page cutter looks at in one step: a page far smaller than

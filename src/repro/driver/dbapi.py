@@ -62,6 +62,7 @@ from .codec import (
     decode_xml,
     encode_delimited,
     iter_decode_delimited,
+    iter_rows,
 )
 from .dsn import DSN, parse_dsn
 from .metadata import DatabaseMetaData
@@ -457,12 +458,12 @@ def _emit_plan_events(tracer: Tracer, plan, actuals: dict) -> None:
                 actual=actuals.get(node["id"], 0))
 
 
-def _chunks_then_plan_events(chunks: Iterator[str], tracer: Tracer,
-                             plan, actuals: dict) -> Iterator[str]:
-    """Pass the streamed text through; once the stream drains (so the
+def _then_plan_events(stream: Iterator, tracer: Tracer,
+                      plan, actuals: dict) -> Iterator:
+    """Pass the streamed result through; once the stream drains (so the
     per-node actual counts are final), emit the plan events — the
     tracer parents them on the completed execute root."""
-    yield from chunks
+    yield from stream
     _emit_plan_events(tracer, plan, actuals)
 
 
@@ -478,11 +479,14 @@ class Cursor:
     The ``xml`` format and ``callproc`` still materialize at execute
     time.
 
-    A live stream is the engine's chunk iterator; what reads it is
-    built on the first fetch — the row decoder for ``fetchone`` /
-    ``fetchmany`` / ``fetchall``, or a page cutter for
-    :meth:`fetch_text`, which the network server uses to ship the text
-    undecoded (DESIGN.md §13).
+    A live stream is the engine's output: typed column batches when
+    the vector plan runs the statement, else the Evaluator's text. What
+    reads it is built on the first fetch — rows for ``fetchone`` /
+    ``fetchmany`` / ``fetchall`` (``iter_rows`` over batches, which
+    prints no text; the decoder over text), or a page cutter over the
+    text for :meth:`fetch_text`, which the network server uses to ship
+    it undecoded (DESIGN.md §13). One result is read one way or the
+    other, not both.
     """
 
     arraysize = 1
@@ -491,10 +495,12 @@ class Cursor:
         self.connection = connection
         self._rows: list[tuple] = []
         self._index = 0
-        #: The live engine text stream (None: no result, a materialized
-        #: one, or a stream already drained) and its reader, built on
-        #: the first fetch: the row decoder or a ``PageCutter``.
-        self._chunks: Optional[Iterator[str]] = None
+        #: The live engine stream (None: no result, a materialized one,
+        #: or a stream already drained) and its reader, built on the
+        #: first fetch: a row iterator or a ``PageCutter``. ``_typed`` is
+        #: the vector plan of a typed stream (None: a text stream).
+        self._live: Optional[Iterator] = None
+        self._typed = None
         self._stream = None
         self._columns: Sequence[ResultColumn] = ()
         self._fetched = 0
@@ -666,15 +672,15 @@ class Cursor:
                         if connection.format == "delimited" \
                                 and plan.streams_text:
                             # Streaming path: set up the lazy pipeline;
-                            # rows are pulled (and decoded) at fetch
+                            # rows are pulled (and converted) at fetch
                             # time. The slot is held until the stream
                             # is exhausted or released.
-                            chunks = plan.stream_chunks(
+                            typed, live = plan.stream_columns(
                                 variables, context=context,
                                 actuals=actuals)
                             if actuals is not None:
-                                chunks = _chunks_then_plan_events(
-                                    chunks, tracer, plan, actuals)
+                                live = _then_plan_events(
+                                    live, tracer, plan, actuals)
                             streamed = True
                         else:
                             result = plan.evaluate(variables,
@@ -710,7 +716,8 @@ class Cursor:
         self._fetched = 0
         self._charged_rows = 0
         if streamed:
-            self._chunks = chunks
+            self._live = live
+            self._typed = plan.vector_plan if typed else None
             self._slot = slot
             self._rows = []
             self.rowcount = -1  # unknown until the stream is exhausted
@@ -878,7 +885,7 @@ class Cursor:
         """The stream is exhausted: the row count is now known and the
         admission slot is returned."""
         self.rowcount = self._fetched
-        self._chunks = self._stream = None
+        self._live = self._stream = self._typed = None
         self._release_slot()
 
     def _release_slot(self) -> None:
@@ -891,24 +898,46 @@ class Cursor:
         generator close propagates through the decoder into the
         executor stages, so the engine drops its frames immediately,
         and the admission slot is returned."""
-        for stream in (self._stream, self._chunks):
+        for stream in (self._stream, self._live):
             close = getattr(stream, "close", None)
             if close is not None:
                 close()
-        self._chunks = self._stream = None
+        self._live = self._stream = self._typed = None
         self._release_slot()
+
+    def _reader(self, text: bool):
+        """What reads the live stream, built on the first fetch: rows
+        (converted from a typed stream, decoded from text), or with
+        *text* a ``PageCutter`` over the text (a typed stream printed)."""
+        live, columns, context = self._live, self._columns, self._context
+        plan = self._typed
+        if text:
+            if plan is not None:
+                live = plan.encode(live)
+            return PageCutter(live, len(columns))
+        if plan is not None:
+            return iter_rows(live, columns, context=context,
+                             per_cell=plan.note_per_cell)
+        return iter_decode_delimited(live, columns, context=context)
 
     def _pull_streamed(self, limit: Optional[int], text: bool = False):
         """Pull up to *limit* rows (all remaining when None) from the
-        live stream — decoded, as a list of tuples, or with *text* as
-        ``(delimited text, row count)``: the engine's own text cut on a
+        live stream — typed, as a list of tuples, or with *text* as
+        ``(delimited text, row count)``: the engine's text cut on a
         row boundary, its rows counted and not converted. Engine errors
         — which surface at fetch time — are wrapped the same way
         execute() wraps them. The query's deadline/cancellation is
         checked once per fetch call (in addition to the pipeline's
         per-batch ticks; the decoder ticks per row, a text page once
         for all its rows), and freshly pulled rows are charged against
-        the admission controller's in-flight budget."""
+        the admission controller's in-flight budget. A result read one
+        way cannot be read the other: that raises ``ProgrammingError``
+        and releases the stream."""
+        if self._stream is not None \
+                and isinstance(self._stream, PageCutter) != text:
+            self._release_stream()
+            raise ProgrammingError(
+                "fetch_text() and the row fetches cannot read one result")
         context = self._context
         chunk: list[tuple] = []
         page, pulled = "", 0
@@ -917,10 +946,7 @@ class Cursor:
             context.check()
             stream = self._stream
             if stream is None:
-                stream = self._stream = (
-                    PageCutter(self._chunks, len(self._columns)) if text
-                    else iter_decode_delimited(
-                        self._chunks, self._columns, context=context))
+                stream = self._stream = self._reader(text)
             if text:
                 page, pulled = stream.take(limit)
                 exhausted = stream.exhausted
@@ -965,13 +991,14 @@ class Cursor:
         ending on a row boundary, row count, whether that was the
         last of the result)``. Driver extension for the network server
         (not PEP 249): a page travels as the text the engine wrote and
-        is decoded once, by the client. A materialized result (``xml``
+        is decoded once, by the client. A typed result is printed here
+        as ``stream_chunks`` would print it; a materialized one (``xml``
         format, ``callproc``) is written back as the same text. Use
         either this or the row fetches on one result, not both."""
         self._check_results()
-        if self._chunks is not None:
+        if self._live is not None:
             text, rows = self._pull_streamed(size, text=True)
-            return text, rows, self._chunks is None
+            return text, rows, self._live is None
         chunk = self._rows[self._index:self._index + size]
         self._index += len(chunk)
         return (encode_delimited(chunk), len(chunk),
@@ -979,7 +1006,7 @@ class Cursor:
 
     def fetchone(self) -> Optional[tuple]:
         self._check_results()
-        if self._chunks is not None:
+        if self._live is not None:
             chunk = self._pull_streamed(1)
             return chunk[0] if chunk else None
         if self._index >= len(self._rows):
@@ -992,7 +1019,7 @@ class Cursor:
         self._check_results()
         if size is None:
             size = self.arraysize
-        if self._chunks is not None:
+        if self._live is not None:
             return self._pull_streamed(size)
         chunk = self._rows[self._index:self._index + size]
         self._index += len(chunk)
@@ -1000,7 +1027,7 @@ class Cursor:
 
     def fetchall(self) -> list[tuple]:
         self._check_results()
-        if self._chunks is not None:
+        if self._live is not None:
             return self._pull_streamed(None)
         chunk = self._rows[self._index:]
         self._index = len(self._rows)

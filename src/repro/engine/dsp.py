@@ -182,6 +182,9 @@ class DSPRuntime:
         #: not of one kind a typed kernel serves: the per-cell path.
         self._generic_columns = self.metrics.counter(
             "vector.generic_columns")
+        #: Output batches printed as delimited text (an embedded cursor
+        #: reads the typed batches and prints none).
+        self._text_chunks = self.metrics.counter("vector.text_chunks")
         #: Record-set batch columns read as their untyped view.
         self._untyped_views = self.metrics.counter("vector.untyped_views")
         #: Join hash tables built, and kept ones probed again.
@@ -488,8 +491,12 @@ class DSPRuntime:
         row_count = len(values[0]) if values else 0
         self._count_scan(result, row_count)
         if token is not None:
-            self._table_columns[(uri, local)] = _TableScan(
-                token, values, row_count)
+            # Concurrent first scans keep one entry, for one join table.
+            entry = _TableScan(token, values, row_count)
+            cached = self._table_columns.setdefault((uri, local), entry)
+            if cached.token != token:
+                cached = self._table_columns[(uri, local)] = entry
+            values = cached.values
         if reduced is not None:
             schema = self._project_schema(schema, result.columns)
         return ([(decl.name, decl.xs_type) for decl in schema.columns],

@@ -201,6 +201,30 @@ def serialize_atomic(value: object) -> str:
             or base_entry(SERIALIZERS, kind, str))(value)
 
 
+# Column guards over cells of one exact kind: True when every cell's
+# lexical form (SERIALIZERS) reads back as the cell itself, in value,
+# type and repr. The vector casts and the driver's typed rows share them.
+
+def plain_decimals(col: list) -> bool:
+    """No cell prints with an exponent or is special: ``Decimal('1E+2')``
+    prints as ``100``, read as ``Decimal('100')``. ``str`` writes a
+    positive exponent, and only that, with a ``+`` (``E+`` / ``e+``);
+    ``NaN`` and ``Infinity`` hold an ``N`` or an ``I``."""
+    text = "".join([str(v) for v in col if v is not None])
+    return "+" not in text and "N" not in text and "I" not in text
+
+
+def no_negative_zero(col: list) -> bool:
+    """``-0.0`` prints as ``0``, read back as ``0.0``."""
+    return 0.0 not in col or not any(
+        v == 0 and math.copysign(1.0, v) < 0 for v in col if v is not None)
+
+
+def naive(col: list) -> bool:
+    """A lexical form keeps an offset, but no tzinfo object nor fold."""
+    return all(v.tzinfo is None and not v.fold for v in col if v is not None)
+
+
 # ---------------------------------------------------------------------------
 # Effective boolean value
 # ---------------------------------------------------------------------------

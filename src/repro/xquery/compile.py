@@ -13,8 +13,10 @@ or a sequence (``param_shape``).
 Each FLWOR is planned once per compile (``_Compiler._planned``): the
 planner's clause list, its advisory pushdown hints, and stage 3's
 outer-join pattern. The vector lowering and the EXPLAIN plan reports
-read that one object. :meth:`CompiledQuery.evaluate` and
-``stream_chunks`` are two views of the one executor a compile picked.
+read that one object. :meth:`CompiledQuery.evaluate`,
+``stream_chunks`` and ``stream_columns`` are views of the one executor
+a compile picked; the last hands a batched run's typed cells over
+before any text is printed.
 """
 
 from __future__ import annotations
@@ -115,9 +117,9 @@ class CompiledQuery:
         return f"evaluator (decline: {self.batched_reason})"
 
     def _batched_result(self, variables, context, actuals):
-        """The vector plan's result — the text wrapper's chunk stream,
-        or the RECORDSET as a one-item list — or None when the
-        Evaluator runs this module or this run (``param_shape``)."""
+        """The vector plan's output — a lazy stream of typed column
+        batches — or None when the Evaluator runs this module or this
+        run (``param_shape``)."""
         if self.vector_plan is None:
             return None
         bindings = bind_module_variables(self.module, variables)
@@ -142,12 +144,12 @@ class CompiledQuery:
         (keys match :attr:`plan_reports` node ids)."""
         if context is not None:
             context.check()
-        result = self._batched_result(variables, context, actuals)
-        if result is None:
+        columns = self._batched_result(variables, context, actuals)
+        if columns is None:
             return self._interpret(variables, context)
         if self.streams_text:
-            return ["".join(result)]
-        return result
+            return ["".join(self.vector_plan.encode(columns))]
+        return [self.vector_plan.records(columns)]
 
     def stream_items(self, variables: Optional[dict[str, object]] = None,
                      context=None, actuals=None) -> Iterator:
@@ -160,13 +162,24 @@ class CompiledQuery:
         when :attr:`streams_text`): batch by batch when batched, whole
         from the Evaluator. ``"".join(...)`` equals :meth:`evaluate`'s
         string byte-for-byte."""
+        typed, stream = self.stream_columns(variables, context, actuals)
+        return self.vector_plan.encode(stream) if typed else stream
+
+    def stream_columns(self, variables: Optional[dict[str, object]] = None,
+                       context=None, actuals=None) -> tuple[bool, Iterator]:
+        """The text wrapper's result before it is printed: ``(True,
+        batches)`` when the vector plan runs this run — per batch, one
+        list per output cell of the values it computed, which
+        ``vector_plan.encode`` prints as :meth:`stream_chunks` does —
+        else ``(False, chunks)``: the Evaluator's text, as
+        :meth:`stream_chunks` yields it."""
         if not self.streams_text:
             raise XQueryStaticError(
                 "query body is not a streamable text wrapper")
-        chunks = self._batched_result(variables, context, actuals)
-        if chunks is None:
-            return iter(self._interpret(variables, context))
-        return chunks
+        columns = self._batched_result(variables, context, actuals)
+        if columns is None:
+            return False, iter(self._interpret(variables, context))
+        return True, columns
 
 
 def compile_module(module: ast.Module,

@@ -26,8 +26,12 @@ module lowers it onto column-oriented batches rather than row elements:
   is such a sub-plan evaluated once per execution, a correlated one a
   sub-plan run per outer row with the outer cells it reads bound as
   parameters (its hash-join build made once per execution);
-* the output stage encodes the delimited codec's cells a column at a
-  time, or builds the RECORD elements of the xml format;
+* the output stage is a lazy stream of typed column batches, one
+  column per output cell: an embedded cursor converts them to rows by
+  the result schema (``repro.driver.codec.iter_rows``), and text is
+  printed from them only where text is read — the delimited codec's
+  cells a column at a time (:func:`encode_columns`) — as the RECORD
+  elements of the xml format are built from them;
 * the generator protocol is preserved: each stage yields batches, so
   deadlines/cancellation tick per batch (``QueryContext.tick_rows``) and
   a lazily-consumed cursor materializes O(batches fetched) rows.
@@ -69,8 +73,11 @@ from .atomic import (
     compare_values,
     general_comparison,
     is_node,
+    naive,
     negate,
+    no_negative_zero,
     order_key,
+    plain_decimals,
     serialize_atomic,
 )
 from .evaluator import CONTEXT_KEY, _append_content, _Directional, _Frame
@@ -137,12 +144,13 @@ class _VectorStats(threading.local):
     """Per-thread executor counters for tests: ``executions`` counts
     vector-plan runs, ``fallbacks`` runs handed to the Evaluator (a
     parameter bound to a node or a sequence), ``batches``/``rows`` the
-    output volume (encoded or built as RECORDs) — a lazily
-    consumed cursor over a large scan shows O(batches fetched) rows
-    encoded, not O(table) — ``agg_groups`` the group-table entries
-    the hash-aggregation stage emitted, ``join_builds`` the hash
-    tables join stages built, ``join_reuses`` those they probed again
-    (see :class:`_JoinInfo`), ``generic_columns`` the encode, cast,
+    output volume — a lazily consumed cursor over a large scan shows
+    O(batches fetched) rows put out, not O(table) — ``text_chunks``
+    the batches printed as delimited text, ``agg_groups`` the
+    group-table entries the hash-aggregation stage emitted,
+    ``join_builds`` the hash tables join stages built, ``join_reuses``
+    those they probed again (see :class:`_JoinInfo`),
+    ``generic_columns`` the encode, row conversion, cast,
     view, join- and group-key batch columns that took the per-cell path
     because their cells were not of one kind a kernel serves
     (:func:`_kernel`), and ``untyped_views`` the record-set batch
@@ -153,6 +161,7 @@ class _VectorStats(threading.local):
         self.fallbacks = 0
         self.batches = 0
         self.rows = 0
+        self.text_chunks = 0
         self.agg_groups = 0
         self.join_builds = 0
         self.join_reuses = 0
@@ -314,36 +323,19 @@ def _view(state, batch: _Batch, key: tuple) -> list:
     return views[key]
 
 
-def _no_positive_exponent(col: list) -> bool:
-    """``Decimal('1E+2')`` prints as ``100``, read as ``Decimal('100')``."""
-    return all(type(exponent) is int and exponent <= 0 for exponent in (
-        v.as_tuple().exponent for v in col if v is not None))
-
-
-def _no_negative_zero(col: list) -> bool:
-    """``-0.0`` prints as ``0``, read back as ``0.0``."""
-    return not any(v == 0 and math.copysign(1.0, v) < 0
-                   for v in col if v is not None)
-
-
-def _naive(col: list) -> bool:
-    """A lexical form keeps an offset, but no tzinfo object nor fold."""
-    return all(v.tzinfo is None and not v.fold for v in col if v is not None)
-
-
 #: ``xs:`` cast -> {exact cell kind: column guard}: the pairs whose cast
 #: of a cell's view is the cell itself (value, type, repr) on a column
 #: the guard passes; tests/xquery/test_typed_boundary.py proves each.
 _CAST_IDENTITY = {
     **dict.fromkeys(("integer", "int", "long", "short"), {int: True}),
-    "decimal": {Decimal: _no_positive_exponent},
-    "double": {float: _no_negative_zero},
-    "float": {float: _no_negative_zero},
+    "decimal": {Decimal: plain_decimals},
+    "double": {float: no_negative_zero},
+    "float": {float: no_negative_zero},
     "string": {str: True},
     "boolean": {bool: True},
     "date": {datetime.date: True},
-    "time": {datetime.time: _naive},
-    "dateTime": {datetime.datetime: _naive},
+    "time": {datetime.time: naive},
+    "dateTime": {datetime.datetime: naive},
 }
 
 
@@ -1893,11 +1885,13 @@ class _VectorPlan:
             params[name] = bound[0] if bound else None
         return params
 
-    def run(self, frame: _Frame):
-        """One execution over the root *frame*: the delimited text as a
-        chunk stream, or the xml format's RECORDSET as a one-item list.
-        None when a parameter is bound to a node or a sequence
-        (``param_shape``, counted): the caller runs the Evaluator."""
+    def run(self, frame: _Frame) -> Optional[Iterator[list]]:
+        """One execution over the root *frame*: its output, a lazy
+        stream of typed column batches (:meth:`_output`), which
+        :meth:`encode` prints as the delimited text and :meth:`records`
+        builds into the xml format's RECORDSET. None when a parameter
+        is bound to a node or a sequence (``param_shape``, counted):
+        the caller runs the Evaluator."""
         params = self._scalar_params(frame)
         if params is None:
             VSTATS.fallbacks += 1
@@ -1908,9 +1902,7 @@ class _VectorPlan:
         state = _State(self, frame, params,
                        frame.variables.get(ACTUALS_KEY))
         VSTATS.executions += 1
-        if self.recordset is not None:
-            return [self._build_records(state, self._batches(state))]
-        return self._encode(state, self._batches(state))
+        return self._output(state, self._batches(state))
 
     def _batches(self, state: _State) -> Iterator[_Batch]:
         batches = self._open(state, self.lowered)
@@ -2414,19 +2406,37 @@ class _VectorPlan:
 
     # -- output -----------------------------------------------------------
 
-    def _build_records(self, state: _State, batches) -> Element:
-        """The xml format's RECORDSET: per row, a RECORD element whose
-        children are the cells, built the way the Evaluator's element
-        constructors build them (``_append_content``: an absent cell is
-        an empty child, a present one its lexical text)."""
-        recordset = Element(QName(self.recordset))
-        record = QName(self.lowered.record_name)
-        cells = [QName(name) for name in self.names]
+    def _output(self, state: _State, batches) -> Iterator[list]:
+        """The output stage: per non-empty batch, one column per output
+        cell — as computed for the delimited wrapper (a record-set
+        cell's raw values), as the RECORD children's views for the xml
+        format."""
+        raw = self.recordset is None
+        cells = [projection.raw[0] if raw and projection.raw is not None
+                 else projection.eval for projection in self.projections]
+        stats = VSTATS
         for b in batches:
             if b.n == 0:
                 continue
-            cols = [projection.eval(state, b)
-                    for projection in self.projections]
+            cols = [cell(state, b) for cell in cells]
+            stats.batches += 1
+            stats.rows += b.n
+            if state.ctx is not None:
+                # Whole-batch buffering: admission accounting charges
+                # buffered rows, not just fetched ones.
+                state.ctx.rows_buffered += b.n
+            yield cols
+
+    def records(self, columns) -> Element:
+        """The xml format's RECORDSET of the output stream *columns*:
+        per row, a RECORD element whose children are the cells, built
+        the way the Evaluator's element constructors build them
+        (``_append_content``: an absent cell is an empty child, a
+        present one its lexical text)."""
+        recordset = Element(QName(self.recordset))
+        record = QName(self.lowered.record_name)
+        cells = [QName(name) for name in self.names]
+        for cols in columns:
             for row in zip(*cols):
                 element = Element(record)
                 for name, value in zip(cells, row):
@@ -2435,49 +2445,44 @@ class _VectorPlan:
                         _append_content(cell, (value,))
                     element.append(cell)
                 recordset.append(element)
-            VSTATS.batches += 1
-            VSTATS.rows += b.n
-            if state.ctx is not None:
-                state.ctx.rows_buffered += b.n
         return recordset
 
-    def _encode(self, state: _State, batches) -> Iterator[str]:
-        cells = [projection.eval if projection.raw is None
-                 else projection.raw[0] for projection in self.projections]
-        stats = VSTATS
-        for b in batches:
-            if b.n == 0:
-                continue
-            parts = []
-            for cell in cells:
-                col = cell(state, b)
-                kind, text, nulls = _kernel(col, SERIALIZERS,
-                                            self.columnar)
-                if text is None:  # mixed kinds: cell by cell
-                    parts.append([
-                        "<" if v is None
-                        else ">" + escape_text(serialize_atomic(v))
-                        for v in col])
-                    continue
-                # One kind: its serialiser, resolved once. Only string
-                # forms can hold XML specials (elsewhere skipping
-                # xml-escape is byte-identical): one test per column.
-                if issubclass(kind, str) \
-                        and has_specials("".join(filter(None, col))):
-                    text = escape_text
-                if nulls:
-                    parts.append(["<" if v is None else ">" + text(v)
-                                  for v in col])
-                else:
-                    parts.append([">" + t for t in map(text, col)])
-            if len(parts) == 1:
-                chunk = "".join(parts[0])
-            else:
-                chunk = "".join(chain.from_iterable(zip(*parts)))
-            stats.batches += 1
-            stats.rows += b.n
-            if state.ctx is not None:
-                # Whole-batch decode buffering: admission accounting
-                # charges buffered rows, not just fetched ones.
-                state.ctx.rows_buffered += b.n
-            yield chunk
+    def encode(self, columns) -> Iterator[str]:
+        """The delimited text of the output stream *columns*, one chunk
+        per batch (counted: ``vector.text_chunks``)."""
+        for cols in columns:
+            _count(self.columnar, "text_chunks")
+            yield encode_columns(cols, self.columnar)
+
+    def note_per_cell(self) -> None:
+        """Count an output column a reader converts cell by cell, its
+        cells of mixed kinds (``vector.generic_columns``)."""
+        _count(self.columnar, "generic_columns")
+
+
+def encode_columns(cols: list, columnar=None) -> str:
+    """One batch of output columns as the section-4 delimited text, a
+    column at a time: each column's kind resolves its serialiser once."""
+    parts = []
+    for col in cols:
+        kind, text, nulls = _kernel(col, SERIALIZERS, columnar)
+        if text is None:  # mixed kinds: cell by cell
+            parts.append([
+                "<" if v is None
+                else ">" + escape_text(serialize_atomic(v))
+                for v in col])
+            continue
+        # One kind: its serialiser, resolved once. Only string forms
+        # can hold XML specials (elsewhere skipping xml-escape is
+        # byte-identical): one test per column.
+        if issubclass(kind, str) \
+                and has_specials("".join(filter(None, col))):
+            text = escape_text
+        if nulls:
+            parts.append(["<" if v is None else ">" + text(v)
+                          for v in col])
+        else:
+            parts.append([">" + t for t in map(text, col)])
+    if len(parts) == 1:
+        return "".join(parts[0])
+    return "".join(chain.from_iterable(zip(*parts)))

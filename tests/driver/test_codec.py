@@ -10,16 +10,20 @@ from hypothesis import strategies as st
 
 from repro.driver import convert_cell, decode_delimited, decode_xml
 from repro.driver.codec import (
+    _AS_COMPUTED,
     _CONVERTERS,
     _CUT_CHARS,
     PageCutter,
     encode_delimited,
     iter_decode_delimited,
+    iter_rows,
 )
 from repro.errors import DataError
 from repro.sql.types import SQLType
 from repro.translator import ResultColumn
 from repro.xmlmodel import escape_text
+from repro.xquery.atomic import UntypedAtomic
+from repro.xquery.vector import encode_columns
 
 
 def cols(*kinds):
@@ -419,3 +423,113 @@ class TestEncodeDelimited:
 
     def test_no_rows(self):
         assert encode_delimited([]) == ""
+
+
+# -- typed rows: the conversion table against the decoder --------------------
+
+UTC_PLUS_2 = datetime.timezone(datetime.timedelta(hours=2))
+
+#: One strategy per cell kind the executor can put out.
+CELLS = {
+    "none": st.none(),
+    "int": st.integers(),
+    "bool": st.booleans(),
+    "float": st.floats() | st.sampled_from(
+        [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 1e15, 1e22]),
+    "decimal": st.decimals() | st.sampled_from([
+        Decimal("1E+2"), Decimal("0E+3"), Decimal("-0"), Decimal("-0.00"),
+        Decimal("1.5E+3"), Decimal("1E-7"), Decimal("NaN"),
+        Decimal("-Infinity"), Decimal("12000.00")]),
+    "str": st.text(alphabet="ab1.-:<>&;#x \n", max_size=8) | st.text(),
+    "untyped": st.text(alphabet="ab1<>&", max_size=6).map(UntypedAtomic),
+    "date": st.dates(),
+    "time": st.times() | st.times(timezones=st.just(UTC_PLUS_2))
+    | st.just(datetime.time(1, 2, fold=1)),
+    "datetime": st.datetimes() | st.datetimes(
+        timezones=st.just(datetime.timezone.utc))
+    | st.just(datetime.datetime(2003, 1, 9, 1, 30, fold=1)),
+}
+
+mixed_cells = st.one_of(*CELLS.values())
+
+
+def pull_typed(batches, columns):
+    """:func:`pull` for :func:`iter_rows` over typed batches."""
+    rows = []
+    try:
+        for row in iter_rows(iter(batches), columns):
+            rows.append(row)
+    except DataError as exc:
+        return rows, str(exc)
+    return rows, None
+
+
+def same_as_decoded(batches, kinds):
+    """The typed rows of *batches* are the decoder's rows of their
+    engine encoding — value, type and repr — or end at the same row
+    with the same error."""
+    columns = cols(*kinds)
+    typed, typed_error = pull_typed(batches, columns)
+    decoded, decoded_error = pull(
+        [encode_columns(batch) for batch in batches], columns)
+    assert typed_error == decoded_error
+    assert [repr(row) for row in typed] == [repr(row) for row in decoded]
+    assert [list(map(type, row)) for row in typed] == \
+        [list(map(type, row)) for row in decoded]
+
+
+def batches_of(columns, cut_at):
+    """Column lists cut into two batches after row *cut_at*."""
+    rows = len(columns[0])
+    cut_at = min(cut_at, rows)
+    return [[col[lo:hi] for col in columns]
+            for lo, hi in ((0, cut_at), (cut_at, rows)) if hi > lo]
+
+
+class TestTypedRows:
+    def test_table_covers_every_converter(self):
+        assert {kind for _, kind in _AS_COMPUTED} == set(_CONVERTERS)
+
+    @pytest.mark.parametrize("sql_kind", sorted(_CONVERTERS))
+    @pytest.mark.parametrize("cell", sorted(CELLS))
+    @given(data=st.data())
+    def test_one_kind_column_is_the_decoded_column(self, sql_kind, cell,
+                                                    data):
+        values = data.draw(st.lists(st.none() | CELLS[cell], min_size=1,
+                                    max_size=6))
+        other = data.draw(st.lists(st.none() | CELLS[cell],
+                                   min_size=len(values),
+                                   max_size=len(values)))
+        cut_at = data.draw(st.integers(1, len(values)))
+        same_as_decoded(batches_of([values, other], cut_at),
+                        (sql_kind, sql_kind))
+
+    @given(data=st.data())
+    def test_mixed_kind_columns_are_the_decoded_columns(self, data):
+        kinds = data.draw(st.lists(st.sampled_from(sorted(_CONVERTERS)),
+                                   min_size=1, max_size=4))
+        rows = data.draw(st.integers(1, 6))
+        columns = [data.draw(st.lists(mixed_cells, min_size=rows,
+                                      max_size=rows)) for _ in kinds]
+        same_as_decoded(batches_of(columns, data.draw(st.integers(1, rows))),
+                        kinds)
+
+    @pytest.mark.parametrize("value, kind, expected", [
+        (Decimal("1E+2"), "DECIMAL", Decimal("100")),
+        (-0.0, "DOUBLE", 0.0),
+        (UntypedAtomic("x"), "VARCHAR", "x"),
+        (7, "DECIMAL", Decimal("7")),
+    ])
+    def test_the_cases_that_convert(self, value, kind, expected):
+        [(cell,)] = iter_rows([[[value]]], cols(kind))
+        assert repr(cell) == repr(expected) and type(cell) is type(expected)
+
+    def test_a_bool_in_an_integer_column_is_the_decoder_s_error(self):
+        rows, error = pull_typed([[[1, 2]], [[3, True, 4]]], cols("INTEGER"))
+        assert rows == [(1,), (2,), (3,)]
+        assert error == "cannot convert cell 'true' to INTEGER"
+
+    def test_identity_pairs_hand_over_the_cells_themselves(self):
+        values = [10**30, -5, None]
+        [(cell,), _, _] = iter_rows([[values]], cols("BIGINT"))
+        assert cell is values[0]

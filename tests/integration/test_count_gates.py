@@ -17,7 +17,13 @@ took:
 * a report statement and an Evaluator read of the same FACTS version
   scan it once (``sources.rows_scanned`` moves by the table's rows,
   then by 0), on memory and on SQLite: the Evaluator's elements are
-  built from the column-cache entry the batch executor filled.
+  built from the column-cache entry the batch executor filled;
+* an embedded ``SELECT * FROM FACTS`` fetched row by row prints no
+  delimited text (``vector.text_chunks`` stays put: the cursor converts
+  the executor's typed cells), while its ``fetch_text`` pages print
+  exactly the stream ``stream_chunks`` yields, a chunk per batch. That
+  rows read either way keep their types cell for cell is
+  tests/server/test_remote_differential.py's check.
 """
 
 from __future__ import annotations
@@ -137,4 +143,27 @@ def test_report_and_evaluator_reads_scan_one_version_once(backend):
     assert counted == [2_000]
     scanned.append(_counter(connection, "sources.rows_scanned"))
     assert [b - a for a, b in zip(scanned, scanned[1:])] == [2_000, 0]
+    connection.close()
+
+
+def test_embedded_rows_print_no_text_and_pages_are_the_stream():
+    sql, rows = "SELECT * FROM FACTS", 5_000
+    runtime = build_scaled_runtime(rows)
+    connection = connect(runtime)
+    cursor = connection.cursor()
+    printed = [_counter(connection, "vector.text_chunks")]
+    cursor.execute(sql)
+    assert len(cursor.fetchall()) == rows
+    printed.append(_counter(connection, "vector.text_chunks"))
+    cursor.execute(sql)
+    pages, last = [], False
+    while not last:
+        text, _count, last = cursor.fetch_text(1_000)
+        pages.append(text)
+    printed.append(_counter(connection, "vector.text_chunks"))
+    assert [b - a for a, b in zip(printed, printed[1:])] == [0, 5]
+    plan = runtime.prepare_module(
+        ("delimited", sql),
+        connection.translator.translate(sql, format="delimited").module)
+    assert "".join(pages) == "".join(plan.stream_chunks())
     connection.close()

@@ -43,8 +43,7 @@ from repro.xquery.vector import (
     _Batch,
     _cast_kernel,
     _untyped,
-    _V,
-    _VectorPlan,
+    encode_columns,
 )
 
 from tests.fuzz.harness import typed
@@ -173,10 +172,7 @@ def test_view_is_the_view_of_each_cell(col):
 
 
 def _encoded(col: list) -> str:
-    plan = object.__new__(_VectorPlan)
-    plan.columnar = None
-    plan.projections = [_V(lambda state, b: b.cols["c"])]
-    return "".join(plan._encode(_state(), [_Batch(len(col), {"c": col})]))
+    return encode_columns([col]) if col else ""
 
 
 @given(COLUMNS)

@@ -24,7 +24,6 @@ from __future__ import annotations
 import os
 import random
 from decimal import Decimal
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -54,7 +53,7 @@ from repro.xquery.vector import (
     _selected,
     _V,
     _vcompare,
-    _VectorPlan,
+    encode_columns,
 )
 
 from tests.fuzz.harness import evaluator_leg
@@ -119,11 +118,7 @@ def partition(keys: list) -> list:
 
 
 def _encoded(col: list) -> str:
-    plan = object.__new__(_VectorPlan)
-    plan.columnar = None
-    plan.projections = [_V(lambda state, b: b.cols["c"])]
-    return "".join(plan._encode(SimpleNamespace(ctx=None),
-                                [_Batch(len(col), {"c": col})]))
+    return encode_columns([col]) if col else ""
 
 
 @given(COLUMNS)
