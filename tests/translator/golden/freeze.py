@@ -1,6 +1,7 @@
-"""Regenerate ``corpus.json``, the frozen XQuery text of the translator.
+"""Regenerate ``corpus.json``, the frozen XQuery text of the translator,
+or (``--explain``) ``explain.json``, the frozen EXPLAIN plans of it.
 
-    PYTHONPATH=src python tests/translator/golden/freeze.py
+    PYTHONPATH=src python tests/translator/golden/freeze.py [--explain]
 
 The corpus holds, for both result formats, the text generated for
 
@@ -23,6 +24,11 @@ review the diff: each text is stored as a list of lines for that. An
 entry whose text changes keeps what was first frozen for it under
 ``"parent"``; the test holds such an entry to "parses equal, differs in
 whitespace and parentheses only" and to a list of the ids allowed one.
+
+``explain.json`` holds, per corpus entry and format, the ``executor:``
+line and the ``EXECUTION PLAN`` section of EXPLAIN after one evaluation
+(so with ``actual=`` counts): on the memory backend, in batches of
+:data:`EXPLAIN_BATCH_SIZE` rows, every ``?`` parameter bound to ``1``.
 """
 
 from __future__ import annotations
@@ -34,6 +40,8 @@ import sys
 HERE = pathlib.Path(__file__).resolve().parent
 ROOT = HERE.parents[2]
 CORPUS = HERE / "corpus.json"
+EXPLAIN = HERE / "explain.json"
+EXPLAIN_BATCH_SIZE = 64
 FORMATS = ("recordset", "delimited")
 FUZZ_SCHEMAS = range(20)
 FUZZ_PER_SCHEMA = 10
@@ -114,6 +122,58 @@ def render(translator, sql: str) -> dict:
             for fmt in FORMATS}
 
 
+def explain_runtime(schema):
+    """The runtime an entry of *schema* is explained on: the memory
+    backend, batches of :data:`EXPLAIN_BATCH_SIZE` rows."""
+    from repro import RuntimeConfig
+    if schema == "demo":
+        from repro.workloads import build_runtime
+        return build_runtime(RuntimeConfig(batch_size=EXPLAIN_BATCH_SIZE),
+                             backend="memory")
+    from tests.fuzz.harness import build_runtime
+    return build_runtime(fuzz_schema(schema), "memory", EXPLAIN_BATCH_SIZE)
+
+
+def explain_plan(runtime, translator, sql: str, fmt: str) -> list[str]:
+    """The ``executor:`` line and ``EXECUTION PLAN`` section of EXPLAIN
+    after one evaluation of *sql* in *fmt*, each parameter bound to 1,
+    as lines. An evaluation that raises (a parameter of another type)
+    is listed with the rows counted up to the error."""
+    from repro.errors import ReproError
+    from repro.translator import explain
+    result = translator.translate(sql, format=fmt)
+    plan = runtime.prepare_module((fmt, sql), result.module)
+    actuals: dict = {}
+    try:
+        plan.evaluate(result.parameter_variables(
+            [1] * len(result.parameter_types)), actuals=actuals)
+    except ReproError:
+        pass
+    lines = explain(result.unit, plan_reports=plan.plan_reports,
+                    actuals=actuals, executor=plan.executor).splitlines()
+    return lines[lines.index(f"executor: {plan.executor}"):]
+
+
+def build_explain(entries: list[dict]) -> dict:
+    """``{entry id: {format: EXPLAIN lines}}`` of every corpus entry."""
+    from repro.translator import SQLToXQueryTranslator
+    plans: dict = {}
+    runtimes: dict = {}
+    for entry in entries:
+        schema = entry["schema"]
+        if schema not in runtimes:
+            runtime = explain_runtime(schema)
+            runtimes[schema] = (runtime, SQLToXQueryTranslator(
+                runtime.metadata_api()))
+        runtime, translator = runtimes[schema]
+        plans[entry["id"]] = {
+            fmt: explain_plan(runtime, translator, entry["sql"], fmt)
+            for fmt in FORMATS}
+    for runtime, _translator in runtimes.values():
+        runtime.close()
+    return plans
+
+
 def _shape_statements() -> list[str]:
     """Every SQL text the two shape-test modules translate, in first-use
     order."""
@@ -179,6 +239,11 @@ def keep_parents(entries: list[dict], frozen: list[dict]) -> None:
 
 if __name__ == "__main__":
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+    if "--explain" in sys.argv[1:]:
+        EXPLAIN.write_text(json.dumps(
+            build_explain(json.loads(CORPUS.read_text())), indent=1) + "\n")
+        print(f"wrote {EXPLAIN}")
+        raise SystemExit
     entries = build()
     if CORPUS.exists():
         keep_parents(entries, json.loads(CORPUS.read_text()))

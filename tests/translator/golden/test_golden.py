@@ -3,7 +3,8 @@ three emitted before it was rebuilt to construct AST nodes, and every
 statement must still come out byte for byte (see ``freeze.py`` for what
 the corpus holds and how to regenerate it). The same corpus carries the
 tree contract: the module stage three builds is the module the parser
-reads back from its printed text."""
+reads back from its printed text. ``explain.json`` freezes the EXPLAIN
+plan of every entry, in both formats, after one evaluation."""
 
 from __future__ import annotations
 
@@ -13,12 +14,28 @@ import re
 
 import pytest
 
+from repro import RuntimeConfig
+from repro.config import with_environment
+from repro.translator import SQLToXQueryTranslator
 from repro.xquery import ast, parse_xquery
 from repro.xquery.analysis import subexpressions
 
-from .freeze import CORPUS, FORMATS, demo_translator, fuzz_translator
+from .freeze import (
+    CORPUS,
+    EXPLAIN,
+    EXPLAIN_BATCH_SIZE,
+    FORMATS,
+    demo_translator,
+    explain_plan,
+    explain_runtime,
+    fuzz_translator,
+)
 
 ENTRIES = json.loads(CORPUS.read_text())
+PLANS = json.loads(EXPLAIN.read_text())
+#: What the runtimes of this process run: a forced batch size or cost
+#: planning switched off (the CI legs) moves what EXPLAIN can show.
+EFFECTIVE = with_environment(RuntimeConfig(batch_size=EXPLAIN_BATCH_SIZE))
 
 #: The entries whose text is allowed to differ from the first freeze
 #: (EXPERIMENTS E27 lists why): one layout was picked where two call
@@ -91,3 +108,37 @@ def test_module_is_what_its_text_parses_to(entry):
         flwors = [id(node) for node, _ in subexpressions(result.module)
                   if isinstance(node, ast.FLWOR)]
         assert len(flwors) == len(set(flwors)), (fmt, entry["sql"])
+
+
+@functools.lru_cache(maxsize=2)
+def explained_on(schema):
+    runtime = explain_runtime(schema)
+    return runtime, SQLToXQueryTranslator(runtime.metadata_api())
+
+
+def _without_actuals(lines: list) -> list:
+    return [re.sub(r"  actual=\d+$", "", line) for line in lines]
+
+
+def test_plans_cover_the_corpus():
+    assert set(PLANS) == {entry["id"] for entry in ENTRIES}
+    assert all(any(line.startswith("EXECUTION PLAN") for line in lines)
+               for plan in PLANS.values() for lines in plan.values())
+
+
+@pytest.mark.skipif(not EFFECTIVE.cost, reason=(
+    "cost-based planning is off: there is no estimator, so EXPLAIN has "
+    "no plan section"))
+@pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e["id"])
+def test_explain_is_byte_identical(entry):
+    """Labels, estimates and, at the frozen batch size, the actual row
+    counts. At another batch size a LIMIT / OFFSET window stops its
+    upstream pipeline after another number of rows, so the actual
+    counts are compared only at the frozen one."""
+    runtime, translator = explained_on(entry["schema"])
+    for fmt in FORMATS:
+        lines = explain_plan(runtime, translator, entry["sql"], fmt)
+        frozen = PLANS[entry["id"]][fmt]
+        if EFFECTIVE.batch_size != EXPLAIN_BATCH_SIZE:
+            lines, frozen = _without_actuals(lines), _without_actuals(frozen)
+        assert lines == frozen, (fmt, entry["sql"])
