@@ -56,6 +56,7 @@ from ..translator import (
     TranslationResult,
 )
 from ..xmlmodel import Element, serialize
+from ..xquery.vector import PlanActuals
 from .codec import (
     PageCutter,
     decode_delimited,
@@ -443,23 +444,25 @@ class Connection:
             raise InterfaceError("connection is closed")
 
 
-def _emit_plan_events(tracer: Tracer, plan, actuals: dict) -> None:
-    """Attach one estimated-vs-actual event per cost-planned node to
-    the current trace (``\\trace`` renders them under the execute
-    span)."""
+def _emit_plan_events(tracer: Tracer, plan, actuals: PlanActuals) -> None:
+    """Attach one estimated-vs-actual event, with the operator and its
+    time, per cost-planned node to the current trace (``\\trace``
+    renders them under the execute span)."""
     for report in plan.plan_reports:
         for node in report["nodes"]:
             estimate = node["estimate"]
             tracer.event(
                 "plan.node",
                 label=node["label"],
+                op=node["op"],
                 estimated="?" if estimate is None
                 else f"{estimate:.1f}",
-                actual=actuals.get(node["id"], 0))
+                actual=actuals.get(node["id"], 0),
+                ms=f"{actuals.seconds.get(node['id'], 0.0) * 1000:.3f}")
 
 
 def _then_plan_events(stream: Iterator, tracer: Tracer,
-                      plan, actuals: dict) -> Iterator:
+                      plan, actuals: PlanActuals) -> Iterator:
     """Pass the streamed result through; once the stream drains (so the
     per-node actual counts are final), emit the plan events — the
     tracer parents them on the completed execute root."""
@@ -667,8 +670,8 @@ class Cursor:
                         # estimated-vs-actual events land on the execute
                         # span (streamed statements attach them when
                         # the stream drains).
-                        actuals = {} if (tracer.enabled
-                                         and plan.plan_reports) else None
+                        actuals = PlanActuals() if (
+                            tracer.enabled and plan.plan_reports) else None
                         if connection.format == "delimited" \
                                 and plan.streams_text:
                             # Streaming path: set up the lazy pipeline;

@@ -12,8 +12,8 @@ or a sequence (``param_shape``).
 
 Each FLWOR is planned once per compile (``_Compiler._planned``): the
 planner's clause list, its advisory pushdown hints, and stage 3's
-outer-join pattern. The vector lowering and the EXPLAIN plan reports
-read that one object. :meth:`CompiledQuery.evaluate`,
+outer-join pattern; the vector lowering reads it, EXPLAIN the operator
+tree built from it. :meth:`CompiledQuery.evaluate`,
 ``stream_chunks`` and ``stream_columns`` are views of the one executor
 a compile picked; the last hands a batched run's typed cells over
 before any text is printed.
@@ -24,7 +24,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, count
 from typing import Iterator, Optional
 
 from ..errors import XQueryStaticError
@@ -42,15 +41,13 @@ from .evaluator import (
 from .functions import FN_URI, XS_URI, is_builtin_namespace
 from .planner import (
     CostEstimator,
-    HashJoinClause,
     OuterJoin,
     RestoreOrderClause,
-    estimate_plan,
     match_outer_join,
     plan_clauses,
     scan_requests,
 )
-from .vector import ACTUALS_KEY, try_compile_body
+from .vector import try_compile_body
 
 
 class CompiledQuery:
@@ -72,9 +69,9 @@ class CompiledQuery:
                  vector_plan=None, batched_reason: Optional[str] = None):
         self.module = module
         self.compile_seconds = compile_seconds
-        #: Per-FLWOR plan-node reports (labels + estimated rows) when
-        #: the module was compiled with cost-based planning; see
-        #: ``vector.ACTUALS_KEY`` for the matching actual counts.
+        #: Per-FLWOR plan-node reports (labels + estimated rows) of the
+        #: vector plan when the module was compiled with cost-based
+        #: planning; see :meth:`evaluate` for the actual counts.
         self.plan_reports = plan_reports or []
         #: Why the vector lowering declined this body (one of
         #: ``repro.xquery.vector.DECLINE_REASONS``); None when batched
@@ -127,9 +124,7 @@ class CompiledQuery:
             # The lifecycle context rides in the root frame under a
             # reserved key; batch stages tick it once per batch.
             bindings[CONTEXT_KEY] = context
-        if actuals is not None:
-            bindings[ACTUALS_KEY] = actuals
-        return self.vector_plan.run(_Frame(bindings))
+        return self.vector_plan.run(_Frame(bindings), actuals)
 
     def _interpret(self, variables, context) -> Sequence:
         return Evaluator(self.module, resolver=self._resolver,
@@ -214,20 +209,20 @@ def compile_module(module: ast.Module,
     plan = reason = None
     if columnar is not None:
         plan, reason = try_compile_body(compiler, module.body)
+    costed = plan is not None and compiler._estimator is not None
     return CompiledQuery(module, resolver, time.perf_counter() - started,
                          compiler.text_wrapper(module.body) is not None,
-                         compiler.plan_reports, vector_plan=plan,
-                         batched_reason=reason)
+                         plan.plan_reports() if costed else [],
+                         vector_plan=plan, batched_reason=reason)
 
 
 @dataclass
 class _PlannedFLWOR:
-    """One FLWOR after planning — the single object its lowering and
-    its plan report read: the planner's clauses, advisory scan hints by
-    clause index, and the for-variables a restore-order clause re-sorts
-    on (their stages carry ordinals). ``fid`` is set when the lowering
-    numbers the pipeline. ``outer_join`` is set when the last clause and
-    the return are stage 3's left-outer-join pattern: the vector
+    """One FLWOR after planning — the single object its lowering
+    reads: the planner's clauses, advisory scan hints by clause index,
+    and the for-variables a restore-order clause re-sorts on (their
+    sources carry ordinals). ``outer_join`` is set when the last clause
+    and the return are stage 3's left-outer-join pattern: the vector
     lowering runs its join in their place."""
 
     node: ast.FLWOR
@@ -235,13 +230,11 @@ class _PlannedFLWOR:
     hints: dict
     ordinal_vars: frozenset
     outer_join: Optional[OuterJoin] = None
-    fid: Optional[int] = None
 
 
 class _Compiler:
     """The planning context of one compile, which the vector lowering
-    reads: static namespaces, the cost estimator, planned FLWORs and
-    their plan reports."""
+    reads: static namespaces, the cost estimator and planned FLWORs."""
 
     def __init__(self, module: ast.Module,
                  resolver: Optional[FunctionResolver],
@@ -268,9 +261,6 @@ class _Compiler:
         #: id(FLWOR ast node) -> its :class:`_PlannedFLWOR` (which keeps
         #: the node alive, so the id holds).
         self._plans: dict[int, _PlannedFLWOR] = {}
-        #: Plan ids: one per lowered pipeline FLWOR.
-        self._fids = count()
-        self.plan_reports: list[dict] = []
 
     def _source_statistics(self, statistics):
         def lookup(source):
@@ -283,13 +273,11 @@ class _Compiler:
 
     # -- once per execution ------------------------------------------------
 
-    def _fixed(self, expr: ast.XExpr,
-               own: frozenset = frozenset()) -> bool:
+    def _fixed(self, expr: ast.XExpr) -> bool:
         """True when *expr* reads nothing that can change while one
-        execution runs: of variables only the module's externals (and
-        *own*, names the caller binds itself), and no context item from
-        outside its own predicates."""
-        outer = free_vars(expr) - own
+        execution runs: of variables only the module's externals, and
+        no context item from outside its own predicates."""
+        outer = free_vars(expr)
         # The cheap test first: _constants walks the whole module once.
         if not outer <= self._external_vars \
                 or (outer and not outer <= self._constants):
@@ -313,27 +301,6 @@ class _Compiler:
         return any(isinstance(node, ast.FLWOR)
                    or self._service_call(node) is not None
                    for node, _p in subexpressions(expr))
-
-    def _report_once(self, call: ast.XFunctionCall) -> None:
-        """List *call*'s invariant subquery, run once per execution, as
-        a plan node of its own."""
-        fid = next(self._fids)
-        if self._estimator is not None:
-            self.plan_reports.append({"flwor": fid, "nodes": [{
-                "id": (fid, 0),
-                "label": (f"{call.display} subquery, once per "
-                          f"execution (reads no FLWOR variable)"),
-                "estimate": None}]})
-
-    def _built_once(self, join: HashJoinClause) -> bool:
-        """True when *join*'s build side is the same for every run of
-        its FLWOR in one execution: source, build keys and absorbed
-        filters read only the join's own variable and externals."""
-        own = frozenset((join.for_clause.var,))
-        return self._fixed(join.for_clause.source) and all(
-            self._fixed(expr, own)
-            for expr in chain((build for build, _p, _c in join.keys),
-                              join.filters))
 
     # -- planning ------------------------------------------------------------
 
@@ -366,38 +333,6 @@ class _Compiler:
         return (isinstance(expr, ast.XFunctionCall) and expr.local == local
                 and len(expr.args) == arity
                 and self._namespace(expr) == FN_URI)
-
-    def _number(self, planned: _PlannedFLWOR, batched: bool = False,
-                notes: Optional[dict] = None, boundary=()) -> None:
-        """Give a lowered pipeline FLWOR its plan id — its stages count
-        actual rows under ``(fid, clause index)`` — and list its nodes
-        (labels + estimates) in the plan reports. *batched* says an
-        outer-join ``let`` is the planner's left outer hash join.
-        *notes* map a hash join clause's id to what its label adds;
-        *boundary* says how readers read the RECORDs it returns. A
-        FLWOR lowered twice (a record set read twice) is listed once;
-        both runs count under its ids."""
-        if planned.fid is not None:
-            return
-        clauses = planned.clauses
-        if batched and planned.outer_join is not None:
-            clauses = clauses[:-1] + [planned.outer_join.join]
-        fid = planned.fid = next(self._fids)
-        if self._estimator is not None:
-            estimates = estimate_plan(clauses, self._estimator,
-                                      self._external_vars)
-            self.plan_reports.append({
-                "flwor": fid,
-                "nodes": [{"id": (fid, i),
-                           "label": _clause_label(
-                               clause,
-                               isinstance(clause, HashJoinClause)
-                               and self._built_once(clause),
-                               (notes or {}).get(id(clause))),
-                           "estimate": estimates[i]}
-                          for i, clause in enumerate(clauses)],
-                "boundary": boundary,
-            })
 
     def text_wrapper(self, body) -> Optional[tuple]:
         """``(argument, separator)`` when *body* is a top-level
@@ -445,37 +380,3 @@ class _Compiler:
         except XQueryStaticError:
             return None
 
-
-def _clause_label(clause, built_once: bool = False, note=None) -> str:
-    """A short human-readable plan-node label for EXPLAIN output;
-    *built_once* marks a hash join whose build side one execution makes
-    once (see ``_Compiler._built_once``), *note* says whether the
-    batched join re-uses its hash table across executions."""
-    if isinstance(clause, HashJoinClause):
-        parts = f"{len(clause.keys)} keys"
-        if clause.filters:
-            parts += f", {len(clause.filters)} filters"
-        if built_once:
-            parts += ", built once"
-        if note:
-            parts += f", {note}"
-        kind = "left outer hash join" if clause.outer else "hash-join"
-        return f"{kind} ${clause.for_clause.var} ({parts})"
-    if isinstance(clause, RestoreOrderClause):
-        return "restore-order"
-    if isinstance(clause, ast.ForClause):
-        source = clause.source
-        if isinstance(source, ast.XFunctionCall) and not source.args:
-            prefix = f"{source.prefix}:" if source.prefix else ""
-            return (f"for ${clause.var} in "
-                    f"{prefix}{source.local}()")
-        return f"for ${clause.var}"
-    if isinstance(clause, ast.LetClause):
-        return f"let ${clause.var}"
-    if isinstance(clause, ast.WhereClause):
-        return "where"
-    if isinstance(clause, ast.GroupClause):
-        return "group"
-    if isinstance(clause, ast.OrderClause):
-        return "order"
-    return type(clause).__name__

@@ -115,16 +115,16 @@ def test_admission_charges_buffered_or_fetched_rows(run):
 def test_leaving_mid_stream_closes_the_stages(run, how, monkeypatch):
     kind, runtime, _connection, _parameter = run
     events = []
-    real_scan = vector._VectorPlan._scan
+    real_scan = vector._Scan.rows
 
-    def scan(self, state, info):
-        events.append(("open", info))
+    def scan(self, state):
+        events.append(("open", self))
         try:
-            yield from real_scan(self, state, info)
+            yield from real_scan(self, state)
         finally:
-            events.append(("closed", info))
+            events.append(("closed", self))
 
-    monkeypatch.setattr(vector._VectorPlan, "_scan", scan)
+    monkeypatch.setattr(vector._Scan, "rows", scan)
     cursor = _open(run)
     assert cursor.fetchone() is not None
     reader = cursor._stream

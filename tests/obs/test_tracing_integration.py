@@ -8,6 +8,8 @@ durations, and ``Connection.stats()`` must report matching counters.
 
 import pytest
 
+from repro import RuntimeConfig
+from repro.config import with_environment
 from repro.driver import connect
 from repro.translator import explain
 from repro.workloads import build_runtime
@@ -124,3 +126,44 @@ class TestTracedJoin:
         connection.close()
         assert len(connection._statement_cache) == 0
         assert connection._metadata_cache.stats_dict()["size"] == 0
+
+
+GROUP_SQL = ("SELECT REGION, COUNT(*), SUM(CREDITLIMIT) FROM CUSTOMERS "
+             "GROUP BY REGION")
+
+
+@pytest.mark.skipif(not with_environment(RuntimeConfig()).cost, reason=(
+    "cost-based planning is off: no plan nodes, no plan.node events"))
+@pytest.mark.parametrize("sql", [JOIN_SQL, GROUP_SQL],
+                         ids=["join", "group"])
+@pytest.mark.parametrize("fmt", ["xml", "delimited"])
+def test_operator_times_fall_within_the_execute_span(sql, fmt):
+    """Each ``plan.node`` event names its operator and the milliseconds
+    it spent producing its rows. The xml result is built inside the
+    execute span, so every operator's time is at most the span's
+    duration; a delimited result streams, its operators run as the
+    cursor fetches, and the events land on the span when the stream
+    drains — at an offset from its start that bounds every operator's
+    time."""
+    connection = connect(build_runtime(), format=fmt)
+    connection.tracer.enable()
+    cursor = connection.cursor()
+    cursor.execute(sql)
+    assert cursor.fetchall()
+    root = connection.tracer.last_root()
+    spans = [root]
+    for span in spans:
+        spans.extend(span.children)
+    # (offsets are from the start of the span the event is on)
+    events = [(offset, attributes) for span in spans
+              for name, offset, attributes in span.events
+              if name == "plan.node"]
+    assert events
+    ops = {attributes["op"] for _offset, attributes in events}
+    assert ("hash_join" if sql == JOIN_SQL else "group") in ops
+    for offset, attributes in events:
+        ms = float(attributes["ms"])
+        assert 0 <= ms <= offset * 1000
+        if fmt == "xml":
+            assert ms <= root.duration * 1000
+    connection.close()

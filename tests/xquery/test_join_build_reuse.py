@@ -130,9 +130,9 @@ class Statement:
         return batched, (after[0] - before[0], after[1] - before[1])
 
     def build_table(self) -> str:
-        """The table the (last) join stage of the plan builds on."""
-        stages = self.plan().vector_plan.lowered.stages
-        joins = [info for kind, info, _n in stages if kind == "join"]
+        """The table the (last) join operator of the plan builds on."""
+        ops = self.plan().vector_plan.lowered.ops
+        joins = [op for op in ops if op.name == "hash_join"]
         return joins[-1].source.local
 
 
@@ -281,9 +281,8 @@ def test_plan_shapes_probe_the_kept_table(shape, batch_size):
     sql, params, second = SHAPES[shape]
     runtime = _runtime(build_scaled_storage(120), batch_size)
     statement = Statement(runtime, sql)
-    kinds = [kind for kind, _i, _n
-             in statement.plan().vector_plan.lowered.stages]
-    assert ("restore" in kinds) == (shape == "restore_order")
+    names = [op.name for op in statement.plan().vector_plan.lowered.ops]
+    assert ("restore_order" in names) == (shape == "restore_order")
     first, _counts = statement.run(*params)
     assert first[0].count(">") > 1  # (real rows)
     assert statement.run(*params) == (first, second)
