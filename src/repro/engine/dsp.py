@@ -139,8 +139,9 @@ class DSPRuntime:
         #: data-version counters for SQLite, file mtime/size for XML):
         #: the unpushed scan's column lists, and what is derived from
         #: them for that version — join hash tables and the element
-        #: trees a ``call_function`` read returns. Pushed scans bypass
-        #: it; their results are request-specific.
+        #: trees a ``call_function`` read returns. A current entry
+        #: answers pushed requests too; a pushed scan's result is
+        #: request-specific and never fills it.
         self._table_columns: dict[tuple[str, str], _TableScan] = {}
         self.function_call_count = 0
         #: Admission control for top-level queries: bounded concurrency
@@ -347,23 +348,6 @@ class DSPRuntime:
         raise UnknownArtifactError(
             f"data service function {local} has no binding")
 
-    def _reduced_request(self, function, source: DataSource, table: str,
-                         request: Optional[ScanRequest]) \
-            -> Optional[ScanRequest]:
-        """Check the function's schema width against the table, then
-        reduce *request* to what the source's capabilities actually
-        cover (None: a plain scan) — shared by the row and column
-        scans."""
-        schema = function.return_schema
-        if len(schema.columns) != len(source.columns(table)):
-            raise UnknownArtifactError(
-                f"schema/table column count mismatch for {function.name}")
-        if self.pushdown and request is not None:
-            return filter_request(
-                source, table, request,
-                [decl.name for decl in schema.columns])
-        return None
-
     def _count_scan(self, result, row_count: int) -> None:
         """Publish one finished source scan on the pushdown and index
         counters."""
@@ -468,20 +452,28 @@ class DSPRuntime:
                              source: DataSource, table: str,
                              request: Optional[ScanRequest],
                              context: Optional[QueryContext]):
-        """Materialize a source table scan as column lists. Only a
-        plain whole-table scan is served from (and fills) the column
-        cache: a reduced request's result is specific to it."""
+        """Materialize a source table scan as column lists. A cached
+        current version serves any request (every pushed conjunct stays
+        in the plan as a residual filter); otherwise a reduced request's
+        result is specific to it, and only a plain scan fills the
+        cache."""
         schema = function.return_schema
-        reduced = self._reduced_request(function, source, table, request)
-        token = None
-        if reduced is None:
+        if len(schema.columns) != len(source.columns(table)):
+            raise UnknownArtifactError(
+                f"schema/table column count mismatch for {function.name}")
+        # The token is read only to compare with an entry or to fill
+        # one: a pushed read of a table never held costs what it did.
+        cached = self._table_columns.get((uri, local))
+        token = None if cached is None else source.version(table)
+        if token is not None and cached.token == token:
+            return ([(decl.name, decl.xs_type) for decl in schema.columns],
+                    cached.values, cached.row_count)
+        reduced = filter_request(
+            source, table, request,
+            [decl.name for decl in schema.columns]) \
+            if self.pushdown else None
+        if reduced is None and cached is None:
             token = source.version(table)
-            cached = self._table_columns.get((uri, local))
-            if cached is not None and token is not None \
-                    and cached.token == token:
-                return ([(decl.name, decl.xs_type)
-                         for decl in schema.columns],
-                        cached.values, cached.row_count)
         result = source.scan_batches(table, reduced, context,
                                      self.batch_size)
         values = [[] for _ in result.columns]
@@ -490,7 +482,7 @@ class DSPRuntime:
                 acc.extend(col)
         row_count = len(values[0]) if values else 0
         self._count_scan(result, row_count)
-        if token is not None:
+        if reduced is None and token is not None:
             # Concurrent first scans keep one entry, for one join table.
             entry = _TableScan(token, values, row_count)
             cached = self._table_columns.setdefault((uri, local), entry)

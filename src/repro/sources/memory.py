@@ -21,8 +21,14 @@ rows are streamed. Two guards keep this strictly a win:
   exactly as without pushdown.
 * **access-path selection** — when the source's own statistics estimate
   the probe would match more than ``index_max_fraction`` of the table,
-  the predicate is declined and the engine keeps its cached
-  element-tree full scan, which is faster for unselective predicates.
+  the predicate is declined and the scan is a plain one, which is
+  faster for unselective predicates.
+
+The runtime asks only for table versions it does not hold: once a plain
+scan has put a version in its column cache, that entry and the join
+tables kept beside it answer every read. So the index serves a
+version's first reads and the DML victim scans (``handles=True``),
+which always come here.
 
 Indexes and statistics are version-guarded: a stale token drops the
 cached structure and it is rebuilt from current rows on next use.

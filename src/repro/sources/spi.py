@@ -23,7 +23,10 @@ The pushdown contract is *advisory*: pushed predicates always remain in
 the compiled plan as residual filters, so a source may return a superset
 of the matching rows (e.g. by ignoring part of the request) without
 affecting correctness — it must only never *drop* a row the residual
-filter would keep.
+filter would keep. The engine relies on the same rule: it answers a
+request from a table version it already holds (the ``version`` token
+unchanged) without sending it, so a source sees requests only for
+versions the engine has not cached, and the DML victim scans.
 
 Writes use the same seam. A writable source's ``scan(...,
 handles=True)`` pairs every row with a source-defined *handle*; the

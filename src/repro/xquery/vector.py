@@ -2121,11 +2121,12 @@ def _lower_join(cc: _Ctx, clause: HashJoinClause, hint, env: dict,
     *env* — a leading join — the probe keys may only read literals and
     parameters (or a correlated sub-plan's outer cells): a constant
     selection over the planner's unit tuple stream. Over a scan with no
-    build filter and no predicate asked of the source, keyed by
-    ``fn:data($v/COL)`` columns, its hash table is kept when the column
-    cache serves the scan; its ``note`` says so, or why not. With no
-    keys the join is a product. The build side is ``fixed`` when
-    lowering it bound no outer cell of an enclosing plan."""
+    build filter, keyed by ``fn:data($v/COL)`` columns, its hash table
+    is kept when the column cache serves the scan (a pushed first read
+    of a version builds a table for that execution only); its ``note``
+    says so, or why not. With no keys the join is a product. The build
+    side is ``fixed`` when lowering it bound no outer cell of an
+    enclosing plan."""
     var = clause.for_clause.var
     bound = _correlation_count(cc)
     source, row = _lower_source(cc, clause.for_clause, hint, with_ordinal)
@@ -2138,7 +2139,6 @@ def _lower_join(cc: _Ctx, clause: HashJoinClause, hint, env: dict,
         why = ("sub-plan" if not isinstance(source, _Scan)
                else "build filters" if clause.filters
                else "computed key" if not all(refs)
-               else "pushed scan" if hint is not None and hint.predicates
                else None)
         note = f"not reused: {why}" if why else "reused per table version"
         reuse = None if why else tuple(ref[1][1] for ref in refs)

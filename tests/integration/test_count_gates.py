@@ -18,6 +18,11 @@ took:
   scan it once (``sources.rows_scanned`` moves by the table's rows,
   then by 0), on memory and on SQLite: the Evaluator's elements are
   built from the column-cache entry the batch executor filled;
+* once a ``SELECT *`` has cached FACTS, the report ``filter`` reads
+  that version, not the source, and probes the ``REGION`` table kept
+  for it: ``sources.rows_scanned`` and ``vector.join_builds`` move by
+  0, on memory and on SQLite (a version's first read is still pushed:
+  tests/xquery/test_cached_pushdown_parity.py);
 * an embedded ``SELECT * FROM FACTS`` fetched row by row prints no
   delimited text (``vector.text_chunks`` stays put: the cursor converts
   the executor's typed cells), while its ``fetch_text`` pages print
@@ -143,6 +148,33 @@ def test_report_and_evaluator_reads_scan_one_version_once(backend):
     assert counted == [2_000]
     scanned.append(_counter(connection, "sources.rows_scanned"))
     assert [b - a for a, b in zip(scanned, scanned[1:])] == [2_000, 0]
+    connection.close()
+
+
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+def test_report_filter_over_a_held_version_scans_and_builds_nothing(backend):
+    sql, params = REPORT_STATEMENTS[1]
+    storage = build_scaled_storage(2_000)
+    source = SQLiteSource.from_storage(storage) \
+        if backend == "sqlite" else storage
+    application = Application(APPLICATION)
+    import_tables(application, PROJECT, source)
+    connection = connect(DSPRuntime(application, source))
+    cursor = connection.cursor()
+    cursor.execute("SELECT * FROM FACTS")
+    assert len(cursor.fetchall()) == 2_000
+    counted = []
+    for _ in range(3):
+        counted.append((_counter(connection, "sources.rows_scanned"),
+                        _counter(connection, "vector.join_builds")))
+        cursor.execute(sql, params)
+        assert cursor.fetchall(), sql
+    counted.append((_counter(connection, "sources.rows_scanned"),
+                    _counter(connection, "vector.join_builds")))
+    # The first execution over the version hashes it once; none scans.
+    assert [(b[0] - a[0], b[1] - a[1])
+            for a, b in zip(counted, counted[1:])] == [(0, 1), (0, 0),
+                                                       (0, 0)]
     connection.close()
 
 

@@ -32,7 +32,7 @@ from repro.sources.memory import TableSource
 from repro.sources.sqlite import SQLiteSource
 from repro.sources.xmlfile import XMLFileSource
 from repro.sql.types import SQLType
-from repro.workloads.scaling import build_scaled_storage
+from repro.workloads.scaling import build_scaled_runtime, build_scaled_storage
 from repro.xquery import Evaluator
 from repro.xquery.vector import VSTATS
 
@@ -266,12 +266,13 @@ SHAPES = {
                    REUSED),
     "composite": ("SELECT F.ID, D.QTY FROM FACTS F INNER JOIN DETAILS D "
                   "ON F.ID = D.FACTID AND F.ID = D.DETAILID", (), REUSED),
-    # A leading join on the selective conjunct (a pushed scan: built
-    # per execution), FACTS built next, and the probe order restored
-    # from both variables' ordinals.
+    # A leading join on the selective conjunct (DETAILS is below the
+    # memory index's threshold, so its scan is the cached one), FACTS
+    # built next, and the probe order restored from both variables'
+    # ordinals: both tables are kept.
     "restore_order": ("SELECT F.ID, D.QTY FROM FACTS F INNER JOIN DETAILS D "
                       "ON F.ID = D.FACTID WHERE D.DETAILID = ?", (11,),
-                      (1, 1)),
+                      (0, 2)),
 }
 
 
@@ -488,7 +489,7 @@ def test_re_plans_and_distinct_texts_share_one_table_per_version():
 LABELS = {
     REPORT_JOIN: "hash-join $var1FR1 (1 keys, built once, "
                  "reused per table version)",
-    REPORT_JOIN + " WHERE F.REGION = ?": "not reused: pushed scan",
+    REPORT_JOIN + " WHERE F.REGION = ?": "reused per table version",
     "SELECT F.ID, D.QTY FROM FACTS F LEFT OUTER JOIN DETAILS D "
     "ON F.ID = D.FACTID AND D.QTY > 3": "not reused: build filters",
     "SELECT F.ID, T.Q FROM FACTS F LEFT OUTER JOIN "
@@ -532,6 +533,22 @@ def test_connection_stats_count_builds_and_reuses():
     assert (VSTATS.join_builds - before[0],
             VSTATS.join_reuses - before[1]) == (3, 1)
     connection.close()
+
+
+def test_a_declined_request_probes_the_kept_table():
+    """Below ``index_min_rows`` the memory source declines the pushed
+    ``REGION`` conjunct, so FACTS is read from the column cache; the
+    leading join over it probes the table kept for that version instead
+    of hashing the rows again on every execution."""
+    runtime = build_scaled_runtime(200)
+    statement = Statement(runtime, REPORT_JOIN + " WHERE F.REGION = ?")
+    first, _counts = statement.run("WEST")
+    east, counts = statement.run("EAST")
+    assert first[0].count(">") > 1 and east != first and counts == (0, 2)
+    assert statement.run("WEST") == (first, (0, 2))
+    counters = runtime.metrics.snapshot()["counters"]
+    assert counters.get("sources.rows_pushed", 0) == 0
+    runtime.close()
 
 
 # -- a replaced source --------------------------------------------------------
