@@ -3,20 +3,28 @@
 Table R4: reporting-mix latency through the full driver pipeline
 (translate → XQuery compile+execute → decode) compared against the
 reference SQL executor evaluating the same AST directly over the same
-tables. The delta is the cost of the paper's architecture: SQL arriving
-at XML data services through translation rather than a native SQL engine.
+tables (the test suite's oracle, ``tests/engine/sqlexec.py``). The
+delta is the cost of the paper's architecture: SQL arriving at XML data
+services through translation rather than a native SQL engine.
 (The paper does not claim parity — the driver exists for integration, not
 speed — so this table bounds the overhead rather than reproducing a
 published number.)
 """
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.driver import connect
-from repro.engine import SQLExecutor, TableProvider
 from repro.sql import parse_statement
 from repro.workloads import COMPLEXITY_CLASSES
 from repro.workloads.scaling import build_scaled_runtime
+
+# The baseline is the SQL oracle, which lives with the tests and is no
+# part of the package.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.engine.sqlexec import SQLExecutor, TableProvider  # noqa: E402
 
 RUNTIME = build_scaled_runtime(500)
 # The baseline executor evaluates joins nested-loop (it is a semantics

@@ -1,8 +1,8 @@
 """Execution engines (S6+S7 in DESIGN.md).
 
-In-memory relational storage, the reference SQL-92 executor used as the
-translator's correctness oracle and benchmark baseline, and the DSP
-runtime that hosts data services and executes XQuery.
+In-memory relational storage, the DSP runtime that hosts data services
+and executes XQuery, and the write path that runs DML on it. (The
+naive SQL-92 oracle that checks translations lives with the tests.)
 """
 
 from .dml import MutationPlan, mutation_parameter_count, plan_mutation
@@ -25,14 +25,6 @@ from .lifecycle import (
     TenantQuota,
     TenantSlot,
 )
-from .sqlexec import (
-    ResultTable,
-    SQLExecutor,
-    TableProvider,
-    canonical_value,
-    row_key,
-    sql_cast,
-)
 from .table import Storage, Table, coerce_value
 from .txn import TransactionManager
 
@@ -45,17 +37,13 @@ __all__ = [
     "FaultyBinding",
     "MutationPlan",
     "QueryContext",
-    "ResultTable",
     "RetryPolicy",
-    "SQLExecutor",
     "Storage",
     "Table",
-    "TableProvider",
     "TenantQuota",
     "TenantSlot",
     "TransactionManager",
     "callable_function",
-    "canonical_value",
     "csv_function",
     "coerce_value",
     "import_source",
@@ -65,7 +53,5 @@ __all__ = [
     "make_faulty",
     "mutation_parameter_count",
     "plan_mutation",
-    "row_key",
     "source_function",
-    "sql_cast",
 ]

@@ -135,8 +135,9 @@ class _ContextBuilder:
         return False
 
 
-def run_stage1(sql: str) -> Stage1Result:
-    """Parse *sql* (rejecting syntactically invalid input immediately)
-    and capture query contexts."""
-    query = parse_statement(sql)
+def run_stage1(sql: str | ast.Query) -> Stage1Result:
+    """Parse *sql* (rejecting syntactically invalid input immediately),
+    or take a query the engine built (a DML statement's read), and
+    capture query contexts."""
+    query = parse_statement(sql) if isinstance(sql, str) else sql
     return _ContextBuilder().build(query)

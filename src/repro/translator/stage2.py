@@ -601,11 +601,16 @@ class Binder:
     def _type_function(self, expr: ast.FunctionCall, scope: QueryScope):
         spec = lookup_function(expr.name)
         spec.check_arity(len(expr.args))
-        arg_types = []
-        for arg in expr.args:
-            arg_type = self._type_expr(arg, scope)
-            arg_types.append(VARCHAR if arg_type is None else arg_type)
-        return spec.result_type(arg_types)
+        arg_types = [self._type_expr(arg, scope) for arg in expr.args]
+        fallback = VARCHAR
+        if spec.name in ("COALESCE", "NULLIF"):
+            # An untyped argument (NULL, ?) takes its siblings' type.
+            fallback = next((t for t in arg_types if t is not None),
+                            VARCHAR)
+            for arg in expr.args:
+                self._infer_parameter(arg, fallback)
+        return spec.result_type([fallback if arg_type is None else arg_type
+                                 for arg_type in arg_types])
 
     def _type_aggregate(self, expr: ast.AggregateCall, scope: QueryScope):
         if expr.star:

@@ -772,16 +772,10 @@ def _like_regex(pattern: str, escape: str | None) -> re.Pattern[str]:
         else:
             parts.append(re.escape(ch))
         i += 1
-    parts.append("$")
+    parts.append(r"\Z")  # ("$" would also match before a final newline)
     compiled = re.compile("".join(parts), re.DOTALL)
     _LIKE_CACHE[key] = compiled
     return compiled
-
-
-def sql_like_match(value: str, pattern: str, escape: str | None) -> bool:
-    """Shared SQL LIKE matcher — also used by the reference executor so
-    the translator and the oracle agree on pattern semantics."""
-    return bool(_like_regex(pattern, escape).match(value))
 
 
 def fn_current_date(args):

@@ -1,9 +1,9 @@
 """Unit tests for repro.engine.dml — SQL mutations to MutationPlans.
 
-Victim selection, expression evaluation, and the DML expression-subset
-restrictions (no subqueries, no aggregates), exercised directly
-against ``plan_mutation`` so error classes are pinned before the
-driver wraps them.
+Victim selection, expression evaluation, subqueries, and the DML
+checks (target columns, no aggregates), exercised directly against
+``plan_mutation`` so error classes are pinned before the driver wraps
+them.
 """
 
 from decimal import Decimal
@@ -15,11 +15,7 @@ from repro.engine.dml import (
     mutation_parameter_count,
     plan_mutation,
 )
-from repro.errors import (
-    SQLSemanticError,
-    UnknownArtifactError,
-    UnsupportedSQLError,
-)
+from repro.errors import SQLSemanticError, UnknownArtifactError
 from repro.sql import parse_mutation
 from repro.workloads import build_runtime
 
@@ -81,15 +77,23 @@ class TestPlans:
 
 
 class TestRestrictions:
-    def test_subquery_in_where_rejected(self, rig):
-        with pytest.raises(UnsupportedSQLError, match="subquer"):
-            plan(rig, "DELETE FROM CUSTOMERS WHERE CUSTOMERID IN "
-                      "(SELECT CUSTOMERID FROM CUSTOMERS)")
+    def test_subquery_in_where_runs(self, rig):
+        cur = rig.cursor()
+        cur.execute("SELECT COUNT(*) FROM CUSTOMERS WHERE CUSTOMERID IN "
+                    "(SELECT CUSTID FROM PAYMENTS)")
+        (paying,), = cur.fetchall()
+        built = plan(rig, "DELETE FROM CUSTOMERS WHERE CUSTOMERID IN "
+                          "(SELECT CUSTID FROM PAYMENTS)")
+        assert built.rowcount == paying > 0
 
-    def test_subquery_in_values_rejected(self, rig):
-        with pytest.raises(UnsupportedSQLError, match="subquer"):
-            plan(rig, "INSERT INTO CUSTOMERS (CUSTOMERID) VALUES "
-                      "((SELECT MAX(CUSTOMERID) FROM CUSTOMERS))")
+    def test_subquery_in_values_runs(self, rig):
+        built = plan(rig, "INSERT INTO CUSTOMERS (CUSTOMERID) VALUES "
+                          "((SELECT MAX(CUSTOMERID) + 1 FROM CUSTOMERS))")
+        cur = rig.cursor()
+        cur.execute("SELECT MAX(CUSTOMERID) FROM CUSTOMERS")
+        (highest,), = cur.fetchall()
+        mutation, = built.mutations
+        assert mutation.rows == ((highest + 1, None, None, None),)
 
     def test_aggregate_in_set_rejected(self, rig):
         with pytest.raises(SQLSemanticError, match="aggregate"):
@@ -125,6 +129,6 @@ class TestWriteTarget:
         with pytest.raises(repro.ProgrammingError):
             cur.execute("UPDATE CUSTOMERS SET CREDITLIMIT = "
                         "MAX(CREDITLIMIT)")
-        with pytest.raises(repro.Error):
-            cur.execute("DELETE FROM CUSTOMERS WHERE CUSTOMERID IN "
-                        "(SELECT 1 FROM CUSTOMERS)")
+        # A dynamic error raises as it does in a read.
+        with pytest.raises(repro.OperationalError, match="division"):
+            cur.execute("DELETE FROM CUSTOMERS WHERE CUSTOMERID / 0 = 1")

@@ -6,10 +6,11 @@ from decimal import Decimal
 import pytest
 
 from repro import clock
-from repro.engine import SQLExecutor, TableProvider
 from repro.errors import SQLSemanticError
 from repro.sql import parse_statement
 from repro.workloads import build_storage
+
+from tests.engine.sqlexec import SQLExecutor, TableProvider
 
 
 @pytest.fixture()

@@ -8,19 +8,21 @@ import pytest
 
 from repro import connect
 from repro.catalog import Application
-from repro.engine import (
-    DSPRuntime,
-    SQLExecutor,
-    Storage,
-    TableProvider,
-    import_tables,
-    sql_cast,
-)
-from repro.engine.sqlexec import _and3, _not3, _or3, canonical_value
+from repro.engine import DSPRuntime, Storage, import_tables
 from repro.errors import SQLSemanticError
 from repro.sql import parse_statement
 from repro.sql.types import SQLType
 from repro.workloads import build_storage
+
+from tests.engine.sqlexec import (
+    SQLExecutor,
+    TableProvider,
+    _and3,
+    _not3,
+    _or3,
+    canonical_value,
+    sql_cast,
+)
 
 
 def run(sql, storage=None, params=()):

@@ -11,12 +11,13 @@ from decimal import Decimal
 import pytest
 
 from repro import connect
-from repro.engine import SQLExecutor, TableProvider, canonical_value
 from repro.engine.table import Storage
 from repro.errors import ReproError
 from repro.sql import parse_statement
 from repro.sql.types import SQLType
 from repro.workloads import build_runtime, build_storage
+
+from tests.engine.sqlexec import SQLExecutor, TableProvider, canonical_value
 
 CONNECTION = connect(build_runtime())
 

@@ -50,7 +50,7 @@ class TestDeepNesting:
         cursor.execute(f"SELECT COUNT(*) FROM CUSTOMERS WHERE {condition}")
         # Even depth of NOTs -> all rows filtered... verify against the
         # oracle instead of reasoning by hand.
-        from repro.engine import SQLExecutor, TableProvider
+        from tests.engine.sqlexec import SQLExecutor, TableProvider
         from repro.sql import parse_statement
         from repro.workloads import build_storage
         oracle = SQLExecutor(TableProvider(build_storage())).execute(

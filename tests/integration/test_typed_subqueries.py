@@ -20,17 +20,13 @@ import pytest
 
 from repro import connect
 from repro.catalog import Application
-from repro.engine import (
-    DSPRuntime,
-    SQLExecutor,
-    Storage,
-    TableProvider,
-    import_tables,
-)
+from repro.engine import DSPRuntime, Storage, import_tables
 from repro.sql import parse_statement
 from repro.sql.types import SQLType
 from repro.workloads import build_scaled_runtime
 from repro.xquery import Evaluator, compile_module, parse_xquery
+
+from tests.engine.sqlexec import SQLExecutor, TableProvider
 
 COLUMNS = {"D": "DATE", "T": "TIME", "TS": "TIMESTAMP"}
 

@@ -80,7 +80,7 @@ class TestClock:
     def test_equivalence_of_current_date(self):
         """CURRENT_DATE through the driver equals the oracle's."""
         from repro.driver import connect
-        from repro.engine import SQLExecutor, TableProvider
+        from tests.engine.sqlexec import SQLExecutor, TableProvider
         from repro.sql import parse_statement
         from repro.workloads import build_runtime, build_storage
         clock.set_fixed(datetime.datetime(2005, 6, 1, 12, 0, 0))

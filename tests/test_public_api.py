@@ -126,6 +126,20 @@ class TestLegacyAliasesRemoved:
 
         assert execute_xquery("1 + 1") == [2]
 
+    def test_sql_oracle_left_the_engine(self):
+        """The naive SQL executor is the tests' oracle, no product
+        code: writes run on the vector plan. Its exports went with it
+        (to ``tests/engine/sqlexec.py``)."""
+        import importlib.util
+
+        import repro.engine
+
+        for name in ("SQLExecutor", "TableProvider", "ResultTable",
+                     "canonical_value", "row_key", "sql_cast"):
+            assert name not in repro.engine.__all__, name
+            assert not hasattr(repro.engine, name), name
+        assert importlib.util.find_spec("repro.engine.sqlexec") is None
+
     def test_no_deprecation_machinery_left(self):
         assert not hasattr(repro, "_LEGACY")
         assert not hasattr(repro, "_warned_legacy")

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import SQLExecutor, TableProvider
 from repro.sql import parse_statement
 from repro.workloads import (
     COMPLEXITY_CLASSES,
@@ -15,6 +14,8 @@ from repro.workloads import (
     build_storage,
     generate_query,
 )
+
+from tests.engine.sqlexec import SQLExecutor, TableProvider
 
 
 class TestDemoData:
