@@ -204,6 +204,23 @@ class TestBindScanRequest:
         live = self._bind(projected, p1=[1, 2])
         assert live == ScanRequest(columns=("ID",))
 
+    def test_a_negated_parameter_binds_a_number_only(self):
+        negated = ScanRequest(predicates=(
+            Predicate("ID", "gt", ParamRef("p1", negate=True)),))
+        assert self._bind(negated, p1=[5]).predicates == \
+            (Predicate("ID", "gt", -5),)
+        assert self._bind(negated, p1=["5"]) is None
+        assert self._bind(negated, p1=[True]) is None
+
+    def test_an_in_list_binds_every_member_or_drops(self):
+        listed = ScanRequest(predicates=(
+            Predicate("ID", "in", (1, ParamRef("p1"), 3)),
+            Predicate("V", "eq", 3)))
+        assert self._bind(listed, p1=[2]).predicates == \
+            (Predicate("ID", "in", (1, 2, 3)), Predicate("V", "eq", 3))
+        assert self._bind(listed, p1=[]).predicates == \
+            (Predicate("V", "eq", 3),)
+
     def test_requests_without_param_refs_pass_through(self):
         plain = ScanRequest(predicates=(Predicate("V", "eq", 3),))
         assert self._bind(plain) is plain
