@@ -8,7 +8,7 @@ lists for one logical thing: how this DSP instance should behave.
 accepted by ``DSPRuntime(config=...)`` and ``connect(config=...)``.
 
 This module is also the only reader of the process environment: the
-three ``REPRO_*`` variables the CI legs force are parsed here, by
+two ``REPRO_*`` variables the CI legs force are parsed here, by
 :func:`with_environment` and :func:`default_demo_backend`.
 """
 
@@ -25,8 +25,8 @@ class RuntimeConfig:
     """Every tuning knob of the runtime and the driver, in one place.
 
     Engine side: ``pushdown`` (source predicate/projection pushdown),
-    cost-based planning, the plan cache bound, admission control, the
-    transient-source retry policy, and the batch executor's batch size.
+    the plan cache bound, admission control, the transient-source retry
+    policy, and the batch executor's batch size.
     Driver side: the result ``format``, simulated metadata latency, the
     statement/metadata cache bounds, and the per-statement default
     deadline.
@@ -34,10 +34,6 @@ class RuntimeConfig:
 
     # -- engine ------------------------------------------------------------
     pushdown: bool = True
-    #: Statistics-driven cost-based planning (join build-side choice,
-    #: for-clause reordering, selectivity-ordered conjuncts). Also
-    #: gated by the ``REPRO_COST_PLANNING`` env var.
-    cost: bool = True
     plan_cache_capacity: int = 256
     max_concurrent_queries: int = 32
     admission_queue_timeout: float = 5.0
@@ -78,13 +74,9 @@ def _env_int(name: str, configured: int) -> int:
 
 def with_environment(config: RuntimeConfig) -> RuntimeConfig:
     """*config* as one runtime in this process will actually run it:
-    ``REPRO_BATCH_SIZE`` overrides its field for A/B runs, and
-    ``REPRO_COST_PLANNING=0`` switches cost-based planning off."""
+    ``REPRO_BATCH_SIZE`` overrides its field for A/B runs."""
     return config.replace(
-        cost=config.cost
-        and os.environ.get("REPRO_COST_PLANNING", "1") != "0",
-        batch_size=max(1, _env_int("REPRO_BATCH_SIZE", config.batch_size)),
-    )
+        batch_size=max(1, _env_int("REPRO_BATCH_SIZE", config.batch_size)))
 
 
 def default_demo_backend() -> str:

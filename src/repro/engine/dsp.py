@@ -111,15 +111,10 @@ class DSPRuntime:
             self._default_source, (TableSource, type(None)))
         #: Enable predicate/projection pushdown into capable sources.
         self.pushdown = config.pushdown
-        #: The two knobs below can be forced process-wide through the
-        #: environment (the CI legs do); ``config.py`` reads it.
-        effective = with_environment(config)
-        #: Statistics-driven cost-based planning: join build-side
-        #: choice, order-restoring for-clause reordering, and
-        #: most-selective-first conjunct ordering.
-        self.cost = effective.cost
-        #: Rows per column-oriented batch in the batch executor.
-        self.batch_size = effective.batch_size
+        #: Rows per column-oriented batch in the batch executor; the
+        #: environment can force it process-wide (a CI leg does), and
+        #: ``config.py`` reads it.
+        self.batch_size = with_environment(config).batch_size
         #: Runtime-side metrics: the plan cache publishes
         #: ``plan_cache.hits`` / ``plan_cache.misses`` /
         #: ``plan_cache.evictions`` here.
@@ -129,8 +124,8 @@ class DSPRuntime:
         #: concurrent executions of the same query compile it once.
         #: Keyed by the query's text (user-written XQuery) or by the
         #: driver's statement-cache key (a translated module), plus the
-        #: pushdown/cost flags, so toggling either never reuses a plan
-        #: built under the other setting.
+        #: pushdown flag, so toggling it never reuses a plan built under
+        #: the other setting.
         self.plan_cache = LRUCache(config.plan_cache_capacity,
                                    registry=self.metrics,
                                    prefix="plan_cache")
@@ -727,8 +722,9 @@ class DSPRuntime:
     def _cached_plan(self, key, load_module, tracer,
                      handles=None) -> CompiledQuery:
         """The plan of *key*, compiled on a miss from *load_module*'s
-        module; *handles* is None for a read, a bool for a DML read."""
-        costed = self.cost and handles is None
+        module; *handles* is None for a read, a bool for a DML read.
+        A read is planned with statistics, a DML read without."""
+        read = handles is None
 
         def load() -> CompiledQuery:
             module = load_module()
@@ -736,7 +732,7 @@ class DSPRuntime:
                 plan = compile_module(
                     module, resolver=self.call_function,
                     pushdown=self.pushdown,
-                    statistics=self.statistics_for if costed else None,
+                    statistics=self.statistics_for if read else None,
                     batch_size=self.batch_size, columnar=self,
                     handles=bool(handles))
             if plan.batched_reason is not None:
@@ -746,12 +742,12 @@ class DSPRuntime:
                 self._estimated_rows.add(int(round(estimate)))
             return plan
 
-        # The stats epoch keys a costed entry: when a source's data
+        # The stats epoch keys a read's entry: when a source's data
         # moves or a source is (re)registered, the epoch bumps and every
-        # plan costed under the old statistics misses (one recompile).
+        # read planned under the old statistics misses (one recompile).
         return self.plan_cache.get_or_load(
-            (key, self.pushdown, costed, self.batch_size,
-             self._stats_epoch if costed else None), load)
+            (key, self.pushdown, self.batch_size,
+             self._stats_epoch if read else None), load)
 
     def execute(self, xquery_text: str,
                 variables: dict[str, object] | None = None,

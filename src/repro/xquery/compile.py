@@ -69,9 +69,9 @@ class CompiledQuery:
                  vector_plan=None, batched_reason: Optional[str] = None):
         self.module = module
         self.compile_seconds = compile_seconds
-        #: Per-FLWOR plan-node reports (labels + estimated rows) of the
-        #: vector plan when the module was compiled with cost-based
-        #: planning; see :meth:`evaluate` for the actual counts.
+        #: Per-FLWOR plan-node reports (labels + estimated rows, None
+        #: without statistics) of the vector plan; see :meth:`evaluate`
+        #: for the actual counts.
         self.plan_reports = plan_reports or []
         #: Why the vector lowering declined this body (one of
         #: ``repro.xquery.vector.DECLINE_REASONS``); None when batched
@@ -146,11 +146,6 @@ class CompiledQuery:
             return ["".join(self.vector_plan.encode(columns))]
         return [self.vector_plan.records(columns)]
 
-    def stream_items(self, variables: Optional[dict[str, object]] = None,
-                     context=None, actuals=None) -> Iterator:
-        """The result items as an iterator (of :meth:`evaluate`)."""
-        return iter(self.evaluate(variables, context, actuals))
-
     def stream_chunks(self, variables: Optional[dict[str, object]] = None,
                       context=None, actuals=None) -> Iterator[str]:
         """Yield the text wrapper's single string result in pieces (only
@@ -198,10 +193,10 @@ def compile_module(module: ast.Module,
     scans, never change results.
 
     *statistics* — a ``(uri, local) -> Optional[TableStatistics]``
-    callback for data-service scans — switches cost-based planning on:
-    build-side choice/for reorder, build-filter hoisting, and
-    most-selective-first conjunct ordering, all result-preserving
-    (reorders restore original tuple order via ordinals).
+    callback for data-service scans — lets the planner reorder
+    independent for clauses, smallest estimated input first, and
+    prices the plan's nodes; the reorder restores the original tuple
+    order via ordinals, so it changes speed only.
 
     *handles* compiles a DML statement's read (the vector plan's
     ``read_handles``).
@@ -212,10 +207,9 @@ def compile_module(module: ast.Module,
     plan = reason = None
     if columnar is not None:
         plan, reason = try_compile_body(compiler, module.body, handles)
-    costed = plan is not None and compiler._estimator is not None
     return CompiledQuery(module, resolver, time.perf_counter() - started,
                          compiler.text_wrapper(module.body) is not None,
-                         plan.plan_reports() if costed else [],
+                         plan.plan_reports() if plan is not None else [],
                          vector_plan=plan, batched_reason=reason)
 
 
@@ -259,8 +253,7 @@ class _Compiler:
         self._estimator: Optional[CostEstimator] = None
         if statistics is not None:
             self._estimator = CostEstimator(
-                self._source_statistics(statistics),
-                pushdown=self._pushdown)
+                self._source_statistics(statistics))
         #: id(FLWOR ast node) -> its :class:`_PlannedFLWOR` (which keeps
         #: the node alive, so the id holds).
         self._plans: dict[int, _PlannedFLWOR] = {}

@@ -18,7 +18,11 @@ Rewrites, in order:
    for $tokenQuery in $actualQuery``); fusing it lets the streaming
    executor pull rows through the wrapper without materializing the
    inner query's full result.
-3. **Hash equi-joins** — a ``for`` followed by where-conjuncts of the
+3. **For-clause reorder** — with statistics only: independent for
+   clauses run smallest estimated input first, and a
+   :class:`RestoreOrderClause` re-sorts the frames into the written
+   order. It is the one rewrite statistics make.
+4. **Hash equi-joins** — a ``for`` followed by where-conjuncts of the
    shape ``keyOf($new) eq keyOf(stream)`` becomes a hash join. Multiple
    such conjuncts on the same new variable fuse into ONE multi-key hash
    join (a composite-key join probes one table with a key tuple instead
@@ -58,11 +62,11 @@ class HashJoinClause:
     *condition* is the original ``eq`` comparison kept for the pairwise
     fallback path.
 
-    ``filters`` (cost-based planning only) are conjuncts reading only
-    the join variable, hoisted into the build phase: each build item is
-    filtered once before entering the hash table instead of once per
-    matching output tuple. Safe because such a conjunct evaluates
-    identically on a build item and on any output frame binding it.
+    ``filters`` (outer joins only) are ON conjuncts reading only the
+    join variable, applied in the build phase: each build item is
+    filtered once before entering the hash table. Safe because such a
+    conjunct evaluates identically on a build item and on any output
+    frame binding it.
 
     ``outer`` marks the left outer join :func:`match_outer_join` makes
     of stage 3's ``if (fn:empty($t))`` pattern: a probe tuple no build
@@ -259,14 +263,12 @@ def plan_clauses(clauses, return_expr: Optional[ast.XExpr] = None,
     key) hash joins. ``return_expr`` enables the let/for fusion (it is
     needed to prove a let binding is dead after the rewrite).
 
-    With an *estimator* (cost-based planning), three statistics-driven
-    rewrites run as well: independent for clauses reorder greedily
+    With an *estimator*, independent for clauses reorder greedily
     (smallest estimated input first, original tuple order restored via
-    :class:`RestoreOrderClause` ordinals), single-variable conjuncts
-    move into hash-join build filters, and residual conjunct runs sort
-    most-selective-first. Without an estimator the output is exactly
-    the pre-cost plan — the tree-walking evaluator plans that way and
-    stays the differential oracle.
+    :class:`RestoreOrderClause` ordinals): the one rewrite statistics
+    make. Without an estimator the clauses keep the written order —
+    the tree-walking evaluator plans that way and stays the
+    differential oracle.
     """
     clauses = _fuse_lets(hoist_filters(clauses), return_expr)
     declared = _declared_vars(clauses)
@@ -293,10 +295,6 @@ def plan_clauses(clauses, return_expr: Optional[ast.XExpr] = None,
             bound_here.update(var for _e, var in clause.keys)
         planned.append(clause)
         index += 1
-    if estimator is not None:
-        planned = _absorb_join_filters(planned, declared, estimator,
-                                       external_vars)
-        planned = _order_conjuncts(planned, estimator, external_vars)
     return planned
 
 
@@ -425,7 +423,7 @@ def match_outer_join(clauses, return_expr, planned_clauses, is_fn,
             and all(isinstance(clause, ast.WhereClause) for clause in rest)
             and _null_extends(record, return_expr.then, var)):
         return OuterJoin(None, record)
-    filters = list(head.filters)
+    filters = []
     for clause in rest:
         build_only = free_vars(clause.condition) - external_vars <= {var}
         (filters if build_only else residuals).append(clause.condition)
@@ -501,15 +499,10 @@ class CostEstimator:
     guarded statistics cache. Lookups are memoized per planning pass
     and failures degrade to "no statistics" — costing must never turn
     a plannable query into an error.
-
-    ``pushdown`` tells the conjunct-ordering rewrite that sargable
-    conjuncts are also carved off as scan hints (so the residual copy
-    is expected to pass almost everything and sorts last).
     """
 
-    def __init__(self, source_statistics, pushdown: bool = False):
+    def __init__(self, source_statistics):
         self._source_statistics = source_statistics
-        self.pushdown = pushdown
         self._cache: dict[int, object] = {}
 
     def table_stats(self, source: ast.XExpr):
@@ -720,15 +713,45 @@ def _simulate_cost(order, floating) -> float:
     return cost
 
 
+#: Built-in calls that never raise: a run whose conjuncts are built
+#: only of these may be reordered.
+_SAFE_CALLS = frozenset(
+    [("fn", f) for f in ("data", "empty", "exists", "not", "true", "false")]
+    + [("fn-bea", f) for f in ("and3", "or3", "not3", "in3", "any3", "all3",
+                               "distinct-records")])
+
+
+def _may_raise(condition) -> bool:
+    """True unless *condition* is built of comparisons, :data:`_SAFE_CALLS`,
+    ``xs:`` casts of literals and data-service reads (a subquery too)."""
+    for node, _in_predicate in subexpressions(condition):
+        if isinstance(node, ast.Arithmetic):
+            return True
+        if not isinstance(node, ast.XFunctionCall):
+            continue
+        if node.prefix == "xs":
+            if not all(isinstance(arg, ast.XLiteral) for arg in node.args):
+                return True
+        elif node.prefix in ("fn", "fn-bea") \
+                and (node.prefix, node.local) not in _SAFE_CALLS:
+            return True
+    return False
+
+
 def _reorder_run(run, estimator: CostEstimator, declared: set[str],
                  outer_bound: set[str], external_vars: frozenset):
     """Reorder one for/let/where run, or return it unchanged when the
-    rewrite is illegal (correlation, shadowing, missing statistics) or
-    not clearly profitable."""
+    rewrite is illegal (correlation, shadowing, missing statistics, a
+    conjunct that may raise) or not clearly profitable. A reorder
+    changes which rows each conjunct sees first, so a run holding a
+    conjunct that may raise keeps the written order: whether a
+    statement raises never depends on statistics."""
     binder_vars = [c.var for c in run
                    if isinstance(c, (ast.ForClause, ast.LetClause))]
     for_count = sum(1 for c in run if isinstance(c, ast.ForClause))
-    if for_count < 2 or len(set(binder_vars)) != len(binder_vars):
+    if for_count < 2 or len(set(binder_vars)) != len(binder_vars) \
+            or any(isinstance(c, ast.WhereClause) and _may_raise(c.condition)
+                   for c in run):
         return run
     run_vars = set(binder_vars)
 
@@ -868,132 +891,6 @@ def _reorder_run(run, estimator: CostEstimator, declared: set[str],
     if emitted_for_vars != original_for_vars:
         emitted.append(RestoreOrderClause(original_for_vars))
     return emitted
-
-
-def _absorb_join_filters(planned, declared: set[str],
-                         estimator: CostEstimator,
-                         external_vars: frozenset):
-    """Move residual conjuncts that read only a hash join's variable
-    into the join's build filter — each build item is then tested once
-    instead of once per matching output tuple — when the build side is
-    estimated no larger than the join's output (or sizes are unknown)."""
-    out: list = []
-    card: Optional[float] = 1.0
-    index = 0
-    while index < len(planned):
-        clause = planned[index]
-        if not isinstance(clause, HashJoinClause):
-            out.append(clause)
-            card = _advance_estimate(card, clause, estimator,
-                                     external_vars, {})
-            index += 1
-            continue
-        var = clause.for_clause.var
-        stats = estimator.table_stats(clause.for_clause.source)
-        rows = float(stats.row_count) if stats is not None else None
-        matched_card = None
-        if card is not None and rows is not None:
-            matched_card = card * rows
-            for build, probe, _cond in clause.keys:
-                ndv = _column_ndv(stats, _scan_column(build, var))
-                matched_card *= (1.0 / ndv) if ndv \
-                    else DEFAULT_SELECTIVITY["eq"]
-        absorb = (matched_card is None or rows is None
-                  or rows <= matched_card)
-        filters = list(clause.filters)
-        kept: list = []
-        follow = index + 1
-        while follow < len(planned) \
-                and isinstance(planned[follow], ast.WhereClause):
-            condition = planned[follow].condition
-            if absorb and (free_vars(condition) & declared) <= {var}:
-                filters.append(condition)
-            else:
-                kept.append(planned[follow])
-            follow += 1
-        if len(filters) > len(clause.filters):
-            clause = HashJoinClause(clause.for_clause, clause.keys,
-                                    tuple(filters))
-        out.append(clause)
-        out.extend(kept)
-        card = _advance_estimate(card, clause, estimator, external_vars,
-                                 {})
-        for where in kept:
-            card = _advance_estimate(card, where, estimator,
-                                     external_vars, {})
-        index = follow
-    return out
-
-
-#: Built-in calls that never raise: the cost planner may reorder
-#: conjuncts built only of these.
-_SAFE_CALLS = frozenset(
-    [("fn", f) for f in ("data", "empty", "exists", "not", "true", "false")]
-    + [("fn-bea", f) for f in ("and3", "or3", "not3", "in3", "any3", "all3",
-                               "distinct-records")])
-
-
-def _may_raise(condition) -> bool:
-    """True unless *condition* is built of comparisons, :data:`_SAFE_CALLS`,
-    ``xs:`` casts of literals and data-service reads (a subquery too)."""
-    for node, _in_predicate in subexpressions(condition):
-        if isinstance(node, ast.Arithmetic):
-            return True
-        if not isinstance(node, ast.XFunctionCall):
-            continue
-        if node.prefix == "xs":
-            if not all(isinstance(arg, ast.XLiteral) for arg in node.args):
-                return True
-        elif node.prefix in ("fn", "fn-bea") \
-                and (node.prefix, node.local) not in _SAFE_CALLS:
-            return True
-    return False
-
-
-def _order_conjuncts(planned, estimator: CostEstimator,
-                     external_vars: frozenset):
-    """Stable-sort each contiguous run of residual where clauses most-
-    selective-first; conjuncts already carved off as pushdown hints
-    sort last (the source is expected to have applied them). A
-    conjunct that may raise stays where the query puts it, so whether
-    a statement raises never depends on statistics."""
-    var_stats: dict[str, object] = {}
-    for clause in planned:
-        if isinstance(clause, ast.ForClause):
-            var_stats[clause.var] = estimator.table_stats(clause.source)
-        elif isinstance(clause, HashJoinClause):
-            var_stats[clause.for_clause.var] = \
-                estimator.table_stats(clause.for_clause.source)
-
-    def ordering_key(where) -> float:
-        condition = where.condition
-        for var, stats in var_stats.items():
-            if stats is None:
-                continue
-            predicate = _sargable(condition, var, external_vars)
-            if predicate is not None:
-                if estimator.pushdown:
-                    return 1.0  # carved off: the residual passes ~all
-                return predicate_selectivity(predicate, stats)
-        return _shape_selectivity(condition)
-
-    out = list(planned)
-    index = 0
-    while index < len(out):
-        if not isinstance(out[index], ast.WhereClause):
-            index += 1
-            continue
-        end = index
-        while end < len(out) and isinstance(out[end], ast.WhereClause):
-            end += 1
-        start = index
-        for at in range(index, end + 1):
-            if at == end or _may_raise(out[at].condition):
-                # stable: ties keep SQL order
-                out[start:at] = sorted(out[start:at], key=ordering_key)
-                start = at + 1
-        index = end
-    return out
 
 
 def _advance_estimate(card: Optional[float], clause,
@@ -1171,10 +1068,6 @@ def scan_requests(clauses, return_expr, external_vars: frozenset,
                 ok, value = _constant_value(probe, external_vars)
                 if ok:
                     predicates.append(Predicate(column, "eq", value))
-            for condition in clause.filters:
-                predicate = _sargable(condition, var, external_vars)
-                if predicate is not None:
-                    predicates.append(predicate)
         follow = index + 1
         while follow < len(clauses) and \
                 isinstance(clauses[follow], ast.WhereClause):
@@ -1318,7 +1211,6 @@ def _projection(var: str, clauses, return_expr,
                 exprs.append(clause.for_clause.source)
             for build, probe, cond in clause.keys:
                 exprs.extend((build, probe, cond))
-            exprs.extend(clause.filters)
         elif isinstance(clause, ast.LetClause):
             exprs.append(clause.value)
         elif isinstance(clause, ast.WhereClause):

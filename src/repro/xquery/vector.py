@@ -1518,7 +1518,7 @@ class _HashJoin(_Op):
             return built
         scan = self.source
         build = scan.build_side(state)
-        # Absorbed build filters run once, before hashing; compacting
+        # An outer join's build filters run once, before hashing; compacting
         # between conjuncts preserves the Evaluator's short-circuit
         # (a later filter never sees a row an earlier one dropped).
         for filter_expr in self.filter_exprs:

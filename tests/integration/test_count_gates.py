@@ -29,6 +29,10 @@ took:
   exactly the stream ``stream_chunks`` yields, a chunk per batch. That
   rows read either way keep their types cell for cell is
   tests/server/test_remote_differential.py's check;
+* a point join that names the big table first (``FROM DETAILS D,
+  FACTS F ... F.ID = ?``) is reordered by statistics: its plan holds
+  ``restore-order``, and the one FACTS row drives the join, not the
+  DETAILS scan;
 * 30 parameterised point UPDATEs, then 30 point DELETEs, on SQLite
   compile their DML read once each (``plan_cache.misses`` up by 1 per
   statement text, though every write moves the stats epoch) and read
@@ -79,11 +83,9 @@ SHAPE_STATEMENTS = {
 
 @pytest.fixture(autouse=True)
 def _pin_executor_shape(monkeypatch):
-    """The gates hold for the default batch size and cost planning
-    (EXPLAIN's boundary notes come from the cost planner): the CI legs'
-    overrides must not reshape them."""
-    for name in ("REPRO_BATCH_SIZE", "REPRO_COST_PLANNING"):
-        monkeypatch.delenv(name, raising=False)
+    """The gates hold for the default batch size: a CI leg's override
+    must not reshape them."""
+    monkeypatch.delenv("REPRO_BATCH_SIZE", raising=False)
 
 
 def _counter(connection, name: str) -> int:
@@ -202,6 +204,28 @@ def test_embedded_rows_print_no_text_and_pages_are_the_stream():
         ("delimited", sql),
         connection.translator.translate(sql, format="delimited").module)
     assert "".join(pages) == "".join(plan.stream_chunks())
+    connection.close()
+
+
+def test_point_join_named_big_table_first_drives_from_the_point():
+    sql = ("SELECT F.NAME, D.QTY FROM DETAILS D, FACTS F "
+           "WHERE D.FACTID = F.ID AND F.ID = ?")
+    runtime = build_scaled_runtime(2_000)
+    connection = connect(runtime)
+    translation = connection.translator.translate(sql, format="delimited")
+    plan = runtime.prepare_module(("delimited", sql), translation.module)
+    actuals: dict = {}
+    plan.evaluate(translation.parameter_variables([7]), actuals=actuals)
+    nodes = plan.plan_reports[0]["nodes"]
+    assert [node["op"] for node in nodes] == [
+        "hash_join", "hash_join", "restore_order"]
+    # The first node is the stream that enters the join: the FACTS row
+    # ``F.ID = 7`` selects, where the written order streams all of
+    # DETAILS (4 000 rows).
+    assert actuals[nodes[0]["id"]] == 1
+    cursor = connection.cursor()
+    cursor.execute(sql, (7,))
+    assert actuals[nodes[1]["id"]] == len(cursor.fetchall()) > 0
     connection.close()
 
 

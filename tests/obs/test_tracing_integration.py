@@ -8,8 +8,6 @@ durations, and ``Connection.stats()`` must report matching counters.
 
 import pytest
 
-from repro import RuntimeConfig
-from repro.config import with_environment
 from repro.driver import connect
 from repro.translator import explain
 from repro.workloads import build_runtime
@@ -132,8 +130,6 @@ GROUP_SQL = ("SELECT REGION, COUNT(*), SUM(CREDITLIMIT) FROM CUSTOMERS "
              "GROUP BY REGION")
 
 
-@pytest.mark.skipif(not with_environment(RuntimeConfig()).cost, reason=(
-    "cost-based planning is off: no plan nodes, no plan.node events"))
 @pytest.mark.parametrize("sql", [JOIN_SQL, GROUP_SQL],
                          ids=["join", "group"])
 @pytest.mark.parametrize("fmt", ["xml", "delimited"])

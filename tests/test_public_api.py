@@ -14,7 +14,7 @@ README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 #: Every tuning knob, by name: a knob removed (or added) changes this
 #: set, the README's knob table, and the test below together.
 KNOBS = {
-    "pushdown", "cost", "plan_cache_capacity", "max_concurrent_queries",
+    "pushdown", "plan_cache_capacity", "max_concurrent_queries",
     "admission_queue_timeout", "max_inflight_rows", "retry_policy",
     "batch_size", "format",
     "metadata_latency", "statement_cache_capacity",
@@ -165,7 +165,7 @@ class TestRuntimeConfig:
     def test_field_set_is_exact(self):
         fields = {field.name for field in
                   dataclasses.fields(repro.RuntimeConfig)}
-        assert fields == KNOBS and len(fields) == 14
+        assert fields == KNOBS and len(fields) == 13
 
     def test_readme_knob_table_lists_every_field(self):
         """README's "RuntimeConfig knobs" table has one row per field,
@@ -225,19 +225,18 @@ class TestRuntimeConfig:
 class TestEnvironment:
     """``config.py`` is the one reader of the process environment."""
 
-    def test_config_reads_exactly_three_variables(self):
+    def test_config_reads_exactly_two_variables(self):
         source = (pathlib.Path(repro.__file__).parent / "config.py") \
             .read_text()
         assert set(re.findall(r"REPRO_[A-Z_]+", source)) == {
-            "REPRO_BATCH_SIZE", "REPRO_COST_PLANNING",
-            "REPRO_DEFAULT_BACKEND"}
+            "REPRO_BATCH_SIZE", "REPRO_DEFAULT_BACKEND"}
 
     def test_a_retired_variable_changes_nothing(self, monkeypatch):
         from repro.config import with_environment
 
-        for name in ("REPRO_BATCH_SIZE", "REPRO_COST_PLANNING"):
-            monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv("REPRO_BATCH_SIZE", raising=False)
         config = repro.RuntimeConfig()
+        monkeypatch.setenv("REPRO_COST_PLANNING", "0")
         assert with_environment(config) == config
         monkeypatch.setenv("REPRO_PARALLELISM", "2")
         monkeypatch.setenv("REPRO_PARALLEL_MIN_ROWS", "0")

@@ -17,7 +17,7 @@ import pytest
 from repro import RuntimeConfig
 from repro.config import with_environment
 from repro.translator import SQLToXQueryTranslator
-from repro.xquery import ast, parse_xquery
+from repro.xquery import ast, compile_module, parse_xquery
 from repro.xquery.analysis import subexpressions
 
 from .freeze import (
@@ -33,8 +33,8 @@ from .freeze import (
 
 ENTRIES = json.loads(CORPUS.read_text())
 PLANS = json.loads(EXPLAIN.read_text())
-#: What the runtimes of this process run: a forced batch size or cost
-#: planning switched off (the CI legs) moves what EXPLAIN can show.
+#: What the runtimes of this process run: a forced batch size (a CI
+#: leg) moves the actual row counts EXPLAIN shows.
 EFFECTIVE = with_environment(RuntimeConfig(batch_size=EXPLAIN_BATCH_SIZE))
 
 #: The entries whose text is allowed to differ from the first freeze
@@ -126,9 +126,6 @@ def test_plans_cover_the_corpus():
                for plan in PLANS.values() for lines in plan.values())
 
 
-@pytest.mark.skipif(not EFFECTIVE.cost, reason=(
-    "cost-based planning is off: there is no estimator, so EXPLAIN has "
-    "no plan section"))
 @pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e["id"])
 def test_explain_is_byte_identical(entry):
     """Labels, estimates and, at the frozen batch size, the actual row
@@ -142,3 +139,24 @@ def test_explain_is_byte_identical(entry):
         if EFFECTIVE.batch_size != EXPLAIN_BATCH_SIZE:
             lines, frozen = _without_actuals(lines), _without_actuals(frozen)
         assert lines == frozen, (fmt, entry["sql"])
+
+
+@pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e["id"])
+def test_statistics_change_only_the_for_order(entry):
+    """Compiled without statistics, a plan has the labels it has with
+    them, unless the statistics reordered its for clauses: the reorder
+    is the one rewrite statistics make."""
+    runtime, translator = explained_on(entry["schema"])
+    for fmt in FORMATS:
+        module = translator.translate(entry["sql"], format=fmt).module
+        labels = []
+        for statistics in (runtime.statistics_for, None):
+            plan = compile_module(module, resolver=runtime.call_function,
+                                  statistics=statistics,
+                                  batch_size=EXPLAIN_BATCH_SIZE,
+                                  columnar=runtime)
+            labels.append([node["label"] for report in plan.plan_reports
+                           for node in report["nodes"]])
+        if not any(label.startswith("restore-order")
+                   for label in labels[0]):
+            assert labels[0] == labels[1], (fmt, entry["sql"])

@@ -51,11 +51,9 @@ COUNTERS = ("sources.rows_scanned", "sources.rows_pushed",
 
 @pytest.fixture(autouse=True)
 def _pin_executor_shape(monkeypatch):
-    """The counts asserted on are the cost planner's plans at the batch
-    size each test names: the CI legs' overrides must not reshape
-    them."""
-    for name in ("REPRO_BATCH_SIZE", "REPRO_COST_PLANNING"):
-        monkeypatch.delenv(name, raising=False)
+    """The counts asserted on are the plans at the batch size each test
+    names: a CI leg's override must not reshape them."""
+    monkeypatch.delenv("REPRO_BATCH_SIZE", raising=False)
 
 
 class _Ignoring(TableSource):

@@ -1,11 +1,11 @@
-"""Cost-based planning: statistics-driven rewrites and their safety.
+"""Cost-based planning: the statistics-driven for reorder and its safety.
 
 Structural tests drive ``plan_clauses`` with a :class:`CostEstimator`
-over hand-built statistics and pin the three rewrites (for-clause
-reorder with order restoration, join-filter absorption, conjunct
-ordering) plus every legality bail-out. Semantic tests compile modules
-with deliberately WRONG statistics and assert byte-identical results —
-the cost model may only ever change speed.
+over hand-built statistics and pin the one rewrite statistics make
+(for-clause reorder with order restoration) plus every legality
+bail-out; conjuncts keep the written order. Semantic tests compile
+modules with deliberately WRONG statistics and assert byte-identical
+results — the cost model may only ever change speed.
 """
 
 import pytest
@@ -38,13 +38,13 @@ SMALL = TableStatistics(row_count=10, columns={
 STATS = {"BIG": BIG, "SMALL": SMALL}
 
 
-def estimator(stats=STATS, pushdown=False):
+def estimator(stats=STATS):
     def lookup(source):
         if isinstance(source, ast.XFunctionCall):
             return stats.get(source.local)
         return None
 
-    return CostEstimator(lookup, pushdown=pushdown)
+    return CostEstimator(lookup)
 
 
 def plan(text, est):
@@ -124,30 +124,35 @@ class TestForReorder:
 
 
 class TestConjunctOrdering:
-    def test_most_selective_first(self):
-        """K gt 900 passes ~10% (range stats); V ne 5 passes ~99%.
-        The planner runs the selective conjunct first regardless of
-        the written order."""
+    """Statistics never move a conjunct: each runs where filter
+    hoisting puts it, and a run holding one that may raise keeps its
+    for clauses in the written order too."""
+
+    def test_written_order_is_kept(self):
+        """K gt 900 passes ~10% (range stats), V ne 5 ~99%; they still
+        run as written."""
         planned = plan("""
             for $a in ns0:BIG()
             where fn:data($a/V) ne 5 and fn:data($a/K) gt 900
             return $a
         """, estimator())
         wheres = [c for c in planned if isinstance(c, ast.WhereClause)]
-        assert [w.condition.op for w in wheres] == ["gt", "ne"]
+        assert [w.condition.op for w in wheres] == ["ne", "gt"]
 
-    def test_pushdown_hints_sort_sargables_last(self):
-        """With pushdown on, sargable conjuncts are carved off as scan
-        hints; their residual copies pass ~everything the source kept,
-        so non-sargable conjuncts run first."""
+    def test_a_run_that_may_raise_is_not_reordered(self):
+        """JOIN_BIG_FIRST reorders (TestForReorder); with a conjunct
+        that may raise it keeps the written order, so the rows that
+        reach ``div 0`` first are the ones SQL names first."""
         planned = plan("""
             for $a in ns0:BIG()
-            where fn:data($a/K) gt 900
-              and fn:not(fn:empty($a/V))
-            return $a
-        """, estimator(pushdown=True))
-        wheres = [c for c in planned if isinstance(c, ast.WhereClause)]
-        assert isinstance(wheres[0].condition, ast.XFunctionCall)
+            for $b in ns0:SMALL()
+            where fn:data($a/K) eq fn:data($b/K)
+              and fn:data($a/X) div 0 gt 1
+            return fn:data($a/V)
+        """, estimator())
+        assert shapes(planned) == ["ForClause", "WhereClause",
+                                   "HashJoinClause"]
+        assert planned[0].var == "a"
 
     def test_selectivity_formulas(self):
         column = BIG.column("K")
@@ -158,60 +163,6 @@ class TestConjunctOrdering:
         assert predicate_selectivity(
             Predicate("K", "gt", 899), BIG) == pytest.approx(0.1, abs=0.01)
         assert column.null_fraction == 0.0
-
-
-#: Fan-out join partners: same size (no reorder), 10 distinct keys, so
-#: the estimated join output (1000 * 1000 / 10) dwarfs the build side —
-#: filtering 1000 build items once beats filtering 100k output tuples.
-FANOUT = TableStatistics(row_count=1000, columns={
-    "K": ColumnStats(ndv=10, low=0, high=9),
-    "V": ColumnStats(ndv=100, low=0, high=100),
-})
-
-
-class TestFilterAbsorption:
-    def test_build_local_conjunct_moves_into_join(self):
-        planned = plan("""
-            for $a in ns0:EQ1()
-            for $b in ns0:EQ2()
-            where fn:data($a/K) eq fn:data($b/K)
-              and fn:data($b/V) gt 90
-            return fn:data($b/V)
-        """, estimator(stats={"EQ1": FANOUT, "EQ2": FANOUT}))
-        join = next(c for c in planned if isinstance(c, HashJoinClause))
-        assert len(join.filters) == 1
-        assert not any(isinstance(c, ast.WhereClause) for c in planned)
-
-    def test_absorption_declines_when_build_dwarfs_output(self):
-        """A selective join (unique keys, small probe) keeps the
-        conjunct residual: testing 1000 build items to save 10 output
-        evaluations is a loss."""
-        planned = plan("""
-            for $a in ns0:SMALL()
-            for $b in ns0:BIG()
-            where fn:data($a/K) eq fn:data($b/K)
-              and fn:data($b/V) gt 90
-            return fn:data($b/V)
-        """, estimator())
-        join = next(c for c in planned if isinstance(c, HashJoinClause))
-        assert join.filters == ()
-        assert any(isinstance(c, ast.WhereClause) for c in planned)
-
-    def test_probe_side_conjunct_stays_residual(self):
-        planned = plan("""
-            for $a in ns0:BIG()
-            for $b in ns0:SMALL()
-            where fn:data($a/K) eq fn:data($b/K)
-              and fn:data($a/V) gt 90
-            return fn:data($a/V)
-        """, estimator())
-        from repro.xquery.analysis import free_vars
-
-        join = next(c for c in planned if isinstance(c, HashJoinClause))
-        # The gt conjunct reads $a; whichever side $a landed on, it
-        # must never be filtered against the other side's build items.
-        for condition in join.filters:
-            assert free_vars(condition) <= {join.for_clause.var}
 
 
 class TestEstimatePlan:
@@ -290,7 +241,6 @@ def test_lying_statistics_are_byte_identical(stats):
     plan = compiled(runtime, statistics)
     expected = oracle(runtime)
     assert plan.evaluate() == expected
-    assert list(plan.stream_items()) == expected
 
 
 def test_reorder_restores_original_tuple_order():

@@ -1,7 +1,7 @@
 """A join's hash table lives as long as the table version it indexes.
 
 When a batched join's build side is a plain whole-table scan that the
-runtime's column cache served — no absorbed build filter, every key a
+runtime's column cache served — no outer join's build filter, every key a
 ``fn:data($v/COL)`` column — its hash table is stored beside those
 columns in the cache entry (``DSPRuntime.join_tables``) and the next
 execution over the same table version probes it instead of building it
@@ -48,11 +48,9 @@ REPORT_JOIN = ("SELECT F.ID, F.NAME, D.DETAILID, D.QTY FROM FACTS F "
 
 @pytest.fixture(autouse=True)
 def _pin_executor_shape(monkeypatch):
-    """Batch size and cost planning are pinned per test (the plans
-    asserted on are the cost planner's): the CI legs' overrides must
-    not reshape them."""
-    for name in ("REPRO_BATCH_SIZE", "REPRO_COST_PLANNING"):
-        monkeypatch.delenv(name, raising=False)
+    """Batch size is pinned per test: a CI leg's override must not
+    reshape the plans asserted on."""
+    monkeypatch.delenv("REPRO_BATCH_SIZE", raising=False)
 
 
 def _storage(rows: int = 12) -> Storage:

@@ -1,8 +1,8 @@
 """One plan, one compile — asserted by count, not by stopwatch.
 
 A module's FLWORs are planned once each and lowered onto one executor;
-``evaluate``, ``stream_items`` and ``stream_chunks`` are three views of
-that one compiled form, so they agree with each other and with the
+``evaluate``, ``stream_chunks`` and ``stream_columns`` are three views
+of that one compiled form, so they agree with each other and with the
 interpreter at every batch size, run the same executor, and report
 actual rows under the same plan-node ids.
 """
@@ -137,7 +137,9 @@ def test_three_views_agree_with_the_interpreter(sql):
         assert plan.evaluate() == expected, (sql, batch_size)
         assert ["".join(plan.stream_chunks())] == expected, \
             (sql, batch_size)
-        assert list(plan.stream_items()) == expected, (sql, batch_size)
+        typed, batches = plan.stream_columns()
+        assert typed and ["".join(plan.vector_plan.encode(batches))] \
+            == expected, (sql, batch_size)
 
 
 def test_evaluate_on_a_batched_plan_runs_the_vector_plan():

@@ -65,11 +65,9 @@ NAN = float("nan")
 
 @pytest.fixture(autouse=True)
 def _pin_executor_shape(monkeypatch):
-    """Batch sizes are pinned per test, and EXPLAIN's plan reports —
-    the boundary notes asserted on — exist only under cost planning:
-    the CI legs' overrides must not reshape either."""
-    for name in ("REPRO_BATCH_SIZE", "REPRO_COST_PLANNING"):
-        monkeypatch.delenv(name, raising=False)
+    """Batch sizes are pinned per test: a CI leg's override must not
+    reshape the plans whose boundary notes are asserted on."""
+    monkeypatch.delenv("REPRO_BATCH_SIZE", raising=False)
 
 
 def _view_cell(value) -> UntypedAtomic:
