@@ -24,16 +24,13 @@ from typing import Optional
 class RuntimeConfig:
     """Every tuning knob of the runtime and the driver, in one place.
 
-    Engine side: ``pushdown`` (source predicate/projection pushdown),
-    the plan cache bound, admission control, the transient-source retry
-    policy, and the batch executor's batch size.
-    Driver side: the result ``format``, simulated metadata latency, the
-    statement/metadata cache bounds, and the per-statement default
-    deadline.
+    Engine side: the plan cache bound, admission control, the
+    transient-source retry policy, and the batch executor's batch size.
+    Driver side: the result ``format``, the statement/metadata cache
+    bounds, and the per-statement default deadline.
     """
 
     # -- engine ------------------------------------------------------------
-    pushdown: bool = True
     plan_cache_capacity: int = 256
     max_concurrent_queries: int = 32
     admission_queue_timeout: float = 5.0
@@ -46,7 +43,6 @@ class RuntimeConfig:
 
     # -- driver ------------------------------------------------------------
     format: str = "delimited"
-    metadata_latency: float = 0.0
     statement_cache_capacity: int = 256
     metadata_cache_capacity: int = 1024
     default_timeout: Optional[float] = None

@@ -264,8 +264,7 @@ class Connection:
         #: shared by the translator, both caches, and every cursor.
         self.tracer = Tracer(enabled=False) if tracer is None else tracer
         self.metrics = MetricsRegistry() if metrics is None else metrics
-        self._metadata_api = runtime.metadata_api(
-            latency=config.metadata_latency)
+        self._metadata_api = runtime.metadata_api()
         self._metadata_cache = MetadataCache(
             self._metadata_api, capacity=config.metadata_cache_capacity,
             tracer=self.tracer, registry=self.metrics)

@@ -44,7 +44,6 @@ _COMMON_PARAMS = {
 _EMBEDDED_PARAMS = {
     "statement_cache_capacity": (int, "statement_cache_capacity"),
     "metadata_cache_capacity": (int, "metadata_cache_capacity"),
-    "metadata_latency": (float, "metadata_latency"),
 }
 
 #: Parameters that only make sense over the wire.

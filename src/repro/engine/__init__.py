@@ -22,8 +22,6 @@ from .lifecycle import (
     CancellationToken,
     QueryContext,
     RetryPolicy,
-    TenantQuota,
-    TenantSlot,
 )
 from .table import Storage, Table, coerce_value
 from .txn import TransactionManager
@@ -40,8 +38,6 @@ __all__ = [
     "RetryPolicy",
     "Storage",
     "Table",
-    "TenantQuota",
-    "TenantSlot",
     "TransactionManager",
     "callable_function",
     "csv_function",

@@ -109,8 +109,6 @@ class DSPRuntime:
         #: transiently (not the in-process table wrapper).
         self._default_source_retryable = not isinstance(
             self._default_source, (TableSource, type(None)))
-        #: Enable predicate/projection pushdown into capable sources.
-        self.pushdown = config.pushdown
         #: Rows per column-oriented batch in the batch executor; the
         #: environment can force it process-wide (a CI leg does), and
         #: ``config.py`` reads it.
@@ -124,8 +122,7 @@ class DSPRuntime:
         #: concurrent executions of the same query compile it once.
         #: Keyed by the query's text (user-written XQuery) or by the
         #: driver's statement-cache key (a translated module), plus the
-        #: pushdown flag, so toggling it never reuses a plan built under
-        #: the other setting.
+        #: batch size and, for a read, the stats epoch.
         self.plan_cache = LRUCache(config.plan_cache_capacity,
                                    registry=self.metrics,
                                    prefix="plan_cache")
@@ -466,8 +463,7 @@ class DSPRuntime:
                     cached.values, cached.row_count)
         reduced = filter_request(
             source, table, request,
-            [decl.name for decl in schema.columns]) \
-            if self.pushdown else None
+            [decl.name for decl in schema.columns])
         if reduced is None and cached is None:
             token = source.version(table)
         result = source.scan_batches(table, reduced, context,
@@ -500,8 +496,7 @@ class DSPRuntime:
         _function, _faulty, source, table = self._physical(uri, local)
         if context is not None:
             context.check()
-        reduced = filter_request(source, table, scan, ()) \
-            if self.pushdown else None
+        reduced = filter_request(source, table, scan, ())
         result = source.scan(table, reduced, context, handles=True)
         pairs = list(result)
         self._count_scan(result, len(pairs))
@@ -731,7 +726,6 @@ class DSPRuntime:
             with tracer.span("xquery.compile"):
                 plan = compile_module(
                     module, resolver=self.call_function,
-                    pushdown=self.pushdown,
                     statistics=self.statistics_for if read else None,
                     batch_size=self.batch_size, columnar=self,
                     handles=bool(handles))
@@ -746,7 +740,7 @@ class DSPRuntime:
         # moves or a source is (re)registered, the epoch bumps and every
         # read planned under the old statistics misses (one recompile).
         return self.plan_cache.get_or_load(
-            (key, self.pushdown, self.batch_size,
+            (key, self.batch_size,
              self._stats_epoch if read else None), load)
 
     def execute(self, xquery_text: str,

@@ -11,10 +11,11 @@ carries:
   tuple granularity (the check itself fires once per batch), so a
   ``Cursor.cancel()`` from another thread or an expired deadline aborts
   an in-flight stream within one batch.
-* :class:`AdmissionController` — bounds concurrent queries (a
-  queue-with-timeout, not an immediate reject), and bounds total
-  in-flight streamed rows across all open queries so a runaway join
-  cannot hold the runtime's memory hostage.
+* :class:`AdmissionController` — one admission gate: bounds
+  concurrent queries (queueing up to a timeout, or failing fast at 0),
+  total in-flight streamed rows across the queries it admitted, and
+  each query's deadline. The runtime keeps one (a runaway join cannot
+  hold its memory hostage); the server keeps one per tenant above it.
 * :class:`RetryPolicy` — exponential backoff with jitter for
   ``TransientSourceError`` from physical sources, capped by the query's
   remaining deadline.
@@ -150,10 +151,10 @@ class QueryContext:
 
 
 class AdmissionSlot:
-    """One admitted query's hold on the controller; released exactly
-    once (idempotent), returning its concurrency slot and row budget.
-    Idempotency is arbitrated by the controller's lock, keeping the
-    slot itself allocation-light (one per query on the hot path)."""
+    """One admitted query's hold on its gate; released exactly once
+    (idempotent), returning its concurrency slot and row budget.
+    Idempotency is arbitrated by the gate's lock, keeping the slot
+    itself allocation-light (one per query on the hot path)."""
 
     __slots__ = ("_controller", "rows", "released")
 
@@ -163,7 +164,7 @@ class AdmissionSlot:
         self.released = False
 
     def note_rows(self, count: int) -> None:
-        """Charge *count* freshly streamed rows against the global
+        """Charge *count* freshly streamed rows against the gate's
         in-flight budget; raises ``AdmissionRejectedError`` when the
         budget is exhausted."""
         self.rows += count
@@ -174,51 +175,86 @@ class AdmissionSlot:
 
 
 class AdmissionController:
-    """Bounds concurrent queries and total in-flight streamed rows.
+    """An admission gate: bounds concurrent queries and their in-flight
+    streamed rows, and caps each query's deadline.
 
-    ``acquire()`` queues (bounded by *queue_timeout* or the query's
-    remaining deadline, whichever is smaller) rather than failing fast:
-    under a short burst, queries wait their turn; under sustained
-    overload, they are rejected with ``AdmissionRejectedError``.
+    The runtime keeps one in front of every top-level query; the server
+    keeps one per tenant above it, so tenants cannot starve each other.
+    Four settings, each optional:
+
+    * ``max_concurrent`` — queries live at once (a streamed result
+      counts until exhausted or closed); None is unbounded;
+    * ``queue_timeout`` — how long :meth:`acquire` waits for a slot
+      before it rejects, bounded again by the query's remaining
+      deadline. The runtime queues (``admission_queue_timeout``), so a
+      short burst waits its turn; 0 fails fast, as a tenant's gate
+      does, so a tenant at its cap cannot camp on the shared queue;
+    * ``max_inflight_rows`` — rows streamed and not yet released by
+      cursor exhaustion/close;
+    * ``max_timeout`` — ceiling on any per-execute deadline
+      (:meth:`clamp_timeout`).
+
+    Every rejection is an ``AdmissionRejectedError``.
     """
 
-    def __init__(self, max_concurrent: int = 32,
-                 queue_timeout: float = 5.0,
-                 max_inflight_rows: Optional[int] = None):
-        if max_concurrent < 1:
+    def __init__(self, max_concurrent: Optional[int] = None,
+                 queue_timeout: float = 0.0,
+                 max_inflight_rows: Optional[int] = None,
+                 max_timeout: Optional[float] = None):
+        if max_concurrent is not None and max_concurrent < 1:
             raise ValueError("max_concurrent must be >= 1")
         self.max_concurrent = max_concurrent
         self.queue_timeout = queue_timeout
         self.max_inflight_rows = max_inflight_rows
+        self.max_timeout = max_timeout
         self._lock = threading.Lock()
-        self._available = threading.Semaphore(max_concurrent)
+        self._available = (None if max_concurrent is None
+                           else threading.Semaphore(max_concurrent))
         self._active = 0
         self._queued = 0
         self._admitted_total = 0
         self._rejected_total = 0
         self._inflight_rows = 0
 
+    def clamp_timeout(self, timeout: Optional[float]) -> Optional[float]:
+        """The effective per-execute deadline under this gate."""
+        if self.max_timeout is None:
+            return timeout
+        if timeout is None:
+            return self.max_timeout
+        return min(timeout, self.max_timeout)
+
     def acquire(self, context: Optional[QueryContext] = None) \
             -> AdmissionSlot:
-        """Wait for a concurrency slot; reject on queue timeout.
-
-        The wait is bounded by the controller's *queue_timeout* and by
-        the query's remaining deadline — a query must never spend its
-        whole deadline queueing and then start work with nothing left.
-        """
+        """Claim a concurrency slot, queueing for one when the gate is
+        saturated; reject when none frees in time."""
         # Fast path: a free slot needs no queue bookkeeping (the common
-        # case — only a saturated controller pays for the wait).
-        admitted = self._available.acquire(blocking=False)
-        if not admitted:
-            timeout = self.queue_timeout
-            if context is not None:
-                remaining = context.remaining()
-                if remaining is not None:
-                    timeout = min(timeout, remaining)
+        # case — only a saturated gate pays for the wait).
+        available = self._available
+        if available is not None and not available.acquire(blocking=False):
+            self._wait(available, context)
+        with self._lock:
+            self._active += 1
+            self._admitted_total += 1
+        return AdmissionSlot(self)
+
+    def _wait(self, available: threading.Semaphore,
+              context: Optional[QueryContext]) -> None:
+        """Queue for a slot. The wait is bounded by *queue_timeout* and
+        by the query's remaining deadline — a query must never spend
+        its whole deadline queueing and then start work with nothing
+        left."""
+        timeout = self.queue_timeout
+        if context is not None:
+            remaining = context.remaining()
+            if remaining is not None:
+                timeout = min(timeout, remaining)
+        admitted = False
+        if timeout > 0:
             with self._lock:
                 self._queued += 1
             try:
-                admitted = self._available.acquire(timeout=timeout)
+                admitted = available.acquire(timeout=timeout)
             finally:
                 with self._lock:
                     self._queued -= 1
@@ -226,21 +262,16 @@ class AdmissionController:
             with self._lock:
                 self._rejected_total += 1
             raise AdmissionRejectedError(
-                f"admission queue timed out after {timeout:.3f}s "
-                f"({self.max_concurrent} queries already running)")
-        with self._lock:
-            self._active += 1
-            self._admitted_total += 1
-        return AdmissionSlot(self)
+                f"admission rejected: {self.max_concurrent} queries "
+                f"already running"
+                + (f" after {timeout:.3f}s in the queue" if timeout > 0
+                   else ""))
 
     def _charge_rows(self, count: int) -> None:
-        if self.max_inflight_rows is None:
-            with self._lock:
-                self._inflight_rows += count
-            return
         with self._lock:
             self._inflight_rows += count
-            over = self._inflight_rows > self.max_inflight_rows
+            over = (self.max_inflight_rows is not None
+                    and self._inflight_rows > self.max_inflight_rows)
         if over:
             raise AdmissionRejectedError(
                 f"in-flight streamed rows exceeded the "
@@ -253,10 +284,12 @@ class AdmissionController:
             slot.released = True
             self._active -= 1
             self._inflight_rows -= slot.rows
-        self._available.release()
+        if self._available is not None:
+            self._available.release()
 
     def stats(self) -> dict:
-        """A consistent snapshot for ``Connection.stats()``."""
+        """A consistent snapshot: ``Connection.stats()``'s
+        ``admission`` section, the server's ``tenant`` section."""
         with self._lock:
             return {
                 "active": self._active,
@@ -265,113 +298,7 @@ class AdmissionController:
                 "rejected": self._rejected_total,
                 "inflight_rows": self._inflight_rows,
                 "max_concurrent": self.max_concurrent,
-                "max_inflight_rows": self.max_inflight_rows,
-            }
-
-
-class TenantSlot:
-    """One tenant-admitted query's hold on its :class:`TenantQuota`;
-    mirrors :class:`AdmissionSlot` one layer up — released exactly once,
-    returning the concurrency slot and every charged row."""
-
-    __slots__ = ("_quota", "rows", "released")
-
-    def __init__(self, quota: "TenantQuota"):
-        self._quota = quota
-        self.rows = 0
-        self.released = False
-
-    def note_rows(self, count: int) -> None:
-        """Charge *count* rows served to this tenant against its
-        in-flight budget; raises ``AdmissionRejectedError`` when the
-        tenant's budget is exhausted."""
-        self.rows += count
-        self._quota._charge_rows(count)
-
-    def release(self) -> None:
-        self._quota._release(self)
-
-
-class TenantQuota:
-    """Per-tenant resource bounds, layered *above* the runtime's global
-    :class:`AdmissionController`.
-
-    The global controller protects the runtime as a whole (it queues
-    briefly, then rejects); the tenant quota protects tenants from each
-    other, so it **fails fast** — a tenant at its concurrency cap is
-    rejected immediately rather than allowed to camp on the shared
-    queue. Three knobs, each optional:
-
-    * ``max_concurrent`` — queries a tenant may have live at once (a
-      streamed result counts until exhausted or closed);
-    * ``max_inflight_rows`` — rows served to the tenant and not yet
-      released by cursor exhaustion/close;
-    * ``max_timeout`` — ceiling on any per-execute deadline: a client
-      asking for more (or for no deadline at all) is clamped to this.
-    """
-
-    def __init__(self, max_concurrent: Optional[int] = None,
-                 max_inflight_rows: Optional[int] = None,
-                 max_timeout: Optional[float] = None):
-        if max_concurrent is not None and max_concurrent < 1:
-            raise ValueError("max_concurrent must be >= 1")
-        self.max_concurrent = max_concurrent
-        self.max_inflight_rows = max_inflight_rows
-        self.max_timeout = max_timeout
-        self._lock = threading.Lock()
-        self._active = 0
-        self._admitted_total = 0
-        self._rejected_total = 0
-        self._inflight_rows = 0
-
-    def clamp_timeout(self, timeout: Optional[float]) -> Optional[float]:
-        """The effective per-execute deadline under this quota."""
-        if self.max_timeout is None:
-            return timeout
-        if timeout is None:
-            return self.max_timeout
-        return min(timeout, self.max_timeout)
-
-    def acquire(self) -> TenantSlot:
-        """Claim a tenant concurrency slot; fail-fast on a full quota."""
-        with self._lock:
-            if (self.max_concurrent is not None
-                    and self._active >= self.max_concurrent):
-                self._rejected_total += 1
-                raise AdmissionRejectedError(
-                    f"tenant quota: {self.max_concurrent} queries "
-                    f"already running for this tenant")
-            self._active += 1
-            self._admitted_total += 1
-        return TenantSlot(self)
-
-    def _charge_rows(self, count: int) -> None:
-        with self._lock:
-            self._inflight_rows += count
-            over = (self.max_inflight_rows is not None
-                    and self._inflight_rows > self.max_inflight_rows)
-        if over:
-            raise AdmissionRejectedError(
-                f"tenant quota: in-flight rows exceeded the "
-                f"{self.max_inflight_rows}-row tenant budget")
-
-    def _release(self, slot: TenantSlot) -> None:
-        with self._lock:
-            if slot.released:
-                return
-            slot.released = True
-            self._active -= 1
-            self._inflight_rows -= slot.rows
-
-    def stats(self) -> dict:
-        """A consistent snapshot for the server's ``stats`` verb."""
-        with self._lock:
-            return {
-                "active": self._active,
-                "admitted": self._admitted_total,
-                "rejected": self._rejected_total,
-                "inflight_rows": self._inflight_rows,
-                "max_concurrent": self.max_concurrent,
+                "queue_timeout": self.queue_timeout,
                 "max_inflight_rows": self.max_inflight_rows,
                 "max_timeout": self.max_timeout,
             }

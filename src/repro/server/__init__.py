@@ -1,8 +1,8 @@
 """repro.server — the network-facing DSP (DESIGN.md §13).
 
 An asyncio TCP server exposing the PEP 249 surface over length-prefixed
-JSON frames, with bearer-token tenants, per-tenant quotas layered on
-the runtime's admission controller, paged streaming fetches, out-of-band
+JSON frames, with bearer-token tenants, a per-tenant admission gate
+layered on the runtime's, paged streaming fetches, out-of-band
 cancellation, and ``health``/``stats`` verbs.
 
 Quickstart (serving the demo application)::
@@ -14,12 +14,12 @@ Quickstart (serving the demo application)::
 
 Embedding::
 
-    from repro.engine import TenantQuota
+    from repro.engine import AdmissionController
     from repro.server import TenantConfig, serve_in_thread
 
     handle = serve_in_thread(TenantConfig(
         "RTLApp", runtime, token="s3cret",
-        quota=TenantQuota(max_concurrent=8, max_timeout=30.0)))
+        quota=AdmissionController(max_concurrent=8, max_timeout=30.0)))
     ... repro.connect(handle.dsn("RTLApp", token="s3cret")) ...
     handle.stop()
 """

@@ -18,7 +18,7 @@ import asyncio
 import importlib
 import sys
 
-from ..engine.lifecycle import TenantQuota
+from ..engine.lifecycle import AdmissionController
 from .core import DSPServer, TenantConfig
 from .protocol import PROTOCOL_VERSION
 
@@ -61,9 +61,10 @@ def main(argv: list[str] | None = None) -> int:
     name, runtime = _build_runtime(args.app)
     tenant = TenantConfig(
         name, runtime, token=args.token,
-        quota=TenantQuota(max_concurrent=args.max_concurrent,
-                          max_inflight_rows=args.max_inflight_rows,
-                          max_timeout=args.max_timeout))
+        quota=AdmissionController(
+            max_concurrent=args.max_concurrent,
+            max_inflight_rows=args.max_inflight_rows,
+            max_timeout=args.max_timeout))
 
     async def run() -> None:
         server = DSPServer(tenant, host=args.host, port=args.port)

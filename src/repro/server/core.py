@@ -26,12 +26,14 @@ Architecture:
   engine's delimited text (``Cursor.fetch_text``): the server counts
   its rows — for ``max_page_rows``, the quotas and ``rowcount`` — and
   converts none; decoding happens once, at the client (the paper's §4).
-* **Tenant quotas** (:class:`repro.engine.TenantQuota`) layer above the
-  runtime's global admission controller: per-tenant concurrency is
-  claimed before the global slot, per-tenant in-flight rows are charged
-  as pages are served, and per-execute deadlines are clamped to the
-  tenant's ceiling. Violations map to ``AdmissionRejectedError`` and
-  cross the wire as ``OperationalError``, same as embedded admission.
+* **Tenant quotas**: each tenant has an admission gate
+  (:class:`repro.engine.AdmissionController`, the runtime's class) above
+  the runtime's own. The tenant's slot is claimed before the runtime's,
+  without queueing; rows are charged to it as pages are served, and
+  per-execute deadlines are clamped to its ceiling. Where the tenant's
+  gate rejects, the server counts ``server.quota_rejections`` and says
+  "tenant quota:" in the ``AdmissionRejectedError``, which crosses the
+  wire as ``OperationalError``, same as embedded admission.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .. import clock
 from ..config import RuntimeConfig
 from ..driver.dbapi import Connection
 from ..engine.dsp import DSPRuntime
-from ..engine.lifecycle import TenantQuota, TenantSlot
+from ..engine.lifecycle import AdmissionController, AdmissionSlot
 from ..errors import (
     AdmissionRejectedError,
     Error,
@@ -81,12 +83,14 @@ DEFAULT_MAX_PAGE_ROWS = 10_000
 @dataclass
 class TenantConfig:
     """One tenant the server fronts: a runtime, a bearer token, and the
-    quota protecting other tenants from it."""
+    admission gate protecting other tenants from it (by default
+    unbounded)."""
 
     name: str
     runtime: DSPRuntime
     token: str
-    quota: TenantQuota = field(default_factory=TenantQuota)
+    quota: AdmissionController = field(
+        default_factory=AdmissionController)
     #: Base config for this tenant's per-session embedded connections
     #: (``format``/``default_timeout`` from the handshake override it).
     config: RuntimeConfig = field(default_factory=RuntimeConfig)
@@ -94,13 +98,13 @@ class TenantConfig:
 
 class _ServerCursor:
     """A session's server-side cursor: the embedded cursor plus the
-    tenant-quota slot its current statement holds."""
+    tenant-gate slot its current statement holds."""
 
     __slots__ = ("cursor", "slot")
 
     def __init__(self, cursor):
         self.cursor = cursor
-        self.slot: Optional[TenantSlot] = None
+        self.slot: Optional[AdmissionSlot] = None
 
     def release_slot(self) -> None:
         if self.slot is not None:
@@ -158,7 +162,8 @@ class _Session:
     def teardown(self) -> None:
         """Release everything the session holds: cancel whatever is in
         flight, close every cursor (dropping live streams, returning
-        global admission slots) and release every tenant-quota hold."""
+        the runtime's admission slots) and release every tenant-gate
+        slot."""
         for cursor in self.cursors.values():
             cursor.cursor.cancel()
         for cursor in self.cursors.values():
@@ -476,7 +481,10 @@ class DSPServer:
             # The previous statement's tenant hold ends here — the
             # embedded execute below likewise drops its old stream.
             cursor.release_slot()
-            slot = quota.acquire()
+            try:
+                slot = quota.acquire()
+            except AdmissionRejectedError as exc:
+                raise self._quota_rejection(exc) from None
             try:
                 if many:
                     cursor.cursor.executemany(
@@ -489,7 +497,10 @@ class DSPServer:
             except BaseException:
                 slot.release()
                 raise
-            cursor.slot = slot
+            if cursor.cursor.columns is None:
+                slot.release()  # a write: nothing is left to stream
+            else:
+                cursor.slot = slot
 
         loop = asyncio.get_running_loop()
         try:
@@ -534,7 +545,10 @@ class DSPServer:
                 # Tenant in-flight accounting; a breached budget aborts
                 # this query (stream dropped, slots released) without
                 # touching the session's other cursors.
-                cursor.slot.note_rows(rows)
+                try:
+                    cursor.slot.note_rows(rows)
+                except AdmissionRejectedError as exc:
+                    raise self._quota_rejection(exc) from None
             if exhausted:
                 cursor.release_slot()
             return text, rows, exhausted, cursor.cursor.rowcount
@@ -636,12 +650,16 @@ class DSPServer:
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(None, run)
 
+    def _quota_rejection(self, exc: AdmissionRejectedError) \
+            -> AdmissionRejectedError:
+        """Count a rejection by a tenant's gate: the error to raise in
+        its place names the quota."""
+        self._c_quota_rejections.increment()
+        return AdmissionRejectedError(f"tenant quota: {exc}")
+
     def _error_reply(self, message: dict, exc: Error) -> dict:
         """Count *exc* and put it in the reply to *message*."""
         self._c_errors.increment()
-        if (isinstance(exc, OperationalError)
-                and "tenant quota" in str(exc)):
-            self._c_quota_rejections.increment()
         return {"id": message.get("id"), "ok": False,
                 "error": encode_error(exc)}
 

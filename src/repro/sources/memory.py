@@ -106,15 +106,9 @@ class TableSource(DataSource):
     #: full scan.
     index_max_fraction: float = 0.25
 
-    def __init__(self, storage: Storage, name: str = "memory",
-                 index_min_rows: Optional[int] = None,
-                 index_max_fraction: Optional[float] = None):
+    def __init__(self, storage: Storage, name: str = "memory"):
         super().__init__(name)
         self.storage = storage
-        if index_min_rows is not None:
-            self.index_min_rows = index_min_rows
-        if index_max_fraction is not None:
-            self.index_max_fraction = index_max_fraction
         # (table, column) -> (version_token, {value: [row_index, ...]})
         self._indexes: dict[tuple[str, str], tuple[object, dict]] = {}
         # table -> (version_token, TableStatistics)

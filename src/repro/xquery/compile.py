@@ -174,7 +174,6 @@ class CompiledQuery:
 
 def compile_module(module: ast.Module,
                    resolver: Optional[FunctionResolver] = None,
-                   pushdown: bool = True,
                    statistics=None,
                    batch_size: int = 1024,
                    columnar=None, handles: bool = False) -> CompiledQuery:
@@ -186,11 +185,11 @@ def compile_module(module: ast.Module,
     *batch_size* rows (at least one); without it the Evaluator runs
     the module.
 
-    *pushdown* lets the planner attach advisory
+    With a columnar host the planner attaches advisory
     :class:`~repro.sources.spi.ScanRequest` hints to data-service scans
-    when there is a columnar host to hand them to; each hinted conjunct
-    stays in the plan as a residual filter, so hints can only shrink
-    scans, never change results.
+    (the source takes what its capabilities allow); each hinted
+    conjunct stays in the plan as a residual filter, so hints can only
+    shrink scans, never change results.
 
     *statistics* — a ``(uri, local) -> Optional[TableStatistics]``
     callback for data-service scans — lets the planner reorder
@@ -202,7 +201,7 @@ def compile_module(module: ast.Module,
     ``read_handles``).
     """
     started = time.perf_counter()
-    compiler = _Compiler(module, resolver, pushdown, statistics,
+    compiler = _Compiler(module, resolver, statistics,
                          batch_size=batch_size, columnar=columnar)
     plan = reason = None
     if columnar is not None:
@@ -235,7 +234,7 @@ class _Compiler:
 
     def __init__(self, module: ast.Module,
                  resolver: Optional[FunctionResolver],
-                 pushdown: bool = True, statistics=None,
+                 statistics=None,
                  batch_size: int = 1024, columnar=None):
         self._static = StaticContext(resolver)
         self._batch_size = max(1, int(batch_size))
@@ -247,9 +246,6 @@ class _Compiler:
             if isinstance(decl, (ast.SchemaImport, ast.NamespaceDecl)):
                 self._static.declare(decl.prefix, decl.uri)
         self._module = module
-        # Hints reach a source only through the columnar host's
-        # scan_columns; the Evaluator reads whole tables.
-        self._pushdown = pushdown and columnar is not None
         self._estimator: Optional[CostEstimator] = None
         if statistics is not None:
             self._estimator = CostEstimator(
@@ -308,7 +304,9 @@ class _Compiler:
                                    estimator=self._estimator,
                                    external_vars=self._external_vars)
             hints: dict = {}
-            if self._pushdown:
+            # Hints reach a source only through the columnar host's
+            # scan_columns; the Evaluator reads whole tables.
+            if self._columnar is not None:
                 hints = scan_requests(
                     clauses, expr.return_expr, self._external_vars,
                     lambda source: self._scan_call(source) is not None)

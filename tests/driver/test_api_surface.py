@@ -203,6 +203,18 @@ class TestPublicAll:
         for name in ("register_runtime", "unregister_runtime"):
             assert name in repro.__all__
 
+    def test_one_admission_gate(self):
+        """A tenant's quota is the runtime's gate class: the tenant
+        pair is gone from ``repro.engine`` and ``repro.server``."""
+        import repro.engine
+        import repro.server
+
+        for module in (repro.engine, repro.server):
+            for name in ("TenantQuota", "TenantSlot"):
+                assert name not in module.__all__, name
+                assert not hasattr(module, name), name
+        assert "AdmissionSlot" in repro.engine.__all__
+
 
 class TestStatsSchema:
     """The ``Connection.stats()`` document is a versioned contract —
@@ -222,7 +234,8 @@ class TestStatsSchema:
                            "capacity"},
         "plan_cache": {"hits", "misses", "evictions", "size", "capacity"},
         "admission": {"active", "max_concurrent", "queued", "admitted",
-                      "rejected", "inflight_rows", "max_inflight_rows"},
+                      "rejected", "inflight_rows", "max_inflight_rows",
+                      "queue_timeout", "max_timeout"},
         "runtime": {"counters", "histograms"},
         "transactions": {"active", "begun", "committed", "rolled_back",
                          "autocommits", "statements", "rows_written"},

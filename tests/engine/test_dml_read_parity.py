@@ -26,6 +26,7 @@ from repro.sql.types import SQLType
 
 from tests.engine.test_dml_victims import REQUESTS, build_storage
 from tests.fuzz.harness import build_runtime
+from tests.sources.blind import without_pushdown
 
 SHAPES = [(where, parameters) for where, parameters, _ in REQUESTS] + [
     ("ID < 0 AND ID / 0 = 1", ()),
@@ -43,8 +44,9 @@ LEGS = [(backend, pushdown) for backend in ("memory", "sqlite")
 def outcome(backend, pushdown, sql, parameters):
     """The statement's row count (``COUNT(*)`` for a SELECT) or the
     class of the error it raised, on a fresh runtime."""
-    connection = connect(build_runtime(build_storage(), backend, 0,
-                                       pushdown=pushdown))
+    runtime = build_runtime(build_storage(), backend, 0)
+    connection = connect(runtime if pushdown
+                         else without_pushdown(runtime))
     cursor = connection.cursor()
     try:
         cursor.execute(sql, parameters)

@@ -22,6 +22,7 @@ from repro.sources.spi import Mutation, Predicate, filter_request
 from repro.sql.types import SQLType
 
 from tests.fuzz.harness import build_runtime
+from tests.sources.blind import without_pushdown
 
 ROWS = 300  # past TableSource.index_min_rows, so memory probes its index
 
@@ -161,8 +162,9 @@ def test_pushed_victims_are_the_full_scan_victims(where, parameters,
     with pushdown on leaves exactly the rows it leaves with it off."""
     outcomes = []
     for pushdown in (True, False):
-        connection = connect(build_runtime(build_storage(), backend, 0,
-                                           pushdown=pushdown))
+        runtime = build_runtime(build_storage(), backend, 0)
+        connection = connect(runtime if pushdown
+                             else without_pushdown(runtime))
         try:
             count = run(connection,
                         f"UPDATE ITEMS SET NAME = 'hit', PRICE = PRICE + 1 "
@@ -212,8 +214,8 @@ def test_error_only_an_excluded_row_would_raise_is_not_raised():
     pushdown, and a write is a read."""
     statement = "DELETE FROM ITEMS WHERE ID / 0 = 1 AND ID = ?"
     pushed = connect(build_runtime(build_storage(), "sqlite", 0))
-    full = connect(build_runtime(build_storage(), "sqlite", 0,
-                                 pushdown=False))
+    full = connect(without_pushdown(
+        build_runtime(build_storage(), "sqlite", 0)))
     before = items(pushed)
     assert run(pushed, statement, (10_000,)) == 0
     assert items(pushed) == before

@@ -16,8 +16,8 @@ Legs:
   demarcate exactly like in-process calls;
 * **pushdown on vs off** — the same script on one backend (SQLite, and
   memory with every table grown past ``index_min_rows`` so its index
-  probe engages) with ``pushdown=True`` against ``pushdown=False``:
-  victim selection through a pushed handle scan must pick exactly the
+  probe engages) against a runtime whose sources take no pushed
+  request (``tests/sources/blind.py``): victim selection through a pushed handle scan must pick exactly the
   victims the full scan picks. Both legs also assert that a version
   token never names two different row-sets.
 
@@ -40,6 +40,8 @@ import pytest
 from repro.driver import Error, connect
 from repro.server.core import TenantConfig, serve_in_thread
 from repro.sources.memory import TableSource
+
+from tests.sources.blind import without_pushdown
 
 from .dmlgen import MutationFuzzer
 from .harness import build_runtime, typed
@@ -178,7 +180,7 @@ def test_dml_pushdown_on_vs_off(case, backend):
     schema, ops = _script_for(2000 + case,
                               rows=TableSource.index_min_rows + 44)
     pushed = connect(build_runtime(schema, backend, 0))
-    full = connect(build_runtime(schema, backend, 0, pushdown=False))
+    full = connect(without_pushdown(build_runtime(schema, backend, 0)))
     try:
         a = run_script_leg(pushed, ops, unique_tokens=schema,
                            schema=schema if backend == "memory" else None)

@@ -21,13 +21,12 @@ class TestEmbeddedDSN:
     def test_options_coerced_to_config_fields(self):
         parsed = parse_dsn(
             "repro://A/P?format=xml&timeout=5&statement_cache_capacity=7"
-            "&metadata_cache_capacity=9&metadata_latency=0.25")
+            "&metadata_cache_capacity=9")
         assert parsed.options == {
             "format": "xml",
             "default_timeout": 5.0,
             "statement_cache_capacity": 7,
             "metadata_cache_capacity": 9,
-            "metadata_latency": 0.25,
         }
 
     def test_no_address(self):
@@ -91,6 +90,10 @@ class TestStrictParameters:
     def test_unknown_key_rejected(self):
         with pytest.raises(InterfaceError, match="timeuot"):
             parse_dsn("repro://A/P?timeuot=5")
+
+    def test_retired_key_rejected(self):
+        with pytest.raises(InterfaceError, match="metadata_latency"):
+            parse_dsn("repro://A/P?metadata_latency=0.25")
 
     def test_embedded_key_rejected_on_remote(self):
         with pytest.raises(InterfaceError,

@@ -13,7 +13,7 @@ import pytest
 import repro
 from repro.driver import connect
 from repro.driver.remote import RemoteConnection, RemoteCursor
-from repro.engine import FaultProfile, TenantQuota, install_fault
+from repro.engine import AdmissionController, FaultProfile, install_fault
 from repro.errors import InterfaceError, OperationalError
 from repro.server import TenantConfig, serve_in_thread
 from repro.server.protocol import (
@@ -349,7 +349,7 @@ class TestTenantQuotas:
             self, runtime):
         tenant = TenantConfig(
             name="app", runtime=runtime, token=TOKEN,
-            quota=TenantQuota(max_concurrent=1))
+            quota=AdmissionController(max_concurrent=1))
         with serve_in_thread(tenant) as handle:
             first = remote_connect(handle)
             second = remote_connect(handle)
@@ -375,7 +375,7 @@ class TestTenantQuotas:
     def test_inflight_row_quota_aborts_stream(self, runtime):
         tenant = TenantConfig(
             name="app", runtime=runtime, token=TOKEN,
-            quota=TenantQuota(max_inflight_rows=50))
+            quota=AdmissionController(max_inflight_rows=50))
         with serve_in_thread(tenant) as handle:
             with remote_connect(handle) as connection:
                 cursor = connection.cursor()
@@ -395,12 +395,64 @@ class TestTenantQuotas:
                 cursor.execute("SELECT COUNT(*) FROM CUSTOMERS")
                 assert cursor.fetchall() == [(6,)]
 
+    def test_quota_rejections_count_the_tenant_gate_only(self, runtime):
+        # A user's error that says "tenant quota" is no rejection; the
+        # tenant gate's own concurrency and row-budget rejections are.
+        tenant = TenantConfig(
+            name="app", runtime=runtime, token=TOKEN,
+            quota=AdmissionController(max_concurrent=1,
+                                      max_inflight_rows=50))
+        with serve_in_thread(tenant) as handle:
+            first = remote_connect(handle)
+            second = remote_connect(handle)
+
+            def rejections():
+                return second.stats()["server"]["counters"][
+                    "quota_rejections"]
+
+            try:
+                cursor = second.cursor()
+                with pytest.raises(OperationalError):
+                    cursor.execute("SELECT CAST('tenant quota' AS "
+                                   "INTEGER) FROM CUSTOMERS")
+                    cursor.fetchall()
+                assert rejections() == 0
+                hog = first.cursor()
+                hog.execute(BIG_QUERY)
+                hog.fetchone()  # one row: within the 50-row budget
+                with pytest.raises(OperationalError,
+                                   match="tenant quota"):
+                    cursor.execute("SELECT CUSTOMERID FROM CUSTOMERS")
+                assert rejections() == 1
+                with pytest.raises(OperationalError,
+                                   match="tenant quota.*budget"):
+                    hog.fetchall()  # 216 rows
+                assert rejections() == 2
+            finally:
+                first.close()
+                second.close()
+
+    def test_a_write_holds_no_tenant_slot(self, runtime):
+        # A write's result is its rowcount: once it ran, the tenant's
+        # only slot is free for the next statement.
+        tenant = TenantConfig(
+            name="app", runtime=runtime, token=TOKEN,
+            quota=AdmissionController(max_concurrent=1))
+        with serve_in_thread(tenant) as handle:
+            with remote_connect(handle) as connection:
+                connection.cursor().execute(
+                    "INSERT INTO CUSTOMERS VALUES (99, 'X', 'WEST', 1.00)")
+                assert tenant.quota.stats()["active"] == 0
+                cursor = connection.cursor()
+                cursor.execute("SELECT COUNT(*) FROM CUSTOMERS")
+                assert cursor.fetchall() == [(7,)]
+
     def test_timeout_clamped_to_tenant_ceiling(self, runtime):
         install_fault(runtime, "CUSTOMERS",
                       FaultProfile(latency=30.0))
         tenant = TenantConfig(
             name="app", runtime=runtime, token=TOKEN,
-            quota=TenantQuota(max_timeout=0.2))
+            quota=AdmissionController(max_timeout=0.2))
         with serve_in_thread(tenant) as handle:
             with remote_connect(handle) as connection:
                 cursor = connection.cursor()
@@ -434,7 +486,7 @@ class TestDisconnectCleanup:
     def test_midstream_disconnect_releases_tenant_slot(self, runtime):
         tenant = TenantConfig(
             name="app", runtime=runtime, token=TOKEN,
-            quota=TenantQuota(max_concurrent=1))
+            quota=AdmissionController(max_concurrent=1))
         with serve_in_thread(tenant) as handle:
             connection = remote_connect(handle)
             cursor = connection.cursor()
@@ -448,6 +500,47 @@ class TestDisconnectCleanup:
                 cursor = fresh.cursor()
                 cursor.execute("SELECT CUSTOMERID FROM CUSTOMERS")
                 assert len(cursor.fetchall()) == 6
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_vanished_client_inside_transaction(self, backend):
+        # A client vanishes (socket shut, no close) with a transaction
+        # open and a stream mid-flight: its write is rolled back, the
+        # write lock and both gates' holds are returned.
+        runtime = build_runtime(backend=backend)
+        tenant = TenantConfig(
+            name="app", runtime=runtime, token=TOKEN,
+            quota=AdmissionController(max_concurrent=4))
+        with serve_in_thread(tenant) as handle:
+            other = remote_connect(handle)
+            try:
+                probe = other.cursor()
+                vanishing = remote_connect(handle)
+                vanishing.autocommit = False
+                writer = vanishing.cursor()
+                writer.execute("INSERT INTO CUSTOMERS VALUES "
+                               "(99, 'Gone', 'WEST', 1.00)")
+                stream = vanishing.cursor()
+                stream.execute(BIG_QUERY)
+                assert stream.fetchone() is not None
+                assert tenant.quota.stats()["active"] == 1
+                assert runtime.admission.stats()["active"] == 1
+                drop(vanishing)
+                for gate in (runtime.admission, tenant.quota):
+                    assert wait_until(
+                        lambda: gate.stats()["active"] == 0)
+                    assert gate.stats()["inflight_rows"] == 0
+                assert wait_until(lambda: not runtime.write_lock.locked())
+                probe.execute("SELECT COUNT(*) FROM CUSTOMERS "
+                              "WHERE CUSTOMERID = 99")
+                assert probe.fetchall() == [(0,)]
+                probe.execute("INSERT INTO CUSTOMERS VALUES "
+                              "(98, 'Next', 'EAST', 2.00)")
+                assert probe.rowcount == 1
+                probe.execute("SELECT CUSTOMERID FROM CUSTOMERS "
+                              "WHERE CUSTOMERID >= 98")
+                assert probe.fetchall() == [(98,)]
+            finally:
+                other.close()
 
     def test_client_close_tears_down_session(self, server):
         connection = remote_connect(server)

@@ -52,12 +52,19 @@ def _xml_document(rows) -> str:
     return "".join(parts)
 
 
+class _EagerIndexSource(TableSource):
+    """Indexes every table and serves every probe, so eq/in requests
+    really are pushed on 11 rows."""
+
+    index_min_rows = 0
+    index_max_fraction = 1.0
+
+
 def _make_memory(tmp_path, rows=ROWS):
     storage = Storage()
     table = storage.create_table("T", COLUMNS)
     table.insert_many(rows)
-    # Index eagerly so eq/in requests really are pushed on 11 rows.
-    return TableSource(storage, index_min_rows=0, index_max_fraction=1.0)
+    return _EagerIndexSource(storage)
 
 
 def _make_sqlite(tmp_path, rows=ROWS):

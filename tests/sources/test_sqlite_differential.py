@@ -16,6 +16,7 @@ from repro.workloads import build_runtime
 from repro.xmlmodel import Element, serialize
 
 from tests.xquery.test_compile_differential import CORPUS
+from tests.sources.blind import without_pushdown
 
 RUNTIME_MEM = build_runtime(backend="memory")
 RUNTIME_SQL = build_runtime(backend="sqlite")
@@ -51,7 +52,9 @@ def test_sqlite_matches_memory_delimited(sql):
 def _scan_counts(sql: str, pushdown: bool) -> tuple:
     """(rows, rows_pushed, rows_scanned) of *sql* on a fresh SQLite
     runtime."""
-    runtime = build_runtime(backend="sqlite", pushdown=pushdown)
+    runtime = build_runtime(backend="sqlite")
+    if not pushdown:
+        without_pushdown(runtime)
     result = TRANSLATOR.translate(sql, format="recordset")
     rows = canonical(runtime.execute(result.xquery))
     counters = runtime.metrics.snapshot()["counters"]
@@ -98,11 +101,9 @@ def test_cursor_description_types_from_catalog():
 
 
 def test_pushdown_disabled_still_matches():
-    """RuntimeConfig(pushdown=False) must be a pure de-optimization."""
-    from repro.config import RuntimeConfig
-
-    plain = build_runtime(backend="sqlite",
-                          config=RuntimeConfig(pushdown=False))
+    """A source that takes no pushed request is a pure
+    de-optimization."""
+    plain = without_pushdown(build_runtime(backend="sqlite"))
     for sql in CORPUS[:8]:
         result = TRANSLATOR.translate(sql, format="recordset")
         assert canonical(plain.execute(result.xquery)) == \

@@ -14,10 +14,9 @@ README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 #: Every tuning knob, by name: a knob removed (or added) changes this
 #: set, the README's knob table, and the test below together.
 KNOBS = {
-    "pushdown", "plan_cache_capacity", "max_concurrent_queries",
+    "plan_cache_capacity", "max_concurrent_queries",
     "admission_queue_timeout", "max_inflight_rows", "retry_policy",
-    "batch_size", "format",
-    "metadata_latency", "statement_cache_capacity",
+    "batch_size", "format", "statement_cache_capacity",
     "metadata_cache_capacity", "default_timeout", "remote_connect_timeout",
 }
 
@@ -75,8 +74,8 @@ class TestFacade:
         assert issubclass(repro.InterfaceError, repro.Error)
 
     def test_config_and_spi_types_exported(self):
-        config = repro.RuntimeConfig(pushdown=False)
-        assert config.pushdown is False
+        config = repro.RuntimeConfig(batch_size=7)
+        assert config.batch_size == 7
         assert repro.ScanRequest(columns=("A",)).columns == ("A",)
         assert issubclass(repro.SQLiteSource, repro.DataSource)
         assert issubclass(repro.TableSource, repro.DataSource)
@@ -165,7 +164,7 @@ class TestRuntimeConfig:
     def test_field_set_is_exact(self):
         fields = {field.name for field in
                   dataclasses.fields(repro.RuntimeConfig)}
-        assert fields == KNOBS and len(fields) == 13
+        assert fields == KNOBS and len(fields) == 11
 
     def test_readme_knob_table_lists_every_field(self):
         """README's "RuntimeConfig knobs" table has one row per field,
@@ -198,9 +197,7 @@ class TestRuntimeConfig:
             warnings.simplefilter("error", DeprecationWarning)
             runtime = DSPRuntime(base.application, base.storage,
                                  config=repro.RuntimeConfig(
-                                     pushdown=False,
                                      plan_cache_capacity=7))
-        assert runtime.pushdown is False
         assert runtime.plan_cache.stats()["capacity"] == 7
 
     @pytest.mark.parametrize("keyword", ["bogus", "default_timeout"])

@@ -26,6 +26,8 @@ from repro.sources.memory import TableSource
 from repro.sources.sqlite import SQLiteSource
 from repro.workloads.scaling import APPLICATION, PROJECT, build_scaled_storage
 
+from tests.sources.blind import without_pushdown
+
 #: Above ``TableSource.index_min_rows``: the memory index answers the
 #: equality conjuncts of a fresh version.
 ROWS = 400
@@ -89,8 +91,8 @@ class Pair:
     def __init__(self, source, batch_size: int = 1024):
         self.runtime = _runtime(source, batch_size)
         self.connection = connect(self.runtime)
-        self.reference = connect(_runtime(
-            TableSource(build_scaled_storage(ROWS)), pushdown=False))
+        self.reference = connect(without_pushdown(_runtime(
+            TableSource(build_scaled_storage(ROWS)))))
 
     def execute(self, sql: str, params=()) -> None:
         """Run a write (or any statement) on both runtimes."""

@@ -36,6 +36,8 @@ from repro.workloads.scaling import build_scaled_runtime, build_scaled_storage
 from repro.xquery import Evaluator
 from repro.xquery.vector import VSTATS
 
+from tests.sources.blind import without_pushdown
+
 NAN = float("nan")
 
 #: Every column of both sides is read, so no source is asked for a
@@ -322,7 +324,7 @@ def test_another_category_probes_the_kept_table_pairwise():
     categories send the string pair by pair, where ``eq`` raises its
     type error on every leg — before A's join opens; a number then
     probes both kept tables."""
-    runtime = _runtime(_keyed_storage(), pushdown=False)
+    runtime = without_pushdown(_runtime(_keyed_storage()))
     statement = Statement(
         runtime, "SELECT A.ID, B.BID FROM A INNER JOIN B ON A.X = B.Y "
                  "WHERE B.Y = ?")

@@ -17,6 +17,8 @@ from repro.translator import SQLToXQueryTranslator
 from repro.workloads import build_runtime
 from repro.xquery import compile_module, parse_xquery
 
+from tests.sources.blind import without_pushdown
+
 RUNTIME = build_runtime(backend="memory")
 TRANSLATOR = SQLToXQueryTranslator(RUNTIME.metadata_api())
 
@@ -172,19 +174,14 @@ class TestGating:
         assert table == "CUSTOMERS"
         assert Predicate("REGION", "eq", "EAST") in request.predicates
 
-    def test_pushdown_false_disables_hints(self):
-        xquery = TRANSLATOR.translate(
-            "SELECT CUSTOMERNAME FROM CUSTOMERS WHERE REGION = 'EAST'",
-            format="recordset").xquery
-        assert scanned(xquery, pushdown=False) == [("CUSTOMERS", None)]
-
     def test_results_identical_with_and_without_pushdown(self):
         sql = ("SELECT CUSTOMERNAME FROM CUSTOMERS "
                "WHERE REGION = 'WEST' AND CUSTOMERID < 50")
         xquery = TRANSLATOR.translate(sql, format="delimited").xquery
         module = parse_xquery(xquery)
+        blind = without_pushdown(build_runtime(backend="memory"))
         pushed = compile_module(module, resolver=RUNTIME.call_function,
-                                pushdown=True, columnar=RUNTIME)
-        plain = compile_module(module, resolver=RUNTIME.call_function,
-                               pushdown=False, columnar=RUNTIME)
+                                columnar=RUNTIME)
+        plain = compile_module(module, resolver=blind.call_function,
+                               columnar=blind)
         assert pushed.evaluate() == plain.evaluate()
