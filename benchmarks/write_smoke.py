@@ -7,8 +7,10 @@ explicit transactions that roll back — and asserts, per backend:
 
 * every rollback restores the pre-transaction reads, and on the
   memory backend restores every table's version token *exactly*;
-* the plan-cache epoch moves on every visible write (``note_write``),
-  so token-guarded plans re-validate instead of serving stale rows;
+* after each write, a two-table join whose for order statistics chose
+  re-plans exactly once when the version tokens of its tables moved
+  since it last ran (and not otherwise), while a single-table read
+  keeps its plan and still returns the oracle's rows;
 * final row counts match an independently-maintained oracle;
 * on SQLite, the point UPDATEs/DELETEs pulled no more rows out of the
   source (``sources.rows_scanned``) than they changed — victim
@@ -39,6 +41,12 @@ from repro.driver import connect  # noqa: E402
 from repro.workloads import build_runtime  # noqa: E402
 
 REGIONS = ("APAC", "EMEA", "AMER", "LATAM")
+#: A run of two for clauses: statistics choose its order, so its plan
+#: keeps the version tokens of both tables.
+JOIN = ("SELECT C.CUSTOMERNAME, P.PAYMENT FROM PAYMENTS P, CUSTOMERS C "
+        "WHERE P.CUSTID = C.CUSTOMERID AND C.CUSTOMERID = ?")
+JOINED = ("CUSTOMERS", "PAYMENTS")
+COUNT = "SELECT COUNT(*) FROM CUSTOMERS"
 
 
 def run_backend(backend: str, statements: int, seed: int) -> dict:
@@ -48,15 +56,27 @@ def run_backend(backend: str, statements: int, seed: int) -> dict:
     cur = conn.cursor()
     source = runtime._default_source
 
-    def tokens():
-        return {t: source.version(t) for t in source.tables()}
+    def tokens(tables=None):
+        return {t: source.version(t) for t in tables or source.tables()}
 
-    cur.execute("SELECT COUNT(*) FROM CUSTOMERS")
+    misses = runtime.metrics.counter("plan_cache.misses")
+
+    def replans(sql: str, parameters=()) -> tuple:
+        """(plan-cache misses, rows) of one execution of *sql*."""
+        before = misses.value
+        cur.execute(sql, parameters)
+        rows = cur.fetchall()
+        return misses.value - before, rows
+
+    cur.execute(COUNT)
     live = cur.fetchall()[0][0]  # the oracle: expected CUSTOMERS rows
+    cur.execute(JOIN, [23])
+    cur.fetchall()
+    joined = tokens(JOINED)  # the join's tables when it last ran
     next_id = 10_000
     reads = writes = rollbacks = 0
     read_seconds = write_seconds = 0.0
-    epoch_failures = 0
+    plan_failures = 0
     rows_scanned = runtime.metrics.counter("sources.rows_scanned")
     point_writes = point_scanned = point_changed = 0
 
@@ -92,7 +112,6 @@ def run_backend(backend: str, statements: int, seed: int) -> dict:
                     f"FAIL[{backend}]: rollback did not restore "
                     f"version tokens at step {step}")
             continue
-        epoch_before = runtime._stats_epoch
         started = time.perf_counter()
         roll = rng.random()
         scanned_before = rows_scanned.value
@@ -123,10 +142,15 @@ def run_backend(backend: str, statements: int, seed: int) -> dict:
             point_scanned += rows_scanned.value - scanned_before
             point_changed += cur.rowcount
         writes += 1
-        # The plan-cache epoch must move on every visible write, or
-        # cached plans could keep cost decisions made on dead stats.
-        if runtime._stats_epoch == epoch_before:
-            epoch_failures += 1
+        # A plan ordered by statistics re-plans once when its tables
+        # moved since it last ran (a write, or a rollback before it), or
+        # it would keep an order chosen on dead statistics; a
+        # single-table plan read none, so no write re-plans it.
+        moved = tokens(JOINED) != joined
+        joined = tokens(JOINED)
+        if replans(JOIN, [23])[0] != moved \
+                or replans(COUNT) != (0, [(live,)]):
+            plan_failures += 1
 
     cur.execute("SELECT COUNT(*) FROM CUSTOMERS")
     final = cur.fetchall()[0][0]
@@ -134,10 +158,11 @@ def run_backend(backend: str, statements: int, seed: int) -> dict:
     if final != live:
         raise SystemExit(
             f"FAIL[{backend}]: final count {final} != oracle {live}")
-    if epoch_failures:
+    if plan_failures:
         raise SystemExit(
-            f"FAIL[{backend}]: {epoch_failures} writes did not move "
-            f"the plan-cache epoch")
+            f"FAIL[{backend}]: after {plan_failures} writes the join "
+            f"did not re-plan exactly when its tables moved, or the "
+            f"single-table count re-planned or missed the oracle")
     if backend == "sqlite" and point_scanned > point_changed:
         raise SystemExit(
             f"FAIL[{backend}]: {point_writes} point writes scanned "
@@ -166,7 +191,7 @@ def main() -> None:
               f"({report['write_qps']:.0f}/s), "
               f"{report['rollbacks']} rollbacks, "
               f"{report['scanned_per_point_write']:.2f} rows scanned "
-              f"per point write — tokens + epoch + oracle + scan OK")
+              f"per point write — tokens + plans + oracle + scan OK")
     print("PASS")
 
 

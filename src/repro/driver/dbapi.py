@@ -664,13 +664,13 @@ class Cursor:
                             translation.module, tracer=tracer)
                         translation.stage_timings.setdefault(
                             "compile", plan.compile_seconds)
-                        # With tracing on, a cost-planned statement also
+                        # With tracing on, a batched statement also
                         # collects actual rows per plan node; the
                         # estimated-vs-actual events land on the execute
                         # span (streamed statements attach them when
                         # the stream drains).
                         actuals = PlanActuals() if (
-                            tracer.enabled and plan.plan_reports) else None
+                            tracer.enabled and plan.batched) else None
                         if connection.format == "delimited" \
                                 and plan.streams_text:
                             # Streaming path: set up the lazy pipeline;

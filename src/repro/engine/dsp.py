@@ -122,7 +122,8 @@ class DSPRuntime:
         #: concurrent executions of the same query compile it once.
         #: Keyed by the query's text (user-written XQuery) or by the
         #: driver's statement-cache key (a translated module), plus the
-        #: batch size and, for a read, the stats epoch.
+        #: batch size and whether it is a DML read. A read's entry keeps
+        #: the version tokens of the statistics its compile read.
         self.plan_cache = LRUCache(config.plan_cache_capacity,
                                    registry=self.metrics,
                                    prefix="plan_cache")
@@ -163,10 +164,6 @@ class DSPRuntime:
         #: hash index, and the (lazy) index builds those scans caused.
         self._index_hits = self.metrics.counter("sources.index_hits")
         self._index_builds = self.metrics.counter("sources.index_builds")
-        #: Sum of the cost model's estimated output rows over cold
-        #: compiles; paired with per-node actuals in EXPLAIN output.
-        self._estimated_rows = self.metrics.counter(
-            "planner.estimated_rows")
         #: Grouped-aggregation observability: queries that ran the
         #: vectorized hash-aggregation stage, and group-table entries
         #: it emitted.
@@ -187,14 +184,9 @@ class DSPRuntime:
         #: XQuery texts parsed (cold ``prepare(text)`` calls). A
         #: translated statement arrives as a tree and never moves it.
         self._parses = self.metrics.counter("xquery.parses")
-        #: Table statistics cache for cost-based planning, keyed by
-        #: function identity and guarded by the source's ``version``
-        #: token. ``_stats_epoch`` counts cache (re)computations and
-        #: source registrations; it is part of the plan-cache key, so a
-        #: plan built over stale statistics is recompiled (once) rather
-        #: than reused forever.
+        #: Table statistics for the for reorder, keyed by function
+        #: identity and guarded by the source's ``version`` token.
         self._stats_cache: dict[tuple[str, str], tuple[object, object]] = {}
-        self._stats_epoch = 0
         #: Single-writer lock for the DML path: held by an autocommit
         #: statement for its plan+apply window, or by an explicit
         #: transaction from its first write until commit/rollback.
@@ -213,9 +205,9 @@ class DSPRuntime:
         functions scan it. Re-registering a name replaces the source."""
         self.sources[source.name] = source
         # New (or replaced) source: cached statistics may describe the
-        # old one, and cached plans may have been costed without it.
+        # old one, and cached plans may have been ordered without it.
         self._stats_cache.clear()
-        self._stats_epoch += 1
+        self.plan_cache.clear()
         # Two sources' tokens may coincide, so nothing cached from the
         # one replaced may answer for the functions that now scan this.
         for key in list(self._table_columns):
@@ -630,49 +622,52 @@ class DSPRuntime:
 
     def note_write(self) -> None:
         """A write was committed (or an autocommit statement applied):
-        cached statistics may describe superseded rows, so drop them
-        and bump the stats epoch — the plan cache keys on the epoch, so
-        plans costed under the old numbers recompile once instead of
-        being reused forever. Row-level read correctness never depends
-        on this hook: element-tree/column caches are guarded by the
-        sources' own version tokens."""
+        drop the cached statistics, which now describe superseded
+        versions. Nothing else depends on this hook: the statistics
+        cache, cached plans and the column caches are all guarded by
+        the sources' own version tokens."""
         self._stats_cache.clear()
-        self._stats_epoch += 1
 
     # -- statistics ----------------------------------------------------------
 
     def statistics_for(self, uri: str, local: str):
         """Table statistics for the data-service scan ``{uri}local()``,
         or None when the function is not a source-backed scan (or its
-        source declines). This is the cost planner's statistics
-        callback; results are cached under the source's ``version``
-        token, and every (re)computation bumps the stats epoch so plans
-        costed against superseded statistics age out of the plan cache.
-        """
+        source declines): the planner's callback for the for reorder
+        and for EXPLAIN's estimates. Results are cached under the
+        source's ``version`` token."""
+        return self._statistics(uri, local)[1]
+
+    def _statistics(self, uri: str, local: str) -> tuple:
+        """``(version, statistics)`` of the table ``{uri}local()``
+        scans: *version* is ``((source, table), token)``, None when the
+        source has no token or fails."""
         target = self._physical(uri, local)
         if target is None or target[2] is None:
-            return None
+            return None, None
         _function, _faulty, source, table = target
         try:
             token = source.version(table)
             cached = self._stats_cache.get((uri, local))
-            if cached is not None and token is not None \
-                    and cached[0] == token:
-                return cached[1]
-            stats = source.statistics(table)
+            if cached is None or token is None or cached[0] != token:
+                cached = self._stats_cache[(uri, local)] = (
+                    token, source.statistics(table))
         except Exception:
             # Statistics are advisory: an unreachable or failing source
             # must degrade to default selectivities, not break compiles.
-            return None
-        # Bump the epoch only when the data actually moved (the version
-        # token changed under cached statistics): a first computation
-        # is consumed by the very compile that triggered it, so the
-        # plan about to be cached is already fresh.
-        changed = cached is not None and cached[0] != token
-        self._stats_cache[(uri, local)] = (token, stats)
-        if changed:
-            self._stats_epoch += 1
-        return stats
+            return None, None
+        return (None if token is None else ((source, table), token)), \
+            cached[1]
+
+    @staticmethod
+    def _current(entry: tuple) -> bool:
+        """True when no table whose statistics ordered *entry*'s plan
+        has moved since (a failing source counts as moved)."""
+        try:
+            return all(source.version(table) == token
+                       for (source, table), token in entry[1])
+        except Exception:
+            return False
 
     # -- query execution -----------------------------------------------------
 
@@ -711,37 +706,44 @@ class DSPRuntime:
     def prepare_mutation(self, key, load_module,
                          handles: bool) -> CompiledQuery:
         """The compiled read of a DML statement (``repro.engine.dml``),
-        planned without statistics, so writes' epoch bumps keep it."""
+        planned without statistics, so no write re-plans it."""
         return self._cached_plan(key, load_module, NULL_TRACER, handles)
 
     def _cached_plan(self, key, load_module, tracer,
                      handles=None) -> CompiledQuery:
         """The plan of *key*, compiled on a miss from *load_module*'s
         module; *handles* is None for a read, a bool for a DML read.
-        A read is planned with statistics, a DML read without."""
+        A read is planned with statistics, a DML read without.
+
+        An entry keeps the ``((source, table), version token)`` pairs
+        of the statistics its compile read — only a run of independent
+        for clauses reads any — and a hit whose tables have moved since
+        compiles again (a miss). A plan that read none is never
+        re-checked: statistics could not have changed it."""
         read = handles is None
 
-        def load() -> CompiledQuery:
+        def load() -> tuple:
             module = load_module()
+            tokens: dict = {}
+
+            def statistics(uri: str, local: str):
+                version, stats = self._statistics(uri, local)
+                if version is not None:
+                    tokens.setdefault(*version)
+                return stats
+
             with tracer.span("xquery.compile"):
                 plan = compile_module(
                     module, resolver=self.call_function,
-                    statistics=self.statistics_for if read else None,
+                    statistics=statistics if read else None,
                     batch_size=self.batch_size, columnar=self,
                     handles=bool(handles))
             if plan.batched_reason is not None:
                 self.note_decline(plan.batched_reason)
-            estimate = plan.estimated_rows
-            if estimate is not None:
-                self._estimated_rows.add(int(round(estimate)))
-            return plan
+            return plan, tuple(tokens.items())
 
-        # The stats epoch keys a read's entry: when a source's data
-        # moves or a source is (re)registered, the epoch bumps and every
-        # read planned under the old statistics misses (one recompile).
         return self.plan_cache.get_or_load(
-            (key, self.batch_size,
-             self._stats_epoch if read else None), load)
+            (key, self.batch_size, handles), load, self._current)[0]
 
     def execute(self, xquery_text: str,
                 variables: dict[str, object] | None = None,

@@ -116,9 +116,6 @@ class TransactionManager:
             self._active = False
             self._release_lock()
         if enlisted:
-            # Memory sources restore their version tokens exactly;
-            # SQLite's token moves forward — either way cached plans
-            # and statistics must be re-checked against the tokens.
             self._runtime.note_write()
         self.rolled_back += 1
 

@@ -111,9 +111,19 @@ class LRUCache:
         with self._lock:
             self._store_locked(key, value)
 
-    def get_or_load(self, key: Hashable, loader: Callable[[], object]):
+    def get_or_load(self, key: Hashable, loader: Callable[[], object],
+                    current: Optional[Callable[[object], bool]] = None):
         """Return the cached value for *key*, loading it (once, even
-        under concurrency) on a miss."""
+        under concurrency) on a miss. *current*, when given, is asked
+        (outside the lock) whether a cached value still holds: one it
+        refuses is dropped and loaded again, a miss."""
+        if current is not None:
+            with self._lock:
+                value = self._data.get(key, _MISSING)
+            if value is not _MISSING and not current(value):
+                with self._lock:
+                    if self._data.get(key, _MISSING) is value:
+                        del self._data[key]
         if self._capacity == 0:
             with self._lock:
                 self._record_miss_locked()

@@ -57,6 +57,11 @@ def main(argv: list[str] | None = None) -> int:
                         help="tenant quota: per-execute deadline "
                              "ceiling in seconds")
     args = parser.parse_args(argv)
+    for flag in ("max_concurrent", "max_inflight_rows", "max_timeout"):
+        value = getattr(args, flag)
+        if value is not None and not 0 < value < float("inf"):
+            parser.error(f"argument --{flag.replace('_', '-')}: must be "
+                         f"a finite number above zero, got {value}")
 
     name, runtime = _build_runtime(args.app)
     tenant = TenantConfig(

@@ -334,8 +334,6 @@ class Shell:
         self._out(f"SOURCES: rows_scanned={scanned} rows_pushed={pushed} "
                   f"retries={retries} failures={failures} "
                   f"index_hits={index_hits} index_builds={index_builds}")
-        estimated = runtime_counters.get("planner.estimated_rows", 0)
-        self._out(f"PLANNER: estimated_rows={estimated}")
         txn = snapshot.get("transactions")
         if txn is not None:
             self._out(

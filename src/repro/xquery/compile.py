@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterator, Optional
 
 from ..errors import XQueryStaticError
@@ -58,21 +58,16 @@ class CompiledQuery:
     these in a bounded LRU keyed by the query (text or statement key).
     """
 
-    __slots__ = ("module", "compile_seconds", "plan_reports",
-                 "batched_reason", "vector_plan", "streams_text",
-                 "_resolver")
+    __slots__ = ("module", "compile_seconds", "batched_reason",
+                 "vector_plan", "streams_text", "_resolver", "_estimator")
 
     def __init__(self, module: ast.Module,
                  resolver: Optional[FunctionResolver],
                  compile_seconds: float, streams_text: bool,
-                 plan_reports: Optional[list] = None,
-                 vector_plan=None, batched_reason: Optional[str] = None):
+                 vector_plan=None, batched_reason: Optional[str] = None,
+                 estimator: Optional[CostEstimator] = None):
         self.module = module
         self.compile_seconds = compile_seconds
-        #: Per-FLWOR plan-node reports (labels + estimated rows, None
-        #: without statistics) of the vector plan; see :meth:`evaluate`
-        #: for the actual counts.
-        self.plan_reports = plan_reports or []
         #: Why the vector lowering declined this body (one of
         #: ``repro.xquery.vector.DECLINE_REASONS``); None when batched
         #: or when it was never asked (no columnar host, not a
@@ -86,6 +81,8 @@ class CompiledQuery:
         #: :meth:`stream_chunks` yields in pieces.
         self.streams_text = streams_text
         self._resolver = resolver
+        #: The compile's cost estimator, None without statistics.
+        self._estimator = estimator
 
     @property
     def batched(self) -> bool:
@@ -93,15 +90,15 @@ class CompiledQuery:
         return self.vector_plan is not None
 
     @property
-    def estimated_rows(self) -> Optional[float]:
-        """The outermost FLWOR's estimated output cardinality (frames
-        entering its return clause), or None without statistics."""
-        for report in self.plan_reports:
-            estimates = [node["estimate"] for node in report["nodes"]
-                         if node["estimate"] is not None]
-            if estimates:
-                return estimates[-1]
-        return None
+    def plan_reports(self) -> list:
+        """Per-FLWOR plan-node reports of the vector plan (none when the
+        Evaluator runs the module): labels, and rows estimated from the
+        statistics current now (None without statistics). Each call
+        reads statistics; running the plan never does. See
+        :meth:`evaluate` for the actual counts."""
+        if self.vector_plan is None:
+            return []
+        return self.vector_plan.plan_reports(self._estimator)
 
     @property
     def executor(self) -> str:
@@ -192,10 +189,12 @@ def compile_module(module: ast.Module,
     shrink scans, never change results.
 
     *statistics* — a ``(uri, local) -> Optional[TableStatistics]``
-    callback for data-service scans — lets the planner reorder
-    independent for clauses, smallest estimated input first, and
-    prices the plan's nodes; the reorder restores the original tuple
-    order via ordinals, so it changes speed only.
+    callback for data-service scans — lets the planner reorder a run of
+    two or more independent for clauses, smallest estimated input
+    first; the reorder restores the original tuple order via ordinals,
+    so it changes speed only. It is called only for such a run's
+    tables, and again whenever :attr:`CompiledQuery.plan_reports`
+    prices the plan's nodes.
 
     *handles* compiles a DML statement's read (the vector plan's
     ``read_handles``).
@@ -208,8 +207,8 @@ def compile_module(module: ast.Module,
         plan, reason = try_compile_body(compiler, module.body, handles)
     return CompiledQuery(module, resolver, time.perf_counter() - started,
                          compiler.text_wrapper(module.body) is not None,
-                         plan.plan_reports() if plan is not None else [],
-                         vector_plan=plan, batched_reason=reason)
+                         vector_plan=plan, batched_reason=reason,
+                         estimator=compiler._estimator)
 
 
 @dataclass
@@ -246,22 +245,13 @@ class _Compiler:
             if isinstance(decl, (ast.SchemaImport, ast.NamespaceDecl)):
                 self._static.declare(decl.prefix, decl.uri)
         self._module = module
-        self._estimator: Optional[CostEstimator] = None
-        if statistics is not None:
-            self._estimator = CostEstimator(
-                self._source_statistics(statistics))
+        #: The cost estimator; the plan keeps it to price its nodes, so
+        #: its lookup holds the static context, not the compiler.
+        self._estimator = None if statistics is None else CostEstimator(
+            partial(_table_statistics, self._static, statistics))
         #: id(FLWOR ast node) -> its :class:`_PlannedFLWOR` (which keeps
         #: the node alive, so the id holds).
         self._plans: dict[int, _PlannedFLWOR] = {}
-
-    def _source_statistics(self, statistics):
-        def lookup(source):
-            call = self._scan_call(source)
-            if call is None:
-                return None
-            return statistics(*call)
-
-        return lookup
 
     # -- once per execution ------------------------------------------------
 
@@ -291,7 +281,7 @@ class _Compiler:
         if not self._fixed(expr):
             return False
         return any(isinstance(node, ast.FLWOR)
-                   or self._service_call(node) is not None
+                   or _service_call(self._static, node) is not None
                    for node, _p in subexpressions(expr))
 
     # -- planning ------------------------------------------------------------
@@ -350,27 +340,44 @@ class _Compiler:
         return expr.args[0], expr.args[1], length
 
     def _scan_call(self, expr) -> Optional[tuple[str, str]]:
-        """``(uri, local)`` when *expr* is a zero-argument data-service
-        call the resolver will serve (the translator's scan shape,
-        ``ns0:CUSTOMERS()``), else None."""
-        if isinstance(expr, ast.XFunctionCall) and not expr.args:
-            return self._service_call(expr)
-        return None
-
-    def _service_call(self, expr) -> Optional[tuple[str, str]]:
-        """``(uri, local)`` when *expr* is a call, of any arity, that
-        goes to the host's resolver (a data service), else None."""
-        uri = self._namespace(expr) \
-            if isinstance(expr, ast.XFunctionCall) else None
-        if uri is None or uri == XS_URI or is_builtin_namespace(uri):
-            return None
-        return uri, expr.local
+        return _scan_call(self._static, expr)
 
     def _namespace(self, call) -> Optional[str]:
-        """The namespace *call*'s prefix resolves to, None when it is
-        undeclared (the call then fails when, and if, it runs)."""
-        try:
-            return self._static.resolve_prefix(call.prefix)
-        except XQueryStaticError:
-            return None
+        return _namespace(self._static, call)
+
+
+def _table_statistics(static: StaticContext, statistics, source):
+    """*statistics* of the table for source *source* scans, if it scans
+    one."""
+    call = _scan_call(static, source)
+    return None if call is None else statistics(*call)
+
+
+def _scan_call(static: StaticContext, expr) -> Optional[tuple[str, str]]:
+    """``(uri, local)`` when *expr* is a zero-argument data-service
+    call the resolver will serve (the translator's scan shape,
+    ``ns0:CUSTOMERS()``), else None."""
+    if isinstance(expr, ast.XFunctionCall) and not expr.args:
+        return _service_call(static, expr)
+    return None
+
+
+def _service_call(static: StaticContext,
+                  expr) -> Optional[tuple[str, str]]:
+    """``(uri, local)`` when *expr* is a call, of any arity, that goes
+    to the host's resolver (a data service), else None."""
+    uri = _namespace(static, expr) \
+        if isinstance(expr, ast.XFunctionCall) else None
+    if uri is None or uri == XS_URI or is_builtin_namespace(uri):
+        return None
+    return uri, expr.local
+
+
+def _namespace(static: StaticContext, call) -> Optional[str]:
+    """The namespace *call*'s prefix resolves to, None when it is
+    undeclared (the call then fails when, and if, it runs)."""
+    try:
+        return static.resolve_prefix(call.prefix)
+    except XQueryStaticError:
+        return None
 

@@ -496,23 +496,19 @@ class CostEstimator:
     *source_statistics* maps a for-clause source expression to a
     ``TableStatistics`` (or None when the source is not a statistics-
     bearing scan); the compiler wires it to the runtime's version-
-    guarded statistics cache. Lookups are memoized per planning pass
-    and failures degrade to "no statistics" — costing must never turn
-    a plannable query into an error.
+    guarded statistics cache, so a table is looked up when a rewrite
+    or an estimate first needs it. Failures degrade to "no statistics"
+    — costing must never turn a plannable query into an error.
     """
 
     def __init__(self, source_statistics):
         self._source_statistics = source_statistics
-        self._cache: dict[int, object] = {}
 
     def table_stats(self, source: ast.XExpr):
-        key = id(source)
-        if key not in self._cache:
-            try:
-                self._cache[key] = self._source_statistics(source)
-            except Exception:
-                self._cache[key] = None
-        return self._cache[key]
+        try:
+            return self._source_statistics(source)
+        except Exception:
+            return None
 
 
 def _as_float(value) -> Optional[float]:

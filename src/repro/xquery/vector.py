@@ -486,25 +486,22 @@ class _Ctx:
 
     def number(self, planned, clauses: list) -> tuple:
         """``(plan id, first)`` of *planned*, lowered as *clauses*: on
-        its first lowering the next id and its nodes' estimates, which a
-        second lowering keeps. Ids go out as lowerings finish, so an
-        inner FLWOR's comes before its outer one's."""
+        its first lowering the next id, and the clauses its nodes are
+        estimated over, which a second lowering keeps. Ids go out as
+        lowerings finish, so an inner FLWOR's comes before its outer
+        one's."""
         if id(planned) in self.flwors:
             return self.flwors[id(planned)][0], False
-        compiler = self.compiler
-        estimates = [None] * len(clauses) if compiler._estimator is None \
-            else estimate_plan(clauses, compiler._estimator,
-                               compiler._external_vars)
-        self.flwors[id(planned)] = (next(self.ids), clauses, estimates)
+        self.flwors[id(planned)] = (next(self.ids), clauses)
         return self.flwors[id(planned)][0], True
 
     def place(self, op, planned, index: int) -> None:
         """Make *op* the plan node of clause *index* of *planned*
-        (numbered): its id, EXPLAIN label and estimate."""
-        fid, clauses, estimates = self.flwors[id(planned)]
+        (numbered): its id, EXPLAIN label and its FLWOR's clauses."""
+        fid, clauses = self.flwors[id(planned)]
         op.node = (fid, index)
         op.label = _clause_label(clauses[index], op)
-        op.estimate = estimates[index]
+        op.clauses = clauses
 
 
 def _vtype_of_literal(value) -> Optional[str]:
@@ -1219,14 +1216,16 @@ class _Op:
     stream before it onto its own; ``name`` is stable, one per class.
     ``node`` — ``(flwor id, clause index)``, or None for a clause the
     lowering adds and a sub-plan read whole — is the EXPLAIN plan node
-    it counts rows under, ``label`` and ``estimate`` that node's line."""
+    it counts rows under, ``label`` that node's line and ``clauses``
+    the planned clauses of its FLWOR, which its estimate is priced
+    over."""
 
-    __slots__ = ("node", "label", "estimate")
+    __slots__ = ("node", "label", "clauses")
     name = ""
 
     def __init__(self, *fields):
         """*fields*: the values of the class's own ``__slots__``."""
-        self.node = self.label = self.estimate = None
+        self.node = self.label = self.clauses = None
         for slot, value in zip(type(self).__slots__, fields):
             setattr(self, slot, value)
 
@@ -2473,11 +2472,13 @@ def _count_rows(batches, state: _State, node) -> Iterator[_Batch]:
 
 class _VectorPlan:
     __slots__ = ("columnar", "batch_size", "lowered", "names",
-                 "projections", "param_names", "recordset")
+                 "projections", "param_names", "recordset",
+                 "external_vars")
 
     def __init__(self, compiler, lowered, names, param_names,
                  recordset=None):
         self.columnar = compiler._columnar
+        self.external_vars = compiler._external_vars
         self.batch_size = compiler._batch_size
         #: The statement's record set FLWOR, lowered; its ``ops`` end in
         #: the statement's: the LIMIT / OFFSET window, and the text
@@ -2496,10 +2497,21 @@ class _VectorPlan:
         #: output stage encodes delimited text.
         self.recordset = recordset
 
-    def plan_reports(self) -> list:
+    def plan_reports(self, estimator=None) -> list:
         """EXPLAIN's plan, one walk over the operator tree: per FLWOR in
         plan-id order, ``{"flwor": id, "nodes": [{"id", "op", "label",
-        "estimate"}, ...], "boundary": its RECORD cells' reads}``."""
+        "estimate"}, ...], "boundary": its RECORD cells' reads}``; the
+        estimates are priced by *estimator* (None without one)."""
+        estimates: dict = {}  # plan id -> its FLWOR's estimates
+
+        def estimate(op):
+            if estimator is None or op.clauses is None:  # (a once node)
+                return None
+            if op.node[0] not in estimates:
+                estimates[op.node[0]] = estimate_plan(
+                    op.clauses, estimator, self.external_vars)
+            return estimates[op.node[0]][op.node[1]]
+
         nodes, boundaries = [], {}
         for item in _walk(self.lowered):
             if isinstance(item, _Once):
@@ -2510,7 +2522,7 @@ class _VectorPlan:
         nodes.sort(key=lambda op: op.node)
         return [{"flwor": fid, "nodes": [
                     {"id": op.node, "op": op.name, "label": op.label,
-                     "estimate": op.estimate} for op in ops],
+                     "estimate": estimate(op)} for op in ops],
                  "boundary": boundaries.get(fid, ())}
                 for fid, ops in groupby(nodes, lambda op: op.node[0])]
 

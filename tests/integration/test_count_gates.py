@@ -35,11 +35,22 @@ took:
   DETAILS scan;
 * 30 parameterised point UPDATEs, then 30 point DELETEs, on SQLite
   compile their DML read once each (``plan_cache.misses`` up by 1 per
-  statement text, though every write moves the stats epoch) and read
-  exactly the rows they change (``sources.rows_scanned``).
+  statement text, though every write moves the version token) and read
+  exactly the rows they change (``sources.rows_scanned``);
+* statistics are read only where they choose a for order: on a SQLite
+  runtime shaped like the benchmark's ``mixed_rw`` (autocommit writes
+  to FACTS, each followed by the ``filter``, ``point`` and ``group``
+  reads, which read FACTS alone) ``SQLiteSource.statistics`` is not
+  called and ``plan_cache.misses`` does not move once warm; the point
+  join above re-plans exactly once after a write to either of its
+  tables, and (on memory, whose tokens are per table) a write to
+  another table leaves its plan a hit; EXPLAIN's estimates, priced when
+  printed, count a row just inserted.
 """
 
 from __future__ import annotations
+
+import datetime
 
 import pytest
 
@@ -47,6 +58,7 @@ from repro import connect
 from repro.catalog import Application
 from repro.engine import DSPRuntime, import_tables
 from repro.sources.sqlite import SQLiteSource
+from repro.sql.types import SQLType
 from repro.workloads.scaling import (
     APPLICATION,
     PROJECT,
@@ -92,6 +104,14 @@ def _counter(connection, name: str) -> int:
     return connection.stats()["runtime"]["counters"].get(name, 0)
 
 
+def _runtime_on(backend: str, storage) -> DSPRuntime:
+    source = SQLiteSource.from_storage(storage) \
+        if backend == "sqlite" else storage
+    application = Application(APPLICATION)
+    import_tables(application, PROJECT, source)
+    return DSPRuntime(application, source)
+
+
 def test_report_statements_take_no_per_cell_path():
     connection = connect(build_scaled_runtime(2_000))
     cursor = connection.cursor()
@@ -134,12 +154,7 @@ def test_repeated_report_join_reuses_one_hash_table():
 
 @pytest.mark.parametrize("backend", ["memory", "sqlite"])
 def test_report_and_evaluator_reads_scan_one_version_once(backend):
-    storage = build_scaled_storage(2_000)
-    source = SQLiteSource.from_storage(storage) \
-        if backend == "sqlite" else storage
-    application = Application(APPLICATION)
-    import_tables(application, PROJECT, source)
-    runtime = DSPRuntime(application, source)
+    runtime = _runtime_on(backend, build_scaled_storage(2_000))
     connection = connect(runtime)
     cursor = connection.cursor()
     scanned = [_counter(connection, "sources.rows_scanned")]
@@ -160,12 +175,7 @@ def test_report_and_evaluator_reads_scan_one_version_once(backend):
 @pytest.mark.parametrize("backend", ["memory", "sqlite"])
 def test_report_filter_over_a_held_version_scans_and_builds_nothing(backend):
     sql, params = REPORT_STATEMENTS[1]
-    storage = build_scaled_storage(2_000)
-    source = SQLiteSource.from_storage(storage) \
-        if backend == "sqlite" else storage
-    application = Application(APPLICATION)
-    import_tables(application, PROJECT, source)
-    connection = connect(DSPRuntime(application, source))
+    connection = connect(_runtime_on(backend, build_scaled_storage(2_000)))
     cursor = connection.cursor()
     cursor.execute("SELECT * FROM FACTS")
     assert len(cursor.fetchall()) == 2_000
@@ -237,11 +247,7 @@ def test_point_join_named_big_table_first_drives_from_the_point():
 def test_point_writes_compile_once_and_read_what_they_change(sql, changed):
     """Two sessions on one runtime alternate the writes: the DML read
     is compiled once per statement text, whichever session runs it."""
-    storage = build_scaled_storage(2_000)
-    source = SQLiteSource.from_storage(storage)
-    application = Application(APPLICATION)
-    import_tables(application, PROJECT, source)
-    runtime = DSPRuntime(application, source)
+    runtime = _runtime_on("sqlite", build_scaled_storage(2_000))
     connections = [connect(runtime), connect(runtime)]
     cursors = [connection.cursor() for connection in connections]
     connection = connections[0]
@@ -261,3 +267,106 @@ def test_point_writes_compile_once_and_read_what_they_change(sql, changed):
     assert (after[0] - before[0], after[1] - before[1]) == (1, rowcount)
     for connection in connections:
         connection.close()
+
+
+MIXED_READS = [
+    ("SELECT ID, NAME, AMOUNT FROM FACTS WHERE REGION = ? AND AMOUNT > ?",
+     ("WEST", 50)),
+    ("SELECT ID, NAME, REGION, AMOUNT FROM FACTS WHERE ID = ?", (7,)),
+    ("SELECT NAME, COUNT(*), SUM(AMOUNT) FROM FACTS WHERE REGION <> ? "
+     "GROUP BY NAME", ("WEST",)),
+]
+
+
+def _mixed_writes(cycle: int) -> list:
+    return [
+        ("INSERT INTO FACTS (ID, NAME, REGION, AMOUNT) VALUES (?, ?, ?, ?)",
+         (1_000_000 + cycle, "Inserted", "WEST", 5)),
+        ("UPDATE FACTS SET AMOUNT = ? WHERE ID = ?", (cycle, 7 * cycle)),
+        ("DELETE FROM FACTS WHERE ID = ?", (1_000_000 + cycle,)),
+    ]
+
+
+def test_writes_beside_single_table_reads_read_no_statistics(monkeypatch):
+    calls = []
+    statistics = SQLiteSource.statistics
+    monkeypatch.setattr(SQLiteSource, "statistics",
+                        lambda self, table: calls.append(table)
+                        or statistics(self, table))
+    connection = connect(_runtime_on("sqlite", build_scaled_storage(5_000)))
+    cursor = connection.cursor()
+
+    def cycle(index: int) -> None:
+        for sql, params in _mixed_writes(index):
+            cursor.execute(sql, params)
+            assert cursor.rowcount == 1, sql
+            for read, read_params in MIXED_READS:
+                cursor.execute(read, read_params)
+                assert cursor.fetchall(), read
+
+    cycle(0)  # warm-up: each text compiles once
+    before = (len(calls), _counter(connection, "plan_cache.misses"))
+    for index in range(1, 4):
+        cycle(index)
+    after = (len(calls), _counter(connection, "plan_cache.misses"))
+    assert (after[0] - before[0], after[1] - before[1]) == (0, 0), calls
+    connection.close()
+
+
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+def test_a_reordered_join_re_plans_once_per_write_to_its_tables(backend):
+    sql = ("SELECT F.NAME, D.QTY FROM DETAILS D, FACTS F "
+           "WHERE D.FACTID = F.ID AND F.ID = ?")
+    storage = build_scaled_storage(2_000)
+    storage.create_table("CUSTOMERS", [("ID", SQLType("INTEGER"))])
+    connection = connect(_runtime_on(backend, storage))
+    cursor = connection.cursor()
+
+    def replans() -> int:
+        misses = _counter(connection, "plan_cache.misses")
+        cursor.execute(sql, (7,))
+        assert cursor.fetchall()
+        return _counter(connection, "plan_cache.misses") - misses
+
+    def write(statement: str, params: tuple) -> None:
+        cursor.execute(statement, params)
+        assert cursor.rowcount == 1
+
+    assert replans() == 1
+    plan = connection._runtime.prepare_module(
+        ("delimited", sql), connection.translator.translate(
+            sql, format="delimited").module)
+    assert "restore_order" in [node["op"] for report in plan.plan_reports
+                               for node in report["nodes"]]
+    counted = [replans()]
+    write("INSERT INTO DETAILS VALUES (?, ?, ?, ?)",
+          (99_999, 7, 1, datetime.date(2005, 1, 1)))
+    counted += [replans(), replans()]
+    write("UPDATE FACTS SET AMOUNT = ? WHERE ID = ?", (1, 8))
+    counted += [replans(), replans()]
+    write("INSERT INTO CUSTOMERS VALUES (?)", (1,))
+    counted.append(replans())
+    # SQLite's version token is the whole database's, so a write to
+    # any table moves it.
+    assert counted == [0, 1, 0, 1, 0, 1 if backend == "sqlite" else 0]
+    connection.close()
+
+
+def test_explain_estimates_count_a_row_just_inserted():
+    sql = "SELECT ID, NAME FROM FACTS"
+    runtime = build_scaled_runtime(2_000)
+    connection = connect(runtime)
+    module = connection.translator.translate(sql, format="delimited").module
+
+    def estimated() -> float:
+        plan = runtime.prepare_module(("delimited", sql), module)
+        return plan.plan_reports[0]["nodes"][0]["estimate"]
+
+    assert estimated() == 2_000
+    cursor = connection.cursor()
+    cursor.execute("INSERT INTO FACTS (ID, NAME, REGION, AMOUNT) "
+                   "VALUES (?, ?, ?, ?)", (1_000_000, "X", "WEST", 1))
+    misses = _counter(connection, "plan_cache.misses")
+    assert estimated() == 2_001
+    assert _counter(connection, "plan_cache.misses") == misses
+    connection.close()

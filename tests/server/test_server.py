@@ -16,6 +16,7 @@ from repro.driver.remote import RemoteConnection, RemoteCursor
 from repro.engine import AdmissionController, FaultProfile, install_fault
 from repro.errors import InterfaceError, OperationalError
 from repro.server import TenantConfig, serve_in_thread
+from repro.server import __main__ as server_main
 from repro.server.protocol import (
     PROTOCOL_VERSION,
     recv_frame,
@@ -466,6 +467,24 @@ class TestTenantQuotas:
                 assert time.monotonic() - start < 10.0
 
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--max-concurrent", "0"), ("--max-concurrent", "x"),
+        ("--max-inflight-rows", "-1"), ("--max-timeout", "0"),
+        ("--max-timeout", "nan")])
+    def test_bad_quota_flag_is_a_usage_error(self, flag, value,
+                                             monkeypatch, capsys):
+        """Refused by argparse (exit 2) before the runtime is built."""
+        def build(spec):
+            raise AssertionError("runtime built before the flags were "
+                                 "checked")
+
+        monkeypatch.setattr(server_main, "_build_runtime", build)
+        with pytest.raises(SystemExit) as exited:
+            server_main.main(["--token", "x", flag, value])
+        assert exited.value.code == 2
+        assert f"argument {flag}: " in capsys.readouterr().err
+
+
 class TestDisconnectCleanup:
     def test_midstream_disconnect_releases_admission_slots(
             self, runtime, server):
@@ -565,7 +584,11 @@ def _cancel_hung_query(runtime, **connect_options):
             cursor = connection.cursor()
 
             def canceller():
-                time.sleep(0.3)  # let the execute frame reach the server
+                # Cancel once the statement holds its admission slot:
+                # the server is then running it, so the cancel cannot
+                # arrive before there is anything to cancel.
+                wait_until(lambda: runtime.admission.stats()["active"] == 1,
+                           timeout=10.0)
                 cursor.cancel()
 
             thread = threading.Thread(target=canceller)

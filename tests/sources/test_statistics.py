@@ -4,8 +4,8 @@
 checked for exact small-table numbers, bounded sampling with scaling,
 and the ndv=0 "unknown" convention; ``SQLiteSource.statistics`` must
 agree with the Python computation on the same data; and the runtime's
-``statistics_for`` cache must honor the source's version token,
-including the plan-cache epoch bump on a data change.
+``statistics_for`` cache must honor the source's version token, and a
+plan whose for order it chose must re-plan once on a data change.
 """
 
 import datetime
@@ -13,6 +13,7 @@ from decimal import Decimal
 
 import pytest
 
+from repro import connect
 from repro.catalog import Application
 from repro.config import RuntimeConfig
 from repro.engine import DSPRuntime, import_source
@@ -156,22 +157,36 @@ class TestRuntimeStatisticsCache:
         assert first is not None and first.row_count == 4
         assert runtime.statistics_for(uri, "T") is first
 
-    def test_version_change_recomputes_and_bumps_epoch(self):
+    def test_version_change_re_plans_once(self):
+        """A join whose for order statistics chose re-plans once when
+        its table's version token moves, then hits again."""
         runtime, storage, uri = self.make_runtime()
-        runtime.statistics_for(uri, "T")
-        epoch = runtime._stats_epoch
+        replans = self.replans(runtime)
+        assert next(replans) == 1  # the first compile
         storage.table("T").insert(9, "z", None)
         fresh = runtime.statistics_for(uri, "T")
         assert fresh.row_count == 5
-        assert runtime._stats_epoch == epoch + 1
+        assert [next(replans) for _ in range(2)] == [1, 0]
 
-    def test_first_computation_does_not_bump_epoch(self):
+    def test_first_computation_re_plans_nothing(self):
         """The compile that triggers the first computation consumes it,
-        so bumping would only split the plan cache."""
-        runtime, _storage, uri = self.make_runtime()
-        epoch = runtime._stats_epoch
-        runtime.statistics_for(uri, "T")
-        assert runtime._stats_epoch == epoch
+        so the plan it caches is current."""
+        runtime, _storage, _uri = self.make_runtime()
+        replans = self.replans(runtime)
+        assert [next(replans) for _ in range(3)] == [1, 0, 0]
+
+    @staticmethod
+    def replans(runtime):
+        """Yields, per execution of a self-join over T (a run of two
+        for clauses: statistics order it), the plan-cache misses it
+        caused."""
+        cursor = connect(runtime).cursor()
+        while True:
+            misses = runtime.plan_cache.misses
+            cursor.execute("SELECT A.NAME FROM T A, T B "
+                           "WHERE A.ID = B.ID")
+            assert cursor.fetchall()
+            yield runtime.plan_cache.misses - misses
 
     def test_unknown_function_is_none(self):
         runtime, _storage, _uri = self.make_runtime()

@@ -459,17 +459,20 @@ def reachable_build_tables(*roots) -> int:
 
 def test_re_plans_and_distinct_texts_share_one_table_per_version():
     """The hash table lives in the column cache, not on the plan: 20
-    re-plans of one statement (each stats-epoch bump misses the plan
-    cache) and 20 texts joining on the same key hold one table."""
+    re-plans of one statement (the plan cache is emptied before each,
+    and every plan is kept) and 20 texts joining on the same key hold
+    one table."""
     runtime = _runtime(build_scaled_storage(200))
     connection = connect(runtime)
     cursor = connection.cursor()
+    plans = []
     for _ in range(20):
-        runtime.note_write()
+        runtime.plan_cache.clear()
         cursor.execute(REPORT_JOIN)
         assert cursor.fetchall()
-    assert runtime.plan_cache.stats()["size"] == 20
-    assert reachable_build_tables(runtime, connection) == 1
+        plans.extend(runtime.plan_cache.copy().values())
+    assert len({id(plan) for plan in plans}) == 20
+    assert reachable_build_tables(runtime, connection, plans) == 1
     for extra in range(20):
         cursor.execute(REPORT_JOIN.replace("D.QTY", f"D.QTY + {extra}"))
         assert cursor.fetchall()
