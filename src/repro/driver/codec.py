@@ -13,7 +13,8 @@ were materialized some other way as the same text.
 
 In one process there is no text to cut or decode: :func:`iter_rows`
 turns the batch executor's typed cells into the rows the decoder would
-have produced from their text, by the same result schema.
+have produced from their text, by the same result schema, and a
+:class:`RowBuffer` hands them out.
 
 ``decode_xml`` is the baseline path the paper measured against: the
 server's ``<RECORDSET>`` tree is serialized to text (the wire format),
@@ -24,20 +25,16 @@ two (experiment E6 in DESIGN.md).
 from __future__ import annotations
 
 import datetime
+import math
 import re
 from decimal import Decimal, InvalidOperation
+from itertools import repeat
 
 from ..errors import DataError
 from ..sql.types import SQLType
 from ..translator import NULL_MARK, VALUE_MARK, ResultColumn
 from ..xmlmodel import Element, escape_text, parse_document, unescape
-from ..xquery.atomic import (
-    SERIALIZERS,
-    naive,
-    no_negative_zero,
-    plain_decimals,
-    serialize_atomic,
-)
+from ..xquery.atomic import REGULAR_KINDS, SERIALIZERS, serialize_atomic
 
 
 #: The one SQL type kind -> converter mapping: ``convert_cell`` looks a
@@ -74,17 +71,14 @@ def convert_cell(text: str, sql_type: SQLType) -> object:
 #: pairs :func:`iter_rows` hands over as computed, because on a column
 #: the guard passes each cell's lexical form (``serialize_atomic``)
 #: converts back to the cell itself — value, type and repr;
-#: tests/driver/test_codec.py proves each against the decoder.
+#: tests/driver/test_codec.py proves each against the decoder. The
+#: guard is the kind's ``REGULAR_KINDS`` one, as in a version's facts.
 _AS_COMPUTED = {
-    **dict.fromkeys([(int, "SMALLINT"), (int, "INTEGER"), (int, "BIGINT"),
-                     (str, "CHAR"), (str, "VARCHAR"),
-                     (datetime.date, "DATE")], True),
-    (Decimal, "DECIMAL"): plain_decimals,
-    (float, "REAL"): no_negative_zero,
-    (float, "DOUBLE"): no_negative_zero,
-    (datetime.time, "TIME"): naive,
-    (datetime.datetime, "TIMESTAMP"): naive,
-}
+    (kind, sql_kind): REGULAR_KINDS[kind] for kind, sql_kind in (
+        (int, "SMALLINT"), (int, "INTEGER"), (int, "BIGINT"),
+        (str, "CHAR"), (str, "VARCHAR"), (datetime.date, "DATE"),
+        (Decimal, "DECIMAL"), (float, "REAL"), (float, "DOUBLE"),
+        (datetime.time, "TIME"), (datetime.datetime, "TIMESTAMP"))}
 
 
 def _unsupported(text: str):
@@ -273,10 +267,10 @@ _NONE = type(None)
 
 
 def _typed_column(col: list, sql_kind: str, per_cell=None) -> list:
-    """One batch column as the decoder would hand it over: itself for
-    a pair of :data:`_AS_COMPUTED` its guard passes, else each cell's
-    lexical form converted — one serialiser for cells of one kind, else
-    cell by cell (then *per_cell* is called)."""
+    """One batch column as the decoder would hand it over, observed:
+    itself for a pair of :data:`_AS_COMPUTED` its guard passes, else
+    each cell's lexical form converted — one serialiser for cells of
+    one kind, else cell by cell (then *per_cell* is called)."""
     kinds = set(map(type, col))
     nulls = _NONE in kinds
     kinds.discard(_NONE)
@@ -298,33 +292,89 @@ def _typed_column(col: list, sql_kind: str, per_cell=None) -> list:
 
 
 def iter_rows(batches, columns: list[ResultColumn], context=None,
-              per_cell=None):
+              per_cell=None, as_computed=None):
     """Typed rows of the engine's output batches — per batch, one list
-    per result column of the values the plan computed — without text:
-    the same rows, of the same types and ``repr``, that
-    :func:`iter_decode_delimited` yields from the batches' delimited
-    text, and on a cell it rejects the same ``DataError``, after the
-    same rows. *context*, as there, counts the rows handed over;
-    *per_cell* is called for each column whose cells mix kinds."""
+    per result column of the values the plan computed — without text,
+    as one list of row tuples per batch: the rows, of the same types
+    and ``repr``, that :func:`iter_decode_delimited` yields from the
+    batches' delimited text, and on a cell it rejects the same
+    ``DataError``, after the same rows.
+
+    A column whose table version's fact (``batch.facts()``, see
+    ``repro.xquery.vector.OutputColumns``) and SQL kind are a pair of
+    :data:`_AS_COMPUTED` is handed over unobserved (*as_computed* is
+    called with their number per batch), any other is observed
+    (:func:`_typed_column`). *context*, as in the decoder, counts the
+    rows handed over."""
     if not columns:
         raise DataError("result schema has no columns")
     kinds = [column.sql_type.kind for column in columns]
     for cols in batches:
+        facts = cols.facts() if hasattr(cols, "facts") else repeat(None)
+        vouched = [fact is _NONE or (fact, kind) in _AS_COMPUTED
+                   for fact, kind in zip(facts, kinds)]
         try:
-            rows = list(zip(*[_typed_column(col, kind, per_cell)
-                              for col, kind in zip(cols, kinds)]))
+            rows = list(zip(*[col if handed
+                              else _typed_column(col, kind, per_cell)
+                              for col, kind, handed
+                              in zip(cols, kinds, vouched)]))
         except (ValueError, InvalidOperation):
             # Replay the batch a row at a time, as the decoder reads it:
             # the rows before the first bad cell, then its error.
-            for row in zip(*cols):
-                yield tuple(
-                    None if v is None
-                    else convert_cell(serialize_atomic(v), column.sql_type)
-                    for v, column in zip(row, columns))
+            replayed = []
+            try:
+                for row in zip(*cols):
+                    replayed.append(tuple(
+                        None if v is None
+                        else convert_cell(serialize_atomic(v),
+                                          column.sql_type)
+                        for v, column in zip(row, columns)))
+            except DataError:
+                yield replayed
+                raise
             raise  # not reached: convert_cell raised at the bad cell
+        if as_computed is not None and any(vouched):
+            as_computed(sum(vouched))
         if context is not None:
             context.rows_emitted += len(rows)
-        yield from rows
+        yield rows
+
+
+class RowBuffer:
+    """The rows of *batches* — an iterator of row sequences: a batch of
+    typed rows, or one decoded row — handed out as slices of the one
+    at hand: a fetch resumes the engine once per batch, not per row."""
+
+    __slots__ = ("_batches", "_rows", "_at")
+
+    def __init__(self, batches):
+        self._batches = batches
+        self._rows, self._at = (), 0  # `_at`: rows already handed out
+
+    def take(self, limit, out: list) -> None:
+        """Append the next *limit* rows (all that remain when None) to
+        *out*, fewer at end of stream; a batch that raises leaves the
+        rows taken before it there."""
+        limit = math.inf if limit is None else limit
+        while limit > 0:
+            rows, at = self._rows, self._at
+            if at == len(rows):
+                batch = next(self._batches, None)
+                if batch is None:
+                    return
+                self._rows, self._at = batch, 0
+                continue
+            self._at = stop = min(len(rows), at + limit)
+            out.extend(rows[at:stop])
+            limit -= stop - at
+
+    def close(self) -> None:
+        """Close the batch stream (and the stages that feed it); drop
+        the rows held."""
+        close = getattr(self._batches, "close", None)
+        if close is not None:
+            close()
+        self._batches, self._rows, self._at = iter(()), (), 0
 
 
 #: Text the page cutter looks at in one step: a page far smaller than

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import re
 import threading
-from itertools import islice
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .. import clock, errors
@@ -59,6 +58,7 @@ from ..xmlmodel import Element, serialize
 from ..xquery.vector import PlanActuals
 from .codec import (
     PageCutter,
+    RowBuffer,
     decode_delimited,
     decode_xml,
     encode_delimited,
@@ -79,6 +79,10 @@ FORMATS = ("delimited", "xml")
 
 #: Default bound on cached translations per connection.
 DEFAULT_STATEMENT_CACHE_CAPACITY = 256
+
+#: Rows a cursor pulls per step when the caller gives no better
+#: granularity (iteration; a remote ``fetchall``).
+DEFAULT_FETCH_PAGE = 1024
 
 #: Version of the ``Connection.stats()`` document shape. Bump on any
 #: breaking change to its sections so dashboards can detect drift.
@@ -483,12 +487,14 @@ class Cursor:
 
     A live stream is the engine's output: typed column batches when
     the vector plan runs the statement, else the Evaluator's text. What
-    reads it is built on the first fetch — rows for ``fetchone`` /
-    ``fetchmany`` / ``fetchall`` (``iter_rows`` over batches, which
-    prints no text; the decoder over text), or a page cutter over the
-    text for :meth:`fetch_text`, which the network server uses to ship
-    it undecoded (DESIGN.md §13). One result is read one way or the
-    other, not both.
+    reads it is built on the first fetch — a ``RowBuffer`` of rows for
+    ``fetchone`` / ``fetchmany`` / ``fetchall`` (``iter_rows`` over
+    batches, which prints no text; the decoder over text), or a page
+    cutter over the text for :meth:`fetch_text`, which the network
+    server uses to ship it undecoded (DESIGN.md §13). One result is
+    read one way or the other, not both. Rows pulled but not handed out
+    (a ``for`` loop left mid-page) wait in ``_rows``, as a materialized
+    result's do; every fetch takes those first.
     """
 
     arraysize = 1
@@ -918,9 +924,11 @@ class Cursor:
                 live = plan.encode(live)
             return PageCutter(live, len(columns))
         if plan is not None:
-            return iter_rows(live, columns, context=context,
-                             per_cell=plan.note_per_cell)
-        return iter_decode_delimited(live, columns, context=context)
+            return RowBuffer(iter_rows(
+                live, columns, context=context, per_cell=plan.note_per_cell,
+                as_computed=plan.note_as_computed))
+        return RowBuffer(zip(iter_decode_delimited(live, columns,
+                                                   context=context)))
 
     def _pull_streamed(self, limit: Optional[int], text: bool = False):
         """Pull up to *limit* rows (all remaining when None) from the
@@ -957,8 +965,8 @@ class Cursor:
             else:
                 # A stream that raises mid-pull leaves the rows it
                 # already gave in `chunk`, for the accounting below.
-                chunk.extend(stream if limit is None
-                             else islice(stream, max(limit, 0)))
+                stream.take(None if limit is None else max(limit, 0),
+                            chunk)
                 exhausted = limit is None or len(chunk) < limit
             if self._slot is not None:
                 # Charge whichever is further along: rows the engine
@@ -1007,43 +1015,43 @@ class Cursor:
                 self._index >= len(self._rows))
 
     def fetchone(self) -> Optional[tuple]:
-        self._check_results()
-        if self._live is not None:
-            chunk = self._pull_streamed(1)
-            return chunk[0] if chunk else None
-        if self._index >= len(self._rows):
-            return None
-        row = self._rows[self._index]
-        self._index += 1
-        return row
+        chunk = self.fetchmany(1)
+        return chunk[0] if chunk else None
 
     def fetchmany(self, size: Optional[int] = None) -> list[tuple]:
         self._check_results()
         if size is None:
             size = self.arraysize
-        if self._live is not None:
-            return self._pull_streamed(size)
         chunk = self._rows[self._index:self._index + size]
         self._index += len(chunk)
+        if self._live is not None and len(chunk) < size:
+            chunk += self._pull_streamed(size - len(chunk))
         return chunk
 
     def fetchall(self) -> list[tuple]:
         self._check_results()
-        if self._live is not None:
-            return self._pull_streamed(None)
         chunk = self._rows[self._index:]
         self._index = len(self._rows)
+        if self._live is not None:
+            pulled = self._pull_streamed(None)
+            chunk = chunk + pulled if chunk else pulled
         return chunk
 
     def __iter__(self) -> Iterator[tuple]:
-        """Iterate the result set, pulling ``arraysize`` rows per batch
-        (so ``cursor.arraysize`` tunes the fetch granularity of a
-        ``for`` loop the same way it tunes ``fetchmany()``)."""
+        """Iterate the result set, pulling ``max(arraysize,
+        DEFAULT_FETCH_PAGE)`` rows at a time as the remote cursor does:
+        deadline, cancellation and the admission charge are checked per
+        page, not per row. Rows the loop has not reached stay fetchable."""
+        page = max(self.arraysize, DEFAULT_FETCH_PAGE)
         while True:
-            chunk = self.fetchmany(self.arraysize)
-            if not chunk:
-                return
-            yield from chunk
+            self._check_results()
+            if self._index >= len(self._rows):
+                if self._live is None:
+                    return
+                self._rows, self._index = self._pull_streamed(page), 0
+            for self._index, row in enumerate(
+                    self._rows[self._index:], self._index + 1):
+                yield row
 
     # -- lifecycle -----------------------------------------------------------------
 

@@ -62,12 +62,8 @@ from ..server.protocol import (
 from ..sql.types import SQLType
 from ..translator import ResultColumn
 from .codec import decode_delimited
-from .dbapi import FORMATS, describe
+from .dbapi import DEFAULT_FETCH_PAGE, FORMATS, describe
 from .dsn import DSN
-
-#: Rows requested per ``fetch`` frame when the caller gives no better
-#: granularity (``fetchall``/iteration with a small ``arraysize``).
-DEFAULT_FETCH_PAGE = 1024
 
 
 class RemoteConnection:

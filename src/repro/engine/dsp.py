@@ -50,7 +50,7 @@ from ..xquery import ast as xq
 from ..xquery import parse_xquery
 from ..xquery.atomic import parse_lexical, serialize_atomic
 from ..xquery.compile import CompiledQuery, compile_module
-from ..xquery.vector import HANDLE
+from ..xquery.vector import HANDLE, regular_kind
 from .faults import FaultyBinding
 from .lifecycle import AdmissionController, QueryContext, RetryPolicy
 from .table import Storage
@@ -59,16 +59,28 @@ from .table import Storage
 @dataclass(eq=False, slots=True)
 class _TableScan:
     """The column cache's entry for one version of one table: its
-    column lists (read-only by contract — operators always build fresh
-    output lists), the join hash tables built over them (by key column
-    names), and the element trees a ``call_function`` read made of
-    them (None until one asks)."""
+    ``(name, xs type)`` schema and column lists (read-only by contract
+    — operators always build fresh output lists), the join hash tables
+    built over them (by key column names), the element trees a
+    ``call_function`` read made of them (None until one asks), and its
+    columns' facts (:meth:`fact`), by column index, as far as asked."""
 
     token: object
+    columns: list
     values: list
     row_count: int
     join_tables: dict = field(default_factory=dict)
     elements: Optional[list] = None
+    facts: dict = field(default_factory=dict)
+
+    def fact(self, index: int):
+        """Column *index*'s fact (``repro.xquery.vector.regular_kind``),
+        computed the first time an output column needs it: once per
+        column of a version (two racing first asks compute the same
+        answer). A new version is a new entry, with no facts."""
+        if index not in self.facts:
+            self.facts[index] = regular_kind(self.values[index])
+        return self.facts[index]
 
 
 class DSPRuntime:
@@ -178,6 +190,9 @@ class DSPRuntime:
         self._text_chunks = self.metrics.counter("vector.text_chunks")
         #: Record-set batch columns read as their untyped view.
         self._untyped_views = self.metrics.counter("vector.untyped_views")
+        #: Output batch columns handed over on their version's facts.
+        self._as_computed_columns = self.metrics.counter(
+            "vector.as_computed_columns")
         #: Join hash tables built, and kept ones probed again.
         self._join_builds = self.metrics.counter("vector.join_builds")
         self._join_reuses = self.metrics.counter("vector.join_reuses")
@@ -353,8 +368,8 @@ class DSPRuntime:
         both executors."""
         _columns, values, _rows = self._scan_source_columns(
             uri, local, function, source, table, None, context)
-        entry = self._table_columns.get((uri, local))
-        if entry is None or entry.values is not values:  # unversioned
+        entry = self.cached_entry(uri, local, values)
+        if entry is None:  # unversioned
             return self._rows_to_elements(function.return_schema,
                                           zip(*values))
         if entry.elements is None:
@@ -442,17 +457,17 @@ class DSPRuntime:
         in the plan as a residual filter); otherwise a reduced request's
         result is specific to it, and only a plain scan fills the
         cache."""
+        # The token is read only to compare with an entry or to fill
+        # one: a pushed read of a table never held costs what it did.
+        # An entry was filled past the width check below.
+        cached = self._table_columns.get((uri, local))
+        token = None if cached is None else source.version(table)
+        if token is not None and cached.token == token:
+            return cached.columns, cached.values, cached.row_count
         schema = function.return_schema
         if len(schema.columns) != len(source.columns(table)):
             raise UnknownArtifactError(
                 f"schema/table column count mismatch for {function.name}")
-        # The token is read only to compare with an entry or to fill
-        # one: a pushed read of a table never held costs what it did.
-        cached = self._table_columns.get((uri, local))
-        token = None if cached is None else source.version(table)
-        if token is not None and cached.token == token:
-            return ([(decl.name, decl.xs_type) for decl in schema.columns],
-                    cached.values, cached.row_count)
         reduced = filter_request(
             source, table, request,
             [decl.name for decl in schema.columns])
@@ -466,17 +481,17 @@ class DSPRuntime:
                 acc.extend(col)
         row_count = len(values[0]) if values else 0
         self._count_scan(result, row_count)
+        if reduced is not None:
+            schema = self._project_schema(schema, result.columns)
+        columns = [(decl.name, decl.xs_type) for decl in schema.columns]
         if reduced is None and token is not None:
             # Concurrent first scans keep one entry, for one join table.
-            entry = _TableScan(token, values, row_count)
+            entry = _TableScan(token, columns, values, row_count)
             cached = self._table_columns.setdefault((uri, local), entry)
             if cached.token != token:
                 cached = self._table_columns[(uri, local)] = entry
             values = cached.values
-        if reduced is not None:
-            schema = self._project_schema(schema, result.columns)
-        return ([(decl.name, decl.xs_type) for decl in schema.columns],
-                values, row_count)
+        return columns, values, row_count
 
     def scan_handles(self, uri: str, local: str,
                      context: Optional[QueryContext] = None,
@@ -497,15 +512,14 @@ class DSPRuntime:
         values.append(list(handles))
         return [*result.columns, (HANDLE, None)], values, len(pairs)
 
-    def join_tables(self, uri: str, local: str, column: list):
-        """The dict of join hash tables (by key column names) kept in
-        the column-cache entry that holds *column* — a list
-        :meth:`scan_columns` returned — or None when it did not come
-        from that entry (a pushed or uncached scan)."""
-        cached = self._table_columns.get((uri, local))
-        if cached is None or not any(c is column for c in cached.values):
-            return None
-        return cached.join_tables
+    def cached_entry(self, uri: str, local: str,
+                     values: list) -> Optional[_TableScan]:
+        """The column-cache entry whose column lists *values* (what
+        :meth:`scan_columns` returned) are, or None: a pushed or
+        uncached scan's, or a version replaced since."""
+        entry = self._table_columns.get((uri, local))
+        return entry if entry is not None and entry.values is values \
+            else None
 
     @staticmethod
     def _project_schema(schema: RowSchema, scan_columns) -> RowSchema:

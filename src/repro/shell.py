@@ -360,6 +360,10 @@ class Shell:
             f"AGGREGATION: "
             f"queries={runtime_counters.get('vector.agg_queries', 0)} "
             f"groups={runtime_counters.get('vector.agg_groups', 0)}")
+        as_computed = runtime_counters.get("vector.as_computed_columns", 0)
+        generic = runtime_counters.get("vector.generic_columns", 0)
+        self._out(f"TYPED ROWS: as_computed_columns={as_computed} "
+                  f"generic_columns={generic}")
 
     # -- loops --------------------------------------------------------------
 

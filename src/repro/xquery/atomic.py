@@ -225,6 +225,17 @@ def naive(col: list) -> bool:
     return all(v.tzinfo is None and not v.fold for v in col if v is not None)
 
 
+#: Exact cell kind -> its column guard (True: any column). A guard is a
+#: for-all over cells: it passes on every subset of a column it passes.
+REGULAR_KINDS = {
+    **dict.fromkeys((int, str, datetime.date), True),
+    Decimal: plain_decimals,
+    float: no_negative_zero,
+    datetime.time: naive,
+    datetime.datetime: naive,
+}
+
+
 # ---------------------------------------------------------------------------
 # Effective boolean value
 # ---------------------------------------------------------------------------

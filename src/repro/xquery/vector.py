@@ -66,6 +66,7 @@ from ..xmlmodel.escape import escape_text, has_specials
 from . import ast
 from .analysis import free_vars, subexpressions
 from .atomic import (
+    REGULAR_KINDS,
     SERIALIZERS,
     UntypedAtomic,
     _coerce_for_value_comparison,
@@ -74,11 +75,8 @@ from .atomic import (
     compare_values,
     general_comparison,
     is_node,
-    naive,
     negate,
-    no_negative_zero,
     order_key,
-    plain_decimals,
     serialize_atomic,
 )
 from .evaluator import CONTEXT_KEY, _append_content, _Directional, _Frame
@@ -154,8 +152,9 @@ class _VectorStats(threading.local):
     ``generic_columns`` the encode, row conversion, cast,
     view, join- and group-key batch columns that took the per-cell path
     because their cells were not of one kind a kernel serves
-    (:func:`_kernel`), and ``untyped_views`` the record-set batch
-    columns read as their untyped view (:func:`_untyped`)."""
+    (:func:`_kernel`), ``untyped_views`` the record-set batch
+    columns read as their untyped view (:func:`_untyped`), and
+    ``as_computed_columns`` the output columns handed over on facts."""
 
     def __init__(self):
         self.executions = 0
@@ -168,17 +167,18 @@ class _VectorStats(threading.local):
         self.join_reuses = 0
         self.generic_columns = 0
         self.untyped_views = 0
+        self.as_computed_columns = 0
 
 
 VSTATS = _VectorStats()
 
 
-def _count(columnar, name: str) -> None:
-    """One more *name* in :data:`VSTATS` and *columnar*'s counter."""
-    setattr(VSTATS, name, getattr(VSTATS, name) + 1)
+def _count(columnar, name: str, n: int = 1) -> None:
+    """*n* more *name* in :data:`VSTATS` and *columnar*'s counter."""
+    setattr(VSTATS, name, getattr(VSTATS, name) + n)
     counter = getattr(columnar, "_" + name, None)
     if counter is not None:
-        counter.increment()
+        counter.add(n)
 
 
 class _Batch:
@@ -246,15 +246,32 @@ _COMPARE_CLASS = {int: "n", Decimal: "n", str: "s", UntypedAtomic: "s",
 def _kind(col: list) -> tuple:
     """``(kind, nulls)`` of a batch column, observed in one C-level
     pass (a parameter has no static type, a source's declared one is
-    not enforced): the exact type its non-NULL cells share — a ``bool``
-    is no ``int`` — or ``NoneType`` when it has none, None when they
-    mix; and whether it holds a NULL."""
+    not enforced: ``coerce_value`` admits an ``int`` subclass): the
+    exact type its non-NULL cells share — a ``bool`` is no ``int`` — or
+    ``NoneType`` when it has none, None when they mix; and whether it
+    holds a NULL. A table version's column is observed once
+    (:func:`regular_kind`)."""
     kinds = set(map(type, col))
     nulls = _NONE in kinds
     kinds.discard(_NONE)
     if len(kinds) > 1:
         return None, nulls
     return (kinds.pop() if kinds else _NONE), nulls
+
+
+def regular_kind(col: list):
+    """The *fact* of a table version's column: the exact kind of its
+    non-NULL cells (``NoneType`` if none) when it is one of
+    ``REGULAR_KINDS`` whose guard passes on the whole column, else
+    None. A guard is a for-all over cells, so the fact holds for what
+    the plan makes of the column: a filter's gather, join pairs, a
+    sort, a LIMIT slice, an outer join's NULL extension."""
+    kind, _nulls = _kind(col)
+    if kind is _NONE:
+        return kind
+    guard = REGULAR_KINDS.get(kind)
+    return kind if guard is True or (guard is not None and guard(col)) \
+        else None
 
 
 def _kernel(col: list, table: dict, columnar=None) -> tuple:
@@ -326,18 +343,14 @@ def _view(state, batch: _Batch, key: tuple) -> list:
 
 #: ``xs:`` cast -> {exact cell kind: column guard}: the pairs whose cast
 #: of a cell's view is the cell itself (value, type, repr) on a column
-#: the guard passes; tests/xquery/test_typed_boundary.py proves each.
+#: the guard (the kind's ``REGULAR_KINDS`` one) passes;
+#: tests/xquery/test_typed_boundary.py proves each.
 _CAST_IDENTITY = {
-    **dict.fromkeys(("integer", "int", "long", "short"), {int: True}),
-    "decimal": {Decimal: plain_decimals},
-    "double": {float: no_negative_zero},
-    "float": {float: no_negative_zero},
-    "string": {str: True},
-    "boolean": {bool: True},
-    "date": {datetime.date: True},
-    "time": {datetime.time: naive},
-    "dateTime": {datetime.datetime: naive},
-}
+    local: {kind: REGULAR_KINDS.get(kind, True)} for local, kind in (
+        ("integer", int), ("int", int), ("long", int), ("short", int),
+        ("decimal", Decimal), ("double", float), ("float", float),
+        ("string", str), ("boolean", bool), ("date", datetime.date),
+        ("time", datetime.time), ("dateTime", datetime.datetime))}
 
 
 def _cast_kernel(local: str, raw):
@@ -410,7 +423,7 @@ class _State:
     reads (by slot), ``actuals`` / ``seconds`` EXPLAIN's counts."""
 
     __slots__ = ("plan", "frame", "ctx", "params", "actuals", "seconds",
-                 "memo", "bound")
+                 "memo", "bound", "facts")
 
     def __init__(self, plan, frame: _Frame, params: dict, actuals):
         self.plan = plan
@@ -422,6 +435,7 @@ class _State:
             if isinstance(actuals, PlanActuals) else {}
         self.memo: dict = {}
         self.bound: dict = {}
+        self.facts = None  # per output column, once asked (OutputColumns)
 
 
 # ---------------------------------------------------------------------------
@@ -530,18 +544,20 @@ def _vconst(value, vtype: Optional[str]) -> _V:
 class _RowVar:
     """Environment entry of a row variable: ``schema`` maps the child
     names ``$var/NAME`` may step to onto their xs: type. A data-service
-    row has its declared columns; a record-set row (see
+    row has its declared columns, in the table's order, and the
+    :class:`_Scan` that binds it (``scan``); a record-set row (see
     :func:`lower_records`) has its RECORD's cells, all
     :data:`_UNTYPED` to a reader, the sub-plan itself (``source``), and
     a *demand* hook: the sub-plan computes a plain-column cell only if
     somebody reads it."""
 
-    __slots__ = ("schema", "demand", "source")
+    __slots__ = ("schema", "demand", "source", "scan")
 
-    def __init__(self, schema: dict, demand=None, source=None):
+    def __init__(self, schema: dict, demand=None, source=None, scan=None):
         self.schema = schema
         self.demand = demand
         self.source = source
+        self.scan = scan
 
 
 class _LetRows:
@@ -1536,9 +1552,8 @@ class _HashJoin(_Op):
             # first executions may both build, and the last to assign
             # wins.
             columnar = state.plan.columnar
-            tables = self.reuse and columnar.join_tables(
-                scan.uri, scan.local,
-                build.cols[(scan.var, self.reuse[0])])
+            entry = self.reuse and scan.entry(state)
+            tables = entry.join_tables if entry else None
             hashed = tables.get(self.reuse) if tables else None
             _count(columnar,
                    "join_builds" if hashed is None else "join_reuses")
@@ -1648,9 +1663,10 @@ class _Scan(_Source):
     name = "scan"
 
     def _columns(self, state: _State):
-        """``(column name -> values, row count)`` of the scan — read
-        once per execution, however often a correlated sub-plan runs
-        it."""
+        """``(column name -> values, row count, cache entry)`` of the
+        scan — read once per execution, however often a correlated
+        sub-plan runs it; the entry is None for a pushed or uncached
+        scan and a DML read."""
         scanned = state.memo.get(self)
         if scanned is None:
             request = bind_scan_request(self.request, state.frame.lookup)
@@ -1658,13 +1674,24 @@ class _Scan(_Source):
             read = host.scan_handles if self.handles else host.scan_columns
             columns, values, nrows = read(self.uri, self.local,
                                           context=state.ctx, scan=request)
+            entry = None if self.handles \
+                else host.cached_entry(self.uri, self.local, values)
             scanned = state.memo[self] = (
                 {name: col for (name, _xs), col in zip(columns, values)},
-                nrows)
+                nrows, entry)
         return scanned
 
+    def entry(self, state: _State):
+        """The cache entry of :meth:`_columns`."""
+        return self._columns(state)[2]
+
+    def fact(self, state: _State, index: int):
+        """The fact of column *index* in the version read, or None."""
+        entry = self._columns(state)[2]
+        return None if entry is None else entry.fact(index)
+
     def rows(self, state: _State) -> Iterator[_Batch]:
-        colmap, nrows = self._columns(state)
+        colmap, nrows, _entry = self._columns(state)
         var = self.var
         size = state.plan.batch_size
         whole = nrows <= size  # one batch: the columns as they are
@@ -1683,7 +1710,7 @@ class _Scan(_Source):
             yield batch
 
     def build_side(self, state: _State) -> _Batch:
-        colmap, nrows = self._columns(state)
+        colmap, nrows, _entry = self._columns(state)
         return _Batch(nrows, {(self.var, name): col
                               for name, col in colmap.items()})
 
@@ -1742,9 +1769,8 @@ class _Lowered(_RecordSet):
         self.record_name, self.cells = _record_cells(record, env)
         self.projections: dict = {}
         self.reads: dict = {}
-        for name, content in self.cells.items():
-            if not (_is_fn_call(cc, content, FN_URI, "data", 1)
-                    and _column_ref(content.args[0], env) is not None):
+        for name in self.cells:
+            if self.column(name) is None:
                 self.project(name)
 
     def children(self) -> tuple:
@@ -1762,6 +1788,13 @@ class _Lowered(_RecordSet):
 
     def note_read(self, name: str, read: list) -> None:
         self.reads.setdefault(name, []).append(read)
+
+    def column(self, name: str) -> Optional[tuple]:
+        """``(row variable entry, batch key)`` when cell *name* is a
+        plain column of a row variable, ``fn:data($v/C)``."""
+        content = self.cells[name]
+        return _column_ref(content.args[0], self.env) \
+            if _is_fn_call(self.cc, content, FN_URI, "data", 1) else None
 
     def boundary(self) -> list:
         """EXPLAIN's ``(cell, "typed" | "view", consumer)`` reads."""
@@ -2097,7 +2130,7 @@ def _lower_source(cc: _Ctx, for_clause: ast.ForClause, hint,
             raise _Decline("non_scan_source")
         scan = _Scan(call[0], call[1], hint, False)
         scan.var, scan.with_ordinal = var, with_ordinal
-        return scan, _RowVar(dict(schema))
+        return scan, _RowVar(dict(schema), scan=scan)
     # $t/RECORD over a let-bound record set (each read runs it: FULL
     # OUTER reads both sides twice), or over the constructor written in
     # place; else a record-set expression read as it is.
@@ -2470,10 +2503,29 @@ def _count_rows(batches, state: _State, node) -> Iterator[_Batch]:
         state.seconds[node] = state.seconds.get(node, 0.0) + spent
 
 
+class OutputColumns(list):
+    """One output batch: a list of columns, one per output cell.
+    :meth:`facts` — per column of the delimited wrapper, the fact
+    (:func:`regular_kind`) of the table version it is a column of, or
+    a subset of, else None (a computed cell, a group output, a derived
+    table's cell, a pushed or uncached scan's column) — is resolved at
+    compile time and read through the scans' per-execution memo, once
+    per execution."""
+
+    __slots__ = ("_state",)
+
+    def facts(self) -> list:
+        state = self._state
+        if state.facts is None:
+            state.facts = [None if at is None else at[0].fact(state, at[1])
+                           for at in state.plan.scan_cells]
+        return state.facts
+
+
 class _VectorPlan:
     __slots__ = ("columnar", "batch_size", "lowered", "names",
                  "projections", "param_names", "recordset",
-                 "external_vars")
+                 "external_vars", "scan_cells")
 
     def __init__(self, compiler, lowered, names, param_names,
                  recordset=None):
@@ -2496,6 +2548,14 @@ class _VectorPlan:
         #: The xml format's RECORDSET element name; None when the
         #: output stage encodes delimited text.
         self.recordset = recordset
+        #: Per output cell, ``(scan, column index)`` when it is a
+        #: scanned table's column (see :class:`OutputColumns`).
+        self.scan_cells = []
+        for name in names:
+            row, key = lowered.column(name) or (None, None)
+            self.scan_cells.append(
+                None if row is None or row.scan is None
+                else (row.scan, list(row.schema).index(key[1])))
 
     def plan_reports(self, estimator=None) -> list:
         """EXPLAIN's plan, one walk over the operator tree: per FLWOR in
@@ -2539,6 +2599,7 @@ class _VectorPlan:
         scan.handles = True
         key = (scan.var, HANDLE)
         self.projections.append(_V(lambda state, batch: batch.cols[key]))
+        self.scan_cells.append(None)
 
     # -- entry ------------------------------------------------------------
 
@@ -2581,7 +2642,7 @@ class _VectorPlan:
         """The output stage: per non-empty batch, one column per output
         cell — as computed for the delimited wrapper (a record-set
         cell's raw values), as the RECORD children's views for the xml
-        format."""
+        format: an :class:`OutputColumns`."""
         raw = self.recordset is None
         cells = [projection.raw[0] if raw and projection.raw is not None
                  else projection.eval for projection in self.projections]
@@ -2589,7 +2650,8 @@ class _VectorPlan:
         for b in batches:
             if b.n == 0:
                 continue
-            cols = [cell(state, b) for cell in cells]
+            cols = OutputColumns([cell(state, b) for cell in cells])
+            cols._state = state
             stats.batches += 1
             stats.rows += b.n
             if state.ctx is not None:
@@ -2629,6 +2691,11 @@ class _VectorPlan:
         """Count an output column a reader converts cell by cell, its
         cells of mixed kinds (``vector.generic_columns``)."""
         _count(self.columnar, "generic_columns")
+
+    def note_as_computed(self, columns: int) -> None:
+        """Count output columns a reader handed over on their facts
+        (``vector.as_computed_columns``)."""
+        _count(self.columnar, "as_computed_columns", columns)
 
 
 def encode_columns(cols: list, columnar=None) -> str:

@@ -457,8 +457,8 @@ def pull_typed(batches, columns):
     """:func:`pull` for :func:`iter_rows` over typed batches."""
     rows = []
     try:
-        for row in iter_rows(iter(batches), columns):
-            rows.append(row)
+        for batch in iter_rows(iter(batches), columns):
+            rows.extend(batch)
     except DataError as exc:
         return rows, str(exc)
     return rows, None
@@ -521,7 +521,7 @@ class TestTypedRows:
         (7, "DECIMAL", Decimal("7")),
     ])
     def test_the_cases_that_convert(self, value, kind, expected):
-        [(cell,)] = iter_rows([[[value]]], cols(kind))
+        [[(cell,)]] = iter_rows([[[value]]], cols(kind))
         assert repr(cell) == repr(expected) and type(cell) is type(expected)
 
     def test_a_bool_in_an_integer_column_is_the_decoder_s_error(self):
@@ -531,5 +531,5 @@ class TestTypedRows:
 
     def test_identity_pairs_hand_over_the_cells_themselves(self):
         values = [10**30, -5, None]
-        [(cell,), _, _] = iter_rows([[values]], cols("BIGINT"))
+        [[(cell,), _, _]] = iter_rows([[values]], cols("BIGINT"))
         assert cell is values[0]

@@ -4,12 +4,13 @@ the query lifecycle subsystem."""
 
 import threading
 import time
-from itertools import count, islice
+from itertools import count
 
 import pytest
 
 from repro import RuntimeConfig, clock
 from repro.driver import OperationalError, connect
+from repro.driver.codec import RowBuffer
 from repro.engine import FaultProfile, RetryPolicy, install_fault
 from repro.errors import DatabaseError, XQueryDynamicError
 from repro.obs import Tracer
@@ -462,10 +463,12 @@ class TestBlockPull:
         assert len(cursor.fetchmany(5)) == 5
 
         def fails_after(stream, rows):
-            yield from islice(stream, rows)
+            taken = []
+            stream.take(rows, taken)
+            yield taken
             raise XQueryDynamicError("source went away")
 
-        cursor._stream = fails_after(cursor._stream, 40)
+        cursor._stream = RowBuffer(fails_after(cursor._stream, 40))
         with pytest.raises(DatabaseError, match="source went away"):
             cursor.fetchall()
         stats = connection.stats()

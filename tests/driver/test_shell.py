@@ -123,6 +123,7 @@ class TestShellCommands:
         assert "METADATA_CACHE:" in text
         assert "PARALLEL" not in text
         assert "AGGREGATION: queries=" in text
+        assert "TYPED ROWS: as_computed_columns=" in text
 
     def test_format_validation(self, shell_io):
         shell, lines = shell_io

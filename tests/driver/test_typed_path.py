@@ -6,7 +6,8 @@ one the Evaluator runs — here a batched plan whose parameter is bound to
 a node (``param_shape``) — as text through the decoder. Every case runs
 with both: cancellation and deadlines between fetches inside one batch,
 the admission slot's row charges, closing or re-executing mid-stream,
-and mixing ``fetch_text`` with the row fetches on one result.
+mixing ``fetch_text`` with the row fetches on one result, and a ``for``
+loop over the cursor, which pulls a page of rows at a time.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import pytest
 
 from repro import clock, connect
+from repro.driver.dbapi import DEFAULT_FETCH_PAGE, Cursor
 from repro.errors import OperationalError, ProgrammingError
 from repro.workloads.scaling import build_scaled_runtime
 from repro.xmlmodel import element
@@ -132,8 +134,9 @@ def test_leaving_mid_stream_closes_the_stages(run, how, monkeypatch):
         cursor.close()
     else:
         cursor.execute("SELECT COUNT(*) FROM FACTS")
-    with pytest.raises(StopIteration):
-        next(reader)
+    rest = []
+    reader.take(None, rest)
+    assert rest == []
     if kind == "batched":  # (the Evaluator's scan is no stage)
         assert [event for event, _info in events[:2]] == ["open", "closed"]
         assert events[0][1] is events[1][1]
@@ -158,3 +161,57 @@ def test_mixing_fetch_modes_is_a_programming_error(run, first):
     # The cursor is usable again.
     cursor.execute("SELECT COUNT(*) FROM FACTS")
     assert cursor.fetchall() == [(ROWS,)]
+
+
+ITERATED = 5_000
+
+
+@pytest.fixture
+def iterated(run, monkeypatch):
+    """``(runtime, cursor, pulls)``: *run*'s statement over a
+    ``ITERATED``-row table, executed; *pulls* lists each fetch step's
+    row limit."""
+    kind, _runtime, _connection, parameter = run
+    pulls = []
+    pull = Cursor._pull_streamed
+
+    def counted(self, limit, text=False):
+        pulls.append(limit)
+        return pull(self, limit, text)
+
+    monkeypatch.setattr(Cursor, "_pull_streamed", counted)
+    runtime = build_scaled_runtime(ITERATED)
+    cursor = connect(runtime).cursor()
+    cursor.execute(SQL, [parameter])
+    return runtime, cursor, pulls
+
+
+def test_iteration_pulls_a_page_at_a_time(iterated):
+    runtime, cursor, pulls = iterated
+    assert [row[0] for row in cursor] == list(range(ITERATED))
+    assert len(pulls) <= -(-ITERATED // DEFAULT_FETCH_PAGE) + 1
+    assert cursor.rowcount == ITERATED and _released(runtime)
+
+
+def test_rows_the_loop_did_not_reach_stay_fetchable(iterated):
+    _runtime, cursor, _pulls = iterated
+    seen = []
+    for row in cursor:
+        seen.append(row)
+        if len(seen) == 10:
+            break
+    seen.append(cursor.fetchone())
+    seen += cursor.fetchmany(5)
+    seen += cursor.fetchall()
+    assert [row[0] for row in seen] == list(range(ITERATED))
+
+
+def test_cancel_during_iteration_raises_at_the_next_pull(iterated):
+    runtime, cursor, _pulls = iterated
+    seen = 0
+    with pytest.raises(OperationalError, match="cancel"):
+        for seen, _row in enumerate(cursor, 1):
+            if seen == 10:
+                cursor.cancel()
+    assert seen <= DEFAULT_FETCH_PAGE
+    assert cursor._stream is None and _released(runtime)

@@ -29,6 +29,13 @@ took:
   exactly the stream ``stream_chunks`` yields, a chunk per batch. That
   rows read either way keep their types cell for cell is
   tests/server/test_remote_differential.py's check;
+* once warm, the same ``SELECT *`` read by ``fetchall`` hands every
+  output column of every batch over on its table version's facts
+  (``vector.as_computed_columns``), on memory and on SQLite: no column
+  is observed, ``plain_decimals`` is not called and
+  ``vector.generic_columns`` does not move; a computed cell
+  (``AMOUNT * 2``) is still observed, once per batch (that facts follow
+  the version: tests/integration/test_version_facts.py);
 * a point join that names the big table first (``FROM DETAILS D,
   FACTS F ... F.ID = ?``) is reordered by statistics: its plan holds
   ``restore-order``, and the one FACTS row drives the join, not the
@@ -51,11 +58,13 @@ took:
 from __future__ import annotations
 
 import datetime
+from decimal import Decimal
 
 import pytest
 
 from repro import connect
 from repro.catalog import Application
+from repro.driver import codec
 from repro.engine import DSPRuntime, import_tables
 from repro.sources.sqlite import SQLiteSource
 from repro.sql.types import SQLType
@@ -65,6 +74,7 @@ from repro.workloads.scaling import (
     build_scaled_runtime,
     build_scaled_storage,
 )
+from repro.xquery.atomic import REGULAR_KINDS
 
 REPORT_JOIN = ("SELECT F.ID, F.NAME, D.DETAILID, D.QTY FROM FACTS F "
                "INNER JOIN DETAILS D ON F.ID = D.FACTID WHERE F.REGION = ?")
@@ -214,6 +224,47 @@ def test_embedded_rows_print_no_text_and_pages_are_the_stream():
         ("delimited", sql),
         connection.translator.translate(sql, format="delimited").module)
     assert "".join(pages) == "".join(plan.stream_chunks())
+    connection.close()
+
+
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+def test_a_warm_scan_hands_every_column_over_on_facts(backend, monkeypatch):
+    connection = connect(_runtime_on(backend, build_scaled_storage(5_000)))
+    cursor = connection.cursor()
+    cursor.execute("SELECT * FROM FACTS")
+    cursor.fetchall()  # the version and its facts, once
+    guarded, observed = [], []
+    guard = REGULAR_KINDS[Decimal]
+    typed_column = codec._typed_column
+
+    def counted_guard(col):
+        guarded.append(len(col))
+        return guard(col)
+
+    def counted_column(col, *args):
+        observed.append(len(col))
+        return typed_column(col, *args)
+
+    monkeypatch.setitem(REGULAR_KINDS, Decimal, counted_guard)
+    monkeypatch.setitem(codec._AS_COMPUTED, (Decimal, "DECIMAL"),
+                        counted_guard)
+    monkeypatch.setattr(codec, "_typed_column", counted_column)
+
+    def counters():
+        return [_counter(connection, name) for name in (
+            "vector.as_computed_columns", "vector.generic_columns")]
+
+    before = counters()
+    cursor.execute("SELECT * FROM FACTS")
+    assert len(cursor.fetchall()) == 5_000
+    after = counters()
+    # 5 batches of 4 columns.
+    assert [b - a for a, b in zip(before, after)] == [20, 0]
+    assert guarded == [] and observed == []
+    cursor.execute("SELECT ID, AMOUNT * 2 FROM FACTS")
+    assert len(cursor.fetchall()) == 5_000
+    assert observed == [1_024] * 4 + [904]
+    assert [b - a for a, b in zip(after, counters())] == [5, 0]
     connection.close()
 
 
