@@ -510,7 +510,8 @@ class Cursor:
         self._live: Optional[Iterator] = None
         self._typed = None
         self._stream = None
-        self._columns: Sequence[ResultColumn] = ()
+        #: The result schema; None: no result set.
+        self._columns: Optional[Sequence[ResultColumn]] = None
         self._fetched = 0
         #: Rows already charged against the admission slot's in-flight
         #: budget; with a batched pipeline this tracks rows *buffered*
@@ -530,6 +531,8 @@ class Cursor:
 
     @property
     def description(self) -> Optional[list[tuple]]:
+        if self._description is None and self._columns is not None:
+            self._description = describe(self._columns)
         return self._description
 
     @property
@@ -537,11 +540,14 @@ class Cursor:
         """The result schema behind ``description`` — each column's own
         SQL type, which the PEP 249 type objects blur (driver
         extension; None when there is no result set)."""
-        return None if self._description is None else self._columns
+        return self._columns
 
-    def _set_description(self, columns: Sequence[ResultColumn]) -> None:
-        self._columns = columns
-        self._description = describe(columns)
+    def _set_description(
+            self, columns: Optional[Sequence[ResultColumn]]) -> None:
+        """Adopt a result schema; ``description`` is built on first read
+        and kept while re-runs hand back the same (cached) schema."""
+        if columns is not self._columns:
+            self._columns, self._description = columns, None
 
     # -- execution --------------------------------------------------------------
 
@@ -634,7 +640,7 @@ class Cursor:
         self._index = 0
         self._fetched = 0
         self._charged_rows = 0
-        self._description = None
+        self._set_description(None)
         self.rowcount = result.rowcount
         self.lastrowid = result.lastrowid
         return self
@@ -799,7 +805,7 @@ class Cursor:
         self._index = 0
         self._fetched = 0
         self._charged_rows = 0
-        self._description = None
+        self._set_description(None)
         self.rowcount = sum(result.rowcount for result in results)
         self.lastrowid = results[-1].lastrowid if results else None
         return self
@@ -1071,7 +1077,7 @@ class Cursor:
         self._release_stream()
         self._closed = True
         self._rows = []
-        self._description = None
+        self._set_description(None)
 
     def _check_open(self) -> None:
         if self._closed:
@@ -1080,5 +1086,5 @@ class Cursor:
 
     def _check_results(self) -> None:
         self._check_open()
-        if self._description is None:
+        if self._columns is None:
             raise ProgrammingError("no query has been executed")

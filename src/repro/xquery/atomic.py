@@ -484,6 +484,56 @@ def order_key(value: object | None):
         code="XPTY0004")
 
 
+#: Exact type -> ``(eq category, value -> canonical key)``: the one
+#: definition :func:`join_key` and :func:`grouping_key` read per value
+#: and the batch executor resolves once per key column. No function
+#: means the key is ``(category, value)`` itself. Categories mirror
+#: ``compare_values``: values eq refuses to compare differ in category,
+#: values eq holds equal get keys that are equal and hash alike
+#: (Python's numeric hash makes ``5``, ``Decimal("5.0")`` and the
+#: ``Decimal("5.0")`` of float ``5.0`` one key; an untyped atomic is its
+#: string). A NaN equals nothing: its key is None.
+KEY_KINDS = {
+    bool: ("b", None),
+    int: ("n", None),
+    Decimal: ("n", lambda value: ("n", value) if value == value else None),
+    float: ("n", lambda value: ("n", Decimal(repr(value)))
+            if value == value else None),
+    str: ("s", None),
+    UntypedAtomic: ("s", lambda value: ("s", str(value))),
+    datetime.datetime: ("dt", None),
+    datetime.date: ("d", None),
+    datetime.time: ("t", None),
+}
+
+
+def join_key(value) -> tuple[str | None, object]:
+    """(comparison category, canonical hash key) of an eq join key per
+    :data:`KEY_KINDS`: ``(category, None)`` for a NaN — like a NULL key
+    it is neither stored nor probed — and ``(None, None)`` for a type
+    with no canonical form (the caller compares pairwise)."""
+    kind = type(value)
+    entry = KEY_KINDS.get(kind) or base_entry(KEY_KINDS, kind)
+    if entry is None:
+        return None, None
+    category, canon = entry
+    return category, (category, value) if canon is None else canon(value)
+
+
+def grouping_key(value) -> tuple:
+    """Canonical hashable form of a group-by key value: its eq key.
+    NULL (None) forms its own group, as SQL GROUP BY requires; so does
+    every NaN (a fresh NaN key equals no other)."""
+    if value is None:
+        return ("null",)
+    category, canon = join_key(value)
+    if category is None:
+        raise XQueryTypeError(
+            f"cannot group by values of type {type(value).__name__}",
+            code="XPTY0004")
+    return canon or ("n", Decimal("NaN"))
+
+
 # ---------------------------------------------------------------------------
 # Constructor-function casts (xs:TYPE(value))
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ translator writes. Everything else is run by the tree-walking
 ``Evaluator``: user-written XQuery text, logical data-service bodies,
 the hand-written shapes the lowering declines (each under one of
 ``vector.DECLINE_REASONS``), and a run whose parameter is bound to a node
-or a sequence (``param_shape``).
+or a sequence (``param_shape``). The Evaluator reads the module, never
+the plan: it runs the FLWOR clauses as written.
 
 Each FLWOR is planned once per compile (``_Compiler._planned``): the
 planner's clause list, its advisory pushdown hints, and stage 3's

@@ -10,15 +10,15 @@ executor (``repro.xquery.vector``), which runs every translated SQL
 statement, is differentially tested against it — and the executor of
 whatever is not translated SQL: user XQuery text, logical data-service
 bodies, and a run whose parameter is bound to a node or a sequence (see
-``repro.xquery.compile``). Clause planning (filter hoisting, hash
-equi-joins) lives in ``repro.xquery.planner``; with ``optimize=False``
-the clauses run as written, the oracle's unplanned leg.
+``repro.xquery.compile``). It shares no code with the planner: FLWOR
+clauses run as written, a ``for`` as a nested loop, but a ``where``
+stops at its first top-level conjunct that is not true (SQL's AND).
 
 Function calls into non-builtin namespaces (the data service functions,
 ``ns0:CUSTOMERS()``) are delegated to a *function resolver* supplied by the
 host — in this package, the DSP runtime (``repro.engine.dsp``), which also
 receives the query's lifecycle context when it declares a ``context``
-parameter; every for / join output tuple ticks that context.
+parameter; every for output tuple ticks that context.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .atomic import (
     arithmetic,
     effective_boolean_value,
     general_comparison,
+    grouping_key,
     is_node,
     is_numeric_value,
     negate,
@@ -42,13 +43,8 @@ from .atomic import (
     single_atomic,
     value_comparison,
 )
-from .functions import DEFAULT_NAMESPACES, call_builtin, is_builtin_namespace
-from .planner import (
-    HashJoinClause,
-    grouping_key as _grouping_key,
-    join_key as _join_key,
-    plan_clauses,
-)
+from .functions import (BEA_URI, DEFAULT_NAMESPACES, call_builtin,
+                        is_builtin_namespace)
 
 #: Host-supplied resolver for module-level (data service) functions:
 #: (namespace_uri, local_name, evaluated_argument_sequences) -> sequence.
@@ -155,19 +151,14 @@ class Evaluator:
     def __init__(self, module: ast.Module,
                  resolver: Optional[FunctionResolver] = None,
                  variables: Optional[dict[str, object]] = None,
-                 optimize: bool = True, context=None):
+                 context=None):
         self._module = module
         self._static = StaticContext(resolver)
-        self._optimize = optimize
         #: The ``QueryContext`` bounding this evaluation, or None.
         self._context = context
         self._tick = (lambda: None) if context is None else context.tick
         self._resolver_context = resolver is not None \
             and context is not None and accepts_keyword(resolver, "context")
-        #: Per-FLWOR planned clause lists, keyed by node identity: a
-        #: nested FLWOR (e.g. a wrapper cell) is planned once per
-        #: evaluator, not once per tuple.
-        self._plans: dict[int, list] = {}
         for decl in module.prolog:
             if isinstance(decl, (ast.SchemaImport, ast.NamespaceDecl)):
                 self._static.declare(decl.prefix, decl.uri)
@@ -356,25 +347,17 @@ class Evaluator:
 
     def _eval_flwor(self, expr: ast.FLWOR, frame: _Frame) -> Sequence:
         tuples: list[_Frame] = [frame]
-        if self._optimize:
-            clauses = self._plans.get(id(expr))
-            if clauses is None:
-                clauses = plan_clauses(expr.clauses, expr.return_expr)
-                self._plans[id(expr)] = clauses
-        else:
-            clauses = list(expr.clauses)
-        for clause in clauses:
-            if isinstance(clause, HashJoinClause):
-                tuples = self._apply_hash_join(clause, tuples)
-            elif isinstance(clause, ast.ForClause):
+        for clause in expr.clauses:
+            if isinstance(clause, ast.ForClause):
                 tuples = self._apply_for(clause, tuples)
             elif isinstance(clause, ast.LetClause):
                 tuples = [t.bind(clause.var, self._eval(clause.value, t))
                           for t in tuples]
             elif isinstance(clause, ast.WhereClause):
+                conjuncts = self._conjuncts(clause.condition)
                 tuples = [t for t in tuples
-                          if effective_boolean_value(
-                              self._eval(clause.condition, t))]
+                          if all(effective_boolean_value(self._eval(c, t))
+                                 for c in conjuncts)]
             elif isinstance(clause, ast.GroupClause):
                 tuples = self._apply_group(clause, tuples)
             elif isinstance(clause, ast.OrderClause):
@@ -397,51 +380,19 @@ class Evaluator:
                 output.append(t.bind(clause.var, [item]))
         return output
 
-    # -- hash equi-join application ------------------------------------
-    #
-    # The planner (repro.xquery.planner) replaces (for, where-eq...)
-    # groups with HashJoinClause nodes, possibly multi-key. Correctness
-    # is preserved exactly: NULL (empty) keys never match, cross-
-    # category key comparisons fall back to pairwise evaluation so type
-    # errors still surface, and NaN never matches itself.
-
-    def _apply_hash_join(self, join: HashJoinClause,
-                         tuples: list[_Frame]) -> list[_Frame]:
-        if not tuples:
-            return []
-        var = join.for_clause.var
-        items = self._eval(join.for_clause.source, tuples[0])
-        build = _build_join_table(
-            join, items,
-            lambda expr, item: single_atomic(
-                self._eval(expr, tuples[0].bind(var, [item])), "join key"))
-        tick = self._tick
-        output = []
-        for t in tuples:
-            if build is None:
-                matched = self._pairwise_matches(join, t, items)
-            else:
-                matched = _probe_join_table(
-                    join, *build,
-                    lambda expr: single_atomic(self._eval(expr, t),
-                                               "join key"))
-                if matched is _PAIRWISE:
-                    matched = self._pairwise_matches(join, t, items)
-            for item in matched:
-                tick()
-                output.append(t.bind(var, [item]))
-        return output
-
-    def _pairwise_matches(self, join: HashJoinClause, t: _Frame,
-                          items: Sequence) -> list:
-        var = join.for_clause.var
-        matched = []
-        for item in items:
-            inner = t.bind(var, [item])
-            if all(effective_boolean_value(self._eval(condition, inner))
-                   for _b, _p, condition in join.keys):
-                matched.append(item)
-        return matched
+    def _conjuncts(self, condition: ast.XExpr) -> list:
+        """A where condition's top-level ``and`` / ``fn-bea:and3``
+        operands, left to right. The where keeps a tuple only when every
+        one is true, so it stops at the first that is not: SQL's AND,
+        as the batch executor's split where runs it."""
+        if isinstance(condition, ast.AndExpr):
+            return (self._conjuncts(condition.left)
+                    + self._conjuncts(condition.right))
+        if isinstance(condition, ast.XFunctionCall) \
+                and condition.local == "and3" and len(condition.args) == 2 \
+                and self._static.namespaces.get(condition.prefix) == BEA_URI:
+            return [c for arg in condition.args for c in self._conjuncts(arg)]
+        return [condition]
 
     def _apply_group(self, clause: ast.GroupClause,
                      tuples: list[_Frame]) -> list[_Frame]:
@@ -452,7 +403,7 @@ class Evaluator:
             for key_expr, _key_var in clause.keys:
                 key_values.append(single_atomic(
                     self._eval(key_expr, t), "group key"))
-            key = tuple(_grouping_key(v) for v in key_values)
+            key = tuple(grouping_key(v) for v in key_values)
             if key not in groups:
                 groups[key] = {
                     "first": t,
@@ -534,71 +485,6 @@ def _append_content(element: Element, values: Sequence) -> None:
         else:
             pending.append(serialize_atomic(value))
     flush()
-
-
-#: Sentinel returned by _probe_join_table when a cross-category probe
-#: requires the exact (pairwise) path.
-_PAIRWISE = object()
-
-
-def _build_join_table(join: HashJoinClause, items: Sequence, eval_key):
-    """Build the composite-key hash table: ``(table, categories)`` or
-    ``None`` when any key value is uncanonicalizable or a key position
-    mixes comparison categories (both force pairwise evaluation, which
-    keeps eq's type-error semantics exact).
-
-    *eval_key(build_expr, item)* evaluates one build key against one
-    build-side item; key positions evaluate in conjunct order and stop
-    at the first NULL, mirroring the split-where plan's short-circuit.
-    """
-    nkeys = len(join.keys)
-    table: dict[tuple, list] = {}
-    categories: list[set] = [set() for _ in range(nkeys)]
-    for item in items:
-        canon_parts: list = []
-        for index, (build_key, _probe, _cond) in enumerate(join.keys):
-            key_value = eval_key(build_key, item)
-            if key_value is None:
-                canon_parts = None
-                break  # eq against NULL never matches
-            category, canon = _join_key(key_value)
-            if category is None:
-                return None
-            categories[index].add(category)
-            if canon is None:
-                canon_parts = None
-                break  # nor does eq against NaN
-            canon_parts.append(canon)
-        if canon_parts is None:
-            continue
-        table.setdefault(tuple(canon_parts), []).append(item)
-    if any(len(found) > 1 for found in categories):
-        # Mixed-category build keys would make a cross-category probe
-        # silently skip the pair that should raise a type error; fall
-        # back to pairwise evaluation (exact semantics) in that case.
-        return None
-    return table, categories
-
-
-def _probe_join_table(join: HashJoinClause, table: dict,
-                      categories: list, eval_probe):
-    """Probe with one tuple's composite key: the matching build items,
-    ``[]`` when a NULL probe key rules the tuple out, or ``_PAIRWISE``
-    when a cross-category probe must re-check pairwise (so the type
-    error the unoptimized plan raises still surfaces)."""
-    probe_parts: list = []
-    for index, (_build, probe_key, _cond) in enumerate(join.keys):
-        probe_value = eval_probe(probe_key)
-        if probe_value is None:
-            return []  # NULL probe matches nothing under eq
-        category, canon = _join_key(probe_value)
-        if category is None or (categories[index]
-                                and category not in categories[index]):
-            return _PAIRWISE
-        if canon is None:
-            return []  # so does a NaN
-        probe_parts.append(canon)
-    return table.get(tuple(probe_parts), [])
 
 
 class _Directional:

@@ -1,11 +1,13 @@
-"""FLWOR clause planning, shared by both XQuery executors.
+"""FLWOR clause planning for the batch executor.
 
 The paper delegates "any/all optimizations ... to the XQuery processor"
-(section 3.2); this module is that processor's planner, shared by the
-tree-walking ``Evaluator`` and the batch executor's lowering
-(``repro.xquery.compile`` / ``vector``). Planning is purely structural —
-it rewrites a FLWOR's clause list, never evaluates anything — so one
-plan is valid for every evaluation of the query.
+(section 3.2); this module is that processor's planner, read by the
+batch executor's lowering (``repro.xquery.compile`` / ``vector``) and
+by EXPLAIN. The tree-walking ``Evaluator`` does not use it: it is the
+oracle and runs the clauses as written, so a planner fault shows as a
+difference between the two. Planning is purely structural — it
+rewrites a FLWOR's clause list, never evaluates anything — so one plan
+is valid for every evaluation of the query.
 
 Rewrites, in order:
 
@@ -31,10 +33,10 @@ Rewrites, in order:
    conjunct keeps its evaluation position and its short-circuit
    behavior.
 
-Correctness invariants preserved by the join (see the evaluator's and
-the batch executor's apply sides): NULL (empty) keys never match,
-cross-category key comparisons fall back to pairwise evaluation so type
-errors still surface, and NaN never matches itself.
+Correctness invariants preserved by the join (see the batch executor's
+apply side): NULL (empty) keys never match, cross-category key
+comparisons fall back to pairwise evaluation so type errors still
+surface, and NaN never matches itself.
 """
 
 from __future__ import annotations
@@ -44,12 +46,12 @@ from dataclasses import dataclass, replace
 from decimal import Decimal
 from typing import NamedTuple, Optional
 
-from ..errors import XQueryError, XQueryTypeError
+from ..errors import XQueryError
 from ..sources.spi import Predicate, ScanRequest
 from . import ast
 from .analysis import (bound_vars, children, free_vars, map_children,
                        subexpressions)
-from .atomic import UntypedAtomic, base_entry, cast_to, is_node
+from .atomic import cast_to, is_node
 
 
 class HashJoinClause:
@@ -1257,61 +1259,6 @@ def _columns_used(var: str, exprs) -> Optional[set]:
         if not walk(expr):
             return None
     return used
-
-
-# ---------------------------------------------------------------------------
-# Runtime key canonicalization (shared by both executors' join/group)
-# ---------------------------------------------------------------------------
-
-
-#: Exact type -> ``(eq category, value -> canonical key)``: the one
-#: definition :func:`join_key` and :func:`grouping_key` read per value
-#: and the batch executor resolves once per key column. No function
-#: means the key is ``(category, value)`` itself. Categories mirror
-#: ``compare_values``: values eq refuses to compare differ in category,
-#: values eq holds equal get keys that are equal and hash alike
-#: (Python's numeric hash makes ``5``, ``Decimal("5.0")`` and the
-#: ``Decimal("5.0")`` of float ``5.0`` one key; an untyped atomic is its
-#: string). A NaN equals nothing: its key is None.
-KEY_KINDS = {
-    bool: ("b", None),
-    int: ("n", None),
-    Decimal: ("n", lambda value: ("n", value) if value == value else None),
-    float: ("n", lambda value: ("n", Decimal(repr(value)))
-            if value == value else None),
-    str: ("s", None),
-    UntypedAtomic: ("s", lambda value: ("s", str(value))),
-    datetime.datetime: ("dt", None),
-    datetime.date: ("d", None),
-    datetime.time: ("t", None),
-}
-
-
-def join_key(value) -> tuple[Optional[str], object]:
-    """(comparison category, canonical hash key) of an eq join key per
-    :data:`KEY_KINDS`: ``(category, None)`` for a NaN — like a NULL key
-    it is neither stored nor probed — and ``(None, None)`` for a type
-    with no canonical form (the caller compares pairwise)."""
-    kind = type(value)
-    entry = KEY_KINDS.get(kind) or base_entry(KEY_KINDS, kind)
-    if entry is None:
-        return None, None
-    category, canon = entry
-    return category, (category, value) if canon is None else canon(value)
-
-
-def grouping_key(value) -> tuple:
-    """Canonical hashable form of a group-by key value: its eq key.
-    NULL (None) forms its own group, as SQL GROUP BY requires; so does
-    every NaN (a fresh NaN key equals no other)."""
-    if value is None:
-        return ("null",)
-    category, canon = join_key(value)
-    if category is None:
-        raise XQueryTypeError(
-            f"cannot group by values of type {type(value).__name__}",
-            code="XPTY0004")
-    return canon or ("n", Decimal("NaN"))
 
 
 # ---------------------------------------------------------------------------

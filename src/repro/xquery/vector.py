@@ -66,6 +66,7 @@ from ..xmlmodel.escape import escape_text, has_specials
 from . import ast
 from .analysis import free_vars, subexpressions
 from .atomic import (
+    KEY_KINDS,
     REGULAR_KINDS,
     SERIALIZERS,
     UntypedAtomic,
@@ -74,7 +75,9 @@ from .atomic import (
     cast_to,
     compare_values,
     general_comparison,
+    grouping_key,
     is_node,
+    join_key,
     negate,
     order_key,
     serialize_atomic,
@@ -90,13 +93,10 @@ from .functions import (
     bea_in3,
 )
 from .planner import (
-    KEY_KINDS,
     HashJoinClause,
     RestoreOrderClause,
     bind_scan_request,
     estimate_plan,
-    grouping_key,
-    join_key,
     lower_group_aggregates,
 )
 

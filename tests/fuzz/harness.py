@@ -18,8 +18,7 @@ from repro.driver import Error, connect
 from repro.engine import DSPRuntime, Storage, import_tables
 from repro.sources.sqlite import SQLiteSource
 from repro.sql.types import SQLType
-from repro.xquery import Evaluator, compile_module, parse_xquery
-from repro.xquery.compile import CompiledQuery
+from repro.xquery import compile_module, parse_xquery
 
 from .sqlgen import SQL_TYPE_NAME
 
@@ -30,30 +29,14 @@ PROJECT = "FuzzServices"
 BATCH_SIZES = (2, 3, 5, 8, 1024)
 
 
-class _Unplanned(CompiledQuery):
-    """A compile the Evaluator runs without clause planning."""
-
-    __slots__ = ()
-
-    def _interpret(self, variables, context):
-        return Evaluator(self.module, resolver=self._resolver,
-                         variables=variables, context=context,
-                         optimize=False).evaluate()
-
-
-def evaluator_leg(runtime: DSPRuntime, optimize: bool = True) -> DSPRuntime:
+def evaluator_leg(runtime: DSPRuntime) -> DSPRuntime:
     """*runtime*, every statement of it run by the Evaluator — the
     differential's other leg. Its compiles get no columnar host, so
-    nothing lowers onto the batch executor; with *optimize* False the
-    Evaluator runs the clauses as written. Not cached: each execution
-    compiles."""
+    nothing lowers onto the batch executor, and the Evaluator runs the
+    clauses as written. Not cached: each execution compiles."""
 
     def prepare_module(key, module, tracer=None):
-        plan = compile_module(module, resolver=runtime.call_function)
-        if not optimize:
-            plan = _Unplanned(module, runtime.call_function,
-                              plan.compile_seconds, plan.streams_text)
-        return plan
+        return compile_module(module, resolver=runtime.call_function)
 
     runtime.prepare_module = prepare_module
     runtime.prepare = lambda text, tracer=None: prepare_module(

@@ -52,7 +52,10 @@ took:
   join above re-plans exactly once after a write to either of its
   tables, and (on memory, whose tokens are per table) a write to
   another table leaves its plan a hit; EXPLAIN's estimates, priced when
-  printed, count a row just inserted.
+  printed, count a row just inserted;
+* warm executions of a cached point statement build no PEP 249
+  description (``dbapi._type_object_for`` is not called), and the
+  description they show is the one the first execution built.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ import pytest
 
 from repro import connect
 from repro.catalog import Application
-from repro.driver import codec
+from repro.driver import codec, dbapi
 from repro.engine import DSPRuntime, import_tables
 from repro.sources.sqlite import SQLiteSource
 from repro.sql.types import SQLType
@@ -421,3 +424,25 @@ def test_explain_estimates_count_a_row_just_inserted():
     assert estimated() == 2_001
     assert _counter(connection, "plan_cache.misses") == misses
     connection.close()
+
+
+def test_warm_point_executions_describe_their_result_once(monkeypatch):
+    sql = "SELECT ID, NAME, AMOUNT FROM FACTS WHERE ID = ?"
+    cursor = connect(build_scaled_runtime(2_000)).cursor()
+    cursor.execute(sql, (7,))
+    cursor.fetchall()
+    description = cursor.description
+    calls = []
+    type_object_for = dbapi._type_object_for
+
+    def counted(kind):
+        calls.append(kind)
+        return type_object_for(kind)
+
+    monkeypatch.setattr(dbapi, "_type_object_for", counted)
+    for key in range(1, 31):
+        cursor.execute(sql, (key,))
+        assert len(cursor.fetchall()) == 1
+        assert cursor.description == description
+    assert calls == []
+    cursor.connection.close()

@@ -2,7 +2,9 @@
 
 Runs a join/subquery-heavy slice of the equivalence battery (and random
 queries) on the batch executor — planned, hash joins, cost-based — and
-on the Evaluator running every FLWOR's clauses as written.
+on the Evaluator running every FLWOR's clauses as written. The
+Evaluator shares no code with the planner, so a planner fault shows as
+a difference (``test_a_planner_fault_is_caught``).
 """
 
 import pytest
@@ -13,20 +15,20 @@ from repro.catalog import Application
 from repro.driver import connect
 from repro.engine import DSPRuntime, import_tables
 from repro.workloads import PROJECT, build_storage, generate_query
+from repro.xquery import planner
 
 from tests.fuzz.harness import evaluator_leg
 
 
-def make_runtime(optimize: bool) -> DSPRuntime:
+def make_runtime() -> DSPRuntime:
     storage = build_storage()
     application = Application("RTLApp")
     import_tables(application, PROJECT, storage)
-    runtime = DSPRuntime(application, storage)
-    return runtime if optimize else evaluator_leg(runtime, optimize=False)
+    return DSPRuntime(application, storage)
 
 
-FAST = connect(make_runtime(True))
-SLOW = connect(make_runtime(False))
+FAST = connect(make_runtime())
+SLOW = connect(evaluator_leg(make_runtime()))
 
 JOIN_HEAVY = [
     "SELECT C.CUSTOMERNAME, P.PAYMENT FROM CUSTOMERS C INNER JOIN "
@@ -68,3 +70,22 @@ def test_random_query_parity(seed):
     sql = generate_query(seed)
     assert sorted(map(repr, run(FAST, sql))) == \
         sorted(map(repr, run(SLOW, sql)))
+
+
+def test_a_planner_fault_is_caught(monkeypatch):
+    """A planner that drops a WHERE's last conjunct: the batch executor
+    keeps the rows only that conjunct rules out, the Evaluator does
+    not."""
+    split_conjuncts = planner.split_conjuncts
+
+    def drop_last(condition):
+        conjuncts = split_conjuncts(condition)
+        return conjuncts[:-1] if len(conjuncts) > 1 else conjuncts
+
+    monkeypatch.setattr(planner, "split_conjuncts", drop_last)
+    sql = ("SELECT CUSTOMERID FROM CUSTOMERS "
+           "WHERE CUSTOMERID > 10 AND CUSTOMERID < 40")
+    faulty = run(connect(make_runtime()), sql)
+    oracle = run(connect(evaluator_leg(make_runtime())), sql)
+    assert sorted(oracle) == [(12,), (23,), (31,)]
+    assert sorted(faulty) == [(12,), (23,), (31,), (44,), (55,)]

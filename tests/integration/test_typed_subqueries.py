@@ -7,7 +7,7 @@ date with a string raised XPTY0004 inside the helpers, which swallowed
 it, so these predicates silently matched nothing. Every form is checked
 against the reference SQL executor, against its EXISTS spelling where
 the two are equivalent, and — as text — across the batched plan and the
-tree-walking oracle, planned and unplanned.
+tree-walking oracle.
 
 (BOOLEAN has no column type in any source here; its leg of the rule is
 covered on XQuery text in tests/xquery/test_execution_memo.py and by
@@ -75,15 +75,13 @@ def reference_rows(sql: str) -> list:
 
 def executor_texts(sql: str) -> set:
     """The delimited result text under the batched plan and the oracle
-    evaluator, planned and unplanned."""
+    evaluator."""
     module = parse_xquery(CONNECTION.translate(sql).xquery)
     resolver = RUNTIME.call_function
     return {
         "".join(compile_module(module, resolver=resolver,
                                columnar=RUNTIME).stream_chunks()),
-        *(Evaluator(module, resolver=resolver,
-                    optimize=optimize).evaluate()[0]
-          for optimize in (True, False)),
+        Evaluator(module, resolver=resolver).evaluate()[0],
     }
 
 
@@ -141,6 +139,5 @@ def test_the_reported_queries_on_the_scaled_tables(sql):
     assert [tuple(row) for row in
             reference.execute(parse_statement(sql)).rows] == [(3,)]
     module = parse_xquery(connection.translate(sql).xquery)
-    oracle = Evaluator(module, resolver=runtime.call_function,
-                       optimize=False).evaluate()
+    oracle = Evaluator(module, resolver=runtime.call_function).evaluate()
     assert oracle == [">3"]

@@ -102,13 +102,13 @@ def test_accepted_vector_plan_is_the_plan_that_runs(sql):
 
 
 def test_unoptimized_plans_also_match():
-    """The Evaluator's unplanned leg (no hoisting/fusion/joins) agrees
-    with the batched plan too."""
+    """The Evaluator, which runs the clauses as written (no hoisting,
+    fusion or joins), agrees with the batched plan."""
     for sql in PAPER_EXAMPLES:
         xquery = TRANSLATOR.translate(sql, format="delimited").xquery
         module = parse_xquery(xquery)
-        interpreted = Evaluator(module, resolver=RUNTIME.call_function,
-                                optimize=False).evaluate()
+        interpreted = Evaluator(module,
+                                resolver=RUNTIME.call_function).evaluate()
         plan = compile_module(module, resolver=RUNTIME.call_function,
                               columnar=RUNTIME)
         assert canonical(plan.evaluate()) == canonical(interpreted), sql

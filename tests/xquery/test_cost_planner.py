@@ -218,8 +218,8 @@ def compiled(runtime: DSPRuntime, statistics):
 
 
 def oracle(runtime: DSPRuntime) -> list:
-    return Evaluator(parse_xquery(MODULE), resolver=runtime.call_function,
-                     optimize=False).evaluate()
+    return Evaluator(parse_xquery(MODULE),
+                     resolver=runtime.call_function).evaluate()
 
 
 LYING_STATS = [

@@ -1,9 +1,8 @@
 """The batched plan's per-execution memo: what cannot change while one
 execution runs — an invariant subquery, a hash-join build, a scan — is
 evaluated once, lazily, and never outlives or crosses an execution.
-Every case is also a three-way differential: the batched plan
-(materialized and streamed), the planned Evaluator and the unplanned
-one must produce the same text or the same error.
+Every case is also a differential: the batched plan and the Evaluator
+must produce the same text or the same error.
 """
 
 import threading
@@ -56,21 +55,16 @@ def outcome(run) -> str:
 
 def three_ways(xquery: str, variables=None, runtime=RUNTIME) -> str:
     """The query's outcome, asserted identical under the batched plan
-    (materialized and streamed) and the planned and unplanned
-    Evaluator."""
+    and the Evaluator."""
     module = parse_xquery(xquery)
     plan = compile_module(module, resolver=runtime.call_function,
                           columnar=runtime)
     assert plan.batched, plan.batched_reason
 
-    def oracle(optimize):
-        return lambda: Evaluator(module, resolver=runtime.call_function,
-                                 variables=variables,
-                                 optimize=optimize).evaluate()
-
-    expected = outcome(oracle(False))
+    expected = outcome(lambda: Evaluator(
+        module, resolver=runtime.call_function,
+        variables=variables).evaluate())
     assert outcome(lambda: plan.evaluate(variables)) == expected
-    assert outcome(oracle(True)) == expected
     return expected
 
 

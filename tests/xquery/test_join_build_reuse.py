@@ -6,7 +6,7 @@ runtime's column cache served — no outer join's build filter, every key a
 columns in the cache entry (``DSPRuntime.join_tables``) and the next
 execution over the same table version probes it instead of building it
 again. Every test here holds the batched plan's result to the
-Evaluator's, planned and unplanned, over the same sources, across
+Evaluator's (the clauses as written) over the same sources, across
 whatever moved the table between executions, and counts builds and
 reuses (``vector.join_builds`` / ``vector.join_reuses``) so a reuse is
 never silent — or wrong.
@@ -97,10 +97,10 @@ def moved(runtime: DSPRuntime, thunk) -> tuple:
 
 
 class Statement:
-    """One translated SELECT over *runtime*, run on three legs: the
+    """One translated SELECT over *runtime*, run on two legs: the
     batched plan the runtime caches (what a prepared statement runs)
-    and the interpreter, planned and unplanned — all three over the
-    runtime's own sources, so each sees the rows as they are now."""
+    and the interpreter — both over the runtime's own sources, so each
+    sees the rows as they are now."""
 
     def __init__(self, runtime: DSPRuntime, sql: str):
         self.runtime = runtime
@@ -115,7 +115,7 @@ class Statement:
     def run(self, *params) -> tuple:
         """``(result, (builds, reuses))`` of one batched execution; the
         result is its text, or the class of what it raised, and the
-        other two legs agree with it."""
+        interpreter agrees with it."""
         variables = {f"p{i}": [value]
                      for i, value in enumerate(params, start=1)}
         plan = self.plan()
@@ -123,10 +123,9 @@ class Statement:
         batched = outcome(lambda: plan.evaluate(variables))
         after = join_counts(self.runtime)
         resolver = self.runtime.call_function
-        for optimize in (True, False):
-            assert outcome(lambda: Evaluator(
-                self.module, resolver=resolver, variables=variables,
-                optimize=optimize).evaluate()) == batched
+        assert outcome(lambda: Evaluator(
+            self.module, resolver=resolver,
+            variables=variables).evaluate()) == batched
         return batched, (after[0] - before[0], after[1] - before[1])
 
     def build_table(self) -> str:
@@ -323,17 +322,20 @@ def test_another_category_probes_the_kept_table_pairwise():
     is a plain one and its table is kept, as A's is). The kept
     categories send the string pair by pair, where ``eq`` raises its
     type error on every leg — before A's join opens; a number then
-    probes both kept tables."""
-    runtime = without_pushdown(_runtime(_keyed_storage()))
-    statement = Statement(
-        runtime, "SELECT A.ID, B.BID FROM A INNER JOIN B ON A.X = B.Y "
-                 "WHERE B.Y = ?")
-    numbers = [">2>1>2>4>4>1>4>4"]
-    assert statement.run(2.5) == (numbers, (2, 0))
-    failed, counts = statement.run("2.5")
-    assert isinstance(failed, type) and counts == REUSED
-    assert statement.run(2.5) == (numbers, (0, 2))
-    runtime.close()
+    probes both kept tables. The same holds for the second position of
+    a two-key join over B."""
+    for where, numbers, strings, rows in [
+            ("B.Y = ?", (2.5,), ("2.5",), ">2>1>2>4>4>1>4>4"),
+            ("B.Y = ? AND B.BID = ?", (2.5, 1), (2.5, "1"), ">2>1>4>1")]:
+        runtime = without_pushdown(_runtime(_keyed_storage()))
+        statement = Statement(
+            runtime, "SELECT A.ID, B.BID FROM A INNER JOIN B "
+                     "ON A.X = B.Y WHERE " + where)
+        assert statement.run(*numbers) == ([rows], (2, 0))
+        failed, counts = statement.run(*strings)
+        assert isinstance(failed, type) and counts == REUSED
+        assert statement.run(*numbers) == ([rows], (0, 2))
+        runtime.close()
 
 
 def test_a_mixed_category_build_keeps_its_pairwise_flag():

@@ -1,7 +1,10 @@
-"""Tests for the XQuery engine's hash equi-join optimization.
+"""Tests for the XQuery planner's hash equi-join rewrite and the join
+semantics it must keep.
 
-The optimization must be semantically invisible: every case here is
-checked against the unoptimized evaluator.
+The planner's rewrites are checked structurally here (``plan_clauses``);
+the semantics cases pin the Evaluator, which runs the clauses as
+written, to the rows SQL's equality gives. The batch executor's hash
+join is held to the same rows by its own tests and the differentials.
 """
 
 import pytest
@@ -15,12 +18,8 @@ from repro.xquery.parser import parse_xquery_expr
 from repro.xquery.planner import HashJoinClause, plan_clauses
 
 
-def run_both(text, variables=None):
-    module = parse_xquery(text)
-    fast = Evaluator(module, variables=variables, optimize=True).evaluate()
-    slow = Evaluator(module, variables=variables,
-                     optimize=False).evaluate()
-    return fast, slow
+def run(text, variables=None):
+    return Evaluator(parse_xquery(text), variables=variables).evaluate()
 
 
 def rows(pairs, key_type="int"):
@@ -78,14 +77,13 @@ class TestHashJoinSemantics:
     def test_basic_equi_join(self):
         left = rows([(1, "a"), (2, "b"), (3, "c")])
         right = rows([(2, "x"), (3, "y"), (3, "z"), (9, "w")])
-        fast, slow = run_both(JOIN, {"left": left, "right": right})
-        assert fast == slow == ["b-x", "c-y", "c-z"]
+        assert run(JOIN, {"left": left, "right": right}) == \
+            ["b-x", "c-y", "c-z"]
 
     def test_null_keys_never_match(self):
         left = rows([(1, "a"), (None, "n")])
         right = rows([(1, "x"), (None, "m")])
-        fast, slow = run_both(JOIN, {"left": left, "right": right})
-        assert fast == slow == ["a-x"]
+        assert run(JOIN, {"left": left, "right": right}) == ["a-x"]
 
     def test_cross_numeric_representations_match(self):
         left = rows([(2, "a")], key_type="int")
@@ -93,53 +91,43 @@ class TestHashJoinSemantics:
             if False else [element(
                 "R", element("K", "2.0", type_annotation="decimal"),
                 element("V", "x", type_annotation="string"))]
-        fast, slow = run_both(JOIN, {"left": left, "right": right})
-        assert fast == slow == ["a-x"]
+        assert run(JOIN, {"left": left, "right": right}) == ["a-x"]
 
     def test_string_keys(self):
         left = rows([("p", "a"), ("q", "b")], key_type="string")
         right = rows([("q", "x")], key_type="string")
-        fast, slow = run_both(JOIN, {"left": left, "right": right})
-        assert fast == slow == ["b-x"]
+        assert run(JOIN, {"left": left, "right": right}) == ["b-x"]
 
     def test_untyped_vs_string_keys(self):
         """Untyped keys follow the eq rule (compare as strings)."""
         left = [element("R", element("K", "q"),
                         element("V", "a", type_annotation="string"))]
         right = rows([("q", "x")], key_type="string")
-        fast, slow = run_both(JOIN, {"left": left, "right": right})
-        assert fast == slow == ["a-x"]
+        assert run(JOIN, {"left": left, "right": right}) == ["a-x"]
 
     def test_cross_category_raises_like_unoptimized(self):
         left = rows([(1, "a")], key_type="int")
         right = rows([("zz", "x")], key_type="string")
-        module = parse_xquery(JOIN)
         with pytest.raises(XQueryTypeError):
-            Evaluator(module, variables={"left": left, "right": right},
-                      optimize=False).evaluate()
-        with pytest.raises(XQueryTypeError):
-            Evaluator(module, variables={"left": left, "right": right},
-                      optimize=True).evaluate()
+            run(JOIN, {"left": left, "right": right})
 
     def test_duplicates_multiply(self):
         left = rows([(1, "a"), (1, "b")])
         right = rows([(1, "x"), (1, "y")])
-        fast, slow = run_both(JOIN, {"left": left, "right": right})
-        assert sorted(fast) == sorted(slow) == \
+        assert sorted(run(JOIN, {"left": left, "right": right})) == \
             ["a-x", "a-y", "b-x", "b-y"]
 
     def test_order_preserved(self):
-        """The hash join must keep the nested-loop output order."""
+        """Rows come in nested-loop order, the order a hash join must
+        keep."""
         left = rows([(2, "a"), (1, "b"), (2, "c")])
         right = rows([(2, "x"), (1, "y"), (2, "z")])
-        fast, slow = run_both(JOIN, {"left": left, "right": right})
-        assert fast == slow
+        assert run(JOIN, {"left": left, "right": right}) == \
+            ["a-x", "a-z", "b-y", "c-x", "c-z"]
 
     def test_empty_sides(self):
-        fast, slow = run_both(JOIN, {"left": [], "right": rows([(1, "x")])})
-        assert fast == slow == []
-        fast, slow = run_both(JOIN, {"left": rows([(1, "a")]), "right": []})
-        assert fast == slow == []
+        assert run(JOIN, {"left": [], "right": rows([(1, "x")])}) == []
+        assert run(JOIN, {"left": rows([(1, "a")]), "right": []}) == []
 
 
 class TestPlannerScope:
@@ -196,8 +184,8 @@ class TestPlannerScope:
         text = ("for $a in $left for $b in $right "
                 "where fn:data($b/K) eq 5 "
                 "return fn:string(fn:data($b/V))")
-        fast, slow = run_both(text, {"left": left, "right": right})
-        assert fast == slow == ["x", "z", "x", "z"]
+        assert run(text, {"left": left, "right": right}) == \
+            ["x", "z", "x", "z"]
 
     def test_filter_against_outer_still_joined(self):
         # Key uses the outer var on one side, inner on the other.
@@ -235,8 +223,7 @@ class TestFilterHoisting:
                 "(fn:data($a/K) lt 3)) "
                 "return fn:concat(fn:string(fn:data($a/V)), "
                 "fn:string(fn:data($b/V)))")
-        fast, slow = run_both(text, {"left": left, "right": right})
-        assert fast == slow == ["ax", "by"]
+        assert run(text, {"left": left, "right": right}) == ["ax", "by"]
 
     def test_filters_never_cross_group_boundary(self):
         plan = self.plan_of(
@@ -249,31 +236,24 @@ class TestFilterHoisting:
         data = rows([(1, "a"), (1, "b"), (2, "c")])
         text = ("for $r in $rows group $r as $p by fn:data($r/K) as $k "
                 "where fn:count($p) > 1 return $k")
-        fast, slow = run_both(text, {"rows": data})
-        assert fast == slow == [1]
+        assert run(text, {"rows": data}) == [1]
 
     def test_guard_conjuncts_short_circuit_when_optimized(self):
-        """K ne 0 guards a division. fn-bea:and3 is a function call, so
-        the *unoptimized* plan evaluates both conjuncts eagerly and the
-        division by zero raises; the split-where plan evaluates the
-        guard first and short-circuits, matching the SQL oracle's AND.
+        """K ne 0 guards a division. fn-bea:and3 is a function call,
+        whose arguments a plain call would evaluate eagerly, so the
+        division by zero would raise; a where evaluates its conjuncts
+        in order and short-circuits instead, on the Evaluator as in the
+        batch executor's split where, matching the SQL oracle's AND.
         (SQL-92 leaves AND evaluation order implementation-defined, and
         XQuery 1.0 §2.3.4 explicitly permits rewrites that avoid
         errors — this pins the contract.)"""
-        from repro.errors import XQueryDynamicError
         data = [element("R", element("K", "0", type_annotation="int")),
                 element("R", element("K", "2", type_annotation="int"))]
         text = ("for $r in $rows "
                 "where fn-bea:and3((fn:data($r/K) ne 0), "
                 "((10 idiv fn:data($r/K)) eq 5)) "
                 "return fn:data($r/K)")
-        module = parse_xquery(text)
-        fast = Evaluator(module, variables={"rows": data},
-                         optimize=True).evaluate()
-        assert fast == [2]
-        with pytest.raises(XQueryDynamicError):
-            Evaluator(module, variables={"rows": data},
-                      optimize=False).evaluate()
+        assert run(text, {"rows": data}) == [2]
 
 
 class TestTranslatedJoins:

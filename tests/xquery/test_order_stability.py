@@ -66,8 +66,7 @@ def reference_order(pairs):
 def test_order_by_is_stable_and_matches_reference(pairs):
     module = parse_xquery(ORDERED)
     variables = {"src": rows(pairs)}
-    interpreted = Evaluator(module, variables=variables,
-                            optimize=True).evaluate()
+    interpreted = Evaluator(module, variables=variables).evaluate()
     assert interpreted == reference_order(pairs)
 
 
@@ -100,15 +99,12 @@ def runtime_over(pairs) -> DSPRuntime:
 def test_compiled_order_matches_interpreter_exactly(pairs):
     runtime = runtime_over(pairs)
     module = parse_xquery(ORDERED_RECORDS)
-    interpreted = Evaluator(module, resolver=runtime.call_function,
-                            optimize=True).evaluate()
-    unoptimized = Evaluator(module, resolver=runtime.call_function,
-                            optimize=False).evaluate()
+    interpreted = Evaluator(module,
+                            resolver=runtime.call_function).evaluate()
     # Three-row batches: ties straddle batch edges.
     plan = compile_module(module, resolver=runtime.call_function,
                           batch_size=3, columnar=runtime)
     assert plan.batched
-    assert interpreted == unoptimized
     assert plan.evaluate() == interpreted
     assert [int(record.string_value())
             for record in interpreted[0].children] == reference_order(pairs)
@@ -120,8 +116,7 @@ def test_ties_keep_source_order(pairs):
     """Explicit stability: among rows with identical keys, source
     positions appear in increasing order."""
     module = parse_xquery(ORDERED)
-    result = Evaluator(module, variables={"src": rows(pairs)},
-                       optimize=True).evaluate()
+    result = Evaluator(module, variables={"src": rows(pairs)}).evaluate()
     last_seen: dict = {}
     for position in result:
         key = pairs[position]

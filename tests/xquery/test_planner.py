@@ -1,9 +1,9 @@
 """Planner tests: composite-key hash joins and streaming rewrites.
 
-The planner (``repro.xquery.planner``) is shared by both executors, so
-every structural claim here is also checked semantically against the
-unoptimized interpreter and a compiled module (node-valued externals:
-the Evaluator runs it).
+The planner (``repro.xquery.planner``) plans for the batch executor.
+Every structural claim here is also checked semantically against the
+Evaluator, which runs the clauses as written, and a compiled module
+(node-valued externals: the Evaluator runs it too).
 """
 
 import pytest
@@ -17,15 +17,12 @@ from repro.xquery.planner import HashJoinClause, plan_clauses
 
 
 def run_all(text, variables=None):
-    """Interpreted-optimized, interpreted-unoptimized, and compiled
-    results for the same module; they must always agree."""
+    """Interpreted and compiled results for the same module; they must
+    always agree."""
     module = parse_xquery(text)
-    fast = Evaluator(module, variables=variables, optimize=True).evaluate()
-    slow = Evaluator(module, variables=variables,
-                     optimize=False).evaluate()
-    compiled = compile_module(module).evaluate(variables)
-    assert fast == slow == compiled
-    return fast
+    interpreted = Evaluator(module, variables=variables).evaluate()
+    assert compile_module(module).evaluate(variables) == interpreted
+    return interpreted
 
 
 def rows(triples):
@@ -120,7 +117,7 @@ class TestCompositeKeySemantics:
 
     def test_cross_category_key_raises_like_unoptimized(self):
         # Second key compares an int to a string: eq must raise a type
-        # error on both the optimized and unoptimized paths.
+        # error, interpreted and compiled.
         left = [element("R", element("K1", "1", type_annotation="int"),
                         element("K2", "1", type_annotation="int"),
                         element("V", "a", type_annotation="string"))]
@@ -129,11 +126,9 @@ class TestCompositeKeySemantics:
                                  type_annotation="string"),
                          element("V", "x", type_annotation="string"))]
         module = parse_xquery(MULTI_JOIN)
-        for optimize in (True, False):
-            with pytest.raises(XQueryTypeError):
-                Evaluator(module, variables={"left": left,
-                                             "right": right},
-                          optimize=optimize).evaluate()
+        with pytest.raises(XQueryTypeError):
+            Evaluator(module, variables={"left": left,
+                                         "right": right}).evaluate()
         plan = compile_module(module)
         with pytest.raises(XQueryTypeError):
             plan.evaluate({"left": left, "right": right})

@@ -43,7 +43,7 @@ from repro.xquery.atomic import (
     compare_values,
     serialize_atomic,
 )
-from repro.xquery.planner import grouping_key, join_key
+from repro.xquery.atomic import grouping_key, join_key
 from repro.xquery.vector import (
     VSTATS,
     _Batch,
@@ -297,6 +297,7 @@ MIXED_STATEMENTS = (
     "SELECT L.ID, R.ID FROM L INNER JOIN R ON L.K = R.D",
     "SELECT R.ID, L.ID FROM R LEFT OUTER JOIN L ON R.F = L.K",
     "SELECT L.ID, R.ID FROM L INNER JOIN R ON L.K = R.K AND L.ID = R.D",
+    "SELECT A.ID, B.ID FROM L A INNER JOIN L B ON A.S = B.S",
     "SELECT K, COUNT(*), SUM(ID), MIN(S) FROM L GROUP BY K",
     "SELECT D, COUNT(*), COUNT(K), SUM(K), AVG(K) FROM R GROUP BY D",
     "SELECT S, K, COUNT(*) FROM L GROUP BY S, K",
@@ -377,8 +378,8 @@ def test_a_nan_join_key_matches_nothing_on_any_executor(join, expected):
     text = "".join(">" + str(a) + ("<" if b is None else ">" + str(b))
                    for a, b in expected)
     module = connect(runtime).translate(sql).module
-    assert Evaluator(module, resolver=runtime.call_function,
-                     optimize=True).evaluate() == [text]
+    assert Evaluator(module,
+                     resolver=runtime.call_function).evaluate() == [text]
 
 
 # -- no silent decision: the per-cell path is counted --------------------------
