@@ -13,8 +13,8 @@ were materialized some other way as the same text.
 
 In one process there is no text to cut or decode: :func:`iter_rows`
 turns the batch executor's typed cells into the rows the decoder would
-have produced from their text, by the same result schema, and a
-:class:`RowBuffer` hands them out.
+have produced from their text, by the same result schema, a list per
+batch.
 
 ``decode_xml`` is the baseline path the paper measured against: the
 server's ``<RECORDSET>`` tree is serialized to text (the wire format),
@@ -25,7 +25,6 @@ two (experiment E6 in DESIGN.md).
 from __future__ import annotations
 
 import datetime
-import math
 import re
 from decimal import Decimal, InvalidOperation
 from itertools import repeat
@@ -338,43 +337,6 @@ def iter_rows(batches, columns: list[ResultColumn], context=None,
         if context is not None:
             context.rows_emitted += len(rows)
         yield rows
-
-
-class RowBuffer:
-    """The rows of *batches* — an iterator of row sequences: a batch of
-    typed rows, or one decoded row — handed out as slices of the one
-    at hand: a fetch resumes the engine once per batch, not per row."""
-
-    __slots__ = ("_batches", "_rows", "_at")
-
-    def __init__(self, batches):
-        self._batches = batches
-        self._rows, self._at = (), 0  # `_at`: rows already handed out
-
-    def take(self, limit, out: list) -> None:
-        """Append the next *limit* rows (all that remain when None) to
-        *out*, fewer at end of stream; a batch that raises leaves the
-        rows taken before it there."""
-        limit = math.inf if limit is None else limit
-        while limit > 0:
-            rows, at = self._rows, self._at
-            if at == len(rows):
-                batch = next(self._batches, None)
-                if batch is None:
-                    return
-                self._rows, self._at = batch, 0
-                continue
-            self._at = stop = min(len(rows), at + limit)
-            out.extend(rows[at:stop])
-            limit -= stop - at
-
-    def close(self) -> None:
-        """Close the batch stream (and the stages that feed it); drop
-        the rows held."""
-        close = getattr(self._batches, "close", None)
-        if close is not None:
-            close()
-        self._batches, self._rows, self._at = iter(()), (), 0
 
 
 #: Text the page cutter looks at in one step: a page far smaller than

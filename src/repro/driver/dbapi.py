@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import re
 import threading
+from functools import partial
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .. import clock, errors
@@ -58,7 +60,6 @@ from ..xmlmodel import Element, serialize
 from ..xquery.vector import PlanActuals
 from .codec import (
     PageCutter,
-    RowBuffer,
     decode_delimited,
     decode_xml,
     encode_delimited,
@@ -233,8 +234,11 @@ def connect(target: Union[DSPRuntime, str], *,
                       metrics=metrics)
 
 
-class Connection:
-    """A PEP 249 connection bound to one DSP application."""
+class BaseConnection:
+    """The PEP 249 connection surface both transports share: the
+    exception attributes, format validation, the tracer and metrics,
+    the ``queries.executed`` counter, transaction demarcation over one
+    :meth:`_demarcate` hook, and the context manager."""
 
     #: The full PEP 249 exception set as connection attributes (the
     #: optional "Connection.Error" extension), so multi-connection code
@@ -250,24 +254,73 @@ class Connection:
     ProgrammingError = ProgrammingError
     NotSupportedError = NotSupportedError
 
-    def __init__(self, runtime: DSPRuntime,
-                 config: Optional[RuntimeConfig] = None, *,
-                 tracer: Optional[Tracer] = None,
-                 metrics: Optional[MetricsRegistry] = None):
+    def __init__(self, config: Optional[RuntimeConfig], *,
+                 tracer: Optional[Tracer],
+                 metrics: Optional[MetricsRegistry]):
         config = config or RuntimeConfig()
         if config.format not in FORMATS:
             raise InterfaceError(
                 f"unknown result format {config.format!r}; expected one "
                 f"of {FORMATS}")
-        self._runtime = runtime
         #: The resolved driver configuration (read-only).
         self.config = config
         self.format = config.format
+        #: Default per-statement deadline in seconds (None = unbounded);
+        #: ``Cursor.execute(..., timeout=...)`` overrides per query.
+        self.default_timeout = config.default_timeout
         #: Per-connection observability: a tracer (off by default — the
         #: no-op path is one attribute check) and a metrics registry
-        #: shared by the translator, both caches, and every cursor.
+        #: shared by every cursor (and, embedded, the translator and
+        #: both caches).
         self.tracer = Tracer(enabled=False) if tracer is None else tracer
         self.metrics = MetricsRegistry() if metrics is None else metrics
+        self._queries_executed = self.metrics.counter("queries.executed")
+        self._closed = False
+
+    def begin(self) -> None:
+        """Open an explicit transaction (driver extension). Raises
+        ``ProgrammingError`` if one is already open."""
+        self._check_open()
+        self._demarcate("begin")
+
+    def commit(self) -> None:
+        """Commit the open transaction; a no-op without one (so
+        PEP 249's commit-on-a-fresh-connection idiom stays cheap)."""
+        self._check_open()
+        self._demarcate("commit")
+
+    def rollback(self) -> None:
+        """Roll back the open transaction — every enlisted source
+        restores its pre-transaction rows; a no-op without one."""
+        self._check_open()
+        self._demarcate("rollback")
+
+    def _demarcate(self, verb: str) -> None:
+        """Run transaction verb *verb* (``begin``, ``commit`` or
+        ``rollback``) where the engine is."""
+        raise NotImplementedError
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise InterfaceError("connection is closed")
+
+
+class Connection(BaseConnection):
+    """A PEP 249 connection bound to one DSP application."""
+
+    def __init__(self, runtime: DSPRuntime,
+                 config: Optional[RuntimeConfig] = None, *,
+                 tracer: Optional[Tracer] = None,
+                 metrics: Optional[MetricsRegistry] = None):
+        super().__init__(config, tracer=tracer, metrics=metrics)
+        config = self.config
+        self._runtime = runtime
         self._metadata_api = runtime.metadata_api()
         self._metadata_cache = MetadataCache(
             self._metadata_api, capacity=config.metadata_cache_capacity,
@@ -279,26 +332,21 @@ class Connection:
         self._statement_cache: LRUCache = LRUCache(
             config.statement_cache_capacity, registry=self.metrics,
             prefix="statement.cache")
-        self._queries_executed = self.metrics.counter("queries.executed")
         self._rows_materialized = self.metrics.counter("rows.materialized")
         self._rows_streamed = self.metrics.counter("rows.streamed")
         self._execute_seconds = self.metrics.histogram("execute.seconds")
-        #: Lifecycle outcome counters (ISSUE 3): how often queries on
+        #: Lifecycle outcome counters: how often queries on
         #: this connection timed out, were cancelled, or were refused
         #: admission.
         self._queries_timeout = self.metrics.counter("queries.timeout")
         self._queries_cancelled = self.metrics.counter("queries.cancelled")
         self._queries_rejected = self.metrics.counter("queries.rejected")
-        #: Default per-statement deadline in seconds (None = unbounded);
-        #: ``Cursor.execute(..., timeout=...)`` overrides per query.
-        self.default_timeout = config.default_timeout
         #: Transaction demarcation and write serialization (the write
         #: path). Autocommit is the driver default: DML statements are
         #: durable on return until ``autocommit = False`` or an explicit
         #: ``begin()``.
         self._txn = TransactionManager(runtime)
         self._autocommit = True
-        self._closed = False
 
     # -- PEP 249 surface ---------------------------------------------------
 
@@ -330,23 +378,8 @@ class Connection:
         (driver extension, mirrors ``sqlite3.Connection``)."""
         return self._txn.in_transaction
 
-    def begin(self) -> None:
-        """Open an explicit transaction (driver extension). Raises
-        ``ProgrammingError`` if one is already open."""
-        self._check_open()
-        self._txn.begin()
-
-    def commit(self) -> None:
-        """Commit the open transaction; a no-op without one (so
-        PEP 249's commit-on-a-fresh-connection idiom stays cheap)."""
-        self._check_open()
-        self._txn.commit()
-
-    def rollback(self) -> None:
-        """Roll back the open transaction — every enlisted source
-        restores its pre-transaction rows; a no-op without one."""
-        self._check_open()
-        self._txn.rollback()
+    def _demarcate(self, verb: str) -> None:
+        getattr(self._txn, verb)()
 
     def close(self) -> None:
         """Close the connection and release the memory its caches hold:
@@ -358,12 +391,6 @@ class Connection:
         self._closed = True
         self._statement_cache.clear()
         self._metadata_cache.invalidate()
-
-    def __enter__(self) -> "Connection":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # -- driver extensions ------------------------------------------------------
 
@@ -442,10 +469,6 @@ class Connection:
         snapshot["transactions"] = self._txn.stats()
         return snapshot
 
-    def _check_open(self) -> None:
-        if self._closed:
-            raise InterfaceError("connection is closed")
-
 
 def _emit_plan_events(tracer: Tracer, plan, actuals: PlanActuals) -> None:
     """Attach one estimated-vs-actual event, with the operator and its
@@ -473,57 +496,30 @@ def _then_plan_events(stream: Iterator, tracer: Tracer,
     _emit_plan_events(tracer, plan, actuals)
 
 
-class Cursor:
-    """A PEP 249 cursor: execute SQL, fetch typed rows.
+class BaseCursor:
+    """The PEP 249 cursor surface both transports share.
 
-    With the default ``delimited`` format, ``execute()`` starts a
-    **streaming** result: the compiled query pipeline and the delimited
-    decoder are both lazy, so ``fetchone()``/``fetchmany()`` pull rows
-    on demand and ``rowcount`` stays -1 until the stream is exhausted
-    (PEP 249 permits -1 when the count is not yet known). ``fetchall()``
-    drains the stream and returns exactly what the eager path returned.
-    The ``xml`` format and ``callproc`` still materialize at execute
-    time.
-
-    A live stream is the engine's output: typed column batches when
-    the vector plan runs the statement, else the Evaluator's text. What
-    reads it is built on the first fetch — a ``RowBuffer`` of rows for
-    ``fetchone`` / ``fetchmany`` / ``fetchall`` (``iter_rows`` over
-    batches, which prints no text; the decoder over text), or a page
-    cutter over the text for :meth:`fetch_text`, which the network
-    server uses to ship it undecoded (DESIGN.md §13). One result is
-    read one way or the other, not both. Rows pulled but not handed out
-    (a ``for`` loop left mid-page) wait in ``_rows``, as a materialized
-    result's do; every fetch takes those first.
+    Rows received and not yet handed out are ``_rows[_index:]``: a
+    fetch advances the index, and the consumed prefix is dropped once
+    per refill, so no fetch moves the buffer per row. A transport
+    supplies two things: :meth:`_more` (can the result give more rows)
+    and :meth:`_pull` (append the next rows of it to the buffer, at
+    least *limit* of them unless it ends first — more is fine). A
+    fetch asks for ``max(rows missing, arraysize)``, so ``arraysize``
+    sets the pull granularity of ``fetchone`` and ``fetchmany`` alike;
+    iteration pulls ``max(arraysize, DEFAULT_FETCH_PAGE)`` at a time.
     """
 
     arraysize = 1
 
-    def __init__(self, connection: Connection):
+    def __init__(self, connection):
         self.connection = connection
         self._rows: list[tuple] = []
         self._index = 0
-        #: The live engine stream (None: no result, a materialized one,
-        #: or a stream already drained) and its reader, built on the
-        #: first fetch: a row iterator or a ``PageCutter``. ``_typed`` is
-        #: the vector plan of a typed stream (None: a text stream).
-        self._live: Optional[Iterator] = None
-        self._typed = None
-        self._stream = None
         #: The result schema; None: no result set.
         self._columns: Optional[Sequence[ResultColumn]] = None
-        self._fetched = 0
-        #: Rows already charged against the admission slot's in-flight
-        #: budget; with a batched pipeline this tracks rows *buffered*
-        #: by the engine (a whole batch decodes ahead of the fetch
-        #: position), not just rows handed to the application.
-        self._charged_rows = 0
         self._description: Optional[list[tuple]] = None
         self._closed = False
-        #: Lifecycle state for the statement in flight: the QueryContext
-        #: (deadline + token) and the admission slot it holds.
-        self._context: Optional[QueryContext] = None
-        self._slot: Optional[AdmissionSlot] = None
         self.rowcount = -1
         self.lastrowid = None
 
@@ -548,6 +544,138 @@ class Cursor:
         and kept while re-runs hand back the same (cached) schema."""
         if columns is not self._columns:
             self._columns, self._description = columns, None
+
+    # -- fetching ------------------------------------------------------------
+
+    def _more(self) -> bool:
+        """Whether the result may hold rows not pulled yet."""
+        raise NotImplementedError
+
+    def _pull(self, limit: Optional[int], rows: list) -> None:
+        """Append the next rows of the result to *rows*: at least
+        *limit* (the transport's page when None) unless the result ends
+        first."""
+        raise NotImplementedError
+
+    def _fill(self, limit: Optional[int]) -> None:
+        if self._index:
+            del self._rows[:self._index]
+            self._index = 0
+        self._pull(limit, self._rows)
+
+    def _take(self, size: int) -> list[tuple]:
+        """Hand out up to *size* buffered rows."""
+        rows, start = self._rows, self._index
+        if start == 0 and size >= len(rows):
+            self._rows = []
+            return rows
+        chunk = rows[start:start + size]
+        self._index = start + len(chunk)
+        return chunk
+
+    def fetchone(self) -> Optional[tuple]:
+        chunk = self.fetchmany(1)
+        return chunk[0] if chunk else None
+
+    def fetchmany(self, size: Optional[int] = None) -> list[tuple]:
+        self._check_results()
+        if size is None:
+            size = self.arraysize
+        while len(self._rows) - self._index < size and self._more():
+            self._fill(max(size - len(self._rows) + self._index,
+                           self.arraysize))
+        return self._take(size)
+
+    def fetchall(self) -> list[tuple]:
+        self._check_results()
+        while self._more():
+            self._fill(None)
+        return self._take(len(self._rows))
+
+    def __iter__(self) -> Iterator[tuple]:
+        """Iterate the result set, pulling ``max(arraysize,
+        DEFAULT_FETCH_PAGE)`` rows at a time: deadline, cancellation
+        and (remote) the round trip are paid per page, not per row.
+        Rows the loop has not reached stay fetchable."""
+        page = max(self.arraysize, DEFAULT_FETCH_PAGE)
+        while True:
+            self._check_results()
+            if self._index >= len(self._rows) and self._more():
+                self._fill(page)
+            if self._index >= len(self._rows):
+                return
+            for self._index, row in enumerate(
+                    self._rows[self._index:], self._index + 1):
+                yield row
+
+    # -- lifecycle -----------------------------------------------------------
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def setinputsizes(self, sizes) -> None:
+        self._check_open()
+
+    def setoutputsize(self, size, column=None) -> None:
+        self._check_open()
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise InterfaceError("cursor is closed")
+        self.connection._check_open()
+
+    def _check_results(self) -> None:
+        self._check_open()
+        if self._columns is None:
+            raise ProgrammingError("no query has been executed")
+
+
+class Cursor(BaseCursor):
+    """A PEP 249 cursor: execute SQL, fetch typed rows.
+
+    With the default ``delimited`` format, ``execute()`` starts a
+    **streaming** result: the compiled query pipeline and the delimited
+    decoder are both lazy, so ``fetchone()``/``fetchmany()`` pull rows
+    on demand and ``rowcount`` stays -1 until the stream is exhausted
+    (PEP 249 permits -1 when the count is not yet known). ``fetchall()``
+    drains the stream and returns exactly what the eager path returned.
+    The ``xml`` format and ``callproc`` still materialize at execute
+    time.
+
+    A live stream is the engine's output: typed column batches when
+    the vector plan runs the statement, else the Evaluator's text. What
+    reads it is built on the first fetch — batches of rows for
+    ``fetchone`` / ``fetchmany`` / ``fetchall`` (``iter_rows`` over
+    typed batches, which prints no text; the decoder over text), or a
+    page cutter over the text for :meth:`fetch_text`, which the network
+    server uses to ship it undecoded (DESIGN.md §13). One result is
+    read one way or the other, not both. A pull takes whole batches:
+    the rows not handed out yet wait in the shared buffer, as a
+    materialized result's do.
+    """
+
+    def __init__(self, connection: Connection):
+        super().__init__(connection)
+        #: The live engine stream (None: no result, a materialized one,
+        #: or a stream already drained) and its reader, built on the
+        #: first fetch: a row iterator or a ``PageCutter``. ``_typed`` is
+        #: the vector plan of a typed stream (None: a text stream).
+        self._live: Optional[Iterator] = None
+        self._typed = None
+        self._stream = None
+        self._fetched = 0
+        #: Rows already charged against the admission slot's in-flight
+        #: budget; with a batched pipeline this tracks rows *buffered*
+        #: by the engine (a whole batch decodes ahead of the fetch
+        #: position), not just rows handed to the application.
+        self._charged_rows = 0
+        #: Lifecycle state for the statement in flight: the QueryContext
+        #: (deadline + token) and the admission slot it holds.
+        self._context: Optional[QueryContext] = None
+        self._slot: Optional[AdmissionSlot] = None
 
     # -- execution --------------------------------------------------------------
 
@@ -581,7 +709,8 @@ class Cursor:
             self.callproc(name, parameters)
             return self
         if is_mutation(operation):
-            return self._execute_mutation(operation, parameters, timeout)
+            return self._execute_mutation(operation, [parameters],
+                                          timeout, many=False)
         return self._execute_translated(operation, None, parameters,
                                         timeout)
 
@@ -594,29 +723,36 @@ class Cursor:
         self._context = QueryContext(timeout=timeout)
         return self._context
 
-    def _execute_mutation(self, operation: str, parameters: Sequence,
-                          timeout: Optional[float] = None) -> "Cursor":
-        """Execute one INSERT/UPDATE/DELETE through the transaction
-        manager. DML has no result set: ``description`` becomes None
-        (so fetching raises ``ProgrammingError``), ``rowcount`` is the
-        affected-row count, and ``lastrowid`` is the backend-defined id
-        of the last inserted row (None for UPDATE/DELETE). *timeout*
-        and ``cancel()`` bound victim selection; once the victims are
-        chosen the apply runs to completion (it is atomic either way).
+    def _execute_mutation(self, operation: str,
+                          parameter_sets: list[Sequence],
+                          timeout: Optional[float],
+                          many: bool) -> "Cursor":
+        """Execute an INSERT/UPDATE/DELETE once per parameter set
+        through the transaction manager: one statement for ``execute``
+        (``run``), one batch for ``executemany`` (``run_batch``: inside
+        the open transaction when there is one, otherwise an implicit
+        one, so a mid-batch failure never leaves a torn batch behind).
+        DML has no result set: ``description`` becomes None (so fetching
+        raises ``ProgrammingError``), ``rowcount`` is the affected-row
+        total, and ``lastrowid`` is the backend-defined id of the last
+        statement's last inserted row (None for UPDATE/DELETE).
+        *timeout* and ``cancel()`` bound victim selection; once the
+        victims are chosen the apply runs to completion (it is atomic
+        either way).
         """
         connection = self.connection
-        tracer = connection.tracer
         self._release_stream()
         context = self._new_context(timeout)
         started = clock.monotonic()
         try:
-            with tracer.span("execute", sql=operation):
+            with connection.tracer.span("execute", sql=operation):
                 statement, marker_count = \
                     connection._parse_mutation(operation)
-                if len(parameters) != marker_count:
-                    raise ProgrammingError(
-                        f"statement has {marker_count} parameter "
-                        f"markers, {len(parameters)} values given")
+                for parameters in parameter_sets:
+                    if len(parameters) != marker_count:
+                        raise ProgrammingError(
+                            f"statement has {marker_count} parameter "
+                            f"markers, {len(parameters)} values given")
                 metadata = connection._metadata_cache.fetch_table(
                     statement.table.name, schema=statement.table.schema,
                     catalog=statement.table.catalog)
@@ -624,9 +760,15 @@ class Cursor:
                 if not connection.autocommit and \
                         not manager.in_transaction:
                     manager.begin()
-                result = manager.run(
-                    lambda: plan_mutation(connection._runtime, statement,
-                                          metadata, parameters, context))
+                plan = partial(plan_mutation, connection._runtime,
+                               statement, metadata)
+                if many:
+                    results = manager.run_batch([
+                        partial(plan, parameters, context)
+                        for parameters in parameter_sets])
+                else:
+                    results = [manager.run(
+                        partial(plan, parameter_sets[0], context))]
         except errors.SQLError as exc:
             raise ProgrammingError(str(exc)) from exc
         except Error:
@@ -634,15 +776,13 @@ class Cursor:
         except ReproError as exc:
             self._note_lifecycle_failure(exc)
             raise to_driver_error(exc) from exc
-        connection._queries_executed.increment()
+        connection._queries_executed.add(len(parameter_sets))
         connection._execute_seconds.observe(clock.monotonic() - started)
-        self._rows = []
-        self._index = 0
         self._fetched = 0
         self._charged_rows = 0
         self._set_description(None)
-        self.rowcount = result.rowcount
-        self.lastrowid = result.lastrowid
+        self.rowcount = sum(map(attrgetter("rowcount"), results))
+        self.lastrowid = results[-1].lastrowid if results else None
         return self
 
     def _execute_translated(self, operation: str,
@@ -726,14 +866,12 @@ class Cursor:
         connection._queries_executed.increment()
         connection._execute_seconds.observe(clock.monotonic() - started)
         self._set_description(translation.columns)
-        self._index = 0
         self._fetched = 0
         self._charged_rows = 0
         if streamed:
             self._live = live
             self._typed = plan.vector_plan if typed else None
             self._slot = slot
-            self._rows = []
             self.rowcount = -1  # unknown until the stream is exhausted
         else:
             connection._rows_materialized.add(len(self._rows))
@@ -751,8 +889,10 @@ class Cursor:
             raise ProgrammingError(
                 "executemany() does not accept CALL statements")
         if is_mutation(operation):
-            return self._executemany_mutation(operation,
-                                              seq_of_parameters, timeout)
+            return self._execute_mutation(
+                operation, [tuple(parameters)
+                            for parameters in seq_of_parameters],
+                timeout, many=True)
         try:
             translation = self.connection.translate(operation)
         except errors.SQLError as exc:
@@ -760,54 +900,6 @@ class Cursor:
         for parameters in seq_of_parameters:
             self._execute_translated(operation, translation, parameters,
                                      timeout)
-        return self
-
-    def _executemany_mutation(self, operation: str, seq_of_parameters,
-                              timeout: Optional[float] = None) -> "Cursor":
-        """Batched DML: the statement parses once and every parameter
-        set runs as one unit — inside the open transaction when there
-        is one, otherwise wrapped in an implicit transaction so a
-        mid-batch failure never leaves a torn batch behind.
-        ``rowcount`` is the batch total; ``lastrowid`` is the last
-        statement's. One *timeout* bounds the whole batch."""
-        connection = self.connection
-        self._release_stream()
-        context = self._new_context(timeout)
-        try:
-            statement, marker_count = connection._parse_mutation(operation)
-            sets = [tuple(parameters)
-                    for parameters in seq_of_parameters]
-            for parameters in sets:
-                if len(parameters) != marker_count:
-                    raise ProgrammingError(
-                        f"statement has {marker_count} parameter "
-                        f"markers, {len(parameters)} values given")
-            metadata = connection._metadata_cache.fetch_table(
-                statement.table.name, schema=statement.table.schema,
-                catalog=statement.table.catalog)
-            manager = connection._txn
-            if not connection.autocommit and not manager.in_transaction:
-                manager.begin()
-            results = manager.run_batch([
-                lambda parameters=parameters: plan_mutation(
-                    connection._runtime, statement, metadata, parameters,
-                    context)
-                for parameters in sets])
-        except errors.SQLError as exc:
-            raise ProgrammingError(str(exc)) from exc
-        except Error:
-            raise
-        except ReproError as exc:
-            self._note_lifecycle_failure(exc)
-            raise to_driver_error(exc) from exc
-        connection._queries_executed.add(len(sets))
-        self._rows = []
-        self._index = 0
-        self._fetched = 0
-        self._charged_rows = 0
-        self._set_description(None)
-        self.rowcount = sum(result.rowcount for result in results)
-        self.lastrowid = results[-1].lastrowid if results else None
         return self
 
     def cancel(self) -> None:
@@ -853,7 +945,6 @@ class Cursor:
                    for c in proc.columns]
         self._set_description(columns)
         self.rowcount = len(rows)
-        self._index = 0
         return parameters
 
     def _execute_procedure(self, proc: ProcedureMetadata,
@@ -911,18 +1002,40 @@ class Cursor:
         """Close any live pipeline (re-execute, close, abort):
         generator close propagates through the decoder into the
         executor stages, so the engine drops its frames immediately,
-        and the admission slot is returned."""
+        the buffered rows are dropped and the admission slot is
+        returned."""
         for stream in (self._stream, self._live):
             close = getattr(stream, "close", None)
             if close is not None:
                 close()
         self._live = self._stream = self._typed = None
+        self._rows, self._index = [], 0
         self._release_slot()
 
+    def _abort(self, exc: ReproError):
+        """Raise engine error *exc* as a driver error, after tearing the
+        pipeline down so the engine's frames (and the admission slot)
+        are released immediately."""
+        self._note_lifecycle_failure(exc)
+        self._release_stream()
+        raise to_driver_error(exc) from exc
+
+    def _check_results(self) -> None:
+        """Besides the shared checks, a live stream's deadline and
+        cancellation: once per fetch call, whether or not the rows it
+        hands out were pulled by an earlier one."""
+        super()._check_results()
+        if self._live is not None:
+            try:
+                self._context.check()
+            except ReproError as exc:
+                self._abort(exc)
+
     def _reader(self, text: bool):
-        """What reads the live stream, built on the first fetch: rows
-        (converted from a typed stream, decoded from text), or with
-        *text* a ``PageCutter`` over the text (a typed stream printed)."""
+        """What reads the live stream, built on the first fetch: batches
+        of rows (a list per engine batch converted from a typed stream,
+        one row at a time decoded from text), or with *text* a
+        ``PageCutter`` over the text (a typed stream printed)."""
         live, columns, context = self._live, self._columns, self._context
         plan = self._typed
         if text:
@@ -930,36 +1043,41 @@ class Cursor:
                 live = plan.encode(live)
             return PageCutter(live, len(columns))
         if plan is not None:
-            return RowBuffer(iter_rows(
+            return iter_rows(
                 live, columns, context=context, per_cell=plan.note_per_cell,
-                as_computed=plan.note_as_computed))
-        return RowBuffer(zip(iter_decode_delimited(live, columns,
-                                                   context=context)))
+                as_computed=plan.note_as_computed)
+        return ((row,) for row in iter_decode_delimited(live, columns,
+                                                        context=context))
 
-    def _pull_streamed(self, limit: Optional[int], text: bool = False):
-        """Pull up to *limit* rows (all remaining when None) from the
-        live stream — typed, as a list of tuples, or with *text* as
-        ``(delimited text, row count)``: the engine's text cut on a
-        row boundary, its rows counted and not converted. Engine errors
-        — which surface at fetch time — are wrapped the same way
-        execute() wraps them. The query's deadline/cancellation is
-        checked once per fetch call (in addition to the pipeline's
+    def _more(self) -> bool:
+        return self._live is not None
+
+    def _pull(self, limit: Optional[int], rows: Optional[list] = None):
+        """Append at least *limit* rows (all remaining when None) of
+        the live stream to *rows*: whole batches, so the last may
+        overshoot and the buffer keeps the surplus. With no *rows*,
+        pull up to *limit* rows as text and return ``(delimited text,
+        row count)``: the engine's text cut on a row boundary, its rows
+        counted and not converted. Engine errors — which surface at
+        fetch time — are wrapped the same way execute() wraps them.
+        The query's deadline/cancellation is checked once per fetch
+        call (:meth:`_check_results`, in addition to the pipeline's
         per-batch ticks; the decoder ticks per row, a text page once
         for all its rows), and freshly pulled rows are charged against
         the admission controller's in-flight budget. A result read one
         way cannot be read the other: that raises ``ProgrammingError``
         and releases the stream."""
+        text = rows is None
         if self._stream is not None \
                 and isinstance(self._stream, PageCutter) != text:
             self._release_stream()
             raise ProgrammingError(
                 "fetch_text() and the row fetches cannot read one result")
         context = self._context
-        chunk: list[tuple] = []
+        start = 0 if text else len(rows)
         page, pulled = "", 0
         exhausted = False
         try:
-            context.check()
             stream = self._stream
             if stream is None:
                 stream = self._stream = self._reader(text)
@@ -970,17 +1088,20 @@ class Cursor:
                 context.tick_rows(pulled)
             else:
                 # A stream that raises mid-pull leaves the rows it
-                # already gave in `chunk`, for the accounting below.
-                stream.take(None if limit is None else max(limit, 0),
-                            chunk)
-                exhausted = limit is None or len(chunk) < limit
+                # already gave in `rows`, for the accounting below.
+                for batch in stream:
+                    rows += batch
+                    if limit is not None and len(rows) - start >= limit:
+                        break
+                else:
+                    exhausted = True
+                pulled = len(rows) - start
             if self._slot is not None:
                 # Charge whichever is further along: rows the engine
                 # has buffered (whole batches decode ahead of the fetch
-                # position) or rows actually handed out. Monotonic, so
+                # position) or rows actually pulled. Monotonic, so
                 # each row is charged exactly once.
-                total = max(context.rows_buffered,
-                            self._fetched + (pulled or len(chunk)))
+                total = max(context.rows_buffered, self._fetched + pulled)
                 delta = total - self._charged_rows
                 if delta > 0:
                     self._slot.note_rows(delta)
@@ -988,19 +1109,16 @@ class Cursor:
         except Error:
             raise
         except ReproError as exc:
-            # Abort: tear the pipeline down so the engine's frames (and
-            # the admission slot) are released immediately.
-            self._note_lifecycle_failure(exc)
-            self._release_stream()
-            raise to_driver_error(exc) from exc
+            self._abort(exc)
         finally:
-            pulled = pulled or len(chunk)
+            if not text:
+                pulled = len(rows) - start
             self._fetched += pulled
             if pulled:
                 self.connection._rows_streamed.add(pulled)
             if exhausted:
                 self._finish_stream()
-        return (page, pulled) if text else chunk
+        return page, pulled
 
     def fetch_text(self, size: int) -> tuple[str, int, bool]:
         """The next up-to-*size* rows, undecoded: ``(delimited text
@@ -1013,78 +1131,15 @@ class Cursor:
         either this or the row fetches on one result, not both."""
         self._check_results()
         if self._live is not None:
-            text, rows = self._pull_streamed(size, text=True)
+            text, rows = self._pull(size)
             return text, rows, self._live is None
-        chunk = self._rows[self._index:self._index + size]
-        self._index += len(chunk)
+        chunk = self._take(size)
         return (encode_delimited(chunk), len(chunk),
                 self._index >= len(self._rows))
 
-    def fetchone(self) -> Optional[tuple]:
-        chunk = self.fetchmany(1)
-        return chunk[0] if chunk else None
-
-    def fetchmany(self, size: Optional[int] = None) -> list[tuple]:
-        self._check_results()
-        if size is None:
-            size = self.arraysize
-        chunk = self._rows[self._index:self._index + size]
-        self._index += len(chunk)
-        if self._live is not None and len(chunk) < size:
-            chunk += self._pull_streamed(size - len(chunk))
-        return chunk
-
-    def fetchall(self) -> list[tuple]:
-        self._check_results()
-        chunk = self._rows[self._index:]
-        self._index = len(self._rows)
-        if self._live is not None:
-            pulled = self._pull_streamed(None)
-            chunk = chunk + pulled if chunk else pulled
-        return chunk
-
-    def __iter__(self) -> Iterator[tuple]:
-        """Iterate the result set, pulling ``max(arraysize,
-        DEFAULT_FETCH_PAGE)`` rows at a time as the remote cursor does:
-        deadline, cancellation and the admission charge are checked per
-        page, not per row. Rows the loop has not reached stay fetchable."""
-        page = max(self.arraysize, DEFAULT_FETCH_PAGE)
-        while True:
-            self._check_results()
-            if self._index >= len(self._rows):
-                if self._live is None:
-                    return
-                self._rows, self._index = self._pull_streamed(page), 0
-            for self._index, row in enumerate(
-                    self._rows[self._index:], self._index + 1):
-                yield row
-
     # -- lifecycle -----------------------------------------------------------------
-
-    def __enter__(self) -> "Cursor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def setinputsizes(self, sizes) -> None:
-        self._check_open()
-
-    def setoutputsize(self, size, column=None) -> None:
-        self._check_open()
 
     def close(self) -> None:
         self._release_stream()
         self._closed = True
-        self._rows = []
         self._set_description(None)
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise InterfaceError("cursor is closed")
-        self.connection._check_open()
-
-    def _check_results(self) -> None:
-        self._check_open()
-        if self._columns is None:
-            raise ProgrammingError("no query has been executed")

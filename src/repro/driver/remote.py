@@ -1,15 +1,18 @@
 """The remote PEP 249 driver: the embedded surface over a TCP wire.
 
 ``repro.connect("repro+tcp://host:port/app/project?token=...")`` lands
-here. The contract is symmetry: a :class:`RemoteConnection` behaves like
-the embedded :class:`repro.driver.dbapi.Connection` — same cursor
-semantics (``arraysize`` paging, ``rowcount`` -1 until a streamed result
-is exhausted, ``description``, per-execute ``timeout``, cross-thread
-``cancel()``), same exception classes, same transaction surface (``autocommit``,
-``begin``/``commit``/``rollback`` travel as protocol verbs and
-demarcate a transaction on the server's per-session embedded
-connection) — so application code cannot tell (and need not care) which
-side of the network boundary the engine is on.
+here. The contract is symmetry, and it holds by construction: a
+:class:`RemoteConnection` and a :class:`RemoteCursor` subclass the
+embedded driver's :class:`~repro.driver.dbapi.BaseConnection` and
+:class:`~repro.driver.dbapi.BaseCursor`, so the fetches, the row
+buffer, ``description`` / ``columns``, the exception attributes, the
+transaction verbs and the context managers are the embedded driver's
+own code. What is here is the transport: ``execute`` and the
+transaction verbs (``autocommit``, ``begin``/``commit``/``rollback``)
+travel as protocol verbs to the server's per-session embedded
+connection, and a cursor's ``_pull`` is one ``fetch`` round trip — so
+application code cannot tell (and need not care) which side of the
+network boundary the engine is on.
 
 Transport notes:
 
@@ -31,22 +34,11 @@ from __future__ import annotations
 
 import socket
 import threading
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .. import clock
 from ..config import RuntimeConfig
-from ..errors import (
-    DataError,
-    DatabaseError,
-    Error,
-    IntegrityError,
-    InterfaceError,
-    InternalError,
-    NotSupportedError,
-    OperationalError,
-    ProgrammingError,
-    Warning,
-)
+from ..errors import Error, InterfaceError, OperationalError
 from ..obs import MetricsRegistry, Tracer
 from ..server.protocol import (
     MAX_FRAME,
@@ -62,39 +54,19 @@ from ..server.protocol import (
 from ..sql.types import SQLType
 from ..translator import ResultColumn
 from .codec import decode_delimited
-from .dbapi import DEFAULT_FETCH_PAGE, FORMATS, describe
+from .dbapi import DEFAULT_FETCH_PAGE, BaseConnection, BaseCursor
 from .dsn import DSN
 
 
-class RemoteConnection:
+class RemoteConnection(BaseConnection):
     """A PEP 249 connection to a ``repro.server`` tenant."""
-
-    Warning = Warning
-    Error = Error
-    InterfaceError = InterfaceError
-    DatabaseError = DatabaseError
-    DataError = DataError
-    OperationalError = OperationalError
-    IntegrityError = IntegrityError
-    InternalError = InternalError
-    ProgrammingError = ProgrammingError
-    NotSupportedError = NotSupportedError
 
     def __init__(self, dsn: DSN, config: Optional[RuntimeConfig] = None,
                  *, tracer: Optional[Tracer] = None,
                  metrics: Optional[MetricsRegistry] = None):
-        config = config if config is not None else RuntimeConfig()
-        if config.format not in FORMATS:
-            raise InterfaceError(
-                f"unknown result format {config.format!r}; expected one "
-                f"of {FORMATS}")
+        super().__init__(config, tracer=tracer, metrics=metrics)
+        config = self.config
         self.dsn = dsn
-        self.config = config
-        self.format = config.format
-        self.default_timeout = config.default_timeout
-        self.tracer = Tracer(enabled=False) if tracer is None else tracer
-        self.metrics = MetricsRegistry() if metrics is None else metrics
-        self._queries_executed = self.metrics.counter("queries.executed")
         self._rows_fetched = self.metrics.counter("rows.fetched")
         self._roundtrips = self.metrics.counter("wire.roundtrips")
         self._bytes_received = self.metrics.counter("wire.bytes_received")
@@ -102,7 +74,6 @@ class RemoteConnection:
             "wire.roundtrip_seconds")
         self._lock = threading.Lock()
         self._request_ids = iter(range(1, 1 << 62))
-        self._closed = False
         self._session: Optional[str] = None
         self._secret: Optional[str] = None
         # Client-side mirror of the server session's transaction state;
@@ -195,7 +166,8 @@ class RemoteConnection:
     @autocommit.setter
     def autocommit(self, enabled: bool) -> None:
         self._check_open()
-        self._txn_verb({"op": "autocommit", "enabled": bool(enabled)})
+        self._adopt_txn_state(self._request(
+            {"op": "autocommit", "enabled": bool(enabled)}))
 
     @property
     def in_transaction(self) -> bool:
@@ -203,24 +175,8 @@ class RemoteConnection:
         transaction open for this connection."""
         return self._in_transaction
 
-    def begin(self) -> None:
-        """Open an explicit transaction on the server session."""
-        self._check_open()
-        self._txn_verb({"op": "begin"})
-
-    def commit(self) -> None:
-        """Commit the open transaction; a no-op without one."""
-        self._check_open()
-        self._txn_verb({"op": "commit"})
-
-    def rollback(self) -> None:
-        """Roll back the open transaction; a no-op without one."""
-        self._check_open()
-        self._txn_verb({"op": "rollback"})
-
-    def _txn_verb(self, message: dict) -> None:
-        reply = self._request(message)
-        self._adopt_txn_state(reply)
+    def _demarcate(self, verb: str) -> None:
+        self._adopt_txn_state(self._request({"op": verb}))
 
     def _adopt_txn_state(self, reply: dict) -> None:
         if "autocommit" in reply:
@@ -248,12 +204,6 @@ class RemoteConnection:
                     self._sock.close()
                 except OSError:
                     pass
-
-    def __enter__(self) -> "RemoteConnection":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # -- driver extensions ---------------------------------------------------
 
@@ -297,10 +247,6 @@ class RemoteConnection:
         except (OSError, InterfaceError, Error):
             pass
 
-    def _check_open(self) -> None:
-        if self._closed:
-            raise InterfaceError("connection is closed")
-
 
 class RemoteMetaData:
     """Metadata discovery over the wire (``conn.metadata.tables()``),
@@ -334,8 +280,9 @@ class RemoteMetaData:
     def columns(self, table: str, schema: Optional[str] = None) -> list:
         return self._fetch("columns", table=table, schema=schema)
 
-    def procedure_columns(self, name: str) -> list:
-        return self._fetch("procedure_columns", name=name)
+    def procedure_columns(self, name: str,
+                          schema: Optional[str] = None) -> list:
+        return self._fetch("procedure_columns", name=name, schema=schema)
 
     get_catalogs = catalogs
     get_schemas = schemas
@@ -363,42 +310,26 @@ def _decode_columns(wire) -> Optional[list[ResultColumn]]:
     raise InterfaceError(f"malformed result description {wire!r}")
 
 
-class RemoteCursor:
+class RemoteCursor(BaseCursor):
     """A PEP 249 cursor whose result set lives server-side.
 
     ``execute()`` runs the statement on the server (which starts the
-    lazy stream there); fetches pull pages of at most
-    ``max(arraysize, requested)`` rows per round trip, buffering
-    client-side, so both sides stay O(page) and ``arraysize`` tunes the
-    wire granularity the way it tunes embedded batch decoding.
+    lazy stream there); a pull is one ``fetch`` round trip for a page
+    of at most the rows asked for — ``max(rows missing, arraysize)``
+    for ``fetchone`` / ``fetchmany``, ``max(arraysize,
+    DEFAULT_FETCH_PAGE)`` for iteration and ``fetchall`` — so both
+    sides stay O(page) and ``arraysize`` tunes the wire granularity the
+    way it tunes embedded batch decoding.
     """
 
-    arraysize = 1
-
     def __init__(self, connection: RemoteConnection):
-        self.connection = connection
+        super().__init__(connection)
         self._cursor_id: Optional[int] = None
         #: True while an execute request of this cursor is on the wire:
         #: until its reply assigns a cursor id, ``cancel()`` can only
         #: address the statement through the session.
         self._executing = False
-        #: Rows received and not yet handed out: ``_buffer[_index:]``.
-        #: Fetches advance the index; the consumed prefix is dropped
-        #: once per page, so no fetch moves the buffer per row.
-        self._buffer: list[tuple] = []
-        self._index = 0
         self._exhausted = True
-        self._columns: Optional[list[ResultColumn]] = None
-        self._description: Optional[list[tuple]] = None
-        self._closed = False
-        self.rowcount = -1
-        self.lastrowid = None
-
-    # -- metadata ------------------------------------------------------------
-
-    @property
-    def description(self) -> Optional[list[tuple]]:
-        return self._description
 
     # -- execution -----------------------------------------------------------
 
@@ -445,13 +376,11 @@ class RemoteCursor:
             self._executing = False
         connection._queries_executed.increment()
         self._cursor_id = reply["cursor"]
-        self._columns = _decode_columns(reply["description"])
-        self._description = (None if self._columns is None
-                             else describe(self._columns))
+        self._set_description(_decode_columns(reply["description"]))
         self.rowcount = reply["rowcount"]
         self.lastrowid = reply.get("lastrowid")
         connection._adopt_txn_state(reply)
-        self._buffer = []
+        self._rows = []
         self._index = 0
         self._exhausted = False
         return self
@@ -469,16 +398,22 @@ class RemoteCursor:
 
     # -- fetching ------------------------------------------------------------
 
-    def _pull(self, rows: int) -> None:
-        """One fetch round trip for up to *rows* more rows. The page is
+    def _more(self) -> bool:
+        return not self._exhausted
+
+    def _pull(self, limit: Optional[int], rows: list) -> None:
+        """One fetch round trip for up to *limit* more rows (a page of
+        ``max(arraysize, DEFAULT_FETCH_PAGE)`` when None). The page is
         a complete delimited stream of its own (the server cuts on row
         boundaries), decoded here against the cursor's columns; a page
         that does not hold the rows it claims is a protocol error, and
         the result is given up rather than read on past a gap."""
+        if limit is None:
+            limit = max(self.arraysize, DEFAULT_FETCH_PAGE)
         reply = self.connection._request({
             "op": "fetch",
             "cursor": self._cursor_id,
-            "rows": rows,
+            "rows": limit,
         })
         text, claimed = reply.get("text"), reply.get("rows")
         try:
@@ -493,9 +428,6 @@ class RemoteCursor:
         except Error:
             self._exhausted = True
             raise
-        del self._buffer[:self._index]
-        self._index = 0
-        self._buffer.extend(page)
         self.connection._rows_fetched.add(len(page))
         # Known from the first page of a materialized result, from the
         # last page of a streamed one.
@@ -503,83 +435,21 @@ class RemoteCursor:
             self.rowcount = reply["rowcount"]
         if reply["exhausted"]:
             self._exhausted = True
-
-    def _take(self, count: int) -> list[tuple]:
-        """Hand out up to *count* buffered rows."""
-        chunk = self._buffer[self._index:self._index + count]
-        self._index += len(chunk)
-        if self._index == len(self._buffer):
-            self._buffer = []
-            self._index = 0
-        return chunk
-
-    def _next(self, page: int) -> Optional[tuple]:
-        """The next row, pulling *page* rows when the buffer is dry."""
-        self._check_results()
-        if not self._buffer and not self._exhausted:
-            self._pull(page)
-        chunk = self._take(1)
-        return chunk[0] if chunk else None
-
-    def fetchone(self) -> Optional[tuple]:
-        return self._next(max(1, self.arraysize))
-
-    def fetchmany(self, size: Optional[int] = None) -> list[tuple]:
-        self._check_results()
-        if size is None:
-            size = self.arraysize
-        while len(self._buffer) - self._index < size \
-                and not self._exhausted:
-            self._pull(max(size - len(self._buffer) + self._index, 1))
-        return self._take(size)
-
-    def fetchall(self) -> list[tuple]:
-        self._check_results()
-        while not self._exhausted:
-            self._pull(max(self.arraysize, DEFAULT_FETCH_PAGE))
-        return self._take(len(self._buffer))
-
-    def __iter__(self) -> Iterator[tuple]:
-        """Iterate the remaining rows, a page — not a row — per round
-        trip; rows not yet iterated stay fetchable."""
-        page = max(self.arraysize, DEFAULT_FETCH_PAGE)
-        return iter(lambda: self._next(page), None)
+        rows += page
 
     # -- lifecycle -----------------------------------------------------------
-
-    def __enter__(self) -> "RemoteCursor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def setinputsizes(self, sizes) -> None:
-        self._check_open()
-
-    def setoutputsize(self, size, column=None) -> None:
-        self._check_open()
 
     def close(self) -> None:
         if self._closed:
             return
         self._closed = True
         cursor_id, self._cursor_id = self._cursor_id, None
-        self._buffer = []
+        self._rows = []
         self._index = 0
-        self._columns = self._description = None
+        self._set_description(None)
         if cursor_id is not None and not self.connection._closed:
             try:
                 self.connection._request({"op": "close_cursor",
                                           "cursor": cursor_id})
             except (Error, OSError):
                 pass  # best effort: the session teardown also releases
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise InterfaceError("cursor is closed")
-        self.connection._check_open()
-
-    def _check_results(self) -> None:
-        self._check_open()
-        if self._description is None:
-            raise ProgrammingError("no query has been executed")

@@ -607,7 +607,8 @@ class DSPServer:
                 return metadata.columns(message.get("table"),
                                         message.get("schema"))
             if kind == "procedure_columns":
-                return metadata.procedure_columns(message.get("name"))
+                return metadata.procedure_columns(message.get("name"),
+                                                  message.get("schema"))
             raise InterfaceError(f"unknown metadata kind {kind!r}")
 
         loop = asyncio.get_running_loop()

@@ -93,20 +93,6 @@ class HashJoinClause:
         self.outer = outer
         self.residuals = residuals
 
-    # Single-key accessors, kept for the common case and older callers.
-
-    @property
-    def build_key(self) -> ast.XExpr:
-        return self.keys[0][0]
-
-    @property
-    def probe_key(self) -> ast.XExpr:
-        return self.keys[0][1]
-
-    @property
-    def condition(self) -> ast.XExpr:
-        return self.keys[0][2]
-
 
 def split_conjuncts(condition: ast.XExpr) -> list:
     """Flatten nested ``and`` / ``fn-bea:and3`` conjunctions."""
@@ -268,9 +254,9 @@ def plan_clauses(clauses, return_expr: Optional[ast.XExpr] = None,
     With an *estimator*, independent for clauses reorder greedily
     (smallest estimated input first, original tuple order restored via
     :class:`RestoreOrderClause` ordinals): the one rewrite statistics
-    make. Without an estimator the clauses keep the written order —
-    the tree-walking evaluator plans that way and stays the
-    differential oracle.
+    make. Without an estimator the clauses keep the written order.
+    The Evaluator, the differential oracle, plans nothing: it runs
+    the clauses as written.
     """
     clauses = _fuse_lets(hoist_filters(clauses), return_expr)
     declared = _declared_vars(clauses)

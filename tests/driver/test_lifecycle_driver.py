@@ -10,7 +10,6 @@ import pytest
 
 from repro import RuntimeConfig, clock
 from repro.driver import OperationalError, connect
-from repro.driver.codec import RowBuffer
 from repro.engine import FaultProfile, RetryPolicy, install_fault
 from repro.errors import DatabaseError, XQueryDynamicError
 from repro.obs import Tracer
@@ -419,8 +418,8 @@ class TestLifecycleObservability:
 
 
 class TestBlockPull:
-    """``_pull_streamed`` pulls rows in one ``extend`` per fetch; what a
-    fetch reports must not depend on that."""
+    """``Cursor._pull`` pulls whole engine batches into the cursor's
+    buffer; what a fetch reports must not depend on that."""
 
     def test_exact_last_rows_do_not_mark_exhaustion(self):
         connection = fresh_connection()
@@ -460,15 +459,18 @@ class TestBlockPull:
         connection = fresh_connection()
         cursor = connection.cursor()
         cursor.execute(BIG_QUERY)
-        assert len(cursor.fetchmany(5)) == 5
 
-        def fails_after(stream, rows):
-            taken = []
-            stream.take(rows, taken)
-            yield taken
+        def fails_after(batches, rows):
+            for batch in batches:
+                if len(batch) >= rows:
+                    yield batch[:rows]
+                    break
+                rows -= len(batch)
+                yield batch
             raise XQueryDynamicError("source went away")
 
-        cursor._stream = RowBuffer(fails_after(cursor._stream, 40))
+        cursor._stream = fails_after(cursor._reader(text=False), 45)
+        assert len(cursor.fetchmany(5)) == 5
         with pytest.raises(DatabaseError, match="source went away"):
             cursor.fetchall()
         stats = connection.stats()

@@ -68,9 +68,7 @@ class TestCloseMidStream:
         # The row reader was closed, which propagates GeneratorExit
         # through every executor stage: nothing more comes out of it.
         assert cursor._stream is None
-        rest = []
-        stream.take(None, rest)
-        assert rest == []
+        assert list(stream) == []
 
     def test_fetch_after_close_raises(self, conn):
         cursor = conn.cursor()

@@ -134,9 +134,7 @@ def test_leaving_mid_stream_closes_the_stages(run, how, monkeypatch):
         cursor.close()
     else:
         cursor.execute("SELECT COUNT(*) FROM FACTS")
-    rest = []
-    reader.take(None, rest)
-    assert rest == []
+    assert list(reader) == []
     if kind == "batched":  # (the Evaluator's scan is no stage)
         assert [event for event, _info in events[:2]] == ["open", "closed"]
         assert events[0][1] is events[1][1]
@@ -173,13 +171,13 @@ def iterated(run, monkeypatch):
     row limit."""
     kind, _runtime, _connection, parameter = run
     pulls = []
-    pull = Cursor._pull_streamed
+    pull = Cursor._pull
 
-    def counted(self, limit, text=False):
+    def counted(self, limit, rows=None):
         pulls.append(limit)
-        return pull(self, limit, text)
+        return pull(self, limit, rows)
 
-    monkeypatch.setattr(Cursor, "_pull_streamed", counted)
+    monkeypatch.setattr(Cursor, "_pull", counted)
     runtime = build_scaled_runtime(ITERATED)
     cursor = connect(runtime).cursor()
     cursor.execute(SQL, [parameter])

@@ -100,12 +100,19 @@ class Statement:
     """One translated SELECT over *runtime*, run on two legs: the
     batched plan the runtime caches (what a prepared statement runs)
     and the interpreter — both over the runtime's own sources, so each
-    sees the rows as they are now."""
+    sees the rows as they are now.
 
-    def __init__(self, runtime: DSPRuntime, sql: str):
+    A test whose rows do not move between runs passes one *oracle*
+    dict to all its statements: the Evaluator then runs once per
+    (statement, parameters), and every batched run is held to that
+    result."""
+
+    def __init__(self, runtime: DSPRuntime, sql: str,
+                 oracle: dict | None = None):
         self.runtime = runtime
         self.key = ("reuse-test", sql)
         self.module = connect(runtime).translate(sql).module
+        self.oracle = oracle
 
     def plan(self):
         plan = self.runtime.prepare_module(self.key, self.module)
@@ -122,10 +129,13 @@ class Statement:
         before = join_counts(self.runtime)
         batched = outcome(lambda: plan.evaluate(variables))
         after = join_counts(self.runtime)
-        resolver = self.runtime.call_function
-        assert outcome(lambda: Evaluator(
-            self.module, resolver=resolver,
-            variables=variables).evaluate()) == batched
+        oracle = {} if self.oracle is None else self.oracle
+        key = (self.key, params)
+        if key not in oracle:
+            oracle[key] = outcome(lambda: Evaluator(
+                self.module, resolver=self.runtime.call_function,
+                variables=variables).evaluate())
+        assert oracle[key] == batched
         return batched, (after[0] - before[0], after[1] - before[1])
 
     def build_table(self) -> str:
@@ -368,14 +378,14 @@ def test_scattered_plans_return_the_serial_rows(monkeypatch):
     """The report join the retired pool used to scatter runs on the
     one plan whatever the retired variables say: the same rows, one
     build, then reuse."""
-    storage = build_scaled_storage(300)
+    storage, oracle = build_scaled_storage(300), {}
     serial = _runtime(storage)
-    expected, _counts = Statement(serial, REPORT_JOIN).run()
+    expected, _counts = Statement(serial, REPORT_JOIN, oracle).run()
     monkeypatch.setenv("REPRO_PARALLELISM", "2")
     monkeypatch.setenv("REPRO_PARALLEL_MIN_ROWS", "0")
     runtime = _runtime(storage)
     try:
-        statement = Statement(runtime, REPORT_JOIN)
+        statement = Statement(runtime, REPORT_JOIN, oracle)
         assert [statement.run() for _ in range(2)] == \
             [(expected, BUILT), (expected, REUSED)]
         assert not [name for name in runtime.metrics.snapshot()["counters"]
@@ -546,7 +556,8 @@ def test_a_declined_request_probes_the_kept_table():
     leading join over it probes the table kept for that version instead
     of hashing the rows again on every execution."""
     runtime = build_scaled_runtime(200)
-    statement = Statement(runtime, REPORT_JOIN + " WHERE F.REGION = ?")
+    statement = Statement(runtime, REPORT_JOIN + " WHERE F.REGION = ?",
+                          oracle={})
     first, _counts = statement.run("WEST")
     east, counts = statement.run("EAST")
     assert first[0].count(">") > 1 and east != first and counts == (0, 2)

@@ -61,12 +61,6 @@ class TestCompositeKeyPlanning:
         # No residual where clauses: both conjuncts became join keys.
         assert not any(isinstance(c, ast.WhereClause) for c in planned)
 
-    def test_single_key_accessors_see_first_conjunct(self):
-        planned = self.plan(MULTI_JOIN)
-        join = next(c for c in planned if isinstance(c, HashJoinClause))
-        assert join.build_key is join.keys[0][0]
-        assert join.probe_key is join.keys[0][1]
-
     def test_guard_conjunct_stops_the_prefix(self):
         planned = self.plan("""
             for $a in $left
