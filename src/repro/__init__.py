@@ -16,9 +16,10 @@ pluggable physical-source SPI:
 * :class:`RuntimeConfig` — every engine and driver tuning knob in one
   frozen dataclass, accepted by both ``DSPRuntime(config=...)`` and
   ``connect(config=...)``;
-* the sources SPI — :class:`DataSource`, :class:`SourceCapabilities`,
-  :class:`ScanRequest`, :class:`Predicate`, :class:`Scan`, and (since
-  2.0) the write capability :class:`Mutation` /
+* the sources SPI — :class:`DataSource` (one ``scan`` call: a
+  source takes what it can of a :class:`ScanRequest` and reports it
+  in the :class:`Scan`), :class:`Predicate`, and (since 2.0) the
+  write capability :class:`Mutation` /
   :class:`MutationResult` — and its three backends:
   :class:`TableSource` (in-memory, writable), :class:`SQLiteSource`
   (relational, writable, with predicate/projection pushdown),
@@ -79,7 +80,6 @@ from .sources import (
     Predicate,
     Scan,
     ScanRequest,
-    SourceCapabilities,
 )
 from .sources.memory import TableSource
 from .sources.sqlite import SQLiteSource
@@ -117,7 +117,6 @@ __all__ = [
     "RuntimeConfig",
     # sources SPI
     "DataSource",
-    "SourceCapabilities",
     "ScanRequest",
     "Predicate",
     "Scan",

@@ -596,7 +596,9 @@ class BaseCursor:
         """Iterate the result set, pulling ``max(arraysize,
         DEFAULT_FETCH_PAGE)`` rows at a time: deadline, cancellation
         and (remote) the round trip are paid per page, not per row.
-        Rows the loop has not reached stay fetchable."""
+        Rows the loop has not reached stay fetchable, and a row a fetch
+        inside the loop took is not yielded again: the loop reads the
+        buffer live."""
         page = max(self.arraysize, DEFAULT_FETCH_PAGE)
         while True:
             self._check_results()
@@ -604,8 +606,9 @@ class BaseCursor:
                 self._fill(page)
             if self._index >= len(self._rows):
                 return
-            for self._index, row in enumerate(
-                    self._rows[self._index:], self._index + 1):
+            while self._index < len(self._rows):
+                row = self._rows[self._index]
+                self._index += 1
                 yield row
 
     # -- lifecycle -----------------------------------------------------------

@@ -16,6 +16,7 @@ names remain as aliases.
 from __future__ import annotations
 
 from ..catalog import MetadataAPI
+from ..errors import ReproError, to_driver_error
 
 
 class DatabaseMetaData:
@@ -48,7 +49,7 @@ class DatabaseMetaData:
     def columns(self, table: str, schema: str | None = None) \
             -> list[tuple[str, str, int, bool]]:
         """(name, type name, ordinal position, nullable) per column."""
-        meta = self._api.fetch_table(table, schema=schema)
+        meta = self._fetch(self._api.fetch_table, table, schema)
         return [(c.name, str(c.sql_type), c.position, c.nullable)
                 for c in meta.columns]
 
@@ -56,12 +57,21 @@ class DatabaseMetaData:
                           schema: str | None = None) \
             -> list[tuple[str, str, str]]:
         """(name, kind, type) rows: parameters (IN) then result columns."""
-        proc = self._api.fetch_procedure(name, schema=schema)
+        proc = self._fetch(self._api.fetch_procedure, name, schema)
         rows = [(pname, "IN", xs_type)
                 for pname, xs_type in proc.parameters]
         rows.extend((c.name, "RESULT", str(c.sql_type))
                     for c in proc.columns)
         return rows
+
+    @staticmethod
+    def _fetch(lookup, name: str, schema: str | None):
+        """One artifact's catalog entry; an unknown one raises the PEP
+        249 class (``ProgrammingError``), as over the remote transport."""
+        try:
+            return lookup(name, schema=schema)
+        except ReproError as exc:
+            raise to_driver_error(exc) from exc
 
     # Pre-1.1 spellings.
     get_catalogs = catalogs

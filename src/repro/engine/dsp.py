@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Optional
+from itertools import islice
+from typing import Iterator, Optional
 
 from ..catalog import (
     Application,
@@ -43,7 +44,7 @@ from ..errors import (
     XQueryDynamicError,
 )
 from ..obs import NULL_TRACER, LRUCache, MetricsRegistry
-from ..sources import DataSource, ScanRequest, filter_request
+from ..sources import DataSource, ScanRequest
 from ..sources.memory import TableSource
 from ..xmlmodel import Element, QName, Text
 from ..xquery import ast as xq
@@ -454,37 +455,32 @@ class DSPRuntime:
                              context: Optional[QueryContext]):
         """Materialize a source table scan as column lists. A cached
         current version serves any request (every pushed conjunct stays
-        in the plan as a residual filter); otherwise a reduced request's
-        result is specific to it, and only a plain scan fills the
-        cache."""
-        # The token is read only to compare with an entry or to fill
-        # one: a pushed read of a table never held costs what it did.
-        # An entry was filled past the width check below.
+        in the plan as a residual filter); otherwise the source is sent
+        the request, and only an answer it reports unfiltered and
+        full-width, in schema order, fills the cache."""
         cached = self._table_columns.get((uri, local))
-        token = None if cached is None else source.version(table)
-        if token is not None and cached.token == token:
+        token = source.version(table)  # before the scan: a write may race
+        if token is not None and cached is not None \
+                and cached.token == token:
             return cached.columns, cached.values, cached.row_count
         schema = function.return_schema
-        if len(schema.columns) != len(source.columns(table)):
+        names = [name for name, _t in source.columns(table)]
+        if len(schema.columns) != len(names):
             raise UnknownArtifactError(
                 f"schema/table column count mismatch for {function.name}")
-        reduced = filter_request(
-            source, table, request,
-            [decl.name for decl in schema.columns])
-        if reduced is None and cached is None:
-            token = source.version(table)
-        result = source.scan_batches(table, reduced, context,
-                                     self.batch_size)
+        result = source.scan(table, request, None)
         values = [[] for _ in result.columns]
-        for block in result:
+        for block in _column_blocks(result.rows, self.batch_size,
+                                    context):
             for acc, col in zip(values, block):
                 acc.extend(col)
         row_count = len(values[0]) if values else 0
         self._count_scan(result, row_count)
-        if reduced is not None:
+        whole = [name for name, _t in result.columns] == names
+        if not whole:
             schema = self._project_schema(schema, result.columns)
         columns = [(decl.name, decl.xs_type) for decl in schema.columns]
-        if reduced is None and token is not None:
+        if whole and token is not None and not result.pushed:
             # Concurrent first scans keep one entry, for one join table.
             entry = _TableScan(token, columns, values, row_count)
             cached = self._table_columns.setdefault((uri, local), entry)
@@ -497,14 +493,16 @@ class DSPRuntime:
                      context: Optional[QueryContext] = None,
                      scan: Optional[ScanRequest] = None):
         """A DML statement's read of its target: every column of the
-        rows *scan*'s predicates select (a write needs whole rows), plus
-        a last column, :data:`HANDLE`, of each row's source handle
-        (``scan(..., handles=True)``). Never cached."""
+        rows *scan*'s predicates select (a write needs whole rows, so
+        the source is sent no projection), plus a last column,
+        :data:`HANDLE`, of each row's source handle (``scan(...,
+        handles=True)``). Never cached."""
         _function, _faulty, source, table = self._physical(uri, local)
         if context is not None:
             context.check()
-        reduced = filter_request(source, table, scan, ())
-        result = source.scan(table, reduced, context, handles=True)
+        request = None if scan is None \
+            else ScanRequest(predicates=scan.predicates)
+        result = source.scan(table, request, context, handles=True)
         pairs = list(result)
         self._count_scan(result, len(pairs))
         handles, rows = zip(*pairs) if pairs else ((), ())
@@ -779,6 +777,19 @@ class DSPRuntime:
     def metadata_api(self, latency: float = 0.0) -> MetadataAPI:
         """The remote metadata API endpoint for this application."""
         return MetadataAPI(self.application, latency=latency)
+
+
+def _column_blocks(rows, batch_size: int, context) -> Iterator[list]:
+    """Transpose a row stream into column blocks of up to *batch_size*
+    rows, ticking *context* once per block (``tick_rows``)."""
+    rows = iter(rows)
+    while True:
+        block = list(islice(rows, batch_size))
+        if not block:
+            return
+        if context is not None:
+            context.tick_rows(len(block))
+        yield [list(col) for col in zip(*block)]
 
 
 def _flat_schema(name: str, project_name: str, service_path: str,

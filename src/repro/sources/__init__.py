@@ -10,7 +10,6 @@ compile -> planner).
 """
 
 from .spi import (
-    COMPARISON_OPS,
     MUTATION_KINDS,
     PREDICATE_OPS,
     ColumnStats,
@@ -19,16 +18,12 @@ from .spi import (
     MutationResult,
     Predicate,
     Scan,
-    ScanBatches,
     ScanRequest,
-    SourceCapabilities,
     TableStatistics,
     compute_statistics,
-    filter_request,
 )
 
 __all__ = [
-    "COMPARISON_OPS",
     "MUTATION_KINDS",
     "PREDICATE_OPS",
     "ColumnStats",
@@ -37,12 +32,9 @@ __all__ = [
     "MutationResult",
     "Predicate",
     "Scan",
-    "ScanBatches",
     "ScanRequest",
-    "SourceCapabilities",
     "TableStatistics",
     "compute_statistics",
-    "filter_request",
     "TableSource",
     "SQLiteSource",
     "XMLFileSource",

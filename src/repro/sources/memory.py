@@ -24,7 +24,12 @@ rows are streamed. Two guards keep this strictly a win:
   the predicate is declined and the scan is a plain one, which is
   faster for unselective predicates.
 
-The runtime asks only for table versions it does not hold: once a plain
+``scan`` takes the request's conjuncts that pass both guards, probes
+the index for them and reports ``pushed=True``; it ignores the rest of
+the request, projection included, so every answer carries every column
+in schema order. A request it declines whole is a plain scan
+(``pushed=False``), which the runtime caches as the table version. The
+runtime asks only for table versions it does not hold: once a plain
 scan has put a version in its column cache, that entry and the join
 tables kept beside it answer every read. So the index serves a
 version's first reads and the DML victim scans (``handles=True``),
@@ -59,9 +64,7 @@ from .spi import (
     MutationResult,
     Predicate,
     Scan,
-    ScanBatches,
     ScanRequest,
-    SourceCapabilities,
     TableStatistics,
     compute_statistics,
 )
@@ -141,12 +144,10 @@ class TableSource(DataSource):
         self._statistics[table] = (token, stats)
         return stats
 
-    def capabilities(self) -> SourceCapabilities:
-        return SourceCapabilities(
-            predicate_pushdown=True,
-            predicate_ops=frozenset({"eq", "in"}))
-
     def supports_predicate(self, table: str, predicate: Predicate) -> bool:
+        """May an index probe answer *predicate* (an exact-typed ``eq``
+        or ``in`` on a table of at least ``index_min_rows`` rows that
+        the statistics call selective)?"""
         if predicate.op not in ("eq", "in"):
             return False
         physical = self.storage.table(table)
@@ -172,19 +173,13 @@ class TableSource(DataSource):
                 return False
         return True
 
-    def _pushable(self, table: str,
-                  request: Optional[ScanRequest]) -> tuple[Predicate, ...]:
-        """The request conjuncts an index probe will answer."""
-        if request is None:
-            return ()
-        return tuple(p for p in request.predicates
-                     if self.supports_predicate(table, p))
-
     def scan(self, table: str, request: Optional[ScanRequest] = None,
              context=None, handles: bool = False) -> Scan:
         self._check_open()
         physical = self.storage.table(table)
-        predicates = self._pushable(table, request)
+        predicates = () if request is None else tuple(
+            p for p in request.predicates
+            if self.supports_predicate(table, p))
         if not predicates:
             return Scan(columns=list(physical.columns),
                         rows=self._iter_rows(physical, context, handles),
@@ -207,36 +202,6 @@ class TableSource(DataSource):
                     rows=self._iter_indexed(physical, indices, remaining,
                                             positions, context, handles),
                     pushed=True, index_used=True, index_built=built)
-
-    def scan_batches(self, table: str,
-                     request: Optional[ScanRequest] = None,
-                     context=None, batch_size: int = 1024) -> ScanBatches:
-        """Columnar fast path: slice the stored row list directly.
-
-        Only the no-pushdown shape is specialized — an indexed scan
-        already narrows the row set, so the generic adapter's transpose
-        costs little there. Ticks run at batch granularity via
-        ``tick_rows``; staleness (``close()`` mid-scan) is re-checked
-        per batch, matching the row path's per-row ``_check_open``.
-        """
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        self._check_open()
-        physical = self.storage.table(table)
-        if self._pushable(table, request):
-            return super().scan_batches(table, request, context,
-                                        batch_size)
-
-        def batches(rows=physical.rows):
-            for start in range(0, len(rows), batch_size):
-                self._check_open()
-                block = rows[start:start + batch_size]
-                if context is not None:
-                    context.tick_rows(len(block))
-                yield [list(col) for col in zip(*block)]
-
-        return ScanBatches(columns=list(physical.columns),
-                           batches=batches(), pushed=False)
 
     # -- writing -----------------------------------------------------------
 

@@ -8,22 +8,24 @@ contract every physical source implements so the runtime can treat an
 in-memory table, a SQLite database, and an XML directory uniformly:
 
 * :class:`DataSource` — the provider interface: table discovery,
-  column metadata, batch row scans honoring ``QueryContext`` deadlines
+  column metadata, one row scan honoring ``QueryContext`` deadlines
   and cancellation, and a staleness token for result caching.
-* :class:`SourceCapabilities` — what the source can evaluate natively.
-  Pushdown is strictly capability-gated: the engine never hands a
-  source a request it has not advertised support for.
 * :class:`ScanRequest` — a projection (column subset) plus sargable
   conjunctive predicates the engine would like evaluated at the source.
-* :class:`Scan` — the result: the columns actually returned, an
-  iterable of rows, and whether the predicates were applied (``pushed``)
+* :class:`Scan` — the answer: the columns actually returned, an
+  iterable of rows, and whether predicates were applied (``pushed``)
   or the caller must still filter.
 
-The pushdown contract is *advisory*: pushed predicates always remain in
-the compiled plan as residual filters, so a source may return a superset
-of the matching rows (e.g. by ignoring part of the request) without
-affecting correctness — it must only never *drop* a row the residual
-filter would keep. The engine relies on the same rule: it answers a
+A source is asked once. The engine hands :meth:`DataSource.scan` the
+whole request, never negotiated beforehand; the source takes what it
+can evaluate exactly, ignores the rest, and reports what it did in the
+:class:`Scan`. The contract is *advisory*: pushed predicates always
+remain in the compiled plan as residual filters, so a source may return
+a superset of the matching rows (e.g. by ignoring part of the request)
+without affecting correctness — it must only never *drop* a row the
+residual filter would keep. The engine decides from the report what it
+may cache: only an answer that applied no predicate and carries every
+column in schema order is the table version itself. It answers a
 request from a table version it already holds (the ``version`` token
 unchanged) without sending it, so a source sees requests only for
 versions the engine has not cached, and the reads of DML statements.
@@ -31,15 +33,14 @@ versions the engine has not cached, and the reads of DML statements.
 Writes use the same seam. The engine runs an UPDATE or DELETE as a
 SELECT over its target (``repro.engine.dml``) whose scan calls a
 writable source's ``scan(..., handles=True)`` with the read path's
-pushdown request: every row comes paired with a source-defined
-*handle*, and a :class:`Mutation` names the rows the SELECT returns by
-it — a write reads the rows it touches, not the table.
+predicates: every row comes paired with a source-defined *handle*, and
+a :class:`Mutation` names the rows the SELECT returns by it — a write
+reads the rows it touches, not the table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Iterable, Iterator, Optional, Sequence
 
 from ..errors import NotSupportedError, SourceUnavailableError
@@ -50,10 +51,6 @@ from ..sql.types import SQLType
 #: (membership); the rest compare against ``value``.
 PREDICATE_OPS = frozenset(
     {"eq", "ne", "lt", "le", "gt", "ge", "in", "isnull", "notnull"})
-
-#: Operator subset every comparison-capable source should consider; kept
-#: here so capability declarations and the planner agree on spelling.
-COMPARISON_OPS = frozenset({"eq", "ne", "lt", "le", "gt", "ge"})
 
 
 @dataclass(frozen=True)
@@ -82,9 +79,10 @@ class Predicate:
 class ScanRequest:
     """What the engine would like the source to do natively.
 
-    ``columns`` is the projection in source schema order (None = all
-    columns); ``predicates`` are conjuncts (AND semantics). Both are
-    advisory — see the module docstring for the superset rule.
+    ``columns`` is the projection, in any order (None = all columns;
+    a projecting source answers in its schema order); ``predicates``
+    are conjuncts (AND semantics). Both are advisory — see the module
+    docstring for the superset rule.
     """
 
     columns: Optional[tuple[str, ...]] = None
@@ -100,9 +98,11 @@ class ScanRequest:
 class Scan:
     """A scan result: the schema actually produced plus the row stream.
 
-    ``columns`` names (and types) the values in each row, positionally.
-    ``pushed`` is True when the source applied the request's predicates
-    itself; False means the caller's residual filter does all the work.
+    ``columns`` names (and types) the values in each row, positionally:
+    the projection the source applied, or every column in schema order.
+    ``pushed`` is True when the source applied any of the request's
+    predicates itself; False means the rows are unfiltered and the
+    caller's residual filter does all the work.
     ``index_used``/``index_built`` report whether a secondary hash
     index answered the scan (and whether it was built for this scan),
     so the engine can publish index metrics without reaching into
@@ -117,40 +117,6 @@ class Scan:
 
     def __iter__(self) -> Iterator[tuple]:
         return iter(self.rows)
-
-
-@dataclass
-class ScanBatches:
-    """A columnar scan result: the schema plus a stream of batches.
-
-    Each batch is a list of column value-lists, one list per entry in
-    ``columns`` (positionally aligned), all the same length — the batch
-    row count. ``pushed``/``index_used``/``index_built`` carry the same
-    meaning as on :class:`Scan`.
-    """
-
-    columns: list[tuple[str, SQLType]]
-    batches: Iterable[list[list]]
-    pushed: bool = False
-    index_used: bool = False
-    index_built: bool = False
-
-    def __iter__(self) -> Iterator[list[list]]:
-        return iter(self.batches)
-
-
-def _column_blocks(rows: Iterable[tuple], batch_size: int,
-                   context) -> Iterator[list[list]]:
-    """Transpose a row stream into column blocks of up to *batch_size*
-    rows, ticking *context* once per emitted block."""
-    rows = iter(rows)
-    while True:
-        block = list(islice(rows, batch_size))
-        if not block:
-            return
-        if context is not None:
-            context.tick_rows(len(block))
-        yield [list(col) for col in zip(*block)]
 
 
 @dataclass(frozen=True)
@@ -285,32 +251,17 @@ class MutationResult:
     lastrowid: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class SourceCapabilities:
-    """What a source can evaluate natively.
-
-    ``predicate_ops`` lists the operator spellings the source accepts;
-    an empty set with ``predicate_pushdown=True`` is contradictory and
-    treated as no pushdown.
-    """
-
-    predicate_pushdown: bool = False
-    projection_pushdown: bool = False
-    predicate_ops: frozenset[str] = field(default_factory=frozenset)
-
-    def accepts_op(self, op: str) -> bool:
-        return self.predicate_pushdown and op in self.predicate_ops
-
-
 class DataSource:
     """Abstract base for physical sources.
 
     Concrete sources implement :meth:`tables`, :meth:`columns`, and
-    :meth:`scan`; the capability and lifecycle methods have safe
-    defaults (no pushdown, idempotent close).
+    :meth:`scan`, the one read method; the other methods have safe
+    defaults (no staleness token, no statistics, read-only, idempotent
+    close).
 
-    Scans must call ``context.tick()`` per yielded row so deadlines and
-    cancellation abort an in-flight scan within one check batch.
+    A scan given a context must call ``context.tick()`` per yielded row
+    so deadlines and cancellation abort it within one check batch (the
+    engine's column reads pass none and tick once per block instead).
     """
 
     #: Registry name; used by catalog bindings to address the source.
@@ -351,56 +302,23 @@ class DataSource:
         """
         return None
 
-    # -- capabilities ------------------------------------------------------
-
-    def capabilities(self) -> SourceCapabilities:
-        return SourceCapabilities()
-
-    def supports_predicate(self, table: str, predicate: Predicate) -> bool:
-        """Fine-grained gate: may *predicate* be pushed for *table*?
-
-        Called only for operators the capability set already accepts;
-        lets a source refuse specific (column type, value type) pairs
-        whose native comparison semantics differ from the engine's.
-        """
-        return False
-
     # -- scanning ----------------------------------------------------------
 
     def scan(self, table: str, request: Optional[ScanRequest] = None,
              context=None, handles: bool = False) -> Scan:
         """Stream *table*'s rows (stable order across repeated scans).
 
-        *request* is advisory (see module docstring); *context* is an
-        optional ``QueryContext`` whose ``tick()`` must run per row.
-        *handles* — passed only to a source that answered
-        :meth:`supports_write` for *table*, so a read-only source never
-        sees it — makes the stream ``(handle, row)`` pairs: the handle
-        is what a :class:`Mutation` names the row by (the scan of a DML
-        statement's read).
+        *request* is advisory (see module docstring): apply what can be
+        evaluated exactly, ignore the rest, and say in the returned
+        :class:`Scan` which columns came back and whether predicates
+        were applied. *context* is an optional ``QueryContext`` whose
+        ``tick()`` must run per row. *handles* — passed only to a
+        source that answered :meth:`supports_write` for *table*, so a
+        read-only source never sees it — makes the stream ``(handle,
+        row)`` pairs: the handle is what a :class:`Mutation` names the
+        row by (the scan of a DML statement's read).
         """
         raise NotImplementedError
-
-    def scan_batches(self, table: str,
-                     request: Optional[ScanRequest] = None,
-                     context=None, batch_size: int = 1024) -> ScanBatches:
-        """Stream *table* as column-oriented batches of *batch_size*
-        rows.
-
-        The default transposes :meth:`scan`'s row stream, so every
-        source gets a batch surface from its one row scan; sources with
-        a columnar fast path (e.g. in-memory lists) override it. The
-        lifecycle tick runs once per batch (``context.tick_rows(n)``)
-        instead of once per row, here and in overrides.
-        """
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        result = self.scan(table, request, None)
-        return ScanBatches(
-            columns=result.columns,
-            batches=_column_blocks(result.rows, batch_size, context),
-            pushed=result.pushed, index_used=result.index_used,
-            index_built=result.index_built)
 
     # -- writing -----------------------------------------------------------
 
@@ -480,33 +398,3 @@ class DataSource:
         state = "closed" if self._closed else "open"
         return f"<{type(self).__name__} {self.name!r} ({state})>"
 
-
-def filter_request(source: DataSource, table: str,
-                   request: Optional[ScanRequest],
-                   all_columns: Sequence[str]) -> Optional[ScanRequest]:
-    """Reduce *request* to what *source* advertises it can handle.
-
-    Predicates are kept only when the capability set accepts the
-    operator **and** ``supports_predicate`` approves the specific
-    conjunct. The projection is kept only under projection pushdown,
-    restricted to known columns, and dropped entirely when it covers
-    the whole table (a full-width scan needs no projection request).
-    Returns None when nothing survives — the caller should run a plain
-    cached scan instead.
-    """
-    if request is None:
-        return None
-    caps = source.capabilities()
-    predicates = tuple(
-        p for p in request.predicates
-        if caps.accepts_op(p.op) and source.supports_predicate(table, p))
-    columns = None
-    if caps.projection_pushdown and request.columns is not None:
-        requested = set(request.columns)
-        # Keep source schema order so projected rows line up with a
-        # same-order projected row schema.
-        wanted = tuple(c for c in all_columns if c in requested)
-        if wanted and len(wanted) < len(all_columns):
-            columns = wanted
-    reduced = ScanRequest(columns=columns, predicates=predicates)
-    return None if reduced.is_trivial else reduced

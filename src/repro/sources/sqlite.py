@@ -28,6 +28,10 @@ no datetime-as-date), and DECIMAL/REAL/DOUBLE comparisons are never
 pushed (DECIMAL is stored as text; float equality is a trap). Refused
 conjuncts simply fall back to a full scan plus the engine's residual
 filter — pushdown is advisory, so correctness never depends on it.
+``scan`` applies the gate itself, once per conjunct, and reports
+``pushed`` when any conjunct reached the WHERE clause. A projection is
+answered in schema order; one that names every column selects the
+whole row, so the runtime can cache the answer as the table version.
 
 Write path
 ----------
@@ -62,14 +66,12 @@ from ..sql.types import (
     VARCHAR,
 )
 from .spi import (
-    COMPARISON_OPS,
     ColumnStats,
     DataSource,
     MutationResult,
     Predicate,
     Scan,
     ScanRequest,
-    SourceCapabilities,
     TableStatistics,
 )
 
@@ -342,15 +344,11 @@ class SQLiteSource(DataSource):
         return TableStatistics(row_count=row_count, columns=stats,
                                sampled=False)
 
-    # -- capabilities ------------------------------------------------------
-
-    def capabilities(self) -> SourceCapabilities:
-        return SourceCapabilities(
-            predicate_pushdown=True,
-            projection_pushdown=True,
-            predicate_ops=COMPARISON_OPS | {"in", "isnull", "notnull"})
+    # -- scanning ----------------------------------------------------------
 
     def supports_predicate(self, table: str, predicate: Predicate) -> bool:
+        """May *predicate* go into the scan's WHERE clause (see the
+        module docstring's pushdown gate)?"""
         try:
             columns = dict(self.columns(table))
         except UnknownArtifactError:
@@ -370,21 +368,21 @@ class SQLiteSource(DataSource):
                        for v in predicate.value)
         return _value_matches(predicate.value, sql_type)
 
-    # -- scanning ----------------------------------------------------------
-
     def _scan_sql(self, table: str, request: Optional[ScanRequest],
                   handles: bool = False):
-        """Build the scan SELECT. *handles* puts ``rowid`` ahead of the
-        selected columns."""
+        """Build the scan SELECT. A projection keeps schema order and
+        drops unknown names; one naming every column (or none) selects
+        the whole row. *handles* puts ``rowid`` ahead of the selected
+        columns."""
         all_columns = self.columns(table)
         by_name = dict(all_columns)
         out_columns = all_columns
         predicates: tuple[Predicate, ...] = ()
         if request is not None:
             if request.columns:
-                wanted = [c for c in request.columns if c in by_name]
-                if wanted:
-                    out_columns = [(c, by_name[c]) for c in wanted]
+                wanted = set(request.columns)
+                out_columns = [column for column in all_columns
+                               if column[0] in wanted] or all_columns
             predicates = tuple(
                 p for p in request.predicates
                 if self.supports_predicate(table, p))

@@ -23,7 +23,8 @@ Documents are parsed through :mod:`repro.xmlmodel` lazily, once per
 scan generation: the ``version`` token is the file's ``(mtime_ns,
 size)``, so an edited file invalidates both this source's row cache
 and the engine's scan cache. No pushdown — the whole file must
-be read anyway.
+be read anyway, so ``scan`` ignores any request and answers every
+column, unfiltered (``pushed=False``).
 
 The source is deliberately **read-only**: it keeps the SPI's default
 write surface, so ``supports_write`` answers False for every table and
@@ -45,7 +46,6 @@ from .spi import (
     DataSource,
     Scan,
     ScanRequest,
-    SourceCapabilities,
     TableStatistics,
     compute_statistics,
 )
@@ -103,11 +103,6 @@ class XMLFileSource(DataSource):
         self._check_open()
         _version, columns, rows = self._load(table)
         return compute_statistics(columns, rows)
-
-    # -- capabilities ------------------------------------------------------
-
-    def capabilities(self) -> SourceCapabilities:
-        return SourceCapabilities()
 
     # -- scanning ----------------------------------------------------------
 

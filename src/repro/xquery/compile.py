@@ -185,7 +185,7 @@ def compile_module(module: ast.Module,
 
     With a columnar host the planner attaches advisory
     :class:`~repro.sources.spi.ScanRequest` hints to data-service scans
-    (the source takes what its capabilities allow); each hinted
+    (the source takes what it can and reports it); each hinted
     conjunct stays in the plan as a residual filter, so hints can only
     shrink scans, never change results.
 

@@ -16,9 +16,9 @@ from decimal import Decimal
 import pytest
 
 from repro.driver import ProgrammingError, connect
-from repro.engine import Storage, dsp
+from repro.engine import Storage
 from repro.errors import OperationalError
-from repro.sources.spi import Mutation, Predicate, filter_request
+from repro.sources.spi import Mutation, Predicate
 from repro.sql.types import SQLType
 
 from tests.fuzz.harness import build_runtime
@@ -132,16 +132,18 @@ REQUESTS = [
                          ids=[r[0] for r in REQUESTS])
 def test_request_derived_from_where(where, parameters, expected,
                                     monkeypatch):
-    """The request the statement's scan addresses to its source, before
-    the source's capabilities reduce it: the read path's scan hints."""
-    connection = connect(build_runtime(build_storage(8), "memory", 0))
+    """The request the statement's scan sends its source, which takes
+    what it can of it: the read path's scan hints."""
+    runtime = build_runtime(build_storage(8), "memory", 0)
+    connection = connect(runtime)
     asked = []
+    for source in runtime.sources.values():
+        def spy(table, request=None, context=None, handles=False,
+                scan=source.scan):
+            asked.append(request)
+            return scan(table, request, context, handles)
 
-    def spy(source, table, request, columns):
-        asked.append(request)
-        return filter_request(source, table, request, columns)
-
-    monkeypatch.setattr(dsp, "filter_request", spy)
+        monkeypatch.setattr(source, "scan", spy)
     try:
         run(connection, f"DELETE FROM ITEMS WHERE {where}", parameters)
     except ProgrammingError:

@@ -136,9 +136,8 @@ class TestPicklable:
         assert not hasattr(spi, "PartitionSpec")
         assert not hasattr(spi, "row_range")
         for cls in (DataSource, TableSource, SQLiteSource, XMLFileSource):
-            for method in (cls.scan, cls.scan_batches):
-                assert "partition" not in inspect.signature(method) \
-                    .parameters, (cls.__name__, method.__name__)
+            assert "partition" not in inspect.signature(cls.scan) \
+                .parameters, cls.__name__
 
     def test_predicate_and_scan_request(self):
         request = ScanRequest(

@@ -1,14 +1,14 @@
 """The engine's one scan seam: the column path (``scan_columns``)
-reduces and counts a source scan as the source reports it, the row path
-(``call_function``) reads elements built from the same cache entry, so
-one table version is scanned once for both, and late-bound pushdown
-values resolve through one helper."""
+sends the request and counts a source scan as the source reports it,
+the row path (``call_function``) reads elements built from the same
+cache entry, so one table version is scanned once for both, and
+late-bound pushdown values resolve through one helper."""
 
 import pytest
 
 from repro.catalog import Application
 from repro.engine import DSPRuntime, Storage, import_tables
-from repro.sources import Mutation, Predicate, ScanRequest, filter_request
+from repro.sources import Mutation, Predicate, ScanRequest
 from repro.sources.sqlite import SQLiteSource
 from repro.sql.types import SQLType
 from repro.xmlmodel import Element, QName
@@ -25,7 +25,7 @@ REQUESTS = {
     "eq": ScanRequest(predicates=(Predicate("ID", "eq", 41),)),
     "in": ScanRequest(predicates=(Predicate("ID", "in", (3, 99, 512)),)),
     # V has 7 distinct values: memory declines the probe as too wide
-    # (nothing survives the reduction), SQLite pushes it.
+    # (a plain scan), SQLite pushes it.
     "unselective": ScanRequest(predicates=(Predicate("V", "eq", 3),)),
     "projected": ScanRequest(columns=("ID",), predicates=(
         Predicate("ID", "eq", 41),)),
@@ -63,9 +63,6 @@ def _source_report(backend: str, request) -> dict:
     it pre-filtered, and its index use."""
     runtime = _runtime(backend)
     source = runtime.sources[next(iter(runtime.sources))]
-    if request is not None:
-        request = filter_request(source, "FACTS", request,
-                                 ["ID", "NAME", "V"])
     result = source.scan("FACTS", request)
     rows = len(list(result))
     return {"sources.rows_scanned": rows,

@@ -81,12 +81,6 @@ class _PartitionSPI:
         self.legacy_scans = getattr(self, "legacy_scans", 0) + 1
         return super().scan(table, request, context, **options)
 
-    def scan_batches(self, table, request=None, context=None,
-                     batch_size=1024, partition=None):
-        assert partition is None, "the engine passed a partition"
-        self.legacy_scans = getattr(self, "legacy_scans", 0) + 1
-        return super().scan_batches(table, request, context, batch_size)
-
 
 class _LegacyTableSource(_PartitionSPI, TableSource):
     pass

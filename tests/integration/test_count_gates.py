@@ -55,7 +55,13 @@ took:
   printed, count a row just inserted;
 * warm executions of a cached point statement build no PEP 249
   description (``dbapi._type_object_for`` is not called), and the
-  description they show is the one the first execution built.
+  description they show is the one the first execution built;
+* a source is asked once: a pushed point read of a table the runtime
+  has not read runs the backend's own pushdown gate
+  (``supports_predicate``) once per conjunct, on memory and on SQLite,
+  and a request the 6-row demo table declines whole (it is below
+  ``TableSource.index_min_rows``) fills the column cache, so the next
+  read scans no source row.
 """
 
 from __future__ import annotations
@@ -69,6 +75,7 @@ from repro import connect
 from repro.catalog import Application
 from repro.driver import codec, dbapi
 from repro.engine import DSPRuntime, import_tables
+from repro.sources.memory import TableSource
 from repro.sources.sqlite import SQLiteSource
 from repro.sql.types import SQLType
 from repro.workloads.scaling import (
@@ -77,6 +84,7 @@ from repro.workloads.scaling import (
     build_scaled_runtime,
     build_scaled_storage,
 )
+from repro.workloads import build_runtime
 from repro.xquery.atomic import REGULAR_KINDS
 
 REPORT_JOIN = ("SELECT F.ID, F.NAME, D.DETAILID, D.QTY FROM FACTS F "
@@ -446,3 +454,37 @@ def test_warm_point_executions_describe_their_result_once(monkeypatch):
         assert cursor.description == description
     assert calls == []
     cursor.connection.close()
+
+
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+def test_a_pushed_point_read_gates_each_conjunct_once(backend, monkeypatch):
+    gated = SQLiteSource if backend == "sqlite" else TableSource
+    calls = []
+    gate = gated.supports_predicate
+
+    def counted(self, table, predicate):
+        calls.append(predicate)
+        return gate(self, table, predicate)
+
+    monkeypatch.setattr(gated, "supports_predicate", counted)
+    connection = connect(_runtime_on(backend, build_scaled_storage(2_000)))
+    cursor = connection.cursor()
+    cursor.execute("SELECT ID, NAME FROM FACTS WHERE ID = ?", (123,))
+    assert [row[0] for row in cursor.fetchall()] == [123]
+    assert _counter(connection, "sources.rows_pushed") == 1
+    assert len(calls) == 1, calls
+    connection.close()
+
+
+def test_a_declined_request_fills_the_cache():
+    connection = connect(build_runtime(backend="memory"))
+    cursor = connection.cursor()
+    sql = "SELECT CUSTOMERNAME FROM CUSTOMERS WHERE CUSTOMERID = ?"
+    scanned = []
+    for key in (23, 55):
+        cursor.execute(sql, (key,))
+        assert len(cursor.fetchall()) == 1
+        scanned.append(_counter(connection, "sources.rows_scanned"))
+    assert scanned == [6, 6]
+    assert _counter(connection, "sources.rows_pushed") == 0
+    connection.close()

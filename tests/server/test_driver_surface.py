@@ -121,6 +121,16 @@ def fetchall_after_iterating(cursor):
     return [head, cursor.fetchall(), cursor.fetchall(), cursor.fetchone()]
 
 
+def fetchone_inside_iteration(cursor):
+    cursor.execute(ORDERED)
+    looped, fetched = [], []
+    for row in cursor:
+        looped.append(row)
+        if len(looped) == 2:
+            fetched.append(cursor.fetchone())
+    return [looped, fetched]
+
+
 def rowcount_while_streaming(cursor):
     cursor.arraysize = 7
     cursor.execute(BIG)
@@ -170,6 +180,13 @@ def procedure_columns_by_schema(cursor):
             "getCustomerById", schema="Elsewhere")), Exception)]
 
 
+def metadata_of_unknown_artifacts(cursor):
+    metadata = cursor.connection.metadata
+    return [outcome(lambda: metadata.columns("NOPE")),
+            outcome(lambda: metadata.procedure_columns(
+                "getCustomerById", schema="Elsewhere"))]
+
+
 SCHEMA = f"{PROJECT}/CUSTOMERS"
 PROCEDURE_COLUMNS = [
     ("id", "IN", "int"), ("CUSTOMERID", "RESULT", "INTEGER"),
@@ -181,6 +198,7 @@ CONTRACT = [
     (fetchone, IDS[:2]),
     (fetchmany, [[], IDS[:1], IDS[1:4], IDS[4:], []]),
     (fetchall_after_iterating, [IDS[:2], IDS[2:], [], None]),
+    (fetchone_inside_iteration, [IDS[:2] + IDS[3:], IDS[2:3]]),
     (rowcount_while_streaming, [-1, -1, 206, 216]),
     (fetch_after_close, [InterfaceError, InterfaceError]),
     (fetch_after_dml, [1, None, ProgrammingError, ProgrammingError]),
@@ -189,6 +207,7 @@ CONTRACT = [
     (executemany_failing_set, [ProgrammingError, [(0,)]]),
     (procedure_columns_by_schema,
      [PROCEDURE_COLUMNS, PROCEDURE_COLUMNS, True]),
+    (metadata_of_unknown_artifacts, [ProgrammingError, ProgrammingError]),
 ]
 
 

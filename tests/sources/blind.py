@@ -1,18 +1,19 @@
 """The no-pushdown reference of the differential tests.
 
-A source whose ``capabilities()`` is ``SourceCapabilities()`` accepts
-no predicate and no projection, so ``filter_request`` asks it for
-nothing: every scan is a plain full scan, which a pushed scan's result
-must equal.
+Each source is wrapped so that every ``scan`` is sent no request: every
+scan is a plain full scan, which a pushed scan's result must equal.
 """
 
-from repro.sources.spi import SourceCapabilities
+
+def _blind(scan):
+    def blind_scan(table, request=None, context=None, **options):
+        return scan(table, None, context, **options)
+    return blind_scan
 
 
 def without_pushdown(runtime):
-    """*runtime* with every registered source made blind to pushed
-    requests (its ``capabilities()`` returns ``SourceCapabilities()``).
-    Returns *runtime*."""
+    """*runtime* with every registered source's ``scan`` wrapped to
+    drop the request (``scan(table, None, ...)``). Returns *runtime*."""
     for source in runtime.sources.values():
-        source.capabilities = SourceCapabilities
+        source.scan = _blind(source.scan)
     return runtime

@@ -3,12 +3,13 @@
 The partition SPI is gone (no source carves a table any more, and no
 scan takes ``partition=``). What it leaned on stays and binds every
 backend: a scan's row order is stable across repeated scans, and both
-surfaces — ``scan`` rows and ``scan_batches`` column blocks — replay
-it. So any contiguous carving a caller lays over fresh scans (the
-i-th of *target* row ranges, each read from its own scan)
-concatenates back to the full scan exactly, each row once, with or
-without a pushed request. This suite is parametrized over all three
-shipped backends so a new source only has to add a factory.
+surfaces — ``scan`` rows and the column blocks the runtime transposes
+them into (``dsp._column_blocks``) — replay it. So any contiguous
+carving a caller lays over fresh scans (the i-th of *target* row
+ranges, each read from its own scan) concatenates back to the full
+scan exactly, each row once, with or without a pushed request. This
+suite is parametrized over all three shipped backends so a new source
+only has to add a factory.
 """
 
 import pickle
@@ -17,6 +18,7 @@ from decimal import Decimal
 import pytest
 
 from repro.engine import QueryContext, Storage
+from repro.engine.dsp import _column_blocks
 from repro.errors import QueryCancelledError
 from repro.sources import Predicate, ScanRequest
 from repro.sources.memory import TableSource
@@ -112,15 +114,16 @@ def _rows(source, request=None):
 
 
 def _blocks(source, request=None, batch_size=1024, context=None):
-    return list(source.scan_batches("T", request, context, batch_size))
+    return list(_column_blocks(source.scan("T", request).rows, batch_size,
+                               context))
 
 
 def _batch_rows(batch_size):
-    """A surface reading rows back out of ``scan_batches`` blocks."""
+    """A surface reading rows back out of the runtime's column blocks."""
     def surface(source, request=None):
-        result = source.scan_batches("T", request, None, batch_size)
+        result = source.scan("T", request)
         rows = []
-        for block in result:
+        for block in _column_blocks(result.rows, batch_size, None):
             assert len(block) == len(result.columns)
             assert 1 <= len(block[0]) <= batch_size
             rows.extend(zip(*block))
@@ -181,12 +184,11 @@ class TestConcatenationContract:
         assert sorted(r[0] for r in rows) == [r[0] for r in ROWS]
 
     def test_spec_metadata_consistent(self, source):
-        # Both surfaces describe the table with the same columns, scan
-        # after scan.
+        # A scan describes the table with the same columns, scan after
+        # scan.
         names = [name for name, _type in COLUMNS]
         for _ in range(2):
-            for result in (source.scan("T"), source.scan_batches("T")):
-                assert [n for n, _t in result.columns] == names
+            assert [n for n, _t in source.scan("T").columns] == names
 
     @pytest.mark.parametrize("kind", ["in", "eq"])
     @pytest.mark.parametrize("target", [2, 3])
@@ -200,20 +202,17 @@ class TestConcatenationContract:
 
 class TestPushedFlags:
     def test_pushed_refers_to_request_not_carving(self, source):
-        # No request predicates -> pushed is False on both surfaces.
+        # No request predicates -> pushed is False.
         for _ in range(2):
             assert source.scan("T").pushed is False
-            assert source.scan_batches("T").pushed is False
 
     def test_pushed_matches_full_scan_capability(self, source):
-        # Whatever the source reports for a pushed row scan it reports
-        # for the column surface and for every repeat: the engine skips
-        # residual predicate re-evaluation based on this flag.
+        # Whatever the source reports for a pushed scan it reports for
+        # every repeat: the engine decides what to cache from this flag.
         request = ScanRequest(predicates=(Predicate("ID", "eq", 4),))
         expected = source.scan("T", request).pushed
         for _ in range(2):
             assert source.scan("T", request).pushed == expected
-            assert source.scan_batches("T", request).pushed == expected
 
 
 class TestDegenerateTargets:
@@ -255,16 +254,12 @@ class TestVersionStability:
 class TestBatches:
     @pytest.mark.parametrize("kind", sorted(REQUESTS))
     def test_batches_tick_once_per_block(self, source, kind):
-        # The column surface ticks the lifecycle context with each
-        # block's row count.
+        # The runtime's column blocks tick the lifecycle context with
+        # each block's row count.
         context = _TickRecorder()
         blocks = _blocks(source, REQUESTS[kind], 2, context)
         sizes = [len(block[0]) for block in blocks]
         assert sizes and context.ticks == sizes
-
-    def test_batches_reject_zero_batch(self, source):
-        with pytest.raises(ValueError):
-            source.scan_batches("T", batch_size=0)
 
 
 class TestLifecycle:
@@ -302,8 +297,6 @@ class TestPicklability:
             assert _rows(source, clone) == _rows(source, request)
 
     def test_unsupported_kind_rejected(self, source):
-        # Neither surface takes a partition any more.
+        # A scan takes no partition any more.
         with pytest.raises(TypeError):
             source.scan("T", partition=object())
-        with pytest.raises(TypeError):
-            source.scan_batches("T", partition=object())

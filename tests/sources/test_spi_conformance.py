@@ -22,7 +22,7 @@ from repro.errors import (
     TransientSourceError,
     UnknownArtifactError,
 )
-from repro.sources import DataSource, Scan, ScanRequest
+from repro.sources import DataSource, Predicate, Scan, ScanRequest
 from repro.sources.memory import TableSource
 from repro.sources.sqlite import SQLiteSource
 from repro.sources.xmlfile import XMLFileSource
@@ -136,6 +136,34 @@ class TestScan:
         request = ScanRequest(columns=("ID", "AMT"))
         rows = list(source.scan("T", request))
         assert len(rows) == len(ROWS)
+
+
+    def test_a_request_it_cannot_take_comes_back_whole(self, source):
+        # No backend evaluates either conjunct exactly (a DECIMAL range,
+        # a number against VARCHAR): the answer is unfiltered, with
+        # every column in schema order.
+        result = source.scan("T", ScanRequest(predicates=(
+            Predicate("AMT", "gt", Decimal("1")),
+            Predicate("NAME", "eq", 5))))
+        assert result.pushed is False
+        assert [name for name, _t in result.columns] == [
+            "ID", "NAME", "AMT"]
+        assert list(result) == ROWS
+
+    def test_a_projection_of_every_column_is_cached(self, source):
+        # The planner names a projection's columns sorted; an answer in
+        # schema order is the table version, which the runtime keeps.
+        request = ScanRequest(columns=("AMT", "ID", "NAME"))
+        result = source.scan("T", request)
+        assert [name for name, _t in result.columns] == [
+            "ID", "NAME", "AMT"]
+        assert list(result) == ROWS
+        application = Application("App")
+        import_source(application, "P", source, tables=["T"])
+        runtime = DSPRuntime(application, source)
+        _columns, values, _count = runtime.scan_columns(
+            "ld:P/T", "T", scan=request)
+        assert runtime.cached_entry("ld:P/T", "T", values) is not None
 
 
 class TestLifecycleTicks:

@@ -14,7 +14,6 @@ import pytest
 
 from repro.errors import CatalogError, UnknownArtifactError
 from repro.sources import Predicate, ScanRequest
-from repro.sources.spi import filter_request
 from repro.sources.sqlite import (
     SQLiteSource,
     _decltype_for,
@@ -170,10 +169,11 @@ class TestPushdownScan:
         assert len(rows) == len(ROWS)
 
     def test_projection_pushdown_shrinks_columns(self, source):
+        # Answered in schema order, whatever order the request names.
         result = source.scan("T", ScanRequest(columns=("NAME", "ID")))
-        assert [name for name, _t in result.columns] == ["NAME", "ID"]
-        assert list(result) == [("Ann", 1), ("Bob", 2), (None, 3),
-                                ("Zoe", 4)]
+        assert [name for name, _t in result.columns] == ["ID", "NAME"]
+        assert list(result) == [(1, "Ann"), (2, "Bob"), (3, None),
+                                (4, "Zoe")]
 
     def test_projection_and_predicate_combine(self, source):
         result = source.scan("T", ScanRequest(
@@ -192,25 +192,27 @@ class TestPushdownScan:
 
 
 class TestFilterRequestIntegration:
-    """filter_request (the engine's capability gate) against the real
-    SQLite capability surface."""
+    """How ``scan`` filters a request itself: the type-safety gate
+    picks the conjuncts, the projection keeps schema order."""
 
     def test_keeps_supported_drops_unsupported(self, source):
         request = ScanRequest(
-            columns=("ID", "LIMITAMT"),
+            columns=("LIMITAMT", "ID"),
             predicates=(Predicate("ID", "eq", 1),
                         Predicate("LIMITAMT", "gt", Decimal("1"))))
-        reduced = filter_request(source, "T", request,
-                                 [n for n, _t in COLUMNS])
-        assert reduced is not None
-        assert [p.column for p in reduced.predicates] == ["ID"]
-        # Projection stays in source schema order.
-        assert reduced.columns == ("ID", "LIMITAMT")
+        result = source.scan("T", request)
+        assert result.pushed
+        # Projection answered in source schema order; the DECIMAL
+        # conjunct is left to the residual filter.
+        assert [n for n, _t in result.columns] == ["ID", "LIMITAMT"]
+        assert list(result) == [(1, Decimal("2500.50"))]
 
     def test_full_width_projection_dropped(self, source):
-        request = ScanRequest(columns=tuple(n for n, _t in COLUMNS))
-        assert filter_request(source, "T", request,
-                              [n for n, _t in COLUMNS]) is None
+        request = ScanRequest(columns=tuple(sorted(n for n, _t in COLUMNS)))
+        result = source.scan("T", request)
+        assert result.columns == COLUMNS
+        assert not result.pushed
+        assert list(result) == ROWS
 
     def test_version_changes_after_insert(self, source):
         before = source.version("T")

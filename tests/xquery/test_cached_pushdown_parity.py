@@ -59,15 +59,11 @@ def _pin_executor_shape(monkeypatch):
 
 
 class _Ignoring(TableSource):
-    """Advertises equality pushdown and answers every request with the
-    whole table: a superset, as the SPI allows."""
+    """Answers every request with the whole table, unfiltered: a
+    superset, as the SPI allows."""
 
     def scan(self, table, request=None, context=None, handles=False):
         return super().scan(table, None, context, handles)
-
-    def scan_batches(self, table, request=None, context=None,
-                     batch_size=1024):
-        return super().scan_batches(table, None, context, batch_size)
 
 
 class _Unversioned(TableSource):
@@ -193,12 +189,12 @@ def test_cached_and_pushed_reads_agree(backend, batch_size, name):
 def test_a_source_that_ignores_requests_is_cached_once_read_whole(name):
     sql, params = STATEMENTS[name]
     pair = Pair(_Ignoring(build_scaled_storage(ROWS)))
-    for _ in range(2):
-        moved = pair.read(sql, params)
-        assert moved["sources.rows_pushed"] == 0
-        assert moved["sources.rows_scanned"] >= ROWS
-    pair.cache_tables()
-    pair.read(sql, params)
+    moved = pair.read(sql, params)
+    assert moved["sources.rows_pushed"] == 0
+    assert moved["sources.rows_scanned"] >= ROWS
+    # The answer reports no predicate applied and every column: it is
+    # the table version, so the runtime holds it from the first read.
+    assert pair.read(sql, params)["sources.rows_scanned"] == 0
     assert _cached(pair.read(sql, params))
     pair.close()
 
