@@ -51,7 +51,12 @@ from ..xquery import ast as xq
 from ..xquery import parse_xquery
 from ..xquery.atomic import parse_lexical, serialize_atomic
 from ..xquery.compile import CompiledQuery, compile_module
-from ..xquery.vector import HANDLE, regular_kind
+from ..xquery.vector import (
+    CODED_KINDS,
+    HANDLE,
+    dictionary_codes,
+    regular_kind,
+)
 from .faults import FaultyBinding
 from .lifecycle import AdmissionController, QueryContext, RetryPolicy
 from .table import Storage
@@ -64,7 +69,8 @@ class _TableScan:
     — operators always build fresh output lists), the join hash tables
     built over them (by key column names), the element trees a
     ``call_function`` read made of them (None until one asks), and its
-    columns' facts (:meth:`fact`), by column index, as far as asked."""
+    columns' facts (:meth:`fact`) and dictionary codes (:meth:`codes`),
+    by column index, as far as asked."""
 
     token: object
     columns: list
@@ -73,6 +79,7 @@ class _TableScan:
     join_tables: dict = field(default_factory=dict)
     elements: Optional[list] = None
     facts: dict = field(default_factory=dict)
+    dictionaries: dict = field(default_factory=dict)
 
     def fact(self, index: int):
         """Column *index*'s fact (``repro.xquery.vector.regular_kind``),
@@ -82,6 +89,18 @@ class _TableScan:
         if index not in self.facts:
             self.facts[index] = regular_kind(self.values[index])
         return self.facts[index]
+
+    def codes(self, index: int):
+        """Column *index*'s ``(values, codes)``
+        (``repro.xquery.vector.dictionary_codes``), or None when its
+        fact is not a kind coded by value or it has too many distinct
+        values: computed, like a fact, the first time a filter or a
+        group asks, once per column of a version."""
+        if index not in self.dictionaries:
+            self.dictionaries[index] = \
+                dictionary_codes(self.values[index]) \
+                if self.fact(index) in CODED_KINDS else None
+        return self.dictionaries[index]
 
 
 class DSPRuntime:
@@ -781,15 +800,16 @@ class DSPRuntime:
 
 def _column_blocks(rows, batch_size: int, context) -> Iterator[list]:
     """Transpose a row stream into column blocks of up to *batch_size*
-    rows, ticking *context* once per block (``tick_rows``)."""
+    rows (one tuple per column), ticking *context* once per block
+    (``tick_rows``)."""
     rows = iter(rows)
     while True:
-        block = list(islice(rows, batch_size))
+        block = list(zip(*islice(rows, batch_size)))
         if not block:
             return
         if context is not None:
-            context.tick_rows(len(block))
-        yield [list(col) for col in zip(*block)]
+            context.tick_rows(len(block[0]))
+        yield block
 
 
 def _flat_schema(name: str, project_name: str, service_path: str,

@@ -108,6 +108,12 @@ class QueryContext:
         # a single mask.
         self._mask = (1 << (check_interval.bit_length() - 1)) - 1
 
+    @property
+    def check_interval(self) -> int:
+        """Tuples per full check, as :meth:`tick` runs it (the
+        constructor's interval rounded down to a power of two)."""
+        return self._mask + 1
+
     # -- checks (hot path) -------------------------------------------------
 
     def tick(self) -> None:

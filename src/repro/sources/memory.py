@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import datetime
 from decimal import Decimal
+from itertools import chain
 from typing import Optional
 
 from ..engine.table import Storage, coerce_value
@@ -68,6 +69,10 @@ from .spi import (
     TableStatistics,
     compute_statistics,
 )
+
+#: Rows per block of a scan read with no lifecycle context (the
+#: runtime's column reads): the source is checked open once per block.
+_SCAN_BLOCK = 1024
 
 _INT_KINDS = frozenset({"SMALLINT", "INTEGER", "BIGINT"})
 _CHAR_KINDS = frozenset({"CHAR", "VARCHAR"})
@@ -334,12 +339,22 @@ class TableSource(DataSource):
     def _iter_rows(self, physical, context, handles=False):
         """The table's rows; with *handles*, ``(position, row)`` pairs
         — a row's handle is its position in the stored list."""
-        rows = physical.rows
-        for item in (enumerate(rows) if handles else rows):
+        return chain.from_iterable(
+            self._row_blocks(physical.rows, context, handles))
+
+    def _row_blocks(self, rows, context, handles):
+        """*rows* in blocks: the source is checked open before each
+        block and once after the last, and *context*, when given, is
+        ticked once per block of its check interval (``tick_rows``), so
+        a cancel is seen within as many rows as per-row ticks saw it."""
+        size = _SCAN_BLOCK if context is None else context.check_interval
+        for start in range(0, len(rows), size):
             self._check_open()
+            block = rows[start:start + size]
             if context is not None:
-                context.tick()
-            yield item
+                context.tick_rows(len(block))
+            yield enumerate(block, start) if handles else block
+        self._check_open()
 
     def _iter_indexed(self, physical, indices, remaining, positions,
                       context, handles=False):

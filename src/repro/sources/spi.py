@@ -193,7 +193,7 @@ def compute_statistics(columns: Sequence[tuple[str, SQLType]],
                     low = value
                 if high is None or value > high:
                     high = value
-            except TypeError:
+            except (TypeError, ArithmeticError):  # (a Decimal NaN signals)
                 low = high = None
         # ndv == 0 means "unknown or no non-NULL values"; the planner
         # falls back to default selectivities for it either way.

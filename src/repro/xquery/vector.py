@@ -54,9 +54,9 @@ import datetime
 import math
 import operator
 import threading
-from collections import Counter
+from collections import Counter, defaultdict
 from decimal import Decimal
-from itertools import chain, compress, count, groupby, repeat
+from itertools import chain, compress, count, groupby, islice, repeat
 from time import perf_counter
 from typing import Iterator, Optional
 
@@ -185,24 +185,85 @@ class _Batch:
     """``n`` rows in column-major layout: ``cols[(var, column)]`` is a
     list of ``n`` scalars with ``None`` for SQL NULL; ``cols[(_ORD,
     var)]`` carries restore-order ordinals when a plan needs them;
-    ``views`` the record-set columns' views built so far (:func:`_view`)."""
+    ``views`` the record-set columns' views built so far (:func:`_view`).
+    A scan's batch holds :class:`_Picked` columns, and ``origin`` is
+    the column-cache entry (``engine.dsp._TableScan``) they are rows of,
+    or None."""
 
-    __slots__ = ("n", "cols", "views")
+    __slots__ = ("n", "cols", "views", "origin")
 
-    def __init__(self, n: int, cols: dict):
+    def __init__(self, n: int, cols: dict, origin=None):
         self.n = n
         self.cols = cols
         self.views = None
+        self.origin = origin
+
+
+class _Picked(dict):
+    """The columns of a scan's batch: the rows ``rows`` (a range, or a
+    filter's selection vector) of the scanned columns ``base``, each
+    column gathered the first time it is read, and only that one."""
+
+    __slots__ = ("base", "rows")
+
+    def __init__(self, base: dict, rows):
+        super().__init__()
+        self.base = base
+        self.rows = rows
+
+    def __missing__(self, key):
+        col, rows = self.base[key], self.rows
+        if type(rows) is not range:
+            col = list(map(col.__getitem__, rows))
+        elif len(rows) != len(col):
+            col = col[rows.start:rows.stop]
+        self[key] = col
+        return col
+
+    def __contains__(self, key) -> bool:
+        return key in self.base
+
+    def __iter__(self):
+        return iter(self.base)
+
+    def items(self):
+        return ((key, self[key]) for key in self.base)
+
+
+def _at(batch: _Batch, idx) -> tuple:
+    """``(columns, positions)`` of *batch*'s rows *idx*: a scan batch's
+    base columns and the rows composed, else its own columns."""
+    cols = batch.cols
+    if type(cols) is not _Picked:
+        return cols, idx
+    rows = cols.rows
+    if type(rows) is range and not rows.start:  # (its rows are the base's)
+        return cols.base, idx
+    return cols.base, list(map(rows.__getitem__, idx))
 
 
 def _gather(batch: _Batch, idx: list) -> _Batch:
-    cols = {key: [col[i] for i in idx] for key, col in batch.cols.items()}
-    return _Batch(len(idx), cols)
+    cols, idx = _at(batch, idx)
+    return _Batch(len(idx), {key: [col[i] for i in idx]
+                             for key, col in cols.items()})
+
+
+def _pick(batch: _Batch, idx: list) -> _Batch:
+    """*batch*'s rows *idx*: a scan batch's as a selection vector over
+    the same base columns (gathered when read), else :func:`_gather`."""
+    cols = batch.cols
+    if type(cols) is not _Picked:
+        return _gather(batch, idx)
+    rows = list(map(cols.rows.__getitem__, idx))
+    return _Batch(len(rows), _Picked(cols.base, rows), batch.origin)
 
 
 def _slice_batch(batch: _Batch, lo: int, hi: int) -> _Batch:
-    cols = {key: col[lo:hi] for key, col in batch.cols.items()}
-    return _Batch(hi - lo, cols)
+    cols = batch.cols
+    if type(cols) is _Picked:
+        return _Batch(hi - lo, _Picked(cols.base, cols.rows[lo:hi]),
+                      batch.origin)
+    return _Batch(hi - lo, {key: col[lo:hi] for key, col in cols.items()})
 
 
 def _concat(batches: list) -> _Batch:
@@ -222,8 +283,9 @@ def _pairs(probe: _Batch, build: _Batch, probe_idx: list, build_idx: list,
            outer: bool) -> _Batch:
     """Joined rows: *probe*'s rows at *probe_idx* beside *build*'s at
     *build_idx* (with *outer*, an entry None is a NULL-extended row)."""
+    probe_cols, probe_idx = _at(probe, probe_idx)
     cols = {key: [col[i] for i in probe_idx]
-            for key, col in probe.cols.items()}
+            for key, col in probe_cols.items()}
     if outer:
         for key, col in build.cols.items():
             cols[key] = [None if e is None else col[e] for e in build_idx]
@@ -272,6 +334,54 @@ def regular_kind(col: list):
     guard = REGULAR_KINDS.get(kind)
     return kind if guard is True or (guard is not None and guard(col)) \
         else None
+
+
+#: The facts a table version's column is coded over by value
+#: (:func:`dictionary_codes`): kinds whose dict equality is their value
+#: equality. A float column has no codes (NaN equals no value, ``-0.0``
+#: equals ``0.0``), nor has a Decimal one (``Decimal('1E+2')`` equals
+#: ``Decimal('100')``).
+CODED_KINDS = frozenset({str, int, datetime.date})
+
+#: The most distinct values a coded column may hold: its codes are one
+#: byte per row.
+_MAX_CODES = 256
+
+
+def dictionary_codes(col: list) -> Optional[tuple]:
+    """``(values, codes)`` of a table version's column: its distinct
+    cells in first-seen order, NULL a value of its own, and one byte
+    per row, the code (index in *values*) of its cell; None when the
+    column has more than 256 distinct values, found within its first
+    1 024 rows when those hold that many already, or when no two rows
+    share a value (then a code saves no evaluation). The caller vouches
+    for the column's kind (:data:`CODED_KINDS`)."""
+    head = dict.fromkeys(islice(col, 1024))
+    if len(head) > _MAX_CODES:
+        return None
+    distinct = dict.fromkeys(col) if len(col) > 1024 else head
+    if len(distinct) > _MAX_CODES or len(distinct) == len(col):
+        return None
+    code = {value: at for at, value in enumerate(distinct)}
+    return list(distinct), bytes(map(code.__getitem__, col))
+
+
+def _codes_at(codes: bytes, rows) -> bytes:
+    """The codes of a batch's rows (:attr:`_Picked.rows`)."""
+    if type(rows) is range:
+        return codes[rows.start:rows.stop]
+    return bytes(map(codes.__getitem__, rows))
+
+
+def _kind_of(value: "_V", state, col: list):
+    """The exact kind of *col*'s non-NULL cells (see :func:`_kind`),
+    computed by *value*: a broadcast's one cell's type, a scanned
+    column's fact when its version vouches for it, else observed."""
+    if value.cell is _FIXED or value.cell is _OUTER:
+        return type(col[0]) if col else _NONE
+    column = value.column
+    known = column and column[0].fact(state, column[1])
+    return known or _kind(col)[0]
 
 
 def _kernel(col: list, table: dict, columnar=None) -> tuple:
@@ -405,14 +515,45 @@ class _V:
     """A compiled vector expression: ``eval(state, batch)`` returns one
     scalar-or-None per row. ``vtype`` is the statically known xs: simple
     type of non-NULL cells, or None when unknown. A record-set cell
-    evaluates to its view; ``raw`` holds ``(eval as computed, read)``."""
+    evaluates to its view; ``raw`` holds ``(eval as computed, read)``.
+    ``column`` is ``(scan, column index, batch key)`` for a scanned
+    column. ``cell`` is what a row's value is computed from:
+    :data:`_FIXED`, values fixed for the execution (constants and
+    parameters); :data:`_OUTER`, an enclosing plan's cell, fixed for
+    the batch; a scanned column's ``column`` triple, that one cell and
+    fixed values (see :func:`_cell_of`); None, anything else. Both
+    tell the cells' kind (:func:`_kind_of`)."""
 
-    __slots__ = ("eval", "vtype", "raw")
+    __slots__ = ("eval", "vtype", "raw", "column", "cell")
 
-    def __init__(self, eval_fn, vtype: Optional[str] = None, raw=None):
+    def __init__(self, eval_fn, vtype: Optional[str] = None, raw=None,
+                 column=None, cell=None):
         self.eval = eval_fn
         self.vtype = vtype
         self.raw = raw
+        self.column = column
+        self.cell = cell
+
+
+_FIXED = "fixed"
+_OUTER = "outer"
+
+
+def _cell_of(*operands: _V):
+    """The ``cell`` (see :class:`_V`) of a value computed row by row
+    from *operands*: fixed when they all are, else the one scanned
+    column every operand that is not fixed reads; None when there is
+    no such column."""
+    found = _FIXED
+    for operand in operands:
+        cell = operand.cell
+        if cell is _FIXED:
+            continue
+        if cell is None or cell is _OUTER or found is not _FIXED \
+                and cell != found:
+            return None
+        found = cell
+    return found
 
 
 class _State:
@@ -538,7 +679,7 @@ def _vconst(value, vtype: Optional[str]) -> _V:
     def run(state, batch):
         return [value] * batch.n
 
-    return _V(run, vtype)
+    return _V(run, vtype, cell=_FIXED)
 
 
 class _RowVar:
@@ -551,13 +692,26 @@ class _RowVar:
     a *demand* hook: the sub-plan computes a plain-column cell only if
     somebody reads it."""
 
-    __slots__ = ("schema", "demand", "source", "scan")
+    __slots__ = ("schema", "demand", "source", "scan", "columns")
 
     def __init__(self, schema: dict, demand=None, source=None, scan=None):
         self.schema = schema
         self.demand = demand
         self.source = source
         self.scan = scan
+        self.columns = {}
+
+    def column(self, key: tuple) -> Optional[tuple]:
+        """``(scan, column index, key)`` of the batch column *key*,
+        ``(var, NAME)``, when a :class:`_Scan` binds this row, else
+        None; made once per column."""
+        if self.scan is None:
+            return None
+        found = self.columns.get(key)
+        if found is None:
+            found = self.columns[key] = (
+                self.scan, list(self.schema).index(key[1]), key)
+        return found
 
 
 class _LetRows:
@@ -612,7 +766,8 @@ def _vcolumn(expr, env: dict, reader: str = "expression") -> Optional[_V]:
         return batch.cols[key]
 
     if row.source is None:
-        return _V(run, row.schema[key[1]])
+        column = row.column(key)
+        return _V(run, row.schema[key[1]], column=column, cell=column)
     row.demand(key[1])
     read = ["view", reader]
     row.source.note_read(key[1], read)
@@ -641,7 +796,7 @@ def _correlated(cc: _Ctx, expr, name: str) -> Optional[_V]:
             def run(state, batch):
                 return [state.bound[slot]] * batch.n
 
-            return _V(run, outer.vtype)
+            return _V(run, outer.vtype, cell=_OUTER)
     return None
 
 
@@ -676,7 +831,7 @@ def _vcompile(cc: _Ctx, expr, env: dict) -> _V:
         def run(state, batch):
             return [state.params[name]] * batch.n
 
-        return _V(run)
+        return _V(run, cell=_FIXED)
     if isinstance(expr, ast.SequenceExpr) and not expr.items:
         return _vconst(None, None)  # SQL NULL
     if isinstance(expr, ast.IfExpr):
@@ -698,7 +853,7 @@ def _vcompile(cc: _Ctx, expr, env: dict) -> _V:
                                        [] if y is None else [y])
                     for x, y in zip(xs, ys)]
 
-        return _V(run, "boolean")
+        return _V(run, "boolean", cell=_cell_of(left, right))
     if isinstance(expr, ast.Arithmetic):
         left = _vcompile(cc, expr.left, env)
         right = _vcompile(cc, expr.right, env)
@@ -812,7 +967,7 @@ def _vcompile_call(cc: _Ctx, expr: ast.XFunctionCall, env: dict) -> _V:
             else:
                 def run(state, batch):
                     return [_ebv_scalar(x) for x in arg.eval(state, batch)]
-            return _V(run, "boolean")
+            return _V(run, "boolean", cell=_cell_of(arg))
         if local == "true" and not args:
             return _vconst(True, "boolean")
         if local == "false" and not args:
@@ -834,7 +989,7 @@ def _vcompile_call(cc: _Ctx, expr: ast.XFunctionCall, env: dict) -> _V:
                         out.append(cast_to(local, [x])[0])
                 return out
 
-            return _V(run, vtype)
+            return _V(run, vtype, cell=_cell_of(arg))
     elif uri == BEA_URI:
         if local == "not3" and len(args) == 1:
             arg = _vcompile(cc, args[0], env)
@@ -843,7 +998,7 @@ def _vcompile_call(cc: _Ctx, expr: ast.XFunctionCall, env: dict) -> _V:
                 return [None if x is None else not bool(x)
                         for x in arg.eval(state, batch)]
 
-            return _V(run, "boolean")
+            return _V(run, "boolean", cell=_cell_of(arg))
         if local in ("and3", "or3") and len(args) == 2:
             left = _vcompile(cc, args[0], env)
             right = _vcompile(cc, args[1], env)
@@ -869,7 +1024,7 @@ def _vcompile_call(cc: _Ctx, expr: ast.XFunctionCall, env: dict) -> _V:
                             out.append(bool(x) and bool(y))
                 return out
 
-            return _V(run, "boolean")
+            return _V(run, "boolean", cell=_cell_of(left, right))
         if local == "in3" and len(args) == 2:
             return _vcompile_in3(cc, args, env)
     entry = BUILTINS.get((uri, local))
@@ -1044,7 +1199,7 @@ def _vcompile_in3(cc: _Ctx, args, env: dict) -> _V:
             out.append(result[0] if result else None)
         return out
 
-    return _V(run, "boolean")
+    return _V(run, "boolean", cell=_cell_of(needle, *members))
 
 
 def _vcompile_value_comparison(cc: _Ctx, expr: ast.ValueComparison,
@@ -1083,9 +1238,9 @@ def _vcompare(op: str, left: _V, right: _V) -> _V:
         def run(state, batch):
             xs = left.eval(state, batch)
             ys = right.eval(state, batch)
-            shared = _COMPARE_CLASS.get(_kind(xs)[0])
-            if shared is not None \
-                    and shared == _COMPARE_CLASS.get(_kind(ys)[0]):
+            shared = _COMPARE_CLASS.get(_kind_of(left, state, xs))
+            if shared is not None and shared == _COMPARE_CLASS.get(
+                    _kind_of(right, state, ys)):
                 return [None if x is None or y is None else direct(x, y)
                         for x, y in zip(xs, ys)]
             out = []
@@ -1097,7 +1252,7 @@ def _vcompare(op: str, left: _V, right: _V) -> _V:
                     out.append(compare_values(op, a, b))
             return out
 
-    return _V(run, "boolean")
+    return _V(run, "boolean", cell=_cell_of(left, right))
 
 
 # ---------------------------------------------------------------------------
@@ -1302,19 +1457,74 @@ class _Window(_Op):
                 return
 
 
-class _Filter(_Op):
-    """``where``: the rows whose condition is true."""
+def _per_version(op: _Op, state: _State, batch: _Batch, build):
+    """``build(state)`` — a tuple whose first item is the column-cache
+    entry it was made for, or None — made once per execution of *op*;
+    None for a batch that is not rows of that entry (a pushed or
+    uncached scan's, a join's, a record set's)."""
+    if batch.origin is None:
+        return None
+    made = state.memo.get(op, _UNSET)
+    if made is _UNSET:
+        made = state.memo[op] = build(state)
+    return made if made is not None and made[0] is batch.origin else None
 
-    __slots__ = ("condition",)
+
+_UNSET = object()
+
+
+class _Filter(_Op):
+    """``where``: the rows whose condition is true, as a selection
+    vector over a scan's batch (:func:`_pick`). ``coded``: the one
+    scanned column the condition is computed from, with constants and
+    parameters (its ``cell``, see :class:`_V`); over a held version
+    whose column has codes (``_TableScan.codes``), the condition is
+    evaluated once per distinct value and rows are selected by code."""
+
+    __slots__ = ("condition", "coded")
     name = "filter"
 
     def run(self, state, batches):
         for b in batches:
-            idx = _selected(self.condition.eval(state, b))
-            if len(idx) == b.n:
+            coded = self.coded and _per_version(self, state, b, self._keep)
+            if not coded:
+                idx = _selected(self.condition.eval(state, b))
+                if len(idx) == b.n:
+                    yield b
+                elif idx:
+                    yield _pick(b, idx)
+                continue
+            _entry, codes, keep = coded
+            cols = b.cols
+            rows = list(compress(cols.rows,
+                                 _codes_at(codes, cols.rows).translate(keep)))
+            if len(rows) == b.n:
                 yield b
-            elif idx:
-                yield _gather(b, idx)
+            elif rows:
+                yield _Batch(len(rows), _Picked(cols.base, rows), b.origin)
+
+    def _keep(self, state: _State) -> Optional[tuple]:
+        """``(entry, codes, keep)``: the column's codes in the version
+        read and a 256-byte table, 1 at each code whose value the
+        condition selects — the condition evaluated over the k distinct
+        values as a k-row batch. None when the column has no codes or
+        the condition raises on some value: the rows then take the
+        plain path, which raises if some row holds the value."""
+        scan, index, key = self.coded
+        entry = scan.entry(state)
+        dictionary = entry and entry.codes(index)
+        if not dictionary:
+            return None
+        values, codes = dictionary
+        try:
+            hits = _selected(self.condition.eval(
+                state, _Batch(len(values), {key: values})))
+        except Exception:  # (whatever a row of that value raises)
+            return None
+        keep = bytearray(_MAX_CODES)
+        for code in hits:
+            keep[code] = 1
+        return entry, codes, bytes(keep)
 
 
 class _Sort(_Op):
@@ -1366,10 +1576,13 @@ class _Group(_Op):
     """Hash aggregation of a group clause and everything after it: key
     and value inputs (None for COUNT(*)), each aggregate's static
     output type, and one ``(_GRP, var)`` column out per key and
-    aggregate."""
+    aggregate. ``coded``: the scan that the one key column and every
+    value column are columns of, or None; over a held version whose
+    key column has codes, rows are bucketed by code
+    (:meth:`_code_keys`)."""
 
     __slots__ = ("key_exprs", "key_vars", "specs", "value_exprs",
-                 "out_vtypes")
+                 "out_vtypes", "coded")
     name = "group"
 
     def run(self, state, batches):
@@ -1395,26 +1608,34 @@ class _Group(_Op):
                 # admission charges the pre-aggregation scanned rows
                 # (ticks happened at scan granularity already).
                 state.ctx.rows_buffered += b.n
-            key_cols = [key.eval(state, b) for key in self.key_exprs]
-            value_cols = [None if value is None else value.eval(state, b)
-                          for value in self.value_exprs]
-            # Rows partitioned by canonical key in row order: groups
-            # are first seen, and a group's cells folded, in the order
-            # a row-at-a-time fold would.
-            parts: dict = {}
-            if key_cols:
-                canons = [_group_keys(col, columnar) for col in key_cols]
-                for i, canon in enumerate(zip(*canons)):
-                    parts.setdefault(canon, []).append(i)
+            coded = self.coded and _per_version(self, state, b,
+                                                self._code_keys)
+            if coded:
+                parts, key_cols, value_cols = self._coded_parts(b, coded)
             else:
-                parts[()] = range(b.n)
+                key_cols = [key.eval(state, b) for key in self.key_exprs]
+                value_cols = [None if value is None
+                              else value.eval(state, b)
+                              for value in self.value_exprs]
+                # Rows partitioned by canonical key in row order: groups
+                # are first seen, and a group's cells folded, in the
+                # order a row-at-a-time fold would.
+                parts = {}
+                if key_cols:
+                    canons = [_group_keys(col, columnar)
+                              for col in key_cols]
+                    for i, canon in enumerate(zip(*canons)):
+                        parts.setdefault(canon, []).append(i)
+                else:
+                    parts[()] = range(b.n)
             # SUM / AVG over exact numerics fold a group's cells at
             # once, by the same ``+`` left to right (float addition
             # through ``sum`` is not that fold on every Python).
             summed = [col is not None and not spec.distinct
                       and spec.func in ("sum", "avg")
-                      and _kind(col)[0] in (int, Decimal)
-                      for spec, col in zip(specs, value_cols)]
+                      and _kind_of(value, state, col) in (int, Decimal)
+                      for spec, value, col
+                      in zip(specs, self.value_exprs, value_cols)]
             for canon, idx in parts.items():
                 record = groups.get(canon)
                 if record is None:
@@ -1438,6 +1659,36 @@ class _Group(_Op):
                                 else sum(cells[1:], cells[0])
                             acc[1] += len(cells)
         return groups
+
+    def _code_keys(self, state: _State) -> Optional[tuple]:
+        """``(entry, codes, canonical key per code)`` of the version the
+        one key column is read from, each code's ``grouping_key``
+        computed once; None when the key column has no codes or a value
+        column's fact is unknown (the fold reads the version's columns
+        whole, so their kinds must be the version's)."""
+        entry = self.coded.entry(state)
+        dictionary = entry and entry.codes(self.key_exprs[0].column[1])
+        if not dictionary or any(
+                value is not None and entry.fact(value.column[1]) is None
+                for value in self.value_exprs):
+            return None
+        values, codes = dictionary
+        return entry, codes, [(grouping_key(value),) for value in values]
+
+    def _coded_parts(self, b: _Batch, coded) -> tuple:
+        """``(parts, key columns, value columns)`` of a batch of a held
+        version: its row numbers bucketed by their key codes in one
+        pass, in row order, each bucket keyed by its code's canonical
+        key; the columns are the version's, read at those numbers."""
+        _entry, codes, canons = coded
+        rows, base = b.cols.rows, b.cols.base
+        buckets = defaultdict(list)
+        for at, code in zip(rows, _codes_at(codes, rows)):
+            buckets[code].append(at)
+        return {canons[code]: bucket for code, bucket in buckets.items()}, \
+            [base[self.key_exprs[0].column[2]]], \
+            [None if value is None else base[value.column[2]]
+             for value in self.value_exprs]
 
     def _group_batches(self, state: _State, groups: dict) \
             -> Iterator[_Batch]:
@@ -1691,17 +1942,18 @@ class _Scan(_Source):
         return None if entry is None else entry.fact(index)
 
     def rows(self, state: _State) -> Iterator[_Batch]:
-        colmap, nrows, _entry = self._columns(state)
+        colmap, nrows, entry = self._columns(state)
         var = self.var
         size = state.plan.batch_size
-        whole = nrows <= size  # one batch: the columns as they are
+        base = {(var, name): col for name, col in colmap.items()}
+        if self.with_ordinal:
+            base[(_ORD, var)] = range(nrows)
         for start in range(0, nrows, size):
             stop = min(start + size, nrows)
-            cols = {(var, name): col if whole else col[start:stop]
-                    for name, col in colmap.items()}
-            if self.with_ordinal:
-                cols[(_ORD, var)] = list(range(start, stop))
-            batch = _Batch(stop - start, cols)
+            cols = _Picked(base, range(start, stop))
+            if nrows <= size:
+                cols.update(base)  # (one batch: the columns as they are)
+            batch = _Batch(stop - start, cols, entry)
             if state.ctx is not None:
                 # Batch granularity is the tick granularity: deadline /
                 # cancellation latency is bounded by one batch even when
@@ -2113,8 +2365,13 @@ def _compile_aggregate(cc: _Ctx, agg, env: dict) -> _Group:
         value = _vcompile(cc, spec.value, env)
         value_exprs.append(value)
         out_vtypes.append(_spec_out_vtype(spec, value.vtype))
+    scan = len(key_exprs) == 1 and key_exprs[0].column \
+        and key_exprs[0].column[0]
+    coded = scan if scan and all(
+        value is None or value.column and value.column[0] is scan
+        for value in value_exprs) else None
     return _Group(key_exprs, [kv for _k, kv in agg.keys], agg.specs,
-                  value_exprs, out_vtypes)
+                  value_exprs, out_vtypes, coded)
 
 
 def _lower_source(cc: _Ctx, for_clause: ast.ForClause, hint,
@@ -2297,7 +2554,9 @@ def lower_flwor(cc: _Ctx, flwor: ast.FLWOR) -> _Lowered:
         elif isinstance(clause, ast.WhereClause):
             # (ahead of the source: a conjunct that reads no row, hoisted
             # there by the planner, filters the unit tuple)
-            op = _Filter(_vcompile(cc, clause.condition, env))
+            condition = _vcompile(cc, clause.condition, env)
+            op = _Filter(condition, condition.cell
+                         if type(condition.cell) is tuple else None)
         elif not sourced:
             raise _Decline("unsupported_clause")
         elif isinstance(clause, ast.OrderClause):
@@ -2326,7 +2585,7 @@ def lower_flwor(cc: _Ctx, flwor: ast.FLWOR) -> _Lowered:
                 env[spec.var] = _ScalarCol((_GRP, spec.var), vtype)
             for post, (_c, post_owner, post_index) in zip(post_clauses,
                                                           posts):
-                op = _Filter(_vcompile(cc, post.condition, env)) \
+                op = _Filter(_vcompile(cc, post.condition, env), None) \
                     if isinstance(post, ast.WhereClause) \
                     else _Sort(order_specs(post))  # (nothing else lowers)
                 ops.append((op, post_owner, post_index))
@@ -2548,14 +2807,12 @@ class _VectorPlan:
         #: The xml format's RECORDSET element name; None when the
         #: output stage encodes delimited text.
         self.recordset = recordset
-        #: Per output cell, ``(scan, column index)`` when it is a
+        #: Per output cell, ``(scan, column index, key)`` when it is a
         #: scanned table's column (see :class:`OutputColumns`).
         self.scan_cells = []
         for name in names:
             row, key = lowered.column(name) or (None, None)
-            self.scan_cells.append(
-                None if row is None or row.scan is None
-                else (row.scan, list(row.schema).index(key[1])))
+            self.scan_cells.append(row and row.column(key))
 
     def plan_reports(self, estimator=None) -> list:
         """EXPLAIN's plan, one walk over the operator tree: per FLWOR in

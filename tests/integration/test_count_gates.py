@@ -61,7 +61,15 @@ took:
   (``supports_predicate``) once per conjunct, on memory and on SQLite,
   and a request the 6-row demo table declines whole (it is below
   ``TableSource.index_min_rows``) fills the column cache, so the next
-  read scans no source row.
+  read scans no source row;
+* a warm report ``group`` over a held FACTS version filters and folds
+  by dictionary code: it gathers no batch (``vector._gather`` is not
+  called), evaluates its ``<>`` on the 4 distinct REGION values, not
+  per row, and observes the kind of no scanned column (``_kind`` sees
+  only its filter's 4-cell mask); the version's REGION and NAME codes
+  are built once across 10 executions, a write gives the next read new
+  ones, and point reads and writes build none (``ID`` and ``AMOUNT``
+  never get a dictionary).
 """
 
 from __future__ import annotations
@@ -74,7 +82,7 @@ import pytest
 from repro import connect
 from repro.catalog import Application
 from repro.driver import codec, dbapi
-from repro.engine import DSPRuntime, import_tables
+from repro.engine import DSPRuntime, dsp, import_tables
 from repro.sources.memory import TableSource
 from repro.sources.sqlite import SQLiteSource
 from repro.sql.types import SQLType
@@ -85,6 +93,7 @@ from repro.workloads.scaling import (
     build_scaled_storage,
 )
 from repro.workloads import build_runtime
+from repro.xquery import vector
 from repro.xquery.atomic import REGULAR_KINDS
 
 REPORT_JOIN = ("SELECT F.ID, F.NAME, D.DETAILID, D.QTY FROM FACTS F "
@@ -487,4 +496,98 @@ def test_a_declined_request_fills_the_cache():
         scanned.append(_counter(connection, "sources.rows_scanned"))
     assert scanned == [6, 6]
     assert _counter(connection, "sources.rows_pushed") == 0
+    connection.close()
+
+
+REPORT_GROUP = REPORT_STATEMENTS[3][0]
+
+
+def _held_facts(rows: int = 5_000):
+    """A connection over a scaled memory runtime holding its FACTS
+    version (a ``SELECT *`` fills the column cache)."""
+    connection = connect(build_scaled_runtime(rows))
+    cursor = connection.cursor()
+    cursor.execute("SELECT * FROM FACTS")
+    assert len(cursor.fetchall()) == rows
+    return connection, cursor
+
+
+def _counted_codes(monkeypatch) -> list:
+    """The columns a version's codes are asked to be built over."""
+    built = []
+    codes = dsp.dictionary_codes
+
+    def counted(col):
+        built.append(col)
+        return codes(col)
+
+    monkeypatch.setattr(dsp, "dictionary_codes", counted)
+    return built
+
+
+def test_a_warm_group_filters_and_folds_by_code(monkeypatch):
+    compared, gathered, observed = [], [], []
+    ne = vector._CMP_OPS["ne"]
+
+    def counted_ne(x, y):
+        compared.append(x)
+        return ne(x, y)
+
+    monkeypatch.setitem(vector._CMP_OPS, "ne", counted_ne)
+    connection, cursor = _held_facts()
+    cursor.execute(REPORT_GROUP, ("WEST",))
+    warm = cursor.fetchall()
+    assert len(warm) == 6
+    gather, kind = vector._gather, vector._kind
+
+    def counted_gather(batch, idx):
+        gathered.append(len(idx))
+        return gather(batch, idx)
+
+    def counted_kind(col):
+        observed.append(set(map(type, col)))
+        return kind(col)
+
+    monkeypatch.setattr(vector, "_gather", counted_gather)
+    monkeypatch.setattr(vector, "_kind", counted_kind)
+    del compared[:]
+    cursor.execute(REPORT_GROUP, ("WEST",))
+    assert cursor.fetchall() == warm
+    assert gathered == []
+    assert sorted(compared) == ["EAST", "NORTH", "SOUTH", "WEST"]
+    assert observed == [{bool}], observed
+    connection.close()
+
+
+def test_a_version_is_coded_once_and_a_write_codes_the_next(monkeypatch):
+    built = _counted_codes(monkeypatch)
+    connection, cursor = _held_facts()
+    for _ in range(10):
+        cursor.execute(REPORT_GROUP, ("WEST",))
+        rows = cursor.fetchall()
+    assert [len(set(col)) for col in built] == [4, 6]  # REGION, NAME
+    cursor.execute("UPDATE FACTS SET NAME = ? WHERE ID = ?",
+                   ("Newco", 4_998))
+    for _ in range(2):
+        cursor.execute(REPORT_GROUP, ("WEST",))
+        after = cursor.fetchall()
+    assert [len(set(col)) for col in built] == [4, 6, 4, 7]
+    assert [row[0] for row in after] == [row[0] for row in rows] + ["Newco"]
+    connection.close()
+
+
+def test_point_reads_and_writes_build_no_codes(monkeypatch):
+    built = _counted_codes(monkeypatch)
+    connection, cursor = _held_facts()
+    for key in (7, 8, 4_999):
+        cursor.execute(REPORT_STATEMENTS[0][0] + " WHERE ID = ?", (key,))
+        assert [row[0] for row in cursor.fetchall()] == [key]
+    for sql, params in (
+            ("UPDATE FACTS SET AMOUNT = ? WHERE ID = ?", (Decimal("1.5"), 7)),
+            ("DELETE FROM FACTS WHERE ID = ?", (8,)),
+            ("INSERT INTO FACTS (ID, NAME, REGION, AMOUNT) VALUES "
+             "(?, ?, ?, ?)", (9_000, "Acme", "WEST", Decimal("2")))):
+        cursor.execute(sql, params)
+        assert cursor.rowcount == 1
+    assert built == []
     connection.close()
